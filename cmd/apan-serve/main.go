@@ -105,7 +105,6 @@ func main() {
 		demo        = flag.Bool("demo", false, "replay the test stream over HTTP, print latency stats, then exit")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (heap, allocs, profile, trace — see docs/performance.md)")
 		quantize    = flag.Bool("quantize", false, "score with int8-quantized published weights: per-channel symmetric, quantized once per publish (≤0.02 AP drift bound; docs/performance.md)")
-		kernelTier  = flag.String("kernel-tier", "", "linear-algebra kernel tier: default|wide|asm where available (empty keeps the process default; docs/performance.md)")
 
 		loadPath  = flag.String("load", "", "start from this checkpoint (parameters + streaming state) instead of training")
 		ckptPath  = flag.String("checkpoint", "apan-serve.ckpt", "checkpoint path for -checkpoint-every")
@@ -152,8 +151,7 @@ func main() {
 		Shards: *shards, InferWorkers: *inferWork,
 		GraphBackend: backend,
 
-		Quantize:   *quantize,
-		KernelTier: *kernelTier,
+		Quantize: *quantize,
 
 		IncrementalCheckpoints: *ckptIncr,
 		EvictMaxNodes:          *evictMax,

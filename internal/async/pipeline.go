@@ -546,7 +546,18 @@ type Stats struct {
 	AsyncMean     time.Duration `json:"async_mean_ns"`
 }
 
-// Stats reports instrumentation counters.
+// QueueDepth is the number of accepted batches the asynchronous link has not
+// finished propagating — Stats().QueueDepth at constant cost, for callers on
+// the request path.
+func (p *Pipeline) QueueDepth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return int(p.enqueued - p.processed)
+}
+
+// Stats reports instrumentation counters. The latency quantile sorts the
+// whole history, so its cost grows with uptime: call it from /v1/stats, not
+// per request.
 func (p *Pipeline) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -454,3 +454,28 @@ func TestScoreOnlyLeavesStateUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQueueDepthIsCheapAndAgreesWithStats: QueueDepth is what the request
+// path reads, so it must not allocate however long the latency history has
+// grown (Stats copies and sorts that history), and it must report the depth
+// Stats reports.
+func TestQueueDepthIsCheapAndAgreesWithStats(t *testing.T) {
+	ctx := context.Background()
+	p := New(testModel(t, nil))
+	defer p.Close()
+	for i := 0; i < 500; i++ {
+		ev := []tgraph.Event{{Src: 0, Dst: 1, Time: float64(i + 1), Feat: feat()}}
+		if _, _, err := p.Submit(ctx, ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.QueueDepth(), p.Stats().QueueDepth; got != want || got != 0 {
+		t.Fatalf("drained pipeline: QueueDepth() = %d, Stats().QueueDepth = %d, want 0", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.QueueDepth() }); allocs != 0 {
+		t.Fatalf("QueueDepth allocated %.1f times per call", allocs)
+	}
+}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"apan/internal/tensor"
-)
+import "fmt"
 
 // PositionalMode selects how mailbox slots are position-encoded before
 // attention.
@@ -115,15 +111,11 @@ type Config struct {
 	// else float32). Each SwapParams publish quantizes the new set once; the
 	// serving forward pass then intercepts the dense MatMuls. Scores drift
 	// from float32 by the rounding of the int8 GEMMs — bounded at ≤ 0.02 AP
-	// on the fraud trace by the quantized_drift scenario invariant — so this
-	// knob trades exactness for throughput. Off by default.
+	// on the fraud trace by the quantized_drift scenario invariant. It was a
+	// throughput trade against the scalar float32 GEMM; against the AVX2
+	// kernel it is 2.8× slower (docs/performance.md), so there is no longer a
+	// reason to turn it on. Off by default.
 	Quantize bool
-	// KernelTier selects the process-wide linear-algebra kernel tier by name
-	// ("default", "wide", and "asm" where the hardware supports it; see
-	// tensor.SetTier). Empty leaves the process tier alone — the bit-exact
-	// default, unless APAN_KERNEL_TIER overrode it at init. Unknown names are
-	// a Normalize error.
-	KernelTier string
 	// NoExplain skips recording the per-pass attention copy that Explain
 	// serves. The copy happens under a model-wide mutex on every forward
 	// pass, so deployments that never query /v1/explain can turn it off;
@@ -202,14 +194,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.Slots < 1 || c.Neighbors < 1 || c.Hops < 1 {
 		return fmt.Errorf("core: Slots/Neighbors/Hops must be ≥1")
-	}
-	if c.KernelTier != "" {
-		// Tier selection is process-wide by design (see tensor.SetTier); an
-		// empty KernelTier never touches it, so models that don't opt in keep
-		// whatever the process (or APAN_KERNEL_TIER) already chose.
-		if err := tensor.SetTier(c.KernelTier); err != nil {
-			return fmt.Errorf("core: Config.KernelTier: %w", err)
-		}
 	}
 	return nil
 }

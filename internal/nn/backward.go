@@ -50,26 +50,21 @@ func (tp *Tape) stepBack(out *Tensor) {
 	case opMatMul:
 		a, b := out.a, out.b
 		if a.needGrad {
-			if tp.training && tensor.HasAsmGemm() {
-				// dA += dOut·Bᵀ as a plain GEMM: materializing Bᵀ in tape
-				// scratch costs K·N copies against M·K·N multiply-adds, and
-				// lets the 8-lane FMA kernel run instead of the dot4 loop.
-				bt := &tp.tmT
-				bt.Rows, bt.Cols = b.W.Cols, b.W.Rows
-				bt.Data = tp.scratch(len(b.W.Data))
-				tensor.TransposeInto(bt, b.W)
-				tensor.FastMatMulAcc(a.Grad(), out.G, bt)
-			} else {
-				tensor.MatMulBTAcc(a.Grad(), out.G, b.W) // dA += dOut·Bᵀ
-			}
+			// dA stays on MatMulBTAcc where MatMulAcc is the assembly too: a
+			// transposed MatMulAcc is faster there but sums each element in
+			// another order (docs/performance.md, "Training").
+			tensor.MatMulBTAcc(a.Grad(), out.G, b.W) // dA += dOut·Bᵀ
 		}
 		if b.needGrad {
 			if tp.training && tensor.HasAsmGemm() {
+				// dB += Aᵀ·dOut as a plain GEMM: materializing Aᵀ in tape
+				// scratch costs M·K copies against M·K·N multiply-adds, lets
+				// the assembly run, and is bit-equal to MatMulATAcc.
 				at := &tp.tmT
 				at.Rows, at.Cols = a.W.Cols, a.W.Rows
 				at.Data = tp.scratch(len(a.W.Data))
 				tensor.TransposeInto(at, a.W)
-				tensor.FastMatMulAcc(b.Grad(), at, out.G)
+				tensor.MatMulAcc(b.Grad(), at, out.G)
 			} else {
 				tensor.MatMulATAcc(b.Grad(), a.W, out.G) // dB += Aᵀ·dOut
 			}

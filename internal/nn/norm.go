@@ -28,8 +28,7 @@ func (tp *Tape) LayerNormOp(x, g, b *Tensor) *Tensor {
 	}
 
 	// The per-row mean/variance/normalize loop is the fused LayerNormRow
-	// kernel, dispatched through the active tier (the default tier matches
-	// the historical inline loops bit-for-bit).
+	// kernel.
 	for r := 0; r < x.W.Rows; r++ {
 		row := x.W.Row(r)
 		o := out.W.Row(r)

@@ -23,14 +23,7 @@ func (tp *Tape) MatMul(a, b *Tensor) *Tensor {
 		}
 	}
 	out := tp.newResultRaw(a.W.Rows, b.W.Cols, a, b)
-	if tp.training {
-		// Training-mode tapes run the fastest GEMM in the process (the asm
-		// tier when present): gradients are self-consistent, only serving
-		// forwards carry the bit-exact default-tier contract.
-		tensor.FastMatMul(out.W, a.W, b.W)
-	} else {
-		tensor.MatMul(out.W, a.W, b.W)
-	}
+	tensor.MatMul(out.W, a.W, b.W)
 	if out.needGrad {
 		out.op, out.a, out.b = opMatMul, a, b
 	}

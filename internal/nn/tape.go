@@ -120,8 +120,7 @@ type Tape struct {
 	i8used  int
 
 	// tmT is a reusable matrix header over tape scratch for the transposed
-	// operands the fast-GEMM backward path materializes (see stepBack); its
-	// two uses per MatMul node are strictly sequential.
+	// operand the assembly-GEMM backward path materializes (see stepBack).
 	tmT tensor.Matrix
 }
 

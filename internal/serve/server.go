@@ -497,7 +497,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		resp.Count = len(scores)
 		resp.SyncMicros = lat.Microseconds()
 		resp.BatchSize = len(scores)
-		resp.QueueDepth = s.pipe.Stats().QueueDepth
+		resp.QueueDepth = s.pipe.QueueDepth()
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -520,7 +520,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			Count:      1,
 			SyncMicros: lat.Microseconds(),
 			BatchSize:  1,
-			QueueDepth: s.pipe.Stats().QueueDepth,
+			QueueDepth: s.pipe.QueueDepth(),
 			Role:       "follower",
 			LagEvents:  s.replication.LagEvents(),
 		})
@@ -542,7 +542,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 			Count:      1,
 			SyncMicros: lat.Microseconds(),
 			BatchSize:  1,
-			QueueDepth: s.pipe.Stats().QueueDepth,
+			QueueDepth: s.pipe.QueueDepth(),
 			Tenant:     tenant,
 		})
 		return
@@ -558,7 +558,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		Count:      1,
 		SyncMicros: lat.Microseconds(),
 		BatchSize:  size,
-		QueueDepth: s.pipe.Stats().QueueDepth,
+		QueueDepth: s.pipe.QueueDepth(),
 	})
 }
 
@@ -636,7 +636,7 @@ func (s *Server) degradedReasons() []string {
 func (s *Server) handleLivez(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:        "ok",
-		QueueDepth:    s.pipe.Stats().QueueDepth,
+		QueueDepth:    s.pipe.QueueDepth(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	})
 }
@@ -647,7 +647,7 @@ func (s *Server) handleLivez(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	resp := HealthResponse{
 		Status:        "ok",
-		QueueDepth:    s.pipe.Stats().QueueDepth,
+		QueueDepth:    s.pipe.QueueDepth(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 	if reasons := s.degradedReasons(); len(reasons) > 0 {
@@ -665,7 +665,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := HealthResponse{
 		Status:        "ok",
-		QueueDepth:    s.pipe.Stats().QueueDepth,
+		QueueDepth:    s.pipe.QueueDepth(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 	if reasons := s.degradedReasons(); len(reasons) > 0 {

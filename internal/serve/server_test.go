@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -435,5 +436,69 @@ func TestMethodAndRouteHygiene(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unversioned route: %d", resp.StatusCode)
+	}
+}
+
+// TestScoreCostIndependentOfHistory: what a /v1/score request allocates must
+// not depend on how many batches the pipeline has already scored. Reading
+// queue_depth through Pipeline.Stats copied (and sorted) the whole latency
+// history per response — 8 bytes and a compare-sort step for every batch
+// since start-up.
+func TestScoreCostIndependentOfHistory(t *testing.T) {
+	pipe := async.New(testModel(t))
+	srv := New(pipe, Options{})
+	t.Cleanup(func() {
+		srv.Close()
+		pipe.Close()
+	})
+	now := 0.0
+	batch := func() []byte {
+		now++
+		body, err := json.Marshal(ScoreRequest{Events: []EventJSON{
+			{Src: 0, Dst: 1, Time: now, Feat: feat()}, {Src: 1, Dst: 2, Time: now, Feat: feat()},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	// bytesPerRequest drives the handler directly — no HTTP client or
+	// connection goroutines in the count — and waits out the asynchronous
+	// link, so both readings cover the same work.
+	bytesPerRequest := func() uint64 {
+		const requests = 64
+		bodies := make([][]byte, requests)
+		for i := range bodies {
+			bodies[i] = batch()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, body := range bodies {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/score", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+			}
+		}
+		if err := pipe.Drain(t.Context()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / requests
+	}
+	bytesPerRequest() // warm pools and lazily built state
+	young := bytesPerRequest()
+	const history = 10000 // × 8 B of latency samples = 80 KB per Stats call
+	for i := 0; i < history; i++ {
+		now++
+		if _, _, err := pipe.Submit(t.Context(), []tgraph.Event{{Src: 0, Dst: 1, Time: now, Feat: feat()}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := bytesPerRequest()
+	// TotalAlloc is process-wide (slice growth in the stores and histories
+	// lands in it too), hence the slack: a third of what the bug costs.
+	if old > young+history*8/3 {
+		t.Fatalf("a request allocated %d B after %d more batches, %d B before: per-request cost grows with history", old, history, young)
 	}
 }

@@ -2,6 +2,9 @@
 
 package tensor
 
-// asmKernels reports no asm tier on platforms without the AVX2+FMA GEMM
-// (non-amd64, or amd64 built with -tags apan_noasm).
-func asmKernels() *Kernels { return nil }
+// matMulAcc is MatMulAcc's kernel where there is no assembly (non-amd64, or
+// amd64 built with -tags apan_noasm): the Go reference.
+func matMulAcc(dst, a, b *Matrix) { matMulAccKernel(dst, a, b) }
+
+// HasAsmGemm reports whether MatMulAcc runs an assembly body: never here.
+func HasAsmGemm() bool { return false }

@@ -2,39 +2,42 @@
 
 package tensor
 
-// The AVX2+FMA GEMM micro-kernel (asm_amd64.s) is compiled into every amd64
-// build and gated at runtime by CPUID — there is nothing to cross-compile
-// wrong, and machines without AVX2/FMA silently keep the pure-Go tiers.
-// Build with -tags apan_noasm to force the pure-Go fallback everywhere.
+// The AVX2 kernels (asm_amd64.s) are compiled into every amd64 build and
+// gated once by CPUID: machines without AVX2 run the Go kernels, which
+// compute the same bits. Build with -tags apan_noasm to leave the assembly
+// out entirely.
 
-// cpuHasAvx2Fma reports whether the CPU and OS support the AVX2+FMA kernel
-// (implemented in asm_amd64.s).
-func cpuHasAvx2Fma() bool
+// cpuHasAvx2 reports whether the CPU and OS support AVX2 (asm_amd64.s).
+func cpuHasAvx2() bool
+
+// hasAvx2 is read-only after init outside this package's tests, which clear
+// it to run the Go reference through the same entry points.
+var hasAvx2 = cpuHasAvx2()
 
 //go:noescape
 func gemmAccAsm(dst, a, b []float32, m, k, n int)
 
-// asmKernels returns the asm tier when the CPU supports it, else nil.
-// Called once from the dispatch init.
-func asmKernels() *Kernels {
-	if !cpuHasAvx2Fma() {
-		return nil
+// matMulAcc is MatMulAcc's kernel on amd64: the AVX2 body where the CPU has
+// it, bit-identical to matMulAccKernel (see the contract there).
+func matMulAcc(dst, a, b *Matrix) {
+	if !hasAvx2 {
+		matMulAccKernel(dst, a, b)
+		return
 	}
-	return &Kernels{
-		Name:      TierASM,
-		MatMulAcc: matMulAccAsm,
-	}
+	m, k, n := a.Rows, a.Cols, b.Cols
+	// The reslices bound what the assembly may touch by each slice's capacity.
+	gemmAccAsm(dst.Data[:m*n], a.Data[:m*k], b.Data[:k*n], m, k, n)
 }
 
-func matMulAccAsm(dst, a, b *Matrix) {
-	gemmAccAsm(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
-}
+// HasAsmGemm reports whether MatMulAcc runs the AVX2 assembly body in this
+// process (amd64 with AVX2, not built with apan_noasm).
+func HasAsmGemm() bool { return hasAvx2 }
 
 //go:noescape
 func int8Dot4Kernel(a, b []int8, k, kv int) (c0, c1, c2, c3 int32)
 
 func init() {
-	if cpuHasAvx2Fma() {
+	if hasAvx2 {
 		int8Dot4 = int8Dot4Avx2
 	}
 }

@@ -7,11 +7,12 @@ import "fmt"
 // short-fat: row vectors of the embedding dimension d (~100–200 floats)
 // multiplied against d×d projection weights, so the kernels optimize for
 // (a) keeping a handful of independent accumulators in registers to hide
-// FMA latency, and (b) streaming each output row once per four k-steps
+// add latency, and (b) streaming each output row once per four k-steps
 // instead of once per k-step. Summation order differs from the naive
 // loops, so results are equal to the naive path only up to float32
 // rounding (ε); see kernels_test.go for the testing/quick equivalence
-// properties against straight-line references.
+// properties against straight-line references. Every serving digest is
+// defined against the orders written here.
 
 // dotKernel is the 4-accumulator inner product.
 func dotKernel(a, b []float32) float32 {
@@ -47,43 +48,21 @@ func dot4Kernel(a, b0, b1, b2, b3 []float32) (d0, d1, d2, d3 float32) {
 	return
 }
 
-// axpyKernel computes y += s*x, unrolled by four. Element-wise independent,
-// so it is bitwise identical to the naive loop.
-func axpyKernel(y, x []float32, s float32) {
-	n := len(y)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		y[i] += s * x[i]
-		y[i+1] += s * x[i+1]
-		y[i+2] += s * x[i+2]
-		y[i+3] += s * x[i+3]
-	}
-	for ; i < n; i++ {
-		y[i] += s * x[i]
-	}
-}
-
 // AddScaledTo computes dst = a + s*b element-wise in one pass (the fused
 // form of CopyFrom+AddScaled, saving a full write+read of dst).
 func AddScaledTo(dst, a, b []float32, s float32) {
 	if len(dst) != len(a) || len(dst) != len(b) {
 		panic(fmt.Sprintf("tensor: AddScaledTo length mismatch %d/%d/%d", len(dst), len(a), len(b)))
 	}
-	active().AddScaledTo(dst, a, b, s)
-}
-
-// addScaledToKernel is the default AddScaledTo loop (element-wise, so any
-// tier computes the same bits; kept as a named kernel for symmetry).
-func addScaledToKernel(dst, a, b []float32, s float32) {
 	for i, av := range a {
 		dst[i] = av + s*b[i]
 	}
 }
 
-// softmaxRowKernel is the default fused softmax: max-subtraction, a single
-// sequential exp-sum accumulator, then one normalization pass. This is the
-// historical SoftmaxRow body verbatim — the default tier must stay bit-exact.
-func softmaxRowKernel(row []float32) {
+// SoftmaxRow overwrites row with softmax(row): max-subtraction, a single
+// sequential exp-sum accumulator, then one normalization pass. Serving
+// scores are bit-exact against this order.
+func SoftmaxRow(row []float32) {
 	if len(row) == 0 {
 		return
 	}
@@ -105,11 +84,12 @@ func softmaxRowKernel(row []float32) {
 	}
 }
 
-// layerNormRowKernel is the default fused layer-norm row: sequential mean and
-// variance accumulators matching the historical nn.LayerNormOp inline loops
-// bit-for-bit. When xhat is non-nil the normalized values are cached there
-// for the backward pass.
-func layerNormRowKernel(dst, xhat, x, g, b []float32, eps float32) float32 {
+// LayerNormRow normalizes one row: dst = g⊙(x−mean)/std + b, returning the
+// inverse standard deviation, with sequential mean and variance accumulators
+// (serving scores are bit-exact against this order). A non-nil xhat
+// additionally receives the normalized values (the backward-pass cache used
+// by training tapes).
+func LayerNormRow(dst, xhat, x, g, b []float32, eps float32) float32 {
 	d := len(x)
 	var mean float32
 	for _, v := range x {
@@ -138,18 +118,21 @@ func layerNormRowKernel(dst, xhat, x, g, b []float32, eps float32) float32 {
 	return is
 }
 
-// LayerNormRow normalizes one row through the active kernel tier:
-// dst = g⊙(x−mean)/std + b, returning the inverse standard deviation.
-// A non-nil xhat additionally receives the normalized values (the
-// backward-pass cache used by training tapes).
-func LayerNormRow(dst, xhat, x, g, b []float32, eps float32) float32 {
-	return active().LayerNormRow(dst, xhat, x, g, b, eps)
-}
-
-// matMulAccKernel computes dst += a·b with the ikj loop order blocked four
-// k-steps deep: each dst row is streamed once per four rows of b, quartering
-// the dominant load/store traffic of the naive loop. All-zero k-blocks of a
-// are skipped, which keeps the post-ReLU sparsity win of the naive kernel.
+// matMulAccKernel computes dst += a·b and is the definition of MatMulAcc's
+// arithmetic: the AVX2 body (asm_amd64.s) must produce the same bits, and the
+// differential property in gemm_test.go holds it to that. Per output element
+// (i,j), every operation individually rounded to float32:
+//
+//   - for each 4-block of k, ascending, unless all four a coefficients == 0
+//     (−0 skips too, NaN does not): d = d + (((a0·b0 + a1·b1) + a2·b2) + a3·b3);
+//   - then for each leftover k with a != 0: d = d + a·b.
+//
+// The order is per element, so any tiling over i and j computes the same
+// bits; a fused multiply-add does not, which is why the products are written
+// as explicit float32 conversions (the Go spec forbids fusing across one, so
+// GOAMD64=v3 cannot turn this reference into something else). The ikj order
+// streams each dst row once per four rows of b, and skipping all-zero
+// k-blocks keeps the post-ReLU sparsity win of the naive kernel.
 func matMulAccKernel(dst, a, b *Matrix) {
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -168,7 +151,7 @@ func matMulAccKernel(dst, a, b *Matrix) {
 			// Reslicing to the output width hoists the bounds checks.
 			b0, b1, b2, b3 = b0[:len(drow)], b1[:len(drow)], b2[:len(drow)], b3[:len(drow)]
 			for j := range drow {
-				drow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				drow[j] += float32(a0*b0[j]) + float32(a1*b1[j]) + float32(a2*b2[j]) + float32(a3*b3[j])
 			}
 		}
 		for ; k < len(arow); k++ {
@@ -178,7 +161,7 @@ func matMulAccKernel(dst, a, b *Matrix) {
 			}
 			brow := b.Data[k*n : (k+1)*n]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -207,4 +190,13 @@ func matMulBTAccKernel(dst, a, b *Matrix) {
 			drow[j] += dotKernel(arow, brow)
 		}
 	}
+}
+
+// Tier names the float32 GEMM body MatMulAcc runs in this process: "avx2"
+// (the assembly) or "go" (matMulAccKernel). There is nothing to select.
+func Tier() string {
+	if HasAsmGemm() {
+		return "avx2"
+	}
+	return "go"
 }

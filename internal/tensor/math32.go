@@ -31,12 +31,6 @@ func Sigmoid32(x float32) float32 {
 	return z / (1 + z)
 }
 
-// SoftmaxRow overwrites row with softmax(row) using the max-subtraction
-// trick, dispatched through the active kernel tier.
-func SoftmaxRow(row []float32) {
-	active().SoftmaxInPlace(row)
-}
-
 // LogSumExp returns log(Σ exp(x_i)) computed stably.
 func LogSumExp(xs []float32) float32 {
 	if len(xs) == 0 {

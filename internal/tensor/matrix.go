@@ -121,12 +121,14 @@ func MatMul(dst, a, b *Matrix) {
 	MatMulAcc(dst, a, b)
 }
 
-// MatMulAcc computes dst += a·b (blocked ikj loop order; see kernels.go).
+// MatMulAcc computes dst += a·b in the operation order matMulAccKernel
+// documents. matMulAcc is the one architecture hook: the AVX2 body on amd64
+// (same bits), the Go kernel itself elsewhere.
 func MatMulAcc(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulAcc shapes %dx%d · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	active().MatMulAcc(dst, a, b)
+	matMulAcc(dst, a, b)
 }
 
 // MatMulATAcc computes dst += aᵀ·b where a is stored untransposed — the
@@ -134,8 +136,9 @@ func MatMulAcc(dst, a, b *Matrix) {
 // path calls it). The k loop is blocked four rows deep so each dst row is
 // streamed once per four k-steps, which quarters the dominant load/store
 // traffic; all-zero 4-blocks of the input column (post-ReLU activations,
-// empty mail slots) are skipped. Summation order differs from the naive
-// kij loop, so gradients match it only up to float32 rounding.
+// empty mail slots) are skipped. Per output element this is MatMulAcc's
+// order over aᵀ (gemm_test.go holds the two bit-equal), with the products
+// kept unfused the same way.
 func MatMulATAcc(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulATAcc shapes (%dx%d)ᵀ · %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
@@ -160,7 +163,7 @@ func MatMulATAcc(dst, a, b *Matrix) {
 			drow := dst.Data[i*n : (i+1)*n]
 			b0, b1, b2, b3 := b0[:len(drow)], b1[:len(drow)], b2[:len(drow)], b3[:len(drow)]
 			for j := range drow {
-				drow[j] += v0*b0[j] + v1*b1[j] + v2*b2[j] + v3*b3[j]
+				drow[j] += float32(v0*b0[j]) + float32(v1*b1[j]) + float32(v2*b2[j]) + float32(v3*b3[j])
 			}
 		}
 	}
@@ -173,16 +176,16 @@ func MatMulATAcc(dst, a, b *Matrix) {
 			}
 			drow := dst.Data[i*n : (i+1)*n]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float32(av * bv)
 			}
 		}
 	}
 }
 
 // TransposeInto writes aᵀ into dst (which must be a.Cols×a.Rows), in 8×8
-// tiles so both matrices stream through cache. Training backward uses it to
-// turn the transposed-operand GEMMs (G·Bᵀ, Aᵀ·G) into plain dst += a·b
-// calls for the fast GEMM path.
+// tiles so both matrices stream through cache. The backward pass uses it to
+// turn dB += Aᵀ·G into a plain dst += a·b call where MatMulAcc is the
+// assembly (same bits as MatMulATAcc).
 func TransposeInto(dst, a *Matrix) {
 	if dst.Rows != a.Cols || dst.Cols != a.Rows {
 		panic(fmt.Sprintf("tensor: TransposeInto shapes %dx%d -> %dx%d", a.Rows, a.Cols, dst.Rows, dst.Cols))
@@ -203,13 +206,14 @@ func TransposeInto(dst, a *Matrix) {
 	}
 }
 
-// MatMulBTAcc computes dst += a·bᵀ where b is stored untransposed (the
-// attention K·Q access pattern; four b-rows per pass, see kernels.go).
+// MatMulBTAcc computes dst += a·bᵀ where b is stored untransposed — the
+// input-gradient accumulation dX += dY·Wᵀ (backward pass only; four b-rows
+// per pass, see kernels.go).
 func MatMulBTAcc(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulBTAcc shapes %dx%d · (%dx%d)ᵀ -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	active().MatMulBTAcc(dst, a, b)
+	matMulBTAccKernel(dst, a, b)
 }
 
 // Dot returns the inner product of equal-length vectors a and b
@@ -218,15 +222,26 @@ func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
 	}
-	return active().Dot(a, b)
+	return dotKernel(a, b)
 }
 
-// Axpy accumulates s*x into y.
+// Axpy accumulates s*x into y (unrolled by four; element-wise, so bitwise
+// identical to the naive loop).
 func Axpy(y, x []float32, s float32) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(y), len(x)))
 	}
-	active().Axpy(y, x, s)
+	n := len(y)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		y[i] += s * x[i]
+		y[i+1] += s * x[i+1]
+		y[i+2] += s * x[i+2]
+		y[i+3] += s * x[i+3]
+	}
+	for ; i < n; i++ {
+		y[i] += s * x[i]
+	}
 }
 
 // Transpose returns a new matrix mᵀ.

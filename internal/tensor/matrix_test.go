@@ -103,6 +103,24 @@ func TestTransposedMultiplies(t *testing.T) {
 	}
 }
 
+// TestTransposeInto: the tiled transpose equals the element-wise one on
+// shapes that are not multiples of its 8×8 tile.
+func TestTransposeInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, sh := range [][2]int{{1, 1}, {4, 5}, {8, 8}, {13, 21}, {172, 9}} {
+		a := New(sh[0], sh[1])
+		a.RandN(rng, 1)
+		got := New(sh[1], sh[0])
+		TransposeInto(got, a)
+		want := a.Transpose()
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%dx%d: element %d = %v, want %v", sh[0], sh[1], i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
 func TestElementwiseOps(t *testing.T) {
 	a := FromSlice(1, 4, []float32{1, 2, 3, 4})
 	b := FromSlice(1, 4, []float32{4, 3, 2, 1})

@@ -391,11 +391,17 @@ func (l *Log) Sync() error {
 // jump leaves a legal gap in the record indices (replay never reads below
 // the watermark); a log already past the watermark is an error, because
 // appending would assign duplicate indices. Must be called with no appends
-// in flight — i.e. during attach, before serving starts.
+// in flight — i.e. during attach, before serving starts. A flush already in
+// progress is waited out, not refused: under SyncInterval the background
+// sync takes the flush leadership with an empty buffer every SyncEvery, and
+// that is not an append.
 func (l *Log) AlignTo(watermark uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.buf) > 0 || l.flushing {
+	for l.flushing {
+		l.cond.Wait()
+	}
+	if len(l.buf) > 0 {
 		return errors.New("wal: AlignTo with appends in flight")
 	}
 	if l.nextIndex > watermark {

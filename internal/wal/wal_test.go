@@ -211,6 +211,73 @@ func TestSegmentRotationAndTruncate(t *testing.T) {
 	l2.Close()
 }
 
+// TestAlignToWaitsOutBackgroundSync: under SyncInterval the ticker's Sync
+// holds the flush leadership with an empty buffer for the length of an
+// fsync. AlignTo used to report that as "appends in flight", so AttachWAL
+// after a clean recovery failed whenever it met a tick. It must wait instead.
+func TestAlignToWaitsOutBackgroundSync(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Begin(mkBatch(0, 4)).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Deterministic: park the first background fsync, call AlignTo while it
+	// is parked, and only then let it finish.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	l, err = Open(Options{Dir: dir, Policy: SyncInterval, SyncEvery: time.Millisecond, Inject: &FaultInjector{
+		BeforeSync: func(string) error {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+			return nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	aligned := make(chan error, 1)
+	go func() { aligned <- l.AlignTo(l.NextIndex()) }()
+	select {
+	case err := <-aligned:
+		t.Fatalf("AlignTo returned (%v) while a sync was in progress; it must wait for it", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-aligned; err != nil {
+		t.Fatalf("AlignTo after the background sync finished: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// And as recovery does it: open, align, close, over and over against a
+	// 1 ms ticker doing real fsyncs.
+	for i := 0; i < 40; i++ {
+		l, err := Open(Options{Dir: dir, Policy: SyncInterval, SyncEvery: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for stop := time.Now().Add(2 * time.Millisecond); time.Now().Before(stop); {
+			if err := l.AlignTo(l.NextIndex()); err != nil {
+				t.Fatalf("open %d: %v", i, err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestAlignToGap: a checkpoint ahead of the durable log leaves a legal gap
 // that replay-from-watermark never reads; replaying from before it fails.
 func TestAlignToGap(t *testing.T) {
