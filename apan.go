@@ -243,9 +243,6 @@ var (
 	WithQueueCap = async.WithQueueCap
 	// WithWorkers sets the number of asynchronous propagation workers.
 	WithWorkers = async.WithWorkers
-	// WithBatchWindow sets the micro-batching window the serving layer
-	// coalesces concurrent single-event submissions within.
-	WithBatchWindow = async.WithBatchWindow
 	// WithOnlineTrainer taps the propagation workers' apply path to feed an
 	// online trainer with every applied batch.
 	WithOnlineTrainer = async.WithOnlineTrainer

@@ -88,23 +88,22 @@ func main() {
 	log.SetPrefix("apan-serve: ")
 
 	var (
-		addr        = flag.String("addr", "127.0.0.1:7683", "listen address")
-		scale       = flag.Float64("scale", 0.02, "training dataset scale")
-		epochs      = flag.Int("epochs", 3, "training epochs before serving")
-		dbLatency   = flag.Duration("db-latency", 0, "simulated graph-DB latency per query on the async link")
-		graphBack   = flag.String("graph-backend", "auto", "temporal-graph store: auto|flat|sharded|remote-sim (auto: sharded on ≥4 cores, flat below — the measured crossover; docs/performance.md)")
-		queueCap    = flag.Int("queue-cap", 256, "propagation queue capacity (backpressure bound)")
-		workers     = flag.Int("workers", 1, "asynchronous propagation workers")
-		batchWindow = flag.Duration("batch-window", time.Millisecond, "micro-batch coalescing window for single-event requests")
-		shards      = flag.Int("shards", 16, "lock-stripe count of the node-state and mailbox stores (power of two)")
-		inferWork   = flag.Int("infer-workers", 1, "goroutines the synchronous-link gather fans out across")
-		flushConc   = flag.Int("flush-concurrency", 1, "coalesced batches scored in parallel")
-		maxNodes    = flag.Int("max-nodes", 1<<20, "dynamic node admission limit (negative disables admission)")
-		seed        = flag.Int64("seed", 1, "process seed: dataset, model init, and retry-backoff jitter (same seed, same run)")
-		demoBatch   = flag.Int("demo-batch", 50, "events per request in demo replay")
-		demo        = flag.Bool("demo", false, "replay the test stream over HTTP, print latency stats, then exit")
-		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (heap, allocs, profile, trace — see docs/performance.md)")
-		quantize    = flag.Bool("quantize", false, "score with int8-quantized published weights: per-channel symmetric, quantized once per publish (≤0.02 AP drift bound; docs/performance.md)")
+		addr      = flag.String("addr", "127.0.0.1:7683", "listen address")
+		scale     = flag.Float64("scale", 0.02, "training dataset scale")
+		epochs    = flag.Int("epochs", 3, "training epochs before serving")
+		dbLatency = flag.Duration("db-latency", 0, "simulated graph-DB latency per query on the async link")
+		graphBack = flag.String("graph-backend", "auto", "temporal-graph store: auto|flat|sharded|remote-sim (auto: sharded on ≥4 cores, flat below — the measured crossover; docs/performance.md)")
+		queueCap  = flag.Int("queue-cap", 256, "propagation queue capacity (backpressure bound)")
+		workers   = flag.Int("workers", 1, "asynchronous propagation workers")
+		shards    = flag.Int("shards", 16, "lock-stripe count of the node-state and mailbox stores (power of two)")
+		inferWork = flag.Int("infer-workers", 1, "goroutines the synchronous-link gather fans out across")
+		flushConc = flag.Int("flush-concurrency", 1, "coalesced batches scored in parallel")
+		maxNodes  = flag.Int("max-nodes", 1<<20, "dynamic node admission limit (negative disables admission)")
+		seed      = flag.Int64("seed", 1, "process seed: dataset, model init, and retry-backoff jitter (same seed, same run)")
+		demoBatch = flag.Int("demo-batch", 50, "events per request in demo replay")
+		demo      = flag.Bool("demo", false, "replay the test stream over HTTP, print latency stats, then exit")
+		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (heap, allocs, profile, trace — see docs/performance.md)")
+		quantize  = flag.Bool("quantize", false, "score with int8-quantized published weights: per-channel symmetric, quantized once per publish (≤0.02 AP drift bound; docs/performance.md)")
 
 		loadPath  = flag.String("load", "", "start from this checkpoint (parameters + streaming state) instead of training")
 		ckptPath  = flag.String("checkpoint", "apan-serve.ckpt", "checkpoint path for -checkpoint-every")
@@ -368,7 +367,6 @@ func main() {
 	popts := []apan.PipelineOption{
 		apan.WithQueueCap(*queueCap),
 		apan.WithWorkers(*workers),
-		apan.WithBatchWindow(*batchWindow),
 	}
 	if *tenants != "" || *tenantRate > 0 {
 		cfgs, err := parseTenantSpecs(*tenants)

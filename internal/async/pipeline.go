@@ -53,7 +53,6 @@ type Trainer interface {
 type options struct {
 	queueCap    int
 	workers     int
-	batchWindow time.Duration
 	beforeApply func(events []tgraph.Event)
 	trainer     Trainer
 
@@ -93,18 +92,13 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithBatchWindow sets the pipeline's advertised micro-batching window: the
-// time span within which a serving layer should coalesce concurrent
-// single-event submissions into one InferBatch call (paper Table 5 peaks
-// around batch size 200). The pipeline itself does not delay submissions;
-// internal/serve reads this as the default window for its micro-batcher.
-func WithBatchWindow(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.batchWindow = d
-		}
-	}
-}
+// WithBatchWindow does nothing: the serving layer's micro-batcher has no
+// window any more (internal/serve.Batcher flushes when a lane is free and
+// coalesces while lanes are busy).
+//
+// Deprecated: kept only because the frozen benchmark rig still passes it;
+// it goes with the next benchmark edit.
+func WithBatchWindow(time.Duration) Option { return func(*options) {} }
 
 // WithBeforeApply registers fn to run on a propagation worker immediately
 // before each batch's ApplyInference, with the batch's events. It is the
@@ -165,7 +159,7 @@ type Pipeline struct {
 
 // New starts a pipeline over a trained model with the given options.
 func New(m *core.Model, opts ...Option) *Pipeline {
-	o := options{queueCap: 64, workers: 1, batchWindow: time.Millisecond}
+	o := options{queueCap: 64, workers: 1}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -196,9 +190,6 @@ func New(m *core.Model, opts ...Option) *Pipeline {
 func NewPipeline(m *core.Model, queueCap int) *Pipeline {
 	return New(m, WithQueueCap(queueCap))
 }
-
-// BatchWindow reports the configured micro-batching window (WithBatchWindow).
-func (p *Pipeline) BatchWindow() time.Duration { return p.opts.batchWindow }
 
 // NumNodes reports the current node-ID space of the served model, for
 // request validation at the serving edge. It can grow at runtime; see
@@ -251,18 +242,18 @@ func (p *Pipeline) worker() {
 			if !ok {
 				return
 			}
-			p.applyOne(inf)
-			p.sched.markApplied(t)
+			p.applyOne(inf, t)
 		}
 	}
 	for inf := range p.queue {
-		p.applyOne(inf)
+		p.applyOne(inf, nil)
 	}
 }
 
 // applyOne runs one dequeued inference through the asynchronous link:
 // fault-injection hook, apply, trainer tap, workspace recycle, accounting.
-func (p *Pipeline) applyOne(inf *core.Inference) {
+// t is the tenant the scheduler dequeued it for, nil without tenancy.
+func (p *Pipeline) applyOne(inf *core.Inference, t *tenantState) {
 	start := time.Now()
 	if p.opts.beforeApply != nil {
 		p.opts.beforeApply(inf.Events)
@@ -278,6 +269,11 @@ func (p *Pipeline) applyOne(inf *core.Inference) {
 	// workspace for the next scorer.
 	inf.Release()
 	d := time.Since(start)
+	if t != nil {
+		// The tenant ledger first: once the batch counts as processed, Drain
+		// may return, and its caller may read TenantStats.
+		p.sched.markApplied(t)
+	}
 	p.mu.Lock()
 	p.asyncHist.Add(d)
 	p.processed++

@@ -375,10 +375,7 @@ func TestConcurrentSubmitShutdownStress(t *testing.T) {
 func TestPipelineOptionsAndWorkers(t *testing.T) {
 	ctx := context.Background()
 	m := testModel(t, gdb.Constant(time.Millisecond))
-	p := New(m, WithQueueCap(32), WithWorkers(4), WithBatchWindow(3*time.Millisecond))
-	if p.BatchWindow() != 3*time.Millisecond {
-		t.Fatalf("batch window %v", p.BatchWindow())
-	}
+	p := New(m, WithQueueCap(32), WithWorkers(4))
 	if p.NumNodes() != 8 || p.EdgeDim() != 8 {
 		t.Fatalf("model metadata: %d nodes %d dims", p.NumNodes(), p.EdgeDim())
 	}

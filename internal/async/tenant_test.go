@@ -62,6 +62,27 @@ func TestTenantDefaultBackCompat(t *testing.T) {
 	}
 }
 
+// TestTenantLedgerSettledAtDrain: once Drain returns, every applied batch is
+// in its tenant's ledger. The worker used to count a batch processed (and
+// wake Drain) before it marked the tenant apply, so a reader right after
+// Drain could find Applied one short.
+func TestTenantLedgerSettledAtDrain(t *testing.T) {
+	ctx := context.Background()
+	p := New(testModel(t, nil), WithQueueCap(4), WithTenants())
+	defer p.Close()
+	for i := int64(1); i <= 300; i++ {
+		if _, _, err := p.Submit(ctx, tev(0, 1, float64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if d := p.TenantStats()[DefaultTenant]; d.Applied != i {
+			t.Fatalf("after Drain %d: ledger %+v, want %d applied", i, d, i)
+		}
+	}
+}
+
 // TestTenantRateLimitEventTime: the rate gate is driven by the events'
 // stream time — the identical trace is admitted identically on every run,
 // and refusals are accounted as rate-limited drops.

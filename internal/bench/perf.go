@@ -10,6 +10,7 @@ import (
 
 	"apan/internal/core"
 	"apan/internal/dataset"
+	"apan/internal/serve"
 	"apan/internal/tgraph"
 	"apan/internal/train"
 	"apan/internal/wal"
@@ -462,6 +463,37 @@ func RunPerf(o Options) (*PerfReport, error) {
 			}
 		})
 		add("swap_params_publish", 0, r)
+	}
+
+	// The /v1/score request decoder on the two body shapes clients send: a
+	// batch at the paper's operating point and a single inline event, both
+	// of dataset events as json.Marshal writes them.
+	for _, mode := range []struct {
+		name   string
+		events int
+	}{{"serve_decode_batch200", 200}, {"serve_decode_single", 1}} {
+		wire := make([]serve.EventJSON, mode.events)
+		for i, ev := range ds.Events[:mode.events] {
+			wire[i] = serve.EventJSON{Src: ev.Src, Dst: ev.Dst, Time: ev.Time, Feat: ev.Feat}
+		}
+		var body []byte
+		if mode.events == 1 {
+			body, err = json.Marshal(wire[0])
+		} else {
+			body, err = json.Marshal(serve.ScoreRequest{Events: wire})
+		}
+		if err != nil {
+			return nil, err
+		}
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := serve.DecodeScoreRequest(body, ds.EdgeDim); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		add(mode.name, mode.events, r)
 	}
 	return rep, nil
 }

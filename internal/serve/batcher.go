@@ -11,13 +11,14 @@ import (
 
 // Batcher coalesces concurrent single-event score requests into one
 // Pipeline.Submit call — the server-side micro-batching that lets the
-// synchronous link run at its batch sweet spot (paper Table 5, batch ≈ 200)
-// even when every caller sends one event at a time.
+// synchronous link run toward its batch sweet spot (paper Table 5, batch ≈
+// 200) even when every caller sends one event at a time.
 //
-// Policy: the first request opens a batch; requests already waiting are
-// drained greedily; if that found company the batch flushes immediately,
-// otherwise it waits up to the window for a partner before flushing alone.
-// A batch also flushes as soon as it reaches maxBatch.
+// Policy: flush when a lane is free, coalesce while lanes are busy. A
+// request that finds a flush lane free is scored at once, alone if need be;
+// requests that arrive while every lane is busy accumulate and ride one
+// flush the moment a lane frees (at most maxBatch per flush). Batches thus
+// form from the load the batcher observes, and an idle server adds no wait.
 //
 // Up to `conc` flushes may score in parallel (the pipeline's synchronous
 // link is concurrent over the sharded stores); with conc=1 the batcher is
@@ -25,7 +26,6 @@ import (
 // clients.
 type Batcher struct {
 	pipe     *async.Pipeline
-	window   time.Duration
 	maxBatch int
 	conc     int
 
@@ -38,6 +38,7 @@ type Batcher struct {
 
 	mu        sync.Mutex
 	closed    bool
+	pending   int // requests the loop holds behind busy lanes
 	flushes   int64
 	coalesced int64
 }
@@ -55,20 +56,19 @@ type batchResp struct {
 	err   error
 }
 
-// BatcherStats reports micro-batching effectiveness.
+// BatcherStats reports micro-batching effectiveness. Pending is a gauge:
+// the requests waiting behind busy lanes right now, which the next flush
+// will carry.
 type BatcherStats struct {
 	Flushes   int64   `json:"flushes"`
 	Coalesced int64   `json:"coalesced_events"`
 	MeanBatch float64 `json:"mean_batch"`
+	Pending   int     `json:"pending"`
 }
 
-// NewBatcher starts a micro-batcher over pipe. A window ≤ 0 falls back to
-// the pipeline's configured batch window; maxBatch ≤ 0 defaults to 200;
-// conc ≤ 0 defaults to 1 (serialized flushes).
-func NewBatcher(pipe *async.Pipeline, window time.Duration, maxBatch, conc int) *Batcher {
-	if window <= 0 {
-		window = pipe.BatchWindow()
-	}
+// NewBatcher starts a micro-batcher over pipe. maxBatch ≤ 0 defaults to
+// 200; conc ≤ 0 defaults to 1 (serialized flushes).
+func NewBatcher(pipe *async.Pipeline, maxBatch, conc int) *Batcher {
 	if maxBatch <= 0 {
 		maxBatch = 200
 	}
@@ -77,7 +77,6 @@ func NewBatcher(pipe *async.Pipeline, window time.Duration, maxBatch, conc int) 
 	}
 	b := &Batcher{
 		pipe:     pipe,
-		window:   window,
 		maxBatch: maxBatch,
 		conc:     conc,
 		reqs:     make(chan batchReq, 4*maxBatch),
@@ -124,78 +123,50 @@ func (b *Batcher) Score(ctx context.Context, ev tgraph.Event) (float32, time.Dur
 	}
 }
 
-// loop is the dispatcher. Up to b.conc flushes run at a time; requests that
-// arrive while every lane is busy accumulate and launch together the moment
-// one completes, so under sustained concurrency the batch size converges on
-// the number of in-flight clients divided by the lane count, with no idle
-// stalls. The window only delays a lone request waiting for company — the
-// first companion (or the timer) triggers the flush.
+// loop is the dispatcher. Up to b.conc flushes run at a time. A request that
+// finds a lane free launches at once; requests that arrive while every lane
+// is busy accumulate and launch together the moment one completes, so under
+// sustained concurrency the batch size converges on the number of in-flight
+// clients divided by the lane count, with no idle stalls and no timer.
 func (b *Batcher) loop() {
 	defer close(b.done)
 	var (
 		pending  []batchReq
-		inflight int         // flushes currently running
-		timer    *time.Timer // non-nil while a lone request waits
-		timerC   <-chan time.Time
+		inflight int                           // flushes currently running
 		flushed  = make(chan struct{}, b.conc) // one signal per finished flush
 		reqs     = b.reqs
 	)
-	launch := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timerC = nil, nil
+	// launchAll starts flushes of up to maxBatch while lanes and requests
+	// remain, and publishes what is left waiting.
+	launchAll := func() {
+		for inflight < b.conc && len(pending) > 0 {
+			n := min(len(pending), b.maxBatch)
+			batch := pending[:n:n]
+			pending = append([]batchReq(nil), pending[n:]...)
+			inflight++
+			go func() {
+				b.flush(batch)
+				flushed <- struct{}{}
+			}()
 		}
-		n := len(pending)
-		if n > b.maxBatch {
-			n = b.maxBatch
-		}
-		batch := pending[:n:n]
-		pending = append([]batchReq(nil), pending[n:]...)
-		inflight++
-		go func(batch []batchReq) {
-			b.flush(batch)
-			flushed <- struct{}{}
-		}(batch)
+		b.mu.Lock()
+		b.pending = len(pending)
+		b.mu.Unlock()
 	}
 	for {
 		select {
 		case r, ok := <-reqs:
-			if !ok {
-				reqs = nil // closed: stop receiving, fall through to drain
-				for inflight < b.conc && len(pending) > 0 {
-					launch()
-				}
-				if inflight == 0 {
-					return
-				}
-				continue
-			}
-			pending = append(pending, r)
-			if inflight >= b.conc {
-				continue // accumulate behind the busy lanes
-			}
-			switch {
-			case len(pending) >= b.maxBatch:
-				launch()
-			case len(pending) == 1 && b.window > 0:
-				timer = time.NewTimer(b.window)
-				timerC = timer.C
-			default: // found company (or no window configured)
-				launch()
-			}
-		case <-timerC:
-			timer, timerC = nil, nil
-			if inflight < b.conc && len(pending) > 0 {
-				launch()
+			if ok {
+				pending = append(pending, r)
+			} else {
+				reqs = nil // closed: stop receiving, drain what is pending
 			}
 		case <-flushed:
 			inflight--
-			for inflight < b.conc && len(pending) > 0 {
-				launch() // these waited a full flush already — go now
-			}
-			if reqs == nil && inflight == 0 && len(pending) == 0 {
-				return
-			}
+		}
+		launchAll()
+		if reqs == nil && inflight == 0 {
+			return // closed, and launchAll left nothing pending
 		}
 	}
 }
@@ -237,7 +208,7 @@ func (b *Batcher) flush(pending []batchReq) {
 func (b *Batcher) Stats() BatcherStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := BatcherStats{Flushes: b.flushes, Coalesced: b.coalesced}
+	st := BatcherStats{Flushes: b.flushes, Coalesced: b.coalesced, Pending: b.pending}
 	if st.Flushes > 0 {
 		st.MeanBatch = float64(st.Coalesced) / float64(st.Flushes)
 	}

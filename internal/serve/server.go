@@ -28,15 +28,17 @@
 // and every response carries the role and the current lag so callers can
 // judge staleness.
 //
-// Single-event POSTs are coalesced server-side: concurrent requests that
-// arrive within the configured batch window ride one InferBatch call, so
-// the synchronous link runs near the paper's batch-200 sweet spot even
-// with one-event-per-request clients. Events naming previously unseen node
+// Single-event POSTs are coalesced server-side: a request that finds a flush
+// lane free is scored at once, and requests that arrive while every lane is
+// busy ride one InferBatch call when a lane frees, so under load the
+// synchronous link runs toward the paper's batch-200 sweet spot even with
+// one-event-per-request clients. Events naming previously unseen node
 // IDs are admitted dynamically (the model's sharded stores grow at runtime)
 // up to Options.MaxNodes. See docs/serving.md for schemas and semantics.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,10 +59,6 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// BatchWindow is how long a lone single-event request waits for
-	// companions before being scored alone. Zero adopts the pipeline's
-	// WithBatchWindow setting.
-	BatchWindow time.Duration
 	// MaxBatch caps the coalesced batch size. Zero means 200 (paper
 	// Table 5's throughput sweet spot).
 	MaxBatch int
@@ -142,7 +140,7 @@ func New(pipe *async.Pipeline, opts Options) *Server {
 	}
 	s := &Server{
 		pipe:        pipe,
-		batcher:     NewBatcher(pipe, opts.BatchWindow, opts.MaxBatch, opts.FlushConcurrency),
+		batcher:     NewBatcher(pipe, opts.MaxBatch, opts.FlushConcurrency),
 		trainer:     opts.Trainer,
 		replication: opts.Replication,
 		maxLag:      maxLag,
@@ -196,7 +194,8 @@ func (s *Server) Close() {
 	s.handlerWG.Wait()
 }
 
-// EventJSON is the wire form of one temporal interaction.
+// EventJSON is the wire form of one temporal interaction, as clients encode
+// it (the server parses request bodies with its own decoder, decode.go).
 type EventJSON struct {
 	Src  int32     `json:"src"`
 	Dst  int32     `json:"dst"`
@@ -331,7 +330,7 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 // strict confines IDs to the live node space instead: follower-served
 // scores must not grow the model, whose node space is replication's alone
 // to advance.
-func (s *Server) validate(i int, ev EventJSON, strict bool) (code, msg string) {
+func (s *Server) validate(events []tgraph.Event, strict bool) (code, msg string) {
 	limit := int32(s.maxNodes)
 	if strict || s.maxNodes < 0 {
 		// Strict mode: no admission, but the node space can still grow
@@ -339,14 +338,18 @@ func (s *Server) validate(i int, ev EventJSON, strict bool) (code, msg string) {
 		// it live rather than freezing the construction-time value.
 		limit = int32(s.pipe.NumNodes())
 	}
-	if ev.Src < 0 || ev.Dst < 0 {
-		return "node_out_of_range", fmt.Sprintf("event %d: node ids must be non-negative (src %d, dst %d)", i, ev.Src, ev.Dst)
-	}
-	if ev.Src >= limit || ev.Dst >= limit {
-		return "node_limit_exceeded", fmt.Sprintf("event %d: node id %d exceeds the admission limit %d", i, max(ev.Src, ev.Dst), limit)
-	}
-	if len(ev.Feat) != s.pipe.EdgeDim() {
-		return "bad_feat_dim", fmt.Sprintf("event %d: feat dim %d, want %d", i, len(ev.Feat), s.pipe.EdgeDim())
+	dim := s.pipe.EdgeDim()
+	for i := range events {
+		ev := &events[i]
+		if ev.Src < 0 || ev.Dst < 0 {
+			return "node_out_of_range", fmt.Sprintf("event %d: node ids must be non-negative (src %d, dst %d)", i, ev.Src, ev.Dst)
+		}
+		if ev.Src >= limit || ev.Dst >= limit {
+			return "node_limit_exceeded", fmt.Sprintf("event %d: node id %d exceeds the admission limit %d", i, max(ev.Src, ev.Dst), limit)
+		}
+		if len(ev.Feat) != dim {
+			return "bad_feat_dim", fmt.Sprintf("event %d: feat dim %d, want %d", i, len(ev.Feat), dim)
+		}
 	}
 	return "", ""
 }
@@ -379,10 +382,6 @@ func (s *Server) admit(events []tgraph.Event) {
 		target = s.maxNodes
 	}
 	s.pipe.EnsureNodes(target)
-}
-
-func toEvent(ev EventJSON) tgraph.Event {
-	return tgraph.Event{Src: ev.Src, Dst: ev.Dst, Time: ev.Time, Feat: ev.Feat, Label: -1}
 }
 
 func submitErr(w http.ResponseWriter, err error) {
@@ -425,9 +424,9 @@ func submitTenantErr(w http.ResponseWriter, tenant string, err error) {
 // tenantFor resolves the tenant a score request is attributed to: the JSON
 // "tenant" field wins, then the X-Tenant header, then the pipeline's default
 // tenant. Only meaningful when the pipeline runs multi-tenant admission.
-func tenantFor(r *http.Request, req *ScoreRequest) string {
-	if req.Tenant != "" {
-		return req.Tenant
+func tenantFor(r *http.Request, bodyTenant string) string {
+	if bodyTenant != "" {
+		return bodyTenant
 	}
 	if h := r.Header.Get("X-Tenant"); h != "" {
 		return h
@@ -435,131 +434,105 @@ func tenantFor(r *http.Request, req *ScoreRequest) string {
 	return async.DefaultTenant
 }
 
+// bodyPool recycles request-body buffers. Decoding keeps no reference into
+// the body (numbers are parsed, the tenant is copied), so a buffer goes back
+// as soon as its request is decoded.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readScore reads and decodes a /v1/score body.
+func (s *Server) readScore(w http.ResponseWriter, r *http.Request) (scoreRequest, *decodeError) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	if n := r.ContentLength; n > 0 {
+		// One allocation for a body of known length. ReadFrom wants MinRead
+		// spare bytes to find EOF without growing.
+		buf.Grow(int(min(n, maxBodyBytes)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return scoreRequest{}, &decodeError{code: "bad_json", msg: err.Error()}
+	}
+	return decodeScore(buf.Bytes(), s.pipe.EdgeDim())
+}
+
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	var req ScoreRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_json", err.Error())
+	req, derr := s.readScore(w, r)
+	if derr != nil {
+		status := http.StatusBadRequest
+		if derr.code == "batch_too_large" {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, derr.code, derr.msg)
 		return
 	}
-	follower := s.followerRole()
-
-	if req.Events != nil { // batch body (an explicit "events" key, even empty)
-		if req.Feat != nil {
+	if req.batch { // an explicit "events" array, even empty
+		if req.inline {
 			writeError(w, http.StatusBadRequest, "ambiguous_body",
 				"provide either inline event fields or \"events\", not both")
 			return
 		}
-		if len(req.Events) == 0 {
+		if len(req.events) == 0 {
 			writeError(w, http.StatusBadRequest, "empty_batch", "\"events\" must contain at least one event")
 			return
 		}
-		events := make([]tgraph.Event, len(req.Events))
-		for i, ev := range req.Events {
-			if code, msg := s.validate(i, ev, follower); code != "" {
-				writeError(w, http.StatusBadRequest, code, msg)
-				return
-			}
-			events[i] = toEvent(ev)
-		}
-		resp := ScoreResponse{}
-		var scores []float32
-		var lat time.Duration
-		var err error
-		switch {
-		case follower:
-			// Read-only: score from the replayed state, apply nothing, stamp
-			// the staleness the caller is reading.
-			scores, lat, err = s.pipe.ScoreOnly(events)
-			resp.Role, resp.LagEvents = "follower", s.replication.LagEvents()
-		case s.pipe.Tenancy():
-			// Tenant-attributed, non-blocking: a spent rate bucket or a full
-			// tenant queue sheds the request with a structured 429 instead of
-			// parking the handler — one tenant's burst must not hold handler
-			// goroutines hostage while others wait.
-			tenant := tenantFor(r, &req)
-			s.admit(events)
-			scores, lat, err = s.pipe.TrySubmitTenant(tenant, events)
-			if err != nil {
-				submitTenantErr(w, tenant, err)
-				return
-			}
-			resp.Tenant = tenant
-		default:
-			s.admit(events)
-			scores, lat, err = s.pipe.Submit(r.Context(), events)
-		}
-		if err != nil {
-			submitErr(w, err)
-			return
-		}
-		resp.Scores = scores
-		resp.Count = len(scores)
-		resp.SyncMicros = lat.Microseconds()
-		resp.BatchSize = len(scores)
-		resp.QueueDepth = s.pipe.QueueDepth()
-		writeJSON(w, http.StatusOK, resp)
-		return
 	}
-
-	// Single-event body, scored through the micro-batcher (followers score
-	// directly: the batcher's coalesced flushes apply, ScoreOnly must not).
-	if code, msg := s.validate(0, req.EventJSON, follower); code != "" {
+	events := req.events
+	follower := s.followerRole()
+	if code, msg := s.validate(events, follower); code != "" {
 		writeError(w, http.StatusBadRequest, code, msg)
 		return
 	}
-	ev := toEvent(req.EventJSON)
-	if follower {
-		scores, lat, err := s.pipe.ScoreOnly([]tgraph.Event{ev})
-		if err != nil {
-			submitErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, ScoreResponse{
-			Score:      &scores[0],
-			Count:      1,
-			SyncMicros: lat.Microseconds(),
-			BatchSize:  1,
-			QueueDepth: s.pipe.QueueDepth(),
-			Role:       "follower",
-			LagEvents:  s.replication.LagEvents(),
-		})
-		return
-	}
-	if s.pipe.Tenancy() {
-		// Tenant-attributed single events skip the micro-batcher: a coalesced
-		// flush mixes events from many requests into one submission, which
-		// would attribute every rider's cost to whichever tenant flushed.
-		tenant := tenantFor(r, &req)
-		s.admit([]tgraph.Event{ev})
-		scores, lat, err := s.pipe.TrySubmitTenant(tenant, []tgraph.Event{ev})
-		if err != nil {
+
+	resp := ScoreResponse{Count: len(events), BatchSize: len(events)}
+	var (
+		scores []float32
+		lat    time.Duration
+		err    error
+	)
+	switch {
+	case follower:
+		// Read-only: score from the replayed state, apply nothing, stamp the
+		// staleness the caller is reading. (Single events too: the batcher's
+		// coalesced flushes apply, ScoreOnly must not.)
+		scores, lat, err = s.pipe.ScoreOnly(events)
+		resp.Role, resp.LagEvents = "follower", s.replication.LagEvents()
+	case s.pipe.Tenancy():
+		// Tenant-attributed, non-blocking: a spent rate bucket or a full
+		// tenant queue sheds the request with a structured 429 instead of
+		// parking the handler — one tenant's burst must not hold handler
+		// goroutines hostage while others wait. Single events skip the
+		// micro-batcher: a coalesced flush mixes events from many requests
+		// into one submission, which would attribute every rider's cost to
+		// whichever tenant flushed.
+		tenant := tenantFor(r, req.tenant)
+		s.admit(events)
+		if scores, lat, err = s.pipe.TrySubmitTenant(tenant, events); err != nil {
 			submitTenantErr(w, tenant, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ScoreResponse{
-			Score:      &scores[0],
-			Count:      1,
-			SyncMicros: lat.Microseconds(),
-			BatchSize:  1,
-			QueueDepth: s.pipe.QueueDepth(),
-			Tenant:     tenant,
-		})
-		return
+		resp.Tenant = tenant
+	case req.batch:
+		s.admit(events)
+		scores, lat, err = s.pipe.Submit(r.Context(), events)
+	default:
+		// A single event rides the micro-batcher.
+		s.admit(events)
+		var score float32
+		score, lat, resp.BatchSize, err = s.batcher.Score(r.Context(), events[0])
+		scores = []float32{score}
 	}
-	s.admit([]tgraph.Event{ev})
-	score, lat, size, err := s.batcher.Score(r.Context(), ev)
 	if err != nil {
 		submitErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ScoreResponse{
-		Score:      &score,
-		Count:      1,
-		SyncMicros: lat.Microseconds(),
-		BatchSize:  size,
-		QueueDepth: s.pipe.QueueDepth(),
-	})
+	if req.batch {
+		resp.Scores = scores
+	} else {
+		resp.Score = &scores[0]
+	}
+	resp.SyncMicros = lat.Microseconds()
+	resp.QueueDepth = s.pipe.QueueDepth()
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // followerRole reports whether score traffic must take the read-only path.

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -80,7 +82,7 @@ func errCode(t testing.TB, raw []byte) string {
 }
 
 func TestScoreSingle(t *testing.T) {
-	ts, _ := newTestServer(t, Options{BatchWindow: time.Millisecond})
+	ts, _ := newTestServer(t, Options{})
 	resp, raw := postScore(t, ts.URL, EventJSON{Src: 0, Dst: 1, Time: 1, Feat: feat()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
@@ -331,10 +333,58 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds; the conditions here are states another
+// goroutine reaches on its own, with nothing to signal the test.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// wedgeLane leaves the batcher's one flush lane busy: with a queue of one
+// and the applier parked in hook, the first event is held in the hook, the
+// second fills the queue, and the third's flush blocks inside Submit until
+// release is closed. It returns once that flush is inside Submit.
+func wedgeLane(t testing.TB, pipe *async.Pipeline, score func(i int)) {
+	t.Helper()
+	score(0)
+	score(1)
+	go score(2)
+	waitFor(t, "the third flush to enter Submit", func() bool { return pipe.Stats().Submitted == 3 })
+}
+
 func TestMicroBatcherCoalesces(t *testing.T) {
-	// N concurrent single-event requests inside one window must ride fewer
-	// than N pipeline submissions (ideally one).
-	ts, pipe := newTestServer(t, Options{BatchWindow: 20 * time.Millisecond}, async.WithQueueCap(64))
+	// Requests that arrive while the flush lane is busy must ride one
+	// submission when it frees — with no timing involved.
+	release := make(chan struct{})
+	ts, pipe := newTestServer(t, Options{}, async.WithQueueCap(1),
+		async.WithBeforeApply(func([]tgraph.Event) { <-release }))
+	post := func(c int) ScoreResponse {
+		resp, raw := postScore(t, ts.URL, EventJSON{
+			Src: int32(c % testNodes), Dst: int32((c + 1) % testNodes),
+			Time: float64(c + 1), Feat: feat(),
+		})
+		var sr ScoreResponse
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("request %d: status %d %s", c, resp.StatusCode, raw)
+		} else if err := json.Unmarshal(raw, &sr); err != nil {
+			t.Error(err)
+		}
+		return sr
+	}
+	var wedged sync.WaitGroup
+	wedged.Add(1)
+	wedgeLane(t, pipe, func(i int) {
+		if i == 2 {
+			defer wedged.Done()
+		}
+		if sr := post(i); sr.BatchSize != 1 {
+			t.Errorf("request %d found the lane free and must have flushed alone: batch_size %d", i, sr.BatchSize)
+		}
+	})
 
 	const clients = 16
 	var wg sync.WaitGroup
@@ -343,53 +393,88 @@ func TestMicroBatcherCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			resp, raw := postScore(t, ts.URL, EventJSON{
-				Src: int32(c % testNodes), Dst: int32((c + 1) % testNodes),
-				Time: float64(c + 1), Feat: feat(),
-			})
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("client %d: status %d %s", c, resp.StatusCode, raw)
-				return
-			}
-			var sr ScoreResponse
-			if err := json.Unmarshal(raw, &sr); err != nil {
-				t.Error(err)
-				return
-			}
-			sizes[c] = sr.BatchSize
+			sizes[c] = post(3 + c).BatchSize
 		}(c)
 	}
+	waitFor(t, "16 requests to pile up behind the busy lane", func() bool {
+		return getStats(t, ts.URL).Batcher.Pending == clients
+	})
+	close(release)
 	wg.Wait()
+	wedged.Wait()
 	if err := pipe.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
 
-	st := pipe.Stats()
-	if st.Submitted >= clients {
-		t.Fatalf("no coalescing: %d submissions for %d requests", st.Submitted, clients)
-	}
-	coalesced := false
-	for _, s := range sizes {
-		if s > 1 {
-			coalesced = true
+	for c, s := range sizes {
+		if s != clients {
+			t.Fatalf("request %d rode a batch of %d, want %d: %v", c, s, clients, sizes)
 		}
 	}
-	if !coalesced {
-		t.Fatalf("every request rode a batch of 1: %v", sizes)
+	if st := pipe.Stats(); st.Submitted != 4 {
+		t.Fatalf("%d submissions for 3 lone requests and %d coalesced ones, want 4", st.Submitted, clients)
 	}
+	want := BatcherStats{Flushes: 4, Coalesced: 3 + clients, MeanBatch: float64(3+clients) / 4}
+	if got := getStats(t, ts.URL).Batcher; got != want {
+		t.Fatalf("batcher stats %+v, want %+v", got, want)
+	}
+}
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+func TestBatcherLoneRequestAndClose(t *testing.T) {
+	ev := func(i int) tgraph.Event {
+		return tgraph.Event{Src: 0, Dst: 1, Time: float64(i + 1), Feat: feat(), Label: -1}
 	}
-	var stats StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if stats.Batcher.Coalesced != clients || stats.Batcher.MeanBatch <= 1 {
-		t.Fatalf("batcher stats: %+v", stats.Batcher)
-	}
+	t.Run("a lone request is scored with no second arrival", func(t *testing.T) {
+		pipe := async.New(testModel(t))
+		defer pipe.Close()
+		b := NewBatcher(pipe, 0, 0)
+		defer b.Close()
+		score, _, size, err := b.Score(t.Context(), ev(0))
+		if err != nil || size != 1 || !(score > 0 && score < 1) {
+			t.Fatalf("score %v size %d err %v", score, size, err)
+		}
+	})
+	t.Run("Close flushes what is pending", func(t *testing.T) {
+		release := make(chan struct{})
+		pipe := async.New(testModel(t), async.WithQueueCap(1),
+			async.WithBeforeApply(func([]tgraph.Event) { <-release }))
+		defer pipe.Close()
+		b := NewBatcher(pipe, 0, 0)
+		var wg sync.WaitGroup
+		score := func(i int) {
+			defer wg.Done()
+			if _, _, _, err := b.Score(context.Background(), ev(i)); err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}
+		const waiting = 3
+		wg.Add(3 + waiting)
+		wedgeLane(t, pipe, score)
+		for i := 0; i < waiting; i++ {
+			go score(3 + i)
+		}
+		waitFor(t, "requests to pile up behind the busy lane", func() bool { return b.Stats().Pending == waiting })
+		closed := make(chan struct{})
+		go func() {
+			b.Close()
+			close(closed)
+		}()
+		// Close has nothing to cancel the wedged flush with: it must wait.
+		select {
+		case <-closed:
+			t.Fatal("Close returned with a flush in flight and requests pending")
+		case <-time.After(20 * time.Millisecond):
+		}
+		close(release)
+		<-closed
+		wg.Wait() // every pending request was scored, none refused
+		if st := b.Stats(); st.Coalesced != 3+waiting || st.Pending != 0 {
+			t.Fatalf("after Close: %+v", st)
+		}
+		if _, _, _, err := b.Score(context.Background(), ev(9)); !errors.Is(err, async.ErrClosed) {
+			t.Fatalf("Score after Close: %v", err)
+		}
+	})
 }
 
 func TestServerCloseRejectsScores(t *testing.T) {
