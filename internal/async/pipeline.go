@@ -25,6 +25,7 @@ import (
 
 	"apan/internal/core"
 	"apan/internal/eval"
+	"apan/internal/mailbox"
 	"apan/internal/tgraph"
 	"apan/internal/wal"
 )
@@ -233,6 +234,10 @@ func (p *Pipeline) EvictionStats() *core.EvictionStats {
 	}
 	return &st
 }
+
+// MailboxOccupancy reports how much mail memory the served model holds
+// (see mailbox.Occupancy) for the serving stats surface.
+func (p *Pipeline) MailboxOccupancy() mailbox.Occupancy { return p.model.Mailbox().Occupancy() }
 
 func (p *Pipeline) worker() {
 	defer p.wg.Done()

@@ -11,8 +11,10 @@ import (
 // state and mailbox stores without limit; eviction caps how many nodes may
 // be warm at once (Config.EvictMaxNodes) by resetting the least recently
 // touched nodes to the cold-start condition — zero state, empty mailbox,
-// exactly how a never-seen node looks to the encoder. The temporal graph is
-// NOT trimmed: adjacency is the durable structure re-admission warms from.
+// exactly how a never-seen node looks to the encoder. The mailbox hands the
+// node's mail block to its free list, so the budget bounds mail bytes; the
+// state row is dense and only zeroed. The temporal graph is NOT trimmed:
+// adjacency is the durable structure re-admission warms from.
 //
 // An evicted node that reappears in the stream is re-admitted on the
 // admission path (ReadmitBatch, called by async.Pipeline before scoring,

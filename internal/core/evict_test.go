@@ -204,3 +204,49 @@ func TestEvictionResetClearsTracking(t *testing.T) {
 		t.Fatalf("reset should drop tracking, got %+v", st)
 	}
 }
+
+// TestEvictionBoundsMailBlocks: eviction bounds mail bytes, not just a
+// counter. Cycling ten budgets' worth of distinct nodes through
+// evict/readmit never holds more than the budget plus one batch's blocks,
+// and after the first lap the free lists feed every delivery: no block is
+// allocated again.
+func TestEvictionBoundsMailBlocks(t *testing.T) {
+	const budget, pairs, batch = 32, 160, 8 // 320 distinct nodes; 16 touched per batch
+	cfg := tinyConfig(2 * pairs)
+	cfg.EvictMaxNodes = budget
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Disjoint pairs (2i, 2i+1): a node's only neighbour is its partner, so
+	// every mailed node is an LRU-tracked endpoint. Budget and batch are
+	// multiples of the shard count, so per-shard free lists stay in step.
+	var lap []tgraph.Event
+	for i := 0; i < pairs; i++ {
+		lap = append(lap, evEvent(cfg.EdgeDim, tgraph.NodeID(2*i), tgraph.NodeID(2*i+1), 0))
+	}
+	held := 0
+	for l := 0; l < 3; l++ {
+		for lo := 0; lo < pairs; lo += batch {
+			for i := range lap[lo : lo+batch] {
+				lap[lo+i].Time = float64(l*pairs + lo + i + 1)
+			}
+			m.ReadmitBatch(lap[lo : lo+batch])
+			applyEvents(t, m, lap[lo:lo+batch], batch)
+			occ := m.Mailbox().Occupancy()
+			if occ.LiveBlocks > budget || occ.NodesWithMail != occ.LiveBlocks {
+				t.Fatalf("lap %d batch %d: %+v with budget %d", l, lo/batch, occ, budget)
+			}
+			if now := occ.LiveBlocks + occ.FreeBlocks; now > budget+2*batch {
+				t.Fatalf("lap %d batch %d: holds %d blocks, want ≤ %d", l, lo/batch, now, budget+2*batch)
+			} else if l > 0 && now != held {
+				t.Fatalf("lap %d batch %d: held blocks moved %d -> %d in steady state", l, lo/batch, held, now)
+			} else {
+				held = now
+			}
+		}
+	}
+	if st, _ := m.EvictionStats(); st.Readmitted == 0 {
+		t.Fatal("no node was re-admitted: the cycle never reused a mailbox")
+	}
+}

@@ -205,6 +205,28 @@ func TestMeanReduceSingleMailPerBatch(t *testing.T) {
 	}
 }
 
+// Negative times pass /v1/score validation; a batch whose mails all carry
+// t ≤ 0 must be delivered under its own newest timestamp, not the
+// accumulator's zero value, or the timestamp-sorted readout is corrupted.
+func TestMeanReduceKeepsNegativeTimestamps(t *testing.T) {
+	cfg := tinyConfig(8)
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feat := make([]float32, 16)
+	m.processBatch([]tgraph.Event{
+		{Src: 0, Dst: 1, Time: -7, Feat: feat},
+		{Src: 0, Dst: 2, Time: -5, Feat: feat},
+	}, nil, false, nil)
+	m.processBatch([]tgraph.Event{{Src: 0, Dst: 1, Time: -3, Feat: feat}}, nil, false, nil)
+	buf := make([]float32, cfg.Slots*16)
+	ts := make([]float64, cfg.Slots)
+	if c := m.Mailbox().ReadSorted(0, buf, ts); c != 2 || ts[0] != -5 || ts[1] != -3 {
+		t.Fatalf("node 0 mail times %v (count %d), want [-5 -3]", ts[:c], c)
+	}
+}
+
 func TestReduceLatestKeepsNewestMail(t *testing.T) {
 	cfg := tinyConfig(8)
 	cfg.Reduce = ReduceLatest

@@ -104,10 +104,10 @@ func (p *Propagator) deliver(s *propScratch, n tgraph.NodeID, vec []float32, ts 
 		acc.n = 1
 	default: // ReduceMean
 		tensor.Axpy(acc.sum, vec, 1)
-		acc.n++
-		if ts > acc.ts {
+		if ts > acc.ts || acc.n == 0 {
 			acc.ts = ts
 		}
+		acc.n++
 	}
 }
 

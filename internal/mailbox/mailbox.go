@@ -6,11 +6,16 @@
 // key-value update rule from the paper's future-work list is provided as an
 // alternative ψ.
 //
-// Two implementations share one per-node API: Store is a flat,
-// unsynchronized array (single-threaded training), and Sharded stripes the
-// same layout across power-of-two lock shards so serving can deliver and
-// read concurrently with shard-local locking and admit new nodes at runtime
-// via Grow.
+// Two implementations share one per-node API: Store is the unsynchronized
+// layout (single-threaded training), and Sharded stripes the same layout
+// across power-of-two lock shards so serving can deliver and read
+// concurrently with shard-local locking and admit new nodes at runtime via
+// Grow.
+//
+// Mail memory follows live mailboxes, not the ID space: a node's slots×dim
+// mail block is allocated by its first Deliver and handed back by ClearNode.
+// What scales with the ID space is the index only (block pointer, slot
+// timestamps, count and ring head: 32+8·slots bytes per node).
 package mailbox
 
 import (
@@ -30,18 +35,25 @@ const (
 	UpdateKeyValue
 )
 
-// Store holds the mailboxes of every node in flat arrays. It is not safe
-// for concurrent use; see Sharded for the lock-striped variant.
+// Store holds the mailboxes of every node: a dense per-node index and one
+// mail block per node that has mail. It is not safe for concurrent use; see
+// Sharded for the lock-striped variant.
+//
+// Invariant: blocks[n] != nil ⇔ count[n] > 0. Readers (Len, ReadSorted) only
+// touch slots < count[n], which therefore always have a block, and go
+// through slot, which cannot allocate; only Deliver calls block. That is
+// what keeps Sharded's read-locked paths allocation- and race-free.
 type Store struct {
 	numNodes int
 	slots    int
 	dim      int
 	rule     UpdateRule
 
-	data  []float32 // numNodes × slots × dim
-	times []float64 // numNodes × slots; NaN-free, zero means "slot i empty" iff i >= count
-	count []int32   // mails currently present per node
-	head  []int32   // ring head: next slot to overwrite when full
+	blocks [][]float32 // per node: slots × dim mail block, nil while the mailbox is empty
+	free   [][]float32 // blocks handed back by ClearNode, reused by block
+	times  []float64   // numNodes × slots; NaN-free, zero means "slot i empty" iff i >= count
+	count  []int32     // mails currently present per node
+	head   []int32     // ring head: next slot to overwrite when full
 }
 
 // New creates an empty store for numNodes mailboxes of `slots` mails of
@@ -54,7 +66,7 @@ func New(numNodes, slots, dim int) *Store {
 		numNodes: numNodes,
 		slots:    slots,
 		dim:      dim,
-		data:     make([]float32, numNodes*slots*dim),
+		blocks:   make([][]float32, numNodes),
 		times:    make([]float64, numNodes*slots),
 		count:    make([]int32, numNodes),
 		head:     make([]int32, numNodes),
@@ -76,9 +88,26 @@ func (s *Store) NumNodes() int { return s.numNodes }
 // Len returns the number of mails currently in node n's mailbox.
 func (s *Store) Len(n int32) int { return int(s.count[n]) }
 
+// slot is the non-allocating accessor for slot i < count[n] of node n (a
+// node without a block has count 0, so no reader gets here).
 func (s *Store) slot(n int32, i int) []float32 {
-	off := (int(n)*s.slots + i) * s.dim
-	return s.data[off : off+s.dim]
+	return s.blocks[n][i*s.dim : (i+1)*s.dim]
+}
+
+// block is the write accessor: node n's mail block, taken from the free
+// list or the heap on n's first delivery. Writers only — under Sharded the
+// caller holds the shard's write lock.
+func (s *Store) block(n int32) []float32 {
+	b := s.blocks[n]
+	if b == nil {
+		if k := len(s.free); k > 0 {
+			b, s.free[k-1], s.free = s.free[k-1], nil, s.free[:k-1]
+		} else {
+			b = make([]float32, s.slots*s.dim)
+		}
+		s.blocks[n] = b
+	}
+	return b
 }
 
 // Deliver applies ψ to insert mail (with timestamp ts) into node n's
@@ -99,7 +128,7 @@ func (s *Store) Deliver(n int32, mail []float32, ts float64) {
 		i = s.head[n]
 		s.head[n] = (s.head[n] + 1) % int32(s.slots)
 	}
-	copy(s.slot(n, int(i)), mail)
+	copy(s.block(n)[int(i)*s.dim:], mail)
 	s.times[int(n)*s.slots+int(i)] = ts
 }
 
@@ -108,7 +137,13 @@ func (s *Store) Deliver(n int32, mail []float32, ts float64) {
 // capacity fixed while letting recurring patterns reinforce a slot instead
 // of evicting history.
 func (s *Store) deliverKV(n int32, mail []float32, ts float64) {
-	w := make([]float32, s.slots)
+	var wBuf [64]float32
+	var w []float32
+	if s.slots <= len(wBuf) {
+		w = wBuf[:s.slots]
+	} else {
+		w = make([]float32, s.slots)
+	}
 	scale := 1 / tensor.Sqrt32(float32(s.dim))
 	for i := 0; i < s.slots; i++ {
 		w[i] = tensor.Dot(s.slot(n, i), mail) * scale
@@ -172,87 +207,73 @@ func (s *Store) ReadSorted(n int32, buf []float32, tsOut []float64) int {
 }
 
 // Grow extends the store to hold n mailboxes, preserving existing contents.
-// New mailboxes start empty. No-op when n ≤ NumNodes.
+// New mailboxes start empty and without a block: only the index grows. No-op
+// when n ≤ NumNodes.
 func (s *Store) Grow(n int) {
 	if n <= s.numNodes {
 		return
 	}
 	add := n - s.numNodes
-	s.data = append(s.data, make([]float32, add*s.slots*s.dim)...)
+	s.blocks = append(s.blocks, make([][]float32, add)...)
 	s.times = append(s.times, make([]float64, add*s.slots)...)
 	s.count = append(s.count, make([]int32, add)...)
 	s.head = append(s.head, make([]int32, add)...)
 	s.numNodes = n
 }
 
-// clone deep-copies the store (used by Sharded snapshots).
+// clone deep-copies the index and the live mail blocks (used by snapshots);
+// the free list stays behind.
 func (s *Store) clone() *Store {
-	return &Store{
+	c := &Store{
 		numNodes: s.numNodes,
 		slots:    s.slots,
 		dim:      s.dim,
 		rule:     s.rule,
-		data:     append([]float32(nil), s.data...),
+		blocks:   make([][]float32, len(s.blocks)),
 		times:    append([]float64(nil), s.times...),
 		count:    append([]int32(nil), s.count...),
 		head:     append([]int32(nil), s.head...),
 	}
+	for n, b := range s.blocks {
+		if b != nil {
+			c.blocks[n] = append([]float32(nil), b...)
+		}
+	}
+	return c
 }
 
 // ClearNode empties node n's mailbox back to the cold-start condition —
-// the mailbox half of cold-state eviction. Slot data and timestamps are
-// zeroed (not just the count) so a cleared node contributes nothing to
-// digests or readouts.
+// the mailbox half of cold-state eviction — and hands its mail block to the
+// free list, so an evict/readmit cycle allocates nothing in steady state.
+// The block is not zeroed: Deliver overwrites a slot in full before count
+// makes it readable.
 func (s *Store) ClearNode(n int32) {
-	base := int(n) * s.slots
-	row := s.data[base*s.dim : (base+s.slots)*s.dim]
-	for i := range row {
-		row[i] = 0
+	if b := s.blocks[n]; b != nil {
+		s.free = append(s.free, b)
+		s.blocks[n] = nil
 	}
-	for i := 0; i < s.slots; i++ {
-		s.times[base+i] = 0
-	}
+	clear(s.times[int(n)*s.slots:][:s.slots])
 	s.count[n] = 0
 	s.head[n] = 0
 }
 
-// Reset empties every mailbox.
+// Reset empties every mailbox and drops every mail block, free list
+// included.
 func (s *Store) Reset() {
-	for i := range s.data {
-		s.data[i] = 0
-	}
-	for i := range s.times {
-		s.times[i] = 0
-	}
-	for i := range s.count {
-		s.count[i] = 0
-		s.head[i] = 0
-	}
+	clear(s.blocks)
+	s.free = nil
+	clear(s.times)
+	clear(s.count)
+	clear(s.head)
 }
 
 // Snapshot captures the full store for later Restore (used to replay
 // validation/test streams from a fixed point).
-type Snapshot struct {
-	data  []float32
-	times []float64
-	count []int32
-	head  []int32
-}
+type Snapshot struct{ st *Store }
 
 // Snapshot returns a deep copy of the store contents.
-func (s *Store) Snapshot() *Snapshot {
-	return &Snapshot{
-		data:  append([]float32(nil), s.data...),
-		times: append([]float64(nil), s.times...),
-		count: append([]int32(nil), s.count...),
-		head:  append([]int32(nil), s.head...),
-	}
-}
+func (s *Store) Snapshot() *Snapshot { return &Snapshot{s.clone()} }
 
-// Restore resets the store to a previously captured snapshot.
-func (s *Store) Restore(snap *Snapshot) {
-	copy(s.data, snap.data)
-	copy(s.times, snap.times)
-	copy(s.count, snap.count)
-	copy(s.head, snap.head)
-}
+// Restore resets the store to a previously captured snapshot, node count
+// and update rule included.
+func (s *Store) Restore(snap *Snapshot) { *s = *snap.st.clone() }

@@ -7,7 +7,7 @@ import (
 )
 
 // Sharded is the lock-striped mailbox store used on the serving path: the
-// flat per-node layout of Store, striped across a power-of-two number of
+// per-node layout of Store, striped across a power-of-two number of
 // shards, each guarded by its own RWMutex. Node n lives in shard n&mask at
 // local index n>>bits, so consecutive node IDs spread across shards and the
 // asynchronous link's mail deliveries never block synchronous-link readers
@@ -152,7 +152,8 @@ func (s *Sharded) ClearNode(n int32) {
 }
 
 // Grow extends the store to hold n mailboxes, preserving existing contents.
-// It locks every shard; no-op when n ≤ NumNodes.
+// It locks every shard, but only to extend their indexes — no mail moves;
+// no-op when n ≤ NumNodes.
 func (s *Sharded) Grow(n int) {
 	if int64(n) <= s.numNodes.Load() {
 		return
@@ -177,6 +178,42 @@ func (s *Sharded) Reset() {
 		s.shards[i].gen++
 	}
 	s.unlockAll()
+}
+
+// Occupancy is a point-in-time view of the mail memory a store holds.
+type Occupancy struct {
+	// NodesWithMail counts mailboxes holding at least one mail.
+	NodesWithMail int `json:"nodes_with_mail"`
+	// LiveBlocks counts mail blocks owned by a mailbox (== NodesWithMail by
+	// the Store invariant); FreeBlocks those ClearNode handed back and no
+	// delivery has reused yet.
+	LiveBlocks int `json:"live_blocks"`
+	FreeBlocks int `json:"free_blocks"`
+	// Bytes is the mail memory held: (LiveBlocks+FreeBlocks) × slots × dim
+	// float32s. The per-node index is not included.
+	Bytes int64 `json:"bytes"`
+}
+
+// Occupancy counts mailboxes with mail and live/free mail blocks, one shard
+// at a time under its read lock (cross-shard it is not a snapshot).
+func (s *Sharded) Occupancy() Occupancy {
+	var o Occupancy
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for n, b := range sh.st.blocks {
+			if b != nil {
+				o.LiveBlocks++
+			}
+			if sh.st.count[n] > 0 {
+				o.NodesWithMail++
+			}
+		}
+		o.FreeBlocks += len(sh.st.free)
+		sh.mu.RUnlock()
+	}
+	o.Bytes = int64(o.LiveBlocks+o.FreeBlocks) * int64(s.slots*s.dim) * 4
+	return o
 }
 
 func (s *Sharded) lockAll() {

@@ -51,6 +51,7 @@ import (
 
 	"apan/internal/async"
 	"apan/internal/core"
+	"apan/internal/mailbox"
 	"apan/internal/replica"
 	"apan/internal/tgraph"
 	"apan/internal/train"
@@ -271,6 +272,9 @@ type StatsResponse struct {
 	// Eviction reports the cold-state evictor's budget, warm-set size and
 	// eviction/re-admission counters. Absent when eviction is disabled.
 	Eviction *core.EvictionStats `json:"eviction,omitempty"`
+	// Mailbox reports the mail memory held: mailboxes with mail, live and
+	// free mail blocks, and their bytes — what an eviction budget bought.
+	Mailbox mailbox.Occupancy `json:"mailbox"`
 	// Role is "leader" or "follower" when replication is wired (absent on
 	// standalone servers); FollowerLagEvents is the ship-heartbeat lag and
 	// WALLatchedError surfaces the log's latched I/O error string at the top
@@ -548,6 +552,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		GraphBackend:  s.pipe.GraphBackend(),
 		Tenants:       s.pipe.TenantStats(),
 		Eviction:      s.pipe.EvictionStats(),
+		Mailbox:       s.pipe.MailboxOccupancy(),
 		WAL:           s.pipe.WALStats(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}

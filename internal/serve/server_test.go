@@ -254,6 +254,10 @@ func TestStatsAndHealthz(t *testing.T) {
 	if st.GraphBackend != core.GraphBackendFlat {
 		t.Fatalf("stats graph_backend %q, want %q", st.GraphBackend, core.GraphBackendFlat)
 	}
+	// One applied event mailed both endpoints: two mailboxes, two blocks.
+	if mb := st.Mailbox; mb.NodesWithMail != 2 || mb.LiveBlocks != 2 || mb.FreeBlocks != 0 || mb.Bytes <= 0 {
+		t.Fatalf("stats mailbox: %+v", mb)
+	}
 
 	resp, err = http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
