@@ -293,8 +293,9 @@ var (
 type (
 	// WAL is the append-only, CRC-framed, segment-rotated write-ahead event
 	// log. Attach one to a Model (Model.AttachWAL) and every applied batch
-	// is logged at the serial apply point with group commit; recover a
-	// crashed replica with Model.LoadCheckpointFile + Model.RecoverWAL.
+	// is logged, with the embeddings computed for it, at the serial apply
+	// point with group commit; recover a crashed replica with
+	// Model.LoadCheckpointFile + Model.RecoverWAL.
 	WAL = wal.Log
 	// WALOptions configures OpenWAL (directory, fsync policy, segment size).
 	WALOptions = wal.Options

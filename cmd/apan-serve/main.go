@@ -339,9 +339,9 @@ func main() {
 		}
 		if *loadPath != "" {
 			// Crash recovery: the checkpoint restored state up to its
-			// watermark; re-apply every logged batch past it through the
-			// full inference path. The WAL's open already truncated any
-			// torn tail a mid-write crash left behind.
+			// watermark; re-apply every logged batch past it from the
+			// embeddings its record carries. The WAL's open already
+			// truncated any torn tail a mid-write crash left behind.
 			replayed, err := model.RecoverWAL(walLog)
 			if err != nil {
 				log.Fatal(err)

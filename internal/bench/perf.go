@@ -308,9 +308,9 @@ func RunPerf(o Options) (*PerfReport, error) {
 	}
 
 	// Failover takeover: a follower that lags the dead leader by five
-	// batches reopens the shipped log as its own, replays the lag tail
-	// through the full inference path, and attaches — the read-only window
-	// a promotion imposes. Events/op is the lag replayed per takeover.
+	// batches reopens the shipped log as its own, re-applies the lag tail
+	// from the logged embeddings, and attaches — the read-only window a
+	// promotion imposes. Events/op is the lag replayed per takeover.
 	{
 		cfg := core.Config{
 			NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim,

@@ -10,18 +10,18 @@ import (
 // Recovery glue between the model and the write-ahead log: a crashed
 // replica comes back as checkpoint + replay-to-watermark. The checkpoint
 // restores parameters and streaming state as of its cut; RecoverWAL then
-// re-applies every logged batch past the cut through the full inference
-// path, which reconstructs node state, mailboxes and the graph exactly as
-// the uninterrupted process would have — bitwise, because inference is
-// deterministic given (params, state, batch) and the log preserves the
-// original batch boundaries in graph order.
+// re-applies every logged batch past the cut. The log is physical: a record
+// carries the embeddings the synchronous link computed for the batch, so
+// re-applying it is the asynchronous link alone — state writes, graph
+// insert, mail propagation, eviction — and reconstructs node state,
+// mailboxes and the graph exactly as the uninterrupted process had them,
+// bitwise, whatever parameters, kernel or Quantize setting scored the batch
+// and whatever the recovering process would score it with now. Inference is
+// not run, so nothing has to make it repeatable.
 
 // RecoverWAL re-applies the log's records past the model's current graph
 // watermark (typically the checkpoint just loaded; a fresh model replays
-// from zero). Each batch runs InferBatch + ApplyInference — the same code
-// path that produced it — after admitting any node ids the checkpoint
-// predates, mirroring what serving's admission did live. Returns the number
-// of events re-applied.
+// from zero) through ReplayBatch. Returns the number of events re-applied.
 //
 // The model must not have a WAL attached (replay would re-log every batch);
 // attach after recovery, which also aligns the log to the recovered
@@ -32,9 +32,11 @@ func (m *Model) RecoverWAL(l *wal.Log) (int, error) {
 		return 0, fmt.Errorf("core: recover with a WAL attached would re-log the replay — detach first")
 	}
 	replayed := 0
-	err := l.Replay(uint64(m.GraphEvents()), func(first uint64, events []tgraph.Event) error {
-		m.ReplayBatch(events)
-		replayed += len(events)
+	err := l.ReplayRecords(uint64(m.GraphEvents()), func(rec wal.Record) error {
+		if err := m.ReplayBatch(rec); err != nil {
+			return err
+		}
+		replayed += len(rec.Events)
 		return nil
 	})
 	if err != nil {
@@ -43,25 +45,30 @@ func (m *Model) RecoverWAL(l *wal.Log) (int, error) {
 	return replayed, nil
 }
 
-// ReplayBatch re-applies one logged batch through the full serving path —
-// node admission, InferBatch, ApplyInference — the exact code that produced
-// the record, so replay reconstructs state bitwise. RecoverWAL uses it for
-// one-shot crash recovery; a warm-standby follower uses it directly,
-// feeding each record a wal.Follower delivers as shipped segments arrive.
+// ReplayBatch re-applies one logged batch: it admits any node ids the model
+// predates and re-admits evicted endpoints, as serving's admission path did
+// before scoring, then runs ApplyInference's span on the record's rows in
+// place of freshly computed embeddings. RecoverWAL uses it for one-shot
+// crash recovery; a warm-standby follower uses it directly, feeding each
+// record a wal.Follower delivers as shipped segments arrive. A record whose
+// rows are not one EdgeDim-wide row per distinct endpoint of its events — a
+// log from a model of another shape, or one written through the deprecated
+// event-only wal.Log.Begin — is refused before anything is touched.
+//
 // The model must not have a WAL attached (the replay would be re-logged),
 // and calls must not race serving applies.
-func (m *Model) ReplayBatch(events []tgraph.Event) {
+func (m *Model) ReplayBatch(rec wal.Record) error {
+	plan := m.planBatch(rec.Events, nil, false)
+	if rec.Dim != m.Cfg.EdgeDim || len(rec.Rows) != len(plan.nodes)*rec.Dim {
+		return fmt.Errorf("core: record at %d carries %d embedding values of dimension %d; its %d events name %d endpoints of dimension %d",
+			rec.First, len(rec.Rows), rec.Dim, len(rec.Events), len(plan.nodes), m.Cfg.EdgeDim)
+	}
 	maxID := tgraph.NodeID(-1)
-	for i := range events {
-		if events[i].Src > maxID {
-			maxID = events[i].Src
-		}
-		if events[i].Dst > maxID {
-			maxID = events[i].Dst
-		}
+	for _, n := range plan.nodes {
+		maxID = max(maxID, n)
 	}
 	m.EnsureNodes(int(maxID) + 1)
-	inf := m.InferBatch(events)
-	m.ApplyInference(inf)
-	inf.Release()
+	m.ReadmitBatch(rec.Events)
+	m.applyRows(rec.Events, rec.Rows, plan.srcRow, plan.dstRow)
+	return nil
 }

@@ -319,3 +319,242 @@ func TestInferBatchZeroAllocSteadyStateWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// serveLogged pushes batches through the synchronous serving path — admit,
+// score, apply — the way async.Pipeline.Submit does with no queue between.
+func serveLogged(m *Model, batches [][]tgraph.Event) {
+	for _, b := range batches {
+		m.ReadmitBatch(b)
+		inf := m.InferBatch(b)
+		m.ApplyInference(inf)
+		inf.Release()
+	}
+}
+
+// recoverInto loads ckpt into m and replays the log in walDir past it.
+func recoverInto(t *testing.T, m *Model, ckpt, walDir string) {
+	t.Helper()
+	if err := m.LoadCheckpointFile(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	l := openTestWAL(t, walDir, wal.SyncGroup)
+	if _, err := m.RecoverWAL(l); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverAcrossPublish: a log that spans a parameter publish recovers
+// bitwise. The checkpoint holds the parameters as of its cut; the batches
+// after it were scored by a set the online trainer published later, which is
+// nowhere in the log — only what it computed is. Replay by inference scored
+// them with the checkpoint's parameters and landed somewhere else.
+func TestRecoverAcrossPublish(t *testing.T) {
+	dir := t.TempDir()
+	walDir, ckpt := filepath.Join(dir, "wal"), filepath.Join(dir, "ckpt")
+	batches := make([][]tgraph.Event, 15)
+	for i := range batches {
+		batches[i] = concBatch(int32(3*i), 8, float64(100*i))
+	}
+
+	m := concModel(t, 8)
+	if err := m.AttachWAL(openTestWAL(t, walDir, wal.SyncGroup)); err != nil {
+		t.Fatal(err)
+	}
+	serveLogged(m, batches[:8])
+	if _, err := m.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range m.Params() {
+		for j := range p.W.Data {
+			p.W.Data[j] += 0.01
+		}
+	}
+	m.publishOwn()
+	serveLogged(m, batches[8:])
+	want := m.RuntimeDigest()
+	m.DetachWAL().Abandon()
+
+	// The publish mattered: the same batches under the checkpoint's
+	// parameters end somewhere else.
+	old := concModel(t, 8)
+	if err := old.LoadCheckpointFile(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	serveLogged(old, batches[8:])
+	if old.RuntimeDigest() == want {
+		t.Fatal("the perturbed parameters changed nothing; the test proves nothing")
+	}
+
+	rec := concModel(t, 8)
+	recoverInto(t, rec, ckpt, walDir)
+	if got := rec.RuntimeDigest(); got != want {
+		t.Fatalf("recovered digest %016x, the leader that published mid-log had %016x", got, want)
+	}
+}
+
+// TestRecoverQuantizedLeaderIntoFloatModel: rows are data, not a
+// recomputation — a leader serving int8 scores replays bitwise into a
+// recoverer that would have computed different embeddings itself.
+func TestRecoverQuantizedLeaderIntoFloatModel(t *testing.T) {
+	dir := t.TempDir()
+	walDir, ckpt := filepath.Join(dir, "wal"), filepath.Join(dir, "ckpt")
+	ds := tinyData(4)
+	cfg := tinyConfig(ds.NumNodes)
+	var batches [][]tgraph.Event
+	for lo := 0; lo < 200; lo += cfg.BatchSize {
+		batches = append(batches, ds.Events[lo:lo+cfg.BatchSize])
+	}
+
+	qcfg := cfg
+	qcfg.Quantize = true
+	leader, err := New(qcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leader.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.AttachWAL(openTestWAL(t, walDir, wal.SyncGroup)); err != nil {
+		t.Fatal(err)
+	}
+	serveLogged(leader, batches)
+	want := leader.RuntimeDigest()
+	if err := leader.DetachWAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	float, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveLogged(float, batches)
+	if float.RuntimeDigest() == want {
+		t.Fatal("int8 and float32 serving agree bitwise; the test proves nothing")
+	}
+
+	rec, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoverInto(t, rec, ckpt, walDir)
+	if got := rec.RuntimeDigest(); got != want {
+		t.Fatalf("float32 recoverer reached %016x, the int8 leader had %016x", got, want)
+	}
+}
+
+// TestReplayReadmitsUnderEviction: replay re-admits evicted endpoints before
+// it applies a batch, as every serving submit does before it scores one —
+// the evictions and LRU touches a re-admission causes are part of the
+// runtime. Without that call the recovered model diverges from the live one
+// as soon as one node cycles out and back.
+func TestReplayReadmitsUnderEviction(t *testing.T) {
+	dir := t.TempDir()
+	walDir, ckpt := filepath.Join(dir, "wal"), filepath.Join(dir, "ckpt")
+	ds := tinyData(2)
+	cfg := tinyConfig(ds.NumNodes)
+	cfg.EvictMaxNodes = 8
+	var batches [][]tgraph.Event
+	for lo := 0; lo < 300; lo += cfg.BatchSize {
+		batches = append(batches, ds.Events[lo:lo+cfg.BatchSize])
+	}
+
+	live, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.AttachWAL(openTestWAL(t, walDir, wal.SyncGroup)); err != nil {
+		t.Fatal(err)
+	}
+	serveLogged(live, batches)
+	liveStats, _ := live.EvictionStats()
+	if liveStats.Readmitted == 0 {
+		t.Fatal("no node was re-admitted; the test proves nothing")
+	}
+	if err := live.DetachWAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoverInto(t, rec, ckpt, walDir)
+	if got, want := rec.RuntimeDigest(), live.RuntimeDigest(); got != want {
+		t.Fatalf("recovered digest %016x != live digest %016x after %d re-admissions", got, want, liveStats.Readmitted)
+	}
+	if recStats, _ := rec.EvictionStats(); recStats != liveStats {
+		t.Fatalf("replay's eviction counters %+v, live %+v", recStats, liveStats)
+	}
+}
+
+// TestReplayBatchRefusesForeignRows: a record is applied only if its rows
+// are one EdgeDim-wide row per distinct endpoint of its events; a refusal
+// leaves the model as it was, so a follower can report it and stay put.
+func TestReplayBatchRefusesForeignRows(t *testing.T) {
+	m := concModel(t, 4)
+	events := concBatch(0, 4, 10) // endpoints 0..4: five rows of eight
+	dim := m.Cfg.EdgeDim
+	before := m.RuntimeDigest()
+	for name, rec := range map[string]wal.Record{
+		"no rows (event-only Begin)": {Events: events},
+		"one row short":              {Events: events, Rows: make([]float32, 4*dim), Dim: dim},
+		"one row over":               {Events: events, Rows: make([]float32, 6*dim), Dim: dim},
+		"another model's dimension":  {Events: events, Rows: make([]float32, 5*dim), Dim: dim / 2},
+		"right count, wrong dim":     {Events: events, Rows: make([]float32, 5*(dim+1)), Dim: dim + 1},
+	} {
+		if err := m.ReplayBatch(rec); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if m.RuntimeDigest() != before || m.GraphEvents() != 0 {
+		t.Fatal("a refused record changed the model")
+	}
+	if err := m.ReplayBatch(wal.Record{Events: events, Rows: make([]float32, 5*dim), Dim: dim}); err != nil {
+		t.Fatalf("a well-formed record: %v", err)
+	}
+	if m.GraphEvents() != len(events) {
+		t.Fatalf("graph holds %d events after one replayed batch of %d", m.GraphEvents(), len(events))
+	}
+}
+
+// TestRecoverOfflinePassLog: the offline entry points (EvalStream and
+// friends) log through processBatch, whose plan also holds the sampled
+// negatives; only the endpoints' rows — the plan's leading ones — belong in
+// the record, and they replay bitwise.
+func TestRecoverOfflinePassLog(t *testing.T) {
+	dir := t.TempDir()
+	walDir, ckpt := filepath.Join(dir, "wal"), filepath.Join(dir, "ckpt")
+	ds := tinyData(3)
+	cfg := tinyConfig(ds.NumNodes)
+
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AttachWAL(openTestWAL(t, walDir, wal.SyncGroup)); err != nil {
+		t.Fatal(err)
+	}
+	m.EvalStream(ds.Events[:200], nil)
+	want := m.RuntimeDigest()
+	if err := m.DetachWAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoverInto(t, rec, ckpt, walDir)
+	if got := rec.RuntimeDigest(); got != want {
+		t.Fatalf("recovered digest %016x, the offline pass ended at %016x", got, want)
+	}
+}

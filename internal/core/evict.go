@@ -17,8 +17,8 @@ import (
 // adjacency is the durable structure re-admission warms from.
 //
 // An evicted node that reappears in the stream is re-admitted on the
-// admission path (ReadmitBatch, called by async.Pipeline before scoring,
-// never inside InferBatch): its state is re-seeded with the mean of its most
+// admission path (ReadmitBatch, called by async.Pipeline before scoring and
+// by ReplayBatch before applying, never inside InferBatch): its state is re-seeded with the mean of its most
 // recent graph neighbors' current embeddings — the same inductive signal the
 // encoder would otherwise have to recover over many events — and it rejoins
 // the LRU as most recently used.
@@ -27,8 +27,9 @@ import (
 // a run whose budget is never exceeded performs no ClearNode calls and stays
 // bitwise identical to an eviction-disabled run (RuntimeDigest-exact). A run
 // that does evict is still deterministic for a fixed apply order: WAL replay
-// through ReplayBatch re-applies the same batches through the same path and
-// re-evicts identically. Evictor bookkeeping is not checkpointed; after a
+// through ReplayBatch re-admits and re-applies the same batches in the same
+// order and re-evicts identically (given that serving re-admitted each batch
+// with every earlier one applied; see docs/durability.md for the queue case). Evictor bookkeeping is not checkpointed; after a
 // restore, evicted nodes simply look cold (the standard inductive path) and
 // warm nodes re-enter the LRU as the stream touches them.
 

@@ -460,6 +460,12 @@ type batchPlan struct {
 	dstRow []int32
 	negRow []int32
 	negs   []tgraph.NodeID
+
+	// endpoints counts the leading nodes that are an event's src or dst:
+	// the events are planned before the negatives, so these are the batch's
+	// distinct endpoints in order of first appearance — the rows a WAL
+	// record carries.
+	endpoints int
 }
 
 // reset readies the plan for reuse, keeping map buckets and slice capacity.
@@ -505,6 +511,7 @@ func (m *Model) planBatchInto(p *batchPlan, events []tgraph.Event, ns *dataset.N
 		p.srcRow = append(p.srcRow, row(ev.Src, ev.Time))
 		p.dstRow = append(p.dstRow, row(ev.Dst, ev.Time))
 	}
+	p.endpoints = len(p.nodes)
 	if !withNegs {
 		return
 	}
@@ -607,7 +614,7 @@ func (m *Model) processBatch(events []tgraph.Event, ns *dataset.NegSampler, trai
 		}
 	}
 	m.graphMu.Lock()
-	commit := m.logBatchLocked(events)
+	commit := m.logBatchLocked(events, z.Value().Data[:plan.endpoints*z.Value().Cols])
 	m.prop.ProcessBatch(events, m.st)
 	m.graphMu.Unlock()
 	m.noteTouched(events)
@@ -824,11 +831,22 @@ func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 // serving degrades to best-effort durability and the operator sees it in
 // /v1/stats.
 func (m *Model) ApplyInference(inf *Inference) {
+	m.applyRows(inf.Events, inf.emb.Data[:len(inf.nodes)*inf.emb.Cols], inf.srcRow, inf.dstRow)
+}
+
+// applyRows is the asynchronous link's whole mutation span for one batch,
+// given what the synchronous link computed: rows holds one embedding per
+// distinct endpoint and srcRow/dstRow say which row is each event's. Serving
+// (ApplyInference) hands over the rows it just computed, replay (ReplayBatch)
+// the rows the log kept — nothing past this point looks at parameters.
+func (m *Model) applyRows(events []tgraph.Event, rows []float32, srcRow, dstRow []int32) {
+	dim := m.Cfg.EdgeDim
 	m.storeMu.RLock()
 	m.applyMu.RLock()
-	for i, ev := range inf.Events {
-		m.st.Set(ev.Src, inf.emb.Row(int(inf.srcRow[i])), ev.Time)
-		m.st.Set(ev.Dst, inf.emb.Row(int(inf.dstRow[i])), ev.Time)
+	for i, ev := range events {
+		s, d := int(srcRow[i])*dim, int(dstRow[i])*dim
+		m.st.Set(ev.Src, rows[s:s+dim], ev.Time)
+		m.st.Set(ev.Dst, rows[d:d+dim], ev.Time)
 	}
 	var commit wal.Commit
 	m.graphMu.Lock()
@@ -841,30 +859,31 @@ func (m *Model) ApplyInference(inf *Inference) {
 		// exclusively and we hold it shared until the batch is fully
 		// applied.
 		m.graphMu.Unlock()
-		m.prop.ProcessBatch(inf.Events, m.st)
+		m.prop.ProcessBatch(events, m.st)
 	} else {
-		commit = m.logBatchLocked(inf.Events)
-		m.prop.ProcessBatch(inf.Events, m.st)
+		commit = m.logBatchLocked(events, rows)
+		m.prop.ProcessBatch(events, m.st)
 		m.graphMu.Unlock()
 	}
 	// Eviction is the batch's last mutation, inside the apply gate: a
 	// checkpoint cut can never separate a batch's writes from the evictions
 	// they trigger.
-	m.noteTouched(inf.Events)
+	m.noteTouched(events)
 	m.applyMu.RUnlock()
 	m.storeMu.RUnlock()
 	commit.Wait() // off every model lock; error is latched in the log
 }
 
-// logBatchLocked appends the batch to the attached WAL, if any. Requires
-// graphMu: the caller is about to insert the same events, so the record's
-// indices equal the events' graph ids. Returns the zero Commit (whose Wait
-// is a no-op) when no WAL is attached.
-func (m *Model) logBatchLocked(events []tgraph.Event) wal.Commit {
+// logBatchLocked appends the batch and its endpoints' embeddings (rows, in
+// plan order) to the attached WAL, if any. Requires graphMu: the caller is
+// about to insert the same events, so the record's indices equal the events'
+// graph ids. Returns the zero Commit (whose Wait is a no-op) when no WAL is
+// attached.
+func (m *Model) logBatchLocked(events []tgraph.Event, rows []float32) wal.Commit {
 	if m.wal == nil {
 		return wal.Commit{}
 	}
-	return m.wal.Begin(events)
+	return m.wal.BeginRecord(events, rows, m.Cfg.EdgeDim)
 }
 
 // AttachWAL starts logging every applied batch to l, aligning the log's

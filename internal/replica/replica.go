@@ -1,14 +1,16 @@
 // Package replica implements the warm-standby follower: a model fed from a
-// log-shipped copy of the leader's write-ahead log, continuously replayed
-// through the same inference path that produced it, promotable to leader
-// the moment the primary is lost.
+// log-shipped copy of the leader's write-ahead log, continuously re-applied
+// from the embeddings the leader logged, promotable to leader the moment
+// the primary is lost.
 //
 // Dataflow: the leader ships WAL segments (wal.Shipper, usually the tail
 // mode behind wal.ServeShip) into the follower's log directory; PollOnce
 // scans the shipped bytes with a wal.Follower and replays each complete
-// record via core.Model.ReplayBatch. Because replay is the apply path,
-// the follower's runtime state at watermark W is bitwise identical to the
-// leader's at W — RuntimeDigest equality is the scenario harness's proof.
+// record via core.Model.ReplayBatch. Because replay is the leader's apply
+// span run on the leader's own embeddings, the follower's runtime state at
+// watermark W is bitwise identical to the leader's at W, whatever
+// parameters either side holds — RuntimeDigest equality is the scenario
+// harness's proof.
 // A torn or still-in-flight tail parks the scanner; the next PollOnce
 // resumes where it left off once more bytes arrive.
 //
@@ -39,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"apan/internal/core"
-	"apan/internal/tgraph"
 	"apan/internal/wal"
 )
 
@@ -124,10 +125,12 @@ func (r *Replica) PollOnce() (int, error) {
 		return 0, ErrPromoted
 	}
 	applied := 0
-	_, err := r.f.Poll(func(first uint64, events []tgraph.Event) error {
-		r.m.ReplayBatch(events)
-		applied += len(events)
-		r.cursor.Store(first + uint64(len(events)))
+	_, err := r.f.Poll(func(rec wal.Record) error {
+		if err := r.m.ReplayBatch(rec); err != nil {
+			return err
+		}
+		applied += len(rec.Events)
+		r.cursor.Store(rec.First + uint64(len(rec.Events)))
 		return nil
 	})
 	r.cursor.Store(r.f.Cursor())

@@ -518,3 +518,62 @@ func TestNewFollowerRejectsAttachedWAL(t *testing.T) {
 		t.Fatal("NewFollower accepted a model with a WAL attached")
 	}
 }
+
+// TestFollowerAcrossLeaderPublish: the leader's online trainer publishes new
+// parameters mid-stream; the follower never hears of it — it was seeded with
+// the initial parameters and receives only the log. It still ends bitwise
+// where the leader is, because a record carries what the leader computed and
+// replay recomputes nothing.
+func TestFollowerAcrossLeaderPublish(t *testing.T) {
+	events := testEvents(t)[:400]
+	numNodes := 0
+	for _, e := range events {
+		numNodes = max(numNodes, int(e.Src)+1, int(e.Dst)+1)
+	}
+	dirA, dirB := t.TempDir(), t.TempDir()
+
+	leader := newModel(t, numNodes)
+	log, err := wal.Open(wal.Options{Dir: dirA, Policy: wal.SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.AttachWAL(log); err != nil {
+		t.Fatal(err)
+	}
+	applyBatches(t, leader, events[:200], 25)
+	params := leader.Params()
+	for _, p := range params {
+		for j := range p.W.Data {
+			p.W.Data[j] += 0.01
+		}
+	}
+	if _, err := leader.SwapParams(params); err != nil {
+		t.Fatal(err)
+	}
+	applyBatches(t, leader, events[200:], 25)
+	want := leader.RuntimeDigest()
+	if err := leader.DetachWAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	stale := newModel(t, numNodes)
+	applyBatches(t, stale, events, 25)
+	if stale.RuntimeDigest() == want {
+		t.Fatal("the published parameters changed nothing; the test proves nothing")
+	}
+
+	if _, err := wal.NewShipper(dirA, wal.DirDest{Dir: dirB}, wal.ShipOptions{Tail: true}).ShipNow(); err != nil {
+		t.Fatal(err)
+	}
+	follower := newModel(t, numNodes)
+	rep, err := NewFollower(follower, dirB, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := rep.PollOnce(); err != nil || applied != len(events) {
+		t.Fatalf("PollOnce applied %d of %d events, err %v", applied, len(events), err)
+	}
+	if got := follower.RuntimeDigest(); got != want {
+		t.Fatalf("follower digest %016x, the leader that published mid-stream has %016x", got, want)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,25 +28,37 @@ import (
 // Record frame:
 //
 //	frame   : payloadLen u32 | crc32c(payload) u32 | payload
-//	payload : firstIndex u64 | count u32 | event*
+//	payload : firstIndex u64 | count u32 | event* | rows u32 | dim u32 | rowBits u32*
 //	event   : src u32 | dst u32 | timeBits u64 | label u8 | featLen u32 | featBits u32*
 //
-// All integers little-endian; floats stored as IEEE-754 bit patterns, so a
-// decode is bit-exact. Record indices within and across segments must be
+// The rows are what the synchronous link computed for the batch: one
+// dim-wide embedding z(t) per distinct endpoint, in order of first
+// appearance (src before dst, event by event), rows·dim values in all.
+// Replay writes them back instead of recomputing them. All integers
+// little-endian; floats stored as IEEE-754 bit patterns, so a decode is
+// bit-exact. Record indices within and across segments must be
 // non-decreasing and non-overlapping; forward gaps are legal (AlignTo
 // creates one when a checkpoint outruns the durable log).
+//
+// Version 1 segments carried events only and were replayed by running
+// inference again; this build refuses them (see versionError).
 const (
 	segMagic        = "APWL"
-	segVersion      = 1
+	segVersion      = 2
 	segHeaderSize   = 16
 	frameHeaderSize = 8
 	segSuffix       = ".seg"
 	segPrefix       = "wal-"
 
+	recordHeadBytes = 12 // firstIndex | count
+	eventHeadBytes  = 21 // src | dst | timeBits | label | featLen
+	rowsHeadBytes   = 8  // rows | dim
+
 	// maxPayloadBytes bounds a frame's declared length so a corrupt length
 	// field cannot drive an OOM-sized allocation; larger means torn/corrupt.
 	maxPayloadBytes = 1 << 30
-	// maxFeatLen mirrors the checkpoint codec's feature-length sanity bound.
+	// maxFeatLen mirrors the checkpoint codec's feature-length sanity bound;
+	// it also bounds a record's embedding dimension.
 	maxFeatLen = 1 << 20
 )
 
@@ -59,127 +72,166 @@ var (
 	errBadHeader = errors.New("wal: bad segment header")
 )
 
-// appendRecord appends one framed record covering events, whose first event
-// has log index first, to buf. It writes only via append, so a warmed
-// buffer makes the encode allocation-free.
-func appendRecord(buf []byte, first uint64, events []tgraph.Event) []byte {
+// versionError is what Open and a Follower report for a segment of another
+// format version. There is no converter: a version 1 log holds no
+// embeddings, and a log is truncated at every checkpoint anyway.
+func versionError(name string, v uint32) error {
+	return fmt.Errorf("wal: %s: segment format version %d, this build reads and writes version %d (records carry the batch's embeddings): drain the old process, write a checkpoint, and start on an empty log directory", name, v, segVersion)
+}
+
+// Record is one logged batch as ReplayRecords and Follower.Poll deliver it.
+type Record struct {
+	// First is the log index of Events[0].
+	First uint64
+	// Events are freshly allocated, their Feat slices cut from one array
+	// per record: the temporal graph retains them on replay.
+	Events []tgraph.Event
+	// Rows holds the batch's embeddings, row-major, len(Rows)/Dim rows of
+	// Dim values (see the layout above). It is the scanner's scratch,
+	// valid only until the callback returns.
+	Rows []float32
+	Dim  int
+}
+
+// appendRecord appends one framed record to buf: events, whose first event
+// has log index first, and the batch's embedding rows (len(rows) a multiple
+// of dim; both zero for none). The frame's size is known up front, so buf
+// grows at most once and a warmed buffer makes the encode allocation-free.
+func appendRecord(buf []byte, first uint64, events []tgraph.Event, rows []float32, dim int) []byte {
+	nRows := 0
+	if dim > 0 {
+		nRows = len(rows) / dim
+	}
+	if nRows*dim != len(rows) {
+		panic(fmt.Sprintf("wal: %d embedding values do not make rows of %d", len(rows), dim))
+	}
+	size := frameHeaderSize + recordHeadBytes + rowsHeadBytes + 4*len(rows)
+	for i := range events {
+		size += eventHeadBytes + 4*len(events[i].Feat)
+	}
 	head := len(buf)
-	buf = append(buf, make([]byte, frameHeaderSize)...)
-	buf = appendU64(buf, first)
-	buf = appendU32(buf, uint32(len(events)))
+	buf = slices.Grow(buf, size)[:head+size]
+	payload := buf[head+frameHeaderSize:]
+
+	le.PutUint64(payload, first)
+	le.PutUint32(payload[8:], uint32(len(events)))
+	o := recordHeadBytes
 	for i := range events {
 		ev := &events[i]
-		buf = appendU32(buf, uint32(ev.Src))
-		buf = appendU32(buf, uint32(ev.Dst))
-		buf = appendU64(buf, math.Float64bits(ev.Time))
-		buf = append(buf, byte(ev.Label))
-		buf = appendU32(buf, uint32(len(ev.Feat)))
-		for _, f := range ev.Feat {
-			buf = appendU32(buf, math.Float32bits(f))
-		}
+		le.PutUint32(payload[o:], uint32(ev.Src))
+		le.PutUint32(payload[o+4:], uint32(ev.Dst))
+		le.PutUint64(payload[o+8:], math.Float64bits(ev.Time))
+		payload[o+16] = byte(ev.Label)
+		le.PutUint32(payload[o+17:], uint32(len(ev.Feat)))
+		o = putFloats(payload, o+eventHeadBytes, ev.Feat)
 	}
-	payload := buf[head+frameHeaderSize:]
+	le.PutUint32(payload[o:], uint32(nRows))
+	le.PutUint32(payload[o+4:], uint32(dim))
+	putFloats(payload, o+rowsHeadBytes, rows)
+
 	le.PutUint32(buf[head:], uint32(len(payload)))
 	le.PutUint32(buf[head+4:], crc32.Checksum(payload, crcTable))
 	return buf
 }
 
-func appendU32(buf []byte, v uint32) []byte {
-	return append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(buf []byte, v uint64) []byte {
-	return append(buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// decodeRecord decodes one record payload. The payload must be consumed
-// exactly; trailing bytes mean a codec mismatch, which after a CRC pass is
-// writer-side corruption, not a torn write. Events (and their Feat slices)
-// are freshly allocated: the temporal graph retains them on replay.
-func decodeRecord(payload []byte) (first uint64, events []tgraph.Event, err error) {
-	r := payloadReader{buf: payload}
-	first = r.u64()
-	count := r.u32()
-	if r.err == nil && int(count) > len(payload)/13 {
-		// 13 bytes is the minimum encoded event, so a count beyond
-		// payload/13 cannot be honest.
-		return 0, nil, fmt.Errorf("wal: record count %d exceeds payload", count)
+// putFloats writes vals' bit patterns at p[o:] and returns the offset past
+// them.
+func putFloats(p []byte, o int, vals []float32) int {
+	for _, f := range vals {
+		le.PutUint32(p[o:], math.Float32bits(f))
+		o += 4
 	}
-	if r.err == nil {
-		events = make([]tgraph.Event, count)
-		for i := range events {
-			ev := &events[i]
-			ev.Src = tgraph.NodeID(r.u32())
-			ev.Dst = tgraph.NodeID(r.u32())
-			ev.Time = math.Float64frombits(r.u64())
-			ev.Label = int8(r.u8())
-			featLen := r.u32()
-			if r.err == nil && featLen > maxFeatLen {
-				return 0, nil, fmt.Errorf("wal: absurd feature length %d", featLen)
-			}
-			if r.err == nil {
-				ev.Feat = make([]float32, featLen)
-				for j := range ev.Feat {
-					ev.Feat[j] = math.Float32frombits(r.u32())
-				}
-			}
+	return o
+}
+
+// getFloats is putFloats' inverse: it fills dst from p[o:].
+func getFloats(dst []float32, p []byte, o int) int {
+	for j := range dst {
+		dst[j] = math.Float32frombits(le.Uint32(p[o:]))
+		o += 4
+	}
+	return o
+}
+
+// recordShape is what a payload's length fields say once checkRecord has
+// held every one of them against the bytes actually present.
+type recordShape struct {
+	first   uint64
+	count   int // events
+	feats   int // feature values over all events
+	rowsOff int // offset of the first embedding value
+	dim     int
+}
+
+// checkRecord validates one record payload without allocating, so a hostile
+// count or length cannot size an allocation. The payload must be consumed
+// exactly; anything else is a codec mismatch, which after a CRC pass is
+// writer-side corruption, not a torn write.
+func checkRecord(payload []byte) (recordShape, error) {
+	if len(payload) < recordHeadBytes {
+		return recordShape{}, fmt.Errorf("wal: record truncated at byte %d", len(payload))
+	}
+	s := recordShape{first: le.Uint64(payload), count: int(le.Uint32(payload[8:]))}
+	if s.count > (len(payload)-recordHeadBytes)/eventHeadBytes {
+		return recordShape{}, fmt.Errorf("wal: record count %d exceeds payload", s.count)
+	}
+	o := recordHeadBytes
+	for i := 0; i < s.count; i++ {
+		if o+eventHeadBytes > len(payload) {
+			return recordShape{}, fmt.Errorf("wal: record truncated at byte %d", len(payload))
 		}
+		n := le.Uint32(payload[o+17:])
+		if n > maxFeatLen {
+			return recordShape{}, fmt.Errorf("wal: absurd feature length %d", n)
+		}
+		s.feats += int(n)
+		o += eventHeadBytes + 4*int(n)
 	}
-	if r.err != nil {
-		return 0, nil, r.err
+	if o+rowsHeadBytes > len(payload) {
+		return recordShape{}, fmt.Errorf("wal: record truncated at byte %d", len(payload))
 	}
-	if len(r.buf) != r.off {
-		return 0, nil, fmt.Errorf("wal: record has %d trailing bytes", len(r.buf)-r.off)
+	nRows, dim := le.Uint32(payload[o:]), le.Uint32(payload[o+4:])
+	if int64(nRows) > 2*int64(s.count) {
+		return recordShape{}, fmt.Errorf("wal: %d embedding rows for %d events", nRows, s.count)
 	}
-	return first, events, nil
+	if dim > maxFeatLen {
+		return recordShape{}, fmt.Errorf("wal: absurd embedding dimension %d", dim)
+	}
+	s.rowsOff, s.dim = o+rowsHeadBytes, int(dim)
+	have, need := int64(len(payload)-s.rowsOff), 4*int64(nRows)*int64(dim)
+	if need > have {
+		return recordShape{}, fmt.Errorf("wal: record truncated: %d embedding bytes declared, %d present", need, have)
+	}
+	if need < have {
+		return recordShape{}, fmt.Errorf("wal: record has %d trailing bytes", have-need)
+	}
+	return s, nil
 }
 
-// payloadReader is a bounds-checked cursor over a record payload; the first
-// short read latches an error and zeroes every later read.
-type payloadReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *payloadReader) short(n int) bool {
-	if r.err != nil {
-		return true
+// decode materializes a checked payload in three allocations, whatever the
+// batch size: the events, one array all their features are cut from, and
+// the rows — which reuse rowBuf when it is large enough, so a scanner passes
+// the previous record's Rows back in (see Record.Rows).
+func (s recordShape) decode(payload []byte, rowBuf []float32) Record {
+	rec := Record{First: s.first, Events: make([]tgraph.Event, s.count), Dim: s.dim}
+	arena := make([]float32, s.feats)
+	o := recordHeadBytes
+	for i := range rec.Events {
+		ev := &rec.Events[i]
+		ev.Src = tgraph.NodeID(le.Uint32(payload[o:]))
+		ev.Dst = tgraph.NodeID(le.Uint32(payload[o+4:]))
+		ev.Time = math.Float64frombits(le.Uint64(payload[o+8:]))
+		ev.Label = int8(payload[o+16])
+		n := int(le.Uint32(payload[o+17:]))
+		// Full slice expression: an append to one event's features must
+		// not write into the next event's.
+		ev.Feat, arena = arena[:n:n], arena[n:]
+		o = getFloats(ev.Feat, payload, o+eventHeadBytes)
 	}
-	if r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("wal: record truncated at byte %d", r.off)
-		return true
-	}
-	return false
-}
-
-func (r *payloadReader) u8() uint8 {
-	if r.short(1) {
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *payloadReader) u32() uint32 {
-	if r.short(4) {
-		return 0
-	}
-	v := le.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *payloadReader) u64() uint64 {
-	if r.short(8) {
-		return 0
-	}
-	v := le.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
+	n := (len(payload) - s.rowsOff) / 4
+	rec.Rows = slices.Grow(rowBuf[:0], n)[:n]
+	getFloats(rec.Rows, payload, s.rowsOff)
+	return rec
 }
 
 // segmentName formats the file name of the segment whose first record has
@@ -223,16 +275,16 @@ func listSegments(dir string) ([]segInfo, error) {
 	return segs, nil
 }
 
-// scanSegment reads one segment file, invoking fn (when non-nil) for every
-// intact record. wantFirst is the index encoded in the file name; the
-// header must agree. cursor is the record-index high-water mark carried
+// scanSegment reads one segment file, invoking fn for every intact record;
+// with a nil fn records are checked but not decoded. wantFirst is the index
+// encoded in the file name; the header must agree. cursor is the record-index high-water mark carried
 // over from earlier segments: indices must never step backwards across it
 // (forward gaps are legal). Returns the offset just past the last intact
 // record, the advanced cursor, and torn=true when trailing bytes past end
 // fail to frame — the signature of a crash mid-write. Anything else —
 // header mismatch, index overlap, a payload that fails to decode after its
 // CRC verified, an fn error — comes back in err.
-func scanSegment(path string, wantFirst, cursor uint64, fn func(first uint64, events []tgraph.Event) error) (end int64, newCursor uint64, torn bool, err error) {
+func scanSegment(path string, wantFirst, cursor uint64, fn func(Record) error) (end int64, newCursor uint64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, cursor, false, fmt.Errorf("wal: %w", err)
@@ -248,7 +300,7 @@ func scanSegment(path string, wantFirst, cursor uint64, fn func(first uint64, ev
 		return 0, cursor, false, fmt.Errorf("%w: %s: magic %q", errBadHeader, filepath.Base(path), hdr[:4])
 	}
 	if v := le.Uint32(hdr[4:]); v != segVersion {
-		return 0, cursor, false, fmt.Errorf("wal: %s: unsupported version %d", filepath.Base(path), v)
+		return 0, cursor, false, versionError(filepath.Base(path), v)
 	}
 	if first := le.Uint64(hdr[8:]); first != wantFirst {
 		return 0, cursor, false, fmt.Errorf("wal: %s: header index %d disagrees with name", filepath.Base(path), first)
@@ -261,6 +313,7 @@ func scanSegment(path string, wantFirst, cursor uint64, fn func(first uint64, ev
 	end = segHeaderSize
 	var frame [frameHeaderSize]byte
 	var payload []byte
+	var rows []float32
 	for {
 		if _, err := io.ReadFull(br, frame[:]); err != nil {
 			if err == io.EOF {
@@ -282,19 +335,21 @@ func scanSegment(path string, wantFirst, cursor uint64, fn func(first uint64, ev
 		if crc32.Checksum(payload, crcTable) != le.Uint32(frame[4:]) {
 			return end, cursor, true, nil // bits flipped or overwritten
 		}
-		first, events, derr := decodeRecord(payload)
+		shape, derr := checkRecord(payload)
 		if derr != nil {
 			return end, cursor, false, fmt.Errorf("wal: %s at offset %d: %w", filepath.Base(path), end, derr)
 		}
-		if first < cursor {
-			return end, cursor, false, fmt.Errorf("wal: %s at offset %d: record %d overlaps records ending at %d", filepath.Base(path), end, first, cursor)
+		if shape.first < cursor {
+			return end, cursor, false, fmt.Errorf("wal: %s at offset %d: record %d overlaps records ending at %d", filepath.Base(path), end, shape.first, cursor)
 		}
 		if fn != nil {
-			if err := fn(first, events); err != nil {
+			rec := shape.decode(payload, rows)
+			rows = rec.Rows
+			if err := fn(rec); err != nil {
 				return end, cursor, false, err
 			}
 		}
-		cursor = first + uint64(len(events))
+		cursor = shape.first + uint64(shape.count)
 		end += int64(frameHeaderSize) + int64(len(payload))
 	}
 }

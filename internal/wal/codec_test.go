@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -66,23 +67,79 @@ func eventsBitEqual(a, b []tgraph.Event) bool {
 	return true
 }
 
+// randRows draws an embedding block for a batch of n events: a row count
+// anywhere in the codec's legal range [0, 2n], a small dimension, and the
+// same adversarial floats as the features.
+func randRows(rng *rand.Rand, n int) (rows []float32, dim int) {
+	dim = rng.Intn(6)
+	if dim == 0 {
+		return nil, 0
+	}
+	rows = make([]float32, rng.Intn(2*n+1)*dim)
+	for i := range rows {
+		if rng.Intn(4) == 0 {
+			rows[i] = float32(math.Inf(rng.Intn(2)*2 - 1))
+		} else if rng.Intn(8) == 0 {
+			rows[i] = float32(math.NaN())
+		} else {
+			rows[i] = float32(rng.NormFloat64())
+		}
+	}
+	return rows, dim
+}
+
+func floatsBitEqual(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
+// testDim and testRows stand in for a batch's embeddings where a test is
+// about the log, not the model: len(events)+1 rows whose values name the
+// batch, so a record delivered with another record's rows shows.
+const testDim = 3
+
+func testRows(events []tgraph.Event) []float32 {
+	if len(events) == 0 {
+		return nil
+	}
+	rows := make([]float32, (len(events)+1)*testDim)
+	for i := range rows {
+		rows[i] = float32(events[0].Src) + float32(i)/8
+	}
+	return rows
+}
+
+// begin logs events with their testRows.
+func begin(l *Log, events []tgraph.Event) Commit {
+	return l.BeginRecord(events, testRows(events), testDim)
+}
+
+// decodeRecord is the scanners' two steps in one.
+func decodeRecord(payload []byte) (Record, error) {
+	s, err := checkRecord(payload)
+	if err != nil {
+		return Record{}, err
+	}
+	return s.decode(payload, nil), nil
+}
+
 // TestQuickRecordRoundTrip: encode/decode is bit-exact for arbitrary
-// batches, including special float values.
+// batches and embedding blocks, including special float values.
 func TestQuickRecordRoundTrip(t *testing.T) {
 	f := func(seed int64, nRaw uint8, first uint64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		evs := randEvents(rng, int(nRaw)%40)
-		buf := appendRecord(nil, first, evs)
+		rows, dim := randRows(rng, len(evs))
+		buf := appendRecord(nil, first, evs, rows, dim)
 		payload := buf[frameHeaderSize:]
 		if int(le.Uint32(buf[:4])) != len(payload) {
 			return false
 		}
-		gotFirst, got, err := decodeRecord(payload)
+		got, err := decodeRecord(payload)
 		if err != nil {
 			t.Logf("decode: %v", err)
 			return false
 		}
-		return gotFirst == first && eventsBitEqual(evs, got)
+		return got.First == first && eventsBitEqual(evs, got.Events) && got.Dim == dim && floatsBitEqual(rows, got.Rows)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -96,15 +153,80 @@ func TestQuickRecordRoundTripAppended(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := randEvents(rng, int(aRaw)%20+1)
 		b := randEvents(rng, int(bRaw)%20+1)
-		buf := appendRecord(nil, 10, a)
+		rowsA, dimA := randRows(rng, len(a))
+		rowsB, dimB := randRows(rng, len(b))
+		buf := appendRecord(make([]byte, 0, 64), 10, a, rowsA, dimA)
 		cut := len(buf)
-		buf = appendRecord(buf, 10+uint64(len(a)), b)
-		_, gotA, errA := decodeRecord(buf[frameHeaderSize:cut])
-		_, gotB, errB := decodeRecord(buf[cut+frameHeaderSize:])
-		return errA == nil && errB == nil && eventsBitEqual(a, gotA) && eventsBitEqual(b, gotB)
+		buf = appendRecord(buf, 10+uint64(len(a)), b, rowsB, dimB)
+		gotA, errA := decodeRecord(buf[frameHeaderSize:cut])
+		gotB, errB := decodeRecord(buf[cut+frameHeaderSize:])
+		return errA == nil && errB == nil &&
+			eventsBitEqual(a, gotA.Events) && eventsBitEqual(b, gotB.Events) &&
+			floatsBitEqual(rowsA, gotA.Rows) && floatsBitEqual(rowsB, gotB.Rows)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeRefusesHostileRows: every length field of the embedding block is
+// held against the bytes present before anything is sized from it, and a
+// payload must be consumed exactly.
+func TestDecodeRefusesHostileRows(t *testing.T) {
+	evs := mkBatch(0, 2)
+	frame := appendRecord(nil, 0, evs, make([]float32, 3*testDim), testDim)
+	good := frame[frameHeaderSize:]
+	head := len(good) - 4*3*testDim - rowsHeadBytes // offset of rows | dim
+	mutate := func(f func(p []byte) []byte) []byte { return f(slices.Clone(good)) }
+	for name, p := range map[string][]byte{
+		"rows beyond 2 per event":     mutate(func(p []byte) []byte { le.PutUint32(p[head:], 5); return p }),
+		"rows times dim past payload": mutate(func(p []byte) []byte { le.PutUint32(p[head:], 4); return p }),
+		"product overflows 32 bits":   mutate(func(p []byte) []byte { le.PutUint32(p[head:], 4); le.PutUint32(p[head+4:], 1<<20); return p }),
+		"dimension past the bound":    mutate(func(p []byte) []byte { le.PutUint32(p[head+4:], maxFeatLen+1); return p }),
+		"fewer rows than bytes":       mutate(func(p []byte) []byte { le.PutUint32(p[head:], 2); return p }),
+		"rows cut short":              good[:len(good)-4],
+		"rows header cut short":       good[:head+4],
+		"trailing bytes":              append(slices.Clone(good), 0, 0, 0, 0),
+		"count past payload":          mutate(func(p []byte) []byte { le.PutUint32(p[8:], 1<<30); return p }),
+		"feature length past payload": mutate(func(p []byte) []byte { le.PutUint32(p[recordHeadBytes+17:], 1<<19); return p }),
+		"absurd feature length":       mutate(func(p []byte) []byte { le.PutUint32(p[recordHeadBytes+17:], maxFeatLen+1); return p }),
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := checkRecord(p); err == nil {
+				t.Errorf("%s: accepted", name)
+			}
+		})
+		// The error value itself is the only thing a refusal may allocate.
+		if allocs > 4 && !raceEnabled {
+			t.Errorf("%s: refusal allocated %.0f times", name, allocs)
+		}
+	}
+	if _, err := decodeRecord(good); err != nil {
+		t.Fatalf("the unmutated record: %v", err)
+	}
+}
+
+// TestDecodeAllocsPerRecord is the alloc guard on the replay side: a record
+// costs three allocations — events, their features, and (first time only)
+// the rows — at any batch size, not one per event.
+func TestDecodeAllocsPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under -race")
+	}
+	for _, n := range []int{1, 200} {
+		evs := mkBatch(0, n)
+		payload := appendRecord(nil, 0, evs, testRows(evs), testDim)[frameHeaderSize:]
+		var rows []float32
+		allocs := testing.AllocsPerRun(20, func() {
+			s, err := checkRecord(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = s.decode(payload, rows).Rows
+		})
+		if allocs > 2 {
+			t.Errorf("%d events: %.0f allocations per decoded record, want 2 once the row buffer is warm", n, allocs)
+		}
 	}
 }
 
@@ -120,7 +242,7 @@ func writeTestLog(t testing.TB, dir string, seed int64, batches, perBatch int) [
 	out := make([][]tgraph.Event, batches)
 	for i := range out {
 		out[i] = randEvents(rng, perBatch)
-		if err := l.Begin(out[i]).Wait(); err != nil {
+		if err := begin(l, out[i]).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,12 +252,16 @@ func writeTestLog(t testing.TB, dir string, seed int64, batches, perBatch int) [
 	return out
 }
 
-// replayAll collects every record at/after from.
+// replayAll collects every record at/after from, checking on the way that
+// each arrives with its own rows.
 func replayAll(t *testing.T, l *Log, from uint64) [][]tgraph.Event {
 	t.Helper()
 	var got [][]tgraph.Event
-	if err := l.Replay(from, func(first uint64, events []tgraph.Event) error {
-		got = append(got, events)
+	if err := l.ReplayRecords(from, func(rec Record) error {
+		if rec.Dim != testDim || !floatsBitEqual(rec.Rows, testRows(rec.Events)) {
+			return fmt.Errorf("record at %d arrived with %d values of dim %d that are not its rows", rec.First, len(rec.Rows), rec.Dim)
+		}
+		got = append(got, rec.Events)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -243,7 +369,7 @@ func TestTornTailGarbageAppend(t *testing.T) {
 	}
 	// Appends continue cleanly after the truncation.
 	evs := randEvents(rng, 2)
-	if err := l.Begin(evs).Wait(); err != nil {
+	if err := begin(l, evs).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if l.NextIndex() != 14 {
@@ -284,7 +410,7 @@ func TestCorruptionClassification(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 12; i++ {
-			if err := l.Begin(mkBatch(i*5, 3)).Wait(); err != nil {
+			if err := begin(l, mkBatch(i*5, 3)).Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -329,9 +455,7 @@ func FuzzFrame(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		end, cursor, torn, err := scanSegment(path, 0, 0, func(first uint64, events []tgraph.Event) error {
-			return nil
-		})
+		end, cursor, torn, err := scanSegment(path, 0, 0, func(Record) error { return nil })
 		if err == nil && end < segHeaderSize {
 			t.Fatalf("intact scan ended at %d, before the header", end)
 		}

@@ -1,15 +1,18 @@
 // Package wal implements the durability subsystem's write-ahead event log:
-// an append-only, CRC-framed, segment-rotated log of the temporal graph
-// events applied by the asynchronous link.
+// an append-only, CRC-framed, segment-rotated log of the batches applied by
+// the asynchronous link — the durable form of that link's queue, holding
+// what the queue holds: the events and the embeddings the synchronous link
+// computed for them.
 //
 // One record is one applied batch, written at the pipeline's serial apply
 // point in graph order, so the log index of an event equals its id in the
 // temporal graph's event log. Recovery is checkpoint + replay-to-watermark:
 // load the newest checkpoint, then re-apply every logged record past the
-// checkpoint's GraphEvents watermark through the full inference path,
-// reconstructing node state, mailboxes and the graph bit-for-bit.
+// checkpoint's GraphEvents watermark from the embeddings it carries,
+// reconstructing node state, mailboxes and the graph bit-for-bit without
+// running the model.
 //
-// Appends are group-committed: Begin buffers the encoded record under a
+// Appends are group-committed: BeginRecord buffers the encoded record under a
 // short mutex and returns a by-value Commit ticket; Wait elects one waiting
 // goroutine as the flush leader, which writes the whole buffered group with
 // one write(2) (and, under SyncGroup, one fsync) while later appends fill a

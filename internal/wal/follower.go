@@ -8,8 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"apan/internal/tgraph"
 )
 
 // Follower incrementally tails a shipped WAL directory, delivering each
@@ -17,9 +15,9 @@ import (
 // one-shot pass over a finished log — Poll is built to be called forever
 // against a directory that is still growing: an incomplete or torn tail is
 // not an error, it is simply where this poll stops and the next one
-// resumes. The same strictness as Replay applies to what is delivered:
-// the first record at or above the start watermark must begin exactly
-// there, and indices must be contiguous from then on.
+// resumes. The same strictness as ReplayRecords applies to what is
+// delivered: the first record at or above the start watermark must begin
+// exactly there, and indices must be contiguous from then on.
 //
 // Not safe for concurrent use; the replica's single control loop owns it.
 type Follower struct {
@@ -30,6 +28,8 @@ type Follower struct {
 	off     int64   // byte offset of the first unconsumed frame in seg
 	hasSeg  bool
 	started bool // first record delivered (start-gap check done)
+
+	rows []float32 // Record.Rows of the last delivery, reused by the next
 }
 
 // OpenFollower returns a follower that will deliver records starting at
@@ -52,7 +52,7 @@ func (f *Follower) Cursor() uint64 { return f.cursor }
 // successor segment ends the poll without error; real corruption of
 // already-contiguous history (decode failure after a CRC pass, an index
 // gap) is an error. fn errors abort the poll and are returned verbatim.
-func (f *Follower) Poll(fn func(first uint64, events []tgraph.Event) error) (int, error) {
+func (f *Follower) Poll(fn func(Record) error) (int, error) {
 	delivered := 0
 	for {
 		if !f.hasSeg {
@@ -127,7 +127,7 @@ func (f *Follower) locateSegment() (bool, error) {
 // scanFrom reads intact frames from f.seg starting at f.off. Returns
 // cont=true on a clean segment end (caller may advance to a successor),
 // cont=false when parked on a torn/incomplete tail.
-func (f *Follower) scanFrom(fn func(first uint64, events []tgraph.Event) error) (delivered int, cont bool, err error) {
+func (f *Follower) scanFrom(fn func(Record) error) (delivered int, cont bool, err error) {
 	file, err := os.Open(f.seg.path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -146,7 +146,7 @@ func (f *Follower) scanFrom(fn func(first uint64, events []tgraph.Event) error) 
 			return 0, false, fmt.Errorf("wal: follower: %s: bad magic %q", filepath.Base(f.seg.path), hdr[:4])
 		}
 		if v := le.Uint32(hdr[4:]); v != segVersion {
-			return 0, false, fmt.Errorf("wal: follower: %s: unsupported version %d", filepath.Base(f.seg.path), v)
+			return 0, false, versionError(filepath.Base(f.seg.path), v)
 		}
 		if first := le.Uint64(hdr[8:]); first != f.seg.first {
 			return 0, false, fmt.Errorf("wal: follower: %s: header index %d disagrees with name", filepath.Base(f.seg.path), first)
@@ -178,11 +178,11 @@ func (f *Follower) scanFrom(fn func(first uint64, events []tgraph.Event) error) 
 		if crc32.Checksum(payload, crcTable) != le.Uint32(frame[4:]) {
 			return delivered, false, nil // mid-overwrite or torn: wait
 		}
-		first, events, derr := decodeRecord(payload)
+		shape, derr := checkRecord(payload)
 		if derr != nil {
 			return delivered, false, fmt.Errorf("wal: follower: %s at offset %d: %w", filepath.Base(f.seg.path), f.off, derr)
 		}
-		end := first + uint64(len(events))
+		first, end := shape.first, shape.first+uint64(shape.count)
 		switch {
 		case end <= f.cursor:
 			// Wholly below the watermark (or already applied): skip.
@@ -191,7 +191,9 @@ func (f *Follower) scanFrom(fn func(first uint64, events []tgraph.Event) error) 
 		case first > f.cursor:
 			return delivered, false, fmt.Errorf("wal: follower: replay gap: record at %d, cursor is %d", first, f.cursor)
 		default:
-			if err := fn(first, events); err != nil {
+			rec := shape.decode(payload, f.rows)
+			f.rows = rec.Rows
+			if err := fn(rec); err != nil {
 				return delivered, false, err
 			}
 			f.cursor = end

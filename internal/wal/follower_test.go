@@ -12,8 +12,11 @@ import (
 // pollAll drains one Poll, appending delivered records to *got.
 func pollAll(t *testing.T, f *Follower, got *[][]tgraph.Event) int {
 	t.Helper()
-	n, err := f.Poll(func(first uint64, events []tgraph.Event) error {
-		*got = append(*got, events)
+	n, err := f.Poll(func(rec Record) error {
+		if rec.Dim != testDim || !floatsBitEqual(rec.Rows, testRows(rec.Events)) {
+			return fmt.Errorf("record at %d arrived with %d values of dim %d that are not its rows", rec.First, len(rec.Rows), rec.Dim)
+		}
+		*got = append(*got, rec.Events)
 		return nil
 	})
 	if err != nil {
@@ -42,7 +45,7 @@ func TestFollowerTracksShipper(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		b := mkBatch(i*5, 5)
 		want = append(want, b)
-		if err := l.Begin(b).Wait(); err != nil {
+		if err := begin(l, b).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sh.ShipNow(); err != nil {
@@ -129,7 +132,7 @@ func TestFollowerFromWatermark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f2.Poll(func(uint64, []tgraph.Event) error { return nil }); err == nil {
+	if _, err := f2.Poll(func(Record) error { return nil }); err == nil {
 		t.Fatal("watermark inside a record: want error")
 	}
 }
@@ -145,7 +148,7 @@ func TestFollowerGapErrors(t *testing.T) {
 	if err := l.AlignTo(100); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Begin(mkBatch(0, 4)).Wait(); err != nil {
+	if err := begin(l, mkBatch(0, 4)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -154,7 +157,7 @@ func TestFollowerGapErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Poll(func(uint64, []tgraph.Event) error { return nil }); err == nil {
+	if _, err := f.Poll(func(Record) error { return nil }); err == nil {
 		t.Fatal("gap between cursor 0 and record 100: want error")
 	}
 	// From the watermark itself the gap is legal (checkpoint covers it).
@@ -179,7 +182,7 @@ func TestFollowerFnErrorPropagates(t *testing.T) {
 	}
 	boom := fmt.Errorf("apply failed")
 	calls := 0
-	_, err = f.Poll(func(uint64, []tgraph.Event) error {
+	_, err = f.Poll(func(Record) error {
 		calls++
 		if calls == 2 {
 			return boom

@@ -29,7 +29,7 @@ func TestTruncateRacingAppends(t *testing.T) {
 		defer wg.Done()
 		defer close(watermarks)
 		for i := 0; i < batches; i++ {
-			if err := l.Begin(mkBatch(i*3, 3)).Wait(); err != nil {
+			if err := begin(l, mkBatch(i*3, 3)).Wait(); err != nil {
 				t.Errorf("append %d: %v", i, err)
 				return
 			}
@@ -94,7 +94,7 @@ func TestAbandonDuringActiveFlushGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	commit := l.Begin(mkBatch(0, 50))
+	commit := begin(l, mkBatch(0, 50))
 	waitErr := make(chan error, 1)
 	go func() { waitErr <- commit.Wait() }()
 	<-inWrite // leader is inside writeGroup with fileMu held
@@ -140,7 +140,7 @@ func TestReplayAtSegmentBoundary(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		b := mkBatch(i*2, 2)
 		want = append(want, b)
-		if err := l.Begin(b).Wait(); err != nil {
+		if err := begin(l, b).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestReplayAtSegmentBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	polled := 0
-	if _, err := f.Poll(func(uint64, []tgraph.Event) error { polled++; return nil }); err != nil {
+	if _, err := f.Poll(func(Record) error { polled++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if polled != len(wantFrom) {
@@ -199,7 +199,7 @@ func TestSealedSegmentCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if err := l.Begin(mkBatch(i*2, 2)).Wait(); err != nil {
+		if err := begin(l, mkBatch(i*2, 2)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func TestSealedSegmentCorruption(t *testing.T) {
 	}
 	before := -1
 	for poll := 0; poll < 2; poll++ {
-		n, perr := f.Poll(func(uint64, []tgraph.Event) error { return nil })
+		n, perr := f.Poll(func(Record) error { return nil })
 		if perr != nil {
 			t.Fatalf("follower poll on corrupt sealed segment: %v", perr)
 		}

@@ -44,7 +44,7 @@ func TestShipperTailMode(t *testing.T) {
 	defer l.Close()
 	sh := NewShipper(src, DirDest{Dir: dst}, ShipOptions{Tail: true, ChunkBytes: 64})
 	for i := 0; i < 12; i++ {
-		if err := l.Begin(mkBatch(i*4, 4)).Wait(); err != nil {
+		if err := begin(l, mkBatch(i*4, 4)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := sh.ShipNow(); err != nil {
@@ -74,7 +74,7 @@ func TestShipperSealedOnly(t *testing.T) {
 	}
 	defer l.Close()
 	sh := NewShipper(src, DirDest{Dir: dst}, ShipOptions{})
-	if err := l.Begin(mkBatch(0, 3)).Wait(); err != nil {
+	if err := begin(l, mkBatch(0, 3)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := sh.ShipNow(); err != nil || n != 0 {
@@ -82,7 +82,7 @@ func TestShipperSealedOnly(t *testing.T) {
 	}
 	// Keep appending until a rotation happens, then the sealed prefix ships.
 	for i := 1; i < 20; i++ {
-		if err := l.Begin(mkBatch(i*3, 3)).Wait(); err != nil {
+		if err := begin(l, mkBatch(i*3, 3)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,16 +188,16 @@ func TestFaultInjectSyncLatches(t *testing.T) {
 	}
 	defer l.Abandon()
 	for i := 0; i < 2; i++ {
-		if err := l.Begin(mkBatch(i*4, 4)).Wait(); err != nil {
+		if err := begin(l, mkBatch(i*4, 4)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Begin(mkBatch(8, 4)).Wait(); !errors.Is(err, boom) {
+	if err := begin(l, mkBatch(8, 4)).Wait(); !errors.Is(err, boom) {
 		t.Fatalf("batch at failing sync: err=%v, want %v", err, boom)
 	}
 	sizeAfter := dirBytes(t, dir)
 	for i := 3; i < 6; i++ {
-		if err := l.Begin(mkBatch(i*4, 4)).Wait(); !errors.Is(err, boom) {
+		if err := begin(l, mkBatch(i*4, 4)).Wait(); !errors.Is(err, boom) {
 			t.Fatalf("post-latch commit err=%v, want %v", err, boom)
 		}
 	}
@@ -238,10 +238,10 @@ func TestFaultInjectWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Abandon()
-	if err := l.Begin(mkBatch(0, 4)).Wait(); err != nil {
+	if err := begin(l, mkBatch(0, 4)).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Begin(mkBatch(4, 4)).Wait(); !errors.Is(err, boom) {
+	if err := begin(l, mkBatch(4, 4)).Wait(); !errors.Is(err, boom) {
 		t.Fatalf("err=%v, want %v", err, boom)
 	}
 	l2, err := Open(Options{Dir: dir})

@@ -75,15 +75,15 @@ type segInfo struct {
 	first uint64
 }
 
-// Log is the write-ahead event log. Begin/Wait are safe for any number of
-// concurrent appenders; Replay and AlignTo are recovery-time operations
-// that must not race appends.
+// Log is the write-ahead event log. BeginRecord/Wait are safe for any number
+// of concurrent appenders; ReplayRecords and AlignTo are recovery-time
+// operations that must not race appends.
 type Log struct {
 	opts Options
 
 	// mu guards the encode buffer and group bookkeeping. It is held only
-	// for memory work — never across file I/O — so Begin stays cheap even
-	// while a flush is in progress.
+	// for memory work — never across file I/O — so BeginRecord stays cheap
+	// even while a flush is in progress.
 	mu         sync.Mutex
 	cond       *sync.Cond
 	buf        []byte // encode buffer for the currently accepting group
@@ -207,9 +207,9 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Commit is a by-value ticket for one Begin: Wait blocks until the record's
-// commit group is flushed (and, under SyncGroup, fsynced). The zero Commit
-// waits on nothing — Begin returns it for empty batches.
+// Commit is a by-value ticket for one BeginRecord: Wait blocks until the
+// record's commit group is flushed (and, under SyncGroup, fsynced). The zero
+// Commit waits on nothing — BeginRecord returns it for empty batches.
 type Commit struct {
 	log *Log
 	seq uint64
@@ -224,31 +224,45 @@ func (c Commit) Wait() error {
 	return c.log.waitFlushed(c.seq, false)
 }
 
-// Begin encodes one batch as a record, assigns it the next run of log
+// BeginRecord encodes one batch as a record — its events and the embedding
+// rows the synchronous link computed for them (see the layout in codec.go;
+// len(rows) must be a multiple of dim) — assigns it the next run of log
 // indices, and returns a by-value commit ticket. It must be called in graph
-// apply order — the caller's serial apply point provides that. Begin only
-// touches memory; call Wait (off any model locks) to make the record
-// durable. Steady-state Begin is allocation-free: the encode buffer and its
-// double are retained across groups.
-func (l *Log) Begin(events []tgraph.Event) Commit {
+// apply order — the caller's serial apply point provides that. BeginRecord
+// only touches memory, and copies what it is given; call Wait (off any
+// model locks) to make the record durable. Steady-state BeginRecord is
+// allocation-free: the encode buffer and its double are retained across
+// groups.
+func (l *Log) BeginRecord(events []tgraph.Event, rows []float32, dim int) Commit {
 	if len(events) == 0 {
 		return Commit{}
 	}
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		panic("wal: Begin on closed log")
+		panic("wal: BeginRecord on closed log")
 	}
 	if len(l.buf) == 0 {
 		l.bufFirst = l.nextIndex
 	}
-	l.buf = appendRecord(l.buf, l.nextIndex, events)
+	l.buf = appendRecord(l.buf, l.nextIndex, events, rows, dim)
 	l.nextIndex += uint64(len(events))
 	l.appendedBatches++
 	l.appendedEvents += uint64(len(events))
 	seq := l.sealedSeq + 1
 	l.mu.Unlock()
 	return Commit{log: l, seq: seq}
+}
+
+// Begin is BeginRecord with no rows: a record core.Model.ReplayBatch
+// refuses, because nothing in it says what the batch computed.
+//
+// Deprecated: kept, with Replay, only because benchmark/ladder.go — which a
+// change outside a benchmark PR may not edit — times the codec through these
+// two signatures. The next benchmark PR should move it to BeginRecord and
+// ReplayRecords and delete both.
+func (l *Log) Begin(events []tgraph.Event) Commit {
+	return l.BeginRecord(events, nil, 0)
 }
 
 // waitFlushed blocks until group seq is flushed, electing the caller as
@@ -419,14 +433,14 @@ func (l *Log) NextIndex() uint64 {
 	return l.nextIndex
 }
 
-// Replay streams every durable record intersecting [from, ∞) to fn in log
-// order, enforcing that the log actually covers the watermark: the first
+// ReplayRecords streams every durable record intersecting [from, ∞) to fn in
+// log order, enforcing that the log actually covers the watermark: the first
 // delivered record must start exactly at from (a gap means acknowledged
 // events are missing — better to fail loudly than resurrect a hole), and
 // indices must be contiguous from there on. Records wholly below from are
-// skipped without decoding cost beyond the scan. Replay reads the segment
-// files only; it must not race appends (recovery runs it before attach).
-func (l *Log) Replay(from uint64, fn func(first uint64, events []tgraph.Event) error) error {
+// skipped. ReplayRecords reads the segment files only; it must not race
+// appends (recovery runs it before attach).
+func (l *Log) ReplayRecords(from uint64, fn func(Record) error) error {
 	l.fileMu.Lock()
 	segs := append([]segInfo(nil), l.segments...)
 	l.fileMu.Unlock()
@@ -434,21 +448,21 @@ func (l *Log) Replay(from uint64, fn func(first uint64, events []tgraph.Event) e
 	cursor := uint64(0)
 	started := false
 	for i, si := range segs {
-		_, cur, torn, err := scanSegment(si.path, si.first, cursor, func(first uint64, events []tgraph.Event) error {
-			end := first + uint64(len(events))
+		_, cur, torn, err := scanSegment(si.path, si.first, cursor, func(rec Record) error {
+			end := rec.First + uint64(len(rec.Events))
 			if end <= from {
 				return nil
 			}
-			if first < from {
-				return fmt.Errorf("wal: watermark %d falls inside record [%d,%d) — checkpoint cut is not batch-aligned", from, first, end)
+			if rec.First < from {
+				return fmt.Errorf("wal: watermark %d falls inside record [%d,%d) — checkpoint cut is not batch-aligned", from, rec.First, end)
 			}
 			if !started {
-				if first != from {
-					return fmt.Errorf("wal: replay gap: log resumes at %d, watermark is %d", first, from)
+				if rec.First != from {
+					return fmt.Errorf("wal: replay gap: log resumes at %d, watermark is %d", rec.First, from)
 				}
 				started = true
 			}
-			return fn(first, events)
+			return fn(rec)
 		})
 		if err != nil {
 			return err
@@ -459,6 +473,13 @@ func (l *Log) Replay(from uint64, fn func(first uint64, events []tgraph.Event) e
 		cursor = cur
 	}
 	return nil
+}
+
+// Replay is ReplayRecords without the rows.
+//
+// Deprecated: see Begin.
+func (l *Log) Replay(from uint64, fn func(first uint64, events []tgraph.Event) error) error {
+	return l.ReplayRecords(from, func(rec Record) error { return fn(rec.First, rec.Events) })
 }
 
 // TruncateBefore removes whole segments whose records all precede the

@@ -3,6 +3,10 @@ package wal
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +43,8 @@ func TestAppendReplayAcrossReopen(t *testing.T) {
 	}
 	idx := uint64(0)
 	got := 0
-	if err := l.Replay(0, func(first uint64, events []tgraph.Event) error {
+	if err := l.ReplayRecords(0, func(rec Record) error {
+		first, events := rec.First, rec.Events
 		if first != idx {
 			return fmt.Errorf("record at %d, want %d", first, idx)
 		}
@@ -68,8 +73,8 @@ func TestReplayFromWatermark(t *testing.T) {
 	}
 	defer l.Close()
 	var firsts []uint64
-	if err := l.Replay(8, func(first uint64, events []tgraph.Event) error {
-		firsts = append(firsts, first)
+	if err := l.ReplayRecords(8, func(rec Record) error {
+		firsts = append(firsts, rec.First)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -78,11 +83,11 @@ func TestReplayFromWatermark(t *testing.T) {
 		t.Fatalf("replayed %v, want [8 12 16]", firsts)
 	}
 	// A watermark inside a record is a protocol violation, not a skip.
-	if err := l.Replay(6, func(uint64, []tgraph.Event) error { return nil }); err == nil {
+	if err := l.ReplayRecords(6, func(Record) error { return nil }); err == nil {
 		t.Fatal("watermark inside a record should fail")
 	}
 	// A watermark past the end replays nothing.
-	if err := l.Replay(20, func(uint64, []tgraph.Event) error {
+	if err := l.ReplayRecords(20, func(Record) error {
 		return fmt.Errorf("unexpected record")
 	}); err != nil {
 		t.Fatal(err)
@@ -108,7 +113,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < perWorker; i++ {
 				n := rng.Intn(5) + 1
-				c := l.Begin(mkBatch(w*1000+i, n))
+				c := begin(l, mkBatch(w*1000+i, n))
 				if err := c.Wait(); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -133,7 +138,8 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		t.Fatalf("durable end %d, want %d", l2.NextIndex(), total)
 	}
 	idx := uint64(0)
-	if err := l2.Replay(0, func(first uint64, events []tgraph.Event) error {
+	if err := l2.ReplayRecords(0, func(rec Record) error {
+		first, events := rec.First, rec.Events
 		if first != idx {
 			return fmt.Errorf("record at %d, want %d", first, idx)
 		}
@@ -158,7 +164,7 @@ func TestSegmentRotationAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		if err := l.Begin(mkBatch(i*10, 3)).Wait(); err != nil {
+		if err := begin(l, mkBatch(i*10, 3)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -179,7 +185,8 @@ func TestSegmentRotationAndTruncate(t *testing.T) {
 		t.Fatalf("first durable index %d is past the watermark %d", first, watermark)
 	}
 	idx := watermark
-	if err := l.Replay(watermark, func(first uint64, events []tgraph.Event) error {
+	if err := l.ReplayRecords(watermark, func(rec Record) error {
+		first, events := rec.First, rec.Events
 		if first != idx {
 			return fmt.Errorf("record at %d, want %d", first, idx)
 		}
@@ -193,7 +200,7 @@ func TestSegmentRotationAndTruncate(t *testing.T) {
 	}
 	// Everything before the surviving segments is gone: replaying from 0
 	// must refuse (gap), not silently start late.
-	if err := l.Replay(0, func(uint64, []tgraph.Event) error { return nil }); err == nil {
+	if err := l.ReplayRecords(0, func(Record) error { return nil }); err == nil {
 		t.Fatal("replay below the truncation point should fail")
 	}
 	if err := l.Close(); err != nil {
@@ -221,7 +228,7 @@ func TestAlignToWaitsOutBackgroundSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Begin(mkBatch(0, 4)).Wait(); err != nil {
+	if err := begin(l, mkBatch(0, 4)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -286,14 +293,14 @@ func TestAlignToGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Begin(mkBatch(0, 4)).Wait(); err != nil {
+	if err := begin(l, mkBatch(0, 4)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	// Checkpoint at watermark 10 while only 4 events are durable.
 	if err := l.AlignTo(10); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Begin(mkBatch(50, 3)).Wait(); err != nil {
+	if err := begin(l, mkBatch(50, 3)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AlignTo(5); err == nil {
@@ -312,8 +319,8 @@ func TestAlignToGap(t *testing.T) {
 		t.Fatalf("end %d, want 13", l2.NextIndex())
 	}
 	var firsts []uint64
-	if err := l2.Replay(10, func(first uint64, events []tgraph.Event) error {
-		firsts = append(firsts, first)
+	if err := l2.ReplayRecords(10, func(rec Record) error {
+		firsts = append(firsts, rec.First)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -321,7 +328,7 @@ func TestAlignToGap(t *testing.T) {
 	if len(firsts) != 1 || firsts[0] != 10 {
 		t.Fatalf("replayed %v, want [10]", firsts)
 	}
-	if err := l2.Replay(4, func(uint64, []tgraph.Event) error { return nil }); err == nil {
+	if err := l2.ReplayRecords(4, func(Record) error { return nil }); err == nil {
 		t.Fatal("replay across an aligned gap should fail")
 	}
 }
@@ -336,11 +343,11 @@ func TestAbandonLosesOnlyUnflushed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.Begin(mkBatch(i, 2)).Wait(); err != nil {
+		if err := begin(l, mkBatch(i, 2)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l.Begin(mkBatch(100, 2)) // buffered, never waited: lost with the "crash"
+	begin(l, mkBatch(100, 2)) // buffered, never waited: lost with the "crash"
 	l.Abandon()
 
 	l2, err := Open(Options{Dir: dir})
@@ -362,7 +369,7 @@ func TestSyncIntervalPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := l.Begin(mkBatch(i, 3)).Wait(); err != nil {
+		if err := begin(l, mkBatch(i, 3)).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -394,7 +401,7 @@ func TestEmptyBatchAndEmptyLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if c := l.Begin(nil); c.log != nil {
+	if c := begin(l, nil); c.log != nil {
 		t.Fatal("empty batch should return the zero Commit")
 	}
 	if err := (Commit{}).Wait(); err != nil {
@@ -403,7 +410,7 @@ func TestEmptyBatchAndEmptyLog(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Replay(0, func(uint64, []tgraph.Event) error {
+	if err := l.ReplayRecords(0, func(Record) error {
 		return fmt.Errorf("unexpected record in empty log")
 	}); err != nil {
 		t.Fatal(err)
@@ -413,7 +420,7 @@ func TestEmptyBatchAndEmptyLog(t *testing.T) {
 	}
 }
 
-// TestBeginSteadyStateAllocs: after warm-up, Begin+Wait on a SyncNone log
+// TestBeginSteadyStateAllocs: after warm-up, BeginRecord+Wait on a SyncNone log
 // does not allocate — the encode buffer and its double are reused, and the
 // Commit ticket is by-value.
 func TestBeginSteadyStateAllocs(t *testing.T) {
@@ -427,17 +434,80 @@ func TestBeginSteadyStateAllocs(t *testing.T) {
 	}
 	defer l.Close()
 	batch := mkBatch(0, 16)
+	rows := testRows(batch)
 	for i := 0; i < 20; i++ { // warm both buffers
-		if err := l.Begin(batch).Wait(); err != nil {
+		if err := l.BeginRecord(batch, rows, testDim).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := l.Begin(batch).Wait(); err != nil {
+		if err := l.BeginRecord(batch, rows, testDim).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("Begin+Wait allocates %.1f objects per append at steady state, want 0", allocs)
+		t.Fatalf("BeginRecord+Wait allocates %.1f objects per append at steady state, want 0", allocs)
+	}
+}
+
+// TestVersion1SegmentRefused: a segment written before records carried
+// embeddings fails Open and a follower's Poll with an error that says what
+// the operator does about it; there is no fallback that would replay it.
+func TestVersion1SegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	var hdr [segHeaderSize]byte
+	copy(hdr[:4], segMagic)
+	le.PutUint32(hdr[4:], 1)
+	if err := os.WriteFile(filepath.Join(dir, segmentName(0)), hdr[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, openErr := Open(Options{Dir: dir})
+	f, err := OpenFollower(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pollErr := f.Poll(func(Record) error { return nil })
+	for name, err := range map[string]error{"Open": openErr, "Poll": pollErr} {
+		if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "empty log directory") {
+			t.Errorf("%s on a version 1 segment: %v, want a refusal naming the upgrade", name, err)
+		}
+	}
+}
+
+// TestDeprecatedEventOnlyShims: Begin and Replay, which the benchmark's
+// ladder still calls, are BeginRecord and ReplayRecords with the rows left
+// out — the same format, no second one.
+func TestDeprecatedEventOnlyShims(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), Policy: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	a, b := mkBatch(0, 3), mkBatch(3, 2)
+	if err := l.Begin(a).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := begin(l, b).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var viaShim [][]tgraph.Event
+	if err := l.Replay(0, func(first uint64, events []tgraph.Event) error {
+		viaShim = append(viaShim, events)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(viaShim) != 2 || !eventsBitEqual(viaShim[0], a) || !eventsBitEqual(viaShim[1], b) {
+		t.Fatalf("Replay delivered %d records, want the two logged", len(viaShim))
+	}
+	var rowLens []int
+	if err := l.ReplayRecords(0, func(rec Record) error {
+		rowLens = append(rowLens, len(rec.Rows))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{0, len(testRows(b))}; !slices.Equal(rowLens, want) {
+		t.Fatalf("row lengths %v, want %v", rowLens, want)
 	}
 }
