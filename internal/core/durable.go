@@ -56,9 +56,11 @@ func (m *Model) RecoverWAL(l *wal.Log) (int, error) {
 // event-only wal.Log.Begin — is refused before anything is touched.
 //
 // The model must not have a WAL attached (the replay would be re-logged),
-// and calls must not race serving applies.
+// and calls must not race serving applies or each other: replay is one
+// goroutine's job, which is what lets every record reuse one plan.
 func (m *Model) ReplayBatch(rec wal.Record) error {
-	plan := m.planBatch(rec.Events, nil, false)
+	plan := &m.replayPlan
+	m.planBatchInto(plan, rec.Events, nil, false)
 	if rec.Dim != m.Cfg.EdgeDim || len(rec.Rows) != len(plan.nodes)*rec.Dim {
 		return fmt.Errorf("core: record at %d carries %d embedding values of dimension %d; its %d events name %d endpoints of dimension %d",
 			rec.First, len(rec.Rows), rec.Dim, len(rec.Events), len(plan.nodes), m.Cfg.EdgeDim)

@@ -133,6 +133,10 @@ type Model struct {
 	wsMu   sync.Mutex
 	wsFree []*inferWorkspace
 
+	// replayPlan is ReplayBatch's node bookkeeping, reused across records
+	// (its map keeps its buckets); replay is single-caller by contract.
+	replayPlan batchPlan
+
 	// ev is the cold-state evictor bounding the warm working set
 	// (Config.EvictMaxNodes; see evict.go). Nil when eviction is disabled —
 	// the default — in which case every eviction hook is a no-op and the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"io"
 	"math/rand"
 
 	"apan/internal/nn"
@@ -108,3 +109,21 @@ func (m *Model) ParamVersion() uint64 { return m.cur.Load().set.Version() }
 
 // CurrentParams returns the currently published immutable parameter set.
 func (m *Model) CurrentParams() *nn.ParamSet { return m.cur.Load().set }
+
+// SaveParams writes the currently published parameters (encoder + decoder)
+// — the version the serving paths score with, which after online training
+// may be newer than the model's own offline copy.
+func (m *Model) SaveParams(w io.Writer) error {
+	return m.CurrentParams().Save(w)
+}
+
+// LoadParams restores parameters saved by SaveParams into a model built
+// with an identical Config, loading the model's own copy and publishing it
+// as a new version so serving picks the loaded weights up immediately.
+func (m *Model) LoadParams(r io.Reader) error {
+	if err := nn.LoadParams(r, m.Params()); err != nil {
+		return err
+	}
+	m.publishOwn()
+	return nil
+}

@@ -181,9 +181,9 @@ func (p *Propagator) ProcessBatch(events []tgraph.Event, zOf *state.Sharded) {
 			}
 		}
 		p.mbox.Deliver(n, acc.sum, acc.ts)
-		p.mailsDelivered.Add(1)
 		s.freelist = append(s.freelist, acc)
 	}
+	p.mailsDelivered.Add(int64(len(s.inbox)))
 	clear(s.inbox)
 	p.scratch.Put(s)
 }

@@ -132,6 +132,24 @@ func (s *Store) Deliver(n int32, mail []float32, ts float64) {
 	s.times[int(n)*s.slots+int(i)] = ts
 }
 
+// SetMails replaces node n's mailbox with len(ts) ≤ Slots mails, mail i
+// (mails[i·dim:(i+1)·dim], stamped ts[i]) in slot i — what delivering them
+// one by one into an empty mailbox leaves under either ψ, without the
+// per-mail dispatch. It is ReadSorted's inverse for a checkpoint load.
+func (s *Store) SetMails(n int32, mails []float32, ts []float64) {
+	c := len(ts)
+	if c > s.slots || len(mails) != c*s.dim {
+		panic(fmt.Sprintf("mailbox: SetMails of %d floats and %d times into %d slots of dimension %d", len(mails), c, s.slots, s.dim))
+	}
+	s.ClearNode(n)
+	if c == 0 {
+		return
+	}
+	copy(s.block(n), mails)
+	copy(s.times[int(n)*s.slots:], ts)
+	s.count[n] = int32(c)
+}
+
 // deliverKV blends the mail into every slot with weights softmax(M·mail/√d),
 // and advances the timestamp of the most-attended slot. This keeps mailbox
 // capacity fixed while letting recurring patterns reinforce a slot instead

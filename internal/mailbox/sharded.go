@@ -2,6 +2,7 @@ package mailbox
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -131,6 +132,16 @@ func (s *Sharded) Deliver(n int32, mail []float32, ts float64) {
 	sh.mu.Unlock()
 }
 
+// SetMails replaces node n's mailbox in one step (see Store.SetMails),
+// locking n's shard once however many mails there are.
+func (s *Sharded) SetMails(n int32, mails []float32, ts []float64) {
+	sh, local := s.locate(n)
+	sh.mu.Lock()
+	sh.st.SetMails(local, mails, ts)
+	sh.gen++
+	sh.mu.Unlock()
+}
+
 // ReadSorted copies node n's mails into buf sorted by ascending timestamp
 // under the shard's read lock (see Store.ReadSorted for the contract).
 func (s *Sharded) ReadSorted(n int32, buf []float32, tsOut []float64) int {
@@ -236,6 +247,14 @@ type ShardedSnapshot struct {
 	numNodes int
 	shards   []*Store
 	gens     []uint64 // per-shard modification counters at capture time
+}
+
+// ReadSorted is Sharded.ReadSorted over the captured contents, so a
+// checkpoint is encoded from the snapshot itself, not from a store restored
+// from it.
+func (snap *ShardedSnapshot) ReadSorted(n int32, buf []float32, tsOut []float64) int {
+	k := len(snap.shards) // a power of two
+	return snap.shards[int(n)&(k-1)].ReadSorted(n>>bits.TrailingZeros(uint(k)), buf, tsOut)
 }
 
 // Snapshot returns a deep, cross-shard-consistent copy of the store (all

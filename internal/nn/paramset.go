@@ -157,9 +157,11 @@ func BindParams(params []*Tensor, ps *ParamSet) error {
 // the same layout SaveParams produces, so a published set and a parameter
 // list are interchangeable on disk.
 func (ps *ParamSet) Save(w io.Writer) error {
-	tensors := make([]*Tensor, len(ps.values))
-	for i, v := range ps.values {
-		tensors[i] = &Tensor{W: v}
+	if _, err := w.Write(ps.AppendTo(nil)); err != nil {
+		return fmt.Errorf("nn: save params: %w", err)
 	}
-	return SaveParams(w, tensors)
+	return nil
 }
+
+// AppendTo appends what Save writes to buf.
+func (ps *ParamSet) AppendTo(buf []byte) []byte { return appendValues(buf, ps.values) }

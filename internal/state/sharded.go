@@ -2,6 +2,7 @@ package state
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -206,6 +207,16 @@ type ShardedSnapshot struct {
 	numNodes int
 	shards   []*Store
 	gens     []uint64 // per-shard modification counters at capture time
+}
+
+// Row returns node n's captured embedding, last-update time and touched
+// flag, so a checkpoint is encoded from the snapshot itself, not from a
+// store restored from it. The embedding is a view into the immutable
+// snapshot: read-only.
+func (snap *ShardedSnapshot) Row(n int32) (z []float32, lastTime float64, touched bool) {
+	k := len(snap.shards) // a power of two
+	st, local := snap.shards[int(n)&(k-1)], n>>bits.TrailingZeros(uint(k))
+	return st.Get(local), st.lastTime[local], st.touched[local]
 }
 
 // Snapshot returns a deep, cross-shard-consistent copy of the store: all

@@ -153,6 +153,31 @@ func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotRowReadsCapturedState: a snapshot answers per node what the
+// store answered when it was taken — checkpoints are encoded from it — for
+// every shard count, cleared and never-touched nodes included, and keeps
+// answering it after the store moves on.
+func TestSnapshotRowReadsCapturedState(t *testing.T) {
+	for _, shards := range []int{1, 2, 8} {
+		s := NewSharded(21, 3, shards)
+		for n := int32(0); n < 21; n += 2 {
+			s.Set(n, []float32{float32(n), 1, -float32(n)}, float64(n)+0.5)
+		}
+		s.ClearNode(4)
+		snap := s.SnapshotShared()
+		s.Set(3, []float32{9, 9, 9}, 99)
+		s.Set(6, []float32{9, 9, 9}, 99)
+		for n := int32(0); n < 21; n++ {
+			z, last, touched := snap.Row(n)
+			want := n%2 == 0 && n != 4
+			if touched != want || (want && (z[0] != float32(n) || z[2] != -float32(n) || last != float64(n)+0.5)) ||
+				(!want && (z[0] != 0 || z[1] != 0 || last != 0)) {
+				t.Fatalf("%d shards, node %d: row %v t=%v touched=%v", shards, n, z, last, touched)
+			}
+		}
+	}
+}
+
 // TestSnapshotSharedSinceAliasesCleanShards: shards untouched since the
 // previous snapshot must be reused by pointer, and only dirty shards cloned.
 func TestSnapshotSharedSinceAliasesCleanShards(t *testing.T) {

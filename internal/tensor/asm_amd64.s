@@ -258,6 +258,75 @@ done:
 	VZEROUPPER
 	RET
 
+// func axpyAsm(y, x []float32, s float32)
+//
+// y[i] += s·x[i] for i < len(y) (the caller checked len(x)), with the product
+// and the sum rounded on their own — separate VMULPS/VADDPS, never an FMA —
+// so every lane holds the bits axpyKernel (matrix.go) gives that i. The sum
+// keeps y as its first operand, as the Go statement does. Eight lanes a
+// step, the last len%8 under a gemmLaneMask mask: masked-off lanes compute
+// on zeros and are never stored.
+//
+// Register map: DI y    SI x    CX elements left    Y0 s in every lane
+TEXT ·axpyAsm(SB), NOSPLIT, $0-52
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	VBROADCASTSS s+48(FP), Y0
+
+axpy32:
+	CMPQ CX, $32
+	JLT  axpy8
+	VMULPS (SI), Y0, Y1
+	VMULPS 32(SI), Y0, Y2
+	VMULPS 64(SI), Y0, Y3
+	VMULPS 96(SI), Y0, Y4
+	VMOVUPS (DI), Y5
+	VMOVUPS 32(DI), Y6
+	VMOVUPS 64(DI), Y7
+	VMOVUPS 96(DI), Y8
+	VADDPS Y1, Y5, Y5
+	VADDPS Y2, Y6, Y6
+	VADDPS Y3, Y7, Y7
+	VADDPS Y4, Y8, Y8
+	VMOVUPS Y5, (DI)
+	VMOVUPS Y6, 32(DI)
+	VMOVUPS Y7, 64(DI)
+	VMOVUPS Y8, 96(DI)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	SUBQ $32, CX
+	JMP  axpy32
+
+axpy8:
+	CMPQ CX, $8
+	JLT  axpytail
+	VMULPS (SI), Y0, Y1
+	VMOVUPS (DI), Y5
+	VADDPS Y1, Y5, Y5
+	VMOVUPS Y5, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $8, CX
+	JMP  axpy8
+
+axpytail:
+	TESTQ CX, CX
+	JZ   axpydone
+	SHLQ $2, CX
+	NEGQ CX
+	LEAQ gemmLaneMask<>(SB), AX
+	VMOVDQU 32(AX)(CX*1), Y15
+	VMASKMOVPS (SI), Y15, Y1
+	VMASKMOVPS (DI), Y15, Y5
+	VMULPS Y1, Y0, Y1
+	VADDPS Y1, Y5, Y5
+	VMASKMOVPS Y5, Y15, (DI)
+
+axpydone:
+	VZEROUPPER
+	RET
+
 // func int8Dot4Kernel(a, b []int8, k, kv int) (c0, c1, c2, c3 int32)
 //
 // Four length-kv int8 inner products of a against the four rows of the

@@ -34,6 +34,18 @@ func matMulAcc(dst, a, b *Matrix) {
 func HasAsmGemm() bool { return hasAvx2 }
 
 //go:noescape
+func axpyAsm(y, x []float32, s float32)
+
+// axpy is Axpy's kernel on amd64, bit-identical to axpyKernel.
+func axpy(y, x []float32, s float32) {
+	if !hasAvx2 {
+		axpyKernel(y, x, s)
+		return
+	}
+	axpyAsm(y, x, s)
+}
+
+//go:noescape
 func int8Dot4Kernel(a, b []int8, k, kv int) (c0, c1, c2, c3 int32)
 
 func init() {

@@ -105,6 +105,62 @@ func TestQuickAxpyMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestQuickAxpyBitExact is Axpy's contract, the same as MatMulAcc's: the body
+// this machine runs (the AVX2 assembly on amd64) produces axpyKernel's bits at
+// every length 0–200 — 172 and 86, the serving mail and head widths, by name —
+// for s ∈ {1, −1, 0, random}, over inputs salted with ±0, denormals, ±Inf and
+// NaNs of several payloads, on sub-slices at every 4-byte alignment, and
+// writes nothing outside y.
+func TestQuickAxpyBitExact(t *testing.T) {
+	t.Logf("Axpy body under test: %s", Tier())
+	specials := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -3 * math.SmallestNonzeroFloat32,
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(0x7fc00001), math.Float32frombits(0xffa5a5a5)}
+	draw := func(rng *rand.Rand, n int) (s, backing []float32, off int) {
+		off = rng.Intn(8)
+		s, backing = offsetSlice(n, off)
+		for i := range s {
+			s[i] = float32(rng.NormFloat64())
+			if rng.Intn(6) == 0 {
+				s[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		return
+	}
+	check := func(seed int64, n int) bool {
+		rng := rand.New(rand.NewSource(seed))
+		x, _, _ := draw(rng, n)
+		y, yBack, yOff := draw(rng, n)
+		for _, s := range []float32{1, -1, 0, float32(rng.NormFloat64())} {
+			want := append([]float32(nil), y...)
+			axpyKernel(want, x, s)
+			Axpy(y, x, s)
+			for i, w := range want {
+				if !sameBits(y[i], w) {
+					t.Logf("seed %d, n=%d, s=%g, element %d: got %08x, reference %08x (y+s·%08x)", seed, n, s, i,
+						math.Float32bits(y[i]), math.Float32bits(w), math.Float32bits(x[i]))
+					return false
+				}
+			}
+			for i, v := range yBack {
+				if (i < yOff || i >= yOff+n) && v != gemmGuard {
+					t.Logf("seed %d, n=%d: wrote outside y at backing[%d]", seed, n, i)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for n := 0; n <= 200; n++ {
+		if !check(int64(n), n) {
+			t.Fatalf("length %d", n)
+		}
+	}
+	f := func(seed int64, nRaw uint8) bool { return check(seed, []int{172, 86, int(nRaw) % 201}[uint64(seed)%3]) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAddScaledTo: the fused kernel equals copy-then-AddScaled bitwise.
 func TestAddScaledTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -197,4 +253,21 @@ func BenchmarkDot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Dot(x, y)
 	}
+}
+
+// BenchmarkAxpy is the propagator's accumulate: one 172-float mail into one
+// recipient's sum. /go is the reference body the assembly replaces.
+func BenchmarkAxpy(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x, y := randSlice(rng, 172), randSlice(rng, 172)
+	b.Run(Tier(), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			Axpy(y, x, 1)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			axpyKernel(y, x, 1)
+		}
+	})
 }

@@ -225,22 +225,24 @@ func Dot(a, b []float32) float32 {
 	return dotKernel(a, b)
 }
 
-// Axpy accumulates s*x into y (unrolled by four; element-wise, so bitwise
-// identical to the naive loop).
+// Axpy accumulates s*x into y. One body per machine, as for MatMulAcc: the
+// AVX2 assembly where the CPU has it, axpyKernel elsewhere, the same bits
+// from both.
 func Axpy(y, x []float32, s float32) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(y), len(x)))
 	}
-	n := len(y)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		y[i] += s * x[i]
-		y[i+1] += s * x[i+1]
-		y[i+2] += s * x[i+2]
-		y[i+3] += s * x[i+3]
-	}
-	for ; i < n; i++ {
-		y[i] += s * x[i]
+	axpy(y, x, s)
+}
+
+// axpyKernel is the definition of Axpy's arithmetic: per element, the
+// product rounded to float32, then the sum. The explicit conversion forbids
+// fusing the two (see matMulAccKernel), so the assembly's separate multiply
+// and add match it bit for bit on every build.
+func axpyKernel(y, x []float32, s float32) {
+	x = x[:len(y)] // hoist the bounds check out of the loop
+	for i := range y {
+		y[i] += float32(s * x[i])
 	}
 }
 

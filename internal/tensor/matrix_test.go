@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -307,5 +308,36 @@ func TestMaxAbs(t *testing.T) {
 	}
 	if New(0, 0).MaxAbs() != 0 {
 		t.Fatal("empty MaxAbs should be 0")
+	}
+}
+
+// TestLERoundTrip: AppendLE writes each value's bit pattern little endian
+// after what the buffer already holds, and DecodeLE reads them back bit for
+// bit, NaN payloads and −0 included, at every length around the 4-wide step.
+func TestLERoundTrip(t *testing.T) {
+	for n := 0; n <= 13; n++ {
+		vals := make([]float32, n)
+		for i := range vals {
+			vals[i] = math.Float32frombits(0x7fc00001 + uint32(i)*0x01010101)
+		}
+		if n > 1 {
+			vals[1] = float32(math.Copysign(0, -1))
+		}
+		buf := AppendLE([]byte{0xAA}, vals)
+		if len(buf) != 1+4*n || buf[0] != 0xAA {
+			t.Fatalf("n=%d: %d bytes, head %x", n, len(buf), buf[0])
+		}
+		for i, v := range vals {
+			if got := binary.LittleEndian.Uint32(buf[1+4*i:]); got != math.Float32bits(v) {
+				t.Fatalf("n=%d: value %d encoded as %08x, want %08x", n, i, got, math.Float32bits(v))
+			}
+		}
+		back := make([]float32, n)
+		DecodeLE(back, append(buf[1:], 0xFF)) // a longer source is fine; only 4n bytes are read
+		for i := range vals {
+			if math.Float32bits(back[i]) != math.Float32bits(vals[i]) {
+				t.Fatalf("n=%d: value %d came back %08x", n, i, math.Float32bits(back[i]))
+			}
+		}
 	}
 }
