@@ -123,12 +123,6 @@ type (
 	// with per-partition locks, so appliers and readers proceed in
 	// parallel (Config.GraphBackend "sharded").
 	ShardedGraph = tgraph.Sharded
-	// RemoteGraph wraps another store with a simulated remote-RPC cost
-	// model and per-hop batched gathers (Config.GraphBackend "remote-sim").
-	RemoteGraph = gdb.Remote
-	// RemoteGraphOptions configures NewRemoteGraph (latency model, whether
-	// to actually sleep or only account).
-	RemoteGraphOptions = gdb.RemoteOptions
 	// GraphDB wraps a GraphStore with latency simulation and query
 	// accounting.
 	GraphDB = gdb.DB
@@ -144,9 +138,8 @@ type (
 
 // Graph-backend selectors for Config.GraphBackend; empty means flat.
 const (
-	GraphBackendFlat      = core.GraphBackendFlat
-	GraphBackendSharded   = core.GraphBackendSharded
-	GraphBackendRemoteSim = core.GraphBackendRemoteSim
+	GraphBackendFlat    = core.GraphBackendFlat
+	GraphBackendSharded = core.GraphBackendSharded
 )
 
 // NewGraph creates an empty temporal graph over numNodes nodes.
@@ -155,11 +148,6 @@ func NewGraph(numNodes int) *Graph { return tgraph.New(numNodes) }
 // NewShardedGraph creates a concurrency-safe temporal graph over numNodes
 // nodes striped across parts partitions (rounded up to a power of two).
 func NewShardedGraph(numNodes, parts int) *ShardedGraph { return tgraph.NewSharded(numNodes, parts) }
-
-// NewRemoteGraph wraps inner with remote-RPC cost simulation.
-func NewRemoteGraph(inner GraphStore, opts RemoteGraphOptions) *RemoteGraph {
-	return gdb.NewRemote(inner, opts)
-}
 
 // NewGraphStore builds the store selected by cfg.GraphBackend — what New
 // uses internally; exposed so custom GraphDB wiring can stay backend-aware.
@@ -388,8 +376,3 @@ func StartPipeline(m *Model, opts ...PipelineOption) *Pipeline { return async.Ne
 
 // NewServer exposes a started pipeline as the v1 HTTP/JSON API.
 func NewServer(p *Pipeline, opts ServerOptions) *Server { return serve.New(p, opts) }
-
-// NewPipeline starts the serving pipeline with a queue capacity.
-//
-// Deprecated: use StartPipeline(m, WithQueueCap(queueCap)).
-func NewPipeline(m *Model, queueCap int) *Pipeline { return async.NewPipeline(m, queueCap) }

@@ -170,33 +170,23 @@ func BenchmarkDriftAblation(b *testing.B) {
 
 // BenchmarkInferBatch measures the synchronous link alone: one batch of 200
 // interactions scored with no graph access — the millisecond path the paper
-// deploys online. pool=on is the serving configuration (pooled workspace,
-// reusable tape, blocked kernels; zero steady-state allocations); pool=off
-// allocates every buffer fresh per call, the pre-pooling baseline kept
-// reachable via Config.NoWorkspacePool. Same arithmetic, different memory
-// discipline — compare allocs/op and ns/op.
+// deploys online, on a warm pooled workspace (zero steady-state allocations;
+// allocs/op should read 0).
 func BenchmarkInferBatch(b *testing.B) {
 	ds := Wikipedia(DatasetConfig{Scale: 0.01, Seed: 1})
-	for _, mode := range []string{"on", "off"} {
-		b.Run("pool="+mode, func(b *testing.B) {
-			b.ReportAllocs()
-			m, err := New(Config{
-				NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim, BatchSize: 200,
-				NoWorkspacePool: mode == "off",
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.EvalStream(ds.Events[:1000], nil) // warm state and mailboxes
-			batch := ds.Events[1000:1200]
-			m.InferBatch(batch).Release() // warm the workspace pool
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.InferBatch(batch).Release()
-			}
-			b.ReportMetric(float64(b.N)*float64(len(batch))/b.Elapsed().Seconds(), "ev/s")
-		})
+	b.ReportAllocs()
+	m, err := New(Config{NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim, BatchSize: 200})
+	if err != nil {
+		b.Fatal(err)
 	}
+	m.EvalStream(ds.Events[:1000], nil) // warm state and mailboxes
+	batch := ds.Events[1000:1200]
+	m.InferBatch(batch).Release() // warm the workspace pool
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.InferBatch(batch).Release()
+	}
+	b.ReportMetric(float64(b.N)*float64(len(batch))/b.Elapsed().Seconds(), "ev/s")
 }
 
 // BenchmarkInferBatchParallel measures the synchronous link under the

@@ -52,7 +52,7 @@ func main() {
 		fanout      = flag.Int("fanout", 10, "sampled neighbors")
 		slots       = flag.Int("slots", 10, "mailbox slots")
 		dbLatency   = flag.Duration("db-latency", 0, "simulated graph-DB latency per query (fig6, §4.6)")
-		graphBack   = flag.String("graph-backend", "", "temporal-graph store behind the scenario harness: flat|sharded|remote-sim (empty: flat; backend_parity cross-checks the others)")
+		graphBack   = flag.String("graph-backend", "", "temporal-graph store behind the scenario harness: flat|sharded (empty: flat; backend_parity cross-checks the other)")
 		models      = flag.String("models", "", "comma-separated model subset (default: the paper's)")
 		jsonOut     = flag.Bool("json", false, "write the perf/scenarios experiment's results to -json-out")
 		jsonPath    = flag.String("json-out", "BENCH_apan.json", "path of the machine-readable experiment record")

@@ -92,7 +92,7 @@ func main() {
 		scale     = flag.Float64("scale", 0.02, "training dataset scale")
 		epochs    = flag.Int("epochs", 3, "training epochs before serving")
 		dbLatency = flag.Duration("db-latency", 0, "simulated graph-DB latency per query on the async link")
-		graphBack = flag.String("graph-backend", "auto", "temporal-graph store: auto|flat|sharded|remote-sim (auto: sharded on ≥4 cores, flat below — the measured crossover; docs/performance.md)")
+		graphBack = flag.String("graph-backend", "auto", "temporal-graph store: auto|flat|sharded (auto: sharded on ≥4 cores, flat below — the measured crossover; docs/performance.md)")
 		queueCap  = flag.Int("queue-cap", 256, "propagation queue capacity (backpressure bound)")
 		workers   = flag.Int("workers", 1, "asynchronous propagation workers")
 		shards    = flag.Int("shards", 16, "lock-stripe count of the node-state and mailbox stores (power of two)")
@@ -103,7 +103,6 @@ func main() {
 		demoBatch = flag.Int("demo-batch", 50, "events per request in demo replay")
 		demo      = flag.Bool("demo", false, "replay the test stream over HTTP, print latency stats, then exit")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (heap, allocs, profile, trace — see docs/performance.md)")
-		quantize  = flag.Bool("quantize", false, "score with int8-quantized published weights: per-channel symmetric, quantized once per publish (≤0.02 AP drift bound; docs/performance.md)")
 
 		loadPath  = flag.String("load", "", "start from this checkpoint (parameters + streaming state) instead of training")
 		ckptPath  = flag.String("checkpoint", "apan-serve.ckpt", "checkpoint path for -checkpoint-every")
@@ -149,8 +148,6 @@ func main() {
 		NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim, Seed: *seed,
 		Shards: *shards, InferWorkers: *inferWork,
 		GraphBackend: backend,
-
-		Quantize: *quantize,
 
 		IncrementalCheckpoints: *ckptIncr,
 		EvictMaxNodes:          *evictMax,

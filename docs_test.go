@@ -3,9 +3,12 @@ package apan
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"apan/internal/core"
 )
 
 // mdLink matches inline Markdown links/images: [text](target). Reference
@@ -46,6 +49,42 @@ func TestDocLinks(t *testing.T) {
 			if _, err := os.Stat(resolved); err != nil {
 				t.Errorf("%s: broken link %q (resolved %s)", md, m[1], resolved)
 			}
+		}
+	}
+}
+
+// serveFlag matches a flag definition in cmd/apan-serve/main.go.
+var serveFlag = regexp.MustCompile(`flag\.\w+\("([a-z-]+)"`)
+
+// TestConfigurationDocCoversEveryKnob holds docs/configuration.md to the
+// code: every core.Config field and every apan-serve flag must have a row
+// (its name in backticks at the start of a table row), so adding a knob
+// without saying when to turn it fails here.
+func TestConfigurationDocCoversEveryKnob(t *testing.T) {
+	doc, err := os.ReadFile("docs/configuration.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hasRow := func(name string) bool {
+		return strings.Contains(string(doc), "\n| `"+name+"` |")
+	}
+	cfg := reflect.TypeOf(core.Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		if name := cfg.Field(i).Name; !hasRow(name) {
+			t.Errorf("docs/configuration.md has no row for core.Config.%s", name)
+		}
+	}
+	src, err := os.ReadFile("cmd/apan-serve/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := serveFlag.FindAllStringSubmatch(string(src), -1)
+	if len(flags) < 30 {
+		t.Fatalf("found only %d flag definitions in cmd/apan-serve/main.go; the pattern no longer matches how they are written", len(flags))
+	}
+	for _, m := range flags {
+		if !hasRow("-" + m[1]) {
+			t.Errorf("docs/configuration.md has no row for apan-serve -%s", m[1])
 		}
 	}
 }

@@ -185,13 +185,6 @@ func New(m *core.Model, opts ...Option) *Pipeline {
 	return p
 }
 
-// NewPipeline starts a pipeline with the given propagation queue capacity.
-//
-// Deprecated: use New with WithQueueCap; kept so pre-v1 callers compile.
-func NewPipeline(m *core.Model, queueCap int) *Pipeline {
-	return New(m, WithQueueCap(queueCap))
-}
-
 // NumNodes reports the current node-ID space of the served model, for
 // request validation at the serving edge. It can grow at runtime; see
 // EnsureNodes.

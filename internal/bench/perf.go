@@ -39,13 +39,12 @@ type PerfReport struct {
 
 // perfModel builds a warmed model over the benchmark dataset, on the given
 // graph backend ("" = flat).
-func perfModel(o Options, ds *dataset.Dataset, noPool bool, hops int, backend string) (*core.Model, []tgraph.Event, error) {
+func perfModel(o Options, ds *dataset.Dataset, hops int, backend string) (*core.Model, []tgraph.Event, error) {
 	cfg := core.Config{
 		NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim,
 		Slots: o.Slots, Neighbors: o.Fanout,
 		BatchSize: o.BatchSize, Seed: o.Seed,
-		NoWorkspacePool: noPool,
-		GraphBackend:    backend,
+		GraphBackend: backend,
 	}
 	if hops > 0 {
 		cfg.Hops = hops
@@ -62,11 +61,9 @@ func perfModel(o Options, ds *dataset.Dataset, noPool bool, hops int, backend st
 	return m, ds.Events[warm : warm+o.BatchSize], nil
 }
 
-// RunPerf measures the serving hot paths with testing.Benchmark — the
-// pooled zero-allocation InferBatch against its allocate-fresh baseline
-// (Config.NoWorkspacePool), and the scratch-reusing propagator against a
-// fresh-per-batch one — and renders a table. The report is the machine-
-// readable trajectory record; WritePerfJSON persists it.
+// RunPerf measures the serving hot paths with testing.Benchmark and renders
+// a table. The report is the machine-readable trajectory record;
+// WritePerfJSON persists it.
 func RunPerf(o Options) (*PerfReport, error) {
 	o.normalize()
 	ds, err := o.MakeDataset("wikipedia")
@@ -97,43 +94,11 @@ func RunPerf(o Options) (*PerfReport, error) {
 			name, sc.NsPerOp, sc.EvPerSec, sc.BytesPerOp, sc.AllocsPerOp)
 	}
 
-	for _, mode := range []struct {
-		name   string
-		noPool bool
-	}{{"infer_batch_pooled", false}, {"infer_batch_baseline", true}} {
-		m, batch, err := perfModel(o, ds, mode.noPool, 0, core.GraphBackendFlat)
-		if err != nil {
-			return nil, err
-		}
-		m.InferBatch(batch).Release() // warm the workspace pool
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.InferBatch(batch).Release()
-			}
-		})
-		add(mode.name, len(batch), r)
-	}
-
-	// Int8 quantized scoring, same geometry as infer_batch_pooled: the
-	// dense-layer GEMMs run int8·int8→int32 over per-channel quantized
-	// published weights with on-the-fly activation quantization (quantized
-	// once per publish, not per batch). The delta vs infer_batch_pooled is
-	// the throughput the ≤0.02 AP quantized_drift budget buys.
 	{
-		cfg := core.Config{
-			NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim,
-			Slots: o.Slots, Neighbors: o.Fanout,
-			BatchSize: o.BatchSize, Seed: o.Seed,
-			Quantize: true,
-		}
-		m, err := core.New(cfg)
+		m, batch, err := perfModel(o, ds, 0, core.GraphBackendFlat)
 		if err != nil {
 			return nil, err
 		}
-		warm := 1000
-		m.EvalStream(ds.Events[:warm], nil)
-		batch := ds.Events[warm : warm+o.BatchSize]
 		m.InferBatch(batch).Release() // warm the workspace pool
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -141,7 +106,7 @@ func RunPerf(o Options) (*PerfReport, error) {
 				m.InferBatch(batch).Release()
 			}
 		})
-		add("infer_batch_int8", len(batch), r)
+		add("infer_batch_pooled", len(batch), r)
 	}
 
 	// Concurrent scoring throughput across a GOMAXPROCS sweep: the sharded,
@@ -151,7 +116,7 @@ func RunPerf(o Options) (*PerfReport, error) {
 	{
 		prev := runtime.GOMAXPROCS(0)
 		for _, p := range []int{1, 4, 8} {
-			m, batch, err := perfModel(o, ds, false, 0, core.GraphBackendFlat)
+			m, batch, err := perfModel(o, ds, 0, core.GraphBackendFlat)
 			if err != nil {
 				runtime.GOMAXPROCS(prev)
 				return nil, err
@@ -194,7 +159,7 @@ func RunPerf(o Options) (*PerfReport, error) {
 			{"graph_sharded", core.GraphBackendSharded},
 		} {
 			for _, p := range []int{1, 4, 8} {
-				m, batch, err := perfModel(o, ds, false, 0, be.backend)
+				m, batch, err := perfModel(o, ds, 0, be.backend)
 				if err != nil {
 					runtime.GOMAXPROCS(prev)
 					return nil, err
@@ -228,7 +193,7 @@ func RunPerf(o Options) (*PerfReport, error) {
 		name string
 		on   bool
 	}{{"infer_batch_wal_off", false}, {"infer_batch_wal_on", true}} {
-		m, batch, err := perfModel(o, ds, false, 0, core.GraphBackendFlat)
+		m, batch, err := perfModel(o, ds, 0, core.GraphBackendFlat)
 		if err != nil {
 			return nil, err
 		}
@@ -391,13 +356,9 @@ func RunPerf(o Options) (*PerfReport, error) {
 		add("failover_takeover_ms", lag, r)
 	}
 
-	// hops=1 isolates mail generation (φ, ρ, ψ) from the k-hop sampler, so
-	// the scratch-reuse delta is not buried under graph-query allocations.
-	for _, mode := range []struct {
-		name  string
-		fresh bool
-	}{{"propagate_scratch_reused", false}, {"propagate_scratch_fresh", true}} {
-		m, batch, err := perfModel(o, ds, false, 1, core.GraphBackendFlat)
+	// hops=1 isolates mail generation (φ, ρ, ψ) from the k-hop sampler.
+	{
+		m, batch, err := perfModel(o, ds, 1, core.GraphBackendFlat)
 		if err != nil {
 			return nil, err
 		}
@@ -405,22 +366,17 @@ func RunPerf(o Options) (*PerfReport, error) {
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if mode.fresh {
-					b.StopTimer()
-					prop = core.NewPropagator(m.Cfg, m.DB(), m.Mailbox())
-					b.StartTimer()
-				}
 				prop.ProcessBatch(batch, m.State())
 			}
 		})
-		add(mode.name, len(batch), r)
+		add("propagate_scratch_reused", len(batch), r)
 	}
 
 	// Online continual learning: one trainer mini-batch step (replay-buffer
 	// sample, live-state gather, forward/backward, Adam) and one hot swap
 	// (snapshot copy + module binding + atomic publish).
 	{
-		m, _, err := perfModel(o, ds, false, 0, core.GraphBackendFlat)
+		m, _, err := perfModel(o, ds, 0, core.GraphBackendFlat)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // allBackends is the selector list every cross-backend test iterates.
-var allBackends = []string{GraphBackendFlat, GraphBackendSharded, GraphBackendRemoteSim}
+var allBackends = []string{GraphBackendFlat, GraphBackendSharded}
 
 func backendModel(t *testing.T, backend string) *Model {
 	t.Helper()
@@ -95,48 +95,46 @@ func TestInferBatchZeroAllocSteadyStateSharded(t *testing.T) {
 // serialization, racing Grow (EnsureNodes), digest cuts and watermark
 // reads. Run under -race in CI; the assertion is that no apply is lost.
 func TestShardedConcurrentServeCycle(t *testing.T) {
-	for _, backend := range []string{GraphBackendSharded, GraphBackendRemoteSim} {
-		t.Run(backend, func(t *testing.T) {
-			ds := tinyData(2)
-			cfg := tinyConfig(ds.NumNodes)
-			cfg.GraphBackend = backend
-			m, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const (
-				appliers = 4
-				batches  = 12
-				bs       = 25
-			)
-			var wg sync.WaitGroup
-			for a := 0; a < appliers; a++ {
-				wg.Add(1)
-				go func(a int) {
-					defer wg.Done()
-					for i := 0; i < batches; i++ {
-						lo := (a*batches + i) * bs
-						inf := m.InferBatch(ds.Events[lo : lo+bs])
-						m.ApplyInference(inf)
-						inf.Release()
-					}
-				}(a)
-			}
+	t.Run(GraphBackendSharded, func(t *testing.T) {
+		ds := tinyData(2)
+		cfg := tinyConfig(ds.NumNodes)
+		cfg.GraphBackend = GraphBackendSharded
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const (
+			appliers = 4
+			batches  = 12
+			bs       = 25
+		)
+		var wg sync.WaitGroup
+		for a := 0; a < appliers; a++ {
 			wg.Add(1)
-			go func() {
+			go func(a int) {
 				defer wg.Done()
-				for i := 0; i < 20; i++ {
-					m.RuntimeDigest()
-					_ = m.GraphEvents()
-					m.EnsureNodes(ds.NumNodes + i)
+				for i := 0; i < batches; i++ {
+					lo := (a*batches + i) * bs
+					inf := m.InferBatch(ds.Events[lo : lo+bs])
+					m.ApplyInference(inf)
+					inf.Release()
 				}
-			}()
-			wg.Wait()
-			if got, want := m.GraphEvents(), appliers*batches*bs; got != want {
-				t.Fatalf("lost applies: %d events, want %d", got, want)
+			}(a)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				m.RuntimeDigest()
+				_ = m.GraphEvents()
+				m.EnsureNodes(ds.NumNodes + i)
 			}
-		})
-	}
+		}()
+		wg.Wait()
+		if got, want := m.GraphEvents(), appliers*batches*bs; got != want {
+			t.Fatalf("lost applies: %d events, want %d", got, want)
+		}
+	})
 }
 
 // TestBackendSurvivesLifecycle pins the in-place Reset contract: the

@@ -17,10 +17,9 @@ const (
 )
 
 // Graph backend selectors for Config.GraphBackend: which tgraph.Store
-// implementation holds the temporal graph. All three are query-for-query
+// implementation holds the temporal graph. The two are query-for-query
 // bit-exact (enforced by the tgraph equivalence suite and the scenario
-// harness's backend_parity invariant); they differ only in locking and
-// simulated deployment cost.
+// harness's backend_parity invariant); they differ only in locking.
 const (
 	// GraphBackendFlat is the single-structure in-process store, serialized
 	// behind the model's graph mutex (the pre-sharding behavior, kept
@@ -30,11 +29,6 @@ const (
 	// partitions with per-partition RWMutexes; graph reads skip the model's
 	// graph mutex and appliers run concurrently.
 	GraphBackendSharded = "sharded"
-	// GraphBackendRemoteSim wraps the sharded store in gdb.Remote: the
-	// batched-gather RPC accounting of the paper's Figure 6 distributed
-	// graph DB deployment (latency accumulated, not slept, so results stay
-	// deterministic).
-	GraphBackendRemoteSim = "remote-sim"
 )
 
 // MailReduce selects the reduction ρ applied when a node receives several
@@ -76,10 +70,10 @@ type Config struct {
 	InferWorkers int
 
 	// GraphBackend selects the temporal-graph store implementation: one of
-	// GraphBackendFlat (default), GraphBackendSharded or
-	// GraphBackendRemoteSim. See the constants for semantics; every backend
-	// is bit-exact with every other, so this is purely a locking/deployment
-	// choice. Ignored by NewWithDB, which receives a ready-made store.
+	// GraphBackendFlat (default) or GraphBackendSharded. See the constants
+	// for semantics; the two are bit-exact with each other, so this is
+	// purely a locking choice. Ignored by NewWithDB, which receives a
+	// ready-made store.
 	GraphBackend string
 
 	// IncrementalCheckpoints makes checkpoint cuts copy only the state and
@@ -100,22 +94,6 @@ type Config struct {
 	// no tracking, bitwise-identical behavior to earlier builds.
 	EvictMaxNodes int
 
-	// NoWorkspacePool disables the pooled inference workspaces: every
-	// InferBatch/Embed call allocates fresh buffers and a fresh
-	// grad-recording tape, reproducing the pre-pooling behavior. The
-	// arithmetic is identical — this knob exists as the benchmark baseline
-	// and as an escape hatch, like Shards=1 for the store layer.
-	NoWorkspacePool bool
-	// Quantize serves scores from per-channel symmetric int8 quantizations of
-	// the published dense-layer weights (int32-accumulator GEMMs, everything
-	// else float32). Each SwapParams publish quantizes the new set once; the
-	// serving forward pass then intercepts the dense MatMuls. Scores drift
-	// from float32 by the rounding of the int8 GEMMs — bounded at ≤ 0.02 AP
-	// on the fraud trace by the quantized_drift scenario invariant. It was a
-	// throughput trade against the scalar float32 GEMM; against the AVX2
-	// kernel it is 2.8× slower (docs/performance.md), so there is no longer a
-	// reason to turn it on. Off by default.
-	Quantize bool
 	// NoExplain skips recording the per-pass attention copy that Explain
 	// serves. The copy happens under a model-wide mutex on every forward
 	// pass, so deployments that never query /v1/explain can turn it off;
@@ -181,10 +159,10 @@ func (c *Config) Normalize() error {
 		c.GraphBackend = GraphBackendFlat
 	}
 	switch c.GraphBackend {
-	case GraphBackendFlat, GraphBackendSharded, GraphBackendRemoteSim:
+	case GraphBackendFlat, GraphBackendSharded:
 	default:
-		return fmt.Errorf("core: Config.GraphBackend must be %q, %q or %q, got %q",
-			GraphBackendFlat, GraphBackendSharded, GraphBackendRemoteSim, c.GraphBackend)
+		return fmt.Errorf("core: Config.GraphBackend must be %q or %q, got %q",
+			GraphBackendFlat, GraphBackendSharded, c.GraphBackend)
 	}
 	if c.EvictMaxNodes < 0 {
 		return fmt.Errorf("core: Config.EvictMaxNodes must be ≥0, got %d", c.EvictMaxNodes)

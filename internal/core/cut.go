@@ -32,7 +32,7 @@ type CutStats struct {
 	MailCopied, MailShards   int
 	// GraphDirty counts graph partitions modified since the previous cut;
 	// GraphParts is the partition total. Both are zero when the configured
-	// graph backend exposes no partition accounting (flat, remote-sim) —
+	// graph backend exposes no partition accounting (flat) —
 	// the graph is captured as a zero-copy log prefix either way, so this
 	// is reporting, not cost.
 	GraphDirty, GraphParts int

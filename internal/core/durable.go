@@ -15,9 +15,9 @@ import (
 // re-applying it is the asynchronous link alone — state writes, graph
 // insert, mail propagation, eviction — and reconstructs node state,
 // mailboxes and the graph exactly as the uninterrupted process had them,
-// bitwise, whatever parameters, kernel or Quantize setting scored the batch
-// and whatever the recovering process would score it with now. Inference is
-// not run, so nothing has to make it repeatable.
+// bitwise, whatever parameters or kernel scored the batch and whatever the
+// recovering process would score it with now. Inference is not run, so
+// nothing has to make it repeatable.
 
 // RecoverWAL re-applies the log's records past the model's current graph
 // watermark (typically the checkpoint just loaded; a fresh model replays

@@ -395,56 +395,6 @@ func TestRecoverAcrossPublish(t *testing.T) {
 	}
 }
 
-// TestRecoverQuantizedLeaderIntoFloatModel: rows are data, not a
-// recomputation — a leader serving int8 scores replays bitwise into a
-// recoverer that would have computed different embeddings itself.
-func TestRecoverQuantizedLeaderIntoFloatModel(t *testing.T) {
-	dir := t.TempDir()
-	walDir, ckpt := filepath.Join(dir, "wal"), filepath.Join(dir, "ckpt")
-	ds := tinyData(4)
-	cfg := tinyConfig(ds.NumNodes)
-	var batches [][]tgraph.Event
-	for lo := 0; lo < 200; lo += cfg.BatchSize {
-		batches = append(batches, ds.Events[lo:lo+cfg.BatchSize])
-	}
-
-	qcfg := cfg
-	qcfg.Quantize = true
-	leader, err := New(qcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := leader.Checkpoint(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	if err := leader.AttachWAL(openTestWAL(t, walDir, wal.SyncGroup)); err != nil {
-		t.Fatal(err)
-	}
-	serveLogged(leader, batches)
-	want := leader.RuntimeDigest()
-	if err := leader.DetachWAL().Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	float, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveLogged(float, batches)
-	if float.RuntimeDigest() == want {
-		t.Fatal("int8 and float32 serving agree bitwise; the test proves nothing")
-	}
-
-	rec, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recoverInto(t, rec, ckpt, walDir)
-	if got := rec.RuntimeDigest(); got != want {
-		t.Fatalf("float32 recoverer reached %016x, the int8 leader had %016x", got, want)
-	}
-}
-
 // TestReplayReadmitsUnderEviction: replay re-admits evicted endpoints before
 // it applies a batch, as every serving submit does before it scores one —
 // the evictions and LRU touches a re-admission causes are part of the

@@ -91,7 +91,7 @@ type Model struct {
 	graphMu sync.Mutex
 
 	// graphSafe caches db.G.ConcurrentSafe() at construction: true when the
-	// graph backend synchronizes internally (sharded, remote-sim), enabling
+	// graph backend synchronizes internally (sharded), enabling
 	// the graphMu elisions above. Immutable after New.
 	graphSafe bool
 
@@ -166,19 +166,12 @@ func New(cfg Config) (*Model, error) {
 
 // NewGraphStore builds the tgraph.Store selected by cfg.GraphBackend. The
 // sharded backends stripe across cfg.Shards partitions — the same stripe
-// count as the state/mailbox stores. The remote-sim backend wraps the
-// sharded store in gdb.Remote with a per-item RPC latency model in
-// accumulate-only mode (Sleep off), so its results and digests stay
-// bit-identical to the in-process backends while /v1/stats-style accounting
-// reflects the Figure 6 deployment. cfg should be normalized; an unknown
+// count as the state/mailbox stores. cfg should be normalized; an unknown
 // backend falls back to flat, which Normalize has already rejected.
 func NewGraphStore(cfg Config) tgraph.Store {
 	switch cfg.GraphBackend {
 	case GraphBackendSharded:
 		return tgraph.NewSharded(cfg.NumNodes, cfg.Shards)
-	case GraphBackendRemoteSim:
-		return gdb.NewRemote(tgraph.NewSharded(cfg.NumNodes, cfg.Shards),
-			gdb.RemoteOptions{Latency: gdb.PerItem(100*time.Microsecond, time.Microsecond)})
 	default:
 		return tgraph.New(cfg.NumNodes)
 	}
@@ -193,8 +186,6 @@ func backendName(s tgraph.Store) (string, bool) {
 		return GraphBackendFlat, true
 	case *tgraph.Sharded:
 		return GraphBackendSharded, true
-	case *gdb.Remote:
-		return GraphBackendRemoteSim, true
 	}
 	return "", false
 }
@@ -377,7 +368,7 @@ func (m *Model) ResetRuntime() {
 	m.st.Reset()
 	m.mbox.Reset()
 	// Reset in place: the model keeps the same Store value across runtime
-	// resets, so the configured backend (flat, sharded, remote-sim) survives.
+	// resets, so the configured backend (flat or sharded) survives.
 	m.db.G.Reset(m.Cfg.NumNodes)
 	m.db.ResetStats()
 	m.resetEvictor()
@@ -754,12 +745,11 @@ func (inf *Inference) ParamVersion() uint64 { return inf.version }
 //
 // Release must be called at most once per InferBatch result, by whoever
 // owns it last. A duplicate call *before* the model reuses the workspace
-// is a harmless no-op (the first call clears the struct), and Release on
-// an Inference from a pool-disabled model never recycles anything — but
-// once the workspace has been re-acquired by another InferBatch, the old
-// pointer aliases the new pass's live Inference, so a late duplicate
-// Release is a use-after-free-style bug, exactly like touching any other
-// released buffer. In short: after Release, drop every reference.
+// is a harmless no-op (the first call clears the struct) — but once the
+// workspace has been re-acquired by another InferBatch, the old pointer
+// aliases the new pass's live Inference, so a late duplicate Release is a
+// use-after-free-style bug, exactly like touching any other released
+// buffer. In short: after Release, drop every reference.
 func (inf *Inference) Release() {
 	ws := inf.ws
 	if ws == nil {
@@ -789,7 +779,6 @@ func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 	ws.gather(m.st, m.mbox, ws.plan.nodes, ws.plan.times, m.Cfg.InferWorkers)
 	m.storeMu.RUnlock()
 	tp := ws.tape
-	tp.SetQuantized(pv.quant)
 	z, att := pv.enc.Forward(tp, &ws.in)
 	zsrc := tp.Gather(z, ws.plan.srcRow)
 	zdst := tp.Gather(z, ws.plan.dstRow)
@@ -821,7 +810,7 @@ func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 // calls: state writes and mail deliveries lock only the touched shard, so a
 // write burst never stalls synchronous-link reads of other shards. With the
 // flat graph backend the temporal graph is the one serialized piece
-// (graphMu); a concurrency-safe backend (sharded, remote-sim) drops that
+// (graphMu); a concurrency-safe backend (sharded) drops that
 // too when no WAL is attached, so whole appliers run in parallel, locking
 // only the partitions their events touch.
 // The batch's mutations happen under the shared apply gate as one unit, so
@@ -969,7 +958,6 @@ func (m *Model) Embed(nodes []tgraph.NodeID, times []float64) *tensor.Matrix {
 	m.storeMu.RLock()
 	ws.gather(m.st, m.mbox, nodes, times, m.Cfg.InferWorkers)
 	m.storeMu.RUnlock()
-	ws.tape.SetQuantized(pv.quant)
 	z, _ := pv.enc.Forward(ws.tape, &ws.in)
 	out := z.Value().Clone()
 	ws.release()

@@ -16,11 +16,6 @@ type paramVersion struct {
 	set *nn.ParamSet
 	enc *Encoder
 	dec *LinkDecoder
-	// quant is the int8 quantization of set's dense-layer weights, built once
-	// at publish when Config.Quantize is on (nil otherwise). Serving tapes
-	// attach it per batch, so every quantized score is attributable to the
-	// same single version as its float32 counterpart would be.
-	quant *nn.QuantParamSet
 }
 
 // NewForwardModules constructs the encoder/decoder pair for cfg's
@@ -47,11 +42,7 @@ func (m *Model) newParamVersion(set *nn.ParamSet) (*paramVersion, error) {
 	if err := nn.BindParams(append(enc.Params(), dec.Params()...), set); err != nil {
 		return nil, err
 	}
-	pv := &paramVersion{set: set, enc: enc, dec: dec}
-	if m.Cfg.Quantize {
-		pv.quant = nn.QuantizeParamSet(set)
-	}
-	return pv, nil
+	return &paramVersion{set: set, enc: enc, dec: dec}, nil
 }
 
 // SwapParams snapshots params (copy-on-write: the caller keeps stepping its

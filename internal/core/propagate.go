@@ -21,10 +21,10 @@ import (
 // stalls synchronous-link readers of other shards. Whether ProcessBatch
 // itself may run concurrently is the graph backend's call: with the flat
 // store callers must serialize (core.Model does so with its graph mutex);
-// with a concurrency-safe backend (tgraph.Sharded, gdb.Remote over it)
-// concurrent ProcessBatch calls are safe — per-batch scratch comes from an
-// internal pool, graph inserts take only partition locks, and per-node
-// deliveries commute under the mailbox's ψ.
+// with a concurrency-safe backend (tgraph.Sharded) concurrent ProcessBatch
+// calls are safe — per-batch scratch comes from an internal pool, graph
+// inserts take only partition locks, and per-node deliveries commute under
+// the mailbox's ψ.
 type Propagator struct {
 	cfg  Config
 	db   *gdb.DB

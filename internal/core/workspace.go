@@ -25,7 +25,7 @@ import (
 // goroutines while checked out, and the freelist mutex provides the
 // happens-before edge between a releasing worker and the next scorer.
 type inferWorkspace struct {
-	owner *Model // nil for unpooled (Config.NoWorkspacePool) instances
+	owner *Model // whose freelist release returns to
 
 	pool tensor.Pool // backing allocator for the tape and gather matrices
 	tape *nn.Tape
@@ -39,30 +39,16 @@ type inferWorkspace struct {
 	inf    Inference
 }
 
-// newInferWorkspace builds a pooled workspace owned by m.
+// newInferWorkspace builds a workspace owned by m.
 func (m *Model) newInferWorkspace() *inferWorkspace {
 	ws := &inferWorkspace{owner: m}
 	ws.tape = nn.NewInferenceTape(&ws.pool)
 	return ws
 }
 
-// acquireWorkspace checks a workspace out of the model's pool, or builds a
-// throwaway one when pooling is disabled (the benchmark baseline): the
-// throwaway uses a grad-recording tape and fresh buffers, reproducing the
-// pre-pooling allocation behavior while running the exact same arithmetic.
+// acquireWorkspace checks a workspace out of the model's freelist, building
+// a new one when the list is empty.
 func (m *Model) acquireWorkspace() *inferWorkspace {
-	if m.Cfg.NoWorkspacePool {
-		ws := &inferWorkspace{}
-		if m.Cfg.Quantize {
-			// The int8 MatMul interception requires a nograd tape; under
-			// quantization the unpooled baseline uses a throwaway inference
-			// tape (its pool dies with the workspace) instead of NewTape.
-			ws.tape = nn.NewInferenceTape(&ws.pool)
-		} else {
-			ws.tape = nn.NewTape()
-		}
-		return ws
-	}
 	m.wsMu.Lock()
 	if n := len(m.wsFree); n > 0 {
 		ws := m.wsFree[n-1]
@@ -77,11 +63,8 @@ func (m *Model) acquireWorkspace() *inferWorkspace {
 
 // release recycles the workspace: the tape returns its matrices to the
 // pool, the gather matrices follow, and the workspace goes back to the
-// model. No-op for unpooled workspaces.
+// model.
 func (ws *inferWorkspace) release() {
-	if ws.owner == nil {
-		return
-	}
 	ws.tape.Reset()
 	ws.pool.Put(ws.in.ZPrev)
 	ws.pool.Put(ws.in.Mails)
@@ -91,17 +74,6 @@ func (ws *inferWorkspace) release() {
 	m.wsMu.Lock()
 	m.wsFree = append(m.wsFree, ws)
 	m.wsMu.Unlock()
-}
-
-// getMatrixRaw allocates through the workspace pool when pooled, without
-// zeroing reused storage. Safe for the gather buffers: ZPrev rows are fully
-// overwritten by CopyTo, and the Mails rows beyond a node's mail count are
-// masked out of attention (counts) and never influence any output.
-func (ws *inferWorkspace) getMatrixRaw(rows, cols int) *tensor.Matrix {
-	if ws.owner == nil {
-		return tensor.New(rows, cols)
-	}
-	return ws.pool.GetRaw(rows, cols)
 }
 
 // gather fills ws.in with z(t−) and the sorted mailboxes of nodes, reusing
@@ -116,8 +88,11 @@ func (ws *inferWorkspace) gather(st StateReader, mb MailReader, nodes []tgraph.N
 	}
 	ws.in.Nodes = nodes
 	ws.in.Times = times
-	ws.in.ZPrev = ws.getMatrixRaw(b, d)
-	ws.in.Mails = ws.getMatrixRaw(b*m, d)
+	// GetRaw leaves reused storage unzeroed: ZPrev rows are fully
+	// overwritten by CopyTo, and the Mails rows beyond a node's mail count
+	// are masked out of attention (counts) and never influence any output.
+	ws.in.ZPrev = ws.pool.GetRaw(b, d)
+	ws.in.Mails = ws.pool.GetRaw(b*m, d)
 	ws.dts = grow(ws.dts, b*m)
 	ws.counts = grow(ws.counts, b)
 	ws.ts = grow(ws.ts, lanes*m)

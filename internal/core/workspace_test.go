@@ -3,17 +3,20 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"apan/internal/nn"
+	"apan/internal/tensor"
 	"apan/internal/tgraph"
 )
 
-// buildPair returns two models with identical parameters and streamed
-// state, one on the pooled zero-allocation inference path and one on the
-// allocate-fresh baseline (Config.NoWorkspacePool).
-func buildPair(t *testing.T, mutate func(*Config), seed int64) (pooled, unpooled *Model, batch []tgraph.Event) {
+// buildWarm returns a model warmed on the first 200 events of a tiny stream,
+// the batch the tests score, and a larger, different batch to dirty a
+// workspace with before it is recycled.
+func buildWarm(t *testing.T, mutate func(*Config), seed int64) (m *Model, batch, dirty []tgraph.Event) {
 	t.Helper()
 	ds := tinyData(seed)
 	cfg := tinyConfig(ds.NumNodes)
@@ -21,61 +24,99 @@ func buildPair(t *testing.T, mutate func(*Config), seed int64) (pooled, unpooled
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	base := cfg
-	base.NoWorkspacePool = true
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EvalStream(ds.Events[:200], nil)
+	return m, ds.Events[200:240], ds.Events[80:200]
+}
 
-	var err error
-	pooled, err = New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// referenceEncode is the offline forward processBatch runs — a fresh
+// zero-filled gather (ReadInputsParallel) and a fresh grad-recording tape,
+// no pooled or recycled storage — over the published parameters: what the
+// workspace path must equal bitwise.
+func referenceEncode(m *Model, nodes []tgraph.NodeID, times []float64) (*nn.Tape, *nn.Tensor, *EncodeInput) {
+	in := ReadInputsParallel(m.st, m.mbox, nodes, times, 1)
+	tp := nn.NewTape()
+	z, _ := m.cur.Load().enc.Forward(tp, in)
+	return tp, z, in
+}
+
+// referenceInfer scores events through referenceEncode and the decoder.
+func referenceInfer(m *Model, events []tgraph.Event) (scores []float32, emb *tensor.Matrix, in *EncodeInput) {
+	plan := m.planBatch(events, nil, false)
+	tp, z, in := referenceEncode(m, plan.nodes, plan.times)
+	logits := m.cur.Load().dec.Forward(tp, tp.Gather(z, plan.srcRow), tp.Gather(z, plan.dstRow))
+	scores = make([]float32, len(events))
+	for i := range scores {
+		scores[i] = tensor.Sigmoid32(logits.Value().Data[i])
 	}
-	unpooled, err = New(base)
-	if err != nil {
-		t.Fatal(err)
+	return scores, z.Value(), in
+}
+
+// sameGather reports whether a workspace gather equals the reference's
+// where the encoder may look: counts, every time delta (empty slots are 0),
+// z(t−), and each node's valid mails. Mail rows past a node's count are
+// unspecified in a recycled workspace — attention masks them out.
+func sameGather(t *testing.T, got, want *EncodeInput) bool {
+	if !slices.Equal(got.Counts, want.Counts) || !slices.Equal(got.DTs, want.DTs) ||
+		!slices.Equal(got.ZPrev.Data, want.ZPrev.Data) {
+		t.Logf("gather differs in counts, time deltas or z(t−)")
+		return false
 	}
-	warm := ds.Events[:200]
-	pooled.EvalStream(warm, nil)
-	unpooled.EvalStream(warm, nil)
-	batch = ds.Events[200:240]
-	return pooled, unpooled, batch
+	slots, d := len(want.DTs)/len(want.Counts), want.Mails.Cols
+	for i, c := range want.Counts {
+		lo := i * slots * d
+		if !slices.Equal(got.Mails.Data[lo:lo+c*d], want.Mails.Data[lo:lo+c*d]) {
+			t.Logf("gather differs in node row %d's %d valid mails", i, c)
+			return false
+		}
+	}
+	return true
 }
 
 // TestQuickPooledInferenceEquivalence: the pooled workspace + reusable tape
-// path must produce bitwise-identical scores and embeddings to the
-// allocate-fresh path, across both ψ mailbox rules and all three
-// positional-encoding modes, including repeated passes over recycled
-// buffers (a dirty workspace must not leak into the next batch).
+// path must produce bitwise-identical inputs, scores and embeddings to the
+// offline forward over fresh buffers, across both ψ mailbox rules and all
+// three positional-encoding modes, on a workspace's first pass and on a
+// pass over buffers recycled from a different, larger batch (a dirty
+// workspace must not leak into the next batch).
 func TestQuickPooledInferenceEquivalence(t *testing.T) {
 	f := func(seedRaw uint8, kv bool, posRaw uint8) bool {
 		seed := int64(seedRaw) + 1
 		pos := PositionalMode(posRaw % 3)
-		pooled, unpooled, batch := buildPair(t, func(c *Config) {
+		m, batch, dirty := buildWarm(t, func(c *Config) {
 			c.KeyValueMailbox = kv
 			c.Positional = pos
 		}, seed)
+		wantScores, wantEmb, wantIn := referenceInfer(m, batch)
 
-		want := unpooled.InferBatch(batch)
-		// Two pooled passes: the second reuses the released workspace.
-		first := pooled.InferBatch(batch)
-		firstScores := append([]float32(nil), first.Scores...)
+		same := func(pass string, got *Inference) bool {
+			if !sameGather(t, &got.ws.in, wantIn) {
+				t.Logf("seed=%d kv=%v pos=%d %s pass", seed, kv, pos, pass)
+				return false
+			}
+			for i := range wantScores {
+				if got.Scores[i] != wantScores[i] {
+					t.Logf("seed=%d kv=%v pos=%d %s pass, event %d: pooled %v vs reference %v",
+						seed, kv, pos, pass, i, got.Scores[i], wantScores[i])
+					return false
+				}
+			}
+			if !slices.Equal(got.emb.Data, wantEmb.Data) {
+				t.Logf("seed=%d kv=%v pos=%d %s pass: embeddings differ", seed, kv, pos, pass)
+				return false
+			}
+			return true
+		}
+		first := m.InferBatch(batch)
+		ok := same("first", first)
 		first.Release()
-		got := pooled.InferBatch(batch)
+		m.InferBatch(dirty).Release() // same workspace, other contents
+		got := m.InferBatch(batch)
 		defer got.Release()
-
-		for i := range want.Scores {
-			if got.Scores[i] != want.Scores[i] || firstScores[i] != want.Scores[i] {
-				t.Logf("seed=%d kv=%v pos=%d event %d: pooled %v/%v vs unpooled %v",
-					seed, kv, pos, i, firstScores[i], got.Scores[i], want.Scores[i])
-				return false
-			}
-		}
-		for i, v := range want.emb.Data {
-			if got.emb.Data[i] != v {
-				t.Logf("seed=%d kv=%v pos=%d emb elem %d differs", seed, kv, pos, i)
-				return false
-			}
-		}
-		return true
+		return ok && same("recycled", got)
 	}
 	cfgQ := &quick.Config{MaxCount: 12}
 	if testing.Short() {
@@ -87,17 +128,18 @@ func TestQuickPooledInferenceEquivalence(t *testing.T) {
 }
 
 // TestPooledEmbedEquivalence: Embed (which releases its workspace
-// immediately) agrees with the unpooled path too.
+// immediately) agrees with the offline forward too, on a fresh workspace
+// and on one recycled from a scored batch.
 func TestPooledEmbedEquivalence(t *testing.T) {
-	pooled, unpooled, batch := buildPair(t, nil, 3)
+	m, batch, dirty := buildWarm(t, nil, 3)
 	nodes := []tgraph.NodeID{batch[0].Src, batch[0].Dst, batch[1].Src}
 	times := []float64{batch[0].Time, batch[0].Time, batch[1].Time}
-	a := pooled.Embed(nodes, times)
-	b := unpooled.Embed(nodes, times)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("elem %d: pooled %v vs unpooled %v", i, a.Data[i], b.Data[i])
+	_, z, _ := referenceEncode(m, nodes, times)
+	for _, pass := range []string{"first", "recycled"} {
+		if got := m.Embed(nodes, times); !slices.Equal(got.Data, z.Value().Data) {
+			t.Fatalf("%s pass: pooled Embed differs from the offline forward", pass)
 		}
+		m.InferBatch(dirty).Release()
 	}
 }
 
@@ -107,7 +149,7 @@ func TestPooledEmbedEquivalence(t *testing.T) {
 // reuse it and overwrite the recycled weights buffer, then ask again — a
 // record aliasing pooled memory would now read Embed's scratch garbage.
 func TestExplainSurvivesRelease(t *testing.T) {
-	pooled, _, batch := buildPair(t, nil, 5)
+	pooled, batch, _ := buildWarm(t, nil, 5)
 	inf := pooled.InferBatch(batch)
 	node := batch[0].Src
 	before, ok := pooled.Explain(node)
@@ -136,7 +178,7 @@ func TestExplainSurvivesRelease(t *testing.T) {
 
 // TestNoExplain: with recording disabled, scoring must leave no record.
 func TestNoExplain(t *testing.T) {
-	pooled, _, batch := buildPair(t, func(c *Config) { c.NoExplain = true }, 5)
+	pooled, batch, _ := buildWarm(t, func(c *Config) { c.NoExplain = true }, 5)
 	inf := pooled.InferBatch(batch)
 	defer inf.Release()
 	if _, ok := pooled.Explain(batch[0].Src); ok {
@@ -170,34 +212,6 @@ func TestInferBatchZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state InferBatch allocated %.2f times per op, want 0", allocs)
-	}
-}
-
-// TestInferBatchZeroAllocQuantized extends the steady-state guard to int8
-// quantized serving (Config.Quantize): the int8 weight blocks are cached
-// per publish and activation scratch draws from the tape arenas, so the
-// quantized pass must be as allocation-free as the float32 one.
-func TestInferBatchZeroAllocQuantized(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates")
-	}
-	ds := tinyData(1)
-	cfg := tinyConfig(ds.NumNodes)
-	cfg.Quantize = true
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.EvalStream(ds.Events[:200], nil)
-	batch := ds.Events[200:240]
-	for i := 0; i < 3; i++ {
-		m.InferBatch(batch).Release()
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		m.InferBatch(batch).Release()
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state quantized InferBatch allocated %.2f times per op, want 0", allocs)
 	}
 }
 
@@ -263,7 +277,7 @@ func TestInferBatchZeroAllocParallel(t *testing.T) {
 // TestReleaseIdempotent: double release and release-after-zero must not
 // corrupt the pool.
 func TestReleaseIdempotent(t *testing.T) {
-	pooled, _, batch := buildPair(t, nil, 7)
+	pooled, batch, _ := buildWarm(t, nil, 7)
 	inf := pooled.InferBatch(batch)
 	inf.Release()
 	inf.Release()

@@ -1,11 +1,11 @@
-// Package gdb provides the remote-flavored temporal graph access layer: a
-// query-accounting wrapper (DB) plus Remote, a tgraph.Store implementation
-// that models the remote distributed graph database backing the paper's
-// production deployment (Figure 6) — any in-process store behind a simulated
-// RPC latency model with batched k-hop gathers. Synchronous CTDG models
-// (TGAT, TGN) pay the round-trip cost on the inference critical path; APAN's
-// asynchronous propagator pays it off the critical path — the contrast
-// behind Figure 6 and the §4.6 "much greater than 8.7×" claim.
+// Package gdb provides the remote-flavored temporal graph access layer: DB,
+// a query-accounting wrapper that models the remote distributed graph
+// database backing the paper's production deployment (Figure 6) — any
+// in-process store behind a simulated RPC latency model with batched k-hop
+// gathers. Synchronous CTDG models (TGAT, TGN) pay the round-trip cost on
+// the inference critical path; APAN's asynchronous propagator pays it off
+// the critical path — the contrast behind Figure 6 and the §4.6 "much
+// greater than 8.7×" claim.
 package gdb
 
 import (
@@ -31,8 +31,8 @@ func PerItem(base, per time.Duration) LatencyModel {
 }
 
 // DB is a temporal graph store with query accounting and an optional
-// simulated-latency model. G may be any tgraph.Store backend — flat,
-// sharded, or a Remote wrapper — selected by core.Config.GraphBackend.
+// simulated-latency model. G may be either tgraph.Store backend — flat or
+// sharded — selected by core.Config.GraphBackend.
 type DB struct {
 	G tgraph.Store
 	// Latency, when non-nil, is charged on every neighbor query.
@@ -102,10 +102,10 @@ func (db *DB) KHopMostRecent(seeds []tgraph.NodeID, t float64, fanout, hops int)
 }
 
 // KHopMostRecentInto is KHopMostRecent through the backend's scratch-reuse
-// path when it has one, with the same batched-gather accounting. The result
-// lifetime follows tgraph.KHopScratch.
+// path, with the same batched-gather accounting. The result lifetime
+// follows tgraph.KHopScratch.
 func (db *DB) KHopMostRecentInto(sc *tgraph.KHopScratch, seeds []tgraph.NodeID, t float64, fanout, hops int) [][]tgraph.Incidence {
-	out := tgraph.KHopMostRecentInto(db.G, sc, seeds, t, fanout, hops)
+	out := db.G.KHopMostRecentInto(sc, seeds, t, fanout, hops)
 	db.chargeKHop(out, len(seeds))
 	return out
 }

@@ -13,15 +13,8 @@ import (
 // encoding backward as data instead of a captured closure is what makes a
 // warm pooled training pass allocation-free.
 
-// MatMul returns a·b. On an inference tape carrying a quantized weight set,
-// a multiply against one of the published matrices takes the int8 GEMM path
-// instead (see quant.go).
+// MatMul returns a·b.
 func (tp *Tape) MatMul(a, b *Tensor) *Tensor {
-	if tp.quant != nil {
-		if qm := tp.quant.byPtr[b.W]; qm != nil {
-			return tp.matMulInt8(a, b, qm)
-		}
-	}
 	out := tp.newResultRaw(a.W.Rows, b.W.Cols, a, b)
 	tensor.MatMul(out.W, a.W, b.W)
 	if out.needGrad {

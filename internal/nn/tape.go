@@ -93,10 +93,6 @@ type Tape struct {
 	// Backward panics.
 	nograd bool
 
-	// quant, when non-nil on a nograd tape, routes MatMul against quantized
-	// published weights through the int8 GEMM (see quant.go).
-	quant *QuantParamSet
-
 	// pool, when non-nil, supplies op-output matrices and scratch buffers;
 	// everything drawn is tracked in owned and returned on Reset. The tape
 	// owns its pool exclusively (pools are not goroutine-safe).
@@ -111,13 +107,11 @@ type Tape struct {
 	attArena []*Attention
 	attUsed  int
 
-	// i32buf and i8buf are bump allocators for int-typed op scratch
-	// (OverlayRows winner maps, int8 activation quantization); like the
-	// float scratch they live until Reset and are reused across passes.
+	// i32buf is a bump allocator for int-typed op scratch (OverlayRows
+	// winner maps); like the float scratch it lives until Reset and is
+	// reused across passes.
 	i32buf  []int32
 	i32used int
-	i8buf   []int8
-	i8used  int
 
 	// tmT is a reusable matrix header over tape scratch for the transposed
 	// operand the assembly-GEMM backward path materializes (see stepBack).
@@ -170,7 +164,6 @@ func (tp *Tape) Reset() {
 	tp.used = 0
 	tp.attUsed = 0
 	tp.i32used = 0
-	tp.i8used = 0
 }
 
 // alloc hands out a zeroed Tensor node, reusing the arena on pooled tapes.
@@ -226,17 +219,6 @@ func (tp *Tape) scratchI32(n int) []int32 {
 	}
 	s := tp.i32buf[tp.i32used : tp.i32used+n : tp.i32used+n]
 	tp.i32used += n
-	return s
-}
-
-// scratchI8 is scratchI32 for int8 buffers (int8 activation quantization).
-func (tp *Tape) scratchI8(n int) []int8 {
-	if tp.i8used+n > len(tp.i8buf) {
-		tp.i8buf = make([]int8, max(2*len(tp.i8buf), tp.i8used+n, 64))
-		tp.i8used = 0
-	}
-	s := tp.i8buf[tp.i8used : tp.i8used+n : tp.i8used+n]
-	tp.i8used += n
 	return s
 }
 

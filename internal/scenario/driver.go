@@ -55,7 +55,6 @@ func newModel(tr *Trace, o RunOptions) (*core.Model, error) {
 		BatchSize: o.BatchSize, Seed: o.Seed + 7, Shards: 8,
 		GraphBackend:  o.GraphBackend,
 		EvictMaxNodes: o.EvictMaxNodes,
-		Quantize:      o.Quantize,
 	})
 }
 

@@ -53,9 +53,9 @@ const (
 	// identical to an uninterrupted run, at the recovery point and at end of
 	// stream.
 	InvKillRecover = "kill_recover"
-	// InvBackendParity: the same direct run on every other graph backend
-	// (flat, sharded, remote-sim) reproduces scores and runtime digest
-	// bitwise per (seed, scenario).
+	// InvBackendParity: the same direct run on the other graph backend
+	// (flat ↔ sharded) reproduces scores and runtime digest bitwise per
+	// (seed, scenario).
 	InvBackendParity = "backend_parity"
 	// InvTenantIsolation: under a flash-crowd aggressor tenant, the victim
 	// tenant loses nothing (zero drops, bounded sync p99) while the
@@ -71,10 +71,6 @@ const (
 	// (scores and digest), and the labeled AP stays within a fixed loss
 	// bound of the unbounded-memory reference.
 	InvEvictionBounded = "eviction_bounded"
-	// InvQuantizedDrift: int8-quantized serving (Config.Quantize) must be
-	// bitwise deterministic run-to-run (scores and digest) and its labeled AP
-	// must stay within maxQuantAPLoss of the float32 reference run.
-	InvQuantizedDrift = "quantized_drift_bounded"
 	// InvFailover: a log-shipped warm-standby follower, promoted after the
 	// leader dies — with clean, torn, fsync-latched and follower-crash
 	// failure arms — lands on a batch boundary bitwise identical

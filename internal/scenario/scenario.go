@@ -62,12 +62,6 @@ type Scenario struct {
 	// the gate, each tenant's ledger must conserve (submitted = applied +
 	// dropped), and the whole protocol must replay bitwise.
 	NoisyNeighbor bool
-	// QuantizedDrift reruns the direct path with int8-quantized serving
-	// (Config.Quantize) twice: both quantized runs must be bitwise identical
-	// (scores and digest — the int8 GEMM is exact integer arithmetic, so even
-	// the asm and Go kernels agree bitwise), and the labeled AP must stay
-	// within maxQuantAPLoss (0.02) of the float32 reference run.
-	QuantizedDrift bool
 	// EvictPressure reruns the direct path under a binding cold-state
 	// eviction budget (a third of the node space): the warm set must stay
 	// within budget, evicting runs must be bitwise deterministic, and the
@@ -101,8 +95,6 @@ func Bundled() []Scenario {
 			Description: "swapped, duplicated and tied timestamps; §3.6 arrival-order robustness"},
 		{Name: "fraud_ring", Workload: FraudRing, Labeled: true, TrainFrac: 0.3,
 			Description: "labeled fraud-ring bursts in community traffic; AP/AUC ground truth"},
-		{Name: "quantized_drift", Workload: FraudRing, Labeled: true, TrainFrac: 0.3, QuantizedDrift: true,
-			Description: "int8-quantized serving vs float32 on the fraud trace; AP loss ≤ 0.02, bitwise-deterministic quantized replay"},
 		{Name: "queue_saturation", Workload: FlashCrowd, Saturate: true,
 			Description: "gated consumer + TrySubmit shedding; deterministic drop pattern"},
 		{Name: "slow_consumer", Workload: SmoothBaseline, SlowApply: 200 * time.Microsecond,
@@ -142,9 +134,6 @@ type RunOptions struct {
 	// run constructs (0 disables); the eviction-pressure driver sets it on
 	// its A/B arm only.
 	EvictMaxNodes int
-	// Quantize serves every model the run constructs from int8-quantized
-	// published weights; the quantized-drift driver sets it on its arm only.
-	Quantize bool
 }
 
 func (o *RunOptions) normalize() {
@@ -223,10 +212,6 @@ type Result struct {
 	EvictBudget  int      `json:"evict_budget,omitempty"`
 	EvictEvicted uint64   `json:"evict_evicted,omitempty"`
 	EvictAP      *float64 `json:"evict_ap,omitempty"`
-	// Quantized-drift metrics: the int8 run's labeled AP (AP above holds the
-	// float32 reference) and the max |int8 − float32| score divergence.
-	QuantAP         *float64 `json:"quant_ap,omitempty"`
-	QuantScoreDrift float64  `json:"quant_score_drift,omitempty"`
 
 	Invariants []InvariantResult `json:"invariants"`
 	Violations []Violation       `json:"violations,omitempty"`
@@ -319,7 +304,7 @@ func Run(sc Scenario, o RunOptions) (*Result, error) {
 			current = core.GraphBackendFlat
 		}
 		var vs []Violation
-		for _, backend := range []string{core.GraphBackendFlat, core.GraphBackendSharded, core.GraphBackendRemoteSim} {
+		for _, backend := range []string{core.GraphBackendFlat, core.GraphBackendSharded} {
 			if backend == current {
 				continue
 			}
@@ -521,24 +506,6 @@ func Run(sc Scenario, o RunOptions) (*Result, error) {
 		}
 	} else {
 		res.skipInvariant(InvEvictionBounded)
-	}
-
-	// Int8-quantized serving: deterministic quantized replay, AP within the
-	// loss bound of the float32 reference. The check runs at its own fixed
-	// protocol sizing (see quantOptions); the drift and AP metrics below
-	// come from those runs, not the harness-sized reference above.
-	if sc.QuantizedDrift {
-		vs, qRef, qRun, err := checkQuantizedDrift(o, sc)
-		if err != nil {
-			return nil, err
-		}
-		res.addInvariant(InvQuantizedDrift, vs)
-		if ap := headAP(qRun.samples, o.Seed); !math.IsNaN(ap) {
-			res.QuantAP = &ap
-		}
-		res.QuantScoreDrift = scoreDrift(qRef.scores, qRun.scores)
-	} else {
-		res.skipInvariant(InvQuantizedDrift)
 	}
 
 	// Mid-stream checkpoint/restore rewind.

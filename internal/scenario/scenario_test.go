@@ -50,38 +50,28 @@ func TestScenarioBundled(t *testing.T) {
 	}
 }
 
-// TestScenarioCrossBackendParity drives representative scenarios with each
+// TestScenarioCrossBackendParity drives representative scenarios with the
 // non-default graph backend behind every path (incl. the WAL-attached
 // kill-recover and online-training drift protocols), and checks the
-// backend_parity invariant both ways: whichever backend is primary, the
-// other two must reproduce its scores and digest bitwise.
+// backend_parity invariant the other way round: with sharded primary, flat
+// must reproduce its scores and digest bitwise.
 func TestScenarioCrossBackendParity(t *testing.T) {
 	byName := map[string]Scenario{}
 	for _, sc := range Bundled() {
 		byName[sc.Name] = sc
 	}
-	type tc struct{ scenario, backend string }
-	cases := []tc{
-		{"smooth_baseline", core.GraphBackendSharded},
-		{"smooth_baseline", core.GraphBackendRemoteSim},
-		{"out_of_order", core.GraphBackendSharded},
-	}
+	cases := []string{"smooth_baseline", "out_of_order"}
 	if !testing.Short() {
-		cases = append(cases,
-			tc{"kill_recover", core.GraphBackendSharded},
-			tc{"concept_drift", core.GraphBackendSharded},
-			tc{"failover", core.GraphBackendSharded},
-		)
+		cases = append(cases, "kill_recover", "concept_drift", "failover")
 	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.scenario+"/"+c.backend, func(t *testing.T) {
-			sc, ok := byName[c.scenario]
+	for _, name := range cases {
+		t.Run(name+"/"+core.GraphBackendSharded, func(t *testing.T) {
+			sc, ok := byName[name]
 			if !ok {
-				t.Fatalf("scenario %q not bundled", c.scenario)
+				t.Fatalf("scenario %q not bundled", name)
 			}
 			o := testOptions(t)
-			o.GraphBackend = c.backend
+			o.GraphBackend = core.GraphBackendSharded
 			res, err := Run(sc, o)
 			if err != nil {
 				t.Fatalf("Run: %v", err)

@@ -255,7 +255,7 @@ type StatsResponse struct {
 	// checkpoint load).
 	ParamVersion uint64 `json:"param_version"`
 	// GraphBackend is the temporal-graph store behind the served model
-	// (flat, sharded, remote-sim).
+	// (flat or sharded).
 	GraphBackend string `json:"graph_backend"`
 	// Training reports online-trainer health; absent when no trainer is
 	// attached.

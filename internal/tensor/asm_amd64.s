@@ -326,88 +326,3 @@ axpytail:
 axpydone:
 	VZEROUPPER
 	RET
-
-// func int8Dot4Kernel(a, b []int8, k, kv int) (c0, c1, c2, c3 int32)
-//
-// Four length-kv int8 inner products of a against the four rows of the
-// contiguous n×k block b (rows at byte offsets 0, k, 2k, 3k): sixteen
-// bytes per step are sign-extended to words (VPMOVSXBW) and multiply-
-// accumulated pairwise into int32 lanes (VPMADDWD + VPADDD). kv must be a
-// multiple of 16 and ≤ k; the caller handles the scalar tail. Integer
-// accumulation is exact, so the result is bit-identical to the Go loop in
-// any order — the int8 path has no asm/Go numeric divergence.
-//
-// Register map:
-//   SI a    R11/CX/R12/R8 the four b rows    R9 k (row stride)
-//   DX kv (vector end)    AX element index
-//   Y0-Y3 int32 accumulators    Y4 a words    Y5-Y8 b words
-TEXT ·int8Dot4Kernel(SB), NOSPLIT, $0-80
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), R11
-	MOVQ k+48(FP), R9
-	MOVQ kv+56(FP), DX
-	LEAQ (R11)(R9*1), CX
-	LEAQ (CX)(R9*1), R12
-	LEAQ (R12)(R9*1), R8
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	XORQ AX, AX
-	CMPQ AX, DX
-	JGE  reduce
-
-vloop:
-	VPMOVSXBW (SI)(AX*1), Y4
-	VPMOVSXBW (R11)(AX*1), Y5
-	VPMADDWD Y4, Y5, Y5
-	VPADDD Y5, Y0, Y0
-	VPMOVSXBW (CX)(AX*1), Y6
-	VPMADDWD Y4, Y6, Y6
-	VPADDD Y6, Y1, Y1
-	VPMOVSXBW (R12)(AX*1), Y7
-	VPMADDWD Y4, Y7, Y7
-	VPADDD Y7, Y2, Y2
-	VPMOVSXBW (R8)(AX*1), Y8
-	VPMADDWD Y4, Y8, Y8
-	VPADDD Y8, Y3, Y3
-	ADDQ $16, AX
-	CMPQ AX, DX
-	JLT  vloop
-
-reduce:
-	// Horizontal-sum each accumulator's eight int32 lanes to one scalar.
-	VEXTRACTI128 $1, Y0, X4
-	VPADDD X4, X0, X0
-	VPSHUFD $0x4E, X0, X4
-	VPADDD X4, X0, X0
-	VPSHUFD $0xB1, X0, X4
-	VPADDD X4, X0, X0
-	VMOVD X0, R10
-	MOVL R10, c0+64(FP)
-	VEXTRACTI128 $1, Y1, X4
-	VPADDD X4, X1, X1
-	VPSHUFD $0x4E, X1, X4
-	VPADDD X4, X1, X1
-	VPSHUFD $0xB1, X1, X4
-	VPADDD X4, X1, X1
-	VMOVD X1, R10
-	MOVL R10, c1+68(FP)
-	VEXTRACTI128 $1, Y2, X4
-	VPADDD X4, X2, X2
-	VPSHUFD $0x4E, X2, X4
-	VPADDD X4, X2, X2
-	VPSHUFD $0xB1, X2, X4
-	VPADDD X4, X2, X2
-	VMOVD X2, R10
-	MOVL R10, c2+72(FP)
-	VEXTRACTI128 $1, Y3, X4
-	VPADDD X4, X3, X3
-	VPSHUFD $0x4E, X3, X4
-	VPADDD X4, X3, X3
-	VPSHUFD $0xB1, X3, X4
-	VPADDD X4, X3, X3
-	VMOVD X3, R10
-	MOVL R10, c3+76(FP)
-	VZEROUPPER
-	RET

@@ -44,30 +44,3 @@ func axpy(y, x []float32, s float32) {
 	}
 	axpyAsm(y, x, s)
 }
-
-//go:noescape
-func int8Dot4Kernel(a, b []int8, k, kv int) (c0, c1, c2, c3 int32)
-
-func init() {
-	if hasAvx2 {
-		int8Dot4 = int8Dot4Avx2
-	}
-}
-
-// int8Dot4Avx2 runs the VPMADDWD micro-kernel over the 16-wide prefix and a
-// scalar Go tail. Integer accumulation is exact, so the split changes
-// nothing: the result is bit-identical to int8Dot4Go.
-func int8Dot4Avx2(a, b []int8, k int) (c0, c1, c2, c3 int32) {
-	kv := k &^ 15
-	if kv > 0 {
-		c0, c1, c2, c3 = int8Dot4Kernel(a, b, k, kv)
-	}
-	for t := kv; t < k; t++ {
-		av := int32(a[t])
-		c0 += av * int32(b[t])
-		c1 += av * int32(b[k+t])
-		c2 += av * int32(b[2*k+t])
-		c3 += av * int32(b[3*k+t])
-	}
-	return
-}

@@ -203,26 +203,3 @@ func TestQuickATAccEqualsTransposedGemm(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickInt8Dot4BitIdentical: the active int8Dot4 (the VPMADDWD kernel on
-// amd64) is exact integer arithmetic, so it must equal the pure-Go reference
-// bit for bit — including k<16 (vector loop skipped) and ragged tails.
-func TestQuickInt8Dot4BitIdentical(t *testing.T) {
-	f := func(seed int64, kRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		k := int(kRaw) + 1
-		a, b := make([]int8, k), make([]int8, 4*k)
-		for i := range a {
-			a[i] = int8(rng.Intn(255) - 127)
-		}
-		for i := range b {
-			b[i] = int8(rng.Intn(255) - 127)
-		}
-		c0, c1, c2, c3 := int8Dot4(a, b, k)
-		g0, g1, g2, g3 := int8Dot4Go(a, b, k)
-		return c0 == g0 && c1 == g1 && c2 == g2 && c3 == g3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -1,32 +1,26 @@
 // The backend equivalence suite: every tgraph.Store implementation must be
 // query-for-query bit-exact with the flat Graph when calls are serialized.
 // testing/quick drives randomized event streams — duplicate timestamps,
-// self-loops, out-of-order arrivals, interleaved Grow calls — through all
-// three backends (flat, sharded, remote-sim) and compares every query's
-// answer exactly. This is the proof obligation docs/testing.md names for
-// adding a backend.
+// self-loops, out-of-order arrivals, interleaved Grow calls — through both
+// backends (flat, sharded) and compares every query's answer exactly. This
+// is the proof obligation docs/testing.md names for adding a backend.
 package tgraph_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
-	"apan/internal/gdb"
 	"apan/internal/tgraph"
 )
 
 // backends builds one instance of every Store implementation over numNodes
-// nodes. The sharded backends use a small partition count so local indices
-// exercise the n>>bits mapping, and remote-sim carries a latency model in
-// accumulate-only mode to prove accounting does not perturb answers.
+// nodes. The sharded backend uses a small partition count so local indices
+// exercise the n>>bits mapping.
 func backends(numNodes int) map[string]tgraph.Store {
 	return map[string]tgraph.Store{
 		"flat":    tgraph.New(numNodes),
 		"sharded": tgraph.NewSharded(numNodes, 4),
-		"remote-sim": gdb.NewRemote(tgraph.NewSharded(numNodes, 4),
-			gdb.RemoteOptions{Latency: gdb.PerItem(time.Millisecond, time.Microsecond)}),
 	}
 }
 

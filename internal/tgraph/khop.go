@@ -19,21 +19,10 @@ func (sc *KHopScratch) grow(hops int) [][]Incidence {
 	return sc.levels[:hops]
 }
 
-// KHopInto is implemented by stores whose KHopMostRecent can run through a
-// caller-owned KHopScratch. The result contract matches KHopMostRecent
-// bit-for-bit — same incidences, same order — only the buffer ownership
-// differs (see KHopScratch).
-type KHopInto interface {
-	KHopMostRecentInto(sc *KHopScratch, seeds []NodeID, t float64, fanout, hops int) [][]Incidence
-}
-
-// KHopMostRecentInto routes a k-hop query through the scratch-reuse path when
-// s implements KHopInto and falls back to the allocating Store method
-// otherwise, so wrappers can offer the fast path without constraining their
-// inner store.
+// KHopMostRecentInto is s.KHopMostRecentInto(sc, …).
+//
+// Deprecated: kept only because the frozen benchmark/ladder.go calls this
+// signature; the next benchmark PR should call the Store method and delete it.
 func KHopMostRecentInto(s Store, sc *KHopScratch, seeds []NodeID, t float64, fanout, hops int) [][]Incidence {
-	if ki, ok := s.(KHopInto); ok {
-		return ki.KHopMostRecentInto(sc, seeds, t, fanout, hops)
-	}
-	return s.KHopMostRecent(seeds, t, fanout, hops)
+	return s.KHopMostRecentInto(sc, seeds, t, fanout, hops)
 }

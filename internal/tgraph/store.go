@@ -3,16 +3,13 @@ package tgraph
 import "math/rand"
 
 // Store is the pluggable temporal-graph backend interface: the exact query
-// surface core.Model and the baselines consume. Three implementations ship:
+// surface core.Model and the baselines consume. Two implementations ship:
 //
 //   - *Graph   — the flat in-process store (not concurrency-safe; callers
 //     serialize, historically behind core's graphMu),
 //   - *Sharded — hash-partitioned adjacency with per-partition RWMutexes
 //     (concurrency-safe; concurrent k-hop gathers and appends touching
-//     disjoint partitions proceed in parallel),
-//   - gdb.Remote — a remote-style backend wrapping any Store behind a
-//     simulated RPC latency model with batched k-hop gathers (the paper's
-//     Figure 6 distributed graph DB deployment).
+//     disjoint partitions proceed in parallel).
 //
 // Every implementation must be query-for-query bit-exact with *Graph when
 // calls are serialized: embeddings depend only on what the store returns, so
@@ -59,6 +56,10 @@ type Store interface {
 	// Results are copy-out: they never alias store-internal adjacency
 	// storage, so they stay valid across subsequent appends.
 	KHopMostRecent(seeds []NodeID, t float64, fanout, hops int) [][]Incidence
+	// KHopMostRecentInto is KHopMostRecent through a caller-owned scratch:
+	// the same incidences in the same order, valid only until the next call
+	// with the same scratch (see KHopScratch).
+	KHopMostRecentInto(sc *KHopScratch, seeds []NodeID, t float64, fanout, hops int) [][]Incidence
 	// EventsBetween returns the events with Time in [lo, hi); entries are
 	// immutable, so the result stays valid across subsequent appends.
 	EventsBetween(lo, hi float64) []Event

@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 
+	"apan/internal/tensor"
 	"apan/internal/tgraph"
 )
 
@@ -123,34 +124,16 @@ func appendRecord(buf []byte, first uint64, events []tgraph.Event, rows []float3
 		le.PutUint64(payload[o+8:], math.Float64bits(ev.Time))
 		payload[o+16] = byte(ev.Label)
 		le.PutUint32(payload[o+17:], uint32(len(ev.Feat)))
-		o = putFloats(payload, o+eventHeadBytes, ev.Feat)
+		// In place: the frame is already sized, so AppendLE never grows it.
+		o = len(tensor.AppendLE(payload[:o+eventHeadBytes], ev.Feat))
 	}
 	le.PutUint32(payload[o:], uint32(nRows))
 	le.PutUint32(payload[o+4:], uint32(dim))
-	putFloats(payload, o+rowsHeadBytes, rows)
+	tensor.AppendLE(payload[:o+rowsHeadBytes], rows)
 
 	le.PutUint32(buf[head:], uint32(len(payload)))
 	le.PutUint32(buf[head+4:], crc32.Checksum(payload, crcTable))
 	return buf
-}
-
-// putFloats writes vals' bit patterns at p[o:] and returns the offset past
-// them.
-func putFloats(p []byte, o int, vals []float32) int {
-	for _, f := range vals {
-		le.PutUint32(p[o:], math.Float32bits(f))
-		o += 4
-	}
-	return o
-}
-
-// getFloats is putFloats' inverse: it fills dst from p[o:].
-func getFloats(dst []float32, p []byte, o int) int {
-	for j := range dst {
-		dst[j] = math.Float32frombits(le.Uint32(p[o:]))
-		o += 4
-	}
-	return o
 }
 
 // recordShape is what a payload's length fields say once checkRecord has
@@ -226,11 +209,13 @@ func (s recordShape) decode(payload []byte, rowBuf []float32) Record {
 		// Full slice expression: an append to one event's features must
 		// not write into the next event's.
 		ev.Feat, arena = arena[:n:n], arena[n:]
-		o = getFloats(ev.Feat, payload, o+eventHeadBytes)
+		o += eventHeadBytes
+		tensor.DecodeLE(ev.Feat, payload[o:])
+		o += 4 * n
 	}
 	n := (len(payload) - s.rowsOff) / 4
 	rec.Rows = slices.Grow(rowBuf[:0], n)[:n]
-	getFloats(rec.Rows, payload, s.rowsOff)
+	tensor.DecodeLE(rec.Rows, payload[s.rowsOff:])
 	return rec
 }
 

@@ -1,12 +1,15 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -144,6 +147,50 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestGoldenFrame pins the version 2 record layout byte for byte: two events
+// and three embedding rows, written out by hand from the layout comment in
+// codec.go (feature and row runs of 5, 1 and 6 floats, so both the
+// four-a-step body and the tail of the float codec are on the page). A
+// change that moves any byte of a frame is a format change and needs a new
+// segment version; the round-trip properties cannot see one.
+func TestGoldenFrame(t *testing.T) {
+	golden := unhex(t, ""+
+		"6e000000 8bc3104b"+ // payloadLen 110 | crc32c(payload)
+		"0700000000000000 02000000"+ // firstIndex 7 | count 2
+		"01000000 02000000 000000000000f83f"+ // src 1 | dst 2 | time 1.5
+		"ff 05000000"+ // label -1 | featLen 5
+		"0000803f 000000c0 0000003f 0000803e 000040bf"+ // 1 -2 0.5 0.25 -0.75
+		"02000000 03000000 0000000000000040"+ // src 2 | dst 3 | time 2
+		"01 01000000 00004040"+ // label 1 | featLen 1 | 3
+		"03000000 02000000"+ // rows 3 | dim 2
+		"0000803f 00000040 00004040 00008040 0000a040 0000c040") // 1 2 3 4 5 6
+	evs := []tgraph.Event{
+		{Src: 1, Dst: 2, Time: 1.5, Label: -1, Feat: []float32{1, -2, 0.5, 0.25, -0.75}},
+		{Src: 2, Dst: 3, Time: 2, Label: 1, Feat: []float32{3}},
+	}
+	rows := []float32{1, 2, 3, 4, 5, 6}
+	if got := appendRecord(nil, 7, evs, rows, 2); !bytes.Equal(got, golden) {
+		t.Fatalf("encoded frame\n%x\nwant\n%x", got, golden)
+	}
+	rec, err := decodeRecord(golden[frameHeaderSize:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.First != 7 || rec.Dim != 2 || !eventsBitEqual(evs, rec.Events) || !floatsBitEqual(rows, rec.Rows) {
+		t.Fatalf("decoded %+v", rec)
+	}
+}
+
+// unhex decodes hex digits, ignoring the spaces between fields.
+func unhex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(strings.ReplaceAll(s, " ", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestQuickRecordRoundTripAppended: records framed back to back into one
