@@ -309,15 +309,16 @@ func BenchmarkPropagateBatch(b *testing.B) {
 }
 
 // BenchmarkPropagateMailScratch isolates the ProcessBatch allocation fix:
-// the propagator now keeps its inbox map, accumulator freelist and one
-// per-event mail buffer across batches (scratch=reused), where it used to
+// the propagator now keeps its inbox map, accumulator freelist, one
+// per-event mail buffer and its per-hop frontier buffers (hops=2 and 3
+// gather one and two levels) across batches (scratch=reused), where it used to
 // allocate a mail slice per event and a map + accumulator set per batch —
 // reproduced by swapping in a brand-new Propagator every iteration
 // (scratch=fresh). Mailbox deliveries are identical either way; compare
 // B/op and allocs/op for the before/after delta.
 func BenchmarkPropagateMailScratch(b *testing.B) {
 	ds := Wikipedia(DatasetConfig{Scale: 0.01, Seed: 1})
-	for _, hops := range []int{1, 2} {
+	for _, hops := range []int{1, 2, 3} {
 		for _, mode := range []string{"reused", "fresh"} {
 			b.Run(fmt.Sprintf("hops=%d/scratch=%s", hops, mode), func(b *testing.B) {
 				m, err := New(Config{NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim, BatchSize: 200, Hops: hops})

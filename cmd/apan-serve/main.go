@@ -91,7 +91,7 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7683", "listen address")
 		scale     = flag.Float64("scale", 0.02, "training dataset scale")
 		epochs    = flag.Int("epochs", 3, "training epochs before serving")
-		dbLatency = flag.Duration("db-latency", 0, "simulated graph-DB latency per query on the async link")
+		dbLatency = flag.Duration("db-latency", 0, "simulated graph-DB latency per round trip on the async link (one round trip per hop per batch)")
 		graphBack = flag.String("graph-backend", "auto", "temporal-graph store: auto|flat|sharded (auto: sharded on ≥4 cores, flat below — the measured crossover; docs/performance.md)")
 		queueCap  = flag.Int("queue-cap", 256, "propagation queue capacity (backpressure bound)")
 		workers   = flag.Int("workers", 1, "asynchronous propagation workers")

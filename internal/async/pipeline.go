@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"apan/internal/core"
-	"apan/internal/eval"
 	"apan/internal/mailbox"
 	"apan/internal/tgraph"
 	"apan/internal/wal"
@@ -78,13 +77,14 @@ func WithQueueCap(n int) Option {
 // WithWorkers sets the number of asynchronous propagation workers. The
 // default of 1 preserves the exact submission-order state evolution the
 // tests rely on; more workers trade that determinism for propagation
-// throughput behind a slow graph database. Safety does not depend on this
-// knob: state writes and mail deliveries lock only the touched store shard,
-// and graph access is serialized by the model's graph mutex — workers
-// beyond 1 therefore parallelize the graph-database wait and the mail
-// generation, not the graph mutation itself. Workers is independent of the
-// store shard count (core.Config.Shards): shards bound reader/writer
-// contention, workers bound propagation parallelism.
+// throughput. Safety does not depend on this knob: state writes and mail
+// deliveries lock only the touched store shard, and graph access is
+// serialized by the model's graph mutex unless the graph backend is
+// concurrency-safe and no WAL is attached. Since each batch costs only
+// Hops−1 graph-database round trips, extra workers have little wait left
+// to overlap. Workers is independent of the store shard count
+// (core.Config.Shards): shards bound reader/writer contention, workers
+// bound propagation parallelism.
 func WithWorkers(n int) Option {
 	return func(o *options) {
 		if n >= 1 {
@@ -148,8 +148,8 @@ type Pipeline struct {
 
 	mu        sync.Mutex
 	idle      *sync.Cond // signaled whenever enqueued == processed
-	syncHist  eval.LatencyHist
-	asyncHist eval.LatencyHist
+	syncLat   latencyRing
+	asyncLat  latencyRing
 	submitted int64
 	enqueued  int64
 	processed int64
@@ -273,7 +273,7 @@ func (p *Pipeline) applyOne(inf *core.Inference, t *tenantState) {
 		p.sched.markApplied(t)
 	}
 	p.mu.Lock()
-	p.asyncHist.Add(d)
+	p.asyncLat.add(d)
 	p.processed++
 	if p.processed == p.enqueued {
 		p.idle.Broadcast()
@@ -299,7 +299,7 @@ func (p *Pipeline) score(events []tgraph.Event) (*core.Inference, time.Duration,
 	lat := time.Since(start)
 
 	p.mu.Lock()
-	p.syncHist.Add(lat)
+	p.syncLat.add(lat)
 	p.mu.Unlock()
 	return inf, lat, nil
 }
@@ -549,19 +549,23 @@ func (p *Pipeline) QueueDepth() int {
 	return int(p.enqueued - p.processed)
 }
 
-// Stats reports instrumentation counters. The latency quantile sorts the
-// whole history, so its cost grows with uptime: call it from /v1/stats, not
-// per request.
+// Stats reports instrumentation counters. The means cover every sample
+// since start; SyncP99 covers the last 1,024 synchronous-link samples. Its
+// cost is bounded by that window, and the sort runs after the pipeline's
+// mutex is released, so a scrape never stalls Submit or the applier.
 func (p *Pipeline) Stats() Stats {
+	var buf [tailWindow]time.Duration
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return Stats{
+	st := Stats{
 		Submitted:     p.submitted,
 		Processed:     p.processed,
 		QueueDepth:    int(p.enqueued - p.processed),
 		MaxQueueDepth: p.maxDepth,
-		SyncMean:      p.syncHist.Mean(),
-		SyncP99:       p.syncHist.Quantile(0.99),
-		AsyncMean:     p.asyncHist.Mean(),
+		SyncMean:      p.syncLat.mean(),
+		AsyncMean:     p.asyncLat.mean(),
 	}
+	tail := p.syncLat.window(buf[:0])
+	p.mu.Unlock()
+	st.SyncP99 = p99(tail)
+	return st
 }

@@ -453,9 +453,8 @@ func TestScoreOnlyLeavesStateUntouched(t *testing.T) {
 }
 
 // TestQueueDepthIsCheapAndAgreesWithStats: QueueDepth is what the request
-// path reads, so it must not allocate however long the latency history has
-// grown (Stats copies and sorts that history), and it must report the depth
-// Stats reports.
+// path reads, so it must not allocate (Stats copies and sorts a window of
+// latency samples), and it must report the depth Stats reports.
 func TestQueueDepthIsCheapAndAgreesWithStats(t *testing.T) {
 	ctx := context.Background()
 	p := New(testModel(t, nil))

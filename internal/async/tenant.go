@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"apan/internal/core"
-	"apan/internal/eval"
 	"apan/internal/tgraph"
 )
 
@@ -90,7 +89,8 @@ func (c TenantConfig) normalized(pipelineCap int) TenantConfig {
 // Submitted counts every submission attempt that reached an open pipeline;
 // each is eventually Applied or Dropped (RateLimited drops are the subset
 // of Dropped shed by the rate gate), so Submitted = Applied + Dropped once
-// the tenant's queue is drained.
+// the tenant's queue is drained. SyncMean covers every scored batch,
+// SyncP99 the tenant's last 1,024.
 type TenantStats struct {
 	Submitted     int64         `json:"submitted"`
 	Applied       int64         `json:"applied"`
@@ -144,7 +144,7 @@ type tenantState struct {
 
 	submitted, applied, dropped, rateLimited int64
 	maxDepth                                 int
-	syncHist                                 eval.LatencyHist
+	syncLat                                  latencyRing
 }
 
 func (t *tenantState) depth() int { return len(t.queue) - t.head }
@@ -316,7 +316,7 @@ func (s *tenantSched) admit(t *tenantState, events []tgraph.Event) error {
 // recordSync attributes a synchronous-link latency sample to the tenant.
 func (s *tenantSched) recordSync(t *tenantState, d time.Duration) {
 	s.mu.Lock()
-	t.syncHist.Add(d)
+	t.syncLat.add(d)
 	s.mu.Unlock()
 }
 
@@ -411,11 +411,12 @@ func (s *tenantSched) kick() {
 	s.mu.Unlock()
 }
 
-// stats snapshots every tenant's accounting.
+// stats snapshots every tenant's accounting. Each tenant's p99 window is
+// copied under the scheduler's mutex and sorted after it is released.
 func (s *tenantSched) stats() map[string]TenantStats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make(map[string]TenantStats, len(s.byID))
+	tails := make(map[string][]time.Duration, len(s.byID))
 	for id, t := range s.byID {
 		out[id] = TenantStats{
 			Submitted:     t.submitted,
@@ -426,9 +427,15 @@ func (s *tenantSched) stats() map[string]TenantStats {
 			MaxQueueDepth: t.maxDepth,
 			Weight:        t.cfg.Weight,
 			Lane:          t.cfg.Lane,
-			SyncMean:      t.syncHist.Mean(),
-			SyncP99:       t.syncHist.Quantile(0.99),
+			SyncMean:      t.syncLat.mean(),
 		}
+		tails[id] = t.syncLat.window(nil)
+	}
+	s.mu.Unlock()
+	for id, tail := range tails {
+		st := out[id]
+		st.SyncP99 = p99(tail)
+		out[id] = st
 	}
 	return out
 }

@@ -1,11 +1,15 @@
 // Package gdb provides the remote-flavored temporal graph access layer: DB,
 // a query-accounting wrapper that models the remote distributed graph
 // database backing the paper's production deployment (Figure 6) — any
-// in-process store behind a simulated RPC latency model with batched k-hop
-// gathers. Synchronous CTDG models (TGAT, TGN) pay the round-trip cost on
-// the inference critical path; APAN's asynchronous propagator pays it off
-// the critical path — the contrast behind Figure 6 and the §4.6 "much
-// greater than 8.7×" claim.
+// in-process store behind a simulated RPC latency model. Reads are either
+// single neighbor-list queries (MostRecentNeighbors, one round trip each) or
+// frontier gathers (MostRecentFrontier): every seed of one hop, each with its
+// own query time, answered in one round trip. The mail propagator expands a
+// whole batch's neighborhoods with one frontier gather per hop, so a batch
+// costs Hops−1 round trips, not that many per event. Synchronous CTDG models
+// (TGAT, TGN) pay the round-trip cost on the inference critical path; APAN's
+// asynchronous propagator pays it off the critical path — the contrast behind
+// Figure 6 and the §4.6 "much greater than 8.7×" claim.
 package gdb
 
 import (
@@ -15,11 +19,10 @@ import (
 	"apan/internal/tgraph"
 )
 
-// LatencyModel maps one neighbor-list query returning n items to a simulated
-// round-trip cost.
+// LatencyModel maps one round trip returning n items to a simulated cost.
 type LatencyModel func(items int) time.Duration
 
-// Constant returns a latency model with a fixed per-query cost.
+// Constant returns a latency model with a fixed cost per round trip.
 func Constant(d time.Duration) LatencyModel {
 	return func(int) time.Duration { return d }
 }
@@ -35,7 +38,7 @@ func PerItem(base, per time.Duration) LatencyModel {
 // sharded — selected by core.Config.GraphBackend.
 type DB struct {
 	G tgraph.Store
-	// Latency, when non-nil, is charged on every neighbor query.
+	// Latency, when non-nil, is charged on every round trip.
 	Latency LatencyModel
 	// Sleep controls whether simulated latency blocks the caller (true, for
 	// live serving demos) or is only accumulated (false, for benchmarks that
@@ -54,12 +57,18 @@ func New(g tgraph.Store) *DB { return &DB{G: g} }
 func (db *DB) charge(n int) {
 	db.queries.Add(1)
 	db.items.Add(int64(n))
-	if db.Latency != nil {
-		d := db.Latency(n)
-		db.simulated.Add(int64(d))
-		if db.Sleep {
-			time.Sleep(d)
-		}
+	db.simulate(n)
+}
+
+// simulate charges the latency model for one round trip returning n items.
+func (db *DB) simulate(n int) {
+	if db.Latency == nil {
+		return
+	}
+	d := db.Latency(n)
+	db.simulated.Add(int64(d))
+	if db.Sleep {
+		time.Sleep(d)
 	}
 }
 
@@ -71,43 +80,27 @@ func (db *DB) MostRecentNeighbors(n tgraph.NodeID, t float64, k int, out []tgrap
 	return out
 }
 
-// chargeKHop records batched-gather accounting for one k-hop traversal:
-// each frontier node counts as one logical query, but the whole hop travels
-// as a single round trip, so the latency model is charged once per hop on
-// the hop's total item count — the protocol a remote graph DB would use
-// (gather the frontier, answer in one response).
-func (db *DB) chargeKHop(out [][]tgraph.Incidence, seeds int) {
-	frontier := seeds
-	for _, hop := range out {
-		items := len(hop)
-		db.queries.Add(int64(frontier))
-		db.items.Add(int64(items))
-		if db.Latency != nil {
-			d := db.Latency(items)
-			db.simulated.Add(int64(d))
-			if db.Sleep {
-				time.Sleep(d)
-			}
-		}
-		frontier = items
+// MostRecentFrontier answers one hop of a batched k-hop gather. For each i
+// it appends to out the up-to-k most recent interactions of seeds[i]
+// strictly before times[i], newest first, and appends to ends the length of
+// out after that answer, so seeds[i]'s neighbors are out[ends[i-1]:ends[i]]
+// (from the original length of out for i = 0). Each seed counts as one
+// logical query, but the whole frontier travels as one round trip: the
+// latency model is charged once, on the hop's total item count — the
+// protocol a remote graph DB would use (gather the frontier, answer in one
+// response). The charge is made even for an empty frontier, so a k-hop
+// expansion always costs one round trip per hop.
+func (db *DB) MostRecentFrontier(seeds []tgraph.NodeID, times []float64, k int, out []tgraph.Incidence, ends []int) ([]tgraph.Incidence, []int) {
+	before := len(out)
+	for i, n := range seeds {
+		out = db.G.MostRecentNeighbors(n, times[i], k, out)
+		ends = append(ends, len(out))
 	}
-}
-
-// KHopMostRecent is Store.KHopMostRecent with batched-gather accounting
-// (see chargeKHop).
-func (db *DB) KHopMostRecent(seeds []tgraph.NodeID, t float64, fanout, hops int) [][]tgraph.Incidence {
-	out := db.G.KHopMostRecent(seeds, t, fanout, hops)
-	db.chargeKHop(out, len(seeds))
-	return out
-}
-
-// KHopMostRecentInto is KHopMostRecent through the backend's scratch-reuse
-// path, with the same batched-gather accounting. The result lifetime
-// follows tgraph.KHopScratch.
-func (db *DB) KHopMostRecentInto(sc *tgraph.KHopScratch, seeds []tgraph.NodeID, t float64, fanout, hops int) [][]tgraph.Incidence {
-	out := db.G.KHopMostRecentInto(sc, seeds, t, fanout, hops)
-	db.chargeKHop(out, len(seeds))
-	return out
+	items := len(out) - before
+	db.queries.Add(int64(len(seeds)))
+	db.items.Add(int64(items))
+	db.simulate(items)
+	return out, ends
 }
 
 // AddEvent inserts an event (writes are not charged latency: ingest is

@@ -1,7 +1,7 @@
 package tgraph
 
 // KHopScratch holds the reusable buffers of a k-hop traversal so steady-state
-// callers (the mail propagator runs one traversal per event) allocate nothing.
+// callers allocate nothing.
 // The slices returned by a *Into call alias the scratch and stay valid only
 // until the next call with the same scratch; callers that need the results to
 // outlive that must copy, or use the allocating KHopMostRecent.

@@ -1,8 +1,8 @@
 // The scratch-reuse k-hop path (KHopMostRecentInto) must answer every query
-// bit-identically to the allocating KHopMostRecent on every backend, charge
-// the same accounting through the gdb wrapper, and allocate nothing once
-// the scratch is warm — that is what lets the mail propagator run one
-// traversal per event without garbage.
+// bit-identically to the allocating KHopMostRecent on every backend and
+// allocate nothing once the scratch is warm; the gdb wrapper's frontier
+// gather, which the mail propagator expands a batch with, must answer and
+// charge what the store's own traversal implies.
 package tgraph_test
 
 import (
@@ -74,9 +74,10 @@ func TestKHopIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestKHopIntoAccountingParity: the gdb.DB wrapper must charge the Into
-// path exactly like the allocating path — same query, item and
-// simulated-latency counters for the same traversal, on every backend.
+// TestKHopIntoAccountingParity: a k-hop expansion through gdb.DB's frontier
+// gather — one call per hop, the propagator's protocol — must answer what the
+// store's own traversal answers and charge what a per-traversal gather does:
+// one query per frontier node, the hop's items, one round trip per hop.
 func TestKHopIntoAccountingParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	stream := randomStream(rng, 300, 16, 48)
@@ -86,17 +87,36 @@ func TestKHopIntoAccountingParity(t *testing.T) {
 		db.Latency = gdb.PerItem(2*time.Millisecond, time.Microsecond)
 
 		seeds := []tgraph.NodeID{2, 9}
-		db.KHopMostRecent(seeds, 150, 6, 2)
-		want := db.Stats()
-		if want.Queries == 0 || want.Items == 0 || want.Simulated == 0 {
-			t.Fatalf("%s: the allocating traversal charged nothing (%+v); the test proves nothing", name, want)
+		const qt, fanout, hops = 150, 6, 2
+		want := s.KHopMostRecent(seeds, qt, fanout, hops)
+		var wantStats gdb.Stats
+		frontier := len(seeds)
+		for _, hop := range want {
+			wantStats.Queries += int64(frontier)
+			wantStats.Items += int64(len(hop))
+			wantStats.Simulated += db.Latency(len(hop))
+			frontier = len(hop)
+		}
+		if wantStats.Queries == 0 || wantStats.Items == 0 {
+			t.Fatalf("%s: the traversal reached nothing (%+v); the test proves nothing", name, wantStats)
 		}
 
-		db.ResetStats()
-		var sc tgraph.KHopScratch
-		db.KHopMostRecentInto(&sc, seeds, 150, 6, 2)
-		if got := db.Stats(); got != want {
-			t.Errorf("%s: DB accounting: Into path %+v, allocating path %+v", name, got, want)
+		var lvl []tgraph.Incidence
+		var times []float64
+		for h := 0; h < hops; h++ {
+			times = times[:0]
+			for range seeds {
+				times = append(times, qt)
+			}
+			lvl, _ = db.MostRecentFrontier(seeds, times, fanout, lvl[:0], nil)
+			sameIncidences(t, name+": frontier hop", lvl, want[h])
+			seeds = seeds[:0]
+			for _, inc := range lvl {
+				seeds = append(seeds, inc.Peer)
+			}
+		}
+		if got := db.Stats(); got != wantStats {
+			t.Errorf("%s: DB accounting: frontier gathers %+v, per-traversal gather %+v", name, got, wantStats)
 		}
 	}
 }
