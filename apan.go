@@ -112,18 +112,10 @@ type (
 	Event = tgraph.Event
 	// NodeID identifies a node.
 	NodeID = tgraph.NodeID
-	// GraphStore is the pluggable temporal-graph backend interface; all
-	// implementations answer the query surface identically (see
-	// docs/testing.md for the proof obligations of a new backend).
-	GraphStore = tgraph.Store
-	// Graph is the flat single-mutex temporal graph store (callers
-	// serialize writers against readers; Model does so internally).
+	// Graph is the temporal graph store (callers serialize writers
+	// against readers; Model does so internally).
 	Graph = tgraph.Graph
-	// ShardedGraph hash-partitions nodes across power-of-two partitions
-	// with per-partition locks, so appliers and readers proceed in
-	// parallel (Config.GraphBackend "sharded").
-	ShardedGraph = tgraph.Sharded
-	// GraphDB wraps a GraphStore with latency simulation and query
+	// GraphDB wraps a Graph with latency simulation and query
 	// accounting.
 	GraphDB = gdb.DB
 	// LatencyModel maps a neighbor query to a simulated round-trip cost.
@@ -136,25 +128,11 @@ type (
 	NodeState = state.Sharded
 )
 
-// Graph-backend selectors for Config.GraphBackend; empty means flat.
-const (
-	GraphBackendFlat    = core.GraphBackendFlat
-	GraphBackendSharded = core.GraphBackendSharded
-)
-
 // NewGraph creates an empty temporal graph over numNodes nodes.
 func NewGraph(numNodes int) *Graph { return tgraph.New(numNodes) }
 
-// NewShardedGraph creates a concurrency-safe temporal graph over numNodes
-// nodes striped across parts partitions (rounded up to a power of two).
-func NewShardedGraph(numNodes, parts int) *ShardedGraph { return tgraph.NewSharded(numNodes, parts) }
-
-// NewGraphStore builds the store selected by cfg.GraphBackend — what New
-// uses internally; exposed so custom GraphDB wiring can stay backend-aware.
-func NewGraphStore(cfg Config) GraphStore { return core.NewGraphStore(cfg) }
-
 // NewGraphDB wraps g with accounting and no latency.
-func NewGraphDB(g GraphStore) *GraphDB { return gdb.New(g) }
+func NewGraphDB(g *Graph) *GraphDB { return gdb.New(g) }
 
 // ConstantLatency returns a fixed per-query latency model.
 var ConstantLatency = gdb.Constant
@@ -312,9 +290,6 @@ var ParseSyncPolicy = wal.ParsePolicy
 
 // Warm-standby replication (log-shipped followers; docs/durability.md).
 type (
-	// CutStats is the accounting of one checkpoint cut: how many shards an
-	// incremental cut copied versus aliased, and the apply-pause it cost.
-	CutStats = core.CutStats
 	// WALFaultInjector intercepts segment writes and fsyncs before they
 	// reach the disk (WALOptions.Inject) — the storage fault-injection seam
 	// the scenario harness drives.

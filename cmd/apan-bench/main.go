@@ -52,7 +52,6 @@ func main() {
 		fanout      = flag.Int("fanout", 10, "sampled neighbors")
 		slots       = flag.Int("slots", 10, "mailbox slots")
 		dbLatency   = flag.Duration("db-latency", 0, "simulated graph-DB latency per query (fig6, §4.6)")
-		graphBack   = flag.String("graph-backend", "", "temporal-graph store behind the scenario harness: flat|sharded (empty: flat; backend_parity cross-checks the other)")
 		models      = flag.String("models", "", "comma-separated model subset (default: the paper's)")
 		jsonOut     = flag.Bool("json", false, "write the perf/scenarios experiment's results to -json-out")
 		jsonPath    = flag.String("json-out", "BENCH_apan.json", "path of the machine-readable experiment record")
@@ -94,16 +93,15 @@ func main() {
 	}
 
 	o := bench.Options{
-		Scale:        *scale,
-		Seed:         *seed,
-		Seeds:        *seeds,
-		Epochs:       *epochs,
-		BatchSize:    *batch,
-		Fanout:       *fanout,
-		Slots:        *slots,
-		DBLatency:    *dbLatency,
-		GraphBackend: *graphBack,
-		Out:          os.Stdout,
+		Scale:     *scale,
+		Seed:      *seed,
+		Seeds:     *seeds,
+		Epochs:    *epochs,
+		BatchSize: *batch,
+		Fanout:    *fanout,
+		Slots:     *slots,
+		DBLatency: *dbLatency,
+		Out:       os.Stdout,
 	}
 	var subset []string
 	if *models != "" {

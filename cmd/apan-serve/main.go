@@ -1,7 +1,7 @@
 // Command apan-serve exposes APAN's deployment architecture (paper
 // Fig. 2b) over the v1 HTTP/JSON API: the request path runs only the
 // synchronous link (mailbox read + encoder + decoder) while graph writes
-// and mail propagation happen on the asynchronous workers, with a
+// and mail propagation happen on the asynchronous applier, with a
 // server-side micro-batcher coalescing concurrent single-event requests.
 //
 // Endpoints (schemas in docs/serving.md):
@@ -66,7 +66,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,12 +76,6 @@ import (
 	"apan/internal/serve"
 )
 
-// shardedBackendMinCores is the -graph-backend auto crossover: below this
-// core count the sharded store's per-partition locking costs more than the
-// flat store's single mutex saves (graph_{flat,sharded}_p1 in BENCH_apan.json;
-// docs/performance.md "Graph backend crossover").
-const shardedBackendMinCores = 4
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("apan-serve: ")
@@ -92,9 +85,7 @@ func main() {
 		scale     = flag.Float64("scale", 0.02, "training dataset scale")
 		epochs    = flag.Int("epochs", 3, "training epochs before serving")
 		dbLatency = flag.Duration("db-latency", 0, "simulated graph-DB latency per round trip on the async link (one round trip per hop per batch)")
-		graphBack = flag.String("graph-backend", "auto", "temporal-graph store: auto|flat|sharded (auto: sharded on ≥4 cores, flat below — the measured crossover; docs/performance.md)")
 		queueCap  = flag.Int("queue-cap", 256, "propagation queue capacity (backpressure bound)")
-		workers   = flag.Int("workers", 1, "asynchronous propagation workers")
 		shards    = flag.Int("shards", 16, "lock-stripe count of the node-state and mailbox stores (power of two)")
 		inferWork = flag.Int("infer-workers", 1, "goroutines the synchronous-link gather fans out across")
 		flushConc = flag.Int("flush-concurrency", 1, "coalesced batches scored in parallel")
@@ -107,7 +98,6 @@ func main() {
 		loadPath  = flag.String("load", "", "start from this checkpoint (parameters + streaming state) instead of training")
 		ckptPath  = flag.String("checkpoint", "apan-serve.ckpt", "checkpoint path for -checkpoint-every")
 		ckptEvery = flag.Duration("checkpoint-every", 0, "write -checkpoint atomically at this interval (0 disables)")
-		ckptIncr  = flag.Bool("ckpt-incremental", false, "incremental checkpoint cuts: copy only shards dirtied since the last cut (sharded stores; docs/durability.md)")
 
 		walDir     = flag.String("wal", "", "write-ahead log directory: every applied batch is logged for replay-to-watermark recovery (empty disables durability); in -follow addr mode, where shipped segments land")
 		fsyncMode  = flag.String("fsync", "interval", "WAL fsync policy: group (durable before ack), interval (bounded loss), none (page cache only)")
@@ -132,30 +122,15 @@ func main() {
 	ds := apan.Wikipedia(apan.DatasetConfig{Scale: *scale, Seed: *seed})
 	split := ds.Split(0.70, 0.15)
 
-	backend := *graphBack
-	if backend == "auto" {
-		// All backends are bit-exact, so auto is purely a throughput choice:
-		// per-partition locking only pays for itself once appliers actually
-		// run concurrently. Below the crossover (measured in
-		// docs/performance.md) the flat store's single mutex is faster.
-		backend = apan.GraphBackendFlat
-		if runtime.NumCPU() >= shardedBackendMinCores {
-			backend = apan.GraphBackendSharded
-		}
-	}
-
 	cfg := apan.Config{
 		NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim, Seed: *seed,
 		Shards: *shards, InferWorkers: *inferWork,
-		GraphBackend: backend,
-
-		IncrementalCheckpoints: *ckptIncr,
-		EvictMaxNodes:          *evictMax,
+		EvictMaxNodes: *evictMax,
 	}
 	if err := cfg.Normalize(); err != nil {
 		log.Fatal(err)
 	}
-	db := apan.NewGraphDB(apan.NewGraphStore(cfg))
+	db := apan.NewGraphDB(apan.NewGraph(cfg.NumNodes))
 	if *dbLatency > 0 {
 		db.Latency = apan.ConstantLatency(*dbLatency)
 		db.Sleep = true
@@ -164,7 +139,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("graph backend: %s", model.GraphBackend())
 
 	if *loadPath != "" {
 		// Resume from a checkpoint: parameters and the full streaming state
@@ -361,10 +335,7 @@ func main() {
 	}
 
 	var trainer *apan.OnlineTrainer
-	popts := []apan.PipelineOption{
-		apan.WithQueueCap(*queueCap),
-		apan.WithWorkers(*workers),
-	}
+	popts := []apan.PipelineOption{apan.WithQueueCap(*queueCap)}
 	if *tenants != "" || *tenantRate > 0 {
 		cfgs, err := parseTenantSpecs(*tenants)
 		if err != nil {

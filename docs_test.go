@@ -56,23 +56,25 @@ func TestDocLinks(t *testing.T) {
 // serveFlag matches a flag definition in cmd/apan-serve/main.go.
 var serveFlag = regexp.MustCompile(`flag\.\w+\("([a-z-]+)"`)
 
+// knobRow matches a table row of docs/configuration.md that names a knob:
+// its name in backticks in the first cell.
+var knobRow = regexp.MustCompile("(?m)^\\| `([^`]+)` \\|")
+
 // TestConfigurationDocCoversEveryKnob holds docs/configuration.md to the
-// code: every core.Config field and every apan-serve flag must have a row
-// (its name in backticks at the start of a table row), so adding a knob
-// without saying when to turn it fails here.
+// code both ways: every core.Config field and every apan-serve flag must
+// have a row (its name in backticks at the start of a table row), so adding
+// a knob without saying when to turn it fails here — and every row must
+// name a field or flag that still exists, so deleting a knob without its
+// row fails too.
 func TestConfigurationDocCoversEveryKnob(t *testing.T) {
 	doc, err := os.ReadFile("docs/configuration.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hasRow := func(name string) bool {
-		return strings.Contains(string(doc), "\n| `"+name+"` |")
-	}
+	knobs := map[string]bool{}
 	cfg := reflect.TypeOf(core.Config{})
 	for i := 0; i < cfg.NumField(); i++ {
-		if name := cfg.Field(i).Name; !hasRow(name) {
-			t.Errorf("docs/configuration.md has no row for core.Config.%s", name)
-		}
+		knobs[cfg.Field(i).Name] = true
 	}
 	src, err := os.ReadFile("cmd/apan-serve/main.go")
 	if err != nil {
@@ -83,8 +85,23 @@ func TestConfigurationDocCoversEveryKnob(t *testing.T) {
 		t.Fatalf("found only %d flag definitions in cmd/apan-serve/main.go; the pattern no longer matches how they are written", len(flags))
 	}
 	for _, m := range flags {
-		if !hasRow("-" + m[1]) {
-			t.Errorf("docs/configuration.md has no row for apan-serve -%s", m[1])
+		knobs["-"+m[1]] = true
+	}
+
+	rows := map[string]bool{}
+	for _, m := range knobRow.FindAllStringSubmatch(string(doc), -1) {
+		rows[m[1]] = true
+		if !knobs[m[1]] {
+			t.Errorf("docs/configuration.md has a row for %s, which is no core.Config field or apan-serve flag", m[1])
+		}
+	}
+	for name := range knobs {
+		if !rows[name] {
+			kind := "core.Config field"
+			if strings.HasPrefix(name, "-") {
+				kind = "apan-serve flag"
+			}
+			t.Errorf("docs/configuration.md has no row for %s %s", kind, name)
 		}
 	}
 }

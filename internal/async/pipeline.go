@@ -76,15 +76,10 @@ func WithQueueCap(n int) Option {
 
 // WithWorkers sets the number of asynchronous propagation workers. The
 // default of 1 preserves the exact submission-order state evolution the
-// tests rely on; more workers trade that determinism for propagation
-// throughput. Safety does not depend on this knob: state writes and mail
-// deliveries lock only the touched store shard, and graph access is
-// serialized by the model's graph mutex unless the graph backend is
-// concurrency-safe and no WAL is attached. Since each batch costs only
-// Hops−1 graph-database round trips, extra workers have little wait left
-// to overlap. Workers is independent of the store shard count
-// (core.Config.Shards): shards bound reader/writer contention, workers
-// bound propagation parallelism.
+// tests rely on. Safety does not depend on this knob: state writes and mail
+// deliveries lock only the touched store shard, and every graph access is
+// serialized by the model's graph mutex — so extra workers overlap only the
+// state writes, never the graph work.
 func WithWorkers(n int) Option {
 	return func(o *options) {
 		if n >= 1 {
@@ -201,10 +196,6 @@ func (p *Pipeline) EdgeDim() int { return p.model.Cfg.EdgeDim }
 // ParamVersion reports the served model's currently published parameter
 // version (see core.Model.SwapParams) for the serving stats surface.
 func (p *Pipeline) ParamVersion() uint64 { return p.model.ParamVersion() }
-
-// GraphBackend reports the served model's temporal-graph store selector
-// (core.GraphBackend*) for the serving stats surface.
-func (p *Pipeline) GraphBackend() string { return p.model.GraphBackend() }
 
 // WALStats reports the attached write-ahead log's health for the serving
 // stats surface, or nil when the model serves without durability.

@@ -33,11 +33,7 @@ type Options struct {
 	// simulated latency. It is added to the critical path of synchronous
 	// models only (Figure 6's deployment scenario, §4.6).
 	DBLatency time.Duration
-	// GraphBackend selects the temporal-graph store behind the scenario
-	// harness (core.GraphBackend*); empty means flat. The perf experiment
-	// sweeps backends itself and ignores this.
-	GraphBackend string
-	Out          io.Writer // table output; nil discards
+	Out       io.Writer // table output; nil discards
 }
 
 func (o *Options) normalize() {

@@ -37,14 +37,12 @@ type PerfReport struct {
 	Scenarios     []PerfScenario `json:"scenarios"`
 }
 
-// perfModel builds a warmed model over the benchmark dataset, on the given
-// graph backend ("" = flat).
-func perfModel(o Options, ds *dataset.Dataset, hops int, backend string) (*core.Model, []tgraph.Event, error) {
+// perfModel builds a warmed model over the benchmark dataset.
+func perfModel(o Options, ds *dataset.Dataset, hops int) (*core.Model, []tgraph.Event, error) {
 	cfg := core.Config{
 		NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim,
 		Slots: o.Slots, Neighbors: o.Fanout,
 		BatchSize: o.BatchSize, Seed: o.Seed,
-		GraphBackend: backend,
 	}
 	if hops > 0 {
 		cfg.Hops = hops
@@ -95,7 +93,7 @@ func RunPerf(o Options) (*PerfReport, error) {
 	}
 
 	{
-		m, batch, err := perfModel(o, ds, 0, core.GraphBackendFlat)
+		m, batch, err := perfModel(o, ds, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +114,7 @@ func RunPerf(o Options) (*PerfReport, error) {
 	{
 		prev := runtime.GOMAXPROCS(0)
 		for _, p := range []int{1, 4, 8} {
-			m, batch, err := perfModel(o, ds, 0, core.GraphBackendFlat)
+			m, batch, err := perfModel(o, ds, 0)
 			if err != nil {
 				runtime.GOMAXPROCS(prev)
 				return nil, err
@@ -146,41 +144,33 @@ func RunPerf(o Options) (*PerfReport, error) {
 		}
 	}
 
-	// Full serve cycles (InferBatch + ApplyInference) per graph backend
-	// across the same GOMAXPROCS sweep. This is where the backend choice
-	// shows: the flat store serializes every apply on the model's graph
-	// mutex, while a concurrency-safe backend (tgraph.Sharded) lets
-	// appliers proceed in parallel under partition locks — so graph_flat_p8
-	// vs graph_sharded_p8 is the row pair docs/performance.md reports.
+	// Full serve cycles (InferBatch + ApplyInference) across the same
+	// GOMAXPROCS sweep. Scoring runs in parallel; every apply serializes on
+	// the model's graph mutex.
 	{
 		prev := runtime.GOMAXPROCS(0)
-		for _, be := range []struct{ name, backend string }{
-			{"graph_flat", core.GraphBackendFlat},
-			{"graph_sharded", core.GraphBackendSharded},
-		} {
-			for _, p := range []int{1, 4, 8} {
-				m, batch, err := perfModel(o, ds, 0, be.backend)
-				if err != nil {
-					runtime.GOMAXPROCS(prev)
-					return nil, err
-				}
-				inf := m.InferBatch(batch)
-				m.ApplyInference(inf)
-				inf.Release()
-				runtime.GOMAXPROCS(p)
-				r := testing.Benchmark(func(b *testing.B) {
-					b.ReportAllocs()
-					b.RunParallel(func(pb *testing.PB) {
-						for pb.Next() {
-							inf := m.InferBatch(batch)
-							m.ApplyInference(inf)
-							inf.Release()
-						}
-					})
-				})
+		for _, p := range []int{1, 4, 8} {
+			m, batch, err := perfModel(o, ds, 0)
+			if err != nil {
 				runtime.GOMAXPROCS(prev)
-				add(fmt.Sprintf("%s_p%d", be.name, p), len(batch), r)
+				return nil, err
 			}
+			inf := m.InferBatch(batch)
+			m.ApplyInference(inf)
+			inf.Release()
+			runtime.GOMAXPROCS(p)
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						inf := m.InferBatch(batch)
+						m.ApplyInference(inf)
+						inf.Release()
+					}
+				})
+			})
+			runtime.GOMAXPROCS(prev)
+			add(fmt.Sprintf("graph_flat_p%d", p), len(batch), r)
 		}
 	}
 
@@ -193,7 +183,7 @@ func RunPerf(o Options) (*PerfReport, error) {
 		name string
 		on   bool
 	}{{"infer_batch_wal_off", false}, {"infer_batch_wal_on", true}} {
-		m, batch, err := perfModel(o, ds, 0, core.GraphBackendFlat)
+		m, batch, err := perfModel(o, ds, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -231,33 +221,13 @@ func RunPerf(o Options) (*PerfReport, error) {
 	}
 
 	// Checkpoint cut cost: the pause a durability cut imposes at the serial
-	// apply point, full-copy vs incremental. The incremental row keeps the
-	// previous cut's snapshot and copies only shards a batch dirtied since,
-	// so its delta vs the full row is the payoff docs/durability.md quotes
-	// (one small batch touches a handful of the 64 shards).
-	for _, mode := range []struct {
-		name string
-		incr bool
-	}{{"checkpoint_cut_full", false}, {"checkpoint_cut_incremental", true}} {
-		cfg := core.Config{
-			NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim,
-			Slots: o.Slots, Neighbors: o.Fanout,
-			BatchSize: o.BatchSize, Seed: o.Seed,
-			Shards: 64, GraphBackend: core.GraphBackendSharded,
-
-			IncrementalCheckpoints: mode.incr,
-		}
-		m, err := core.New(cfg)
+	// apply point — both stores cloned under the exclusive apply gate, at
+	// the default shard count — after each applied batch.
+	{
+		m, batch, err := perfModel(o, ds, 0)
 		if err != nil {
 			return nil, err
 		}
-		warm := 1000
-		if warm+o.BatchSize > len(ds.Events) {
-			return nil, fmt.Errorf("bench: perf needs ≥%d events, dataset has %d (raise -scale)", warm+o.BatchSize, len(ds.Events))
-		}
-		m.EvalStream(ds.Events[:warm], nil)
-		batch := ds.Events[warm : warm+o.BatchSize]
-		m.CheckpointCut() // prime the base the incremental mode diffs against
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -266,10 +236,10 @@ func RunPerf(o Options) (*PerfReport, error) {
 				m.ApplyInference(inf)
 				inf.Release()
 				b.StartTimer()
-				m.CheckpointCut()
+				m.SnapshotRuntime()
 			}
 		})
-		add(mode.name, len(batch), r)
+		add("checkpoint_cut", len(batch), r)
 	}
 
 	// Failover takeover: a follower that lags the dead leader by five
@@ -358,7 +328,7 @@ func RunPerf(o Options) (*PerfReport, error) {
 
 	// hops=1 isolates mail generation (φ, ρ, ψ) from the k-hop sampler.
 	{
-		m, batch, err := perfModel(o, ds, 1, core.GraphBackendFlat)
+		m, batch, err := perfModel(o, ds, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -376,7 +346,7 @@ func RunPerf(o Options) (*PerfReport, error) {
 	// sample, live-state gather, forward/backward, Adam) and one hot swap
 	// (snapshot copy + module binding + atomic publish).
 	{
-		m, _, err := perfModel(o, ds, 0, core.GraphBackendFlat)
+		m, _, err := perfModel(o, ds, 0)
 		if err != nil {
 			return nil, err
 		}

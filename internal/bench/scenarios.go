@@ -20,7 +20,6 @@ type ScenarioReport struct {
 	Seed              int64              `json:"seed"`
 	EventsPerScenario int                `json:"events_per_scenario"`
 	BatchSize         int                `json:"batch_size"`
-	GraphBackend      string             `json:"graph_backend,omitempty"`
 	Results           []*scenario.Result `json:"scenarios"`
 }
 
@@ -54,7 +53,7 @@ func RunScenarios(o Options) (*ScenarioReport, error) {
 	if events < 600 {
 		events = 600
 	}
-	ro := scenario.RunOptions{Seed: o.Seed, Events: events, BatchSize: 50, GraphBackend: o.GraphBackend}
+	ro := scenario.RunOptions{Seed: o.Seed, Events: events, BatchSize: 50}
 
 	rep := &ScenarioReport{
 		GeneratedUnix:     time.Now().Unix(),
@@ -63,7 +62,6 @@ func RunScenarios(o Options) (*ScenarioReport, error) {
 		Seed:              o.Seed,
 		EventsPerScenario: events,
 		BatchSize:         ro.BatchSize,
-		GraphBackend:      o.GraphBackend,
 	}
 
 	fmt.Fprintf(o.Out, "%-22s %7s %7s %7s %6s %6s %10s %10s %5s %9s %5s\n",

@@ -73,10 +73,11 @@ func (m *Model) saveCheckpoint(w io.Writer) (uint64, error) {
 	buf = append(buf, ckptMagic...)
 	buf = le.AppendUint32(buf, ckptVersion)
 	buf = m.CurrentParams().AppendTo(buf)
-	// Capture the shared durability cut (see cut.go) — store clones plus a
-	// zero-copy event-log prefix on one batch boundary; only the appliers
-	// pause, for the clone — then encode straight from the snapshots.
-	stSnap, mbSnap, events, numNodes := m.checkpointCut()
+	// Capture the shared durability cut (see runtimeCut) — store clones
+	// plus a zero-copy event-log prefix on one batch boundary; only the
+	// appliers pause, for the clone — then encode straight from the
+	// snapshots.
+	stSnap, mbSnap, events, numNodes := m.runtimeCut()
 	dim, slots := m.Cfg.EdgeDim, m.Cfg.Slots
 	buf = le.AppendUint32(buf, uint32(numNodes))
 	buf = le.AppendUint32(buf, uint32(dim))
@@ -271,8 +272,8 @@ func (m *Model) applyCheckpoint(b []byte, s ckptShape) {
 		}
 	}
 
-	// Rebuild the graph in place, so the configured backend survives the
-	// load. Features are cut from shared arenas, not allocated per event.
+	// Rebuild the graph in place, so a graph DB holding it keeps seeing the
+	// live graph. Features are cut from shared arenas, not allocated per event.
 	g := m.db.G
 	g.Reset(m.Cfg.NumNodes)
 	c.take(8) // numEvents

@@ -53,13 +53,13 @@ func saveBytes(t testing.TB, m *Model) []byte {
 // TestQuickCheckpointCodecMatchesReference holds the byte codec to the
 // reader and writer it replaced (checkpoint_ref_test.go) over random streams
 // and configurations — node growth past the configured ID space, eviction
-// with re-admission, the key-value ψ, incremental cuts, both graph backends,
-// and the empty model (no events, no mail): the new writer's bytes are the
-// reference writer's, and either writer's file through the other's loader
-// recovers the same runtime, parameters and watermark.
+// with re-admission, the key-value ψ, and the empty model (no events, no
+// mail): the new writer's bytes are the reference writer's, and either
+// writer's file through the other's loader recovers the same runtime,
+// parameters and watermark.
 func TestQuickCheckpointCodecMatchesReference(t *testing.T) {
 	d := tinyData(5)
-	seen := map[string]int{"grew": 0, "evicted": 0, "readmitted": 0, "key-value": 0, "incremental": 0, "empty": 0, "sharded": 0}
+	seen := map[string]int{"grew": 0, "evicted": 0, "readmitted": 0, "key-value": 0, "empty": 0}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := tinyConfig(d.NumNodes)
@@ -71,10 +71,6 @@ func TestQuickCheckpointCodecMatchesReference(t *testing.T) {
 			cfg.EvictMaxNodes = 6 + rng.Intn(30)
 		}
 		cfg.KeyValueMailbox = rng.Intn(3) == 0
-		cfg.IncrementalCheckpoints = rng.Intn(2) == 0
-		if rng.Intn(3) == 0 {
-			cfg.GraphBackend = GraphBackendSharded
-		}
 		events := 0
 		if rng.Intn(6) != 0 {
 			events = 1 + rng.Intn(500)
@@ -86,9 +82,6 @@ func TestQuickCheckpointCodecMatchesReference(t *testing.T) {
 		lo := rng.Intn(len(d.Events) - events)
 		half := events / 2
 		serveGrowing(m, d.Events[lo:lo+half], 1+rng.Intn(40))
-		if cfg.IncrementalCheckpoints {
-			saveBytes(t, m) // the base the second cut's clean shards alias
-		}
 		serveGrowing(m, d.Events[lo+half:lo+events], 1+rng.Intn(40))
 
 		got := saveBytes(t, m)
@@ -127,8 +120,8 @@ func TestQuickCheckpointCodecMatchesReference(t *testing.T) {
 			}
 		}
 		for class, hit := range map[string]bool{"grew": m.NumNodes() > cfg.NumNodes, "evicted": want.eviction.Evicted > 0,
-			"readmitted": want.eviction.Readmitted > 0, "key-value": cfg.KeyValueMailbox, "incremental": cfg.IncrementalCheckpoints,
-			"empty": events == 0, "sharded": cfg.GraphBackend == GraphBackendSharded} {
+			"readmitted": want.eviction.Readmitted > 0, "key-value": cfg.KeyValueMailbox,
+			"empty": events == 0} {
 			if hit {
 				seen[class]++
 			}
@@ -301,7 +294,7 @@ func TestLoadCheckpointAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	g := NewGraphStore(cfg)
+	g := tgraph.New(cfg.NumNodes)
 	graph := testing.AllocsPerRun(5, func() {
 		g.Reset(cfg.NumNodes)
 		for i := range events {
@@ -332,7 +325,7 @@ func TestSaveCheckpointAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		serveGrowing(m, d.Events[:n], 20)
-		cut := testing.AllocsPerRun(5, func() { m.checkpointCut() })
+		cut := testing.AllocsPerRun(5, func() { m.runtimeCut() })
 		save := testing.AllocsPerRun(5, func() {
 			if err := m.SaveCheckpoint(io.Discard); err != nil {
 				t.Fatal(err)

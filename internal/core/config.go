@@ -16,21 +16,6 @@ const (
 	PositionalNone
 )
 
-// Graph backend selectors for Config.GraphBackend: which tgraph.Store
-// implementation holds the temporal graph. The two are query-for-query
-// bit-exact (enforced by the tgraph equivalence suite and the scenario
-// harness's backend_parity invariant); they differ only in locking.
-const (
-	// GraphBackendFlat is the single-structure in-process store, serialized
-	// behind the model's graph mutex (the pre-sharding behavior, kept
-	// reachable as the benchmark baseline). The default.
-	GraphBackendFlat = "flat"
-	// GraphBackendSharded hash-partitions the adjacency across Config.Shards
-	// partitions with per-partition RWMutexes; graph reads skip the model's
-	// graph mutex and appliers run concurrently.
-	GraphBackendSharded = "sharded"
-)
-
 // MailReduce selects the reduction ρ applied when a node receives several
 // mails in one batch.
 type MailReduce int
@@ -68,21 +53,6 @@ type Config struct {
 	// one large batch must be gathered fast; concurrent callers already
 	// parallelize naturally across shards.
 	InferWorkers int
-
-	// GraphBackend selects the temporal-graph store implementation: one of
-	// GraphBackendFlat (default) or GraphBackendSharded. See the constants
-	// for semantics; the two are bit-exact with each other, so this is
-	// purely a locking choice. Ignored by NewWithDB, which receives a
-	// ready-made store.
-	GraphBackend string
-
-	// IncrementalCheckpoints makes checkpoint cuts copy only the state and
-	// mailbox shards modified since the previous cut, retaining that cut's
-	// snapshot as the clean-shard base (one extra deep copy of both stores
-	// held between cuts). The apply-pause becomes O(dirty shards) instead
-	// of O(all state); the serialized checkpoint bytes are identical either
-	// way. Off by default.
-	IncrementalCheckpoints bool
 
 	// EvictMaxNodes bounds the warm working set: at most this many nodes may
 	// hold non-cold state/mailbox contents at once. When an applied batch
@@ -154,15 +124,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.InferWorkers < 1 {
 		return fmt.Errorf("core: Config.InferWorkers must be ≥1, got %d", c.InferWorkers)
-	}
-	if c.GraphBackend == "" {
-		c.GraphBackend = GraphBackendFlat
-	}
-	switch c.GraphBackend {
-	case GraphBackendFlat, GraphBackendSharded:
-	default:
-		return fmt.Errorf("core: Config.GraphBackend must be %q or %q, got %q",
-			GraphBackendFlat, GraphBackendSharded, c.GraphBackend)
 	}
 	if c.EvictMaxNodes < 0 {
 		return fmt.Errorf("core: Config.EvictMaxNodes must be ≥0, got %d", c.EvictMaxNodes)

@@ -202,13 +202,9 @@ func (m *Model) ReadmitBatch(events []tgraph.Event) int {
 		}
 		delete(e.evicted, node)
 		incs = incs[:0]
-		if m.graphSafe {
-			incs = m.db.G.MostRecentNeighbors(node, t, m.Cfg.Neighbors, incs)
-		} else {
-			m.graphMu.Lock()
-			incs = m.db.G.MostRecentNeighbors(node, t, m.Cfg.Neighbors, incs)
-			m.graphMu.Unlock()
-		}
+		m.graphMu.Lock()
+		incs = m.db.G.MostRecentNeighbors(node, t, m.Cfg.Neighbors, incs)
+		m.graphMu.Unlock()
 		if mean == nil {
 			mean = make([]float32, dim)
 			nb = make([]float32, dim)

@@ -22,15 +22,17 @@ import (
 // synchronous path, mail propagator on the asynchronous path, with the
 // node-state and mailbox stores in between.
 //
-// Concurrency: the stores are sharded and lock-striped (Config.Shards), so
-// any number of goroutines may run InferBatch, Embed and ApplyInference
-// concurrently — readers and writers contend only when they touch the same
-// shard. Parameters are versioned: the serving paths read an atomically
-// published immutable snapshot (see SwapParams), so a background trainer can
-// hot-swap weights while serving continues. The deprecated offline entry
-// points (TrainEpoch and the Eval/Collect streams) mutate the model's own
-// parameter copy in place and are not safe to run concurrently with each
-// other or with SwapParams on the same tensors.
+// Concurrency: the node-state and mailbox stores are sharded and
+// lock-striped (Config.Shards), so any number of goroutines may run
+// InferBatch, Embed and ApplyInference concurrently — readers and writers
+// contend only when they touch the same shard. The temporal graph, which
+// only the asynchronous link touches, is one store behind one mutex, so
+// applies serialize there. Parameters are versioned: the serving paths read
+// an atomically published immutable snapshot (see SwapParams), so a
+// background trainer can hot-swap weights while serving continues. The
+// deprecated offline entry points (TrainEpoch and the Eval/Collect streams)
+// mutate the model's own parameter copy in place and are not safe to run
+// concurrently with each other or with SwapParams on the same tensors.
 type Model struct {
 	Cfg Config
 
@@ -59,14 +61,9 @@ type Model struct {
 	// hold it shared and quiesce only the appliers via applyMu, so scoring
 	// proceeds during a snapshot.
 	//
-	// Lock order: storeMu → applyMu → (shard locks | graphMu → partition
-	// locks). Every acquisition sequence is strictly nested in that order;
-	// none re-enters an earlier lock, which is what makes the latch trio
-	// deadlock-free. "Partition locks" are the per-partition RWMutexes of a
-	// sharded graph backend (tgraph.Sharded), taken inside graph calls; with
-	// a concurrency-safe backend graphMu itself is elided on graph reads and
-	// on WAL-free applies (see graphSafe), which shortens but never reorders
-	// the chain.
+	// Lock order: storeMu → applyMu → (shard locks | graphMu). Every
+	// acquisition sequence is strictly nested in that order; none re-enters
+	// an earlier lock, which is what makes the latch trio deadlock-free.
 	storeMu sync.RWMutex
 
 	// applyMu is the apply gate: the asynchronous link's mutators
@@ -81,36 +78,17 @@ type Model struct {
 	// pauses appliers for a memcpy, never inference.
 	applyMu sync.RWMutex
 
-	// graphMu serializes temporal-graph access (insert + k-hop queries) on
-	// the asynchronous link when the configured backend is not
-	// concurrency-safe (the flat store). With a concurrency-safe backend
-	// (graphSafe below) graph reads skip it and WAL-free appliers run
-	// concurrently; graphMu is still taken around WAL Begin + graph insert,
-	// because the WAL's contract is that log order equals graph order and
-	// that needs a serial apply point.
+	// graphMu serializes every temporal-graph access (insert + k-hop
+	// queries; tgraph.Graph does no locking of its own). It also makes the
+	// apply point serial: WAL Begin and the graph insert happen under it, so
+	// log order equals graph order.
 	graphMu sync.Mutex
-
-	// graphSafe caches db.G.ConcurrentSafe() at construction: true when the
-	// graph backend synchronizes internally (sharded), enabling
-	// the graphMu elisions above. Immutable after New.
-	graphSafe bool
 
 	// wal, when attached, records every batch entering the graph, Begin'd
 	// under graphMu immediately before the insert — the serial apply point —
 	// so WAL order equals graph order for any worker count. Guarded by
 	// graphMu.
 	wal *wal.Log
-
-	// ckptMu guards the incremental-checkpoint base retained between cuts
-	// and the last-cut accounting (see cut.go). checkpointCut takes it
-	// ahead of the latch trio — extending the lock order to ckptMu →
-	// storeMu → applyMu — and nothing else acquires it while holding any
-	// model lock, so the chain stays acyclic.
-	ckptMu     sync.Mutex
-	ckptStBase *state.ShardedSnapshot
-	ckptMbBase *mailbox.ShardedSnapshot
-	ckptGGens  []uint64
-	lastCut    CutStats
 
 	// explainMu guards the per-pass attention record below, which Explain
 	// reads and every forward pass overwrites. The record is a copy: the
@@ -155,40 +133,19 @@ type explainRec struct {
 	counts       []int
 }
 
-// New builds an APAN model with a fresh graph store selected by
-// cfg.GraphBackend (flat by default; see the GraphBackend* constants).
+// New builds an APAN model with a fresh temporal graph.
 func New(cfg Config) (*Model, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	return NewWithDB(cfg, gdb.New(NewGraphStore(cfg)))
+	return NewWithDB(cfg, gdb.New(tgraph.New(cfg.NumNodes)))
 }
 
-// NewGraphStore builds the tgraph.Store selected by cfg.GraphBackend. The
-// sharded backends stripe across cfg.Shards partitions — the same stripe
-// count as the state/mailbox stores. cfg should be normalized; an unknown
-// backend falls back to flat, which Normalize has already rejected.
-func NewGraphStore(cfg Config) tgraph.Store {
-	switch cfg.GraphBackend {
-	case GraphBackendSharded:
-		return tgraph.NewSharded(cfg.NumNodes, cfg.Shards)
-	default:
-		return tgraph.New(cfg.NumNodes)
-	}
-}
-
-// backendName maps a store's concrete type back to its GraphBackend
-// selector, so models built through NewWithDB report the store they
-// actually hold.
-func backendName(s tgraph.Store) (string, bool) {
-	switch s.(type) {
-	case *tgraph.Graph:
-		return GraphBackendFlat, true
-	case *tgraph.Sharded:
-		return GraphBackendSharded, true
-	}
-	return "", false
-}
+// NewGraphStore returns tgraph.New(cfg.NumNodes).
+//
+// Deprecated: kept only because the frozen benchmark calls it; the next
+// benchmark PR should call tgraph.New and delete it.
+func NewGraphStore(cfg Config) *tgraph.Graph { return tgraph.New(cfg.NumNodes) }
 
 // NewWithDB builds an APAN model on top of an existing graph database
 // wrapper (e.g. one with a simulated latency model).
@@ -209,10 +166,6 @@ func NewWithDB(cfg Config, db *gdb.DB) (*Model, error) {
 		st:   state.NewSharded(cfg.NumNodes, cfg.EdgeDim, cfg.Shards),
 		mbox: mailbox.NewSharded(cfg.NumNodes, cfg.Slots, cfg.EdgeDim, cfg.Shards),
 		db:   db,
-	}
-	m.graphSafe = db.G.ConcurrentSafe()
-	if name, ok := backendName(db.G); ok {
-		m.Cfg.GraphBackend = name
 	}
 	if cfg.KeyValueMailbox {
 		m.mbox.SetRule(mailbox.UpdateKeyValue)
@@ -248,22 +201,13 @@ func (m *Model) Params() []*nn.Tensor {
 func (m *Model) DB() *gdb.DB { return m.db }
 
 // GraphEvents returns the number of events applied to the temporal graph —
-// the serving watermark — safely with respect to concurrent propagation: a
-// concurrency-safe backend answers under its own log lock, a flat one under
-// the model's graph mutex.
+// the serving watermark — read under the graph mutex, so it is safe with
+// respect to concurrent propagation.
 func (m *Model) GraphEvents() int {
-	if m.graphSafe {
-		return m.db.G.NumEvents()
-	}
 	m.graphMu.Lock()
 	defer m.graphMu.Unlock()
 	return m.db.G.NumEvents()
 }
-
-// GraphBackend reports which graph-store backend the model runs on (one of
-// the GraphBackend* constants, or Config.GraphBackend's original value for
-// a custom NewWithDB store).
-func (m *Model) GraphBackend() string { return m.Cfg.GraphBackend }
 
 // Mailbox exposes the sharded mailbox store. Its per-node operations are
 // safe to call concurrently with serving.
@@ -367,8 +311,8 @@ func (m *Model) ResetRuntime() {
 	defer m.storeMu.Unlock()
 	m.st.Reset()
 	m.mbox.Reset()
-	// Reset in place: the model keeps the same Store value across runtime
-	// resets, so the configured backend (flat or sharded) survives.
+	// Reset in place: the model keeps the same *Graph across runtime
+	// resets, so whoever holds the graph DB keeps seeing the live graph.
 	m.db.G.Reset(m.Cfg.NumNodes)
 	m.db.ResetStats()
 	m.resetEvictor()
@@ -407,18 +351,12 @@ func (m *Model) runtimeCut() (st *state.ShardedSnapshot, mb *mailbox.ShardedSnap
 	numNodes = m.Cfg.NumNodes
 	st = m.st.SnapshotShared()
 	mb = m.mbox.SnapshotShared()
-	// The exclusive apply gate above already quiesced every writer; the flat
-	// backend still wants graphMu for the read itself (it has no internal
-	// synchronization), a concurrency-safe one reads under its own log lock.
-	if m.graphSafe {
-		g := m.db.G
-		events = g.EventLog()[:g.NumEvents()]
-	} else {
-		m.graphMu.Lock()
-		g := m.db.G
-		events = g.EventLog()[:g.NumEvents()]
-		m.graphMu.Unlock()
-	}
+	// The exclusive apply gate above already quiesced every writer; graphMu
+	// is for the read itself (the graph has no synchronization of its own).
+	m.graphMu.Lock()
+	g := m.db.G
+	events = g.EventLog()[:g.NumEvents()]
+	m.graphMu.Unlock()
 	return st, mb, events, numNodes
 }
 
@@ -433,8 +371,8 @@ func (m *Model) RestoreRuntime(snap *Snapshot) {
 	m.Cfg.NumNodes = m.st.NumNodes()
 	// Capture the replay prefix before Reset: the log is append-only and
 	// Reset replaces (never overwrites) its backing array, so the captured
-	// slice keeps the snapshot's events while the same Store value — and
-	// with it the configured backend — is rebuilt in place.
+	// slice keeps the snapshot's events while the same *Graph is rebuilt in
+	// place.
 	g := m.db.G
 	events := g.EventLog()[:snap.gcut]
 	g.Reset(m.Cfg.NumNodes)
@@ -808,11 +746,8 @@ func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 //
 // Safe to call concurrently with InferBatch and with other ApplyInference
 // calls: state writes and mail deliveries lock only the touched shard, so a
-// write burst never stalls synchronous-link reads of other shards. With the
-// flat graph backend the temporal graph is the one serialized piece
-// (graphMu); a concurrency-safe backend (sharded) drops that
-// too when no WAL is attached, so whole appliers run in parallel, locking
-// only the partitions their events touch.
+// write burst never stalls synchronous-link reads of other shards; the
+// temporal graph is the one serialized piece (graphMu).
 // The batch's mutations happen under the shared apply gate as one unit, so
 // a concurrent checkpoint cut lands only on batch boundaries. With a WAL
 // attached the batch is logged at the serial apply point (under graphMu,
@@ -841,23 +776,10 @@ func (m *Model) applyRows(events []tgraph.Event, rows []float32, srcRow, dstRow 
 		m.st.Set(ev.Src, rows[s:s+dim], ev.Time)
 		m.st.Set(ev.Dst, rows[d:d+dim], ev.Time)
 	}
-	var commit wal.Commit
 	m.graphMu.Lock()
-	if m.graphSafe && m.wal == nil {
-		// Concurrency-safe backend, no WAL: there is no serial apply point
-		// to protect, so drop graphMu and let appliers propagate in
-		// parallel — graph inserts take only the touched partitions' locks,
-		// mail deliveries only the recipient's mailbox shard. AttachWAL
-		// cannot race us into a half-logged batch: it needs the apply gate
-		// exclusively and we hold it shared until the batch is fully
-		// applied.
-		m.graphMu.Unlock()
-		m.prop.ProcessBatch(events, m.st)
-	} else {
-		commit = m.logBatchLocked(events, rows)
-		m.prop.ProcessBatch(events, m.st)
-		m.graphMu.Unlock()
-	}
+	commit := m.logBatchLocked(events, rows)
+	m.prop.ProcessBatch(events, m.st)
+	m.graphMu.Unlock()
 	// Eviction is the batch's last mutation, inside the apply gate: a
 	// checkpoint cut can never separate a batch's writes from the evictions
 	// they trigger.

@@ -59,12 +59,6 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("case %d: want error", i)
 		}
 	}
-	// Two graph backends exist; anything else is refused by name.
-	cfg := Config{NumNodes: 10, EdgeDim: 8, GraphBackend: "rpc"}
-	want := `core: Config.GraphBackend must be "flat" or "sharded", got "rpc"`
-	if err := cfg.Normalize(); err == nil || err.Error() != want {
-		t.Fatalf("unknown graph backend: got %v, want %s", err, want)
-	}
 }
 
 func TestTrainingLearnsLinkPrediction(t *testing.T) {

@@ -18,13 +18,9 @@ import (
 // are deterministic.
 //
 // Mailbox deliveries lock only the recipient's shard, so propagation never
-// stalls synchronous-link readers of other shards. Whether ProcessBatch
-// itself may run concurrently is the graph backend's call: with the flat
-// store callers must serialize (core.Model does so with its graph mutex);
-// with a concurrency-safe backend (tgraph.Sharded) concurrent ProcessBatch
-// calls are safe — per-batch scratch comes from an internal pool, graph
-// inserts take only partition locks, and per-node deliveries commute under
-// the mailbox's ψ.
+// stalls synchronous-link readers of other shards. ProcessBatch writes and
+// reads the temporal graph, which does no locking of its own: callers
+// serialize it (core.Model does so with its graph mutex).
 type Propagator struct {
 	cfg  Config
 	db   *gdb.DB
@@ -36,8 +32,7 @@ type Propagator struct {
 	// map keeps its buckets, retired accumulators sit in a freelist, and
 	// one mail buffer serves every event (mailbox.Deliver copies, so
 	// nothing downstream retains these), and the frontier buffers keep
-	// their capacity across batches. Pooling is what lets concurrent
-	// ProcessBatch calls proceed without sharing or re-allocating scratch.
+	// their capacity across batches.
 	scratch sync.Pool
 }
 

@@ -107,9 +107,9 @@ type propCase struct {
 // streamOrders are the timestamp shapes propCase draws from.
 var streamOrders = []string{"sorted", "shuffled", "decreasing", "negative", "random", "nan"}
 
-// genPropCase draws a config (Hops 1–3, Neighbors 1–10, both ψ rules, both
-// graph backends) and 1–4 batches of 1–300 events whose times follow one of
-// streamOrders, with duplicate times, self-loops and node IDs that grow.
+// genPropCase draws a config (Hops 1–3, Neighbors 1–10, both ψ rules) and
+// 1–4 batches of 1–300 events whose times follow one of streamOrders, with
+// duplicate times, self-loops and node IDs that grow.
 func genPropCase(rng *rand.Rand) propCase {
 	base := 4 + rng.Intn(40)
 	cfg := tinyConfig(base)
@@ -118,7 +118,6 @@ func genPropCase(rng *rand.Rand) propCase {
 	cfg.Neighbors = 1 + rng.Intn(10)
 	cfg.Slots = 1 + rng.Intn(4)
 	cfg.Reduce = MailReduce(rng.Intn(2))
-	cfg.GraphBackend = allBackends[rng.Intn(len(allBackends))]
 	cfg.Shards = 1 << rng.Intn(3)
 	c := propCase{cfg: cfg, order: streamOrders[rng.Intn(len(streamOrders))]}
 
@@ -276,8 +275,8 @@ func TestQuickFrontierPropagationMatchesReference(t *testing.T) {
 			q, it := referenceProcessBatch(want.prop, &k, batch, want.st)
 			queries, items = queries+q, items+it
 			if err := samePropagation(got, want); err != nil {
-				t.Errorf("seed %d (%s stream, hops %d, neighbors %d, reduce %d, %s graph) batch %d of %d events: %v",
-					seed, c.order, c.cfg.Hops, c.cfg.Neighbors, c.cfg.Reduce, c.cfg.GraphBackend, b, len(batch), err)
+				t.Errorf("seed %d (%s stream, hops %d, neighbors %d, reduce %d) batch %d of %d events: %v",
+					seed, c.order, c.cfg.Hops, c.cfg.Neighbors, c.cfg.Reduce, b, len(batch), err)
 				return false
 			}
 			if st := got.db.Stats(); st.Queries != queries || st.Items != items {
@@ -322,7 +321,7 @@ func TestProcessBatchRoundTrips(t *testing.T) {
 		for _, decreasing := range []bool{false, true} {
 			cfg := tinyConfig(64)
 			cfg.Hops = hops
-			db := gdb.New(NewGraphStore(cfg))
+			db := gdb.New(tgraph.New(cfg.NumNodes))
 			db.Latency = gdb.Constant(d)
 			m, err := NewWithDB(cfg, db)
 			if err != nil {

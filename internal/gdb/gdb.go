@@ -33,11 +33,11 @@ func PerItem(base, per time.Duration) LatencyModel {
 	return func(items int) time.Duration { return base + time.Duration(items)*per }
 }
 
-// DB is a temporal graph store with query accounting and an optional
-// simulated-latency model. G may be either tgraph.Store backend — flat or
-// sharded — selected by core.Config.GraphBackend.
+// DB is the temporal graph store with query accounting and an optional
+// simulated-latency model. DB adds no locking: callers serialize access to
+// G as they would to a bare tgraph.Graph.
 type DB struct {
-	G tgraph.Store
+	G *tgraph.Graph
 	// Latency, when non-nil, is charged on every round trip.
 	Latency LatencyModel
 	// Sleep controls whether simulated latency blocks the caller (true, for
@@ -51,7 +51,7 @@ type DB struct {
 }
 
 // New wraps g with no latency model.
-func New(g tgraph.Store) *DB { return &DB{G: g} }
+func New(g *tgraph.Graph) *DB { return &DB{G: g} }
 
 // charge records one query returning n items.
 func (db *DB) charge(n int) {
@@ -72,7 +72,7 @@ func (db *DB) simulate(n int) {
 	}
 }
 
-// MostRecentNeighbors is Store.MostRecentNeighbors with accounting.
+// MostRecentNeighbors is Graph.MostRecentNeighbors with accounting.
 func (db *DB) MostRecentNeighbors(n tgraph.NodeID, t float64, k int, out []tgraph.Incidence) []tgraph.Incidence {
 	before := len(out)
 	out = db.G.MostRecentNeighbors(n, t, k, out)

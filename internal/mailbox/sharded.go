@@ -30,13 +30,9 @@ type Sharded struct {
 type mailShard struct {
 	mu sync.RWMutex
 	st *Store
-	// gen counts modifications to this shard (any mutator bumps it under
-	// the shard's write lock). Incremental checkpoint cuts compare gens to
-	// skip cloning shards untouched since the previous cut.
-	gen uint64
-	// Pad the 24-byte mutex + 8-byte pointer + 8-byte gen to a full cache
-	// line so shard locks don't false-share.
-	_ [24]byte
+	// Pad the 24-byte mutex + 8-byte pointer to a full cache line so shard
+	// locks don't false-share.
+	_ [32]byte
 }
 
 // NewSharded creates an empty sharded store for numNodes mailboxes of
@@ -89,13 +85,9 @@ func (s *Sharded) SetRule(r UpdateRule) {
 	s.lockAll()
 	for i := range s.shards {
 		s.shards[i].st.SetRule(r)
-		s.shards[i].gen++
 	}
 	s.unlockAll()
 }
-
-// NumShards returns the number of lock shards.
-func (s *Sharded) NumShards() int { return len(s.shards) }
 
 // Slots returns the per-node slot count m.
 func (s *Sharded) Slots() int { return s.slots }
@@ -128,7 +120,6 @@ func (s *Sharded) Deliver(n int32, mail []float32, ts float64) {
 	sh, local := s.locate(n)
 	sh.mu.Lock()
 	sh.st.Deliver(local, mail, ts)
-	sh.gen++
 	sh.mu.Unlock()
 }
 
@@ -138,7 +129,6 @@ func (s *Sharded) SetMails(n int32, mails []float32, ts []float64) {
 	sh, local := s.locate(n)
 	sh.mu.Lock()
 	sh.st.SetMails(local, mails, ts)
-	sh.gen++
 	sh.mu.Unlock()
 }
 
@@ -158,7 +148,6 @@ func (s *Sharded) ClearNode(n int32) {
 	sh, local := s.locate(n)
 	sh.mu.Lock()
 	sh.st.ClearNode(local)
-	sh.gen++
 	sh.mu.Unlock()
 }
 
@@ -174,7 +163,6 @@ func (s *Sharded) Grow(n int) {
 		cap := shardCap(n, len(s.shards))
 		for i := range s.shards {
 			s.shards[i].st.Grow(cap)
-			s.shards[i].gen++
 		}
 		s.numNodes.Store(int64(n))
 	}
@@ -186,7 +174,6 @@ func (s *Sharded) Reset() {
 	s.lockAll()
 	for i := range s.shards {
 		s.shards[i].st.Reset()
-		s.shards[i].gen++
 	}
 	s.unlockAll()
 }
@@ -241,12 +228,10 @@ func (s *Sharded) unlockAll() {
 
 // ShardedSnapshot captures a Sharded store for later Restore. Snapshots
 // are immutable: Restore and checkpoint serialization clone out of them,
-// never mutate them — which is what lets incremental cuts alias clean
-// shards across successive snapshots.
+// never mutate them.
 type ShardedSnapshot struct {
 	numNodes int
 	shards   []*Store
-	gens     []uint64 // per-shard modification counters at capture time
 }
 
 // ReadSorted is Sharded.ReadSorted over the captured contents, so a
@@ -260,15 +245,11 @@ func (snap *ShardedSnapshot) ReadSorted(n int32, buf []float32, tsOut []float64)
 // Snapshot returns a deep, cross-shard-consistent copy of the store (all
 // shards locked for the duration).
 func (s *Sharded) Snapshot() *ShardedSnapshot {
-	snap := &ShardedSnapshot{
-		shards: make([]*Store, len(s.shards)),
-		gens:   make([]uint64, len(s.shards)),
-	}
+	snap := &ShardedSnapshot{shards: make([]*Store, len(s.shards))}
 	s.lockAll()
 	snap.numNodes = int(s.numNodes.Load())
 	for i := range s.shards {
 		snap.shards[i] = s.shards[i].st.clone()
-		snap.gens[i] = s.shards[i].gen
 	}
 	s.unlockAll()
 	return snap
@@ -281,39 +262,17 @@ func (s *Sharded) Snapshot() *ShardedSnapshot {
 // that); with writers running it degrades to per-shard consistency, like
 // any interleaved read.
 func (s *Sharded) SnapshotShared() *ShardedSnapshot {
-	snap, _ := s.SnapshotSharedSince(nil)
-	return snap
-}
-
-// SnapshotSharedSince is SnapshotShared with incremental cloning: shards
-// whose modification counter is unchanged since prev was captured reuse
-// prev's clone instead of copying again — safe because snapshots are
-// immutable (see ShardedSnapshot). Returns the snapshot and the number of
-// shards actually cloned. prev must come from this store (same shard
-// count); nil, or a shard-count mismatch, degrades to a full copy. The
-// same quiescence caveat as SnapshotShared applies: cross-shard
-// consistency needs writers externally paused.
-func (s *Sharded) SnapshotSharedSince(prev *ShardedSnapshot) (*ShardedSnapshot, int) {
 	snap := &ShardedSnapshot{
 		numNodes: int(s.numNodes.Load()),
 		shards:   make([]*Store, len(s.shards)),
-		gens:     make([]uint64, len(s.shards)),
 	}
-	incremental := prev != nil && len(prev.shards) == len(s.shards) && len(prev.gens) == len(s.shards)
-	cloned := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		snap.gens[i] = sh.gen
-		if incremental && prev.gens[i] == sh.gen {
-			snap.shards[i] = prev.shards[i]
-		} else {
-			snap.shards[i] = sh.st.clone()
-			cloned++
-		}
+		snap.shards[i] = sh.st.clone()
 		sh.mu.RUnlock()
 	}
-	return snap, cloned
+	return snap
 }
 
 // Restore resets the store to a previously captured snapshot, including its
@@ -325,7 +284,6 @@ func (s *Sharded) Restore(snap *ShardedSnapshot) {
 	s.lockAll()
 	for i := range s.shards {
 		s.shards[i].st = snap.shards[i].clone()
-		s.shards[i].gen++
 	}
 	s.numNodes.Store(int64(snap.numNodes))
 	s.unlockAll()

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // TestShardedMatchesFlatQuick is the equivalence property behind the whole
@@ -211,66 +212,12 @@ func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMailSnapshotSharedSinceAliasesCleanShards mirrors the state-store
-// aliasing test: untouched shards are reused by pointer across snapshots,
-// and bulk mutators (Reset, Restore, Grow, SetRule) dirty every shard.
-func TestMailSnapshotSharedSinceAliasesCleanShards(t *testing.T) {
-	const nodes, slots, dim, shards = 64, 3, 4, 8
-	s := NewSharded(nodes, slots, dim, shards)
-	for n := int32(0); n < nodes; n++ {
-		s.Deliver(n, []float32{float32(n), 0, 0, 0}, float64(n))
-	}
-
-	base, cloned := s.SnapshotSharedSince(nil)
-	if cloned != shards {
-		t.Fatalf("nil base must full-copy: cloned %d of %d", cloned, shards)
-	}
-
-	s.Deliver(0, []float32{9, 9, 9, 9}, 99) // dirties shard 0 only
-	next, cloned := s.SnapshotSharedSince(base)
-	if cloned != 1 {
-		t.Fatalf("expected 1 dirty shard cloned, got %d", cloned)
-	}
-	aliased := 0
-	for i := range next.shards {
-		if next.shards[i] == base.shards[i] {
-			aliased++
-		}
-	}
-	if aliased != shards-1 {
-		t.Fatalf("expected %d aliased shards, got %d", shards-1, aliased)
-	}
-
-	// Restoring the aliased snapshot reproduces the live mailbox contents.
-	r := NewSharded(nodes, slots, dim, shards)
-	r.Restore(next)
-	bufA, bufB := make([]float32, slots*dim), make([]float32, slots*dim)
-	tsA, tsB := make([]float64, slots), make([]float64, slots)
-	for n := int32(0); n < nodes; n++ {
-		ka, kb := s.ReadSorted(n, bufA, tsA), r.ReadSorted(n, bufB, tsB)
-		if ka != kb {
-			t.Fatalf("node %d mail count %d vs %d", n, ka, kb)
-		}
-		for i := 0; i < ka*dim; i++ {
-			if bufA[i] != bufB[i] {
-				t.Fatalf("node %d mail payload diverged", n)
-			}
-		}
-	}
-
-	s.Reset()
-	if _, cloned := s.SnapshotSharedSince(next); cloned != shards {
-		t.Fatalf("after Reset expected %d clones, got %d", shards, cloned)
-	}
-	base, _ = s.SnapshotSharedSince(nil)
-	s.SetRule(UpdateKeyValue)
-	if _, cloned := s.SnapshotSharedSince(base); cloned != shards {
-		t.Fatalf("after SetRule expected %d clones, got %d", shards, cloned)
-	}
-	base, _ = s.SnapshotSharedSince(nil)
-	s.Grow(nodes * 2)
-	if _, cloned := s.SnapshotSharedSince(base); cloned != shards {
-		t.Fatalf("after Grow expected %d clones, got %d", shards, cloned)
+// TestShardPaddedToCacheLine: one shard fills one 64-byte cache line, so
+// two shards' locks never share a line (false sharing between scorers'
+// reads and the applier's deliveries on neighbouring shards).
+func TestShardPaddedToCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(mailShard{}); got != 64 {
+		t.Fatalf("mailShard is %d bytes, want 64", got)
 	}
 }
 

@@ -49,7 +49,6 @@ func newDriftModel(tr *Trace, o RunOptions) (*core.Model, error) {
 		NumNodes: tr.NumNodes, EdgeDim: tr.EdgeDim,
 		Slots: 6, Neighbors: 5, Hops: 2, Heads: 2, Hidden: 32,
 		BatchSize: o.BatchSize, Seed: o.Seed + 7, Shards: 8, LR: 0.01,
-		GraphBackend: o.GraphBackend,
 	})
 }
 

@@ -53,10 +53,6 @@ const (
 	// identical to an uninterrupted run, at the recovery point and at end of
 	// stream.
 	InvKillRecover = "kill_recover"
-	// InvBackendParity: the same direct run on the other graph backend
-	// (flat ↔ sharded) reproduces scores and runtime digest bitwise per
-	// (seed, scenario).
-	InvBackendParity = "backend_parity"
 	// InvTenantIsolation: under a flash-crowd aggressor tenant, the victim
 	// tenant loses nothing (zero drops, bounded sync p99) while the
 	// aggressor is shed at its event-time rate gate — and the whole

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"apan/internal/async"
-	"apan/internal/core"
 	"apan/internal/eval"
 )
 
@@ -125,11 +124,6 @@ type RunOptions struct {
 	EdgeDim   int   // default 16 (divisible by the 2 attention heads)
 	QueueCap  int   // default 4 (propagation queue, small to make faults bite)
 	Span      float64
-	// GraphBackend selects the temporal-graph store every path of the run
-	// uses (core.GraphBackend*); empty means flat. Whatever the choice, the
-	// backend_parity invariant reruns the direct path on the other backends
-	// and requires bitwise score and digest agreement.
-	GraphBackend string
 	// EvictMaxNodes passes a cold-state eviction budget to every model the
 	// run constructs (0 disables); the eviction-pressure driver sets it on
 	// its A/B arm only.
@@ -294,36 +288,6 @@ func Run(sc Scenario, o RunOptions) (*Result, error) {
 	// Mailbox monotonicity and conservation on the reference run.
 	res.addInvariant(InvMailboxMonotonic, checkMailboxes(ref.model, sc.Name, o.Seed, maxTime))
 	res.addInvariant(InvDropAccounting, checkConservation(ref, batches, sc.Name, o.Seed))
-
-	// Cross-backend parity: the direct run replayed on every other graph
-	// backend must reproduce scores and runtime digest bitwise — the store
-	// is swappable infrastructure, never part of the model's semantics.
-	{
-		current := o.GraphBackend
-		if current == "" {
-			current = core.GraphBackendFlat
-		}
-		var vs []Violation
-		for _, backend := range []string{core.GraphBackendFlat, core.GraphBackendSharded} {
-			if backend == current {
-				continue
-			}
-			o2 := o
-			o2.GraphBackend = backend
-			alt, err := runDirect(tr, o2, sc.TrainFrac, false)
-			if err != nil {
-				return nil, err
-			}
-			vs = append(vs, compareScores(InvBackendParity, sc.Name, o.Seed, batches,
-				ref.scores, alt.scores, "backend:"+current, "backend:"+backend)...)
-			if ref.digest != alt.digest {
-				vs = append(vs, Violation{Invariant: InvBackendParity, Scenario: sc.Name, Seed: o.Seed, EventIndex: -1,
-					Detail: fmt.Sprintf("backend %s digest %016x != backend %s digest %016x (scores matched)",
-						current, ref.digest, backend, alt.digest)})
-			}
-		}
-		res.addInvariant(InvBackendParity, vs)
-	}
 
 	// Score parity across the serving stack.
 	if sc.Parity {

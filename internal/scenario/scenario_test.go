@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"apan/internal/core"
 )
 
 // testOptions returns harness sizes small enough that the whole bundled
@@ -45,48 +43,6 @@ func TestScenarioBundled(t *testing.T) {
 			}
 			if checked < 3 {
 				t.Fatalf("only %d invariants checked, want ≥ 3: %+v", checked, res.Invariants)
-			}
-		})
-	}
-}
-
-// TestScenarioCrossBackendParity drives representative scenarios with the
-// non-default graph backend behind every path (incl. the WAL-attached
-// kill-recover and online-training drift protocols), and checks the
-// backend_parity invariant the other way round: with sharded primary, flat
-// must reproduce its scores and digest bitwise.
-func TestScenarioCrossBackendParity(t *testing.T) {
-	byName := map[string]Scenario{}
-	for _, sc := range Bundled() {
-		byName[sc.Name] = sc
-	}
-	cases := []string{"smooth_baseline", "out_of_order"}
-	if !testing.Short() {
-		cases = append(cases, "kill_recover", "concept_drift", "failover")
-	}
-	for _, name := range cases {
-		t.Run(name+"/"+core.GraphBackendSharded, func(t *testing.T) {
-			sc, ok := byName[name]
-			if !ok {
-				t.Fatalf("scenario %q not bundled", name)
-			}
-			o := testOptions(t)
-			o.GraphBackend = core.GraphBackendSharded
-			res, err := Run(sc, o)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			for _, v := range res.Violations {
-				t.Errorf("violation: %s", v)
-			}
-			checked := false
-			for _, iv := range res.Invariants {
-				if iv.Name == InvBackendParity && iv.Checked {
-					checked = true
-				}
-			}
-			if !checked {
-				t.Fatal("backend_parity invariant was not checked")
 			}
 		})
 	}

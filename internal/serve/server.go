@@ -254,9 +254,6 @@ type StatsResponse struct {
 	// version; it advances on every hot swap (online trainer publish,
 	// checkpoint load).
 	ParamVersion uint64 `json:"param_version"`
-	// GraphBackend is the temporal-graph store behind the served model
-	// (flat or sharded).
-	GraphBackend string `json:"graph_backend"`
 	// Training reports online-trainer health; absent when no trainer is
 	// attached.
 	Training *train.Stats `json:"training,omitempty"`
@@ -549,7 +546,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Pipeline:      s.pipe.Stats(),
 		Batcher:       s.batcher.Stats(),
 		ParamVersion:  s.pipe.ParamVersion(),
-		GraphBackend:  s.pipe.GraphBackend(),
 		Tenants:       s.pipe.TenantStats(),
 		Eviction:      s.pipe.EvictionStats(),
 		Mailbox:       s.pipe.MailboxOccupancy(),

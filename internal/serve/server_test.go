@@ -251,9 +251,6 @@ func TestStatsAndHealthz(t *testing.T) {
 	if st.Pipeline.Submitted != 1 || st.Pipeline.Processed != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if st.GraphBackend != core.GraphBackendFlat {
-		t.Fatalf("stats graph_backend %q, want %q", st.GraphBackend, core.GraphBackendFlat)
-	}
 	// One applied event mailed both endpoints: two mailboxes, two blocks.
 	if mb := st.Mailbox; mb.NodesWithMail != 2 || mb.LiveBlocks != 2 || mb.FreeBlocks != 0 || mb.Bytes <= 0 {
 		t.Fatalf("stats mailbox: %+v", mb)

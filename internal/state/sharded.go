@@ -34,13 +34,9 @@ type Sharded struct {
 type stateShard struct {
 	mu sync.RWMutex
 	st *Store
-	// gen counts modifications to this shard (any mutator bumps it under
-	// the shard's write lock). Incremental checkpoint cuts compare gens to
-	// skip cloning shards untouched since the previous cut.
-	gen uint64
-	// Pad the 24-byte mutex + 8-byte pointer + 8-byte gen to a full cache
-	// line so shard locks don't false-share.
-	_ [24]byte
+	// Pad the 24-byte mutex + 8-byte pointer to a full cache line so shard
+	// locks don't false-share.
+	_ [32]byte
 }
 
 // shardCount rounds n up to a power of two in [1, 1<<16].
@@ -88,9 +84,6 @@ func NewSharded(numNodes, dim, shards int) *Sharded {
 	return s
 }
 
-// NumShards returns the number of lock shards.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
 // Dim returns the embedding dimension.
 func (s *Sharded) Dim() int { return s.dim }
 
@@ -126,7 +119,6 @@ func (s *Sharded) Set(n int32, z []float32, t float64) {
 	sh, local := s.locate(n)
 	sh.mu.Lock()
 	sh.st.Set(local, z, t)
-	sh.gen++
 	sh.mu.Unlock()
 }
 
@@ -154,7 +146,6 @@ func (s *Sharded) ClearNode(n int32) {
 	sh, local := s.locate(n)
 	sh.mu.Lock()
 	sh.st.ClearNode(local)
-	sh.gen++
 	sh.mu.Unlock()
 }
 
@@ -170,7 +161,6 @@ func (s *Sharded) Grow(n int) {
 		cap := shardCap(n, len(s.shards))
 		for i := range s.shards {
 			s.shards[i].st.Grow(cap)
-			s.shards[i].gen++
 		}
 		s.numNodes.Store(int64(n))
 	}
@@ -182,7 +172,6 @@ func (s *Sharded) Reset() {
 	s.lockAll()
 	for i := range s.shards {
 		s.shards[i].st.Reset()
-		s.shards[i].gen++
 	}
 	s.unlockAll()
 }
@@ -201,12 +190,10 @@ func (s *Sharded) unlockAll() {
 
 // ShardedSnapshot captures a Sharded store for later Restore. Snapshots
 // are immutable: Restore and checkpoint serialization clone out of them,
-// never mutate them — which is what lets incremental cuts alias clean
-// shards across successive snapshots.
+// never mutate them.
 type ShardedSnapshot struct {
 	numNodes int
 	shards   []*Store
-	gens     []uint64 // per-shard modification counters at capture time
 }
 
 // Row returns node n's captured embedding, last-update time and touched
@@ -223,15 +210,11 @@ func (snap *ShardedSnapshot) Row(n int32) (z []float32, lastTime float64, touche
 // shards are locked for the duration, so it pairs with Restore to bracket
 // replay experiments exactly like the flat store's Snapshot.
 func (s *Sharded) Snapshot() *ShardedSnapshot {
-	snap := &ShardedSnapshot{
-		shards: make([]*Store, len(s.shards)),
-		gens:   make([]uint64, len(s.shards)),
-	}
+	snap := &ShardedSnapshot{shards: make([]*Store, len(s.shards))}
 	s.lockAll()
 	snap.numNodes = int(s.numNodes.Load())
 	for i := range s.shards {
 		snap.shards[i] = s.shards[i].st.clone()
-		snap.gens[i] = s.shards[i].gen
 	}
 	s.unlockAll()
 	return snap
@@ -244,39 +227,17 @@ func (s *Sharded) Snapshot() *ShardedSnapshot {
 // that); with writers running it degrades to per-shard consistency, like
 // any interleaved read.
 func (s *Sharded) SnapshotShared() *ShardedSnapshot {
-	snap, _ := s.SnapshotSharedSince(nil)
-	return snap
-}
-
-// SnapshotSharedSince is SnapshotShared with incremental cloning: shards
-// whose modification counter is unchanged since prev was captured reuse
-// prev's clone instead of copying again — safe because snapshots are
-// immutable (see ShardedSnapshot). Returns the snapshot and the number of
-// shards actually cloned. prev must come from this store (same shard
-// count); nil, or a shard-count mismatch, degrades to a full copy. The
-// same quiescence caveat as SnapshotShared applies: cross-shard
-// consistency needs writers externally paused.
-func (s *Sharded) SnapshotSharedSince(prev *ShardedSnapshot) (*ShardedSnapshot, int) {
 	snap := &ShardedSnapshot{
 		numNodes: int(s.numNodes.Load()),
 		shards:   make([]*Store, len(s.shards)),
-		gens:     make([]uint64, len(s.shards)),
 	}
-	incremental := prev != nil && len(prev.shards) == len(s.shards) && len(prev.gens) == len(s.shards)
-	cloned := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		snap.gens[i] = sh.gen
-		if incremental && prev.gens[i] == sh.gen {
-			snap.shards[i] = prev.shards[i]
-		} else {
-			snap.shards[i] = sh.st.clone()
-			cloned++
-		}
+		snap.shards[i] = sh.st.clone()
 		sh.mu.RUnlock()
 	}
-	return snap, cloned
+	return snap
 }
 
 // Restore resets the store to a previously captured snapshot, including its
@@ -288,7 +249,6 @@ func (s *Sharded) Restore(snap *ShardedSnapshot) {
 	s.lockAll()
 	for i := range s.shards {
 		s.shards[i].st = snap.shards[i].clone()
-		s.shards[i].gen++
 	}
 	s.numNodes.Store(int64(snap.numNodes))
 	s.unlockAll()

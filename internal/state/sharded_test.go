@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // TestShardedMatchesFlatQuick: for ANY sequence of Set operations, a Sharded
@@ -178,82 +179,12 @@ func TestSnapshotRowReadsCapturedState(t *testing.T) {
 	}
 }
 
-// TestSnapshotSharedSinceAliasesCleanShards: shards untouched since the
-// previous snapshot must be reused by pointer, and only dirty shards cloned.
-func TestSnapshotSharedSinceAliasesCleanShards(t *testing.T) {
-	const nodes, dim, shards = 64, 4, 8
-	s := NewSharded(nodes, dim, shards)
-	for n := int32(0); n < nodes; n++ {
-		s.Set(n, []float32{float32(n), 1, 2, 3}, float64(n))
-	}
-
-	base, cloned := s.SnapshotSharedSince(nil)
-	if cloned != shards {
-		t.Fatalf("nil base must full-copy: cloned %d of %d", cloned, shards)
-	}
-
-	// Touch exactly two shards: nodes 0 and 1 map to shards 0&mask and 1&mask.
-	s.Set(0, []float32{9, 9, 9, 9}, 99)
-	s.Set(1, []float32{8, 8, 8, 8}, 98)
-
-	next, cloned := s.SnapshotSharedSince(base)
-	if cloned != 2 {
-		t.Fatalf("expected 2 dirty shards cloned, got %d", cloned)
-	}
-	aliased := 0
-	for i := range next.shards {
-		if next.shards[i] == base.shards[i] {
-			aliased++
-		}
-	}
-	if aliased != shards-2 {
-		t.Fatalf("expected %d aliased shards, got %d", shards-2, aliased)
-	}
-
-	// The aliased snapshot restores the exact live contents.
-	r := NewSharded(nodes, dim, shards)
-	r.Restore(next)
-	for n := int32(0); n < nodes; n++ {
-		if got, want := r.Get(n), s.Get(n); !floatsEqual(got, want) {
-			t.Fatalf("node %d restored %v want %v", n, got, want)
-		}
-	}
-}
-
-// TestSnapshotSharedSinceFullCopyAfterBulkMutators: Reset, Restore and Grow
-// touch every shard, so a subsequent incremental snapshot clones everything.
-func TestSnapshotSharedSinceFullCopyAfterBulkMutators(t *testing.T) {
-	const nodes, dim, shards = 32, 3, 4
-	s := NewSharded(nodes, dim, shards)
-	s.Set(5, []float32{1, 2, 3}, 1)
-	base, _ := s.SnapshotSharedSince(nil)
-
-	s.Reset()
-	if _, cloned := s.SnapshotSharedSince(base); cloned != shards {
-		t.Fatalf("after Reset expected %d clones, got %d", shards, cloned)
-	}
-
-	base, _ = s.SnapshotSharedSince(nil)
-	s.Restore(base)
-	if _, cloned := s.SnapshotSharedSince(base); cloned != shards {
-		t.Fatalf("after Restore expected %d clones, got %d", shards, cloned)
-	}
-
-	base, _ = s.SnapshotSharedSince(nil)
-	s.Grow(nodes * 2)
-	if _, cloned := s.SnapshotSharedSince(base); cloned != shards {
-		t.Fatalf("after Grow expected %d clones, got %d", shards, cloned)
-	}
-}
-
-// TestSnapshotSharedSinceShardCountMismatch: a base from a different shard
-// count degrades to a full copy instead of aliasing misaligned shards.
-func TestSnapshotSharedSinceShardCountMismatch(t *testing.T) {
-	a := NewSharded(16, 2, 4)
-	b := NewSharded(16, 2, 8)
-	base, _ := a.SnapshotSharedSince(nil)
-	if _, cloned := b.SnapshotSharedSince(base); cloned != b.NumShards() {
-		t.Fatalf("mismatched base must full-copy, cloned %d of %d", cloned, b.NumShards())
+// TestShardPaddedToCacheLine: one shard fills one 64-byte cache line, so
+// two shards' locks never share a line (false sharing between scorers'
+// reads and the applier's writes on neighbouring shards).
+func TestShardPaddedToCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(stateShard{}); got != 64 {
+		t.Fatalf("stateShard is %d bytes, want 64", got)
 	}
 }
 

@@ -2,7 +2,8 @@
 // storage engine: an append-only temporal event log with per-node
 // time-ordered incidence lists, temporal neighbor sampling (most-recent and
 // uniform), k-hop subgraph queries, and a static snapshot view for the
-// static baselines.
+// static baselines. Graph does no locking of its own; core.Model serializes
+// every access behind its graph mutex.
 package tgraph
 
 import (
@@ -62,6 +63,16 @@ func (g *Graph) Grow(n int) {
 	// O(n) total copying rather than O(n²).
 	g.adj = append(g.adj, make([][]Incidence, n-g.numNodes)...)
 	g.numNodes = n
+}
+
+// Reset re-initializes g to an empty graph over numNodes nodes, in place:
+// core keeps the same *Graph across runtime resets and checkpoint loads. The
+// old event log's backing array is left untouched, so previously captured
+// EventLog slices keep their contents.
+func (g *Graph) Reset(numNodes int) {
+	g.numNodes = numNodes
+	g.events = nil
+	g.adj = make([][]Incidence, numNodes)
 }
 
 // NumEvents returns the number of inserted events.

@@ -19,10 +19,10 @@ func (sc *KHopScratch) grow(hops int) [][]Incidence {
 	return sc.levels[:hops]
 }
 
-// KHopMostRecentInto is s.KHopMostRecentInto(sc, …).
+// KHopMostRecentInto is g.KHopMostRecentInto(sc, …).
 //
 // Deprecated: kept only because the frozen benchmark/ladder.go calls this
-// signature; the next benchmark PR should call the Store method and delete it.
-func KHopMostRecentInto(s Store, sc *KHopScratch, seeds []NodeID, t float64, fanout, hops int) [][]Incidence {
-	return s.KHopMostRecentInto(sc, seeds, t, fanout, hops)
+// signature; the next benchmark PR should call the method and delete it.
+func KHopMostRecentInto(g *Graph, sc *KHopScratch, seeds []NodeID, t float64, fanout, hops int) [][]Incidence {
+	return g.KHopMostRecentInto(sc, seeds, t, fanout, hops)
 }
