@@ -63,9 +63,11 @@ type options struct {
 	tenantDefaults *TenantConfig
 }
 
-// WithQueueCap bounds the propagation queue. Capacity bounds memory during
-// event bursts; Submit blocks (backpressure) once the asynchronous link
-// falls that many batches behind. Default 64.
+// WithQueueCap bounds the propagation queue, and with it mailbox staleness
+// and the memory an event burst takes: a queued batch holds its events and
+// a copy of its endpoints' embeddings (core.Pending, ≈ 83 KB at batch 200,
+// d = 172), not a workspace. Submit blocks (backpressure) once the
+// asynchronous link falls that many batches behind. Default 64.
 func WithQueueCap(n int) Option {
 	return func(o *options) {
 		if n >= 1 {
@@ -97,7 +99,8 @@ func WithWorkers(n int) Option {
 func WithBatchWindow(time.Duration) Option { return func(*options) {} }
 
 // WithBeforeApply registers fn to run on a propagation worker immediately
-// before each batch's ApplyInference, with the batch's events. It is the
+// before each queued batch is applied, with the batch's events. A batch
+// parked here holds only its copied-out record, never a workspace. It is the
 // pipeline's deterministic fault-injection seam: internal/scenario parks
 // workers on a channel here to saturate the queue with an exactly
 // reproducible drop pattern, or sleeps to emulate a slow graph-database
@@ -111,7 +114,7 @@ func WithBeforeApply(fn func(events []tgraph.Event)) Option {
 }
 
 // WithOnlineTrainer feeds t with every applied batch's events, from the
-// propagation worker right after ApplyInference — the online continual-
+// propagation worker right after the apply — the online continual-
 // learning tap: the trainer sees exactly the events that mutated the
 // streaming state, in apply order, off the scoring path. With WithWorkers >
 // 1 Observe must be safe for concurrent calls (the bundled trainer is).
@@ -129,7 +132,7 @@ type Pipeline struct {
 	model *core.Model
 	opts  options
 
-	queue chan *core.Inference
+	queue chan *core.Pending
 	done  chan struct{}
 
 	// sched replaces queue when tenancy is enabled (WithTenants): per-tenant
@@ -140,6 +143,14 @@ type Pipeline struct {
 	// lock across the send, Shutdown takes the write lock before closing,
 	// so a send can never hit a closed channel.
 	sendMu sync.RWMutex
+
+	// recMu/recFree recycle the records queued between the links, as the
+	// model's wsMu/wsFree recycle workspaces: a scorer checks one out and
+	// the applier, or a submit that drops its batch, puts it back. The list
+	// never outgrows the most records ever out at once — queue capacity
+	// plus concurrent submitters plus workers.
+	recMu   sync.Mutex
+	recFree []*core.Pending
 
 	mu        sync.Mutex
 	idle      *sync.Cond // signaled whenever enqueued == processed
@@ -162,7 +173,7 @@ func New(m *core.Model, opts ...Option) *Pipeline {
 	p := &Pipeline{
 		model: m,
 		opts:  o,
-		queue: make(chan *core.Inference, o.queueCap),
+		queue: make(chan *core.Pending, o.queueCap),
 		done:  make(chan struct{}),
 	}
 	if o.tenancy {
@@ -227,36 +238,33 @@ func (p *Pipeline) worker() {
 	defer p.wg.Done()
 	if p.sched != nil {
 		for {
-			inf, t, ok := p.sched.dequeue()
+			rec, t, ok := p.sched.dequeue()
 			if !ok {
 				return
 			}
-			p.applyOne(inf, t)
+			p.applyOne(rec, t)
 		}
 	}
-	for inf := range p.queue {
-		p.applyOne(inf, nil)
+	for rec := range p.queue {
+		p.applyOne(rec, nil)
 	}
 }
 
-// applyOne runs one dequeued inference through the asynchronous link:
-// fault-injection hook, apply, trainer tap, workspace recycle, accounting.
+// applyOne runs one dequeued batch through the asynchronous link:
+// fault-injection hook, apply, trainer tap, record recycle, accounting.
 // t is the tenant the scheduler dequeued it for, nil without tenancy.
-func (p *Pipeline) applyOne(inf *core.Inference, t *tenantState) {
+func (p *Pipeline) applyOne(rec *core.Pending, t *tenantState) {
 	start := time.Now()
 	if p.opts.beforeApply != nil {
-		p.opts.beforeApply(inf.Events)
+		p.opts.beforeApply(rec.Events)
 	}
-	p.model.ApplyInference(inf)
+	p.model.ApplyPending(rec)
 	if p.opts.trainer != nil {
 		// Tap the apply path for online learning. Observe copies what it
-		// keeps, so releasing the inference below is safe.
-		p.opts.trainer.Observe(inf.Events)
+		// keeps, so recycling the record below is safe.
+		p.opts.trainer.Observe(rec.Events)
 	}
-	// The submitter copied the scores out before enqueueing, so after
-	// the apply nothing references the inference: recycle its pooled
-	// workspace for the next scorer.
-	inf.Release()
+	p.putRecord(rec)
 	d := time.Since(start)
 	if t != nil {
 		// The tenant ledger first: once the batch counts as processed, Drain
@@ -275,16 +283,26 @@ func (p *Pipeline) applyOne(inf *core.Inference, t *tenantState) {
 // score runs the synchronous link and records the observed latency. Scoring
 // is NOT serialized: concurrent submissions run InferBatch in parallel over
 // the sharded stores. It returns ErrClosed without touching the model when
-// the pipeline has shut down.
-func (p *Pipeline) score(events []tgraph.Event) (*core.Inference, time.Duration, error) {
+// the pipeline has shut down. The scores come back copied, for the caller to
+// keep. With apply set (every submission but ScoreOnly) it re-admits the
+// batch's evicted nodes first and returns the batch copied out into a
+// recycled record; either way the workspace is back with the model on
+// return, so nothing queued holds one.
+func (p *Pipeline) score(events []tgraph.Event, apply bool) ([]float32, *core.Pending, time.Duration, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, 0, ErrClosed
+		return nil, nil, 0, ErrClosed
 	}
 	p.submitted++
 	p.mu.Unlock()
 
+	if apply {
+		// Warm any evicted nodes this batch names before scoring: re-admission
+		// needs graph access, which the synchronous link (InferBatch) must
+		// never perform itself. No-op unless cold-state eviction is configured.
+		p.model.ReadmitBatch(events)
+	}
 	start := time.Now()
 	inf := p.model.InferBatch(events)
 	lat := time.Since(start)
@@ -292,7 +310,37 @@ func (p *Pipeline) score(events []tgraph.Event) (*core.Inference, time.Duration,
 	p.mu.Lock()
 	p.syncLat.add(lat)
 	p.mu.Unlock()
-	return inf, lat, nil
+
+	scores := append([]float32(nil), inf.Scores...)
+	if !apply {
+		inf.Release()
+		return scores, nil, lat, nil
+	}
+	rec := p.getRecord()
+	inf.CopyOut(rec)
+	return scores, rec, lat, nil
+}
+
+// getRecord checks a record out of the freelist, or builds one.
+func (p *Pipeline) getRecord() *core.Pending {
+	p.recMu.Lock()
+	defer p.recMu.Unlock()
+	n := len(p.recFree)
+	if n == 0 {
+		return new(core.Pending)
+	}
+	rec := p.recFree[n-1]
+	p.recFree[n-1] = nil
+	p.recFree = p.recFree[:n-1]
+	return rec
+}
+
+// putRecord returns a record whose batch was applied or dropped.
+func (p *Pipeline) putRecord(rec *core.Pending) {
+	rec.Events = nil // the caller's batch may be collected
+	p.recMu.Lock()
+	p.recFree = append(p.recFree, rec)
+	p.recMu.Unlock()
 }
 
 // noteEnqueued counts a batch BEFORE its channel send so a worker can never
@@ -329,39 +377,7 @@ func (p *Pipeline) Submit(ctx context.Context, events []tgraph.Event) ([]float32
 	if p.sched != nil {
 		return p.submitTenant(ctx, DefaultTenant, events, true)
 	}
-	// Warm any evicted nodes this batch names before scoring: re-admission
-	// needs graph access, which the synchronous link (InferBatch) must never
-	// perform itself. No-op unless cold-state eviction is configured.
-	p.model.ReadmitBatch(events)
-	inf, lat, err := p.score(events)
-	if err != nil {
-		return nil, 0, err
-	}
-	// Copy the scores out of the inference's pooled workspace: once the
-	// propagation worker applies and releases it, the pooled buffer is
-	// recycled, and the caller may hold the scores indefinitely.
-	scores := append([]float32(nil), inf.Scores...)
-
-	p.sendMu.RLock()
-	defer p.sendMu.RUnlock()
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		inf.Release()
-		return nil, lat, ErrClosed
-	}
-	p.noteEnqueued()
-	select {
-	case p.queue <- inf:
-		return scores, lat, nil
-	case <-ctx.Done():
-		p.unnoteEnqueued()
-		// Cancelled before the enqueue: nothing was applied, nothing else
-		// references the inference.
-		inf.Release()
-		return nil, lat, ctx.Err()
-	}
+	return p.submit(ctx, events, true)
 }
 
 // ScoreOnly scores a batch on the synchronous link without enqueueing it
@@ -370,13 +386,8 @@ func (p *Pipeline) Submit(ctx context.Context, events []tgraph.Event) ([]float32
 // advances exclusively through WAL replay — scoring a shipped-but-unlogged
 // event through the write path would fork the follower from the leader.
 func (p *Pipeline) ScoreOnly(events []tgraph.Event) ([]float32, time.Duration, error) {
-	inf, lat, err := p.score(events)
-	if err != nil {
-		return nil, 0, err
-	}
-	scores := append([]float32(nil), inf.Scores...)
-	inf.Release()
-	return scores, lat, nil
+	scores, _, lat, err := p.score(events, false)
+	return scores, lat, err
 }
 
 // TrySubmit is the non-blocking Submit variant: when the propagation queue
@@ -387,32 +398,44 @@ func (p *Pipeline) TrySubmit(events []tgraph.Event) ([]float32, time.Duration, e
 	if p.sched != nil {
 		return p.submitTenant(context.Background(), DefaultTenant, events, false)
 	}
-	p.model.ReadmitBatch(events) // see Submit
-	inf, lat, err := p.score(events)
+	return p.submit(context.Background(), events, false)
+}
+
+// submit is Submit (block) and TrySubmit (!block) on the single queue.
+func (p *Pipeline) submit(ctx context.Context, events []tgraph.Event, block bool) ([]float32, time.Duration, error) {
+	scores, rec, lat, err := p.score(events, true)
 	if err != nil {
 		return nil, 0, err
 	}
-	scores := append([]float32(nil), inf.Scores...)
-
 	p.sendMu.RLock()
 	defer p.sendMu.RUnlock()
 	p.mu.Lock()
 	closed := p.closed
 	p.mu.Unlock()
 	if closed {
-		inf.Release()
+		p.putRecord(rec)
 		return nil, lat, ErrClosed
 	}
 	p.noteEnqueued()
-	select {
-	case p.queue <- inf:
-		return scores, lat, nil
-	default:
-		p.unnoteEnqueued()
-		// Shed load: the scored batch is dropped unapplied; recycle it.
-		inf.Release()
-		return nil, lat, ErrQueueFull
+	if block {
+		select {
+		case p.queue <- rec:
+			return scores, lat, nil
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	} else {
+		select {
+		case p.queue <- rec:
+			return scores, lat, nil
+		default:
+			err = ErrQueueFull
+		}
 	}
+	// Cancelled or shed before the enqueue: the batch is dropped unapplied.
+	p.unnoteEnqueued()
+	p.putRecord(rec)
+	return nil, lat, err
 }
 
 // Result is the outcome of an asynchronous submission.

@@ -1,8 +1,12 @@
 package async
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +15,7 @@ import (
 	"apan/internal/core"
 	"apan/internal/gdb"
 	"apan/internal/tgraph"
+	"apan/internal/wal"
 )
 
 func testModel(t *testing.T, latency gdb.LatencyModel) *core.Model {
@@ -31,52 +36,276 @@ func testModel(t *testing.T, latency gdb.LatencyModel) *core.Model {
 
 func feat() []float32 { return make([]float32, 8) }
 
-func TestPipelineMatchesSynchronousApply(t *testing.T) {
-	// The pipeline must produce exactly the state a direct
-	// InferBatch+ApplyInference sequence produces.
-	ctx := context.Background()
-	ma := testModel(t, nil)
-	mb := testModel(t, nil)
+// parityBatches is a fixed stream over testModel's nodes: three-event
+// batches with repeated endpoints and nonzero features.
+func parityBatches(n int) [][]tgraph.Event {
+	batches := make([][]tgraph.Event, n)
+	for b := range batches {
+		evs := make([]tgraph.Event, 3)
+		for i := range evs {
+			k := 3*b + i
+			f := feat()
+			for j := range f {
+				f[j] = float32((k*7+j*3)%11)/11 - 0.5
+			}
+			evs[i] = tgraph.Event{Src: tgraph.NodeID(k % 5), Dst: tgraph.NodeID((3*k + 1) % 8), Time: float64(k + 1), Feat: f}
+		}
+		batches[b] = evs
+	}
+	return batches
+}
 
-	batches := [][]tgraph.Event{
-		{{Src: 0, Dst: 1, Time: 1, Feat: feat()}},
-		{{Src: 1, Dst: 2, Time: 2, Feat: feat()}},
-		{{Src: 2, Dst: 3, Time: 3, Feat: feat()}},
+// directRun is the reference a pipeline must match: InferBatch and
+// ApplyInference called in line on m. The batches of one group are all
+// scored before any is applied — what a parked applier does to a queue —
+// and a batch in shed is scored but never applied. It returns each batch's
+// scores.
+func directRun(m *core.Model, batches [][]tgraph.Event, groups [][]int, shed map[int]bool) [][]float32 {
+	out := make([][]float32, len(batches))
+	for _, g := range groups {
+		infs := make([]*core.Inference, len(g))
+		for j, i := range g {
+			infs[j] = m.InferBatch(batches[i])
+			out[i] = append([]float32(nil), infs[j].Scores...)
+		}
+		for j, i := range g {
+			if !shed[i] {
+				m.ApplyInference(infs[j])
+			}
+			infs[j].Release()
+		}
+	}
+	return out
+}
+
+// serialGroups is one group per batch: each is applied before the next scores.
+func serialGroups(n int) [][]int {
+	g := make([][]int, n)
+	for i := range g {
+		g[i] = []int{i}
+	}
+	return g
+}
+
+// samePass fails unless every batch the pipeline accepted scored bit for bit
+// as the reference did and the two models' runtime state is identical.
+func samePass(t *testing.T, got, want [][]float32, shed map[int]bool, mp, md *core.Model) {
+	t.Helper()
+	for i := range want {
+		if shed[i] {
+			if got[i] != nil {
+				t.Fatalf("batch %d was shed but returned scores", i)
+			}
+			continue
+		}
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("batch %d: %d scores, want %d", i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if math.Float32bits(got[i][j]) != math.Float32bits(want[i][j]) {
+				t.Fatalf("batch %d score %d: pipeline %v direct %v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	if a, b := mp.RuntimeDigest(), md.RuntimeDigest(); a != b {
+		t.Fatalf("runtime digest: pipeline %016x direct %016x", a, b)
+	}
+}
+
+// TestPipelineMatchesSynchronousApply: whichever way a batch travels the
+// pipeline — logged, through the tenant scheduler, behind a parked applier
+// or past a shed neighbour — the pipeline must return exactly the scores and
+// leave exactly the state of the direct InferBatch+ApplyInference loop.
+func TestPipelineMatchesSynchronousApply(t *testing.T) {
+	ctx := context.Background()
+	batches := parityBatches(8)
+
+	// submitSerially submits each batch and drains before the next, so the
+	// pipeline's state evolution is the serial reference's.
+	submitSerially := func(t *testing.T, submit func([]tgraph.Event) ([]float32, time.Duration, error), p *Pipeline) [][]float32 {
+		out := make([][]float32, len(batches))
+		for i, b := range batches {
+			scores, _, err := submit(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = scores
+			if err := p.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	submit := func(p *Pipeline) func([]tgraph.Event) ([]float32, time.Duration, error) {
+		return func(b []tgraph.Event) ([]float32, time.Duration, error) { return p.Submit(ctx, b) }
 	}
 
-	p := New(ma, WithQueueCap(4))
-	var pipeScores []float32
-	for _, b := range batches {
-		scores, _, err := p.Submit(ctx, b)
+	t.Run("serial", func(t *testing.T) {
+		mp, md := testModel(t, nil), testModel(t, nil)
+		p := New(mp, WithQueueCap(4))
+		got := submitSerially(t, submit(p), p)
+		samePass(t, got, directRun(md, batches, serialGroups(len(batches)), nil), nil, mp, md)
+	})
+
+	t.Run("wal", func(t *testing.T) {
+		// The log records what the applier applies, so the segments must be
+		// byte-identical too.
+		mp, md := testModel(t, nil), testModel(t, nil)
+		dirP, dirD := t.TempDir(), t.TempDir()
+		for _, x := range []struct {
+			m   *core.Model
+			dir string
+		}{{mp, dirP}, {md, dirD}} {
+			l, err := wal.Open(wal.Options{Dir: x.dir, Policy: wal.SyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := x.m.AttachWAL(l); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := New(mp, WithQueueCap(4))
+		got := submitSerially(t, submit(p), p)
+		want := directRun(md, batches, serialGroups(len(batches)), nil)
+		samePass(t, got, want, nil, mp, md)
+		for _, m := range []*core.Model{mp, md} {
+			if err := m.DetachWAL().Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		segP, segD := readDir(t, dirP), readDir(t, dirD)
+		if len(segP) == 0 || len(segP) != len(segD) {
+			t.Fatalf("segments: pipeline %d, direct %d", len(segP), len(segD))
+		}
+		for name, b := range segD {
+			if !bytes.Equal(segP[name], b) {
+				t.Fatalf("segment %s differs: pipeline %d bytes, direct %d", name, len(segP[name]), len(b))
+			}
+		}
+	})
+
+	t.Run("tenancy", func(t *testing.T) {
+		mp, md := testModel(t, nil), testModel(t, nil)
+		p := New(mp, WithQueueCap(4), WithTenants(TenantConfig{ID: "acme", Weight: 2}))
+		got := submitSerially(t, func(b []tgraph.Event) ([]float32, time.Duration, error) {
+			return p.SubmitTenant(ctx, "acme", b)
+		}, p)
+		samePass(t, got, directRun(md, batches, serialGroups(len(batches)), nil), nil, mp, md)
+	})
+
+	// parkedPipeline parks the applier on its first batch until release is
+	// closed; parked receives once it is parked.
+	parkedPipeline := func(m *core.Model, queueCap int) (p *Pipeline, parked <-chan struct{}, release chan struct{}) {
+		in := make(chan struct{}, 1)
+		release = make(chan struct{})
+		var once sync.Once
+		p = New(m, WithQueueCap(queueCap), WithBeforeApply(func([]tgraph.Event) {
+			once.Do(func() {
+				in <- struct{}{}
+				<-release
+			})
+		}))
+		return p, in, release
+	}
+
+	t.Run("parked", func(t *testing.T) {
+		// Every batch is scored while the applier is parked on the first, so
+		// the queue is len(batches)−1 deep and all score against the
+		// starting state.
+		mp, md := testModel(t, nil), testModel(t, nil)
+		p, parked, release := parkedPipeline(mp, len(batches))
+		got := make([][]float32, len(batches))
+		for i, b := range batches {
+			scores, _, err := p.Submit(ctx, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = scores
+			if i == 0 {
+				<-parked
+			}
+		}
+		if d := p.QueueDepth(); d != len(batches) {
+			t.Fatalf("queue depth %d behind a parked applier, want %d", d, len(batches))
+		}
+		close(release)
+		if err := p.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, len(batches))
+		for i := range all {
+			all[i] = i
+		}
+		samePass(t, got, directRun(md, batches, [][]int{all}, nil), nil, mp, md)
+	})
+
+	t.Run("shed", func(t *testing.T) {
+		// Queue cap 1 behind a parked applier: batch 0 is on the applier,
+		// batch 1 fills the queue and batches 2–4 are shed. After the drain
+		// the rest go through one at a time.
+		mp, md := testModel(t, nil), testModel(t, nil)
+		p, parked, release := parkedPipeline(mp, 1)
+		got := make([][]float32, len(batches))
+		shed := map[int]bool{}
+		for i, b := range batches[:5] {
+			scores, _, err := p.TrySubmit(b)
+			switch {
+			case err == nil:
+			case errors.Is(err, ErrQueueFull):
+				shed[i] = true
+			default:
+				t.Fatal(err)
+			}
+			got[i] = scores
+			if i == 0 {
+				<-parked
+			}
+		}
+		if len(shed) != 3 || shed[0] || shed[1] {
+			t.Fatalf("shed %v, want batches 2–4", shed)
+		}
+		close(release)
+		if err := p.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		groups := [][]int{{0, 1, 2, 3, 4}}
+		for i := 5; i < len(batches); i++ {
+			scores, _, err := p.TrySubmit(batches[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = scores
+			if err := p.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			groups = append(groups, []int{i})
+		}
+		if err := p.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		samePass(t, got, directRun(md, batches, groups, shed), shed, mp, md)
+	})
+}
+
+// readDir returns every file in dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pipeScores = append(pipeScores, scores...)
-		if err := p.Drain(ctx); err != nil { // serialize so both runs see identical state evolution
-			t.Fatal(err)
-		}
+		out[e.Name()] = b
 	}
-	if err := p.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	var directScores []float32
-	for _, b := range batches {
-		inf := mb.InferBatch(b)
-		directScores = append(directScores, inf.Scores...)
-		mb.ApplyInference(inf)
-	}
-
-	for i := range pipeScores {
-		if pipeScores[i] != directScores[i] {
-			t.Fatalf("score %d: pipeline %v direct %v", i, pipeScores[i], directScores[i])
-		}
-	}
-	for n := int32(0); n < 4; n++ {
-		if ma.Mailbox().Len(n) != mb.Mailbox().Len(n) {
-			t.Fatalf("node %d mail counts differ", n)
-		}
-	}
+	return out
 }
 
 func TestSyncLatencyExcludesGraphQueryCost(t *testing.T) {

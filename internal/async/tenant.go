@@ -134,7 +134,7 @@ type tenantState struct {
 
 	// FIFO queue with an explicit head so steady-state dequeue is O(1)
 	// without the backing array crawling forward forever.
-	queue []*core.Inference
+	queue []*core.Pending
 	head  int
 
 	// Event-time token bucket.
@@ -328,11 +328,11 @@ func (s *tenantSched) recordDrop(t *tenantState) {
 	s.mu.Unlock()
 }
 
-// enqueue appends the scored inference to the tenant's queue. When block is
-// false a full queue fails fast with ErrQueueFull; otherwise the caller
-// waits for space, for ctx, or for close. wake must be non-nil when block
+// enqueue appends the scored batch's record to the tenant's queue. When
+// block is false a full queue fails fast with ErrQueueFull; otherwise the
+// caller waits for space, for ctx, or for close. wake must be non-nil when block
 // is true: it is closed by the caller's ctx watcher to force a recheck.
-func (s *tenantSched) enqueue(ctx context.Context, t *tenantState, inf *core.Inference, block bool) error {
+func (s *tenantSched) enqueue(ctx context.Context, t *tenantState, rec *core.Pending, block bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -340,7 +340,7 @@ func (s *tenantSched) enqueue(ctx context.Context, t *tenantState, inf *core.Inf
 			return ErrClosed
 		}
 		if t.depth() < t.cfg.QueueCap {
-			t.queue = append(t.queue, inf)
+			t.queue = append(t.queue, rec)
 			if d := t.depth(); d > t.maxDepth {
 				t.maxDepth = d
 			}
@@ -357,11 +357,11 @@ func (s *tenantSched) enqueue(ctx context.Context, t *tenantState, inf *core.Inf
 	}
 }
 
-// dequeue hands a worker the next inference under the scheduling policy:
+// dequeue hands a worker the next record under the scheduling policy:
 // strict priority across lanes, weighted round-robin within one. It blocks
 // while every queue is empty and returns ok=false only once the scheduler
 // is closed AND fully drained — shutdown never abandons admitted work.
-func (s *tenantSched) dequeue() (*core.Inference, *tenantState, bool) {
+func (s *tenantSched) dequeue() (*core.Pending, *tenantState, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -370,7 +370,7 @@ func (s *tenantSched) dequeue() (*core.Inference, *tenantState, bool) {
 			if t == nil {
 				continue
 			}
-			inf := t.queue[t.head]
+			rec := t.queue[t.head]
 			t.queue[t.head] = nil
 			t.head++
 			if t.head == len(t.queue) {
@@ -378,7 +378,7 @@ func (s *tenantSched) dequeue() (*core.Inference, *tenantState, bool) {
 				t.head = 0
 			}
 			s.space.Broadcast()
-			return inf, t, true
+			return rec, t, true
 		}
 		if s.closed {
 			return nil, nil, false
@@ -483,10 +483,9 @@ func (p *Pipeline) submitTenant(ctx context.Context, tenant string, events []tgr
 	if err := p.sched.admit(t, events); err != nil {
 		return nil, 0, err
 	}
-	// Past the rate gate: warm any evicted nodes the batch names before the
-	// synchronous link scores it (see Pipeline.Submit).
-	p.model.ReadmitBatch(events)
-	inf, lat, err := p.score(events)
+	// Past the rate gate: score re-admits the batch's evicted nodes, then
+	// runs the synchronous link.
+	scores, rec, lat, err := p.score(events, true)
 	if err != nil {
 		// Closed between admit and score: the attempt is on the ledger, so
 		// balance it as a drop.
@@ -494,7 +493,6 @@ func (p *Pipeline) submitTenant(ctx context.Context, tenant string, events []tgr
 		return nil, 0, err
 	}
 	p.sched.recordSync(t, lat)
-	scores := append([]float32(nil), inf.Scores...)
 
 	if block {
 		// Wake the enqueue wait when ctx is cancelled, mirroring Drain's
@@ -510,9 +508,9 @@ func (p *Pipeline) submitTenant(ctx context.Context, tenant string, events []tgr
 		}()
 	}
 	p.noteEnqueued()
-	if err := p.sched.enqueue(ctx, t, inf, block); err != nil {
+	if err := p.sched.enqueue(ctx, t, rec, block); err != nil {
 		p.unnoteEnqueued()
-		inf.Release()
+		p.putRecord(rec)
 		p.sched.recordDrop(t)
 		return nil, lat, err
 	}

@@ -657,8 +657,9 @@ func (m *Model) CollectStream(events []tgraph.Event, ns *dataset.NegSampler, col
 //
 // The scores, embeddings and row indices live in a pooled workspace owned
 // by this Inference; they stay valid until Release. Call Release once the
-// result is fully consumed — after ApplyInference on the serving path — to
-// recycle the workspace; never use the Inference (or slices read from it)
+// result is fully consumed — after ApplyInference — to recycle the
+// workspace, or hand the batch to CopyOut, which keeps what the apply reads
+// and releases it; never use the Inference (or slices read from it)
 // afterwards. Skipping Release is safe but forgoes reuse.
 type Inference struct {
 	Events []tgraph.Event
@@ -700,7 +701,9 @@ func (inf *Inference) Release() {
 // InferBatch runs only the synchronous link on a batch: read mailboxes and
 // state, encode, decode. No graph access, no state mutation — this is the
 // millisecond path of the deployed system. Hand the result to ApplyInference
-// (directly or through async.Pipeline) to run the asynchronous link.
+// to run the asynchronous link, or copy it out (CopyOut) and apply the
+// Pending later, as async.Pipeline does so that a queued batch holds no
+// workspace.
 //
 // InferBatch is safe to call from any number of goroutines concurrently with
 // itself, with ApplyInference and with SwapParams: the gather takes only
@@ -761,6 +764,36 @@ func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 func (m *Model) ApplyInference(inf *Inference) {
 	m.applyRows(inf.Events, inf.emb.Data[:len(inf.nodes)*inf.emb.Cols], inf.srcRow, inf.dstRow)
 }
+
+// Pending is a scored batch waiting for the asynchronous link: its events
+// and a copy of exactly what applyRows reads — one EdgeDim-wide embedding
+// per distinct endpoint, and which row is each event's source and
+// destination. It owns no workspace, so a queued batch costs ≈ endpoints ×
+// EdgeDim floats (≈ 83 KB at batch 200) instead of a pass's ≈ 17 MB. The
+// zero value is ready for CopyOut; the buffers grow to the largest batch
+// copied in and are reused after that.
+type Pending struct {
+	Events []tgraph.Event
+
+	rows           []float32
+	srcRow, dstRow []int32
+}
+
+// CopyOut copies what the asynchronous link reads into p, reusing p's
+// buffers, and releases the Inference: afterwards p alone carries the batch
+// and the workspace is back with the model. p.Events aliases the events
+// passed to InferBatch. Scores are not copied; read them first.
+func (inf *Inference) CopyOut(p *Pending) {
+	p.Events = inf.Events
+	p.rows = append(p.rows[:0], inf.emb.Data[:len(inf.nodes)*inf.emb.Cols]...)
+	p.srcRow = append(p.srcRow[:0], inf.srcRow...)
+	p.dstRow = append(p.dstRow[:0], inf.dstRow...)
+	inf.Release()
+}
+
+// ApplyPending is ApplyInference for a copied-out batch: the same span over
+// the same rows and indices, so the two mutate the model bit for bit alike.
+func (m *Model) ApplyPending(p *Pending) { m.applyRows(p.Events, p.rows, p.srcRow, p.dstRow) }
 
 // applyRows is the asynchronous link's whole mutation span for one batch,
 // given what the synchronous link computed: rows holds one embedding per

@@ -16,10 +16,11 @@ import (
 // (Scores, embeddings, row indices) points into it. The Inference OWNS the
 // workspace from that moment: the buffers stay valid until Release is
 // called, and Release must happen only after ApplyInference (or whoever
-// consumes the result) is done reading. async.Pipeline releases after its
-// propagation worker applies the inference; direct Model users who skip
-// Release simply leave the workspace to the garbage collector (correct,
-// just not recycled).
+// consumes the result) is done reading. async.Pipeline copies each result
+// out at the end of the synchronous link (Inference.CopyOut, which
+// releases), so only passes in progress hold a workspace and a queued batch
+// holds none; direct Model users who skip Release simply leave the
+// workspace to the garbage collector (correct, just not recycled).
 //
 // A workspace is single-owner by construction — it is never shared between
 // goroutines while checked out, and the freelist mutex provides the
