@@ -76,6 +76,16 @@ import (
 	"apan/internal/serve"
 )
 
+// Read deadlines for the API listener, so that a client which opens a
+// request and stalls cannot hold a handler and its body buffer forever:
+// headers must arrive within readHeaderTimeout and the whole request within
+// readTimeout, which net/http also applies to idle keep-alive connections.
+// The benchmark's 373 KB bodies take milliseconds on a LAN.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("apan-serve: ")
@@ -473,7 +483,7 @@ func main() {
 		handler = mux
 		log.Printf("pprof enabled on /debug/pprof/")
 	}
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 	go func() {
 		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Fatal(err)

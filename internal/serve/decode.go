@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -13,6 +16,10 @@ import (
 const (
 	// maxBodyBytes caps a /v1/score request body.
 	maxBodyBytes = 16 << 20
+	// maxPresizeBytes caps the buffer allocated from a declared
+	// Content-Length before the body arrives; the benchmark's 200-event
+	// bodies (373 KB) still take one allocation.
+	maxPresizeBytes = 1 << 20
 	// maxBatchEvents caps the events of one request: 20× the paper's
 	// batch-200 operating point, a ≈120 ms synchronous pass. Larger batches
 	// would hold a scorer (and its workspace) for longer than any caller of
@@ -42,9 +49,10 @@ func (e *decodeError) Error() string { return e.code + ": " + e.msg }
 
 // scoreDecoder is a single-pass scanner for exactly the /v1/score request
 // schema. It accepts a subset of what encoding/json accepts into
-// ScoreRequest and decodes that subset to the same bits: numbers are checked
-// against the JSON grammar and then parsed by strconv, as encoding/json
-// does. Stricter than encoding/json on purpose: one top-level object and
+// ScoreRequest and decodes that subset to the same bits: each number is
+// checked against the JSON grammar and converted in one pass, to the value
+// strconv (which encoding/json calls) gives, with strconv itself as the
+// fallback. Stricter than encoding/json on purpose: one top-level object and
 // nothing after it, no duplicate keys, numbers (not null) inside "feat",
 // objects (not null) inside "events".
 type scoreDecoder struct {
@@ -210,7 +218,7 @@ func (d *scoreDecoder) object(ev *tgraph.Event, idx int, allowed uint) {
 		case k == keyDst:
 			ev.Dst = d.int32()
 		case k == keyTime:
-			ev.Time = d.float(64)
+			ev.Time = d.float64()
 		case k == keyFeat:
 			ev.Feat = d.feat(idx)
 		case k == keyEvents:
@@ -256,9 +264,13 @@ func (d *scoreDecoder) feat(event int) []float32 {
 			d.fail("bad_feat_dim", "event %d: feat has more than %d values", event, d.dim)
 			return nil
 		}
-		d.arena = append(d.arena, float32(d.float(32)))
+		d.arena = append(d.arena, d.float32())
 		if d.err != nil {
 			return nil
+		}
+		if d.i < len(d.b) && d.b[d.i] == ',' { // the common case, without more's call
+			d.i++
+			continue
 		}
 		if !d.more(']') {
 			break
@@ -268,84 +280,238 @@ func (d *scoreDecoder) feat(event int) []float32 {
 	return d.arena[start:end:end]
 }
 
-// number returns the JSON number token at the cursor. Everything strconv
+// literal is a JSON number as number scanned it. Unless litInexact is set,
+// its value is ±mant × 10^exp: the significand has at most 19 significant
+// digits, which a uint64 always holds, and the exponent was read in full.
+// Four fields keep it in registers.
+type literal struct {
+	start int // the token is d.b[start:d.i]
+	mant  uint64
+	exp   int
+	flags uint64
+}
+
+// literal flags.
+const (
+	litInexact  = 1 << iota // mant and exp are not the value
+	litFraction             // a fraction or exponent part: not an integer literal
+	litNeg      = 1 << 63   // a leading '-', at float64's sign bit
+)
+
+// number scans the JSON number at the cursor, checking it against the
+// grammar and accumulating its value in the same pass. Everything strconv
 // would accept beyond the JSON grammar — NaN, Infinity, hex floats, a
 // leading '+' or '.', a trailing '.', digit separators — stops here, or at
 // the delimiter check that follows every value.
-func (d *scoreDecoder) number() []byte {
+func (d *scoreDecoder) number() (lit literal) {
 	d.ws()
+	lit.start = d.i
 	s := d.b[d.i:]
-	n := 0
-	if n < len(s) && s[n] == '-' {
-		n++
+	if len(s) == 0 {
+		return d.notNumber(0, "a number")
 	}
+	n := 0 // past the sign
+	if s[0] == '-' {
+		n = 1
+	}
+	lit.flags = uint64(n) << 63 // litNeg
 	switch {
 	case n < len(s) && s[n] == '0':
 		n++
 	case n < len(s) && '1' <= s[n] && s[n] <= '9':
-		n = digits(s, n)
+		for ; n < len(s) && s[n]-'0' <= 9; n++ {
+			lit.mant, lit.flags = digit(lit.mant, lit.flags, s[n])
+		}
 	default:
 		return d.notNumber(n, "a number")
 	}
 	if n < len(s) && s[n] == '.' {
 		frac := n + 1
-		if n = digits(s, frac); n == frac {
+		// Eight bytes at a time while the word holds them and mant has
+		// room for eight more digits (mant·10⁸ + 99999999 < 10¹⁹).
+		for n = frac; n+8 <= len(s) && lit.mant < 1e11; {
+			k, v := leadingDigits(binary.LittleEndian.Uint64(s[n:]))
+			lit.mant = lit.mant*pow10u[k] + v
+			n += k
+			if k < 8 {
+				break
+			}
+		}
+		for ; n < len(s) && s[n]-'0' <= 9; n++ {
+			lit.mant, lit.flags = digit(lit.mant, lit.flags, s[n])
+		}
+		if n == frac {
 			return d.notNumber(n, "a digit after '.'")
 		}
+		lit.exp = frac - n
+		lit.flags |= litFraction
 	}
 	if n < len(s) && (s[n] == 'e' || s[n] == 'E') {
+		lit.flags |= litFraction
 		n++
+		neg := n < len(s) && s[n] == '-'
 		if n < len(s) && (s[n] == '+' || s[n] == '-') {
 			n++
 		}
-		exp := n
-		if n = digits(s, exp); n == exp {
+		start, e := n, 0
+		for ; n < len(s) && s[n]-'0' <= 9; n++ {
+			if e >= 1e6 { // no exact literal needs more; stop before e overflows
+				lit.flags |= litInexact
+				continue
+			}
+			e = e*10 + int(s[n]-'0')
+		}
+		if n == start {
 			return d.notNumber(n, "a digit in the exponent")
 		}
+		if neg {
+			e = -e
+		}
+		lit.exp += e
 	}
 	d.i += n
-	return s[:n]
+	return lit
 }
 
 // notNumber fails at the byte n past the cursor.
-func (d *scoreDecoder) notNumber(n int, want string) []byte {
+func (d *scoreDecoder) notNumber(n int, want string) literal {
 	d.i += n
 	d.syntax(want)
-	return nil
+	return literal{}
 }
 
-// digits returns the end of the run of decimal digits starting at s[i].
-func digits(s []byte, i int) int {
-	for i < len(s) && s[i]-'0' <= 9 {
-		i++
+// digit appends one significand digit to mant, unless mant already has 19:
+// the literal is then inexact.
+func digit(mant, flags uint64, c byte) (uint64, uint64) {
+	if mant >= 1e18 {
+		return mant, flags | litInexact
 	}
-	return i
+	return mant*10 + uint64(c-'0'), flags
 }
 
-// float parses a number as encoding/json does for a field of that width:
-// strconv.ParseFloat at bitSize, out of range (±Inf) refused. The string
-// conversion does not allocate for tokens up to 32 bytes: strconv does not
-// retain its argument.
-func (d *scoreDecoder) float(bitSize int) float64 {
-	tok := d.number()
-	if tok == nil {
+// leadingDigits returns how many of the eight bytes of v lead it as decimal
+// digits (the first byte is v's low byte), and their value. It finds the
+// first byte that is not a digit, shifts the k digits up to the top bytes
+// and fills the 8−k below with '0's, which read as leading zeros, subtracts
+// '0' from every byte, and folds the digits into 2-, 4- and 8-digit lanes
+// by multiply-and-shift.
+func leadingDigits(v uint64) (int, uint64) {
+	// The top bit of each byte outside '0'..'9'.
+	other := ((v + 0x4646464646464646) | (v - 0x3030303030303030)) & 0x8080808080808080
+	k := bits.TrailingZeros64(other) >> 3
+	v = v<<(64-8*k) | zeros[k] // a shift by 64 leaves 0
+	v -= 0x3030303030303030
+	v = v*10 + v>>8
+	v = (v&0x000000FF000000FF)*(100+1000000<<32) + (v>>16&0x000000FF000000FF)*(1+10000<<32)
+	return k, v >> 32 & 0xFFFFFFFF
+}
+
+var (
+	// pow10u[k] scales mant past k more digits; zeros[k] is 8−k '0' bytes.
+	pow10u = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+	zeros  = [...]uint64{
+		0x3030303030303030, 0x30303030303030, 0x303030303030, 0x3030303030,
+		0x30303030, 0x303030, 0x3030, 0x30, 0,
+	}
+	// pow10 holds the powers of ten that float64 represents exactly.
+	pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+		1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+)
+
+// fast returns the literal's magnitude by Clinger's fast path, or false
+// where it does not apply: a significand below 2⁵³ and a power of ten up to
+// 10²² are both exact float64s, so one IEEE multiply or divide rounds their
+// product or quotient correctly.
+func (lit literal) fast() (float64, bool) {
+	if lit.flags&litInexact != 0 || lit.mant >= 1<<53 || uint(lit.exp+22) > 44 {
+		return 0, false
+	}
+	f := float64(int64(lit.mant))
+	if lit.exp < 0 {
+		return f / pow10[-lit.exp], true
+	}
+	return f * pow10[lit.exp], true
+}
+
+// float64 parses the "time" field as encoding/json does: the value
+// strconv.ParseFloat gives at 64 bits, out of range (±Inf) refused. Literals
+// fast cannot take go to strconv itself.
+func (d *scoreDecoder) float64() float64 {
+	lit := d.number()
+	if d.err != nil {
 		return 0
 	}
+	if f, ok := lit.fast(); ok {
+		return math.Float64frombits(math.Float64bits(f) | lit.flags&litNeg)
+	}
+	return d.parseFloat(lit.start, 64)
+}
+
+// float32 parses one "feat" element as encoding/json does: the value
+// strconv.ParseFloat gives at 32 bits, out of range (±Inf) refused.
+//
+// It rounds fast's float64 f once more, to float32, and gets the float32
+// nearest the literal's value x unless f is itself a float32 midpoint (a
+// value halfway between two adjacent float32s). Why: if f and x rounded to
+// different float32s, a float32 midpoint μ would lie between f and x, or
+// on one of them. Every float32 midpoint is a float64. A μ strictly between
+// them would be a float64 closer to x than f, which cannot be, as f is the
+// float64 nearest x; so μ = f, or μ = x, and then x is a float64 and f = x.
+//
+// So midpoints go to strconv, as does every literal fast cannot take.
+// Range needs no test: fast's results are 0 or lie in [10⁻²², 2⁵³·10²²],
+// inside float32's normal range [2⁻¹²⁶, MaxFloat32] ≈ [1.2·10⁻³⁸,
+// 3.4·10³⁸], so every overflow and underflow is strconv's to report.
+func (d *scoreDecoder) float32() float32 {
+	lit := d.number()
+	if d.err != nil {
+		return 0
+	}
+	if f, ok := lit.fast(); ok {
+		// Rounding a normal float32 value from float64 drops the low 29
+		// of its 52 fraction bits; f is a midpoint when they are exactly
+		// one half.
+		if b := math.Float64bits(f); b&(1<<29-1) != 1<<28 {
+			return float32(math.Float64frombits(b | lit.flags&litNeg))
+		}
+	}
+	return float32(d.parseFloat(lit.start, 32))
+}
+
+// parseFloat converts the number that ends at the cursor with
+// strconv.ParseFloat, refusing what does not fit bitSize. The string
+// conversion does not allocate for tokens up to 32 bytes: strconv does not
+// retain its argument.
+func (d *scoreDecoder) parseFloat(start, bitSize int) float64 {
+	tok := d.b[start:d.i]
 	f, err := strconv.ParseFloat(string(tok), bitSize)
 	if err != nil {
-		d.fail("bad_json", "offset %d: number %s does not fit a float%d", d.i-len(tok), tok, bitSize)
+		d.fail("bad_json", "offset %d: number %s does not fit a float%d", start, tok, bitSize)
 	}
 	return f
 }
 
+// int32 parses a node id: an integer literal that fits int32. Fast when
+// the literal is one; otherwise strconv.ParseInt takes it, and words every
+// refusal.
 func (d *scoreDecoder) int32() int32 {
-	tok := d.number()
-	if tok == nil {
+	lit := d.number()
+	if d.err != nil {
 		return 0
 	}
+	if lit.flags&(litInexact|litFraction) == 0 && lit.mant <= 1<<31 {
+		v := int64(lit.mant)
+		if lit.flags&litNeg != 0 {
+			v = -v
+		}
+		if v <= math.MaxInt32 {
+			return int32(v)
+		}
+	}
+	tok := d.b[lit.start:d.i]
 	n, err := strconv.ParseInt(string(tok), 10, 32)
 	if err != nil {
-		d.fail("bad_json", "offset %d: node id %s is not a 32-bit integer", d.i-len(tok), tok)
+		d.fail("bad_json", "offset %d: node id %s is not a 32-bit integer", lit.start, tok)
 	}
 	return int32(n)
 }

@@ -7,8 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
+
+	"apan/internal/dataset"
+	"apan/internal/tgraph"
 )
 
 // rigDim is the edge dimension of the Wikipedia/Reddit datasets, and so of
@@ -36,6 +41,32 @@ func batchBody(tb testing.TB, events []EventJSON) string {
 	return string(b)
 }
 
+// rigBody writes events the way the benchmark rig does: ids as integers,
+// times as shortest float64 literals, features as shortest float32 ones.
+func rigBody(events []tgraph.Event) string {
+	b := []byte(`{"events":[`)
+	for i, ev := range events {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"src":`...)
+		b = strconv.AppendInt(b, int64(ev.Src), 10)
+		b = append(b, `,"dst":`...)
+		b = strconv.AppendInt(b, int64(ev.Dst), 10)
+		b = append(b, `,"time":`...)
+		b = strconv.AppendFloat(b, ev.Time, 'g', -1, 64)
+		b = append(b, `,"feat":[`...)
+		for j, f := range ev.Feat {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendFloat(b, float64(f), 'g', -1, 32)
+		}
+		b = append(b, `]}`...)
+	}
+	return string(append(b, `]}`...))
+}
+
 func randEvents(rng *rand.Rand, n, dim int) []EventJSON {
 	events := make([]EventJSON, n)
 	for i := range events {
@@ -46,6 +77,30 @@ func randEvents(rng *rand.Rand, n, dim int) []EventJSON {
 		events[i] = EventJSON{Src: rng.Int31n(9000), Dst: rng.Int31n(9000), Time: rng.Float64() * 2.6e6, Feat: f}
 	}
 	return events
+}
+
+// numberEdges are literals at the edges of the decoder's fast number path:
+// each converts there or falls back to strconv, and must agree with strconv
+// either way (TestQuickNumbersMatchStrconv). validCorpus sends each in
+// every field that accepts it.
+var numberEdges = []string{
+	// The float32 midpoint 1+2⁻²⁴ (ties to even: 1), and a literal just
+	// above it (1.0000001).
+	"1.000000059604644775390625", "1.000000059604644776",
+	// Literals that are not float32 midpoints but whose fast-path float64
+	// is one: only the midpoint test sends them to strconv.
+	"5.269576787948608", "6.474296808242798", "1834488648455590e-18", "4153543257122406e1",
+	// 19 and 20 significant digits. The last three are 2⁶⁴+1 in digits,
+	// which a uint64 would wrap to 1.
+	"1234567890123456789", "0.1234567890123456789", "12345678901234567890",
+	"18446744073709551617", "1.8446744073709551617", "184467440737.09551617",
+	// 2⁵³ ± 1, and exponents at and past ±22.
+	"9007199254740991", "9007199254740993", "1e22", "1e23", "1e-22", "1e-23",
+	"9007199254740991e22", "9007199254740991e-22", "123456789e-23", "0.00000000000000000000001",
+	// Float32's range ends and signed zeros.
+	"3.4028235e38", "3.5e38", "1e-45", "7e-46", "-0", "-0.0", "0e999999999", "-0.000e-5",
+	// Node-id range ends.
+	"2147483647", "2147483648", "-2147483648", "-2147483649",
 }
 
 // validCorpus is the set of bodies the decoder must keep accepting, each
@@ -90,6 +145,24 @@ func validCorpus(tb testing.TB) []wireBody {
 		}
 		corpus = append(corpus, wireBody{fmt.Sprintf("json.Marshal %d", i), 4, string(b)})
 	}
+	// The edge literals, each in every field whose strconv call accepts it.
+	var feats, times, ids []string
+	for _, tok := range numberEdges {
+		if _, err := strconv.ParseFloat(tok, 32); err == nil {
+			feats = append(feats, tok)
+		}
+		if _, err := strconv.ParseFloat(tok, 64); err == nil {
+			times = append(times, `{"time":`+tok+`}`)
+		}
+		if _, err := strconv.ParseInt(tok, 10, 32); err == nil {
+			ids = append(ids, `{"src":`+tok+`,"dst":`+tok+`}`)
+		}
+	}
+	corpus = append(corpus,
+		wireBody{"edge literals as features", len(feats), `{"feat":[` + strings.Join(feats, ",") + `]}`},
+		wireBody{"edge literals as times", 0, `{"events":[` + strings.Join(times, ",") + `]}`},
+		wireBody{"edge literals as node ids", 0, `{"events":[` + strings.Join(ids, ",") + `]}`},
+	)
 	return append(corpus,
 		wireBody{"interior whitespace", 2, " \t\r\n{ \"src\" : 1 ,\n\"dst\":\t2, \"time\" : 3.5 , \"feat\" : [ 1 , 2 ] } \n"},
 		wireBody{"exponent forms", 3, `{"src":-0,"dst":7,"time":1E+2,"feat":[-0.0e-0,1e5,2.5E-3]}`},
@@ -165,6 +238,11 @@ func refused() []refusal {
 		{wireBody{"time overflows float64", 1, `{"time":1e999,"feat":[1]}`}, "bad_json"},
 		{wireBody{"fractional src", 1, `{"src":1.5,"feat":[1]}`}, "bad_json"},
 		{wireBody{"integral but not an integer literal", 1, `{"dst":1e2,"feat":[1]}`}, "bad_json"},
+		{wireBody{"feat overflows float32 from a short literal", 1, `{"feat":[3.5e38]}`}, "bad_json"},
+		{wireBody{"time overflows float64 from a short literal", 1, `{"time":1e309,"feat":[1]}`}, "bad_json"},
+		{wireBody{"src of 20 digits that wrap a uint64 to 1", 1, `{"src":18446744073709551617,"feat":[1]}`}, "bad_json"},
+		{wireBody{"dst with a zero fraction", 1, `{"dst":1.0,"feat":[1]}`}, "bad_json"},
+		{wireBody{"src with a zero exponent", 1, `{"src":-0e0,"feat":[1]}`}, "bad_json"},
 		{wireBody{"src overflows int32", 1, `{"src":2147483648,"feat":[1]}`}, "bad_json"},
 		{wireBody{"dst underflows int32", 1, `{"dst":-2147483649,"feat":[1]}`}, "bad_json"},
 		{wireBody{"feat overruns the model's dimension", 2, `{"feat":[1,2,3]}`}, "bad_feat_dim"},
@@ -263,6 +341,89 @@ func TestDecodeScoreCorpus(t *testing.T) {
 	}
 }
 
+// matchesStrconv reports how the decoder's number parsers, run on tok
+// alone, differ from the strconv call each stands for: feat from
+// ParseFloat(tok, 32), time from ParseFloat(tok, 64), node ids from
+// ParseInt(tok, 10, 32). Each must give the same bits, consume the whole
+// token, and refuse exactly where strconv errs, with its own message.
+func matchesStrconv(tok string) error {
+	for _, c := range []struct {
+		field string
+		got   func(d *scoreDecoder) uint64
+		want  func() (uint64, error)
+		msg   string
+	}{
+		{"feat", func(d *scoreDecoder) uint64 { return uint64(math.Float32bits(d.float32())) }, func() (uint64, error) {
+			f, err := strconv.ParseFloat(tok, 32)
+			return uint64(math.Float32bits(float32(f))), err
+		}, "offset 0: number %s does not fit a float32"},
+		{"time", func(d *scoreDecoder) uint64 { return math.Float64bits(d.float64()) }, func() (uint64, error) {
+			f, err := strconv.ParseFloat(tok, 64)
+			return math.Float64bits(f), err
+		}, "offset 0: number %s does not fit a float64"},
+		{"id", func(d *scoreDecoder) uint64 { return uint64(uint32(d.int32())) }, func() (uint64, error) {
+			n, err := strconv.ParseInt(tok, 10, 32)
+			return uint64(uint32(n)), err
+		}, "offset 0: node id %s is not a 32-bit integer"},
+	} {
+		d := scoreDecoder{b: []byte(tok)}
+		got := c.got(&d)
+		want, err := c.want()
+		switch {
+		case d.i != len(tok):
+			return fmt.Errorf("%s %s: scanned %d of %d bytes (%v)", c.field, tok, d.i, len(tok), d.err)
+		case err != nil && (d.err == nil || d.err.code != "bad_json" || d.err.msg != fmt.Sprintf(c.msg, tok)):
+			return fmt.Errorf("%s %s: decoder error %v, strconv %v", c.field, tok, d.err, err)
+		case err == nil && d.err != nil:
+			return fmt.Errorf("%s %s: decoder error %v, strconv accepts", c.field, tok, d.err)
+		case err == nil && got != want:
+			return fmt.Errorf("%s %s: bits %#x, strconv %#x", c.field, tok, got, want)
+		}
+	}
+	return nil
+}
+
+// TestQuickNumbersMatchStrconv: the fused scanner converts every number as
+// strconv does, bit for bit and error for error, on the edge literals and
+// on random values printed the way clients print them — float32 bit
+// patterns shortest ('g', as the rig and encoding/json write features) and
+// at random precisions ('e', 'f'), float64 patterns shortest, and integers
+// in and past int32.
+func TestQuickNumbersMatchStrconv(t *testing.T) {
+	for _, tok := range numberEdges {
+		if err := matchesStrconv(tok); err != nil {
+			t.Error(err)
+		}
+	}
+	f := func(bits uint32, wide uint64, form, prec uint8) bool {
+		x := float64(math.Float32frombits(bits))
+		var tok string
+		switch form % 5 {
+		case 0:
+			tok = strconv.FormatFloat(x, 'g', -1, 32)
+		case 1:
+			tok = strconv.FormatFloat(x, 'e', int(prec%24), 32)
+		case 2:
+			tok = strconv.FormatFloat(x, 'f', int(prec%24), 32)
+		case 3:
+			tok = strconv.FormatFloat(math.Float64frombits(wide), 'g', -1, 64)
+		case 4:
+			tok = strconv.FormatInt(int64(wide)>>(prec%64), 10)
+		}
+		if strings.ContainsAny(tok, "NI") { // NaN, ±Inf: not JSON numbers
+			return true
+		}
+		if err := matchesStrconv(tok); err != nil {
+			t.Error(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScoreRefusals posts every refused body and checks status and code.
 func TestScoreRefusals(t *testing.T) {
 	ts, pipe := newTestServer(t, Options{MaxNodes: 2 * testNodes})
@@ -310,12 +471,16 @@ func TestDecodeScoreAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeScore measures the request decoder on the two body shapes
-// the benchmark sends, with encoding/json into ScoreRequest beside it as the
-// reference docs/performance.md quotes.
+// BenchmarkDecodeScore measures the request decoder, with encoding/json
+// into ScoreRequest beside it as the reference docs/performance.md quotes,
+// on a single event and a 200-event batch of random normal features as
+// json.Marshal writes them, and on the body the benchmark rig sends: 200
+// dataset events written as shortest literals.
 func BenchmarkDecodeScore(b *testing.B) {
 	corpus := validCorpus(b)
-	for _, c := range []wireBody{{"single", rigDim, corpus[1].body}, {"batch200", rigDim, corpus[0].body}} {
+	ds := dataset.Wikipedia(dataset.Config{Scale: 0.001, Seed: 1})
+	rig := wireBody{"rig200", ds.EdgeDim, rigBody(ds.Events[:200])}
+	for _, c := range []wireBody{{"single", rigDim, corpus[1].body}, {"batch200", rigDim, corpus[0].body}, rig} {
 		body := []byte(c.body)
 		b.Run(c.name, func(b *testing.B) {
 			b.Run("scanner", func(b *testing.B) {

@@ -446,9 +446,11 @@ func (s *Server) readScore(w http.ResponseWriter, r *http.Request) (scoreRequest
 	defer bodyPool.Put(buf)
 	buf.Reset()
 	if n := r.ContentLength; n > 0 {
-		// One allocation for a body of known length. ReadFrom wants MinRead
-		// spare bytes to find EOF without growing.
-		buf.Grow(int(min(n, maxBodyBytes)) + bytes.MinRead)
+		// One allocation for a body of known length up to maxPresizeBytes.
+		// Past that the buffer grows as bytes arrive, so a client that
+		// declares a large body and stalls pins no more than this. ReadFrom
+		// wants MinRead spare bytes to find EOF without growing.
+		buf.Grow(int(min(n, maxPresizeBytes)) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		return scoreRequest{}, &decodeError{code: "bad_json", msg: err.Error()}

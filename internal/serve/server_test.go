@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -502,6 +504,47 @@ func TestServerCloseRejectsScores(t *testing.T) {
 	// makes Close safe to follow with Pipeline.Shutdown).
 	if got := errCode(t, out.Bytes()); got != "server_closing" {
 		t.Fatalf("code %q", got)
+	}
+}
+
+// TestStalledBodiesPinLittleMemory: a client that declares a body at the
+// 16 MiB cap and then stalls holds a handler, but not a buffer of the
+// declared size. Eight of them grew the heap by 128 MB when the buffer was
+// sized from Content-Length alone.
+func TestStalledBodiesPinLittleMemory(t *testing.T) {
+	const clients = 8
+	pipe := async.New(testModel(t))
+	defer pipe.Close()
+	srv := New(pipe, Options{})
+	defer srv.Close()
+	var entered atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered.Add(1)
+		srv.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < clients; i++ {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST /v1/score HTTP/1.1\r\nHost: apan\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n{", maxBodyBytes)
+	}
+	for deadline := time.Now().Add(10 * time.Second); entered.Load() < clients; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests reached the handler", entered.Load(), clients)
+		}
+	}
+	time.Sleep(200 * time.Millisecond) // each handler sizes its buffer, then blocks reading
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= 16<<20 {
+		t.Fatalf("%d stalled requests grew the heap by %.1f MB, want < 16 MB", clients, float64(grown)/1e6)
 	}
 }
 
