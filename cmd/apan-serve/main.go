@@ -13,7 +13,7 @@
 //	GET  /v1/readyz               readiness (503 when degraded: WAL latched error,
 //	                              follower lag past -max-lag-events, checkpoint failures)
 //	GET  /v1/healthz              legacy: always 200, verdict in the body
-//	GET  /v1/explain/{node}       attention explanation of the last scored batch
+//	GET  /v1/explain/{node}       attention over the node's current mailbox
 //	POST /v1/admin/promote        promote a follower to leader (409 if already promoted)
 //	POST /v1/admin/train/freeze   pause online training (with -train-online)
 //	POST /v1/admin/train/resume   resume online training

@@ -133,6 +133,12 @@ func main() {
 		log.Fatal(err)
 	}
 	resp.Body.Close()
+	// Explain attends over the node's mailbox as it stands. The scored
+	// event's mail arrives when the asynchronous link applies it, so wait
+	// for that first.
+	if err := pipe.Drain(context.Background()); err != nil {
+		log.Fatal(err)
+	}
 
 	resp, err = http.Get(fmt.Sprintf("%s/v1/explain/%d", hs.URL, target.Src))
 	if err != nil {
@@ -160,7 +166,7 @@ func main() {
 			best = i
 		}
 	}
-	fmt.Printf("=> the interaction behind mail %d dominated this embedding\n", best)
+	fmt.Printf("=> the interaction behind mail %d drives the node's next embedding\n", best)
 }
 
 func scoreAPAN(m *apan.Model, warmup, probe []apan.Event) []float32 {

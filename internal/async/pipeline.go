@@ -127,7 +127,9 @@ func WithOnlineTrainer(t Trainer) Option {
 // drain the queue. Any number of goroutines may call the Submit variants
 // concurrently, and their synchronous-link passes run in parallel: the
 // model's sharded stores make InferBatch safe and scalable under concurrent
-// callers (shard-local locking, no global lock).
+// callers (shard-local locking, no global lock). Every Submit variant and
+// ScoreOnly answer an empty batch with empty scores and a nil error, without
+// touching the model, the queue or any counter.
 type Pipeline struct {
 	model *core.Model
 	opts  options
@@ -371,6 +373,9 @@ func (p *Pipeline) unnoteEnqueued() {
 // On cancellation the already-computed scores are discarded unapplied: no
 // state was mutated, so the caller can simply retry.
 func (p *Pipeline) Submit(ctx context.Context, events []tgraph.Event) ([]float32, time.Duration, error) {
+	if len(events) == 0 {
+		return []float32{}, 0, nil
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -386,6 +391,9 @@ func (p *Pipeline) Submit(ctx context.Context, events []tgraph.Event) ([]float32
 // advances exclusively through WAL replay — scoring a shipped-but-unlogged
 // event through the write path would fork the follower from the leader.
 func (p *Pipeline) ScoreOnly(events []tgraph.Event) ([]float32, time.Duration, error) {
+	if len(events) == 0 {
+		return []float32{}, 0, nil
+	}
 	scores, _, lat, err := p.score(events, false)
 	return scores, lat, err
 }
@@ -395,6 +403,9 @@ func (p *Pipeline) ScoreOnly(events []tgraph.Event) ([]float32, time.Duration, e
 // ErrQueueFull, leaving all model state untouched — a load-shedding
 // primitive for the serving edge.
 func (p *Pipeline) TrySubmit(events []tgraph.Event) ([]float32, time.Duration, error) {
+	if len(events) == 0 {
+		return []float32{}, 0, nil
+	}
 	if p.sched != nil {
 		return p.submitTenant(context.Background(), DefaultTenant, events, false)
 	}
@@ -456,9 +467,10 @@ func (p *Pipeline) SubmitFuture(ctx context.Context, events []tgraph.Event) <-ch
 	return ch
 }
 
-// Explain returns the attention explanation for node n from the most recent
-// scored batch. With concurrent scoring, "most recent" means whichever pass
-// published its attention record last.
+// Explain computes node n's attention over its current mailbox with the
+// published parameters (see core.Model.Explain). It answers for any node
+// with mail, whichever batch was scored last; ok is false for a node
+// without mail or outside the node space.
 func (p *Pipeline) Explain(n tgraph.NodeID) (*core.Explanation, bool) {
 	return p.model.Explain(n)
 }

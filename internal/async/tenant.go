@@ -330,8 +330,9 @@ func (s *tenantSched) recordDrop(t *tenantState) {
 
 // enqueue appends the scored batch's record to the tenant's queue. When
 // block is false a full queue fails fast with ErrQueueFull; otherwise the
-// caller waits for space, for ctx, or for close. wake must be non-nil when block
-// is true: it is closed by the caller's ctx watcher to force a recheck.
+// caller waits for space, for ctx, or for close. A blocking caller must
+// kick the scheduler when ctx is done, since the wait is on a condition
+// variable that does not watch ctx.
 func (s *tenantSched) enqueue(ctx context.Context, t *tenantState, rec *core.Pending, block bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -459,6 +460,9 @@ func (p *Pipeline) TenantStats() map[string]TenantStats {
 // tenant's own queue, and all accounting lands on its ledger. Without
 // tenancy it falls through to the plain Submit path.
 func (p *Pipeline) SubmitTenant(ctx context.Context, tenant string, events []tgraph.Event) ([]float32, time.Duration, error) {
+	if len(events) == 0 {
+		return []float32{}, 0, nil
+	}
 	if p.sched == nil {
 		return p.Submit(ctx, events)
 	}
@@ -472,6 +476,9 @@ func (p *Pipeline) SubmitTenant(ctx context.Context, tenant string, events []tgr
 // drops the scored batch unapplied with ErrQueueFull, and a spent rate
 // bucket drops it unscored with ErrRateLimited.
 func (p *Pipeline) TrySubmitTenant(tenant string, events []tgraph.Event) ([]float32, time.Duration, error) {
+	if len(events) == 0 {
+		return []float32{}, 0, nil
+	}
 	if p.sched == nil {
 		return p.TrySubmit(events)
 	}

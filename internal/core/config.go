@@ -64,12 +64,6 @@ type Config struct {
 	// no tracking, bitwise-identical behavior to earlier builds.
 	EvictMaxNodes int
 
-	// NoExplain skips recording the per-pass attention copy that Explain
-	// serves. The copy happens under a model-wide mutex on every forward
-	// pass, so deployments that never query /v1/explain can turn it off;
-	// Explain then always reports "no explanation".
-	NoExplain bool
-
 	Positional PositionalMode
 	Reduce     MailReduce
 	// KeyValueMailbox switches ψ to the memory-network update (§3.6).

@@ -2,56 +2,58 @@ package core
 
 import "apan/internal/tgraph"
 
-// Explanation reports, for one node of the most recent inference, how much
-// each mailbox mail contributed to the node's new embedding — the
-// interpretability mechanism of paper §3.6: because mails store the full
-// interaction detail (z_i, e_ij, z_j), the attention weight over a mail
-// identifies which past interaction drove the decision.
+// Explanation reports how much each mail in a node's current mailbox
+// contributes to the node's embedding — the interpretability mechanism of
+// paper §3.6: because mails store the full interaction detail
+// (z_i, e_ij, z_j), the attention weight over a mail identifies which past
+// interaction drives the node's next decision.
 type Explanation struct {
 	Node tgraph.NodeID
-	// ParamVersion is the published parameter version of the forward pass
-	// that produced these weights (0 for offline training/eval passes, which
-	// run on the model's own mutable parameters). An explanation is pinned to
-	// the version its pass scored with, even if weights were swapped since.
+	// Time is the query time of the explaining pass: the timestamp of the
+	// node's newest mail, so that mail has Δt = 0. It matters only under
+	// PositionalTime, where the weights depend on the time deltas.
+	Time float64
+	// ParamVersion is the published parameter version the explaining pass
+	// ran with, pinned at entry.
 	ParamVersion uint64
 	// MailWeights[i] is the attention probability on the i-th mail (oldest
-	// first, timestamp order), averaged over heads. Sums to 1 when the node
-	// had any mail.
+	// first, timestamp order), averaged over heads. Sums to 1.
 	MailWeights []float32
 	// PerHead[h][i] is the unaveraged weight of head h on mail i.
 	PerHead [][]float32
 }
 
-// Explain returns the attention explanation for node n from the most recent
-// forward pass (training, evaluation or serving). ok is false when n was not
-// part of that batch or no pass has run. Safe for concurrent use; with
-// concurrent scoring "most recent" means whichever pass published last.
+// Explain computes node n's explanation on demand: one forward pass over
+// n's current state and mailbox with the published parameters, queried at
+// the timestamp of n's newest mail. Its per-head weights equal, bit for bit,
+// n's attention row in a batch pass over the same state with n at that
+// time. ok is false when n lies outside the node space or has no mail.
+// Explain reads only the node stores — never the graph — and is safe for
+// concurrent use with scoring, applies and SwapParams.
 func (m *Model) Explain(n tgraph.NodeID) (*Explanation, bool) {
-	m.explainMu.Lock()
-	defer m.explainMu.Unlock()
-	r := &m.explain
-	if !r.valid {
+	pv := m.cur.Load()
+	ws := m.acquireWorkspace()
+	defer ws.release()
+	if !m.gatherChecked(ws, []tgraph.NodeID{n}, []float64{0}) || ws.in.Counts[0] == 0 {
 		return nil, false
 	}
-	row := -1
-	for i, node := range r.nodes {
-		if node == n {
-			row = i
-			break
-		}
+	// Re-anchor the time deltas at the newest mail. The gather of one node
+	// is serial and leaves its sorted mail timestamps in ws.ts, and the
+	// subtraction is the gather's own, so a batch pass at time t computes
+	// the same deltas.
+	c := ws.in.Counts[0]
+	t := ws.ts[c-1]
+	for s := range c {
+		ws.in.DTs[s] = float32(t - ws.ts[s])
 	}
-	if row < 0 {
-		return nil, false
-	}
-	count := r.counts[row]
-	ex := &Explanation{Node: n, ParamVersion: r.version, MailWeights: make([]float32, count)}
-	ex.PerHead = make([][]float32, r.heads)
-	for h := 0; h < r.heads; h++ {
-		ex.PerHead[h] = make([]float32, count)
-		for i := 0; i < count; i++ {
-			w := r.weights[(row*r.heads+h)*r.slots+i]
-			ex.PerHead[h][i] = w
-			ex.MailWeights[i] += w / float32(r.heads)
+	_, att := pv.enc.Forward(ws.tape, &ws.in)
+	heads, slots := att.Heads(), att.Slots()
+	ex := &Explanation{Node: n, Time: t, ParamVersion: pv.set.Version(),
+		MailWeights: make([]float32, c), PerHead: make([][]float32, heads)}
+	for h := range heads {
+		ex.PerHead[h] = append([]float32(nil), att.Weights[h*slots:h*slots+c]...)
+		for i, w := range ex.PerHead[h] {
+			ex.MailWeights[i] += w / float32(heads)
 		}
 	}
 	return ex, true

@@ -90,14 +90,6 @@ type Model struct {
 	// graphMu.
 	wal *wal.Log
 
-	// explainMu guards the per-pass attention record below, which Explain
-	// reads and every forward pass overwrites. The record is a copy: the
-	// attention weights a pass produces live in pooled tape storage that is
-	// recycled when the pass's workspace is released, so setExplain copies
-	// them into these model-owned buffers (grown once, then reused).
-	explainMu sync.Mutex
-	explain   explainRec
-
 	// wsMu/wsFree recycle inference workspaces (gather buffers + reusable
 	// tape + score output) across InferBatch/Embed calls and goroutines.
 	// This is a plain mutex-guarded stack, NOT a sync.Pool: a sync.Pool's
@@ -120,17 +112,6 @@ type Model struct {
 	// the default — in which case every eviction hook is a no-op and the
 	// model's behavior is bitwise unchanged.
 	ev *evictor
-}
-
-// explainRec is the model-owned copy of the most recent forward pass's
-// attention, sized by the pass that wrote it.
-type explainRec struct {
-	valid        bool
-	heads, slots int
-	version      uint64 // parameter version of the recording pass (0: offline)
-	weights      []float32
-	nodes        []tgraph.NodeID
-	counts       []int
 }
 
 // New builds an APAN model with a fresh temporal graph.
@@ -487,7 +468,7 @@ func (m *Model) processBatch(events []tgraph.Event, ns *dataset.NegSampler, trai
 	} else {
 		tp = nn.NewTape()
 	}
-	z, att := m.enc.Forward(tp, in)
+	z, _ := m.enc.Forward(tp, in)
 	zsrc := tp.Gather(z, plan.srcRow)
 	zdst := tp.Gather(z, plan.dstRow)
 	zneg := tp.Gather(z, plan.negRow)
@@ -522,10 +503,6 @@ func (m *Model) processBatch(events []tgraph.Event, ns *dataset.NegSampler, trai
 		res.PosScores[i] = tensor.Sigmoid32(posLogits.Value().Data[i])
 		res.NegScores[i] = tensor.Sigmoid32(negLogits.Value().Data[i])
 	}
-
-	// Offline passes run on the model's own mutable parameters, outside any
-	// published version — recorded as version 0.
-	m.setExplain(att, plan.nodes, in.Counts, 0)
 
 	// Post-inference mutations — state write-back (z(t) becomes z(t−) for
 	// the next batch; negative nodes did not interact, so their state is
@@ -712,6 +689,9 @@ func (inf *Inference) Release() {
 // entry — the entire pass scores with that one immutable snapshot. With
 // Config.InferWorkers > 1 the gather itself additionally fans out across
 // goroutines.
+//
+// events must be non-empty: the encoder has no zero-row pass, and an empty
+// batch panics. async.Pipeline answers empty batches without calling it.
 func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 	pv := m.cur.Load()
 	ws := m.acquireWorkspace()
@@ -720,11 +700,10 @@ func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 	ws.gather(m.st, m.mbox, ws.plan.nodes, ws.plan.times, m.Cfg.InferWorkers)
 	m.storeMu.RUnlock()
 	tp := ws.tape
-	z, att := pv.enc.Forward(tp, &ws.in)
+	z, _ := pv.enc.Forward(tp, &ws.in)
 	zsrc := tp.Gather(z, ws.plan.srcRow)
 	zdst := tp.Gather(z, ws.plan.dstRow)
 	logits := pv.dec.Forward(tp, zsrc, zdst)
-	m.setExplain(att, ws.plan.nodes, ws.in.Counts, pv.set.Version())
 	ws.scores = grow(ws.scores, len(events))
 	for i := range ws.scores {
 		ws.scores[i] = tensor.Sigmoid32(logits.Value().Data[i])
@@ -879,42 +858,36 @@ func (m *Model) WAL() *wal.Log {
 	return m.wal
 }
 
-// setExplain copies the most recent forward pass's attention into the
-// model-owned explain record: the source buffers belong to the pass's
-// workspace and are recycled on Release, so the copy is what makes Explain
-// safe after the pass's memory is reused. The buffers grow to the largest
-// batch seen and then stop allocating.
-func (m *Model) setExplain(att *nn.Attention, nodes []tgraph.NodeID, counts []int, version uint64) {
-	if m.Cfg.NoExplain {
-		return
-	}
-	m.explainMu.Lock()
-	r := &m.explain
-	r.valid = att != nil
-	r.version = version
-	if att != nil {
-		r.heads, r.slots = att.Heads(), att.Slots()
-		r.weights = append(r.weights[:0], att.Weights...)
-		r.nodes = append(r.nodes[:0], nodes...)
-		r.counts = append(r.counts[:0], counts...)
-	}
-	m.explainMu.Unlock()
-}
-
 // Embed returns the current temporal embeddings z(t) of the given nodes at
 // their query times, with no side effects, computed with the published
 // parameter version pinned at entry. This is the public embedding API for
 // downstream consumers; like InferBatch it is safe for concurrent use,
 // including during SwapParams churn. The returned matrix is a copy owned by
-// the caller.
+// the caller. Every node must lie in the node space; Embed panics otherwise.
 func (m *Model) Embed(nodes []tgraph.NodeID, times []float64) *tensor.Matrix {
 	pv := m.cur.Load()
 	ws := m.acquireWorkspace()
-	m.storeMu.RLock()
-	ws.gather(m.st, m.mbox, nodes, times, m.Cfg.InferWorkers)
-	m.storeMu.RUnlock()
+	defer ws.release()
+	if !m.gatherChecked(ws, nodes, times) {
+		panic(fmt.Sprintf("core: Embed: a node lies outside [0,%d)", m.NumNodes()))
+	}
 	z, _ := pv.enc.Forward(ws.tape, &ws.in)
-	out := z.Value().Clone()
-	ws.release()
-	return out
+	return z.Value().Clone()
+}
+
+// gatherChecked fills ws with z(t−) and the sorted mailboxes of nodes at
+// times under the shared store latch: the read Embed and Explain encode
+// from. It reads nothing and reports false when a node lies outside the
+// node space, which is checked under the latch because RestoreRuntime may
+// shrink it.
+func (m *Model) gatherChecked(ws *inferWorkspace, nodes []tgraph.NodeID, times []float64) bool {
+	m.storeMu.RLock()
+	defer m.storeMu.RUnlock()
+	for _, n := range nodes {
+		if n < 0 || int(n) >= m.Cfg.NumNodes {
+			return false
+		}
+	}
+	ws.gather(m.st, m.mbox, nodes, times, m.Cfg.InferWorkers)
+	return true
 }

@@ -347,8 +347,11 @@ func TestExplainWeights(t *testing.T) {
 	if sum < 0.99 || sum > 1.01 {
 		t.Fatalf("weights sum %v", sum)
 	}
-	if _, ok := m.Explain(5); ok {
-		t.Fatal("explain should miss for absent node")
+	// Node 5 has no mail; the others lie outside the node space.
+	for _, n := range []tgraph.NodeID{5, -1, 6, math.MaxInt32} {
+		if _, ok := m.Explain(n); ok {
+			t.Fatalf("Explain(%d) answered", n)
+		}
 	}
 }
 

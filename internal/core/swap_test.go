@@ -35,8 +35,10 @@ func cloneParamValues(m *Model) []*tensor.Matrix {
 // InferBatch/Embed/Explain while a writer rapidly alternates between two
 // published parameter sets. Every observed score vector must bitwise equal
 // the precomputed output of exactly one of the two sets — never a mix — and
-// the Inference's pinned version must identify that set. Run under -race in
-// CI to cover the memory-model side as well.
+// the Inference's pinned version must identify that set; likewise every
+// Explanation's weights must equal a one-node encode under the set its
+// ParamVersion names. Run under -race in CI to cover the memory-model side
+// as well.
 func TestSwapParamsChurn(t *testing.T) {
 	ds := tinyData(11)
 	cfg := tinyConfig(ds.NumNodes)
@@ -73,10 +75,25 @@ func TestSwapParamsChurn(t *testing.T) {
 		defer inf.Release()
 		return append([]float32(nil), inf.Scores...)
 	}
+	// Explain's reference: a one-node encode of the first batch node with
+	// mail, at its newest mail, under each set.
+	var probe tgraph.NodeID
+	var probeTime float64
+	ok := false
+	for i := 0; i < len(batch) && !ok; i++ {
+		probe = batch[i].Src
+		probeTime, ok = newestMail(m, probe)
+	}
+	if !ok {
+		t.Fatal("no batch source has mail")
+	}
+	explainRef := func() *nn.Attention {
+		return referenceAttention(m, []tgraph.NodeID{probe}, []float64{probeTime})
+	}
 	psA := publish(aVals)
-	scoresA := scoreNow()
+	scoresA, attA := scoreNow(), explainRef()
 	psB := publish(bVals)
-	scoresB := scoreNow()
+	scoresB, attB := scoreNow(), explainRef()
 	parityA := psA.Version() % 2
 	if psB.Version()%2 == parityA {
 		t.Fatalf("version parity did not alternate: %d then %d", psA.Version(), psB.Version())
@@ -85,6 +102,9 @@ func TestSwapParamsChurn(t *testing.T) {
 		if scoresA[i] == scoresB[i] {
 			t.Fatalf("score %d identical across sets; churn test cannot discriminate", i)
 		}
+	}
+	if attA.Weight(0, 0, 0) == attB.Weight(0, 0, 0) {
+		t.Fatal("probe attention identical across sets; churn test cannot discriminate")
 	}
 
 	const swaps = 300
@@ -134,7 +154,18 @@ func TestSwapParamsChurn(t *testing.T) {
 						[]float64{batch[0].Time, batch[1].Time, batch[2].Time})
 				}
 				if rng.Intn(4) == 0 {
-					m.Explain(batch[0].Src)
+					ex, ok := m.Explain(probe)
+					want := attB
+					if ok && ex.ParamVersion%2 == parityA {
+						want = attA
+					}
+					if !ok || ex.Time != probeTime || !sameAttentionRow(t, ex, want, 0) {
+						select {
+						case errs <- "Explain does not match a one-node encode at its reported version":
+						default:
+						}
+						return
+					}
 				}
 			}
 		}(r)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -79,7 +80,10 @@ func LoadCSV(path, name string) (*Dataset, error) {
 	return ParseCSV(f, name)
 }
 
-// ParseCSV parses JODIE-format CSV content from r. See LoadCSV.
+// ParseCSV parses JODIE-format CSV content from r. See LoadCSV. Every row
+// must carry non-negative ids whose node space fits int32, a finite
+// timestamp, an integer label in int8's range and as many features as the
+// first row; a row that does not is refused with its line number.
 func ParseCSV(r io.Reader, name string) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -104,11 +108,11 @@ func ParseCSV(r io.Reader, name string) (*Dataset, error) {
 		if len(parts) < 4 {
 			return nil, fmt.Errorf("dataset: line %d: want ≥4 fields, got %d", line, len(parts))
 		}
-		user, err := strconv.Atoi(strings.TrimSpace(parts[0]))
+		user, err := parseID(parts[0])
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d user: %w", line, err)
 		}
-		item, err := strconv.Atoi(strings.TrimSpace(parts[1]))
+		item, err := parseID(parts[1])
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d item: %w", line, err)
 		}
@@ -116,9 +120,15 @@ func ParseCSV(r io.Reader, name string) (*Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d timestamp: %w", line, err)
 		}
+		if math.IsNaN(ts) || math.IsInf(ts, 0) {
+			return nil, fmt.Errorf("dataset: line %d timestamp: %v is not finite", line, ts)
+		}
 		lab, err := strconv.ParseFloat(strings.TrimSpace(parts[3]), 64)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d label: %w", line, err)
+		}
+		if lab != math.Trunc(lab) || lab < math.MinInt8 || lab > math.MaxInt8 {
+			return nil, fmt.Errorf("dataset: line %d label: %v is not an integer in [%d, %d]", line, lab, math.MinInt8, math.MaxInt8)
 		}
 		feat := make([]float32, 0, len(parts)-4)
 		for _, p := range parts[4:] {
@@ -128,11 +138,13 @@ func ParseCSV(r io.Reader, name string) (*Dataset, error) {
 			}
 			feat = append(feat, float32(v))
 		}
-		if user > maxUser {
-			maxUser = user
+		if len(raws) > 0 && len(feat) != len(raws[0].feat) {
+			return nil, fmt.Errorf("dataset: line %d: %d features, the first event has %d", line, len(feat), len(raws[0].feat))
 		}
-		if item > maxItem {
-			maxItem = item
+		maxUser, maxItem = max(maxUser, user), max(maxItem, item)
+		// Items are numbered after users, and a node id is an int32.
+		if maxUser+1+maxItem > math.MaxInt32 {
+			return nil, fmt.Errorf("dataset: line %d: %d users plus item id %d overflow the int32 node space", line, maxUser+1, maxItem)
 		}
 		raws = append(raws, rawEvent{user, item, ts, int8(lab), feat})
 	}
@@ -164,4 +176,16 @@ func ParseCSV(r io.Reader, name string) (*Dataset, error) {
 	}
 	d.finalize()
 	return d, nil
+}
+
+// parseID parses a user or item id: a decimal integer in [0, MaxInt32].
+func parseID(field string) (int, error) {
+	id, err := strconv.ParseInt(strings.TrimSpace(field), 10, 32)
+	if err != nil {
+		return 0, err
+	}
+	if id < 0 {
+		return 0, fmt.Errorf("negative id %d", id)
+	}
+	return int(id), nil
 }

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -198,13 +199,15 @@ func TestGraphPrefix(t *testing.T) {
 	}
 }
 
-func TestParseCSVRoundTrip(t *testing.T) {
-	csv := `user_id,item_id,timestamp,state_label,f0,f1
+// roundTripCSV is TestParseCSVRoundTrip's file, also a FuzzParseCSV seed.
+const roundTripCSV = `user_id,item_id,timestamp,state_label,f0,f1
 0,0,1.0,0,0.5,1.5
 1,0,2.0,1,-0.5,0.25
 0,1,3.0,0,0.0,0.0
 `
-	d, err := ParseCSV(strings.NewReader(csv), "test")
+
+func TestParseCSVRoundTrip(t *testing.T) {
+	d, err := ParseCSV(strings.NewReader(roundTripCSV), "test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,17 +271,41 @@ func TestWriteCSVRejectsNonBipartite(t *testing.T) {
 	}
 }
 
+// parseCSVErrors are files ParseCSV must refuse, each with the line
+// number of the offending row (0: the error is about the whole file). They
+// also seed FuzzParseCSV.
+var parseCSVErrors = []struct {
+	name, csv string
+	line      int
+}{
+	{"empty", "header\n", 0},
+	{"too few fields", "header\n1,2\n", 2},
+	{"bad user", "header\nx,2,3.0,0\n", 2},
+	{"bad timestamp", "header\n1,2,zzz,0\n", 2},
+	{"bad feature", "header\n1,2,3.0,0,notnum\n", 2},
+	{"negative user", "header\n-1,0,1.0,0\n", 2},
+	{"negative item", "header\n0,0,1.0,0\n0,-1,2.0,0\n", 3},
+	{"user past int32", "header\n3000000000,0,1.0,0\n", 2},
+	{"item past int32", "header\n0,3000000000,1.0,0\n", 2},
+	{"users plus items past int32", "header\n2000000000,0,1.0,0\n0,2000000000,2.0,0\n", 3},
+	{"ragged features", "header\n0,0,1.0,0,0.5,1.5\n1,0,2.0,0,0.5\n", 3},
+	{"NaN timestamp", "header\n0,0,1.0,0\n0,1,NaN,0\n", 3},
+	{"+Inf timestamp", "header\n0,0,+Inf,0\n", 2},
+	{"-Inf timestamp", "header\n0,0,-Inf,0\n", 2},
+	{"label above int8", "header\n0,0,1.0,300\n", 2},
+	{"label below int8", "header\n0,0,1.0,-129\n", 2},
+	{"fractional label", "header\n0,0,1.0,0.5\n", 2},
+	{"NaN label", "header\n0,0,1.0,NaN\n", 2},
+}
+
 func TestParseCSVErrors(t *testing.T) {
-	cases := []string{
-		"header\n",                   // empty
-		"header\n1,2\n",              // too few fields
-		"header\nx,2,3.0,0\n",        // bad user
-		"header\n1,2,zzz,0\n",        // bad timestamp
-		"header\n1,2,3.0,0,notnum\n", // bad feature
-	}
-	for i, c := range cases {
-		if _, err := ParseCSV(strings.NewReader(c), "bad"); err == nil {
-			t.Fatalf("case %d: want error", i)
+	for _, c := range parseCSVErrors {
+		_, err := ParseCSV(strings.NewReader(c.csv), "bad")
+		switch {
+		case err == nil:
+			t.Errorf("%s: parsed without error", c.name)
+		case c.line > 0 && !strings.Contains(err.Error(), fmt.Sprintf("line %d", c.line)):
+			t.Errorf("%s: error %q does not name line %d", c.name, err, c.line)
 		}
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // Attention is the result of a fused masked multi-head attention op. Weights
-// holds the forward attention probabilities laid out as [query][head][slot],
-// which Model.Explain exposes for interpretability (paper §3.6).
+// holds the forward attention probabilities laid out as [query][head][slot]:
+// the interpretability signal of paper §3.6, which core.Model.Explain reads
+// from a one-node pass of its own.
 type Attention struct {
 	Out     *Tensor
 	Weights []float32
@@ -63,8 +64,8 @@ func (tp *Tape) MaskedMHA(q, k, v *Tensor, heads int, counts []int) *Attention {
 	scale := 1 / tensor.Sqrt32(float32(dh))
 
 	out := tp.newResult(b, d, q, k, v)
-	// Pool-backed on pooled tapes: the weights live until Reset, and
-	// core.Model copies them out for Explain before the tape is recycled.
+	// Pool-backed on pooled tapes: the weights live until Reset, so a
+	// caller that keeps them (core.Model.Explain) copies them out first.
 	weights := tp.scratch(b * heads * slots)
 
 	for qi := 0; qi < b; qi++ {

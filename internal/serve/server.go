@@ -10,7 +10,7 @@
 //	GET  /v1/livez                liveness: 200 while the process serves HTTP at all
 //	GET  /v1/readyz               readiness: 503 + reasons when serving is degraded
 //	GET  /v1/healthz              legacy combined health (always 200; status ok|degraded)
-//	GET  /v1/explain/{node}       attention explanation for the last scored batch
+//	GET  /v1/explain/{node}       attention over the node's current mailbox
 //	POST /v1/admin/train/freeze   pause online training (when a trainer is wired)
 //	POST /v1/admin/train/resume   resume online training
 //	POST /v1/admin/promote        promote a warm-standby follower to leader
@@ -307,6 +307,7 @@ type PromoteResponse struct {
 // ExplainResponse answers GET /v1/explain/{node}.
 type ExplainResponse struct {
 	Node        int32       `json:"node"`
+	Time        float64     `json:"time"`
 	MailWeights []float32   `json:"mail_weights"`
 	PerHead     [][]float32 `json:"per_head"`
 }
@@ -684,11 +685,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	ex, ok := s.pipe.Explain(tgraph.NodeID(id))
 	if !ok {
 		writeError(w, http.StatusNotFound, "no_explanation",
-			fmt.Sprintf("node %d was not part of the most recent scored batch", id))
+			fmt.Sprintf("node %d has no mail to attend over", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, ExplainResponse{
 		Node:        ex.Node,
+		Time:        ex.Time,
 		MailWeights: ex.MailWeights,
 		PerHead:     ex.PerHead,
 	})

@@ -285,6 +285,9 @@ func TestExplain(t *testing.T) {
 		t.Fatal(err)
 	}
 	postScore(t, ts.URL, ScoreRequest{Events: []EventJSON{{Src: 0, Dst: 3, Time: 5, Feat: feat()}}})
+	if err := pipe.Drain(t.Context()); err != nil { // node 0's newest mail is now the time-5 event's
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get(ts.URL + "/v1/explain/0")
 	if err != nil {
@@ -300,7 +303,7 @@ func TestExplain(t *testing.T) {
 	if err := json.Unmarshal(raw.Bytes(), &ex); err != nil {
 		t.Fatal(err)
 	}
-	if ex.Node != 0 || len(ex.MailWeights) == 0 {
+	if ex.Node != 0 || ex.Time != 5 || len(ex.MailWeights) == 0 {
 		t.Fatalf("explain: %s", raw.Bytes())
 	}
 	var sum float32
@@ -311,7 +314,7 @@ func TestExplain(t *testing.T) {
 		t.Fatalf("mail weights must sum to 1: %v", ex.MailWeights)
 	}
 
-	// A node absent from the last batch is a 404, not a 500.
+	// A node without mail is a 404, not a 500.
 	resp, err = http.Get(ts.URL + "/v1/explain/7")
 	if err != nil {
 		t.Fatal(err)
