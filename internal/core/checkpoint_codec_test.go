@@ -268,9 +268,10 @@ func TestCheckpointCountsCannotSizeAllocations(t *testing.T) {
 }
 
 // TestLoadCheckpointAllocs: a load allocates per node with mail (its block),
-// per arena of event features, whatever the graph itself allocates to take
-// the events in, and a constant — not per state row, per mail, per scalar or
-// per event (the reflection reader: 139,302 at the benchmark's size).
+// per slab of state rows, per arena of event features, whatever the graph
+// itself allocates to take the events in, and a constant — not per state
+// row, per mail, per scalar or per event (the reflection reader: 139,302 at
+// the benchmark's size).
 func TestLoadCheckpointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -303,12 +304,18 @@ func TestLoadCheckpointAllocs(t *testing.T) {
 	})
 	publish := testing.AllocsPerRun(5, m.publishOwn)
 	withMail := float64(m.Mailbox().Occupancy().NodesWithMail)
+	// State rows come in slabs: at most one partly carved slab per shard,
+	// and past those one slab per eight rows is generous for any slab size
+	// the store might pick — and far from one allocation per row.
+	st := m.State().Occupancy()
+	slabs := float64(m.Cfg.Shards + st.TouchedNodes/8)
 	arenas := float64(len(events)*cfg.EdgeDim/ckptArenaFloats + 1)
-	if bound := withMail + arenas + graph + publish + 48; load > bound {
-		t.Fatalf("load allocated %.0f times; bound %.0f = %.0f nodes with mail + %.0f arenas + %.0f in the graph + %.0f to publish + 48",
-			load, bound, withMail, arenas, graph, publish)
+	if bound := withMail + slabs + arenas + graph + publish + 48; load > bound {
+		t.Fatalf("load allocated %.0f times; bound %.0f = %.0f nodes with mail + %.0f state slabs (bound) + %.0f arenas + %.0f in the graph + %.0f to publish + 48",
+			load, bound, withMail, slabs, arenas, graph, publish)
 	}
-	t.Logf("%d-byte checkpoint, %d events: %.0f allocations (%.0f blocks, %.0f graph, %.0f publish)", len(b), len(events), load, withMail, graph, publish)
+	t.Logf("%d-byte checkpoint, %d events: %.0f allocations (%.0f blocks, %d slabs for %d state rows, %.0f graph, %.0f publish)",
+		len(b), len(events), load, withMail, st.Slabs, st.TouchedNodes, graph, publish)
 }
 
 // TestSaveCheckpointAllocs: past the cut's own clone, encoding a checkpoint

@@ -12,13 +12,13 @@ type opKind uint8
 const (
 	opNone opKind = iota
 	opMatMul
+	opLinear
 	opAdd
 	opSub
 	opMulElem
 	opScale
 	opAddConst
 	opScalarAffine
-	opAddRowVec
 	opMulRowVec
 	opAddRowsTiled
 	opConcatCols
@@ -47,28 +47,23 @@ const (
 // (Tape.Backward) guarantee out.op != opNone, out.needGrad, and out.G != nil.
 func (tp *Tape) stepBack(out *Tensor) {
 	switch out.op {
-	case opMatMul:
-		a, b := out.a, out.b
-		if a.needGrad {
-			// dA stays on MatMulBTAcc where MatMulAcc is the assembly too: a
-			// transposed MatMulAcc is faster there but sums each element in
-			// another order (docs/performance.md, "Training").
-			tensor.MatMulBTAcc(a.Grad(), out.G, b.W) // dA += dOut·Bᵀ
-		}
-		if b.needGrad {
-			if tp.training && tensor.HasAsmGemm() {
-				// dB += Aᵀ·dOut as a plain GEMM: materializing Aᵀ in tape
-				// scratch costs M·K copies against M·K·N multiply-adds, lets
-				// the assembly run, and is bit-equal to MatMulATAcc.
-				at := &tp.tmT
-				at.Rows, at.Cols = a.W.Cols, a.W.Rows
-				at.Data = tp.scratch(len(a.W.Data))
-				tensor.TransposeInto(at, a.W)
-				tensor.MatMulAcc(b.Grad(), at, out.G)
-			} else {
-				tensor.MatMulATAcc(b.Grad(), a.W, out.G) // dB += Aᵀ·dOut
+	case opLinear:
+		// A row-vector add's bias rule, then the product's rule on the same
+		// output gradient. The separate product's own gradient was 0 + dOut,
+		// which is dOut bit for bit: every gradient accumulates from +0, so
+		// none is ever −0.
+		if v := out.c; v.needGrad {
+			g := v.Grad().Data
+			for r := 0; r < out.G.Rows; r++ {
+				for j, gv := range out.G.Row(r) {
+					g[j] += gv
+				}
 			}
 		}
+		tp.matMulBack(out.a, out.b, out.G)
+
+	case opMatMul:
+		tp.matMulBack(out.a, out.b, out.G)
 
 	case opAdd:
 		if out.a.needGrad {
@@ -130,21 +125,6 @@ func (tp *Tape) stepBack(out *Tensor) {
 				s += v
 			}
 			b.Grad().Data[0] += s
-		}
-
-	case opAddRowVec:
-		a, v := out.a, out.b
-		if a.needGrad {
-			a.Grad().Add(out.G)
-		}
-		if v.needGrad {
-			g := v.Grad().Data
-			for r := 0; r < out.G.Rows; r++ {
-				row := out.G.Row(r)
-				for j, gv := range row {
-					g[j] += gv
-				}
-			}
 		}
 
 	case opMulRowVec:
@@ -456,6 +436,30 @@ func (tp *Tape) stepBack(out *Tensor) {
 			tmp := tensor.New(s.N, x.W.Cols)
 			s.MulDense(tmp, out.G)
 			x.Grad().Add(tmp)
+		}
+	}
+}
+
+// matMulBack is MatMul's rule: dA += dOut·Bᵀ and dB += Aᵀ·dOut.
+func (tp *Tape) matMulBack(a, b *Tensor, dOut *tensor.Matrix) {
+	if a.needGrad {
+		// dA stays on MatMulBTAcc where MatMulAcc is the assembly too: a
+		// transposed MatMulAcc is faster there but sums each element in
+		// another order (docs/performance.md, "Training").
+		tensor.MatMulBTAcc(a.Grad(), dOut, b.W) // dA += dOut·Bᵀ
+	}
+	if b.needGrad {
+		if tp.training && tensor.HasAsmGemm() {
+			// dB += Aᵀ·dOut as a plain GEMM: materializing Aᵀ in tape
+			// scratch costs M·K copies against M·K·N multiply-adds, lets
+			// the assembly run, and is bit-equal to MatMulATAcc.
+			at := &tp.tmT
+			at.Rows, at.Cols = a.W.Cols, a.W.Rows
+			at.Data = tp.scratch(len(a.W.Data))
+			tensor.TransposeInto(at, a.W)
+			tensor.MatMulAcc(b.Grad(), at, dOut)
+		} else {
+			tensor.MatMulATAcc(b.Grad(), a.W, dOut) // dB += Aᵀ·dOut
 		}
 	}
 }

@@ -36,9 +36,9 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward applies the layer on tape tp.
+// Forward applies the layer on tape tp as one op (Tape.Linear).
 func (l *Linear) Forward(tp *Tape, x *Tensor) *Tensor {
-	return tp.AddRowVec(tp.MatMul(x, l.W), l.B)
+	return tp.Linear(x, l.W, l.B)
 }
 
 // Params returns the layer's trainable tensors.

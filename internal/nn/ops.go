@@ -23,6 +23,28 @@ func (tp *Tape) MatMul(a, b *Tensor) *Tensor {
 	return tp.record(out)
 }
 
+// Linear returns x·w + b, the 1×cols row b broadcast over the rows: one op
+// and one output matrix. The bias is added in place after the product —
+// the float operations, and their order, of a MatMul followed by a separate
+// row-vector add — so values and gradients keep their bits.
+func (tp *Tape) Linear(x, w, b *Tensor) *Tensor {
+	if b.W.Rows != 1 || b.W.Cols != w.W.Cols {
+		panic(fmt.Sprintf("nn: Linear wants a 1x%d bias, got %dx%d", w.W.Cols, b.W.Rows, b.W.Cols))
+	}
+	out := tp.newResultRaw(x.W.Rows, w.W.Cols, x, w, b)
+	tensor.MatMul(out.W, x.W, w.W)
+	for r := 0; r < out.W.Rows; r++ {
+		row := out.W.Row(r)
+		for j, v := range b.W.Data {
+			row[j] += v
+		}
+	}
+	if out.needGrad {
+		out.op, out.a, out.b, out.c = opLinear, x, w, b
+	}
+	return tp.record(out)
+}
+
 // Add returns a+b element-wise (same shape).
 func (tp *Tape) Add(a, b *Tensor) *Tensor {
 	out := tp.newResultRaw(a.W.Rows, a.W.Cols, a, b)
@@ -96,25 +118,6 @@ func (tp *Tape) ScalarAffine(a, g, b *Tensor) *Tensor {
 	}
 	if out.needGrad {
 		out.op, out.a, out.b, out.c, out.sc = opScalarAffine, a, g, b, gv
-	}
-	return tp.record(out)
-}
-
-// AddRowVec broadcasts the 1×cols vector v across the rows of a.
-func (tp *Tape) AddRowVec(a, v *Tensor) *Tensor {
-	if v.W.Rows != 1 || v.W.Cols != a.W.Cols {
-		panic(fmt.Sprintf("nn: AddRowVec wants 1x%d vector, got %dx%d", a.W.Cols, v.W.Rows, v.W.Cols))
-	}
-	out := tp.newResultRaw(a.W.Rows, a.W.Cols, a, v)
-	for r := 0; r < a.W.Rows; r++ {
-		dst := out.W.Row(r)
-		src := a.W.Row(r)
-		for j, b := range v.W.Data {
-			dst[j] = src[j] + b
-		}
-	}
-	if out.needGrad {
-		out.op, out.a, out.b = opAddRowVec, a, v
 	}
 	return tp.record(out)
 }

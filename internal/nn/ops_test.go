@@ -47,7 +47,7 @@ func TestGradMLPChain(t *testing.T) {
 
 	checkGrads(t, params, func() (*Tape, *Tensor) {
 		tp := NewTape()
-		h := tp.ReLU(tp.AddRowVec(tp.MatMul(tp.Input(x), w1), b1))
+		h := tp.ReLU(tp.Linear(tp.Input(x), w1, b1))
 		logits := tp.MatMul(h, w2)
 		return tp, tp.BCEWithLogits(logits, targets)
 	}, 0.03)
@@ -104,19 +104,21 @@ func TestGradConcatSlice(t *testing.T) {
 	}, 0.03)
 }
 
-func TestGradMulRowVecAndAddRowVec(t *testing.T) {
+func TestGradMulRowVecAndLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	a := Param(3, 4)
+	a := Param(3, 5)
 	a.W.RandN(rng, 1)
+	m := Param(5, 4)
+	m.W.RandN(rng, 1)
 	v := Param(1, 4)
 	v.W.RandN(rng, 1)
 	w := Param(1, 4)
 	w.W.RandN(rng, 1)
-	params := []*Tensor{a, v, w}
+	params := []*Tensor{a, m, v, w}
 
 	checkGrads(t, params, func() (*Tape, *Tensor) {
 		tp := NewTape()
-		out := tp.MulRowVec(tp.AddRowVec(a, w), v)
+		out := tp.MulRowVec(tp.Linear(a, m, w), v)
 		return tp, tp.MeanAll(tp.Square(out))
 	}, 0.03)
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Sharded is the lock-striped node-state store used on the serving path: the
-// flat per-node layout of Store, striped across a power-of-two number of
-// shards, each guarded by its own RWMutex. Node n lives in shard n&mask at
+// per-node layout of Store, striped across a power-of-two number of shards,
+// each guarded by its own RWMutex. Node n lives in shard n&mask at
 // local index n>>bits, so consecutive node IDs spread across shards and a
 // hot write never blocks readers of other shards.
 //
@@ -150,8 +150,9 @@ func (s *Sharded) ClearNode(n int32) {
 }
 
 // Grow extends the store to hold n nodes, preserving existing contents. It
-// locks every shard, so it must not be called while the caller holds any
-// per-node operation open. No-op when n ≤ NumNodes.
+// locks every shard, but only to extend their indexes — no row moves — so
+// it must not be called while the caller holds any per-node operation open.
+// No-op when n ≤ NumNodes.
 func (s *Sharded) Grow(n int) {
 	if int64(n) <= s.numNodes.Load() {
 		return
@@ -167,13 +168,30 @@ func (s *Sharded) Grow(n int) {
 	s.unlockAll()
 }
 
-// Reset zeroes the store.
+// Reset makes every node untouched and drops every row.
 func (s *Sharded) Reset() {
 	s.lockAll()
 	for i := range s.shards {
 		s.shards[i].st.Reset()
 	}
 	s.unlockAll()
+}
+
+// Occupancy sums the shards' occupancy, one shard at a time under its read
+// lock (cross-shard it is not a snapshot).
+func (s *Sharded) Occupancy() Occupancy {
+	var o Occupancy
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		so := sh.st.occupancy()
+		sh.mu.RUnlock()
+		o.TouchedNodes += so.TouchedNodes
+		o.FreeRows += so.FreeRows
+		o.Slabs += so.Slabs
+		o.Bytes += so.Bytes
+	}
+	return o
 }
 
 func (s *Sharded) lockAll() {
@@ -203,7 +221,7 @@ type ShardedSnapshot struct {
 func (snap *ShardedSnapshot) Row(n int32) (z []float32, lastTime float64, touched bool) {
 	k := len(snap.shards) // a power of two
 	st, local := snap.shards[int(n)&(k-1)], n>>bits.TrailingZeros(uint(k))
-	return st.Get(local), st.lastTime[local], st.touched[local]
+	return st.Get(local), st.lastTime[local], st.Touched(local)
 }
 
 // Snapshot returns a deep, cross-shard-consistent copy of the store: all

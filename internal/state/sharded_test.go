@@ -132,6 +132,69 @@ func TestShardedConcurrentStress(t *testing.T) {
 	wg.Wait()
 }
 
+// TestShardedFirstTouchRace: scorers copy nodes of one shard out while a
+// writer first-touches them, clears some and sets them again — rows are
+// carved, handed back and reused under the readers' feet. Run under -race.
+// A reader sees zeros or one whole row written for that very node, never a
+// torn row or another node's.
+func TestShardedFirstTouchRace(t *testing.T) {
+	const (
+		dim    = 16
+		shards = 4
+		nodes  = 3 * slabRows // all in shard 1: node 4k+1
+		rounds = 60
+	)
+	s := NewSharded(shards*nodes, dim, shards)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		z := make([]float32, dim)
+		for round := 0; round < rounds; round++ {
+			for k := 0; k < nodes; k++ {
+				for j := range z {
+					z[j] = float32(round*1000 + k + 1)
+				}
+				s.Set(int32(shards*k+1), z, float64(round))
+			}
+			for k := round % 3; k < nodes; k += 3 {
+				s.ClearNode(int32(shards*k + 1))
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			z := make([]float32, dim)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for k := 0; k < nodes; k++ {
+					s.CopyTo(int32(shards*k+1), z)
+					v := z[0]
+					for j := 1; j < dim; j++ {
+						if z[j] != v {
+							t.Errorf("torn read of node %d: %v", shards*k+1, z)
+							return
+						}
+					}
+					if v != 0 && int(v)%1000 != k+1 {
+						t.Errorf("node %d reads a row written for node %d", shards*k+1, shards*(int(v)%1000-1)+1)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestShardedSnapshotRestoreRoundTrip includes a grow between snapshot and
 // restore: restore must roll the node space back too.
 func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {

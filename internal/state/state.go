@@ -2,26 +2,44 @@
 // time of every node. APAN and the memory-based baselines (TGN, JODIE,
 // DyRep) read this store synchronously instead of querying the graph.
 //
-// Two implementations share one per-node API: Store is a flat,
-// unsynchronized array (single-threaded training and the baselines), and
-// Sharded stripes the same layout across power-of-two lock shards so the
-// serving path can read and write concurrently with shard-local locking and
-// admit new nodes at runtime via Grow.
+// Two implementations share one per-node API: Store is the unsynchronized
+// layout (single-threaded training and the baselines), and Sharded stripes
+// the same layout across power-of-two lock shards so the serving path can
+// read and write concurrently with shard-local locking and admit new nodes
+// at runtime via Grow.
+//
+// State memory follows touched nodes, not the ID space: a node's dim-wide
+// row is carved from a slab of slabRows rows by its first Set and handed
+// back by ClearNode. What scales with the ID space is the index only (row
+// number and update time: 12 bytes per node). An untouched node has no row
+// and reads as zeros.
 package state
 
 import "fmt"
 
-// Store holds per-node embeddings in a flat array. It is not safe for
-// concurrent use; see Sharded for the lock-striped variant.
+// slabRows is how many rows one slab holds: a first-touch burst or a
+// checkpoint load allocates once per slabRows nodes, not once per node.
+const slabRows = 32
+
+// Store holds per-node embeddings: a dense per-node index and one row per
+// touched node. It is not safe for concurrent use; see Sharded for the
+// lock-striped variant.
+//
+// Invariant: row[n] != 0 ⇔ node n is touched, and then its embedding is
+// rowData(row[n]). Readers only follow the index; only Set carves a row, so
+// Sharded's read-locked paths never allocate or write.
 type Store struct {
 	numNodes int
 	dim      int
-	z        []float32
-	lastTime []float64
-	touched  []bool
+	row      []int32     // per node: 1 + its row number, 0 while untouched
+	lastTime []float64   // per node
+	slabs    [][]float32 // slabRows × dim floats each; row r lives in slabs[r/slabRows]
+	carved   int32       // rows handed out of slabs so far
+	free     []int32     // row numbers (1-based) handed back by ClearNode
+	zero     []float32   // dim zeros: what an untouched node reads as
 }
 
-// New creates a zero-initialized store.
+// New creates a store of numNodes untouched nodes.
 func New(numNodes, dim int) *Store {
 	if numNodes <= 0 || dim <= 0 {
 		panic(fmt.Sprintf("state: invalid shape nodes=%d dim=%d", numNodes, dim))
@@ -29,9 +47,9 @@ func New(numNodes, dim int) *Store {
 	return &Store{
 		numNodes: numNodes,
 		dim:      dim,
-		z:        make([]float32, numNodes*dim),
+		row:      make([]int32, numNodes),
 		lastTime: make([]float64, numNodes),
-		touched:  make([]bool, numNodes),
+		zero:     make([]float32, dim),
 	}
 }
 
@@ -41,95 +59,143 @@ func (s *Store) Dim() int { return s.dim }
 // NumNodes returns the number of tracked nodes.
 func (s *Store) NumNodes() int { return s.numNodes }
 
+// rowData is row r's dim floats (r is 1-based, as stored in the index).
+func (s *Store) rowData(r int32) []float32 {
+	i := int(r - 1)
+	return s.slabs[i/slabRows][i%slabRows*s.dim:][:s.dim:s.dim]
+}
+
 // Get returns a read-only view of node n's embedding z(t−).
-func (s *Store) Get(n int32) []float32 { return s.z[int(n)*s.dim : (int(n)+1)*s.dim] }
+func (s *Store) Get(n int32) []float32 {
+	if r := s.row[n]; r != 0 {
+		return s.rowData(r)
+	}
+	return s.zero
+}
 
 // CopyTo copies node n's embedding into dst (len ≥ Dim). This is the
 // copy-out read shared with Sharded, so callers can be written once against
 // either store.
 func (s *Store) CopyTo(n int32, dst []float32) {
-	copy(dst, s.z[int(n)*s.dim:(int(n)+1)*s.dim])
+	copy(dst[:s.dim], s.Get(n))
 }
 
 // Grow extends the store to hold n nodes, preserving existing contents. New
-// nodes start zeroed and untouched. No-op when n ≤ NumNodes.
+// nodes start untouched: only the index grows. No-op when n ≤ NumNodes.
 func (s *Store) Grow(n int) {
 	if n <= s.numNodes {
 		return
 	}
-	s.z = append(s.z, make([]float32, (n-s.numNodes)*s.dim)...)
+	s.row = append(s.row, make([]int32, n-s.numNodes)...)
 	s.lastTime = append(s.lastTime, make([]float64, n-s.numNodes)...)
-	s.touched = append(s.touched, make([]bool, n-s.numNodes)...)
 	s.numNodes = n
 }
 
-// clone deep-copies the store (used by Sharded snapshots).
+// clone deep-copies the index and the live rows (used by snapshots), packed
+// in node order into slabs sharing one allocation; the free list stays
+// behind.
 func (s *Store) clone() *Store {
-	return &Store{
+	c := &Store{
 		numNodes: s.numNodes,
 		dim:      s.dim,
-		z:        append([]float32(nil), s.z...),
+		row:      make([]int32, len(s.row)),
 		lastTime: append([]float64(nil), s.lastTime...),
-		touched:  append([]bool(nil), s.touched...),
+		zero:     s.zero,
 	}
+	live := int(s.carved) - len(s.free)
+	nslabs := (live + slabRows - 1) / slabRows
+	buf := make([]float32, nslabs*slabRows*s.dim)
+	c.slabs = make([][]float32, nslabs)
+	for i := range c.slabs {
+		c.slabs[i] = buf[i*slabRows*s.dim : (i+1)*slabRows*s.dim : (i+1)*slabRows*s.dim]
+	}
+	for n, r := range s.row {
+		if r != 0 {
+			c.carved++
+			c.row[n] = c.carved
+			copy(c.rowData(c.carved), s.rowData(r))
+		}
+	}
+	return c
 }
 
-// Set overwrites node n's embedding and stamps its update time.
+// Set overwrites node n's embedding with z[:Dim] and stamps its update
+// time. A node's first Set takes a row from the free list or carves one
+// from a slab; the row is written in full, so a reused row needs no
+// clearing.
 func (s *Store) Set(n int32, z []float32, t float64) {
-	copy(s.z[int(n)*s.dim:(int(n)+1)*s.dim], z)
+	r := s.row[n]
+	if r == 0 {
+		if k := len(s.free); k > 0 {
+			r, s.free = s.free[k-1], s.free[:k-1]
+		} else {
+			if int(s.carved)%slabRows == 0 {
+				s.slabs = append(s.slabs, make([]float32, slabRows*s.dim))
+			}
+			s.carved++
+			r = s.carved
+		}
+		s.row[n] = r
+	}
+	copy(s.rowData(r), z[:s.dim])
 	s.lastTime[n] = t
-	s.touched[n] = true
 }
 
 // LastTime returns when node n was last updated (0 if never).
 func (s *Store) LastTime(n int32) float64 { return s.lastTime[n] }
 
 // Touched reports whether node n has ever been updated.
-func (s *Store) Touched(n int32) bool { return s.touched[n] }
+func (s *Store) Touched(n int32) bool { return s.row[n] != 0 }
 
 // ClearNode resets node n to the never-updated cold-start condition: zero
-// embedding, zero update time, untouched. This is the state half of
-// cold-state eviction — an evicted node is indistinguishable from one the
-// stream has never named.
+// embedding, zero update time, untouched — and hands its row to the free
+// list, so an evict/readmit cycle allocates nothing in steady state. This is
+// the state half of cold-state eviction: an evicted node is
+// indistinguishable from one the stream has never named.
 func (s *Store) ClearNode(n int32) {
-	row := s.z[int(n)*s.dim : (int(n)+1)*s.dim]
-	for i := range row {
-		row[i] = 0
+	if r := s.row[n]; r != 0 {
+		s.free = append(s.free, r)
+		s.row[n] = 0
 	}
 	s.lastTime[n] = 0
-	s.touched[n] = false
 }
 
-// Reset zeroes the store.
+// Reset makes every node untouched and drops every row: the slabs go to
+// the collector, and only the slab and free lists keep their capacity.
 func (s *Store) Reset() {
-	for i := range s.z {
-		s.z[i] = 0
-	}
-	for i := range s.lastTime {
-		s.lastTime[i] = 0
-		s.touched[i] = false
+	clear(s.row)
+	clear(s.lastTime)
+	clear(s.slabs)
+	s.slabs, s.carved, s.free = s.slabs[:0], 0, s.free[:0]
+}
+
+// Occupancy is a point-in-time view of the state memory a store holds.
+type Occupancy struct {
+	// TouchedNodes counts nodes holding a row; FreeRows the rows ClearNode
+	// handed back that no Set has reused yet.
+	TouchedNodes int
+	FreeRows     int
+	// Slabs counts row slabs; Bytes is the row memory they hold, Slabs ×
+	// slabRows × dim float32s. The per-node index is not included.
+	Slabs int
+	Bytes int64
+}
+
+func (s *Store) occupancy() Occupancy {
+	return Occupancy{
+		TouchedNodes: int(s.carved) - len(s.free),
+		FreeRows:     len(s.free),
+		Slabs:        len(s.slabs),
+		Bytes:        int64(len(s.slabs)) * slabRows * int64(s.dim) * 4,
 	}
 }
 
 // Snapshot captures the store for later Restore.
-type Snapshot struct {
-	z        []float32
-	lastTime []float64
-	touched  []bool
-}
+type Snapshot struct{ st *Store }
 
 // Snapshot returns a deep copy of the store contents.
-func (s *Store) Snapshot() *Snapshot {
-	return &Snapshot{
-		z:        append([]float32(nil), s.z...),
-		lastTime: append([]float64(nil), s.lastTime...),
-		touched:  append([]bool(nil), s.touched...),
-	}
-}
+func (s *Store) Snapshot() *Snapshot { return &Snapshot{s.clone()} }
 
-// Restore resets the store to a previously captured snapshot.
-func (s *Store) Restore(snap *Snapshot) {
-	copy(s.z, snap.z)
-	copy(s.lastTime, snap.lastTime)
-	copy(s.touched, snap.touched)
-}
+// Restore resets the store to a previously captured snapshot, node count
+// included (a store grown since the snapshot shrinks back).
+func (s *Store) Restore(snap *Snapshot) { *s = *snap.st.clone() }

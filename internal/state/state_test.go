@@ -71,6 +71,59 @@ func TestResetAndSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreUndoesGrow: a store grown since its snapshot shrinks back on
+// Restore, node count included, as mailbox.Store and Sharded do.
+func TestRestoreUndoesGrow(t *testing.T) {
+	s := New(2, 3)
+	snap := s.Snapshot()
+	s.Grow(4)
+	s.Set(3, []float32{1, 2, 3}, 5)
+	s.Restore(snap)
+	if s.NumNodes() != 2 {
+		t.Fatalf("restore kept the grown node space: %d nodes", s.NumNodes())
+	}
+	s.Grow(4)
+	if z := s.Get(3); s.Touched(3) || s.LastTime(3) != 0 || z[0] != 0 || z[2] != 0 {
+		t.Fatalf("node admitted after the snapshot survived restore: %v t=%v touched=%v", z, s.LastTime(3), s.Touched(3))
+	}
+}
+
+// TestRowsFollowTouchedNodes: rows are carved slabRows at a time on first
+// Set, come back through ClearNode's free list before a new slab is cut,
+// and Reset drops them; untouched and cleared nodes read as zeros.
+func TestRowsFollowTouchedNodes(t *testing.T) {
+	const dim = 3
+	s := New(10*slabRows, dim)
+	if o := s.occupancy(); o != (Occupancy{}) {
+		t.Fatalf("fresh store holds rows: %+v", o)
+	}
+	for n := int32(0); n <= slabRows; n++ {
+		s.Set(n, []float32{float32(n), 1, 2}, 1)
+	}
+	if o := s.occupancy(); o.TouchedNodes != slabRows+1 || o.Slabs != 2 || o.Bytes != 2*slabRows*dim*4 {
+		t.Fatalf("after %d first touches: %+v", slabRows+1, s.occupancy())
+	}
+	s.ClearNode(5)
+	s.ClearNode(5)
+	if z := s.Get(5); s.Touched(5) || z[0] != 0 || z[1] != 0 {
+		t.Fatalf("cleared node reads %v touched=%v", z, s.Touched(5))
+	}
+	s.Set(9*slabRows, []float32{7, 8, 9}, 2)
+	if o := s.occupancy(); o.TouchedNodes != slabRows+1 || o.FreeRows != 0 || o.Slabs != 2 {
+		t.Fatalf("a first touch after ClearNode did not reuse the freed row: %+v", o)
+	}
+	if z := s.Get(9 * slabRows); z[0] != 7 || z[2] != 9 {
+		t.Fatalf("reused row reads %v", z)
+	}
+	if z := s.Get(4); z[0] != 4 {
+		t.Fatalf("neighbouring row disturbed: %v", z)
+	}
+	s.Reset()
+	if o := s.occupancy(); o != (Occupancy{}) || s.Touched(0) || s.Get(0)[0] != 0 {
+		t.Fatalf("reset kept rows: %+v", o)
+	}
+}
+
 // Property: the store returns exactly what was last written per node.
 func TestLastWriteWinsProperty(t *testing.T) {
 	f := func(seed int64) bool {
