@@ -172,16 +172,14 @@ func goldenBody(batch []tgraph.Event) []byte {
 // or applies it — direct model calls, async.Pipeline, the HTTP server, WAL
 // replay into a fresh model and a follower tailing the log — and requires
 // each to land on the same constants. The numerics every refactor promises
-// to keep are stated here, not in a one-off comparison. The paths run in
-// parallel; the two replay paths wait for the direct leader's log.
+// to keep are stated here, not in a one-off comparison. The direct path
+// runs first and writes the log the two replay paths read; the other four
+// then run in parallel.
 func TestFixedStreamGolden(t *testing.T) {
 	ctx := context.Background()
 	walDir := filepath.Join(t.TempDir(), "wal")
-	logged := make(chan struct{})
 
 	t.Run("direct", func(t *testing.T) {
-		t.Parallel()
-		defer close(logged)
 		goldenLeader(t, walDir, fixedStreamGolden.dataset, func(m *core.Model, batch []tgraph.Event) []float32 {
 			m.ReadmitBatch(batch)
 			inf := m.InferBatch(batch)
@@ -246,7 +244,6 @@ func TestFixedStreamGolden(t *testing.T) {
 
 	t.Run("replay", func(t *testing.T) {
 		t.Parallel()
-		<-logged
 		m := goldenModel(t, goldenDataset())
 		l, err := wal.Open(wal.Options{Dir: walDir})
 		if err != nil {
@@ -267,7 +264,6 @@ func TestFixedStreamGolden(t *testing.T) {
 
 	t.Run("follower", func(t *testing.T) {
 		t.Parallel()
-		<-logged
 		m := goldenModel(t, goldenDataset())
 		f, err := wal.OpenFollower(walDir, 0)
 		if err != nil {
