@@ -31,12 +31,15 @@ const slabRows = 32
 type Store struct {
 	numNodes int
 	dim      int
-	row      []int32     // per node: 1 + its row number, 0 while untouched
-	lastTime []float64   // per node
-	slabs    [][]float32 // slabRows × dim floats each; row r lives in slabs[r/slabRows]
-	carved   int32       // rows handed out of slabs so far
-	free     []int32     // row numbers (1-based) handed back by ClearNode
-	zero     []float32   // dim zeros: what an untouched node reads as
+	row      []int32   // per node: 1 + its row number, 0 while untouched
+	lastTime []float64 // per node
+	// slabs hold the rows: row r (0-based) is slabs[r/slabRows] at
+	// r%slabRows·dim. Each slab has room for slabRows rows, except that a
+	// clone's last slab is cut to the rows it holds.
+	slabs [][]float32
+	next  int32     // the 0-based row number the next carve takes if its slab has room
+	free  []int32   // row numbers (1-based) handed back by ClearNode
+	zero  []float32 // dim zeros: what an untouched node reads as
 }
 
 // New creates a store of numNodes untouched nodes.
@@ -77,7 +80,7 @@ func (s *Store) Get(n int32) []float32 {
 // copy-out read shared with Sharded, so callers can be written once against
 // either store.
 func (s *Store) CopyTo(n int32, dst []float32) {
-	copy(dst[:s.dim], s.Get(n))
+	copy(dst, s.Get(n))
 }
 
 // Grow extends the store to hold n nodes, preserving existing contents. New
@@ -92,8 +95,8 @@ func (s *Store) Grow(n int) {
 }
 
 // clone deep-copies the index and the live rows (used by snapshots), packed
-// in node order into slabs sharing one allocation; the free list stays
-// behind.
+// in node order into one allocation cut into slabs; the free list stays
+// behind, and the last slab holds only the rows it needs.
 func (s *Store) clone() *Store {
 	c := &Store{
 		numNodes: s.numNodes,
@@ -102,21 +105,38 @@ func (s *Store) clone() *Store {
 		lastTime: append([]float64(nil), s.lastTime...),
 		zero:     s.zero,
 	}
-	live := int(s.carved) - len(s.free)
-	nslabs := (live + slabRows - 1) / slabRows
-	buf := make([]float32, nslabs*slabRows*s.dim)
-	c.slabs = make([][]float32, nslabs)
-	for i := range c.slabs {
-		c.slabs[i] = buf[i*slabRows*s.dim : (i+1)*slabRows*s.dim : (i+1)*slabRows*s.dim]
+	live := 0
+	for _, r := range s.row {
+		if r != 0 {
+			live++
+		}
+	}
+	buf := make([]float32, live*s.dim)
+	c.slabs = make([][]float32, 0, (live+slabRows-1)/slabRows)
+	for len(buf) > 0 {
+		n := min(len(buf), slabRows*s.dim)
+		c.slabs, buf = append(c.slabs, buf[:n:n]), buf[n:]
 	}
 	for n, r := range s.row {
 		if r != 0 {
-			c.carved++
-			c.row[n] = c.carved
-			copy(c.rowData(c.carved), s.rowData(r))
+			c.next++
+			c.row[n] = c.next
+			copy(c.rowData(c.next), s.rowData(r))
 		}
 	}
 	return c
+}
+
+// carve hands out a row number never used: the next row of the last slab,
+// or the first of a new one when the last slab has no room left.
+func (s *Store) carve() int32 {
+	i := int(s.next)
+	if k := len(s.slabs); i == k*slabRows || i%slabRows*s.dim == len(s.slabs[k-1]) {
+		i = k * slabRows
+		s.slabs = append(s.slabs, make([]float32, slabRows*s.dim))
+	}
+	s.next = int32(i + 1)
+	return s.next
 }
 
 // Set overwrites node n's embedding with z[:Dim] and stamps its update
@@ -129,11 +149,7 @@ func (s *Store) Set(n int32, z []float32, t float64) {
 		if k := len(s.free); k > 0 {
 			r, s.free = s.free[k-1], s.free[:k-1]
 		} else {
-			if int(s.carved)%slabRows == 0 {
-				s.slabs = append(s.slabs, make([]float32, slabRows*s.dim))
-			}
-			s.carved++
-			r = s.carved
+			r = s.carve()
 		}
 		s.row[n] = r
 	}
@@ -166,7 +182,7 @@ func (s *Store) Reset() {
 	clear(s.row)
 	clear(s.lastTime)
 	clear(s.slabs)
-	s.slabs, s.carved, s.free = s.slabs[:0], 0, s.free[:0]
+	s.slabs, s.next, s.free = s.slabs[:0], 0, s.free[:0]
 }
 
 // Occupancy is a point-in-time view of the state memory a store holds.
@@ -175,19 +191,23 @@ type Occupancy struct {
 	// handed back that no Set has reused yet.
 	TouchedNodes int
 	FreeRows     int
-	// Slabs counts row slabs; Bytes is the row memory they hold, Slabs ×
-	// slabRows × dim float32s. The per-node index is not included.
+	// Slabs counts row slabs; Bytes is the row memory they hold. The
+	// per-node index is not included.
 	Slabs int
 	Bytes int64
 }
 
 func (s *Store) occupancy() Occupancy {
-	return Occupancy{
-		TouchedNodes: int(s.carved) - len(s.free),
-		FreeRows:     len(s.free),
-		Slabs:        len(s.slabs),
-		Bytes:        int64(len(s.slabs)) * slabRows * int64(s.dim) * 4,
+	o := Occupancy{FreeRows: len(s.free), Slabs: len(s.slabs)}
+	for _, r := range s.row {
+		if r != 0 {
+			o.TouchedNodes++
+		}
 	}
+	for _, sl := range s.slabs {
+		o.Bytes += int64(len(sl)) * 4
+	}
+	return o
 }
 
 // Snapshot captures the store for later Restore.

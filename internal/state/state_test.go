@@ -90,7 +90,8 @@ func TestRestoreUndoesGrow(t *testing.T) {
 
 // TestRowsFollowTouchedNodes: rows are carved slabRows at a time on first
 // Set, come back through ClearNode's free list before a new slab is cut,
-// and Reset drops them; untouched and cleared nodes read as zeros.
+// are packed by Snapshot/Restore, and Reset drops them; untouched and
+// cleared nodes read as zeros.
 func TestRowsFollowTouchedNodes(t *testing.T) {
 	const dim = 3
 	s := New(10*slabRows, dim)
@@ -118,37 +119,73 @@ func TestRowsFollowTouchedNodes(t *testing.T) {
 	if z := s.Get(4); z[0] != 4 {
 		t.Fatalf("neighbouring row disturbed: %v", z)
 	}
+
+	// A restored store holds its live rows packed, the last slab cut short;
+	// the next first touch starts a new slab and disturbs no row.
+	snap := s.Snapshot()
+	s.Restore(snap)
+	if o := s.occupancy(); o.TouchedNodes != slabRows+1 || o.FreeRows != 0 || o.Slabs != 2 || o.Bytes != (slabRows+1)*dim*4 {
+		t.Fatalf("restored store: %+v", o)
+	}
+	s.Set(8*slabRows, []float32{5, 5, 5}, 3)
+	if o := s.occupancy(); o.TouchedNodes != slabRows+2 || o.Slabs != 3 {
+		t.Fatalf("first touch after restore: %+v", o)
+	}
+	for n := int32(0); n <= slabRows; n++ {
+		if z := s.Get(n); n != 5 && (z[0] != float32(n) || z[1] != 1 || z[2] != 2) {
+			t.Fatalf("node %d reads %v after restore and a first touch", n, z)
+		}
+	}
+	if z := s.Get(8 * slabRows); z[0] != 5 || z[2] != 5 {
+		t.Fatalf("first touch after restore reads %v", z)
+	}
+
 	s.Reset()
 	if o := s.occupancy(); o != (Occupancy{}) || s.Touched(0) || s.Get(0)[0] != 0 {
 		t.Fatalf("reset kept rows: %+v", o)
 	}
 }
 
-// Property: the store returns exactly what was last written per node.
+// Property: the store returns exactly what was last written per node,
+// across ClearNode (the row goes to the free list and is reused) and
+// Snapshot/Restore (the live rows are repacked).
 func TestLastWriteWinsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
+		n := 1 + rng.Intn(3*slabRows)
 		s := New(n, 2)
 		last := make(map[int32][]float32)
 		lastT := make(map[int32]float64)
-		for i := 0; i < 50; i++ {
+		for i := 0; i < 300; i++ {
 			node := int32(rng.Intn(n))
-			z := []float32{rng.Float32(), rng.Float32()}
-			ts := rng.Float64()
-			s.Set(node, z, ts)
-			last[node] = z
-			lastT[node] = ts
+			switch rng.Intn(10) {
+			case 0:
+				s.ClearNode(node)
+				delete(last, node)
+				delete(lastT, node)
+			case 1:
+				s.Restore(s.Snapshot())
+			default:
+				z := []float32{rng.Float32(), rng.Float32()}
+				ts := rng.Float64()
+				s.Set(node, z, ts)
+				last[node] = z
+				lastT[node] = ts
+			}
 		}
-		for node, z := range last {
+		for node := int32(0); node < int32(n); node++ {
+			z, ok := last[node]
+			if !ok {
+				z = []float32{0, 0}
+			}
 			got := s.Get(node)
-			if got[0] != z[0] || got[1] != z[1] || s.LastTime(node) != lastT[node] {
+			if got[0] != z[0] || got[1] != z[1] || s.LastTime(node) != lastT[node] || s.Touched(node) != ok {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
