@@ -199,8 +199,8 @@ type (
 	TenantStats = async.TenantStats
 )
 
-// DefaultTenant is the tenant id unattributed traffic is accounted under
-// when multi-tenant admission is enabled.
+// DefaultTenant is the tenant id unattributed traffic is queued under, and
+// every submission's tenant when multi-tenant admission is off.
 const DefaultTenant = async.DefaultTenant
 
 // Pipeline options.

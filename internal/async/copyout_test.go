@@ -141,26 +141,41 @@ func (f observeFunc) Observe(events []tgraph.Event) { f(events) }
 
 // TestSubmitApplyCycleAllocs: once warm, a Submit and the apply behind it
 // allocate only the scores handed to the caller — the workspace, the queued
-// record and the queue itself are all recycled.
+// record and the queue itself are all recycled — with or without tenancy,
+// and whether or not the caller's context can be cancelled.
 func TestSubmitApplyCycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	ctx := context.Background()
-	applied := make(chan struct{}, 1)
-	p := New(testModel(t, nil), WithOnlineTrainer(observeFunc(func([]tgraph.Event) { applied <- struct{}{} })))
-	defer p.Close()
-	batch := parityBatches(1)[0]
-	cycle := func() {
-		if _, _, err := p.Submit(ctx, batch); err != nil {
-			t.Fatal(err)
+	cancellable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, opts := range []struct {
+		name string
+		opts []Option
+	}{{"untenanted", nil}, {"tenants", []Option{WithTenants()}}} {
+		for _, c := range []struct {
+			name string
+			ctx  context.Context
+		}{{"background", context.Background()}, {"cancellable", cancellable}} {
+			t.Run(opts.name+"/"+c.name, func(t *testing.T) {
+				applied := make(chan struct{}, 1)
+				tap := WithOnlineTrainer(observeFunc(func([]tgraph.Event) { applied <- struct{}{} }))
+				p := New(testModel(t, nil), append([]Option{tap}, opts.opts...)...)
+				defer p.Close()
+				batch := parityBatches(1)[0]
+				cycle := func() {
+					if _, _, err := p.Submit(c.ctx, batch); err != nil {
+						t.Fatal(err)
+					}
+					<-applied
+				}
+				for i := 0; i < 20; i++ {
+					cycle()
+				}
+				if allocs := testing.AllocsPerRun(200, cycle); allocs > 1 {
+					t.Fatalf("a warm Submit→apply cycle allocated %.2f times, want 1 (the caller's scores)", allocs)
+				}
+			})
 		}
-		<-applied
-	}
-	for i := 0; i < 20; i++ {
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs > 1 {
-		t.Fatalf("a warm Submit→apply cycle allocated %.2f times, want 1 (the caller's scores)", allocs)
 	}
 }

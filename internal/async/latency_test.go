@@ -77,10 +77,11 @@ func TestStatsFlatAfterManySamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	record := func(n int) {
 		for i := 0; i < n; i++ {
-			p.mu.Lock()
-			p.syncLat.add(time.Duration(rng.Int63n(int64(time.Millisecond))))
-			p.asyncLat.add(time.Duration(rng.Int63n(int64(time.Millisecond))))
-			p.mu.Unlock()
+			s := p.sched
+			s.mu.Lock()
+			s.syncLat.add(time.Duration(rng.Int63n(int64(time.Millisecond))))
+			s.asyncLat.add(time.Duration(rng.Int63n(int64(time.Millisecond))))
+			s.mu.Unlock()
 		}
 	}
 	// fastest is the best of many Stats calls: the least noisy estimate of

@@ -56,8 +56,8 @@ type options struct {
 	beforeApply func(events []tgraph.Event)
 	trainer     Trainer
 
-	// Tenancy (see tenant.go): when enabled the single queue channel is
-	// replaced by the per-tenant weighted-fair scheduler.
+	// Tenancy (see tenant.go) switches on routing by tenant name, rate
+	// gates and lanes; without it every submission lands on DefaultTenant.
 	tenancy        bool
 	tenants        []TenantConfig
 	tenantDefaults *TenantConfig
@@ -134,17 +134,10 @@ type Pipeline struct {
 	model *core.Model
 	opts  options
 
-	queue chan *core.Pending
-	done  chan struct{}
-
-	// sched replaces queue when tenancy is enabled (WithTenants): per-tenant
-	// bounded queues drained in weighted-fair order. Nil otherwise.
+	// sched is the propagation queue: per-tenant bounded queues drained in
+	// weighted-fair order, and under its mutex every pipeline counter.
 	sched *tenantSched
-
-	// sendMu protects the queue channel's lifetime: Submit holds a read
-	// lock across the send, Shutdown takes the write lock before closing,
-	// so a send can never hit a closed channel.
-	sendMu sync.RWMutex
+	done  chan struct{}
 
 	// recMu/recFree recycle the records queued between the links, as the
 	// model's wsMu/wsFree recycle workspaces: a scorer checks one out and
@@ -154,16 +147,7 @@ type Pipeline struct {
 	recMu   sync.Mutex
 	recFree []*core.Pending
 
-	mu        sync.Mutex
-	idle      *sync.Cond // signaled whenever enqueued == processed
-	syncLat   latencyRing
-	asyncLat  latencyRing
-	submitted int64
-	enqueued  int64
-	processed int64
-	maxDepth  int
-	closed    bool
-	wg        sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // New starts a pipeline over a trained model with the given options.
@@ -175,13 +159,9 @@ func New(m *core.Model, opts ...Option) *Pipeline {
 	p := &Pipeline{
 		model: m,
 		opts:  o,
-		queue: make(chan *core.Pending, o.queueCap),
+		sched: newTenantSched(o),
 		done:  make(chan struct{}),
 	}
-	if o.tenancy {
-		p.sched = newTenantSched(o)
-	}
-	p.idle = sync.NewCond(&p.mu)
 	p.wg.Add(o.workers)
 	for i := 0; i < o.workers; i++ {
 		go p.worker()
@@ -238,23 +218,18 @@ func (p *Pipeline) MailboxOccupancy() mailbox.Occupancy { return p.model.Mailbox
 
 func (p *Pipeline) worker() {
 	defer p.wg.Done()
-	if p.sched != nil {
-		for {
-			rec, t, ok := p.sched.dequeue()
-			if !ok {
-				return
-			}
-			p.applyOne(rec, t)
+	for {
+		rec, t, ok := p.sched.dequeue()
+		if !ok {
+			return
 		}
-	}
-	for rec := range p.queue {
-		p.applyOne(rec, nil)
+		p.applyOne(rec, t)
 	}
 }
 
 // applyOne runs one dequeued batch through the asynchronous link:
 // fault-injection hook, apply, trainer tap, record recycle, accounting.
-// t is the tenant the scheduler dequeued it for, nil without tenancy.
+// t is the tenant the scheduler dequeued it for.
 func (p *Pipeline) applyOne(rec *core.Pending, t *tenantState) {
 	start := time.Now()
 	if p.opts.beforeApply != nil {
@@ -267,38 +242,18 @@ func (p *Pipeline) applyOne(rec *core.Pending, t *tenantState) {
 		p.opts.trainer.Observe(rec.Events)
 	}
 	p.putRecord(rec)
-	d := time.Since(start)
-	if t != nil {
-		// The tenant ledger first: once the batch counts as processed, Drain
-		// may return, and its caller may read TenantStats.
-		p.sched.markApplied(t)
-	}
-	p.mu.Lock()
-	p.asyncLat.add(d)
-	p.processed++
-	if p.processed == p.enqueued {
-		p.idle.Broadcast()
-	}
-	p.mu.Unlock()
+	p.sched.markApplied(t, time.Since(start))
 }
 
-// score runs the synchronous link and records the observed latency. Scoring
-// is NOT serialized: concurrent submissions run InferBatch in parallel over
-// the sharded stores. It returns ErrClosed without touching the model when
-// the pipeline has shut down. The scores come back copied, for the caller to
-// keep. With apply set (every submission but ScoreOnly) it re-admits the
-// batch's evicted nodes first and returns the batch copied out into a
-// recycled record; either way the workspace is back with the model on
+// score runs the synchronous link. Scoring is NOT serialized: concurrent
+// submissions run InferBatch in parallel over the sharded stores. Callers
+// run it only once the closed check has admitted the batch, so a refused
+// submission never touches the model. The scores come back copied, for the
+// caller to keep. With apply set (every submission but ScoreOnly) it
+// re-admits the batch's evicted nodes first and returns the batch copied out
+// into a recycled record; either way the workspace is back with the model on
 // return, so nothing queued holds one.
-func (p *Pipeline) score(events []tgraph.Event, apply bool) ([]float32, *core.Pending, time.Duration, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, nil, 0, ErrClosed
-	}
-	p.submitted++
-	p.mu.Unlock()
-
+func (p *Pipeline) score(events []tgraph.Event, apply bool) ([]float32, *core.Pending, time.Duration) {
 	if apply {
 		// Warm any evicted nodes this batch names before scoring: re-admission
 		// needs graph access, which the synchronous link (InferBatch) must
@@ -309,18 +264,14 @@ func (p *Pipeline) score(events []tgraph.Event, apply bool) ([]float32, *core.Pe
 	inf := p.model.InferBatch(events)
 	lat := time.Since(start)
 
-	p.mu.Lock()
-	p.syncLat.add(lat)
-	p.mu.Unlock()
-
 	scores := append([]float32(nil), inf.Scores...)
 	if !apply {
 		inf.Release()
-		return scores, nil, lat, nil
+		return scores, nil, lat
 	}
 	rec := p.getRecord()
 	inf.CopyOut(rec)
-	return scores, rec, lat, nil
+	return scores, rec, lat
 }
 
 // getRecord checks a record out of the freelist, or builds one.
@@ -345,44 +296,15 @@ func (p *Pipeline) putRecord(rec *core.Pending) {
 	p.recMu.Unlock()
 }
 
-// noteEnqueued counts a batch BEFORE its channel send so a worker can never
-// observe processed > enqueued (which would let Drain return with work still
-// queued). A send that is abandoned must be undone with unnoteEnqueued.
-func (p *Pipeline) noteEnqueued() {
-	p.mu.Lock()
-	p.enqueued++
-	if d := int(p.enqueued - p.processed); d > p.maxDepth {
-		p.maxDepth = d
-	}
-	p.mu.Unlock()
-}
-
-func (p *Pipeline) unnoteEnqueued() {
-	p.mu.Lock()
-	p.enqueued--
-	if p.enqueued == p.processed {
-		p.idle.Broadcast()
-	}
-	p.mu.Unlock()
-}
-
 // Submit scores a batch of interactions on the synchronous link and
-// enqueues the asynchronous work, blocking under backpressure until queue
-// space frees or ctx is done. The returned latency covers only the
-// synchronous part — what a caller of the online decision system observes.
-// On cancellation the already-computed scores are discarded unapplied: no
-// state was mutated, so the caller can simply retry.
+// enqueues the asynchronous work on DefaultTenant, blocking under
+// backpressure until queue space frees, ctx is done or the pipeline shuts
+// down. The returned latency covers only the synchronous part — what a
+// caller of the online decision system observes. On cancellation the
+// already-computed scores are discarded unapplied: no state was mutated, so
+// the caller can simply retry.
 func (p *Pipeline) Submit(ctx context.Context, events []tgraph.Event) ([]float32, time.Duration, error) {
-	if len(events) == 0 {
-		return []float32{}, 0, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	if p.sched != nil {
-		return p.submitTenant(ctx, DefaultTenant, events, true)
-	}
-	return p.submit(ctx, events, true)
+	return p.submitTenant(ctx, DefaultTenant, events, true)
 }
 
 // ScoreOnly scores a batch on the synchronous link without enqueueing it
@@ -394,8 +316,12 @@ func (p *Pipeline) ScoreOnly(events []tgraph.Event) ([]float32, time.Duration, e
 	if len(events) == 0 {
 		return []float32{}, 0, nil
 	}
-	scores, _, lat, err := p.score(events, false)
-	return scores, lat, err
+	if err := p.sched.begin(); err != nil {
+		return nil, 0, err
+	}
+	scores, _, lat := p.score(events, false)
+	p.sched.recordSync(lat)
+	return scores, lat, nil
 }
 
 // TrySubmit is the non-blocking Submit variant: when the propagation queue
@@ -403,50 +329,7 @@ func (p *Pipeline) ScoreOnly(events []tgraph.Event) ([]float32, time.Duration, e
 // ErrQueueFull, leaving all model state untouched — a load-shedding
 // primitive for the serving edge.
 func (p *Pipeline) TrySubmit(events []tgraph.Event) ([]float32, time.Duration, error) {
-	if len(events) == 0 {
-		return []float32{}, 0, nil
-	}
-	if p.sched != nil {
-		return p.submitTenant(context.Background(), DefaultTenant, events, false)
-	}
-	return p.submit(context.Background(), events, false)
-}
-
-// submit is Submit (block) and TrySubmit (!block) on the single queue.
-func (p *Pipeline) submit(ctx context.Context, events []tgraph.Event, block bool) ([]float32, time.Duration, error) {
-	scores, rec, lat, err := p.score(events, true)
-	if err != nil {
-		return nil, 0, err
-	}
-	p.sendMu.RLock()
-	defer p.sendMu.RUnlock()
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		p.putRecord(rec)
-		return nil, lat, ErrClosed
-	}
-	p.noteEnqueued()
-	if block {
-		select {
-		case p.queue <- rec:
-			return scores, lat, nil
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-	} else {
-		select {
-		case p.queue <- rec:
-			return scores, lat, nil
-		default:
-			err = ErrQueueFull
-		}
-	}
-	// Cancelled or shed before the enqueue: the batch is dropped unapplied.
-	p.unnoteEnqueued()
-	p.putRecord(rec)
-	return nil, lat, err
+	return p.submitTenant(context.Background(), DefaultTenant, events, false)
 }
 
 // Result is the outcome of an asynchronous submission.
@@ -479,69 +362,19 @@ func (p *Pipeline) Explain(n tgraph.NodeID) (*core.Explanation, bool) {
 // done. Waiting is event-driven: workers broadcast on a condition variable
 // when the queue empties.
 func (p *Pipeline) Drain(ctx context.Context) error {
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			p.mu.Lock()
-			p.idle.Broadcast()
-			p.mu.Unlock()
-		case <-stop:
-		}
-	}()
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.enqueued != p.processed {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		p.idle.Wait()
-	}
-	return ctx.Err()
+	s := p.sched
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.wait(ctx, s.idle, func() bool { return s.enqueued == s.processed })
 }
 
-// Shutdown rejects new submissions, waits for in-flight Submits to enqueue,
-// then drains the queue and stops the workers. It returns ctx's error if
-// the drain does not finish in time (the workers still run to completion in
-// the background). The pipeline cannot be reused.
+// Shutdown rejects new submissions, drains the queue and stops the workers.
+// A Submit still waiting for queue space returns ErrClosed and its batch is
+// not applied; every batch already queued is. It returns ctx's error if the
+// drain does not finish in time (the workers still run to completion in the
+// background). The pipeline cannot be reused.
 func (p *Pipeline) Shutdown(ctx context.Context) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		select {
-		case <-p.done:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	p.closed = true
-	p.mu.Unlock()
-
-	if p.sched != nil {
-		// The tenant scheduler rejects new enqueues atomically under its own
-		// mutex and workers drain the backlog before exiting, so no channel
-		// close is needed on this path.
-		p.sched.close()
-		select {
-		case <-p.done:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-
-	// Wait for every in-flight send, then close the queue so workers exit
-	// after the backlog. The lock wait happens off this goroutine so ctx is
-	// honored even while a backpressured Submit holds the read lock.
-	go func() {
-		p.sendMu.Lock()
-		close(p.queue)
-		p.sendMu.Unlock()
-	}()
-
+	p.sched.close()
 	select {
 	case <-p.done:
 		return nil
@@ -570,9 +403,10 @@ type Stats struct {
 // finished propagating — Stats().QueueDepth at constant cost, for callers on
 // the request path.
 func (p *Pipeline) QueueDepth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return int(p.enqueued - p.processed)
+	s := p.sched
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return int(s.enqueued - s.processed)
 }
 
 // Stats reports instrumentation counters. The means cover every sample
@@ -581,17 +415,18 @@ func (p *Pipeline) QueueDepth() int {
 // mutex is released, so a scrape never stalls Submit or the applier.
 func (p *Pipeline) Stats() Stats {
 	var buf [tailWindow]time.Duration
-	p.mu.Lock()
+	s := p.sched
+	s.mu.Lock()
 	st := Stats{
-		Submitted:     p.submitted,
-		Processed:     p.processed,
-		QueueDepth:    int(p.enqueued - p.processed),
-		MaxQueueDepth: p.maxDepth,
-		SyncMean:      p.syncLat.mean(),
-		AsyncMean:     p.asyncLat.mean(),
+		Submitted:     s.submitted,
+		Processed:     s.processed,
+		QueueDepth:    int(s.enqueued - s.processed),
+		MaxQueueDepth: s.maxDepth,
+		SyncMean:      s.syncLat.mean(),
+		AsyncMean:     s.asyncLat.mean(),
 	}
-	tail := p.syncLat.window(buf[:0])
-	p.mu.Unlock()
+	tail := s.syncLat.window(buf[:0])
+	s.mu.Unlock()
 	st.SyncP99 = p99(tail)
 	return st
 }

@@ -601,6 +601,72 @@ func TestConcurrentSubmitShutdownStress(t *testing.T) {
 	}
 }
 
+// TestShutdownRefusesBlockedSubmit pins the Shutdown rule: a Submit waiting
+// for queue space when Shutdown runs returns ErrClosed and its batch is not
+// applied — the model ends where a run that never submitted it ends — while
+// every batch already queued is.
+func TestShutdownRefusesBlockedSubmit(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts []Option
+	}{{"untenanted", nil}, {"tenants", []Option{WithTenants()}}} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(blocked bool) uint64 {
+				hook, parked, gate := parkWorker()
+				m := testModel(t, nil)
+				p := New(m, append([]Option{WithQueueCap(1), WithBeforeApply(hook)}, c.opts...)...)
+				ctx := context.Background()
+				for i := 1; i <= 2; i++ {
+					if _, _, err := p.Submit(ctx, tev(int32(i-1), int32(i), float64(i))); err != nil {
+						t.Fatal(err)
+					}
+					if i == 1 {
+						<-parked // the applier holds batch 1; batch 2 fills the queue
+					}
+				}
+				errc := make(chan error, 1)
+				if blocked {
+					go func() {
+						_, _, err := p.Submit(ctx, tev(2, 3, 3))
+						errc <- err
+					}()
+					// A submit records its sync latency under the queue's
+					// lock and holds it until it waits for space.
+					for n := int64(0); n < 3; {
+						time.Sleep(time.Millisecond)
+						p.sched.mu.Lock()
+						n = p.sched.syncLat.n
+						p.sched.mu.Unlock()
+					}
+				}
+				shut := make(chan error, 1)
+				go func() { shut <- p.Shutdown(ctx) }()
+				if blocked {
+					select {
+					case err := <-errc:
+						if !errors.Is(err, ErrClosed) {
+							t.Fatalf("blocked Submit across Shutdown: %v, want ErrClosed", err)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatal("blocked Submit did not return when Shutdown ran")
+					}
+				}
+				close(gate)
+				if err := <-shut; err != nil {
+					t.Fatal(err)
+				}
+				if st := p.Stats(); st.Processed != 2 || st.QueueDepth != 0 {
+					t.Fatalf("after Shutdown: %+v, want the 2 queued batches applied", st)
+				}
+				return m.RuntimeDigest()
+			}
+			if got, want := run(true), run(false); got != want {
+				t.Fatalf("runtime digest %016x with a refused blocked Submit, %016x without it", got, want)
+			}
+		})
+	}
+}
+
 func TestPipelineOptionsAndWorkers(t *testing.T) {
 	ctx := context.Background()
 	m := testModel(t, gdb.Constant(time.Millisecond))

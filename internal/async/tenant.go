@@ -1,7 +1,6 @@
-// Multi-tenant admission control for the propagation pipeline. With
-// tenancy enabled (WithTenants / WithTenantDefaults), every submission is
-// attributed to a tenant and passes three gates before reaching a
-// propagation worker:
+// The propagation queue and its multi-tenant admission control. Every
+// submission is attributed to a tenant and passes three gates before
+// reaching a propagation worker:
 //
 //  1. a per-tenant rate limit — a token bucket refilled by the *stream
 //     time* carried on the events themselves, so admission decisions are a
@@ -17,13 +16,15 @@
 // Every submission outcome is accounted per tenant (submitted = applied +
 // dropped, with rate-limited drops broken out), which is what the serving
 // layer's 429s, the /v1/stats tenants block, and the noisy_neighbor
-// scenario invariants are built on. Without tenancy options the pipeline
-// runs the original single-queue path untouched.
+// scenario invariants are built on. Without tenancy options
+// (WithTenants / WithTenantDefaults) every name resolves to DefaultTenant:
+// one unlimited weight-1 tenant whose queue holds WithQueueCap batches.
 package async
 
 import (
 	"context"
 	"errors"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -37,7 +38,8 @@ import (
 var ErrRateLimited = errors.New("async: tenant rate limit exceeded")
 
 // DefaultTenant is the tenant id attributed to submissions that do not name
-// one (the tenant-unaware Submit/TrySubmit call sites).
+// one (the tenant-unaware Submit/TrySubmit call sites), and to every
+// submission when tenancy is off.
 const DefaultTenant = "default"
 
 // TenantConfig declares one tenant's admission contract.
@@ -137,10 +139,10 @@ type tenantState struct {
 	queue []*core.Pending
 	head  int
 
-	// Event-time token bucket.
+	// Event-time token bucket. The clock starts at -Inf, so the first
+	// finite time fills the bucket.
 	tokens   float64
 	lastTime float64
-	seeded   bool
 
 	submitted, applied, dropped, rateLimited int64
 	maxDepth                                 int
@@ -149,25 +151,22 @@ type tenantState struct {
 
 func (t *tenantState) depth() int { return len(t.queue) - t.head }
 
-// admitRate charges the batch against the tenant's event-time bucket.
+// admitRate charges the batch against the tenant's event-time bucket. The
+// clock reads the batch's newest finite time: a NaN or infinite time would
+// stop the refill for good, so a batch with no finite time is charged but
+// moves no clock.
 func (t *tenantState) admitRate(events []tgraph.Event) bool {
 	if t.cfg.Rate <= 0 {
 		return true
 	}
-	now := events[0].Time
-	for _, ev := range events[1:] {
-		if ev.Time > now {
+	now := math.Inf(-1)
+	for _, ev := range events {
+		if ev.Time > now && !math.IsInf(ev.Time, 1) { // false for NaN
 			now = ev.Time
 		}
 	}
-	if !t.seeded {
-		t.tokens, t.lastTime, t.seeded = t.cfg.Burst, now, true
-	}
-	if dt := now - t.lastTime; dt > 0 {
-		t.tokens += dt * t.cfg.Rate
-		if t.tokens > t.cfg.Burst {
-			t.tokens = t.cfg.Burst
-		}
+	if now > t.lastTime {
+		t.tokens = min(t.tokens+(now-t.lastTime)*t.cfg.Rate, t.cfg.Burst)
 		t.lastTime = now
 	}
 	cost := float64(len(events))
@@ -221,22 +220,31 @@ func (l *tenantLane) pick() *tenantState {
 	return nil
 }
 
-// tenantSched is the tenant registry plus the weighted-fair scheduler that
-// replaces the single queue channel when tenancy is enabled.
+// tenantSched is the pipeline's one propagation queue: the tenant registry
+// plus the weighted-fair scheduler. Its mutex also guards the pipeline's
+// counters, so an enqueue counts itself and an apply marks its tenant and
+// the pipeline in one critical section.
 type tenantSched struct {
 	mu    sync.Mutex
 	work  *sync.Cond // signaled on enqueue and close: wakes workers
 	space *sync.Cond // signaled on dequeue and close: wakes blocked Submits
+	idle  *sync.Cond // signaled whenever enqueued == processed: wakes Drain
 
 	closed   bool
+	tenancy  bool // route by name; otherwise every id is DefaultTenant
 	byID     map[string]*tenantState
 	lanes    []*tenantLane
 	defaults TenantConfig // template for auto-admitted tenants
 	queueCap int          // pipeline default per-tenant bound
+
+	syncLat, asyncLat              latencyRing
+	submitted, enqueued, processed int64
+	maxDepth                       int
 }
 
 func newTenantSched(o options) *tenantSched {
 	s := &tenantSched{
+		tenancy:  o.tenancy,
 		byID:     make(map[string]*tenantState),
 		queueCap: o.queueCap,
 		defaults: TenantConfig{Weight: 1},
@@ -246,14 +254,11 @@ func newTenantSched(o options) *tenantSched {
 	}
 	s.work = sync.NewCond(&s.mu)
 	s.space = sync.NewCond(&s.mu)
+	s.idle = sync.NewCond(&s.mu)
 	for _, cfg := range o.tenants {
 		s.registerLocked(cfg)
 	}
-	if _, ok := s.byID[DefaultTenant]; !ok {
-		d := s.defaults
-		d.ID = DefaultTenant
-		s.registerLocked(d)
-	}
+	s.resolveLocked(DefaultTenant)
 	return s
 }
 
@@ -265,7 +270,7 @@ func (s *tenantSched) registerLocked(cfg TenantConfig) *tenantState {
 	if t, ok := s.byID[cfg.ID]; ok {
 		return t
 	}
-	t := &tenantState{cfg: cfg, credits: cfg.Weight}
+	t := &tenantState{cfg: cfg, credits: cfg.Weight, tokens: cfg.Burst, lastTime: math.Inf(-1)}
 	s.byID[cfg.ID] = t
 	for _, l := range s.lanes {
 		if l.prio == cfg.Lane {
@@ -278,14 +283,12 @@ func (s *tenantSched) registerLocked(cfg TenantConfig) *tenantState {
 	return t
 }
 
-// resolve maps a tenant id to its state, auto-admitting unknown ids with
-// the defaults template.
-func (s *tenantSched) resolve(id string) *tenantState {
-	if id == "" {
+// resolveLocked maps a tenant id to its state, auto-admitting unknown ids
+// with the defaults template. Without tenancy every id is DefaultTenant.
+func (s *tenantSched) resolveLocked(id string) *tenantState {
+	if id == "" || !s.tenancy {
 		id = DefaultTenant
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if t, ok := s.byID[id]; ok {
 		return t
 	}
@@ -294,68 +297,102 @@ func (s *tenantSched) resolve(id string) *tenantState {
 	return s.registerLocked(cfg)
 }
 
-// admit runs the pre-scoring gates: it refuses on a closed scheduler
-// (uncounted — the submission never entered the tenant's ledger) and
-// charges the rate bucket, counting a refusal as submitted+dropped so the
-// per-tenant conservation law holds.
-func (s *tenantSched) admit(t *tenantState, events []tgraph.Event) error {
+// begin counts a scoring pass on an open pipeline, or refuses it with
+// ErrClosed, uncounted.
+func (s *tenantSched) begin() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
+	s.submitted++
+	return nil
+}
+
+// admit runs the pre-scoring gates: it refuses on a closed pipeline
+// (uncounted — the submission never entered the tenant's ledger) and
+// charges the tenant's rate bucket, counting a refusal as submitted+dropped
+// so the per-tenant conservation law holds.
+func (s *tenantSched) admit(id string, events []tgraph.Event) (*tenantState, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	t := s.resolveLocked(id)
 	t.submitted++
 	if !t.admitRate(events) {
 		t.dropped++
 		t.rateLimited++
-		return ErrRateLimited
+		return nil, ErrRateLimited
 	}
-	return nil
+	s.submitted++
+	return t, nil
 }
 
-// recordSync attributes a synchronous-link latency sample to the tenant.
-func (s *tenantSched) recordSync(t *tenantState, d time.Duration) {
+// recordSync attributes an unqueued synchronous-link latency sample.
+func (s *tenantSched) recordSync(d time.Duration) {
 	s.mu.Lock()
-	t.syncLat.add(d)
+	s.syncLat.add(d)
 	s.mu.Unlock()
 }
 
-// recordDrop accounts a post-admission drop (queue full, context cancelled,
-// closed while enqueueing).
-func (s *tenantSched) recordDrop(t *tenantState) {
-	s.mu.Lock()
-	t.dropped++
-	s.mu.Unlock()
-}
-
-// enqueue appends the scored batch's record to the tenant's queue. When
-// block is false a full queue fails fast with ErrQueueFull; otherwise the
-// caller waits for space, for ctx, or for close. A blocking caller must
-// kick the scheduler when ctx is done, since the wait is on a condition
-// variable that does not watch ctx.
-func (s *tenantSched) enqueue(ctx context.Context, t *tenantState, rec *core.Pending, block bool) error {
+// enqueue records the batch's synchronous-link latency, then appends its
+// record to the tenant's queue. When block is false a full queue fails fast
+// with ErrQueueFull; otherwise the caller waits for space, for ctx, or for
+// close, which refuses the batch with ErrClosed. A refused batch counts as
+// the tenant's drop.
+func (s *tenantSched) enqueue(ctx context.Context, t *tenantState, rec *core.Pending, lat time.Duration, block bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return ErrClosed
+	s.syncLat.add(lat)
+	t.syncLat.add(lat)
+	err := s.wait(ctx, s.space, func() bool { return s.closed || !block || t.depth() < t.cfg.QueueCap })
+	switch {
+	case err != nil:
+	case s.closed:
+		err = ErrClosed
+	case t.depth() >= t.cfg.QueueCap:
+		err = ErrQueueFull
+	default:
+		if t.head > 0 && len(t.queue) == cap(t.queue) {
+			// Slide the live records to the front instead of growing an
+			// array whose head has moved on.
+			n := copy(t.queue, t.queue[t.head:])
+			clear(t.queue[n:])
+			t.queue, t.head = t.queue[:n], 0
 		}
-		if t.depth() < t.cfg.QueueCap {
-			t.queue = append(t.queue, rec)
-			if d := t.depth(); d > t.maxDepth {
-				t.maxDepth = d
-			}
-			s.work.Signal()
-			return nil
-		}
-		if !block {
-			return ErrQueueFull
-		}
+		t.queue = append(t.queue, rec)
+		t.maxDepth = max(t.maxDepth, t.depth())
+		s.enqueued++
+		s.maxDepth = max(s.maxDepth, int(s.enqueued-s.processed))
+		s.work.Signal()
+		return nil
+	}
+	t.dropped++
+	return err
+}
+
+// wait blocks on c, whose lock mu the caller holds, until ready reports
+// true, and returns ctx's error if ctx is done first. The wake-up on ctx is
+// armed only once a wait is needed and ctx can be cancelled, so a call that
+// does not wait allocates nothing.
+func (s *tenantSched) wait(ctx context.Context, c *sync.Cond, ready func() bool) error {
+	for armed := false; !ready(); {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s.space.Wait()
+		if !armed && ctx.Done() != nil {
+			armed = true
+			defer context.AfterFunc(ctx, func() {
+				s.mu.Lock()
+				c.Broadcast()
+				s.mu.Unlock()
+			})()
+		}
+		c.Wait()
 	}
+	return nil
 }
 
 // dequeue hands a worker the next record under the scheduling policy:
@@ -388,26 +425,26 @@ func (s *tenantSched) dequeue() (*core.Pending, *tenantState, bool) {
 	}
 }
 
-// markApplied accounts a worker-side apply completion.
-func (s *tenantSched) markApplied(t *tenantState) {
+// markApplied accounts a worker-side apply completion, on the tenant's
+// ledger and the pipeline's at once: once the batch counts as processed,
+// Drain may return and its caller may read TenantStats.
+func (s *tenantSched) markApplied(t *tenantState, d time.Duration) {
 	s.mu.Lock()
 	t.applied++
+	s.asyncLat.add(d)
+	s.processed++
+	if s.processed == s.enqueued {
+		s.idle.Broadcast()
+	}
 	s.mu.Unlock()
 }
 
 // close rejects further submissions and wakes every waiter; workers drain
-// the remaining backlog before exiting.
+// the remaining backlog before exiting. It is idempotent.
 func (s *tenantSched) close() {
 	s.mu.Lock()
 	s.closed = true
 	s.work.Broadcast()
-	s.space.Broadcast()
-	s.mu.Unlock()
-}
-
-// kick wakes blocked enqueue waiters so they can observe a cancelled ctx.
-func (s *tenantSched) kick() {
-	s.mu.Lock()
 	s.space.Broadcast()
 	s.mu.Unlock()
 }
@@ -441,15 +478,15 @@ func (s *tenantSched) stats() map[string]TenantStats {
 	return out
 }
 
-// Tenancy reports whether the pipeline runs the per-tenant admission layer
+// Tenancy reports whether the pipeline routes submissions by tenant name
 // (WithTenants/WithTenantDefaults) — the switch the serving edge keys its
 // tenant routing and 429 mapping on.
-func (p *Pipeline) Tenancy() bool { return p.sched != nil }
+func (p *Pipeline) Tenancy() bool { return p.opts.tenancy }
 
 // TenantStats snapshots per-tenant admission accounting, or nil when the
 // pipeline runs without tenancy.
 func (p *Pipeline) TenantStats() map[string]TenantStats {
-	if p.sched == nil {
+	if !p.opts.tenancy {
 		return nil
 	}
 	return p.sched.stats()
@@ -458,17 +495,8 @@ func (p *Pipeline) TenantStats() map[string]TenantStats {
 // SubmitTenant is Submit with the batch attributed to a tenant: the
 // tenant's rate gate runs before scoring, backpressure blocks on the
 // tenant's own queue, and all accounting lands on its ledger. Without
-// tenancy it falls through to the plain Submit path.
+// tenancy the name resolves to DefaultTenant.
 func (p *Pipeline) SubmitTenant(ctx context.Context, tenant string, events []tgraph.Event) ([]float32, time.Duration, error) {
-	if len(events) == 0 {
-		return []float32{}, 0, nil
-	}
-	if p.sched == nil {
-		return p.Submit(ctx, events)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
 	return p.submitTenant(ctx, tenant, events, true)
 }
 
@@ -476,49 +504,28 @@ func (p *Pipeline) SubmitTenant(ctx context.Context, tenant string, events []tgr
 // drops the scored batch unapplied with ErrQueueFull, and a spent rate
 // bucket drops it unscored with ErrRateLimited.
 func (p *Pipeline) TrySubmitTenant(tenant string, events []tgraph.Event) ([]float32, time.Duration, error) {
-	if len(events) == 0 {
-		return []float32{}, 0, nil
-	}
-	if p.sched == nil {
-		return p.TrySubmit(events)
-	}
 	return p.submitTenant(context.Background(), tenant, events, false)
 }
 
+// submitTenant is every submission: the empty batch and a done ctx return
+// at once, then the closed check and the rate gate, the synchronous link,
+// and the enqueue (block waits for space, !block sheds).
 func (p *Pipeline) submitTenant(ctx context.Context, tenant string, events []tgraph.Event, block bool) ([]float32, time.Duration, error) {
-	t := p.sched.resolve(tenant)
-	if err := p.sched.admit(t, events); err != nil {
+	if len(events) == 0 {
+		return []float32{}, 0, nil
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	// Past the rate gate: score re-admits the batch's evicted nodes, then
-	// runs the synchronous link.
-	scores, rec, lat, err := p.score(events, true)
+	t, err := p.sched.admit(tenant, events)
 	if err != nil {
-		// Closed between admit and score: the attempt is on the ledger, so
-		// balance it as a drop.
-		p.sched.recordDrop(t)
 		return nil, 0, err
 	}
-	p.sched.recordSync(t, lat)
-
-	if block {
-		// Wake the enqueue wait when ctx is cancelled, mirroring Drain's
-		// watcher: the cond has no native ctx support.
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				p.sched.kick()
-			case <-stop:
-			}
-		}()
-	}
-	p.noteEnqueued()
-	if err := p.sched.enqueue(ctx, t, rec, block); err != nil {
-		p.unnoteEnqueued()
+	// Past the gates: score re-admits the batch's evicted nodes, then runs
+	// the synchronous link.
+	scores, rec, lat := p.score(events, true)
+	if err := p.sched.enqueue(ctx, t, rec, lat, block); err != nil {
 		p.putRecord(rec)
-		p.sched.recordDrop(t)
 		return nil, lat, err
 	}
 	return scores, lat, nil

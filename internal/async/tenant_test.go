@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -131,6 +132,24 @@ func TestTenantRateLimitEventTime(t *testing.T) {
 	for i := range errs {
 		if (errs[i] == nil) != (errs2[i] == nil) {
 			t.Fatalf("admission not reproducible at submission %d: %v vs %v", i, errs[i], errs2[i])
+		}
+	}
+
+	// A batch without a finite time is charged but moves no clock, so it
+	// cannot stop the refill: the first finite time starts the clock.
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		p := New(testModel(t, nil), WithTenants(TenantConfig{ID: "metered", Rate: 1, Burst: 1}))
+		var got []error
+		for _, tm := range []float64{bad, bad, 100, 200, 300, 400, 500} {
+			_, _, err := p.TrySubmitTenant("metered", tev(0, 1, tm))
+			got = append(got, err)
+		}
+		p.Close()
+		want := []error{nil, ErrRateLimited, nil, nil, nil, nil, nil}
+		for i := range want {
+			if !errors.Is(got[i], want[i]) {
+				t.Fatalf("first batch at t=%v: admissions %v, want %v", bad, got, want)
+			}
 		}
 	}
 }

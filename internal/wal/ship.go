@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -208,6 +209,7 @@ const (
 	shipVersion  = 1
 	shipMsgChunk = 'C'
 	shipMsgBeat  = 'H'
+	shipMaxName  = 1 << 15
 )
 
 // connDest ships chunks over an established connection using the ship
@@ -217,7 +219,7 @@ type connDest struct {
 }
 
 func (c *connDest) WriteChunk(name string, off int64, data []byte) error {
-	if len(name) > 1<<15 {
+	if len(name) > shipMaxName {
 		return fmt.Errorf("wal: ship: segment name too long (%d)", len(name))
 	}
 	var hdr [3]byte
@@ -335,7 +337,7 @@ func FollowShip(conn net.Conn, dest ShipDest, onHeartbeat func(nextIndex uint64)
 		return fmt.Errorf("wal: ship handshake: %w", err)
 	}
 	br := bufio.NewReaderSize(conn, 1<<16)
-	var data []byte
+	var name, data bytes.Buffer
 	for {
 		kind, err := br.ReadByte()
 		if err != nil {
@@ -355,9 +357,11 @@ func FollowShip(conn net.Conn, dest ShipDest, onHeartbeat func(nextIndex uint64)
 			if _, err := io.ReadFull(br, nl[:]); err != nil {
 				return err
 			}
-			nameLen := int(binary.LittleEndian.Uint16(nl[:]))
-			nameBuf := make([]byte, nameLen)
-			if _, err := io.ReadFull(br, nameBuf); err != nil {
+			nameLen := int64(binary.LittleEndian.Uint16(nl[:]))
+			if nameLen > shipMaxName {
+				return fmt.Errorf("wal: ship: segment name too long (%d)", nameLen)
+			}
+			if err := readGrowing(&name, br, nameLen); err != nil {
 				return err
 			}
 			var oh [12]byte
@@ -369,18 +373,28 @@ func FollowShip(conn net.Conn, dest ShipDest, onHeartbeat func(nextIndex uint64)
 			if n > maxPayloadBytes {
 				return fmt.Errorf("wal: ship: absurd chunk length %d", n)
 			}
-			if cap(data) < int(n) {
-				data = make([]byte, n)
-			}
-			data = data[:n]
-			if _, err := io.ReadFull(br, data); err != nil {
+			if err := readGrowing(&data, br, int64(n)); err != nil {
 				return err
 			}
-			if err := dest.WriteChunk(string(nameBuf), off, data); err != nil {
+			if err := dest.WriteChunk(name.String(), off, data.Bytes()); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("wal: ship: unknown message type %q", kind)
 		}
 	}
+}
+
+// readGrowing reads n bytes from r into buf, which grows as the bytes
+// arrive, so a declared length the stream never delivers sizes no
+// allocation.
+func readGrowing(buf *bytes.Buffer, r io.Reader, n int64) error {
+	buf.Reset()
+	if _, err := io.CopyN(buf, r, n); err != nil {
+		if err == io.EOF {
+			return io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	return nil
 }

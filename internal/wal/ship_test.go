@@ -1,10 +1,14 @@
 package wal
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -165,6 +169,58 @@ func TestFollowShipRejectsTraversal(t *testing.T) {
 	if err := (DirDest{Dir: dst}).WriteChunk("../evil.seg", 0, []byte("x")); err == nil {
 		t.Fatal("traversal chunk name accepted")
 	}
+}
+
+// FuzzFollowShip feeds arbitrary leader bytes to FollowShip over a pipe. It
+// must not panic; every chunk and heartbeat it delivers must re-encode
+// through connDest, the leader's encoder, to the bytes it read, so the
+// re-encoded stream is a prefix of the input; and what it allocates is
+// bounded by the input, whatever lengths the input declares.
+func FuzzFollowShip(f *testing.F) {
+	var stream bytes.Buffer
+	enc := &connDest{w: bufio.NewWriter(&stream)}
+	enc.heartbeat(40)
+	enc.WriteChunk(segmentName(1), 0, []byte(segMagic+"payload"))
+	enc.WriteChunk(segmentName(1), 11, nil)
+	enc.heartbeat(41)
+	enc.w.Flush()
+	good := stream.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add([]byte{shipMsgChunk, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x40}) // declares a 1 GiB chunk
+	f.Add([]byte{shipMsgChunk, 0xff, 0xff})
+	f.Add([]byte{'X'})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		out := bytes.NewBuffer(make([]byte, 0, len(b)))
+		enc := &connDest{w: bufio.NewWriterSize(out, 4096)}
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		leader, follower := net.Pipe()
+		handshake := make(chan []byte, 1)
+		go func() {
+			var hs [8]byte
+			io.ReadFull(leader, hs[:])
+			handshake <- hs[:]
+			leader.Write(b)
+			leader.Close()
+		}()
+		err := FollowShip(follower, enc, func(next uint64) { enc.heartbeat(next) })
+		follower.Close()
+		hs := <-handshake
+		runtime.ReadMemStats(&ms1)
+		if got, limit := ms1.TotalAlloc-ms0.TotalAlloc, uint64(256<<10+8*len(b)); got > limit {
+			t.Fatalf("a %d-byte stream allocated %d bytes (limit %d), err = %v", len(b), got, limit, err)
+		}
+		if string(hs[:4]) != shipMagic {
+			t.Fatalf("handshake %q", hs)
+		}
+		if err := enc.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, out.Bytes()) {
+			t.Fatalf("delivered messages re-encode to %x, not a prefix of the input %x (err = %v)", out.Bytes(), b, err)
+		}
+	})
 }
 
 // TestFaultInjectSyncLatches: an injected fsync error latches the log —
