@@ -270,6 +270,9 @@ func TestRunStreamBatching(t *testing.T) {
 	if res.SyncHist.N() != 4 {
 		t.Fatalf("latency samples=%d", res.SyncHist.N())
 	}
+	if !math.IsNaN(res.MaskedAP) {
+		t.Fatalf("MaskedAP %v without a mask, want NaN", res.MaskedAP)
+	}
 }
 
 func TestStreamModelInterfaces(t *testing.T) {

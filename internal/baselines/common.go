@@ -12,7 +12,7 @@ import (
 
 	"apan/internal/core"
 	"apan/internal/dataset"
-	"apan/internal/eval"
+	"apan/internal/nn"
 	"apan/internal/tensor"
 	"apan/internal/tgraph"
 )
@@ -27,81 +27,66 @@ type StreamModel interface {
 	CollectStream(events []tgraph.Event, ns *dataset.NegSampler, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.StreamResult
 }
 
-// batchFunc processes one batch and reports scores/loss/sync-latency.
-type batchFunc func(events []tgraph.Event, ns *dataset.NegSampler, train bool, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.BatchResult
-
-// runStream drives a batchFunc over the stream in chronological batches,
-// mirroring core.Model's loop so all models share eval mechanics.
-func runStream(process batchFunc, batchSize int, events []tgraph.Event, ns *dataset.NegSampler, train bool, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.StreamResult {
-	var res core.StreamResult
-	var scores []float32
-	var labels []bool
-	start := time.Now()
-	for lo := 0; lo < len(events); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(events) {
-			hi = len(events)
-		}
-		br := process(events[lo:hi], ns, train, collect)
-		res.Loss += br.Loss
-		res.Batches++
-		res.SyncHist.Add(br.SyncTime)
-		for i := range br.PosScores {
-			scores = append(scores, br.PosScores[i], br.NegScores[i])
-			labels = append(labels, true, false)
-		}
-	}
-	res.Elapsed = time.Since(start)
-	if res.Batches > 0 {
-		res.Loss /= float64(res.Batches)
-	}
-	res.Accuracy = eval.Accuracy(scores, labels, 0.5)
-	res.AP = eval.AveragePrecision(scores, labels)
-	return res
+// streamer is what the four stream baselines share with APAN: the
+// chronological protocol (core.RunStream), the batch plan and the pair loss
+// (core.PairLoss), stepped with Adam at a clip norm of 5. A model supplies
+// only embed, its embeddings of a planned batch gathered per event (with
+// the overlay of on-tape memory rows it computed, if any), and commit, what
+// a scored batch leaves behind: memory updates and graph inserts.
+type streamer struct {
+	rng       *rand.Rand
+	dec       *core.LinkDecoder
+	batchSize int
+	numNodes  int
+	params    []*nn.Tensor
+	opt       *nn.Adam
+	embed     func(tp *nn.Tape, p *core.Plan) (zsrc, zdst, zneg *nn.Tensor, ov *Overlay)
+	commit    func(ov *Overlay, events []tgraph.Event)
 }
 
-// plan deduplicates the nodes of a batch and assigns per-event rows,
-// optionally drawing one negative destination per event.
-type plan struct {
-	nodes  []tgraph.NodeID
-	times  []float64
-	srcRow []int32
-	dstRow []int32
-	negRow []int32
+// TrainEpoch trains one chronological pass.
+func (s *streamer) TrainEpoch(events []tgraph.Event, ns *dataset.NegSampler) core.StreamResult {
+	return s.run(events, ns, true, nil)
 }
 
-func planBatch(events []tgraph.Event, ns *dataset.NegSampler, rng *rand.Rand, numNodes int, withNegs bool) *plan {
-	p := &plan{}
-	rowOf := make(map[tgraph.NodeID]int, 3*len(events))
-	row := func(n tgraph.NodeID, t float64) int32 {
-		if r, ok := rowOf[n]; ok {
-			if t > p.times[r] {
-				p.times[r] = t
-			}
-			return int32(r)
+// EvalStream evaluates link prediction without training.
+func (s *streamer) EvalStream(events []tgraph.Event, ns *dataset.NegSampler) core.StreamResult {
+	return s.run(events, ns, false, nil)
+}
+
+// CollectStream runs inference invoking collect per event.
+func (s *streamer) CollectStream(events []tgraph.Event, ns *dataset.NegSampler, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.StreamResult {
+	return s.run(events, ns, false, collect)
+}
+
+func (s *streamer) run(events []tgraph.Event, ns *dataset.NegSampler, train bool, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.StreamResult {
+	var p core.Plan
+	return core.RunStream(events, s.batchSize, ns, s.rng, s.numNodes, nil, func(batch []tgraph.Event, negs []tgraph.NodeID) core.BatchResult {
+		p.Build(batch, negs)
+		tp := nn.NewTape()
+		if train {
+			tp = nn.NewTrainingTape(s.rng)
 		}
-		r := len(p.nodes)
-		rowOf[n] = r
-		p.nodes = append(p.nodes, n)
-		p.times = append(p.times, t)
-		return int32(r)
-	}
-	for _, ev := range events {
-		p.srcRow = append(p.srcRow, row(ev.Src, ev.Time))
-		p.dstRow = append(p.dstRow, row(ev.Dst, ev.Time))
-	}
-	if withNegs {
-		for _, ev := range events {
-			var neg tgraph.NodeID
-			if ns != nil {
-				neg = ns.Sample(rng, ev.Dst)
-			} else {
-				neg = tgraph.NodeID(rng.Intn(numNodes))
-			}
-			p.negRow = append(p.negRow, row(neg, ev.Time))
+		// Synchronous critical path: whatever graph queries and memory
+		// updates the model needs, then the decoder.
+		start := time.Now()
+		zsrc, zdst, zneg, ov := s.embed(tp, &p)
+		loss, pos, neg := core.PairLoss(tp, s.dec, zsrc, zdst, zneg)
+		syncTime := time.Since(start)
+		if train {
+			tp.Backward(loss)
+			nn.ClipGradNorm(s.params, 5)
+			s.opt.Step()
+			s.opt.ZeroGrad()
 		}
-	}
-	return p
+		if collect != nil {
+			for i := range batch {
+				collect(&batch[i], zsrc.Value().Row(i), zdst.Value().Row(i))
+			}
+		}
+		s.commit(ov, batch)
+		return core.BatchResult{Loss: float64(loss.Value().Data[0]), Pos: pos.Value().Data, Neg: neg.Value().Data, SyncTime: syncTime}
+	})
 }
 
 // sigmoidScores converts an n×1 logit matrix into probabilities.
@@ -111,14 +96,4 @@ func sigmoidScores(logits *tensor.Matrix) []float32 {
 		out[i] = tensor.Sigmoid32(logits.Data[i])
 	}
 	return out
-}
-
-// onesZeros returns constant target slices of length n.
-func onesZeros(n int) (ones, zeros []float32) {
-	ones = make([]float32, n)
-	zeros = make([]float32, n)
-	for i := range ones {
-		ones[i] = 1
-	}
-	return ones, zeros
 }

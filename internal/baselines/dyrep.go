@@ -2,10 +2,8 @@ package baselines
 
 import (
 	"math/rand"
-	"time"
 
 	"apan/internal/core"
-	"apan/internal/dataset"
 	"apan/internal/gdb"
 	"apan/internal/nn"
 	"apan/internal/state"
@@ -48,15 +46,13 @@ func (c *DyRepConfig) normalize() {
 // of the interaction partner's temporal neighborhood — with an identity
 // readout (the embedding is the memory itself).
 type DyRep struct {
+	streamer
 	cfg     DyRepConfig
-	rng     *rand.Rand
 	db      *gdb.DB
 	gru     *nn.GRUCell // input [agg(peer nbrs) ‖ e ‖ Φ(Δt)] (3d), hidden d
 	timeEnc *nn.TimeEncoder
-	dec     *core.LinkDecoder
 	mem     *state.Store
 	pending map[tgraph.NodeID]pendingEvent
-	opt     *nn.Adam
 }
 
 // NewDyRep builds a DyRep baseline over the given graph database.
@@ -66,15 +62,18 @@ func NewDyRep(cfg DyRepConfig, db *gdb.DB) *DyRep {
 	d := cfg.EdgeDim
 	m := &DyRep{
 		cfg:     cfg,
-		rng:     rng,
 		db:      db,
 		gru:     nn.NewGRUCell(3*d, d, rng),
 		timeEnc: nn.NewTimeEncoder(d, rng),
-		dec:     core.NewLinkDecoder(d, cfg.Hidden, cfg.Dropout, rng),
 		mem:     state.New(cfg.NumNodes, d),
 		pending: make(map[tgraph.NodeID]pendingEvent),
 	}
-	m.opt = nn.NewAdam(m.Params(), cfg.LR)
+	m.streamer = streamer{
+		rng: rng, dec: core.NewLinkDecoder(d, cfg.Hidden, cfg.Dropout, rng),
+		batchSize: cfg.BatchSize, numNodes: cfg.NumNodes, embed: m.repr, commit: m.apply,
+	}
+	m.params = m.Params()
+	m.opt = nn.NewAdam(m.params, cfg.LR)
 	return m
 }
 
@@ -164,27 +163,18 @@ func (m *DyRep) commitMemory(ov *Overlay, events []tgraph.Event) {
 	}
 }
 
-func (m *DyRep) processBatch(events []tgraph.Event, ns *dataset.NegSampler, train bool, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.BatchResult {
-	p := planBatch(events, ns, m.rng, m.cfg.NumNodes, true)
-
-	var tp *nn.Tape
-	if train {
-		tp = nn.NewTrainingTape(m.rng)
-	} else {
-		tp = nn.NewTape()
-	}
-
-	start := time.Now()
-	ov := m.updateMemory(tp, p.nodes)
-	d := m.cfg.EdgeDim
-	memRows := tensor.New(len(p.nodes), d)
-	for i, n := range p.nodes {
+// repr is DyRep's embedding of a batch: the memory itself, with the
+// pending updates of its nodes applied on tape.
+func (m *DyRep) repr(tp *nn.Tape, p *core.Plan) (zsrc, zdst, zneg *nn.Tensor, ov *Overlay) {
+	ov = m.updateMemory(tp, p.Nodes)
+	memRows := tensor.New(len(p.Nodes), m.cfg.EdgeDim)
+	for i, n := range p.Nodes {
 		copy(memRows.Row(i), m.mem.Get(n))
 	}
 	z := tp.Input(memRows)
 	if ov != nil {
 		var rows, srcIdx []int32
-		for i, n := range p.nodes {
+		for i, n := range p.Nodes {
 			if u, ok := ov.IndexOf[n]; ok {
 				rows = append(rows, int32(i))
 				srcIdx = append(srcIdx, u)
@@ -192,55 +182,14 @@ func (m *DyRep) processBatch(events []tgraph.Event, ns *dataset.NegSampler, trai
 		}
 		z = tp.OverlayRows(z, tp.Gather(ov.Rows, srcIdx), rows)
 	}
-	zsrc := tp.Gather(z, p.srcRow)
-	zdst := tp.Gather(z, p.dstRow)
-	zneg := tp.Gather(z, p.negRow)
-	posLogits := m.dec.Forward(tp, zsrc, zdst)
-	negLogits := m.dec.Forward(tp, zsrc, zneg)
-	syncTime := time.Since(start)
+	return tp.Gather(z, p.SrcRow), tp.Gather(z, p.DstRow), tp.Gather(z, p.NegRow), ov
+}
 
-	ones, zeros := onesZeros(len(events))
-	loss := tp.Scale(tp.Add(tp.BCEWithLogits(posLogits, ones), tp.BCEWithLogits(negLogits, zeros)), 0.5)
-	if train {
-		tp.Backward(loss)
-		nn.ClipGradNorm(m.Params(), 5)
-		m.opt.Step()
-		m.opt.ZeroGrad()
-	}
-
-	if collect != nil {
-		for i := range events {
-			collect(&events[i], zsrc.Value().Row(i), zdst.Value().Row(i))
-		}
-	}
+// apply commits the memory updates, queues the batch's own and inserts it
+// into the temporal graph.
+func (m *DyRep) apply(ov *Overlay, events []tgraph.Event) {
 	m.commitMemory(ov, events)
 	for _, ev := range events {
 		m.db.AddEvent(ev)
 	}
-	if ns != nil {
-		for i := range events {
-			ns.Observe(&events[i])
-		}
-	}
-	return core.BatchResult{
-		Loss:      float64(loss.Value().Data[0]),
-		PosScores: sigmoidScores(posLogits.Value()),
-		NegScores: sigmoidScores(negLogits.Value()),
-		SyncTime:  syncTime,
-	}
-}
-
-// TrainEpoch trains one chronological pass.
-func (m *DyRep) TrainEpoch(events []tgraph.Event, ns *dataset.NegSampler) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, true, nil)
-}
-
-// EvalStream evaluates link prediction without training.
-func (m *DyRep) EvalStream(events []tgraph.Event, ns *dataset.NegSampler) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, false, nil)
-}
-
-// CollectStream runs inference invoking collect per event.
-func (m *DyRep) CollectStream(events []tgraph.Event, ns *dataset.NegSampler, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, false, collect)
 }

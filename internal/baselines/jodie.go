@@ -2,10 +2,8 @@ package baselines
 
 import (
 	"math/rand"
-	"time"
 
 	"apan/internal/core"
-	"apan/internal/dataset"
 	"apan/internal/nn"
 	"apan/internal/state"
 	"apan/internal/tensor"
@@ -44,17 +42,15 @@ func (c *JODIEConfig) normalize() {
 // queries the graph — which makes it fast but limits it to 1-hop dynamics
 // (the limitation §2.4 of the APAN paper points out).
 type JODIE struct {
+	streamer
 	cfg     JODIEConfig
-	rng     *rand.Rand
 	srcCell *nn.GRUCell // role-specific update cells
 	dstCell *nn.GRUCell
 	projW   *nn.Tensor // 1×d drift vector w
 	timeEnc *nn.TimeEncoder
-	dec     *core.LinkDecoder
 	mem     *state.Store
 	pending map[tgraph.NodeID]pendingEvent
 	pendSrc map[tgraph.NodeID]bool // role of the pending event
-	opt     *nn.Adam
 
 	// Running mean of inter-event gaps, used to standardize Δt in the
 	// projection factor (JODIE normalizes time deltas; raw seconds would
@@ -70,18 +66,21 @@ func NewJODIE(cfg JODIEConfig) *JODIE {
 	d := cfg.EdgeDim
 	m := &JODIE{
 		cfg:     cfg,
-		rng:     rng,
 		srcCell: nn.NewGRUCell(3*d, d, rng),
 		dstCell: nn.NewGRUCell(3*d, d, rng),
 		projW:   nn.Param(1, d),
 		timeEnc: nn.NewTimeEncoder(d, rng),
-		dec:     core.NewLinkDecoder(d, cfg.Hidden, cfg.Dropout, rng),
 		mem:     state.New(cfg.NumNodes, d),
 		pending: make(map[tgraph.NodeID]pendingEvent),
 		pendSrc: make(map[tgraph.NodeID]bool),
 	}
+	m.streamer = streamer{
+		rng: rng, dec: core.NewLinkDecoder(d, cfg.Hidden, cfg.Dropout, rng),
+		batchSize: cfg.BatchSize, numNodes: cfg.NumNodes, embed: m.repr, commit: m.commitMemory,
+	}
 	m.projW.W.RandN(rng, 0.01)
-	m.opt = nn.NewAdam(m.Params(), cfg.LR)
+	m.params = m.Params()
+	m.opt = nn.NewAdam(m.params, cfg.LR)
 	return m
 }
 
@@ -227,23 +226,15 @@ func (m *JODIE) commitMemory(ov *Overlay, events []tgraph.Event) {
 	}
 }
 
-func (m *JODIE) processBatch(events []tgraph.Event, ns *dataset.NegSampler, train bool, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.BatchResult {
-	p := planBatch(events, ns, m.rng, m.cfg.NumNodes, true)
-
-	var tp *nn.Tape
-	if train {
-		tp = nn.NewTrainingTape(m.rng)
-	} else {
-		tp = nn.NewTape()
-	}
-
-	start := time.Now()
-	ov := m.updateMemory(tp, p.nodes)
+// repr is JODIE's embedding of a batch: memory with the pending recurrent
+// updates applied, the sources projected forward to the event time.
+func (m *JODIE) repr(tp *nn.Tape, p *core.Plan) (zsrc, zdst, zneg *nn.Tensor, ov *Overlay) {
+	ov = m.updateMemory(tp, p.Nodes)
 	// Base embedding: memory, with fresh on-tape rows where just updated.
-	base := tp.Input(m.memRows(p.nodes))
+	base := tp.Input(m.memRows(p.Nodes))
 	if ov != nil {
 		var rows, srcIdx []int32
-		for i, n := range p.nodes {
+		for i, n := range p.Nodes {
 			if u, ok := ov.IndexOf[n]; ok {
 				rows = append(rows, int32(i))
 				srcIdx = append(srcIdx, u)
@@ -253,9 +244,9 @@ func (m *JODIE) processBatch(events []tgraph.Event, ns *dataset.NegSampler, trai
 	}
 	// Projection: ẑ = (1 + Δt·w) ⊙ z, Δt since the node's last update.
 	d := m.cfg.EdgeDim
-	dtm := tensor.New(len(p.nodes), d)
-	for i, n := range p.nodes {
-		dt := m.normDt(p.times[i] - m.mem.LastTime(n))
+	dtm := tensor.New(len(p.Nodes), d)
+	for i, n := range p.Nodes {
+		dt := m.normDt(p.Times[i] - m.mem.LastTime(n))
 		row := dtm.Row(i)
 		for j := range row {
 			row[j] = dt
@@ -263,40 +254,7 @@ func (m *JODIE) processBatch(events []tgraph.Event, ns *dataset.NegSampler, trai
 	}
 	factor := tp.AddConst(tp.MulRowVec(tp.Input(dtm), m.projW), 1)
 	proj := tp.Mul(base, factor)
-
-	zsrc := tp.Gather(proj, p.srcRow)
-	zdst := tp.Gather(base, p.dstRow)
-	zneg := tp.Gather(base, p.negRow)
-	posLogits := m.dec.Forward(tp, zsrc, zdst)
-	negLogits := m.dec.Forward(tp, zsrc, zneg)
-	syncTime := time.Since(start)
-
-	ones, zeros := onesZeros(len(events))
-	loss := tp.Scale(tp.Add(tp.BCEWithLogits(posLogits, ones), tp.BCEWithLogits(negLogits, zeros)), 0.5)
-	if train {
-		tp.Backward(loss)
-		nn.ClipGradNorm(m.Params(), 5)
-		m.opt.Step()
-		m.opt.ZeroGrad()
-	}
-
-	if collect != nil {
-		for i := range events {
-			collect(&events[i], zsrc.Value().Row(i), zdst.Value().Row(i))
-		}
-	}
-	m.commitMemory(ov, events)
-	if ns != nil {
-		for i := range events {
-			ns.Observe(&events[i])
-		}
-	}
-	return core.BatchResult{
-		Loss:      float64(loss.Value().Data[0]),
-		PosScores: sigmoidScores(posLogits.Value()),
-		NegScores: sigmoidScores(negLogits.Value()),
-		SyncTime:  syncTime,
-	}
+	return tp.Gather(proj, p.SrcRow), tp.Gather(base, p.DstRow), tp.Gather(base, p.NegRow), ov
 }
 
 func (m *JODIE) memRows(nodes []tgraph.NodeID) *tensor.Matrix {
@@ -305,19 +263,4 @@ func (m *JODIE) memRows(nodes []tgraph.NodeID) *tensor.Matrix {
 		copy(out.Row(i), m.mem.Get(n))
 	}
 	return out
-}
-
-// TrainEpoch trains one chronological pass.
-func (m *JODIE) TrainEpoch(events []tgraph.Event, ns *dataset.NegSampler) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, true, nil)
-}
-
-// EvalStream evaluates link prediction without training.
-func (m *JODIE) EvalStream(events []tgraph.Event, ns *dataset.NegSampler) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, false, nil)
-}
-
-// CollectStream runs inference invoking collect per event.
-func (m *JODIE) CollectStream(events []tgraph.Event, ns *dataset.NegSampler, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, false, collect)
 }

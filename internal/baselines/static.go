@@ -251,6 +251,8 @@ func (m *StaticGNN) Fit(d *dataset.Dataset, split *dataset.Split) {
 	}
 	order := m.rng.Perm(len(split.Train))
 	bs := m.cfg.BatchSize
+	var p core.Plan
+	var negs []tgraph.NodeID
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
 		for lo := 0; lo < len(order); lo += bs {
 			hi := lo + bs
@@ -261,14 +263,18 @@ func (m *StaticGNN) Fit(d *dataset.Dataset, split *dataset.Split) {
 			for _, oi := range order[lo:hi] {
 				events = append(events, split.Train[oi])
 			}
-			p := planBatch(events, ns, m.rng, d.NumNodes, true)
+			negs = negs[:0]
+			for i := range events {
+				negs = append(negs, ns.Sample(m.rng, events[i].Dst))
+			}
+			p.Build(events, negs)
 			tp := nn.NewTrainingTape(m.rng)
-			z := m.reprs(tp, p.nodes, m.cfg.Layers)
-			pos := m.dec.Forward(tp, tp.Gather(z, p.srcRow), tp.Gather(z, p.dstRow))
-			neg := m.dec.Forward(tp, tp.Gather(z, p.srcRow), tp.Gather(z, p.negRow))
-			ones, zeros := onesZeros(len(events))
-			loss := tp.Scale(tp.Add(tp.BCEWithLogits(pos, ones), tp.BCEWithLogits(neg, zeros)), 0.5)
-			tp.Backward(loss)
+			z := m.reprs(tp, p.Nodes, m.cfg.Layers)
+			// Each pair gathers its own source rows: one shared gather would
+			// sum the two pairs' gradients in another order.
+			pos := m.dec.Forward(tp, tp.Gather(z, p.SrcRow), tp.Gather(z, p.DstRow))
+			neg := m.dec.Forward(tp, tp.Gather(z, p.SrcRow), tp.Gather(z, p.NegRow))
+			tp.Backward(core.PairBCE(tp, pos, neg))
 			nn.ClipGradNorm(m.Params(), 5)
 			m.opt.Step()
 			m.opt.ZeroGrad()

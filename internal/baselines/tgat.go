@@ -2,10 +2,8 @@ package baselines
 
 import (
 	"math/rand"
-	"time"
 
 	"apan/internal/core"
-	"apan/internal/dataset"
 	"apan/internal/gdb"
 	"apan/internal/nn"
 	"apan/internal/tgraph"
@@ -54,12 +52,10 @@ func (c *TGATConfig) normalize() {
 // Every inference must query the graph database for its temporal subgraph —
 // the serial "graph querying then model inference" workflow of Fig. 2a.
 type TGAT struct {
+	streamer
 	cfg   TGATConfig
-	rng   *rand.Rand
 	db    *gdb.DB
 	stack *TemporalAttnStack
-	dec   *core.LinkDecoder
-	opt   *nn.Adam
 }
 
 // NewTGAT builds a TGAT baseline over the given graph database.
@@ -68,12 +64,15 @@ func NewTGAT(cfg TGATConfig, db *gdb.DB) *TGAT {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &TGAT{
 		cfg:   cfg,
-		rng:   rng,
 		db:    db,
 		stack: NewTemporalAttnStack(cfg.EdgeDim, cfg.Layers, cfg.Fanout, cfg.Heads, cfg.Hidden, cfg.Dropout, db, rng),
-		dec:   core.NewLinkDecoder(cfg.EdgeDim, cfg.Hidden, cfg.Dropout, rng),
 	}
-	m.opt = nn.NewAdam(m.Params(), cfg.LR)
+	m.streamer = streamer{
+		rng: rng, dec: core.NewLinkDecoder(cfg.EdgeDim, cfg.Hidden, cfg.Dropout, rng),
+		batchSize: cfg.BatchSize, numNodes: cfg.NumNodes, embed: m.repr, commit: m.apply,
+	}
+	m.params = m.Params()
+	m.opt = nn.NewAdam(m.params, cfg.LR)
 	return m
 }
 
@@ -100,67 +99,16 @@ func (m *TGAT) ResetRuntime() {
 	m.stack.SetDB(m.db)
 }
 
-func (m *TGAT) processBatch(events []tgraph.Event, ns *dataset.NegSampler, train bool, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.BatchResult {
-	p := planBatch(events, ns, m.rng, m.cfg.NumNodes, true)
+// repr is TGAT's embedding of a batch: k-hop temporal attention over zero
+// layer-0 features, queried from the graph database.
+func (m *TGAT) repr(tp *nn.Tape, p *core.Plan) (zsrc, zdst, zneg *nn.Tensor, _ *Overlay) {
+	z := m.stack.Reprs(tp, p.Nodes, p.Times, ZeroBase(m.cfg.EdgeDim), nil)
+	return tp.Gather(z, p.SrcRow), tp.Gather(z, p.DstRow), tp.Gather(z, p.NegRow), nil
+}
 
-	var tp *nn.Tape
-	if train {
-		tp = nn.NewTrainingTape(m.rng)
-	} else {
-		tp = nn.NewTape()
-	}
-
-	// Synchronous critical path: graph queries + aggregation + decode.
-	start := time.Now()
-	z := m.stack.Reprs(tp, p.nodes, p.times, ZeroBase(m.cfg.EdgeDim), nil)
-	zsrc := tp.Gather(z, p.srcRow)
-	zdst := tp.Gather(z, p.dstRow)
-	zneg := tp.Gather(z, p.negRow)
-	posLogits := m.dec.Forward(tp, zsrc, zdst)
-	negLogits := m.dec.Forward(tp, zsrc, zneg)
-	syncTime := time.Since(start)
-
-	ones, zeros := onesZeros(len(events))
-	loss := tp.Scale(tp.Add(tp.BCEWithLogits(posLogits, ones), tp.BCEWithLogits(negLogits, zeros)), 0.5)
-	if train {
-		tp.Backward(loss)
-		nn.ClipGradNorm(m.Params(), 5)
-		m.opt.Step()
-		m.opt.ZeroGrad()
-	}
-
-	if collect != nil {
-		for i := range events {
-			collect(&events[i], zsrc.Value().Row(i), zdst.Value().Row(i))
-		}
-	}
+// apply inserts the scored batch into the temporal graph.
+func (m *TGAT) apply(_ *Overlay, events []tgraph.Event) {
 	for _, ev := range events {
 		m.db.AddEvent(ev)
 	}
-	if ns != nil {
-		for i := range events {
-			ns.Observe(&events[i])
-		}
-	}
-	return core.BatchResult{
-		Loss:      float64(loss.Value().Data[0]),
-		PosScores: sigmoidScores(posLogits.Value()),
-		NegScores: sigmoidScores(negLogits.Value()),
-		SyncTime:  syncTime,
-	}
-}
-
-// TrainEpoch trains one chronological pass.
-func (m *TGAT) TrainEpoch(events []tgraph.Event, ns *dataset.NegSampler) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, true, nil)
-}
-
-// EvalStream evaluates link prediction without training.
-func (m *TGAT) EvalStream(events []tgraph.Event, ns *dataset.NegSampler) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, false, nil)
-}
-
-// CollectStream runs inference invoking collect per event.
-func (m *TGAT) CollectStream(events []tgraph.Event, ns *dataset.NegSampler, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, false, collect)
 }

@@ -2,10 +2,8 @@ package baselines
 
 import (
 	"math/rand"
-	"time"
 
 	"apan/internal/core"
-	"apan/internal/dataset"
 	"apan/internal/gdb"
 	"apan/internal/nn"
 	"apan/internal/state"
@@ -66,16 +64,14 @@ type pendingEvent struct {
 // driven by interaction messages plus a temporal-attention embedding module.
 // Like TGAT it must query the graph database on the inference critical path.
 type TGN struct {
+	streamer
 	cfg     TGNConfig
-	rng     *rand.Rand
 	db      *gdb.DB
 	stack   *TemporalAttnStack
-	dec     *core.LinkDecoder
 	gru     *nn.GRUCell // input [mem_peer ‖ e ‖ Φ(Δt)] (3d), hidden d
 	msgTime *nn.TimeEncoder
 	mem     *state.Store
 	pending map[tgraph.NodeID]pendingEvent
-	opt     *nn.Adam
 }
 
 // NewTGN builds a TGN baseline over the given graph database.
@@ -84,17 +80,20 @@ func NewTGN(cfg TGNConfig, db *gdb.DB) *TGN {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	d := cfg.EdgeDim
 	m := &TGN{
-		cfg:     cfg,
-		rng:     rng,
-		db:      db,
-		stack:   NewTemporalAttnStack(d, cfg.Layers, cfg.Fanout, cfg.Heads, cfg.Hidden, cfg.Dropout, db, rng),
-		dec:     core.NewLinkDecoder(d, cfg.Hidden, cfg.Dropout, rng),
-		gru:     nn.NewGRUCell(3*d, d, rng),
-		msgTime: nn.NewTimeEncoder(d, rng),
-		mem:     state.New(cfg.NumNodes, d),
-		pending: make(map[tgraph.NodeID]pendingEvent),
+		cfg:   cfg,
+		db:    db,
+		stack: NewTemporalAttnStack(d, cfg.Layers, cfg.Fanout, cfg.Heads, cfg.Hidden, cfg.Dropout, db, rng),
 	}
-	m.opt = nn.NewAdam(m.Params(), cfg.LR)
+	m.streamer = streamer{
+		rng: rng, dec: core.NewLinkDecoder(d, cfg.Hidden, cfg.Dropout, rng),
+		batchSize: cfg.BatchSize, numNodes: cfg.NumNodes, embed: m.repr, commit: m.apply,
+	}
+	m.gru = nn.NewGRUCell(3*d, d, rng)
+	m.msgTime = nn.NewTimeEncoder(d, rng)
+	m.mem = state.New(cfg.NumNodes, d)
+	m.pending = make(map[tgraph.NodeID]pendingEvent)
+	m.params = m.Params()
+	m.opt = nn.NewAdam(m.params, cfg.LR)
 	return m
 }
 
@@ -185,69 +184,19 @@ func (m *TGN) commitMemory(ov *Overlay, events []tgraph.Event) {
 	}
 }
 
-func (m *TGN) processBatch(events []tgraph.Event, ns *dataset.NegSampler, train bool, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.BatchResult {
-	p := planBatch(events, ns, m.rng, m.cfg.NumNodes, true)
+// repr is TGN's embedding of a batch: the pending memory updates of its
+// nodes, then temporal attention over the (updated) memory.
+func (m *TGN) repr(tp *nn.Tape, p *core.Plan) (zsrc, zdst, zneg *nn.Tensor, ov *Overlay) {
+	ov = m.updateMemory(tp, p.Nodes)
+	z := m.stack.Reprs(tp, p.Nodes, p.Times, m.memBase, ov)
+	return tp.Gather(z, p.SrcRow), tp.Gather(z, p.DstRow), tp.Gather(z, p.NegRow), ov
+}
 
-	var tp *nn.Tape
-	if train {
-		tp = nn.NewTrainingTape(m.rng)
-	} else {
-		tp = nn.NewTape()
-	}
-
-	// Synchronous critical path: memory update + graph queries + attention.
-	start := time.Now()
-	ov := m.updateMemory(tp, p.nodes)
-	z := m.stack.Reprs(tp, p.nodes, p.times, m.memBase, ov)
-	zsrc := tp.Gather(z, p.srcRow)
-	zdst := tp.Gather(z, p.dstRow)
-	zneg := tp.Gather(z, p.negRow)
-	posLogits := m.dec.Forward(tp, zsrc, zdst)
-	negLogits := m.dec.Forward(tp, zsrc, zneg)
-	syncTime := time.Since(start)
-
-	ones, zeros := onesZeros(len(events))
-	loss := tp.Scale(tp.Add(tp.BCEWithLogits(posLogits, ones), tp.BCEWithLogits(negLogits, zeros)), 0.5)
-	if train {
-		tp.Backward(loss)
-		nn.ClipGradNorm(m.Params(), 5)
-		m.opt.Step()
-		m.opt.ZeroGrad()
-	}
-
-	if collect != nil {
-		for i := range events {
-			collect(&events[i], zsrc.Value().Row(i), zdst.Value().Row(i))
-		}
-	}
+// apply commits the memory updates, queues the batch's own and inserts it
+// into the temporal graph.
+func (m *TGN) apply(ov *Overlay, events []tgraph.Event) {
 	m.commitMemory(ov, events)
 	for _, ev := range events {
 		m.db.AddEvent(ev)
 	}
-	if ns != nil {
-		for i := range events {
-			ns.Observe(&events[i])
-		}
-	}
-	return core.BatchResult{
-		Loss:      float64(loss.Value().Data[0]),
-		PosScores: sigmoidScores(posLogits.Value()),
-		NegScores: sigmoidScores(negLogits.Value()),
-		SyncTime:  syncTime,
-	}
-}
-
-// TrainEpoch trains one chronological pass.
-func (m *TGN) TrainEpoch(events []tgraph.Event, ns *dataset.NegSampler) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, true, nil)
-}
-
-// EvalStream evaluates link prediction without training.
-func (m *TGN) EvalStream(events []tgraph.Event, ns *dataset.NegSampler) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, false, nil)
-}
-
-// CollectStream runs inference invoking collect per event.
-func (m *TGN) CollectStream(events []tgraph.Event, ns *dataset.NegSampler, collect func(ev *tgraph.Event, zsrc, zdst []float32)) core.StreamResult {
-	return runStream(m.processBatch, m.cfg.BatchSize, events, ns, false, collect)
 }

@@ -48,10 +48,11 @@ type Config struct {
 	// single global lock (the pre-sharding behavior, kept reachable for the
 	// benchmark baseline).
 	Shards int
-	// InferWorkers is the number of goroutines InferBatch and Embed fan the
-	// state/mailbox gather across (default 1, i.e. no fan-out). Useful when
-	// one large batch must be gathered fast; concurrent callers already
-	// parallelize naturally across shards.
+	// InferWorkers is the number of goroutines InferBatch, Embed and a
+	// training or evaluation Step fan the state/mailbox gather across
+	// (default 1, i.e. no fan-out). Useful when one large batch must be
+	// gathered fast; concurrent callers already parallelize naturally
+	// across shards.
 	InferWorkers int
 
 	// EvictMaxNodes bounds the warm working set: at most this many nodes may

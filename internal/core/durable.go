@@ -60,17 +60,17 @@ func (m *Model) RecoverWAL(l *wal.Log) (int, error) {
 // goroutine's job, which is what lets every record reuse one plan.
 func (m *Model) ReplayBatch(rec wal.Record) error {
 	plan := &m.replayPlan
-	m.planBatchInto(plan, rec.Events, nil, false)
-	if rec.Dim != m.Cfg.EdgeDim || len(rec.Rows) != len(plan.nodes)*rec.Dim {
+	plan.Build(rec.Events, nil)
+	if rec.Dim != m.Cfg.EdgeDim || len(rec.Rows) != len(plan.Nodes)*rec.Dim {
 		return fmt.Errorf("core: record at %d carries %d embedding values of dimension %d; its %d events name %d endpoints of dimension %d",
-			rec.First, len(rec.Rows), rec.Dim, len(rec.Events), len(plan.nodes), m.Cfg.EdgeDim)
+			rec.First, len(rec.Rows), rec.Dim, len(rec.Events), len(plan.Nodes), m.Cfg.EdgeDim)
 	}
 	maxID := tgraph.NodeID(-1)
-	for _, n := range plan.nodes {
+	for _, n := range plan.Nodes {
 		maxID = max(maxID, n)
 	}
 	m.EnsureNodes(int(maxID) + 1)
 	m.ReadmitBatch(rec.Events)
-	m.applyRows(rec.Events, rec.Rows, plan.srcRow, plan.dstRow)
+	m.applyRows(rec.Events, rec.Rows, plan.SrcRow, plan.DstRow)
 	return nil
 }

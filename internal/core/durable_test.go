@@ -474,8 +474,8 @@ func TestReplayBatchRefusesForeignRows(t *testing.T) {
 }
 
 // TestRecoverOfflinePassLog: the offline entry points (EvalStream and
-// friends) log through processBatch, whose plan also holds the sampled
-// negatives; only the endpoints' rows — the plan's leading ones — belong in
+// friends) log through applyRows over a Step plan that also holds the
+// sampled negatives; only the endpoints' rows — the plan's leading ones — belong in
 // the record, and they replay bitwise.
 func TestRecoverOfflinePassLog(t *testing.T) {
 	dir := t.TempDir()

@@ -85,24 +85,13 @@ type MailReader interface {
 }
 
 // ReadInputs gathers z(t−) and the timestamp-sorted mailboxes of nodes into
-// an EncodeInput. times[i] is the query time of nodes[i].
+// a freshly allocated, zero-filled EncodeInput: the reference every reused
+// gather (Model.GatherInputsInto, the inference workspace) is tested
+// against. times[i] is the query time of nodes[i].
 func ReadInputs(st StateReader, mb MailReader, nodes []tgraph.NodeID, times []float64) *EncodeInput {
-	return ReadInputsParallel(st, mb, nodes, times, 1)
-}
-
-// ReadInputsParallel is ReadInputs with the gather fanned out across up to
-// `workers` goroutines over contiguous node ranges. Each worker fills a
-// disjoint slice of the preallocated buffers, so the result is identical to
-// the serial gather; with a sharded store the workers contend only on the
-// shards they actually touch. Small batches fall back to the serial path.
-func ReadInputsParallel(st StateReader, mb MailReader, nodes []tgraph.NodeID, times []float64, workers int) *EncodeInput {
 	b := len(nodes)
 	d := st.Dim()
 	m := mb.Slots()
-	lanes := workers
-	if lanes < 1 {
-		lanes = 1
-	}
 	in := &EncodeInput{
 		Nodes:  nodes,
 		Times:  times,
@@ -111,15 +100,17 @@ func ReadInputsParallel(st StateReader, mb MailReader, nodes []tgraph.NodeID, ti
 		DTs:    make([]float32, b*m),
 		Counts: make([]int, b),
 	}
-	gatherInto(st, mb, nodes, times, workers, in, make([]float64, lanes*m))
+	gatherInto(st, mb, nodes, times, 1, in, make([]float64, m))
 	return in
 }
 
 // gatherInto fills in from the stores. The caller owns every buffer: ZPrev
 // (b×d), Mails ((b·m)×d), Counts (len b), DTs (len b·m, zeroed — only valid
 // slots are written), and ts, the per-lane timestamp scratch of at least
-// workers·m float64s. This is the allocation-free core that both
-// ReadInputsParallel and the pooled inference workspace share.
+// workers·m float64s. With workers > 1 the nodes are split into contiguous
+// ranges, one goroutine each, filling disjoint rows, so the result equals
+// the serial gather; small batches stay serial. This is the allocation-free
+// core every gather shares.
 func gatherInto(st StateReader, mb MailReader, nodes []tgraph.NodeID, times []float64, workers int, in *EncodeInput, ts []float64) {
 	b := len(nodes)
 	m := mb.Slots()

@@ -13,7 +13,7 @@ import (
 // times: a fresh zero-filled gather and a fresh tape over the published
 // parameters, no pooled or recycled storage.
 func referenceAttention(m *Model, nodes []tgraph.NodeID, times []float64) *nn.Attention {
-	in := ReadInputsParallel(m.st, m.mbox, nodes, times, 1)
+	in := ReadInputs(m.st, m.mbox, nodes, times)
 	_, att := m.cur.Load().enc.Forward(nn.NewTape(), in)
 	return att
 }
@@ -87,8 +87,8 @@ func TestExplainAfterAnotherBatch(t *testing.T) {
 	if len(other) == 0 {
 		t.Fatal("every event names the probe node; no batch B to score")
 	}
-	planA := m.planBatch(batch[:1], nil, false)
-	wantA := referenceAttention(m, planA.nodes, planA.times)
+	planA := planOf(batch[:1])
+	wantA := referenceAttention(m, planA.Nodes, planA.Times)
 
 	m.InferBatch(batch[:1]).Release()
 	m.InferBatch(other).Release()
@@ -109,11 +109,11 @@ func TestExplainEqualsBatchRow(t *testing.T) {
 	for _, pos := range []PositionalMode{PositionalLearned, PositionalTime, PositionalNone} {
 		for seed := int64(1); seed <= 5; seed++ {
 			m, batch, _ := buildWarm(t, func(c *Config) { c.Positional = pos }, seed)
-			plan := m.planBatch(batch, nil, false)
+			plan := planOf(batch)
 			var nodes []tgraph.NodeID
 			var times []float64
 			var exs []*Explanation
-			for _, n := range plan.nodes {
+			for _, n := range plan.Nodes {
 				ex, ok := m.Explain(n)
 				newest, hasMail := newestMail(m, n)
 				if ok != hasMail {

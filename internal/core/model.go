@@ -5,10 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"apan/internal/dataset"
-	"apan/internal/eval"
 	"apan/internal/gdb"
 	"apan/internal/mailbox"
 	"apan/internal/nn"
@@ -30,9 +28,10 @@ import (
 // applies serialize there. Parameters are versioned: the serving paths read
 // an atomically published immutable snapshot (see SwapParams), so a
 // background trainer can hot-swap weights while serving continues. The
-// deprecated offline entry points (TrainEpoch and the Eval/Collect streams)
-// mutate the model's own parameter copy in place and are not safe to run
-// concurrently with each other or with SwapParams on the same tensors.
+// offline stream entry points (TrainEpoch and the Eval/Collect streams)
+// use the model's own parameter copy, which TrainEpoch steps in place; they
+// are not safe to run concurrently with each other or with SwapParams on
+// the same tensors.
 type Model struct {
 	Cfg Config
 
@@ -52,10 +51,10 @@ type Model struct {
 	verCounter atomic.Uint64
 
 	// storeMu is a latch, not a data lock: every per-batch operation
-	// (InferBatch, ApplyInference, Embed, processBatch) holds it SHARED —
-	// readers and writers alike — because per-node safety already comes from
-	// the stores' shard locks. Exclusive acquisition is reserved for
-	// operations that may swap the stores' backing arrays or replace the
+	// (InferBatch, ApplyInference, Embed, the offline streams) holds it
+	// SHARED — readers and writers alike — because per-node safety already
+	// comes from the stores' shard locks. Exclusive acquisition is reserved
+	// for operations that may swap the stores' backing arrays or replace the
 	// graph wholesale: node admission (EnsureNodes), Reset/Restore and
 	// checkpoint load. Checkpoint CUTS no longer take it exclusively — they
 	// hold it shared and quiesce only the appliers via applyMu, so scoring
@@ -66,15 +65,15 @@ type Model struct {
 	// an earlier lock, which is what makes the latch trio deadlock-free.
 	storeMu sync.RWMutex
 
-	// applyMu is the apply gate: the asynchronous link's mutators
-	// (ApplyInference, processBatch's write-back span) hold it SHARED for
-	// the whole batch mutation — state writes, WAL append, graph insert and
-	// mail propagation as one atomic unit. A durability cut (checkpoint,
+	// applyMu is the apply gate: the asynchronous link's mutation span
+	// (applyRows, behind every apply, replay and offline-stream entry point)
+	// holds it SHARED for the whole batch mutation — state writes, WAL
+	// append, graph insert and mail propagation as one atomic unit. A durability cut (checkpoint,
 	// SnapshotRuntime, RuntimeDigest) holds it EXCLUSIVELY, so the cut
 	// always lands on a batch boundary: no checkpoint can capture state
 	// from batch k+1 next to a graph at batch k, and the WAL watermark it
 	// pins is replayable with original batch boundaries. Scorers
-	// (InferBatch, Embed, GatherInputs) never touch applyMu — a snapshot
+	// (InferBatch, Embed, GatherInputsInto) never touch applyMu — a snapshot
 	// pauses appliers for a memcpy, never inference.
 	applyMu sync.RWMutex
 
@@ -105,7 +104,7 @@ type Model struct {
 
 	// replayPlan is ReplayBatch's node bookkeeping, reused across records
 	// (its map keeps its buckets); replay is single-caller by contract.
-	replayPlan batchPlan
+	replayPlan Plan
 
 	// ev is the cold-state evictor bounding the warm working set
 	// (Config.EvictMaxNodes; see evict.go). Nil when eviction is disabled —
@@ -170,10 +169,9 @@ func (m *Model) Name() string {
 }
 
 // Params returns every trainable tensor of the model's own parameter copy —
-// the one the deprecated offline entry points step in place. The serving
-// paths do not read these tensors; they read the published snapshot (see
-// SwapParams/CurrentParams). Online trainers keep their own private copy and
-// never touch this one.
+// the one TrainEpoch steps in place. The serving paths do not read these
+// tensors; they read the published snapshot (see SwapParams/CurrentParams).
+// Online trainers keep their own private copy and never touch this one.
 func (m *Model) Params() []*nn.Tensor {
 	return append(m.enc.Params(), m.dec.Params()...)
 }
@@ -201,22 +199,14 @@ func (m *Model) State() *state.Sharded { return m.st }
 // Propagator exposes the asynchronous-link implementation.
 func (m *Model) Propagator() *Propagator { return m.prop }
 
-// GatherInputs reads z(t−) and the timestamp-sorted mailboxes of nodes at
-// the given query times under the shared store latch — the read-only view an
-// online trainer uses to build mini-batch inputs from the live streaming
-// state without blocking serving (it contends only per shard, like any other
-// reader). The returned bundle is freshly allocated and owned by the caller.
-func (m *Model) GatherInputs(nodes []tgraph.NodeID, times []float64) *EncodeInput {
-	m.storeMu.RLock()
-	defer m.storeMu.RUnlock()
-	return ReadInputsParallel(m.st, m.mbox, nodes, times, 1)
-}
-
-// GatherInputsInto is GatherInputs reusing the caller's bundle and timestamp
-// scratch across calls, so a steady-state online trainer assembles
-// mini-batch inputs without allocating. All buffers are grown in place as
-// needed; mail rows past each node's valid count are explicitly zeroed, so
-// the bundle is indistinguishable from a freshly allocated one.
+// GatherInputsInto reads z(t−) and the timestamp-sorted mailboxes of nodes
+// at the given query times under the shared store latch into the caller's
+// bundle and timestamp scratch, fanning out over Config.InferWorkers lanes —
+// the read-only view Step trains and evaluates from, which blocks serving
+// no more than any other reader (it contends only per shard). All buffers
+// are grown in place as needed, so a steady-state caller gathers without
+// allocating; mail rows past each node's valid count are explicitly zeroed,
+// so the bundle is indistinguishable from ReadInputs' fresh one.
 func (m *Model) GatherInputsInto(in *EncodeInput, ts *[]float64, nodes []tgraph.NodeID, times []float64) {
 	m.storeMu.RLock()
 	defer m.storeMu.RUnlock()
@@ -230,8 +220,8 @@ func (m *Model) GatherInputsInto(in *EncodeInput, ts *[]float64, nodes []tgraph.
 	in.DTs = grow(in.DTs, b*sl)
 	clear(in.DTs)
 	in.Counts = grow(in.Counts, b)
-	*ts = grow(*ts, sl)
-	gatherInto(m.st, m.mbox, nodes, times, 1, in, *ts)
+	*ts = grow(*ts, m.Cfg.InferWorkers*sl)
+	gatherInto(m.st, m.mbox, nodes, times, m.Cfg.InferWorkers, in, *ts)
 	// Stale data in the reused Mails rows past each node's valid count would
 	// leak into the encoder (fresh gathers hand it zeros there); clear them.
 	for i, c := range in.Counts[:b] {
@@ -365,241 +355,36 @@ func (m *Model) RestoreRuntime(snap *Snapshot) {
 	m.resetEvictor()
 }
 
-// batchPlan is the node bookkeeping for one batch of events.
-type batchPlan struct {
-	nodes  []tgraph.NodeID
-	times  []float64
-	rowOf  map[tgraph.NodeID]int
-	srcRow []int32
-	dstRow []int32
-	negRow []int32
-	negs   []tgraph.NodeID
-
-	// endpoints counts the leading nodes that are an event's src or dst:
-	// the events are planned before the negatives, so these are the batch's
-	// distinct endpoints in order of first appearance — the rows a WAL
-	// record carries.
-	endpoints int
-}
-
-// reset readies the plan for reuse, keeping map buckets and slice capacity.
-func (p *batchPlan) reset(sizeHint int) {
-	if p.rowOf == nil {
-		p.rowOf = make(map[tgraph.NodeID]int, sizeHint)
-	} else {
-		clear(p.rowOf)
-	}
-	p.nodes = p.nodes[:0]
-	p.times = p.times[:0]
-	p.srcRow = p.srcRow[:0]
-	p.dstRow = p.dstRow[:0]
-	p.negRow = p.negRow[:0]
-	p.negs = p.negs[:0]
-}
-
-// planBatch deduplicates batch nodes (each node encoded once, §3.2) and,
-// when withNegs is set, draws one negative destination per event.
-func (m *Model) planBatch(events []tgraph.Event, ns *dataset.NegSampler, withNegs bool) *batchPlan {
-	p := &batchPlan{}
-	m.planBatchInto(p, events, ns, withNegs)
-	return p
-}
-
-// planBatchInto is planBatch writing into a caller-owned (reusable) plan.
-func (m *Model) planBatchInto(p *batchPlan, events []tgraph.Event, ns *dataset.NegSampler, withNegs bool) {
-	p.reset(3 * len(events))
-	row := func(n tgraph.NodeID, t float64) int32 {
-		if r, ok := p.rowOf[n]; ok {
-			if t > p.times[r] {
-				p.times[r] = t
-			}
-			return int32(r)
-		}
-		r := len(p.nodes)
-		p.rowOf[n] = r
-		p.nodes = append(p.nodes, n)
-		p.times = append(p.times, t)
-		return int32(r)
-	}
-	for _, ev := range events {
-		p.srcRow = append(p.srcRow, row(ev.Src, ev.Time))
-		p.dstRow = append(p.dstRow, row(ev.Dst, ev.Time))
-	}
-	p.endpoints = len(p.nodes)
-	if !withNegs {
-		return
-	}
-	for _, ev := range events {
-		var neg tgraph.NodeID
-		if ns != nil {
-			neg = ns.Sample(m.rng, ev.Dst)
-		} else {
-			neg = tgraph.NodeID(m.rng.Intn(m.Cfg.NumNodes))
-		}
-		p.negs = append(p.negs, neg)
-		p.negRow = append(p.negRow, row(neg, ev.Time))
-	}
-}
-
-// BatchResult reports one processed batch.
-type BatchResult struct {
-	Loss      float64
-	PosScores []float32
-	NegScores []float32
-	// SyncTime is the wall time of the synchronous link only: reading
-	// state/mailbox, encoder and decoder forward. Propagation and parameter
-	// updates are excluded.
-	SyncTime time.Duration
-}
-
-// processBatch runs one batch end to end. When train is true it also
-// backpropagates and applies an optimizer step. collect, when non-nil, is
-// invoked with the fresh embeddings of each event's endpoints.
-func (m *Model) processBatch(events []tgraph.Event, ns *dataset.NegSampler, train bool, collect func(ev *tgraph.Event, zsrc, zdst []float32)) BatchResult {
-	plan := m.planBatch(events, ns, true)
-
-	start := time.Now()
-	m.storeMu.RLock()
-	in := ReadInputsParallel(m.st, m.mbox, plan.nodes, plan.times, m.Cfg.InferWorkers)
-	m.storeMu.RUnlock()
-	var tp *nn.Tape
-	if train {
-		tp = nn.NewTrainingTape(m.rng)
-	} else {
-		tp = nn.NewTape()
-	}
-	z, _ := m.enc.Forward(tp, in)
-	zsrc := tp.Gather(z, plan.srcRow)
-	zdst := tp.Gather(z, plan.dstRow)
-	zneg := tp.Gather(z, plan.negRow)
-	posLogits := m.dec.Forward(tp, zsrc, zdst)
-	negLogits := m.dec.Forward(tp, zsrc, zneg)
-	syncTime := time.Since(start)
-
-	n := len(events)
-	ones := make([]float32, n)
-	zeros := make([]float32, n)
-	for i := range ones {
-		ones[i] = 1
-	}
-	posLoss := tp.BCEWithLogits(posLogits, ones)
-	negLoss := tp.BCEWithLogits(negLogits, zeros)
-	loss := tp.Scale(tp.Add(posLoss, negLoss), 0.5)
-
-	if train {
-		tp.Backward(loss)
-		nn.ClipGradNorm(m.Params(), 5)
-		m.opt.Step()
-		m.opt.ZeroGrad()
-	}
-
-	res := BatchResult{
-		Loss:      float64(loss.Value().Data[0]),
-		PosScores: make([]float32, n),
-		NegScores: make([]float32, n),
-		SyncTime:  syncTime,
-	}
-	for i := 0; i < n; i++ {
-		res.PosScores[i] = tensor.Sigmoid32(posLogits.Value().Data[i])
-		res.NegScores[i] = tensor.Sigmoid32(negLogits.Value().Data[i])
-	}
-
-	// Post-inference mutations — state write-back (z(t) becomes z(t−) for
-	// the next batch; negative nodes did not interact, so their state is
-	// untouched) followed by the asynchronous link run synchronously for
-	// determinism: WAL append, graph insert, mail propagation. The whole
-	// span holds the apply gate shared so a concurrent checkpoint cut can
-	// only land between batches, never between the state write and the
-	// graph insert of one batch. The latch stays shared; each Set locks
-	// only the node's shard.
-	m.storeMu.RLock()
-	m.applyMu.RLock()
-	for i, ev := range events {
-		m.st.Set(ev.Src, z.Value().Row(int(plan.srcRow[i])), ev.Time)
-		m.st.Set(ev.Dst, z.Value().Row(int(plan.dstRow[i])), ev.Time)
-	}
-	if collect != nil {
-		for i := range events {
-			collect(&events[i], z.Value().Row(int(plan.srcRow[i])), z.Value().Row(int(plan.dstRow[i])))
-		}
-	}
-	m.graphMu.Lock()
-	commit := m.logBatchLocked(events, z.Value().Data[:plan.endpoints*z.Value().Cols])
-	m.prop.ProcessBatch(events, m.st)
-	m.graphMu.Unlock()
-	m.noteTouched(events)
-	m.applyMu.RUnlock()
-	m.storeMu.RUnlock()
-	commit.Wait() // off every model lock; error is latched in the log
-
-	if ns != nil {
-		for i := range events {
-			ns.Observe(&events[i])
-		}
-	}
-	return res
-}
-
-// StreamResult aggregates a pass over an event stream.
-type StreamResult struct {
-	Loss     float64 // mean batch loss
-	Accuracy float64
-	AP       float64
-	// MaskedAP is the AP restricted to the events selected by the mask of
-	// EvalStreamMasked (NaN when no mask or no masked events) — used for the
-	// inductive unseen-node evaluation of §4.1.
-	MaskedAP float64
-	Batches  int
-	SyncHist eval.LatencyHist
-	Elapsed  time.Duration
-}
-
-// runStream processes events chronologically in batches. mask, when
-// non-nil, selects the events whose scores additionally feed MaskedAP.
+// runStream runs events through RunStream with the model's own modules:
+// train steps the model's own parameters, collect sees every event's fresh
+// endpoint embeddings, and each batch is then applied like a served one.
 func (m *Model) runStream(events []tgraph.Event, ns *dataset.NegSampler, train bool, collect func(ev *tgraph.Event, zsrc, zdst []float32), mask []bool) StreamResult {
-	var res StreamResult
-	var scores, mscores []float32
-	var labels, mlabels []bool
-	start := time.Now()
-	bs := m.Cfg.BatchSize
-	for lo := 0; lo < len(events); lo += bs {
-		hi := lo + bs
-		if hi > len(events) {
-			hi = len(events)
+	s := m.NewStep(m.rng)
+	return RunStream(events, m.Cfg.BatchSize, ns, m.rng, m.Cfg.NumNodes, mask, func(batch []tgraph.Event, negs []tgraph.NodeID) BatchResult {
+		var res BatchResult
+		if train {
+			res = s.Train(m.enc, m.dec, m.Params(), 5, batch, negs)
+			m.opt.Step()
+			m.opt.ZeroGrad()
+		} else {
+			res = s.Eval(m.enc, m.dec, batch, negs)
 		}
-		br := m.processBatch(events[lo:hi], ns, train, collect)
-		res.Loss += br.Loss
-		res.Batches++
-		res.SyncHist.Add(br.SyncTime)
-		for i := range br.PosScores {
-			scores = append(scores, br.PosScores[i], br.NegScores[i])
-			labels = append(labels, true, false)
-			if mask != nil && mask[lo+i] {
-				mscores = append(mscores, br.PosScores[i], br.NegScores[i])
-				mlabels = append(mlabels, true, false)
+		p := &s.Plan
+		if collect != nil {
+			for i := range batch {
+				collect(&batch[i], res.Z.Row(int(p.SrcRow[i])), res.Z.Row(int(p.DstRow[i])))
 			}
 		}
-	}
-	res.Elapsed = time.Since(start)
-	if res.Batches > 0 {
-		res.Loss /= float64(res.Batches)
-	}
-	res.Accuracy = eval.Accuracy(scores, labels, 0.5)
-	res.AP = eval.AveragePrecision(scores, labels)
-	res.MaskedAP = eval.AveragePrecision(mscores, mlabels)
-	return res
+		m.applyRows(batch, res.Z.Data[:p.Endpoints*res.Z.Cols], p.SrcRow, p.DstRow)
+		return res
+	})
 }
 
 // TrainEpoch trains over one chronological pass of events, stepping the
-// model's own parameter copy, and republishes the result so subsequent
-// serving passes score with the trained weights. The caller is responsible
-// for ResetRuntime at epoch starts.
-//
-// Deprecated: the offline epoch loop exists for the paper-reproduction
-// benchmarks and the pre-training step of a deployment. Long-running serving
-// processes should adapt with internal/train.OnlineTrainer, which steps a
-// private parameter copy off the propagation path and publishes through
-// SwapParams without ever blocking inference.
+// model's own parameter copy with the Step the online trainer runs, and
+// republishes the result so subsequent serving passes score with the
+// trained weights. The caller is responsible for ResetRuntime at epoch
+// starts.
 func (m *Model) TrainEpoch(events []tgraph.Event, ns *dataset.NegSampler) StreamResult {
 	res := m.runStream(events, ns, true, nil, nil)
 	m.publishOwn()
@@ -623,7 +408,7 @@ func (m *Model) EvalStreamMasked(events []tgraph.Event, mask []bool, ns *dataset
 
 // CollectStream runs an inference pass invoking collect with the fresh
 // embeddings of every event's endpoints (used to train downstream task
-// decoders).
+// decoders). The slices are valid only during the call; copy what you keep.
 func (m *Model) CollectStream(events []tgraph.Event, ns *dataset.NegSampler, collect func(ev *tgraph.Event, zsrc, zdst []float32)) StreamResult {
 	return m.runStream(events, ns, false, collect, nil)
 }
@@ -695,14 +480,14 @@ func (inf *Inference) Release() {
 func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 	pv := m.cur.Load()
 	ws := m.acquireWorkspace()
-	m.planBatchInto(&ws.plan, events, nil, false)
+	ws.plan.Build(events, nil)
 	m.storeMu.RLock()
-	ws.gather(m.st, m.mbox, ws.plan.nodes, ws.plan.times, m.Cfg.InferWorkers)
+	ws.gather(m.st, m.mbox, ws.plan.Nodes, ws.plan.Times, m.Cfg.InferWorkers)
 	m.storeMu.RUnlock()
 	tp := ws.tape
 	z, _ := pv.enc.Forward(tp, &ws.in)
-	zsrc := tp.Gather(z, ws.plan.srcRow)
-	zdst := tp.Gather(z, ws.plan.dstRow)
+	zsrc := tp.Gather(z, ws.plan.SrcRow)
+	zdst := tp.Gather(z, ws.plan.DstRow)
 	logits := pv.dec.Forward(tp, zsrc, zdst)
 	ws.scores = grow(ws.scores, len(events))
 	for i := range ws.scores {
@@ -711,10 +496,10 @@ func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 	ws.inf = Inference{
 		Events:  events,
 		Scores:  ws.scores,
-		nodes:   ws.plan.nodes,
+		nodes:   ws.plan.Nodes,
 		emb:     z.Value(),
-		srcRow:  ws.plan.srcRow,
-		dstRow:  ws.plan.dstRow,
+		srcRow:  ws.plan.SrcRow,
+		dstRow:  ws.plan.DstRow,
 		version: pv.set.Version(),
 		ws:      ws,
 	}

@@ -132,7 +132,7 @@ func TestProcessBatchUpdatesStateAndMailbox(t *testing.T) {
 		{Src: 0, Dst: 1, Time: 1, Feat: feat},
 		{Src: 1, Dst: 2, Time: 2, Feat: feat},
 	}
-	m.processBatch(events, nil, false, nil)
+	m.EvalStream(events, nil)
 
 	for _, n := range []tgraph.NodeID{0, 1, 2} {
 		if !m.State().Touched(n) {
@@ -163,9 +163,9 @@ func TestPropagationReachesTwoHops(t *testing.T) {
 	feat := make([]float32, 16)
 	// Build chain 0-1 then 1-2: when (1,2) happens, node 0 is a 1-hop
 	// neighbor of node 1 and must receive the mail under k=2.
-	m.processBatch([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil, false, nil)
+	m.EvalStream([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil)
 	mails0 := m.Mailbox().Len(0)
-	m.processBatch([]tgraph.Event{{Src: 1, Dst: 2, Time: 2, Feat: feat}}, nil, false, nil)
+	m.EvalStream([]tgraph.Event{{Src: 1, Dst: 2, Time: 2, Feat: feat}}, nil)
 	if m.Mailbox().Len(0) != mails0+1 {
 		t.Fatalf("2-hop mail not delivered to node 0: %d -> %d", mails0, m.Mailbox().Len(0))
 	}
@@ -177,9 +177,9 @@ func TestPropagationReachesTwoHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1.processBatch([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil, false, nil)
+	m1.EvalStream([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil)
 	before := m1.Mailbox().Len(0)
-	m1.processBatch([]tgraph.Event{{Src: 1, Dst: 2, Time: 2, Feat: feat}}, nil, false, nil)
+	m1.EvalStream([]tgraph.Event{{Src: 1, Dst: 2, Time: 2, Feat: feat}}, nil)
 	if m1.Mailbox().Len(0) != before {
 		t.Fatal("1-hop propagation leaked to 2 hops")
 	}
@@ -199,7 +199,7 @@ func TestMeanReduceSingleMailPerBatch(t *testing.T) {
 		{Src: 0, Dst: 2, Time: 1.5, Feat: feat},
 		{Src: 3, Dst: 0, Time: 2, Feat: feat},
 	}
-	m.processBatch(events, nil, false, nil)
+	m.EvalStream(events, nil)
 	if got := m.Mailbox().Len(0); got != 1 {
 		t.Fatalf("mean reduction failed: node 0 has %d mails", got)
 	}
@@ -215,11 +215,11 @@ func TestMeanReduceKeepsNegativeTimestamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	feat := make([]float32, 16)
-	m.processBatch([]tgraph.Event{
+	m.EvalStream([]tgraph.Event{
 		{Src: 0, Dst: 1, Time: -7, Feat: feat},
 		{Src: 0, Dst: 2, Time: -5, Feat: feat},
-	}, nil, false, nil)
-	m.processBatch([]tgraph.Event{{Src: 0, Dst: 1, Time: -3, Feat: feat}}, nil, false, nil)
+	}, nil)
+	m.EvalStream([]tgraph.Event{{Src: 0, Dst: 1, Time: -3, Feat: feat}}, nil)
 	buf := make([]float32, cfg.Slots*16)
 	ts := make([]float64, cfg.Slots)
 	if c := m.Mailbox().ReadSorted(0, buf, ts); c != 2 || ts[0] != -5 || ts[1] != -3 {
@@ -246,7 +246,7 @@ func TestReduceLatestKeepsNewestMail(t *testing.T) {
 		{Src: 0, Dst: 1, Time: 1, Feat: mkFeat(10)},
 		{Src: 0, Dst: 2, Time: 2, Feat: mkFeat(20)},
 	}
-	m.processBatch(events, nil, false, nil)
+	m.EvalStream(events, nil)
 	if got := m.Mailbox().Len(0); got != 1 {
 		t.Fatalf("mail count %d", got)
 	}
@@ -271,7 +271,7 @@ func TestInferBatchHasNoSideEffects(t *testing.T) {
 	}
 	feat := make([]float32, 16)
 	warm := []tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}
-	m.processBatch(warm, nil, false, nil)
+	m.EvalStream(warm, nil)
 
 	events := []tgraph.Event{{Src: 1, Dst: 2, Time: 2, Feat: feat}}
 	gBefore := m.DB().G.NumEvents()
@@ -304,7 +304,7 @@ func TestEmbedNoSideEffects(t *testing.T) {
 		t.Fatal(err)
 	}
 	feat := make([]float32, 16)
-	m.processBatch([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil, false, nil)
+	m.EvalStream([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil)
 	z1 := m.Embed([]tgraph.NodeID{0, 1, 5}, []float64{2, 2, 2})
 	z2 := m.Embed([]tgraph.NodeID{0, 1, 5}, []float64{2, 2, 2})
 	if z1.Rows != 3 || z1.Cols != 16 {
@@ -326,8 +326,8 @@ func TestExplainWeights(t *testing.T) {
 	feat := make([]float32, 16)
 	feat[3] = 2
 	// Two warm-up batches give node 0 two mails, then an inference over it.
-	m.processBatch([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil, false, nil)
-	m.processBatch([]tgraph.Event{{Src: 0, Dst: 2, Time: 2, Feat: feat}}, nil, false, nil)
+	m.EvalStream([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil)
+	m.EvalStream([]tgraph.Event{{Src: 0, Dst: 2, Time: 2, Feat: feat}}, nil)
 	m.InferBatch([]tgraph.Event{{Src: 0, Dst: 1, Time: 3, Feat: feat}})
 
 	ex, ok := m.Explain(0)

@@ -85,8 +85,8 @@ func (m *Model) SwapParams(params []*nn.Tensor) (*nn.ParamSet, error) {
 }
 
 // publishOwn publishes the model's own (offline-training) parameters — the
-// initial version at construction and the republish after the deprecated
-// epoch-loop entry points or a parameter load mutate them.
+// initial version at construction and the republish after TrainEpoch or a
+// parameter load mutates them.
 func (m *Model) publishOwn() {
 	if _, err := m.SwapParams(m.Params()); err != nil {
 		// The model's own parameters always match its own architecture.

@@ -31,7 +31,7 @@ type inferWorkspace struct {
 	pool tensor.Pool // backing allocator for the tape and gather matrices
 	tape *nn.Tape
 
-	plan   batchPlan
+	plan   Plan
 	in     EncodeInput
 	dts    []float32
 	counts []int
@@ -78,7 +78,7 @@ func (ws *inferWorkspace) release() {
 }
 
 // gather fills ws.in with z(t−) and the sorted mailboxes of nodes, reusing
-// the workspace buffers (see ReadInputsParallel for the semantics).
+// the workspace buffers (see gatherInto for the semantics).
 func (ws *inferWorkspace) gather(st StateReader, mb MailReader, nodes []tgraph.NodeID, times []float64, workers int) {
 	b := len(nodes)
 	d := st.Dim()

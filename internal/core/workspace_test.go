@@ -32,22 +32,29 @@ func buildWarm(t *testing.T, mutate func(*Config), seed int64) (m *Model, batch,
 	return m, ds.Events[200:240], ds.Events[80:200]
 }
 
-// referenceEncode is the offline forward processBatch runs — a fresh
-// zero-filled gather (ReadInputsParallel) and a fresh grad-recording tape,
-// no pooled or recycled storage — over the published parameters: what the
-// workspace path must equal bitwise.
+// referenceEncode is the forward over fresh storage — a zero-filled gather
+// (ReadInputs) and a fresh grad-recording tape, no pooled or recycled
+// buffers — with the published parameters: what the workspace path must
+// equal bitwise.
 func referenceEncode(m *Model, nodes []tgraph.NodeID, times []float64) (*nn.Tape, *nn.Tensor, *EncodeInput) {
-	in := ReadInputsParallel(m.st, m.mbox, nodes, times, 1)
+	in := ReadInputs(m.st, m.mbox, nodes, times)
 	tp := nn.NewTape()
 	z, _ := m.cur.Load().enc.Forward(tp, in)
 	return tp, z, in
 }
 
+// planOf plans events without negatives in a fresh Plan.
+func planOf(events []tgraph.Event) *Plan {
+	p := &Plan{}
+	p.Build(events, nil)
+	return p
+}
+
 // referenceInfer scores events through referenceEncode and the decoder.
 func referenceInfer(m *Model, events []tgraph.Event) (scores []float32, emb *tensor.Matrix, in *EncodeInput) {
-	plan := m.planBatch(events, nil, false)
-	tp, z, in := referenceEncode(m, plan.nodes, plan.times)
-	logits := m.cur.Load().dec.Forward(tp, tp.Gather(z, plan.srcRow), tp.Gather(z, plan.dstRow))
+	plan := planOf(events)
+	tp, z, in := referenceEncode(m, plan.Nodes, plan.Times)
+	logits := m.cur.Load().dec.Forward(tp, tp.Gather(z, plan.SrcRow), tp.Gather(z, plan.DstRow))
 	scores = make([]float32, len(events))
 	for i := range scores {
 		scores[i] = tensor.Sigmoid32(logits.Value().Data[i])

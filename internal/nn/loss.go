@@ -38,6 +38,18 @@ func (tp *Tape) BCEWithLogits(logits *Tensor, targets []float32) *Tensor {
 	return tp.record(out)
 }
 
+// Fill returns n copies of v in a buffer that lives until the tape's next
+// Reset: constant loss targets, drawn from the pool on a pooled tape.
+func (tp *Tape) Fill(n int, v float32) []float32 {
+	s := tp.scratch(n)
+	if v != 0 {
+		for i := range s {
+			s[i] = v
+		}
+	}
+	return s
+}
+
 // MSE returns the mean squared error between pred and the constant target
 // matrix (same shape).
 func (tp *Tape) MSE(pred *Tensor, target *tensor.Matrix) *Tensor {

@@ -11,7 +11,6 @@ import (
 	"apan/internal/dataset"
 	"apan/internal/eval"
 	"apan/internal/nn"
-	"apan/internal/tensor"
 	"apan/internal/tgraph"
 )
 
@@ -180,29 +179,26 @@ type OnlineTrainer struct {
 	dec    *core.LinkDecoder
 	params []*nn.Tensor
 	opt    *nn.Adam
-	pool   tensor.Pool
-	tape   *nn.Tape
 
-	// evalTape is the reusable no-grad tape holdout evaluations run on:
-	// they are forward-only and frequent (two per publish attempt), so they
-	// recycle pooled storage instead of allocating closures and matrices.
-	evalPool tensor.Pool
-	evalTape *nn.Tape
+	// linkStep trains the private copy and scores the holdout set (two
+	// forward-only passes per publish attempt), reusing its plan, gather
+	// buffers and tapes.
+	linkStep *core.Step
 
 	refEnc    *core.Encoder
 	refDec    *core.LinkDecoder
 	refParams []*nn.Tensor
 
-	// Mini-batch assembly state, reused across steps so the steady-state
-	// train loop allocates nothing (TestOnlineTrainStepZeroAllocSteadyState
-	// holds it to 0 allocs/op). All guarded by runMu.
+	// Mini-batch and holdout assembly state, reused across calls so the
+	// steady-state train loop allocates nothing
+	// (TestOnlineTrainStepZeroAllocSteadyState holds it to 0 allocs/op). All
+	// guarded by runMu.
 	sampleBuf []tgraph.Event
 	negsBuf   []tgraph.NodeID
-	pl        plan
-	in        core.EncodeInput
-	gts       []float64 // gather timestamp scratch
-	ones      []float32
-	zeros     []float32
+	hoEvents  []tgraph.Event
+	hoNegs    []tgraph.NodeID
+	hoScores  []float32
+	hoLabels  []bool
 
 	holdout     []holdoutSample
 	holdoutIdx  int
@@ -258,8 +254,7 @@ func New(m *core.Model, cfg Config) (*OnlineTrainer, error) {
 		return nil, fmt.Errorf("train: seed reference params: %w", err)
 	}
 	t.opt = nn.NewAdam(t.params, cfg.LR)
-	t.tape = nn.NewReusableTrainingTape(&t.pool, rand.New(rand.NewSource(cfg.Seed+2)))
-	t.evalTape = nn.NewInferenceTape(&t.evalPool)
+	t.linkStep = m.NewStep(rand.New(rand.NewSource(cfg.Seed + 2)))
 	// The version serving starts on belongs in the audit log too.
 	t.pubLog = append(t.pubLog, Publish{Version: cur.Version(), Fingerprint: cur.Fingerprint()})
 	return t, nil
@@ -407,15 +402,6 @@ func (t *OnlineTrainer) ingest(events []tgraph.Event) {
 	}
 }
 
-// grow returns s resized to n elements, reusing its backing array when it
-// fits. Contents are unspecified.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // sampleNeg draws a negative destination from the observed pool, guarded
 // against a rolled-back node space.
 func (t *OnlineTrainer) sampleNeg(exclude tgraph.NodeID) tgraph.NodeID {
@@ -425,61 +411,6 @@ func (t *OnlineTrainer) sampleNeg(exclude tgraph.NodeID) tgraph.NodeID {
 		neg = tgraph.NodeID(t.rng.Intn(n))
 	}
 	return neg
-}
-
-// plan is the deduplicated node bookkeeping of one trainer batch (each node
-// encoded once at its latest query time, mirroring the model's batch plan).
-// build reuses every slice and the rowOf map, so a long-lived plan assembles
-// batch after batch without allocating.
-type plan struct {
-	nodes  []tgraph.NodeID
-	times  []float64
-	srcRow []int32
-	dstRow []int32
-	negRow []int32
-	rowOf  map[tgraph.NodeID]int
-}
-
-// row returns (registering if new) the encode row of node n, keeping the
-// row's query time at the max over its mentions.
-func (p *plan) row(n tgraph.NodeID, tm float64) int32 {
-	if r, ok := p.rowOf[n]; ok {
-		if tm > p.times[r] {
-			p.times[r] = tm
-		}
-		return int32(r)
-	}
-	r := len(p.nodes)
-	p.rowOf[n] = r
-	p.nodes = append(p.nodes, n)
-	p.times = append(p.times, tm)
-	return int32(r)
-}
-
-func (p *plan) build(events []tgraph.Event, negs []tgraph.NodeID) {
-	if p.rowOf == nil {
-		p.rowOf = make(map[tgraph.NodeID]int, 3*len(events))
-	} else {
-		clear(p.rowOf)
-	}
-	p.nodes = p.nodes[:0]
-	p.times = p.times[:0]
-	p.srcRow = p.srcRow[:0]
-	p.dstRow = p.dstRow[:0]
-	p.negRow = p.negRow[:0]
-	for i := range events {
-		p.srcRow = append(p.srcRow, p.row(events[i].Src, events[i].Time))
-		p.dstRow = append(p.dstRow, p.row(events[i].Dst, events[i].Time))
-	}
-	for i := range events {
-		p.negRow = append(p.negRow, p.row(negs[i], events[i].Time))
-	}
-}
-
-func planEvents(events []tgraph.Event, negs []tgraph.NodeID) *plan {
-	p := &plan{}
-	p.build(events, negs)
-	return p
 }
 
 // step runs one Adam mini-batch on the private copy: sample the replay
@@ -493,41 +424,16 @@ func (t *OnlineTrainer) step() bool {
 		return false
 	}
 	start := time.Now()
-	negs := grow(t.negsBuf, len(batch))
+	negs := t.negsBuf[:0]
+	for i := range batch {
+		negs = append(negs, t.sampleNeg(batch[i].Dst))
+	}
 	t.negsBuf = negs
-	for i := range negs {
-		negs[i] = t.sampleNeg(batch[i].Dst)
-	}
-	p := &t.pl
-	p.build(batch, negs)
-	t.m.GatherInputsInto(&t.in, &t.gts, p.nodes, p.times)
-	in := &t.in
-
-	tp := t.tape
-	tp.Reset()
-	z, _ := t.enc.Forward(tp, in)
-	zsrc := tp.Gather(z, p.srcRow)
-	zdst := tp.Gather(z, p.dstRow)
-	zneg := tp.Gather(z, p.negRow)
-	posLogits := t.dec.Forward(tp, zsrc, zdst)
-	negLogits := t.dec.Forward(tp, zsrc, zneg)
-
-	n := len(batch)
-	ones := grow(t.ones, n)
-	t.ones = ones
-	zeros := grow(t.zeros, n)
-	t.zeros = zeros
-	for i := range ones {
-		ones[i] = 1
-		zeros[i] = 0
-	}
-	loss := tp.Scale(tp.Add(tp.BCEWithLogits(posLogits, ones), tp.BCEWithLogits(negLogits, zeros)), 0.5)
-	tp.Backward(loss)
-	nn.ClipGradNorm(t.params, t.cfg.ClipNorm)
+	t.linkStep.Train(t.enc, t.dec, t.params, t.cfg.ClipNorm, batch, negs)
 	t.opt.Step()
 	t.opt.ZeroGrad()
 
-	t.trained += int64(n)
+	t.trained += int64(len(batch))
 	t.steps++
 	t.trainNanos += time.Since(start).Nanoseconds()
 	return true
@@ -546,8 +452,7 @@ func (t *OnlineTrainer) TrainStep() bool {
 // frozen negatives). NaN when the holdout is empty.
 func (t *OnlineTrainer) holdoutAP(enc *core.Encoder, dec *core.LinkDecoder) float64 {
 	n := t.m.NumNodes()
-	events := make([]tgraph.Event, 0, len(t.holdout))
-	negs := make([]tgraph.NodeID, 0, len(t.holdout))
+	events, negs := t.hoEvents[:0], t.hoNegs[:0]
 	for _, h := range t.holdout {
 		if int(h.ev.Src) >= n || int(h.ev.Dst) >= n || int(h.neg) >= n {
 			continue
@@ -555,22 +460,17 @@ func (t *OnlineTrainer) holdoutAP(enc *core.Encoder, dec *core.LinkDecoder) floa
 		events = append(events, h.ev)
 		negs = append(negs, h.neg)
 	}
+	t.hoEvents, t.hoNegs = events, negs
 	if len(events) == 0 {
 		return math.NaN()
 	}
-	p := planEvents(events, negs)
-	in := t.m.GatherInputs(p.nodes, p.times)
-	tp := t.evalTape
-	tp.Reset()
-	z, _ := enc.Forward(tp, in)
-	pos := dec.Forward(tp, tp.Gather(z, p.srcRow), tp.Gather(z, p.dstRow))
-	neg := dec.Forward(tp, tp.Gather(z, p.srcRow), tp.Gather(z, p.negRow))
-	scores := make([]float32, 0, 2*len(events))
-	labels := make([]bool, 0, 2*len(events))
+	res := t.linkStep.Eval(enc, dec, events, negs)
+	scores, labels := t.hoScores[:0], t.hoLabels[:0]
 	for i := range events {
-		scores = append(scores, pos.Value().Data[i], neg.Value().Data[i])
+		scores = append(scores, res.Pos[i], res.Neg[i])
 		labels = append(labels, true, false)
 	}
+	t.hoScores, t.hoLabels = scores, labels
 	return eval.AveragePrecision(scores, labels)
 }
 

@@ -62,6 +62,11 @@ func TestTrainerPublishes(t *testing.T) {
 	if st.Steps == 0 || st.Trained == 0 {
 		t.Fatalf("trainer never stepped: %+v", st)
 	}
+	// A holdout check reuses the step's plan, gather and tape and the
+	// trainer's own buffers; what allocates is the AP's sort.
+	if allocs := testing.AllocsPerRun(5, func() { tr.holdoutAP(tr.enc, tr.dec) }); !raceEnabled && allocs > 3 {
+		t.Fatalf("holdoutAP allocates %.0f times per call; want at most 3", allocs)
+	}
 	if st.Publishes == 0 {
 		t.Fatalf("trainer never published: %+v", st)
 	}
