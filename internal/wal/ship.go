@@ -249,16 +249,42 @@ func (c *connDest) heartbeat(next uint64) error {
 	return err
 }
 
+// shipHandshakeTimeout bounds how long a connection may take to send its
+// handshake.
+const shipHandshakeTimeout = 10 * time.Second
+
 // ServeShipConn ships srcDir over one follower connection until the
 // connection drops or stop closes: it validates the handshake, then
 // alternates incremental ship passes with heartbeats carrying next() —
-// the leader's next log index — every interval.
+// the leader's next log index — every interval. Closing stop closes conn,
+// so a follower that never sends its handshake or stops reading cannot
+// hold the leader in a read or a write; the call then returns nil.
 func ServeShipConn(conn net.Conn, srcDir string, next func() uint64, interval time.Duration, stop <-chan struct{}) error {
-	defer conn.Close()
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		select {
+		case <-stop:
+		case <-done:
+		}
+		conn.Close()
+	}()
+	err := serveShipConn(conn, srcDir, next, interval, stop)
+	select {
+	case <-stop:
+		return nil
+	default:
+		return err
+	}
+}
+
+func serveShipConn(conn net.Conn, srcDir string, next func() uint64, interval time.Duration, stop <-chan struct{}) error {
 	var hs [8]byte
+	conn.SetReadDeadline(time.Now().Add(shipHandshakeTimeout))
 	if _, err := io.ReadFull(conn, hs[:]); err != nil {
 		return fmt.Errorf("wal: ship handshake: %w", err)
 	}
+	conn.SetReadDeadline(time.Time{})
 	if string(hs[:4]) != shipMagic {
 		return fmt.Errorf("wal: ship handshake: bad magic %q", hs[:4])
 	}

@@ -162,6 +162,72 @@ func TestShipWireProtocol(t *testing.T) {
 	}
 }
 
+// shipHandshake is a follower's valid handshake: "APSH", version 1.
+var shipHandshake = []byte{'A', 'P', 'S', 'H', 1, 0, 0, 0}
+
+// acceptSignal reports each connection its listener accepts.
+type acceptSignal struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (l acceptSignal) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return c, err
+}
+
+// TestServeShipReturnsOnStop: closing stop ends ServeShip even while a
+// follower is connected but has sent nothing, and ends ServeShipConn while
+// a follower that sent its handshake has stopped reading — neither may
+// park the leader in a read or a write.
+func TestServeShipReturnsOnStop(t *testing.T) {
+	src := t.TempDir()
+	writeTestLog(t, src, 5, 10, 4)
+	returns := func(t *testing.T, stop chan struct{}, served chan error) {
+		t.Helper()
+		close(stop)
+		select {
+		case err := <-served:
+			if err != nil {
+				t.Fatalf("stopped leader returned %v, want nil", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("the leader is still running 2s after stop closed")
+		}
+	}
+
+	t.Run("silent", func(t *testing.T) {
+		tcp, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln := acceptSignal{Listener: tcp, accepted: make(chan struct{}, 1)}
+		stop, served := make(chan struct{}), make(chan error, 1)
+		go func() { served <- ServeShip(ln, src, func() uint64 { return 40 }, time.Millisecond, stop) }()
+		conn, err := net.Dial("tcp", tcp.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		<-ln.accepted
+		returns(t, stop, served)
+	})
+
+	t.Run("not reading", func(t *testing.T) {
+		leader, follower := net.Pipe()
+		defer follower.Close()
+		stop, served := make(chan struct{}), make(chan error, 1)
+		go func() { served <- ServeShipConn(leader, src, func() uint64 { return 40 }, time.Millisecond, stop) }()
+		if _, err := follower.Write(shipHandshake); err != nil {
+			t.Fatal(err)
+		}
+		returns(t, stop, served)
+	})
+}
+
 // TestFollowShipRejectsTraversal: chunk names that are not segment names
 // (e.g. path traversal) are refused by the receiving side.
 func TestFollowShipRejectsTraversal(t *testing.T) {
@@ -219,6 +285,59 @@ func FuzzFollowShip(f *testing.F) {
 		}
 		if !bytes.HasPrefix(b, out.Bytes()) {
 			t.Fatalf("delivered messages re-encode to %x, not a prefix of the input %x (err = %v)", out.Bytes(), b, err)
+		}
+	})
+}
+
+// FuzzServeShipConn feeds arbitrary follower bytes to the leader side over
+// a pipe. It must not panic; it must refuse, writing nothing, every
+// handshake but "APSH" version 1; and after that one it must ship, then
+// return nil once stop closes, though the follower reads no further.
+func FuzzServeShipConn(f *testing.F) {
+	src := f.TempDir()
+	writeTestLog(f, src, 5, 10, 4)
+	f.Add(shipHandshake)
+	f.Add(append(append([]byte(nil), shipHandshake...), "trailing"...))
+	f.Add([]byte{'A', 'P', 'S', 'H', 2, 0, 0, 0})
+	f.Add([]byte("APWL\x01\x00\x00\x00"))
+	f.Add([]byte("APS"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		leader, follower := net.Pipe()
+		defer follower.Close()
+		stop, served := make(chan struct{}), make(chan error, 1)
+		go func() { served <- ServeShipConn(leader, src, func() uint64 { return 40 }, time.Hour, stop) }()
+		go func() {
+			// The leader reads the handshake and nothing after it, so this
+			// write ends when the connection closes.
+			follower.Write(b)
+			if len(b) < len(shipHandshake) {
+				follower.Close()
+			}
+		}()
+		if len(b) < len(shipHandshake) {
+			if err := <-served; err == nil {
+				t.Fatalf("a %d-byte handshake was accepted", len(b))
+			}
+			return
+		}
+		var first [1]byte
+		n, _ := io.ReadFull(follower, first[:])
+		if !bytes.Equal(b[:len(shipHandshake)], shipHandshake) {
+			if n != 0 {
+				t.Fatalf("handshake %q: the leader wrote %q", b[:len(shipHandshake)], first[:n])
+			}
+			if err := <-served; err == nil {
+				t.Fatalf("handshake %q was accepted", b[:len(shipHandshake)])
+			}
+			return
+		}
+		if n != 1 || first[0] != shipMsgChunk {
+			t.Fatalf("after a valid handshake the leader's first byte is %q, want a chunk", first[:n])
+		}
+		close(stop)
+		if err := <-served; err != nil {
+			t.Fatalf("stopped leader returned %v", err)
 		}
 	})
 }
