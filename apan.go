@@ -75,8 +75,9 @@ type (
 	Config = core.Config
 	// Model is the full APAN system.
 	Model = core.Model
-	// Inference is a served batch's synchronous-link output.
-	Inference = core.Inference
+	// Pending is a scored batch: its scores and what the asynchronous link
+	// applies (see Model.Score and Model.ApplyPending).
+	Pending = core.Pending
 	// StreamResult aggregates a pass over an event stream.
 	StreamResult = core.StreamResult
 	// Explanation reports per-mail attention weights (paper §3.6).
@@ -177,7 +178,7 @@ func NewNegSampler(numNodes int) *NegSampler { return dataset.NewNegSampler(numN
 // Serving.
 type (
 	// Pipeline is the deployment architecture: synchronous scoring with
-	// asynchronous propagation workers behind a bounded queue.
+	// asynchronous propagation by one applier behind a bounded queue.
 	Pipeline = async.Pipeline
 	// PipelineStats is a point-in-time view of pipeline health.
 	PipelineStats = async.Stats
@@ -207,9 +208,7 @@ const DefaultTenant = async.DefaultTenant
 var (
 	// WithQueueCap bounds the propagation queue (backpressure point).
 	WithQueueCap = async.WithQueueCap
-	// WithWorkers sets the number of asynchronous propagation workers.
-	WithWorkers = async.WithWorkers
-	// WithOnlineTrainer taps the propagation workers' apply path to feed an
+	// WithOnlineTrainer taps the applier's apply path to feed an
 	// online trainer with every applied batch.
 	WithOnlineTrainer = async.WithOnlineTrainer
 	// WithTenants enables multi-tenant admission and registers per-tenant

@@ -123,11 +123,11 @@ func TestEndToEndPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := split.Test[200:250]
-	a := model.InferBatch(probe)
-	b := replica.InferBatch(probe)
-	for i := range a.Scores {
-		if a.Scores[i] != b.Scores[i] {
-			t.Fatalf("replica diverged at %d: %v vs %v", i, a.Scores[i], b.Scores[i])
+	a := model.Score(probe, new(apan.Pending))
+	b := replica.Score(probe, new(apan.Pending))
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("replica diverged at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 

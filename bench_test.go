@@ -181,10 +181,11 @@ func BenchmarkInferBatch(b *testing.B) {
 	}
 	m.EvalStream(ds.Events[:1000], nil) // warm state and mailboxes
 	batch := ds.Events[1000:1200]
-	m.InferBatch(batch).Release() // warm the workspace pool
+	var p Pending
+	m.Score(batch, &p) // warm the workspace pool and the Pending
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.InferBatch(batch).Release()
+		m.Score(batch, &p)
 	}
 	b.ReportMetric(float64(b.N)*float64(len(batch))/b.Elapsed().Seconds(), "ev/s")
 }
@@ -227,36 +228,37 @@ func BenchmarkInferBatchParallel(b *testing.B) {
 				// The pre-sharding global store lock, emulated around the
 				// public API exactly as the old Model held it internally.
 				var global sync.RWMutex
-				score := func() { m.InferBatch(batch).Release() }
-				apply := func(inf *Inference) { m.ApplyInference(inf) }
+				score := func(p *Pending) { m.Score(batch, p) }
+				apply := m.ApplyPending
 				if mode == "global" {
-					score = func() {
+					score = func(p *Pending) {
 						global.RLock()
-						m.InferBatch(batch).Release()
+						m.Score(batch, p)
 						global.RUnlock()
 					}
-					apply = func(inf *Inference) {
+					apply = func(p *Pending) {
 						global.Lock()
-						m.ApplyInference(inf)
+						m.ApplyPending(p)
 						global.Unlock()
 					}
 				}
 
-				// Background asynchronous-link writer (the propagation
-				// worker of async.Pipeline).
+				// Background asynchronous-link writer (the applier of
+				// async.Pipeline).
 				stop := make(chan struct{})
 				var writerWG sync.WaitGroup
 				writerWG.Add(1)
 				go func() {
 					defer writerWG.Done()
-					inf := m.InferBatch(batch)
+					var scored Pending
+					m.Score(batch, &scored)
 					for {
 						select {
 						case <-stop:
 							return
 						default:
 						}
-						apply(inf)
+						apply(&scored)
 					}
 				}()
 
@@ -268,8 +270,9 @@ func BenchmarkInferBatchParallel(b *testing.B) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
+						var p Pending
 						for next.Add(1) <= int64(b.N) {
-							score()
+							score(&p)
 						}
 					}()
 				}
@@ -293,16 +296,16 @@ func BenchmarkPropagateBatch(b *testing.B) {
 	}
 	m.EvalStream(ds.Events[:1000], nil)
 	batch := ds.Events[1000:1200]
+	var p Pending
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		snap := m.SnapshotRuntime()
-		inf := m.InferBatch(batch)
+		m.Score(batch, &p)
 		b.StartTimer()
-		m.ApplyInference(inf)
+		m.ApplyPending(&p)
 		b.StopTimer()
-		inf.Release()
 		m.RestoreRuntime(snap)
 		b.StartTimer()
 	}

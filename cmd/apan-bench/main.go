@@ -8,8 +8,8 @@
 //	apan-bench -exp fig6 -db-latency 1ms
 //	apan-bench -exp all -scale 0.02
 //
-// The perf experiment measures the serving hot paths (pooled vs baseline
-// InferBatch, scratch-reusing vs fresh propagation) and, with -json, writes
+// The perf experiment measures the serving hot paths (pooled Model.Score,
+// scratch-reusing vs fresh propagation) and, with -json, writes
 // the machine-readable trajectory record BENCH_apan.json:
 //
 //	apan-bench -exp perf -json

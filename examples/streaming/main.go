@@ -172,7 +172,7 @@ func main() {
 func scoreAPAN(m *apan.Model, warmup, probe []apan.Event) []float32 {
 	m.ResetRuntime()
 	m.EvalStream(warmup, nil)
-	return m.InferBatch(probe).Scores
+	return m.Score(probe, new(apan.Pending))
 }
 
 // scoreTGN captures embedding-similarity scores for the probe interactions.

@@ -9,12 +9,12 @@
 // blocked on backpressure, TrySubmit never blocks, SubmitFuture returns a
 // channel for callers that overlap scoring with other work, Drain waits
 // event-driven (condition variable, no polling) and Shutdown drains then
-// stops the workers.
+// stops the applier.
 //
 // Concurrent submissions score in parallel: the model's sharded, lock-
-// striped stores (core.Config.Shards) make InferBatch safe under any number
-// of goroutines, and propagation workers writing one shard never stall
-// scoring reads of another.
+// striped stores (core.Config.Shards) make Model.Score safe under any number
+// of goroutines, and the one applier writing one shard never stalls scoring
+// reads of another.
 package async
 
 import (
@@ -42,7 +42,7 @@ var (
 type Option func(*options)
 
 // Trainer is the slice of an online trainer the pipeline feeds: Observe is
-// called on a propagation worker with each batch's events immediately after
+// called on the applier goroutine with each batch's events immediately after
 // they are applied, and must not block (internal/train.OnlineTrainer
 // buffers into a bounded queue). Defined as an interface so the pipeline
 // does not depend on the trainer implementation.
@@ -52,7 +52,6 @@ type Trainer interface {
 
 type options struct {
 	queueCap    int
-	workers     int
 	beforeApply func(events []tgraph.Event)
 	trainer     Trainer
 
@@ -76,19 +75,12 @@ func WithQueueCap(n int) Option {
 	}
 }
 
-// WithWorkers sets the number of asynchronous propagation workers. The
-// default of 1 preserves the exact submission-order state evolution the
-// tests rely on. Safety does not depend on this knob: state writes and mail
-// deliveries lock only the touched store shard, and every graph access is
-// serialized by the model's graph mutex — so extra workers overlap only the
-// state writes, never the graph work.
-func WithWorkers(n int) Option {
-	return func(o *options) {
-		if n >= 1 {
-			o.workers = n
-		}
-	}
-}
+// WithWorkers does nothing: a pipeline runs exactly one applier goroutine,
+// which applies batches in dequeue order.
+//
+// Deprecated: kept only because the frozen benchmark rig still passes it;
+// it goes with the next benchmark edit.
+func WithWorkers(int) Option { return func(*options) {} }
 
 // WithBatchWindow does nothing: the serving layer's micro-batcher has no
 // window any more (internal/serve.Batcher flushes when a lane is free and
@@ -98,35 +90,33 @@ func WithWorkers(n int) Option {
 // it goes with the next benchmark edit.
 func WithBatchWindow(time.Duration) Option { return func(*options) {} }
 
-// WithBeforeApply registers fn to run on a propagation worker immediately
+// WithBeforeApply registers fn to run on the applier goroutine immediately
 // before each queued batch is applied, with the batch's events. A batch
-// parked here holds only its copied-out record, never a workspace. It is the
+// parked here holds only its scored record, never a workspace. It is the
 // pipeline's deterministic fault-injection seam: internal/scenario parks
-// workers on a channel here to saturate the queue with an exactly
+// the applier on a channel here to saturate the queue with an exactly
 // reproducible drop pattern, or sleeps to emulate a slow graph-database
 // consumer — both without reaching into pipeline internals. It also serves
-// as an apply-side instrumentation hook. fn runs on worker goroutines and
-// must be safe for concurrent calls when WithWorkers > 1; it must not call
-// back into the pipeline's Submit/Drain/Shutdown (the worker it runs on is
-// the one that would have to make progress).
+// as an apply-side instrumentation hook. fn must not call back into the
+// pipeline's Submit/Drain/Shutdown (the applier it runs on is the goroutine
+// that would have to make progress).
 func WithBeforeApply(fn func(events []tgraph.Event)) Option {
 	return func(o *options) { o.beforeApply = fn }
 }
 
 // WithOnlineTrainer feeds t with every applied batch's events, from the
-// propagation worker right after the apply — the online continual-
-// learning tap: the trainer sees exactly the events that mutated the
-// streaming state, in apply order, off the scoring path. With WithWorkers >
-// 1 Observe must be safe for concurrent calls (the bundled trainer is).
+// applier right after the apply — the online continual-learning tap: the
+// trainer sees exactly the events that mutated the streaming state, in
+// apply order, off the scoring path.
 func WithOnlineTrainer(t Trainer) Option {
 	return func(o *options) { o.trainer = t }
 }
 
 // Pipeline connects a core.Model's synchronous and asynchronous links.
-// Submit runs inference inline and enqueues propagation; worker goroutines
-// drain the queue. Any number of goroutines may call the Submit variants
-// concurrently, and their synchronous-link passes run in parallel: the
-// model's sharded stores make InferBatch safe and scalable under concurrent
+// Submit runs inference inline and enqueues propagation; one applier
+// goroutine drains the queue. Any number of goroutines may call the Submit
+// variants concurrently, and their synchronous-link passes run in parallel:
+// the model's sharded stores make Score safe and scalable under concurrent
 // callers (shard-local locking, no global lock). Every Submit variant and
 // ScoreOnly answer an empty batch with empty scores and a nil error, without
 // touching the model, the queue or any counter.
@@ -137,22 +127,20 @@ type Pipeline struct {
 	// sched is the propagation queue: per-tenant bounded queues drained in
 	// weighted-fair order, and under its mutex every pipeline counter.
 	sched *tenantSched
-	done  chan struct{}
+	done  chan struct{} // closed by the applier when it exits
 
 	// recMu/recFree recycle the records queued between the links, as the
 	// model's wsMu/wsFree recycle workspaces: a scorer checks one out and
-	// the applier, or a submit that drops its batch, puts it back. The list
-	// never outgrows the most records ever out at once — queue capacity
-	// plus concurrent submitters plus workers.
+	// the applier, or a submit that scores only or drops its batch, puts it
+	// back. The list never outgrows the most records ever out at once —
+	// queue capacity plus concurrent submitters plus the applier's one.
 	recMu   sync.Mutex
 	recFree []*core.Pending
-
-	wg sync.WaitGroup
 }
 
 // New starts a pipeline over a trained model with the given options.
 func New(m *core.Model, opts ...Option) *Pipeline {
-	o := options{queueCap: 64, workers: 1}
+	o := options{queueCap: 64}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -162,14 +150,7 @@ func New(m *core.Model, opts ...Option) *Pipeline {
 		sched: newTenantSched(o),
 		done:  make(chan struct{}),
 	}
-	p.wg.Add(o.workers)
-	for i := 0; i < o.workers; i++ {
-		go p.worker()
-	}
-	go func() {
-		p.wg.Wait()
-		close(p.done)
-	}()
+	go p.applier()
 	return p
 }
 
@@ -216,8 +197,11 @@ func (p *Pipeline) EvictionStats() *core.EvictionStats {
 // (see mailbox.Occupancy) for the serving stats surface.
 func (p *Pipeline) MailboxOccupancy() mailbox.Occupancy { return p.model.Mailbox().Occupancy() }
 
-func (p *Pipeline) worker() {
-	defer p.wg.Done()
+// applier is the asynchronous link: the pipeline's one goroutine that
+// mutates the model, applying batches in dequeue order until Shutdown has
+// drained the queue.
+func (p *Pipeline) applier() {
+	defer close(p.done)
 	for {
 		rec, t, ok := p.sched.dequeue()
 		if !ok {
@@ -246,31 +230,30 @@ func (p *Pipeline) applyOne(rec *core.Pending, t *tenantState) {
 }
 
 // score runs the synchronous link. Scoring is NOT serialized: concurrent
-// submissions run InferBatch in parallel over the sharded stores. Callers
+// submissions run Model.Score in parallel over the sharded stores. Callers
 // run it only once the closed check has admitted the batch, so a refused
-// submission never touches the model. The scores come back copied, for the
-// caller to keep. With apply set (every submission but ScoreOnly) it
-// re-admits the batch's evicted nodes first and returns the batch copied out
-// into a recycled record; either way the workspace is back with the model on
-// return, so nothing queued holds one.
+// submission never touches the model. The batch is scored into a recycled
+// record and the scores come back copied, for the caller to keep. With apply
+// set (every submission but ScoreOnly) it re-admits the batch's evicted
+// nodes first and returns the record for the queue; otherwise the record
+// goes straight back to the freelist.
 func (p *Pipeline) score(events []tgraph.Event, apply bool) ([]float32, *core.Pending, time.Duration) {
 	if apply {
 		// Warm any evicted nodes this batch names before scoring: re-admission
-		// needs graph access, which the synchronous link (InferBatch) must
-		// never perform itself. No-op unless cold-state eviction is configured.
+		// needs graph access, which the synchronous link (Score) must never
+		// perform itself. No-op unless cold-state eviction is configured.
 		p.model.ReadmitBatch(events)
 	}
+	rec := p.getRecord()
 	start := time.Now()
-	inf := p.model.InferBatch(events)
+	p.model.Score(events, rec)
 	lat := time.Since(start)
 
-	scores := append([]float32(nil), inf.Scores...)
+	scores := append([]float32(nil), rec.Scores...)
 	if !apply {
-		inf.Release()
+		p.putRecord(rec)
 		return scores, nil, lat
 	}
-	rec := p.getRecord()
-	inf.CopyOut(rec)
 	return scores, rec, lat
 }
 
@@ -359,8 +342,8 @@ func (p *Pipeline) Explain(n tgraph.NodeID) (*core.Explanation, bool) {
 }
 
 // Drain blocks until every enqueued batch has been propagated or ctx is
-// done. Waiting is event-driven: workers broadcast on a condition variable
-// when the queue empties.
+// done. Waiting is event-driven: the applier broadcasts on a condition
+// variable when the queue empties.
 func (p *Pipeline) Drain(ctx context.Context) error {
 	s := p.sched
 	s.mu.Lock()
@@ -368,11 +351,11 @@ func (p *Pipeline) Drain(ctx context.Context) error {
 	return s.wait(ctx, s.idle, func() bool { return s.enqueued == s.processed })
 }
 
-// Shutdown rejects new submissions, drains the queue and stops the workers.
+// Shutdown rejects new submissions, drains the queue and stops the applier.
 // A Submit still waiting for queue space returns ErrClosed and its batch is
 // not applied; every batch already queued is. It returns ctx's error if the
-// drain does not finish in time (the workers still run to completion in the
-// background). The pipeline cannot be reused.
+// drain does not finish in time (the applier still runs to completion in
+// the background). The pipeline cannot be reused.
 func (p *Pipeline) Shutdown(ctx context.Context) error {
 	p.sched.close()
 	select {
@@ -383,7 +366,7 @@ func (p *Pipeline) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Close drains the queue, stops the workers and releases resources.
+// Close drains the queue, stops the applier and releases resources.
 //
 // Deprecated: use Shutdown, which honors a deadline.
 func (p *Pipeline) Close() { _ = p.Shutdown(context.Background()) }

@@ -55,24 +55,22 @@ func parityBatches(n int) [][]tgraph.Event {
 	return batches
 }
 
-// directRun is the reference a pipeline must match: InferBatch and
-// ApplyInference called in line on m. The batches of one group are all
+// directRun is the reference a pipeline must match: Score and ApplyPending
+// called in line on m. The batches of one group are all
 // scored before any is applied — what a parked applier does to a queue —
 // and a batch in shed is scored but never applied. It returns each batch's
 // scores.
 func directRun(m *core.Model, batches [][]tgraph.Event, groups [][]int, shed map[int]bool) [][]float32 {
 	out := make([][]float32, len(batches))
 	for _, g := range groups {
-		infs := make([]*core.Inference, len(g))
+		scored := make([]core.Pending, len(g))
 		for j, i := range g {
-			infs[j] = m.InferBatch(batches[i])
-			out[i] = append([]float32(nil), infs[j].Scores...)
+			out[i] = append([]float32(nil), m.Score(batches[i], &scored[j])...)
 		}
 		for j, i := range g {
 			if !shed[i] {
-				m.ApplyInference(infs[j])
+				m.ApplyPending(&scored[j])
 			}
-			infs[j].Release()
 		}
 	}
 	return out
@@ -115,7 +113,7 @@ func samePass(t *testing.T, got, want [][]float32, shed map[int]bool, mp, md *co
 // TestPipelineMatchesSynchronousApply: whichever way a batch travels the
 // pipeline — logged, through the tenant scheduler, behind a parked applier
 // or past a shed neighbour — the pipeline must return exactly the scores and
-// leave exactly the state of the direct InferBatch+ApplyInference loop.
+// leave exactly the state of the direct Score+ApplyPending loop.
 func TestPipelineMatchesSynchronousApply(t *testing.T) {
 	ctx := context.Background()
 	batches := parityBatches(8)
@@ -670,7 +668,7 @@ func TestShutdownRefusesBlockedSubmit(t *testing.T) {
 func TestPipelineOptionsAndWorkers(t *testing.T) {
 	ctx := context.Background()
 	m := testModel(t, gdb.Constant(time.Millisecond))
-	p := New(m, WithQueueCap(32), WithWorkers(4))
+	p := New(m, WithQueueCap(32))
 	if p.NumNodes() != 8 || p.EdgeDim() != 8 {
 		t.Fatalf("model metadata: %d nodes %d dims", p.NumNodes(), p.EdgeDim())
 	}
@@ -685,7 +683,7 @@ func TestPipelineOptionsAndWorkers(t *testing.T) {
 	}
 	st := p.Stats()
 	if st.Processed != 12 {
-		t.Fatalf("multi-worker shutdown must drain: %+v", st)
+		t.Fatalf("shutdown must drain: %+v", st)
 	}
 }
 

@@ -1,6 +1,6 @@
 // The propagation queue and its multi-tenant admission control. Every
 // submission is attributed to a tenant and passes three gates before
-// reaching a propagation worker:
+// reaching the applier:
 //
 //  1. a per-tenant rate limit — a token bucket refilled by the *stream
 //     time* carried on the events themselves, so admission decisions are a
@@ -8,8 +8,8 @@
 //     (no wall clock anywhere in the policy);
 //  2. a per-tenant bounded queue — a noisy tenant's backlog fills its own
 //     queue and sheds its own traffic (ErrQueueFull), never a neighbor's;
-//  3. weighted-fair dequeue — workers drain lanes in strict priority
-//     order, and within a lane serve tenants round-robin in proportion to
+//  3. weighted-fair dequeue — the applier drains lanes in strict priority
+//     order, and within a lane serves tenants round-robin in proportion to
 //     their weights, so a backlogged aggressor cannot starve a steady
 //     victim of propagation bandwidth.
 //
@@ -59,7 +59,7 @@ type TenantConfig struct {
 	// sustained rate a flash crowd may momentarily go. 0 means one second
 	// of Rate (or 1, whichever is larger).
 	Burst float64
-	// Lane is the tenant's priority lane: workers fully drain lane 0
+	// Lane is the tenant's priority lane: the applier fully drains lane 0
 	// before looking at lane 1, and so on. Equal-lane tenants share via
 	// weighted round-robin.
 	Lane int
@@ -226,7 +226,7 @@ func (l *tenantLane) pick() *tenantState {
 // the pipeline in one critical section.
 type tenantSched struct {
 	mu    sync.Mutex
-	work  *sync.Cond // signaled on enqueue and close: wakes workers
+	work  *sync.Cond // signaled on enqueue and close: wakes the applier
 	space *sync.Cond // signaled on dequeue and close: wakes blocked Submits
 	idle  *sync.Cond // signaled whenever enqueued == processed: wakes Drain
 
@@ -395,7 +395,7 @@ func (s *tenantSched) wait(ctx context.Context, c *sync.Cond, ready func() bool)
 	return nil
 }
 
-// dequeue hands a worker the next record under the scheduling policy:
+// dequeue hands the applier the next record under the scheduling policy:
 // strict priority across lanes, weighted round-robin within one. It blocks
 // while every queue is empty and returns ok=false only once the scheduler
 // is closed AND fully drained — shutdown never abandons admitted work.
@@ -425,7 +425,7 @@ func (s *tenantSched) dequeue() (*core.Pending, *tenantState, bool) {
 	}
 }
 
-// markApplied accounts a worker-side apply completion, on the tenant's
+// markApplied accounts an apply completion, on the tenant's
 // ledger and the pipeline's at once: once the batch counts as processed,
 // Drain may return and its caller may read TenantStats.
 func (s *tenantSched) markApplied(t *tenantState, d time.Duration) {
@@ -439,7 +439,7 @@ func (s *tenantSched) markApplied(t *tenantState, d time.Duration) {
 	s.mu.Unlock()
 }
 
-// close rejects further submissions and wakes every waiter; workers drain
+// close rejects further submissions and wakes every waiter; the applier drains
 // the remaining backlog before exiting. It is idempotent.
 func (s *tenantSched) close() {
 	s.mu.Lock()

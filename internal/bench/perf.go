@@ -97,11 +97,12 @@ func RunPerf(o Options) (*PerfReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.InferBatch(batch).Release() // warm the workspace pool
+		var pend core.Pending
+		m.Score(batch, &pend) // warm the workspace pool and the Pending
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m.InferBatch(batch).Release()
+				m.Score(batch, &pend)
 			}
 		})
 		add("infer_batch_pooled", len(batch), r)
@@ -119,23 +120,15 @@ func RunPerf(o Options) (*PerfReport, error) {
 				runtime.GOMAXPROCS(prev)
 				return nil, err
 			}
-			// Warm p workspaces by holding p concurrent checkouts: the
-			// parallel loop below runs p scorers at once, and each needs
-			// its own warm workspace for the steady state to be
-			// allocation-free.
-			warm := make([]*core.Inference, p)
-			for i := range warm {
-				warm[i] = m.InferBatch(batch)
-			}
-			for _, inf := range warm {
-				inf.Release()
-			}
+			// Each scorer keeps its own Pending; the workspaces the p
+			// scorers check out warm up during the benchmark's first rounds.
 			runtime.GOMAXPROCS(p)
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				b.RunParallel(func(pb *testing.PB) {
+					var pend core.Pending
 					for pb.Next() {
-						m.InferBatch(batch).Release()
+						m.Score(batch, &pend)
 					}
 				})
 			})
@@ -144,38 +137,8 @@ func RunPerf(o Options) (*PerfReport, error) {
 		}
 	}
 
-	// Full serve cycles (InferBatch + ApplyInference) across the same
-	// GOMAXPROCS sweep. Scoring runs in parallel; every apply serializes on
-	// the model's graph mutex.
-	{
-		prev := runtime.GOMAXPROCS(0)
-		for _, p := range []int{1, 4, 8} {
-			m, batch, err := perfModel(o, ds, 0)
-			if err != nil {
-				runtime.GOMAXPROCS(prev)
-				return nil, err
-			}
-			inf := m.InferBatch(batch)
-			m.ApplyInference(inf)
-			inf.Release()
-			runtime.GOMAXPROCS(p)
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						inf := m.InferBatch(batch)
-						m.ApplyInference(inf)
-						inf.Release()
-					}
-				})
-			})
-			runtime.GOMAXPROCS(prev)
-			add(fmt.Sprintf("graph_flat_p%d", p), len(batch), r)
-		}
-	}
-
 	// Durability overhead on the serving path: one full serve cycle
-	// (InferBatch + ApplyInference) with and without a WAL attached. The
+	// (Score + ApplyPending) with and without a WAL attached. The
 	// wal_on row uses the serving default SyncInterval policy, so the apply
 	// pays encode + group-commit write but not a per-batch fsync; the repo's
 	// budget is wal_on within 15% of wal_off (docs/durability.md).
@@ -201,15 +164,14 @@ func RunPerf(o Options) (*PerfReport, error) {
 				return nil, err
 			}
 		}
-		inf := m.InferBatch(batch)
-		m.ApplyInference(inf)
-		inf.Release()
+		var pend core.Pending
+		m.Score(batch, &pend)
+		m.ApplyPending(&pend)
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				inf := m.InferBatch(batch)
-				m.ApplyInference(inf)
-				inf.Release()
+				m.Score(batch, &pend)
+				m.ApplyPending(&pend)
 			}
 		})
 		if mode.on {
@@ -228,13 +190,13 @@ func RunPerf(o Options) (*PerfReport, error) {
 		if err != nil {
 			return nil, err
 		}
+		var pend core.Pending
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				inf := m.InferBatch(batch)
-				m.ApplyInference(inf)
-				inf.Release()
+				m.Score(batch, &pend)
+				m.ApplyPending(&pend)
 				b.StartTimer()
 				m.SnapshotRuntime()
 			}
@@ -276,11 +238,10 @@ func RunPerf(o Options) (*PerfReport, error) {
 		if err := leader.AttachWAL(l); err != nil {
 			return nil, err
 		}
+		var pend core.Pending
 		applyOne := func(m *core.Model, i int) {
-			batch := ds.Events[warm+i*o.BatchSize : warm+(i+1)*o.BatchSize]
-			inf := m.InferBatch(batch)
-			m.ApplyInference(inf)
-			inf.Release()
+			m.Score(ds.Events[warm+i*o.BatchSize:warm+(i+1)*o.BatchSize], &pend)
+			m.ApplyPending(&pend)
 		}
 		for i := 0; i < appliedBatches; i++ {
 			applyOne(leader, i)

@@ -362,16 +362,17 @@ func TestReplayBatchSteadyStateAllocs(t *testing.T) {
 	}
 	batch := d.Events[400:440]
 	a, b := newWarm(), newWarm()
-	inf := a.InferBatch(batch)
-	rec := wal.Record{Events: batch, Rows: inf.emb.Data[:len(inf.nodes)*inf.emb.Cols], Dim: inf.emb.Cols}
-	apply := testing.AllocsPerRun(50, func() { a.ApplyInference(inf) })
+	var p Pending
+	a.Score(batch, &p)
+	rec := wal.Record{Events: batch, Rows: p.rows, Dim: a.Cfg.EdgeDim}
+	apply := testing.AllocsPerRun(50, func() { a.ApplyPending(&p) })
 	replay := testing.AllocsPerRun(50, func() {
 		if err := b.ReplayBatch(rec); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if replay > apply {
-		t.Fatalf("ReplayBatch allocated %.2f times per record, ApplyInference of the same batch %.2f", replay, apply)
+		t.Fatalf("ReplayBatch allocated %.2f times per record, ApplyPending of the same batch %.2f", replay, apply)
 	}
 }
 

@@ -81,20 +81,19 @@ func TestCheckpointRoundTripPreservesServing(t *testing.T) {
 
 	// The restored replica must serve identically.
 	probe := d.Events[600:650]
-	inf1 := m.InferBatch(probe)
-	inf2 := m2.InferBatch(probe)
-	for i := range inf1.Scores {
-		if inf1.Scores[i] != inf2.Scores[i] {
-			t.Fatalf("score %d differs: %v vs %v", i, inf1.Scores[i], inf2.Scores[i])
+	var p1, p2 Pending
+	s1, s2 := m.Score(probe, &p1), m2.Score(probe, &p2)
+	for i := range s1 {
+		if s1[i] != s2[i] {
+			t.Fatalf("score %d differs: %v vs %v", i, s1[i], s2[i])
 		}
 	}
 	// And continue evolving identically.
-	m.ApplyInference(inf1)
-	m2.ApplyInference(inf2)
-	inf1 = m.InferBatch(d.Events[650:700])
-	inf2 = m2.InferBatch(d.Events[650:700])
-	for i := range inf1.Scores {
-		if inf1.Scores[i] != inf2.Scores[i] {
+	m.ApplyPending(&p1)
+	m2.ApplyPending(&p2)
+	s1, s2 = m.Score(d.Events[650:700], &p1), m2.Score(d.Events[650:700], &p2)
+	for i := range s1 {
+		if s1[i] != s2[i] {
 			t.Fatalf("post-apply score %d differs", i)
 		}
 	}

@@ -45,9 +45,9 @@ func TestConcurrentInferApply(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
+				var p Pending
 				for i := 0; i < rounds; i++ {
-					inf := m.InferBatch(concBatch(int32(g), 8, float64(100+i)))
-					for _, sc := range inf.Scores {
+					for _, sc := range m.Score(concBatch(int32(g), 8, float64(100+i)), &p) {
 						if sc < 0 || sc > 1 {
 							t.Errorf("score %v out of [0,1]", sc)
 							return
@@ -61,7 +61,7 @@ func TestConcurrentInferApply(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
-					m.ApplyInference(m.InferBatch(concBatch(int32(10+g), 8, float64(200+i))))
+					applyBatch(m, concBatch(int32(10+g), 8, float64(200+i)))
 				}
 			}(g)
 		}
@@ -90,7 +90,7 @@ func TestEnsureNodesDuringServing(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			m.ApplyInference(m.InferBatch(concBatch(int32(i), 8, float64(10+i))))
+			applyBatch(m, concBatch(int32(i), 8, float64(10+i)))
 		}
 	}()
 	wg.Wait()
@@ -100,11 +100,11 @@ func TestEnsureNodesDuringServing(t *testing.T) {
 	}
 	// Unseen nodes score (cold start) and then accumulate streaming state.
 	ev := []tgraph.Event{{Src: 150, Dst: 199, Time: 1000, Feat: make([]float32, 8), Label: -1}}
-	inf := m.InferBatch(ev)
-	if len(inf.Scores) != 1 || inf.Scores[0] < 0 || inf.Scores[0] > 1 {
-		t.Fatalf("cold-start score: %v", inf.Scores)
+	var p Pending
+	if s := m.Score(ev, &p); len(s) != 1 || s[0] < 0 || s[0] > 1 {
+		t.Fatalf("cold-start score: %v", s)
 	}
-	m.ApplyInference(inf)
+	m.ApplyPending(&p)
 	if !m.State().Touched(150) || m.Mailbox().Len(199) == 0 {
 		t.Fatal("admitted nodes accumulated no streaming state")
 	}

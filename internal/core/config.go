@@ -43,12 +43,12 @@ type Config struct {
 	BatchSize int     // events per batch (default 200)
 
 	// Shards is the lock-stripe count of the node-state and mailbox stores
-	// (default 16, rounded up to a power of two). Concurrent InferBatch and
-	// ApplyInference calls contend only per shard; Shards=1 degenerates to a
+	// (default 16, rounded up to a power of two). Concurrent Score and
+	// ApplyPending calls contend only per shard; Shards=1 degenerates to a
 	// single global lock (the pre-sharding behavior, kept reachable for the
 	// benchmark baseline).
 	Shards int
-	// InferWorkers is the number of goroutines InferBatch, Embed and a
+	// InferWorkers is the number of goroutines Score, Embed and a
 	// training or evaluation Step fan the state/mailbox gather across
 	// (default 1, i.e. no fan-out). Useful when one large batch must be
 	// gathered fast; concurrent callers already parallelize naturally

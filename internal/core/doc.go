@@ -6,8 +6,8 @@
 // docs/architecture.md for the paper-to-package map.
 //
 // The node-state and mailbox stores behind a Model are sharded and
-// lock-striped (Config.Shards), so the serving entry points — InferBatch,
-// ApplyInference, Embed, Explain — are safe for any number of concurrent
+// lock-striped (Config.Shards), so the serving entry points — Score,
+// ApplyPending, Embed, Explain — are safe for any number of concurrent
 // goroutines, and EnsureNodes admits previously unseen node IDs at
 // runtime. Training entry points are single-threaded.
 package core

@@ -47,13 +47,15 @@ func (m *Model) RecoverWAL(l *wal.Log) (int, error) {
 
 // ReplayBatch re-applies one logged batch: it admits any node ids the model
 // predates and re-admits evicted endpoints, as serving's admission path did
-// before scoring, then runs ApplyInference's span on the record's rows in
+// before scoring, then runs ApplyPending's span on the record's rows in
 // place of freshly computed embeddings. RecoverWAL uses it for one-shot
 // crash recovery; a warm-standby follower uses it directly, feeding each
-// record a wal.Follower delivers as shipped segments arrive. A record whose
-// rows are not one EdgeDim-wide row per distinct endpoint of its events — a
-// log from a model of another shape, or one written through the deprecated
-// event-only wal.Log.Begin — is refused before anything is touched.
+// record a wal.Follower delivers as shipped segments arrive. A record of
+// another shape is refused before anything is touched: one whose rows are
+// not one EdgeDim-wide row per distinct endpoint of its events (a log from
+// a model of another shape, or one written through the deprecated
+// event-only wal.Log.Begin), or one holding an event with a negative node
+// id or a feature vector that is not EdgeDim long.
 //
 // The model must not have a WAL attached (the replay would be re-logged),
 // and calls must not race serving applies or each other: replay is one
@@ -64,6 +66,12 @@ func (m *Model) ReplayBatch(rec wal.Record) error {
 	if rec.Dim != m.Cfg.EdgeDim || len(rec.Rows) != len(plan.Nodes)*rec.Dim {
 		return fmt.Errorf("core: record at %d carries %d embedding values of dimension %d; its %d events name %d endpoints of dimension %d",
 			rec.First, len(rec.Rows), rec.Dim, len(rec.Events), len(plan.Nodes), m.Cfg.EdgeDim)
+	}
+	for i, ev := range rec.Events {
+		if ev.Src < 0 || ev.Dst < 0 || len(ev.Feat) != m.Cfg.EdgeDim {
+			return fmt.Errorf("core: record at %d: event %d (%d→%d) carries %d features; want non-negative ids and %d features",
+				rec.First, i, ev.Src, ev.Dst, len(ev.Feat), m.Cfg.EdgeDim)
+		}
 	}
 	maxID := tgraph.NodeID(-1)
 	for _, n := range plan.Nodes {

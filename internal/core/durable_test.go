@@ -42,13 +42,8 @@ func TestWALCheckpointRecoverDigest(t *testing.T) {
 	if err := m.AttachWAL(openTestWAL(t, walDir, wal.SyncGroup)); err != nil {
 		t.Fatal(err)
 	}
-	apply := func(m *Model, b []tgraph.Event) {
-		inf := m.InferBatch(b)
-		m.ApplyInference(inf)
-		inf.Release()
-	}
 	for _, b := range batches[:8] {
-		apply(m, b)
+		applyBatch(m, b)
 	}
 	wm, err := m.Checkpoint(ckpt)
 	if err != nil {
@@ -58,7 +53,7 @@ func TestWALCheckpointRecoverDigest(t *testing.T) {
 		t.Fatalf("checkpoint watermark %d, graph has %d events", wm, m.GraphEvents())
 	}
 	for _, b := range batches[8:15] {
-		apply(m, b)
+		applyBatch(m, b)
 	}
 	crashDigest := m.RuntimeDigest()
 	crashEvents := m.GraphEvents()
@@ -89,7 +84,7 @@ func TestWALCheckpointRecoverDigest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range batches[15:] {
-		apply(m2, b)
+		applyBatch(m2, b)
 	}
 	if err := m2.DetachWAL().Close(); err != nil {
 		t.Fatal(err)
@@ -98,7 +93,7 @@ func TestWALCheckpointRecoverDigest(t *testing.T) {
 	// …and ends bitwise equal to an uninterrupted run of the whole stream.
 	ref := concModel(t, 8)
 	for _, b := range batches {
-		apply(ref, b)
+		applyBatch(ref, b)
 	}
 	if got, want := m2.RuntimeDigest(), ref.RuntimeDigest(); got != want {
 		t.Fatalf("post-recovery stream digest %016x != uninterrupted digest %016x", got, want)
@@ -158,16 +153,15 @@ func TestInferBatchProceedsDuringCut(t *testing.T) {
 	m.applyMu.Lock()
 	m.graphMu.Lock()
 
-	done := make(chan *Inference, 1)
-	go func() { done <- m.InferBatch(batch) }()
+	done := make(chan []float32, 1)
+	go func() { done <- m.Score(batch, new(Pending)) }()
 	select {
-	case inf := <-done:
-		if len(inf.Scores) != len(batch) {
-			t.Errorf("scored %d of %d events", len(inf.Scores), len(batch))
+	case scores := <-done:
+		if len(scores) != len(batch) {
+			t.Errorf("scored %d of %d events", len(scores), len(batch))
 		}
-		inf.Release()
 	case <-time.After(10 * time.Second):
-		t.Error("InferBatch blocked behind a snapshot cut")
+		t.Error("Score blocked behind a snapshot cut")
 	}
 
 	m.graphMu.Unlock()
@@ -204,9 +198,7 @@ func TestConcurrentCheckpointServing(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				inf := m.InferBatch(concBatch(int32(g), 8, float64(100+i)))
-				m.ApplyInference(inf)
-				inf.Release()
+				applyBatch(m, concBatch(int32(g), 8, float64(100+i)))
 			}
 		}(g)
 	}
@@ -215,7 +207,7 @@ func TestConcurrentCheckpointServing(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				m.InferBatch(concBatch(int32(8+g), 8, float64(100+i))).Release()
+				m.Score(concBatch(int32(8+g), 8, float64(100+i)), new(Pending))
 			}
 		}(g)
 	}
@@ -306,14 +298,15 @@ func TestInferBatchZeroAllocSteadyStateWAL(t *testing.T) {
 	}
 	m.EvalStream(ds.Events[:200], nil)
 	batch := ds.Events[200:240]
+	var p Pending
 	for i := 0; i < 3; i++ {
-		m.InferBatch(batch).Release()
+		m.Score(batch, &p)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		m.InferBatch(batch).Release()
+		m.Score(batch, &p)
 	})
 	if allocs > 0 {
-		t.Fatalf("steady-state InferBatch allocated %.2f times per op with WAL attached, want 0", allocs)
+		t.Fatalf("steady-state Score allocated %.2f times per op with WAL attached, want 0", allocs)
 	}
 	if err := m.DetachWAL().Close(); err != nil {
 		t.Fatal(err)
@@ -325,9 +318,7 @@ func TestInferBatchZeroAllocSteadyStateWAL(t *testing.T) {
 func serveLogged(m *Model, batches [][]tgraph.Event) {
 	for _, b := range batches {
 		m.ReadmitBatch(b)
-		inf := m.InferBatch(b)
-		m.ApplyInference(inf)
-		inf.Release()
+		applyBatch(m, b)
 	}
 }
 
@@ -470,6 +461,40 @@ func TestReplayBatchRefusesForeignRows(t *testing.T) {
 	}
 	if m.GraphEvents() != len(events) {
 		t.Fatalf("graph holds %d events after one replayed batch of %d", m.GraphEvents(), len(events))
+	}
+}
+
+// TestReplayBatchRefusesMalformedEvents: a record whose rows fit its
+// endpoints but whose events no serving apply could have logged — a
+// feature vector that is not EdgeDim long, or a negative node id — is
+// refused with an error before anything is touched, not applied until the
+// propagator or a store panics with the model's locks held. The bad event
+// comes last, so a check inside the apply span would come too late.
+func TestReplayBatchRefusesMalformedEvents(t *testing.T) {
+	m := concModel(t, 4)
+	dim := m.Cfg.EdgeDim
+	record := func(events []tgraph.Event) wal.Record {
+		return wal.Record{Events: events, Rows: make([]float32, len(planOf(events).Nodes)*dim), Dim: dim}
+	}
+	if err := m.ReplayBatch(record(concBatch(0, 4, 10))); err != nil {
+		t.Fatal(err)
+	}
+	before := m.RuntimeDigest()
+	for name, mutate := range map[string]func(ev *tgraph.Event){
+		"features one short":   func(ev *tgraph.Event) { ev.Feat = ev.Feat[:dim-1] },
+		"features one over":    func(ev *tgraph.Event) { ev.Feat = make([]float32, dim+1) },
+		"no features":          func(ev *tgraph.Event) { ev.Feat = nil },
+		"negative source":      func(ev *tgraph.Event) { ev.Src = -3 },
+		"negative destination": func(ev *tgraph.Event) { ev.Dst = -3 },
+	} {
+		events := concBatch(2, 4, 20)
+		mutate(&events[len(events)-1])
+		if err := m.ReplayBatch(record(events)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if m.RuntimeDigest() != before {
+			t.Fatalf("%s: a refused record changed the model", name)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 //
 // An evicted node that reappears in the stream is re-admitted on the
 // admission path (ReadmitBatch, called by async.Pipeline before scoring and
-// by ReplayBatch before applying, never inside InferBatch): its state is re-seeded with the mean of its most
+// by ReplayBatch before applying, never inside Score): its state is re-seeded with the mean of its most
 // recent graph neighbors' current embeddings — the same inductive signal the
 // encoder would otherwise have to recover over many events — and it rejoins
 // the LRU as most recently used.
@@ -176,8 +176,8 @@ func (m *Model) evictOverBudgetLocked() {
 // current embeddings (fan-out Config.Neighbors, strictly before the event's
 // time) and returning it to the LRU as most recently used. It returns the
 // number of nodes re-admitted. This is the admission-path half of cold-state
-// eviction: async.Pipeline calls it before scoring, so InferBatch — which
-// has no graph access by design — sees warmed state through the ordinary
+// eviction: async.Pipeline calls it before scoring, so Score — which has
+// no graph access by design — sees warmed state through the ordinary
 // store reads. A node with no graph history stays cold (the standard
 // inductive cold start). No-op when eviction is off.
 func (m *Model) ReadmitBatch(events []tgraph.Event) int {

@@ -19,9 +19,7 @@ func applyEvents(t *testing.T, m *Model, events []tgraph.Event, bs int) {
 		if hi > len(events) {
 			hi = len(events)
 		}
-		inf := m.InferBatch(events[lo:hi])
-		m.ApplyInference(inf)
-		inf.Release()
+		applyBatch(m, events[lo:hi])
 	}
 }
 

@@ -90,8 +90,9 @@ func TestExplainAfterAnotherBatch(t *testing.T) {
 	planA := planOf(batch[:1])
 	wantA := referenceAttention(m, planA.Nodes, planA.Times)
 
-	m.InferBatch(batch[:1]).Release()
-	m.InferBatch(other).Release()
+	var p Pending
+	m.Score(batch[:1], &p)
+	m.Score(other, &p)
 	ex, ok := m.Explain(n)
 	if !ok {
 		t.Fatalf("Explain(%d) found nothing after a batch without it", n)
@@ -159,12 +160,13 @@ func TestExplainDeterministicUnderScoring(t *testing.T) {
 		wg.Add(1)
 		go func(evs []tgraph.Event) {
 			defer wg.Done()
+			var p Pending
 			for {
 				select {
 				case <-done:
 					return
 				default:
-					m.InferBatch(evs).Release()
+					m.Score(evs, &p)
 				}
 			}
 		}(dirty[g*30 : g*30+40])

@@ -10,13 +10,13 @@ import (
 )
 
 func applyBatch(m *Model, events []tgraph.Event) {
-	inf := m.InferBatch(events)
-	m.ApplyInference(inf)
-	inf.Release()
+	var p Pending
+	m.Score(events, &p)
+	m.ApplyPending(&p)
 }
 
-// TestShardedConcurrentServeCycle runs whole serve cycles (InferBatch +
-// ApplyInference) from many goroutines over the sharded state and mailbox
+// TestShardedConcurrentServeCycle runs whole serve cycles (Score +
+// ApplyPending) from many goroutines over the sharded state and mailbox
 // stores, racing Grow (EnsureNodes), digest cuts and watermark reads, while
 // every graph access serializes on graphMu. Run under -race in CI; the
 // assertion is that no apply is lost.

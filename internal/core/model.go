@@ -22,7 +22,7 @@ import (
 //
 // Concurrency: the node-state and mailbox stores are sharded and
 // lock-striped (Config.Shards), so any number of goroutines may run
-// InferBatch, Embed and ApplyInference concurrently — readers and writers
+// Score, Embed and ApplyPending concurrently — readers and writers
 // contend only when they touch the same shard. The temporal graph, which
 // only the asynchronous link touches, is one store behind one mutex, so
 // applies serialize there. Parameters are versioned: the serving paths read
@@ -45,13 +45,13 @@ type Model struct {
 	opt  *nn.Adam
 
 	// cur is the published parameter generation the serving hot paths score
-	// with: InferBatch/Embed load it exactly once per pass, so every result
+	// with: Score/Embed load it exactly once per pass, so every result
 	// is attributable to one version. verCounter allocates publish versions.
 	cur        atomic.Pointer[paramVersion]
 	verCounter atomic.Uint64
 
 	// storeMu is a latch, not a data lock: every per-batch operation
-	// (InferBatch, ApplyInference, Embed, the offline streams) holds it
+	// (Score, ApplyPending, Embed, the offline streams) holds it
 	// SHARED — readers and writers alike — because per-node safety already
 	// comes from the stores' shard locks. Exclusive acquisition is reserved
 	// for operations that may swap the stores' backing arrays or replace the
@@ -73,7 +73,7 @@ type Model struct {
 	// always lands on a batch boundary: no checkpoint can capture state
 	// from batch k+1 next to a graph at batch k, and the WAL watermark it
 	// pins is replayable with original batch boundaries. Scorers
-	// (InferBatch, Embed, GatherInputsInto) never touch applyMu — a snapshot
+	// (Score, Embed, GatherInputsInto) never touch applyMu — a snapshot
 	// pauses appliers for a memcpy, never inference.
 	applyMu sync.RWMutex
 
@@ -90,7 +90,7 @@ type Model struct {
 	wal *wal.Log
 
 	// wsMu/wsFree recycle inference workspaces (gather buffers + reusable
-	// tape + score output) across InferBatch/Embed calls and goroutines.
+	// tape) across Score/Embed/Explain calls and goroutines.
 	// This is a plain mutex-guarded stack, NOT a sync.Pool: a sync.Pool's
 	// per-P private slots are invisible to Gets on other Ps and its contents
 	// are discarded across GC cycles, so under GOMAXPROCS > 1 a steady
@@ -300,7 +300,7 @@ type Snapshot struct {
 // SnapshotRuntime captures state, mailbox and the graph watermark as one
 // consistent, batch-aligned cut — without blocking inference. The store
 // latch is held SHARED and the stores are cloned under shard read locks,
-// so concurrent InferBatch calls proceed; only the appliers pause, for the
+// so concurrent Score calls proceed; only the appliers pause, for the
 // duration of a memcpy-speed clone (see applyMu).
 func (m *Model) SnapshotRuntime() *Snapshot {
 	st, mb, events, _ := m.runtimeCut()
@@ -413,73 +413,50 @@ func (m *Model) CollectStream(events []tgraph.Event, ns *dataset.NegSampler, col
 	return m.runStream(events, ns, false, collect, nil)
 }
 
-// Inference is the output of the synchronous link for one served batch: the
-// interaction scores plus the fresh embeddings the asynchronous link needs
-// to write state and generate mails.
-//
-// The scores, embeddings and row indices live in a pooled workspace owned
-// by this Inference; they stay valid until Release. Call Release once the
-// result is fully consumed — after ApplyInference — to recycle the
-// workspace, or hand the batch to CopyOut, which keeps what the apply reads
-// and releases it; never use the Inference (or slices read from it)
-// afterwards. Skipping Release is safe but forgoes reuse.
-type Inference struct {
+// Pending is a scored batch waiting for the asynchronous link: its events,
+// their scores, and a copy of exactly what applyRows reads — one
+// EdgeDim-wide embedding per distinct endpoint, and which row is each
+// event's source and destination. It owns no workspace, so a queued batch
+// costs ≈ endpoints × EdgeDim floats (≈ 83 KB at batch 200) instead of a
+// pass's ≈ 17 MB. The zero value is ready for Score; the buffers grow to
+// the largest batch scored into it and are reused after that.
+type Pending struct {
 	Events []tgraph.Event
 	Scores []float32
 
-	nodes   []tgraph.NodeID
-	emb     *tensor.Matrix
-	srcRow  []int32
-	dstRow  []int32
-	version uint64
-	ws      *inferWorkspace
+	rows           []float32
+	srcRow, dstRow []int32
+	version        uint64
 }
 
 // ParamVersion reports which published parameter version scored this batch.
 // The whole pass ran on that one immutable snapshot — pinned at entry, so a
 // concurrent SwapParams cannot mix versions within a batch.
-func (inf *Inference) ParamVersion() uint64 { return inf.version }
+func (p *Pending) ParamVersion() uint64 { return p.version }
 
-// Release returns the Inference's workspace (embeddings, scores, tape
-// storage) to the model for reuse. The caller must be done with
-// ApplyInference and with every slice obtained from the Inference.
-//
-// Release must be called at most once per InferBatch result, by whoever
-// owns it last. A duplicate call *before* the model reuses the workspace
-// is a harmless no-op (the first call clears the struct) — but once the
-// workspace has been re-acquired by another InferBatch, the old pointer
-// aliases the new pass's live Inference, so a late duplicate Release is a
-// use-after-free-style bug, exactly like touching any other released
-// buffer. In short: after Release, drop every reference.
-func (inf *Inference) Release() {
-	ws := inf.ws
-	if ws == nil {
-		return
-	}
-	*inf = Inference{}
-	ws.release()
-}
-
-// InferBatch runs only the synchronous link on a batch: read mailboxes and
+// Score runs only the synchronous link on a batch: read mailboxes and
 // state, encode, decode. No graph access, no state mutation — this is the
-// millisecond path of the deployed system. Hand the result to ApplyInference
-// to run the asynchronous link, or copy it out (CopyOut) and apply the
-// Pending later, as async.Pipeline does so that a queued batch holds no
-// workspace.
+// millisecond path of the deployed system. It writes the batch into p,
+// reusing p's buffers: p.Events aliases events, p.Scores holds the
+// interaction scores (also returned; valid until p is scored into again),
+// and p keeps a copy of the endpoint embeddings ApplyPending needs. The
+// pass's workspace is back with the model before Score returns, so p alone
+// carries the batch.
 //
-// InferBatch is safe to call from any number of goroutines concurrently with
-// itself, with ApplyInference and with SwapParams: the gather takes only
-// shard read locks (plus the shared latch), the forward pass works on
-// copies, and the parameter version is pinned by a single atomic load at
-// entry — the entire pass scores with that one immutable snapshot. With
-// Config.InferWorkers > 1 the gather itself additionally fans out across
-// goroutines.
+// Score is safe to call from any number of goroutines concurrently with
+// itself, with ApplyPending and with SwapParams, each with its own Pending:
+// the gather takes only shard read locks (plus the shared latch), the
+// forward pass works on copies, and the parameter version is pinned by a
+// single atomic load at entry — the entire pass scores with that one
+// immutable snapshot. With Config.InferWorkers > 1 the gather itself
+// additionally fans out across goroutines.
 //
 // events must be non-empty: the encoder has no zero-row pass, and an empty
 // batch panics. async.Pipeline answers empty batches without calling it.
-func (m *Model) InferBatch(events []tgraph.Event) *Inference {
+func (m *Model) Score(events []tgraph.Event, p *Pending) []float32 {
 	pv := m.cur.Load()
 	ws := m.acquireWorkspace()
+	defer ws.release()
 	ws.plan.Build(events, nil)
 	m.storeMu.RLock()
 	ws.gather(m.st, m.mbox, ws.plan.Nodes, ws.plan.Times, m.Cfg.InferWorkers)
@@ -488,81 +465,71 @@ func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 	z, _ := pv.enc.Forward(tp, &ws.in)
 	zsrc := tp.Gather(z, ws.plan.SrcRow)
 	zdst := tp.Gather(z, ws.plan.DstRow)
-	logits := pv.dec.Forward(tp, zsrc, zdst)
-	ws.scores = grow(ws.scores, len(events))
-	for i := range ws.scores {
-		ws.scores[i] = tensor.Sigmoid32(logits.Value().Data[i])
+	logits := pv.dec.Forward(tp, zsrc, zdst).Value().Data
+	p.Events = events
+	p.Scores = grow(p.Scores, len(events))
+	for i := range p.Scores {
+		p.Scores[i] = tensor.Sigmoid32(logits[i])
 	}
-	ws.inf = Inference{
-		Events:  events,
-		Scores:  ws.scores,
-		nodes:   ws.plan.Nodes,
-		emb:     z.Value(),
-		srcRow:  ws.plan.SrcRow,
-		dstRow:  ws.plan.DstRow,
-		version: pv.set.Version(),
-		ws:      ws,
-	}
-	return &ws.inf
+	emb := z.Value()
+	p.rows = append(p.rows[:0], emb.Data[:len(ws.plan.Nodes)*emb.Cols]...)
+	p.srcRow = append(p.srcRow[:0], ws.plan.SrcRow...)
+	p.dstRow = append(p.dstRow[:0], ws.plan.DstRow...)
+	p.version = pv.set.Version()
+	return p.Scores
 }
 
-// ApplyInference performs the post-inference mutations for a served batch:
+// ApplyPending performs the post-inference mutations for a scored batch:
 // state writes, graph insert and mail propagation, reusing the embeddings
-// computed by InferBatch. In the deployed system this runs on the
-// asynchronous link.
+// Score computed. In the deployed system this runs on the asynchronous
+// link.
 //
-// Safe to call concurrently with InferBatch and with other ApplyInference
-// calls: state writes and mail deliveries lock only the touched shard, so a
-// write burst never stalls synchronous-link reads of other shards; the
-// temporal graph is the one serialized piece (graphMu).
+// Safe to call concurrently with Score and with other ApplyPending calls:
+// state writes and mail deliveries lock only the touched shard, so a write
+// burst never stalls synchronous-link reads of other shards; the temporal
+// graph is the one serialized piece (graphMu).
 // The batch's mutations happen under the shared apply gate as one unit, so
 // a concurrent checkpoint cut lands only on batch boundaries. With a WAL
 // attached the batch is logged at the serial apply point (under graphMu,
 // immediately before the graph insert — WAL order equals graph order) and
-// ApplyInference returns only after the record's commit group is flushed
-// per the log's fsync policy; the group-commit wait happens off every model
+// ApplyPending returns only after the record's commit group is flushed per
+// the log's fsync policy; the group-commit wait happens off every model
 // lock, so durability I/O never serializes the stores. A WAL I/O error is
 // latched in the log (see wal.Log.Err) rather than failing the apply:
 // serving degrades to best-effort durability and the operator sees it in
 // /v1/stats.
-func (m *Model) ApplyInference(inf *Inference) {
-	m.applyRows(inf.Events, inf.emb.Data[:len(inf.nodes)*inf.emb.Cols], inf.srcRow, inf.dstRow)
-}
-
-// Pending is a scored batch waiting for the asynchronous link: its events
-// and a copy of exactly what applyRows reads — one EdgeDim-wide embedding
-// per distinct endpoint, and which row is each event's source and
-// destination. It owns no workspace, so a queued batch costs ≈ endpoints ×
-// EdgeDim floats (≈ 83 KB at batch 200) instead of a pass's ≈ 17 MB. The
-// zero value is ready for CopyOut; the buffers grow to the largest batch
-// copied in and are reused after that.
-type Pending struct {
-	Events []tgraph.Event
-
-	rows           []float32
-	srcRow, dstRow []int32
-}
-
-// CopyOut copies what the asynchronous link reads into p, reusing p's
-// buffers, and releases the Inference: afterwards p alone carries the batch
-// and the workspace is back with the model. p.Events aliases the events
-// passed to InferBatch. Scores are not copied; read them first.
-func (inf *Inference) CopyOut(p *Pending) {
-	p.Events = inf.Events
-	p.rows = append(p.rows[:0], inf.emb.Data[:len(inf.nodes)*inf.emb.Cols]...)
-	p.srcRow = append(p.srcRow[:0], inf.srcRow...)
-	p.dstRow = append(p.dstRow[:0], inf.dstRow...)
-	inf.Release()
-}
-
-// ApplyPending is ApplyInference for a copied-out batch: the same span over
-// the same rows and indices, so the two mutate the model bit for bit alike.
 func (m *Model) ApplyPending(p *Pending) { m.applyRows(p.Events, p.rows, p.srcRow, p.dstRow) }
+
+// Inference is the scored-batch type of the old two-call serving API.
+//
+// Deprecated: use Pending with Score and ApplyPending. Inference,
+// InferBatch, Release and ApplyInference remain only for the frozen
+// benchmark module and go with its next edit.
+type Inference struct{ Pending }
+
+// InferBatch scores events into a new Inference.
+//
+// Deprecated: use Score.
+func (m *Model) InferBatch(events []tgraph.Event) *Inference {
+	inf := new(Inference)
+	m.Score(events, &inf.Pending)
+	return inf
+}
+
+// Release does nothing: Score has already returned the workspace.
+//
+// Deprecated: drop the call.
+func (inf *Inference) Release() {}
+
+// ApplyInference applies inf's batch.
+//
+// Deprecated: use ApplyPending.
+func (m *Model) ApplyInference(inf *Inference) { m.ApplyPending(&inf.Pending) }
 
 // applyRows is the asynchronous link's whole mutation span for one batch,
 // given what the synchronous link computed: rows holds one embedding per
 // distinct endpoint and srcRow/dstRow say which row is each event's. Serving
-// (ApplyInference) hands over the rows it just computed, replay (ReplayBatch)
+// (ApplyPending) hands over the rows it just computed, replay (ReplayBatch)
 // the rows the log kept — nothing past this point looks at parameters.
 func (m *Model) applyRows(events []tgraph.Event, rows []float32, srcRow, dstRow []int32) {
 	dim := m.Cfg.EdgeDim
@@ -646,7 +613,7 @@ func (m *Model) WAL() *wal.Log {
 // Embed returns the current temporal embeddings z(t) of the given nodes at
 // their query times, with no side effects, computed with the published
 // parameter version pinned at entry. This is the public embedding API for
-// downstream consumers; like InferBatch it is safe for concurrent use,
+// downstream consumers; like Score it is safe for concurrent use,
 // including during SwapParams churn. The returned matrix is a copy owned by
 // the caller. Every node must lie in the node space; Embed panics otherwise.
 func (m *Model) Embed(nodes []tgraph.NodeID, times []float64) *tensor.Matrix {

@@ -276,24 +276,24 @@ func TestInferBatchHasNoSideEffects(t *testing.T) {
 	events := []tgraph.Event{{Src: 1, Dst: 2, Time: 2, Feat: feat}}
 	gBefore := m.DB().G.NumEvents()
 	mailsBefore := m.Mailbox().Len(1)
-	inf := m.InferBatch(events)
-	if len(inf.Scores) != 1 || inf.Scores[0] < 0 || inf.Scores[0] > 1 {
-		t.Fatalf("bad scores: %v", inf.Scores)
+	var p Pending
+	if s := m.Score(events, &p); len(s) != 1 || s[0] < 0 || s[0] > 1 {
+		t.Fatalf("bad scores: %v", s)
 	}
 	if m.DB().G.NumEvents() != gBefore || m.Mailbox().Len(1) != mailsBefore {
-		t.Fatal("InferBatch mutated state")
+		t.Fatal("Score mutated state")
 	}
 	if m.State().Touched(2) {
-		t.Fatal("InferBatch wrote node state")
+		t.Fatal("Score wrote node state")
 	}
 
-	// ApplyInference performs the deferred mutations.
-	m.ApplyInference(inf)
+	// ApplyPending performs the deferred mutations.
+	m.ApplyPending(&p)
 	if m.DB().G.NumEvents() != gBefore+1 {
-		t.Fatal("ApplyInference did not insert event")
+		t.Fatal("ApplyPending did not insert event")
 	}
 	if !m.State().Touched(2) {
-		t.Fatal("ApplyInference did not write state")
+		t.Fatal("ApplyPending did not write state")
 	}
 }
 
@@ -328,7 +328,7 @@ func TestExplainWeights(t *testing.T) {
 	// Two warm-up batches give node 0 two mails, then an inference over it.
 	m.EvalStream([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil)
 	m.EvalStream([]tgraph.Event{{Src: 0, Dst: 2, Time: 2, Feat: feat}}, nil)
-	m.InferBatch([]tgraph.Event{{Src: 0, Dst: 1, Time: 3, Feat: feat}})
+	m.Score([]tgraph.Event{{Src: 0, Dst: 1, Time: 3, Feat: feat}}, new(Pending))
 
 	ex, ok := m.Explain(0)
 	if !ok {

@@ -47,7 +47,7 @@ func (m *Model) newParamVersion(set *nn.ParamSet) (*paramVersion, error) {
 
 // SwapParams snapshots params (copy-on-write: the caller keeps stepping its
 // own tensors afterwards) into a new immutable version and atomically
-// publishes it. From the next InferBatch/Embed on, the serving path scores
+// publishes it. From the next Score/Embed on, the serving path scores
 // with the new weights; passes already in flight finish on the version they
 // pinned at entry. params must match the model architecture tensor-for-
 // tensor — publish what Params() (or a trainer's private copy of it) yields.
@@ -95,7 +95,7 @@ func (m *Model) publishOwn() {
 }
 
 // ParamVersion returns the version of the currently published parameter
-// set — what the next InferBatch/Embed will score with.
+// set — what the next Score/Embed will score with.
 func (m *Model) ParamVersion() uint64 { return m.cur.Load().set.Version() }
 
 // CurrentParams returns the currently published immutable parameter set.

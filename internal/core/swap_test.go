@@ -32,10 +32,10 @@ func cloneParamValues(m *Model) []*tensor.Matrix {
 }
 
 // TestSwapParamsChurn is the no-torn-params stress test: readers hammer
-// InferBatch/Embed/Explain while a writer rapidly alternates between two
+// Score/Embed/Explain while a writer rapidly alternates between two
 // published parameter sets. Every observed score vector must bitwise equal
 // the precomputed output of exactly one of the two sets — never a mix — and
-// the Inference's pinned version must identify that set; likewise every
+// the Pending's pinned version must identify that set; likewise every
 // Explanation's weights must equal a one-node encode under the set its
 // ParamVersion names. Run under -race in CI to cover the memory-model side
 // as well.
@@ -59,8 +59,8 @@ func TestSwapParamsChurn(t *testing.T) {
 		}
 	}
 
-	// Precompute each set's scores on the frozen runtime state (InferBatch
-	// has no side effects, so state never moves during this test). Publish
+	// Precompute each set's scores on the frozen runtime state (Score has
+	// no side effects, so state never moves during this test). Publish
 	// order fixes the version parity: A on even versions, B on odd.
 	publish := func(vals []*tensor.Matrix) *nn.ParamSet {
 		setParamValues(m, vals)
@@ -70,11 +70,7 @@ func TestSwapParamsChurn(t *testing.T) {
 		}
 		return ps
 	}
-	scoreNow := func() []float32 {
-		inf := m.InferBatch(batch)
-		defer inf.Release()
-		return append([]float32(nil), inf.Scores...)
-	}
+	scoreNow := func() []float32 { return m.Score(batch, new(Pending)) }
 	// Explain's reference: a one-node encode of the first batch node with
 	// mail, at its newest mail, under each set.
 	var probe tgraph.NodeID
@@ -130,25 +126,24 @@ func TestSwapParamsChurn(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(r)))
+			var p Pending
 			for !stop.Load() {
-				inf := m.InferBatch(batch)
+				m.Score(batch, &p)
 				var want []float32
-				if inf.ParamVersion()%2 == parityA {
+				if p.ParamVersion()%2 == parityA {
 					want = scoresA
 				} else {
 					want = scoresB
 				}
 				for i := range want {
-					if math.Float32bits(inf.Scores[i]) != math.Float32bits(want[i]) {
+					if math.Float32bits(p.Scores[i]) != math.Float32bits(want[i]) {
 						select {
 						case errs <- "torn or mixed parameter read: score does not match the pinned version":
 						default:
 						}
-						inf.Release()
 						return
 					}
 				}
-				inf.Release()
 				if rng.Intn(4) == 0 {
 					m.Embed([]tgraph.NodeID{batch[0].Src, batch[1].Src, batch[2].Src},
 						[]float64{batch[0].Time, batch[1].Time, batch[2].Time})
@@ -288,10 +283,10 @@ func TestSwapParamsIncrementalPublish(t *testing.T) {
 	}
 
 	// The aliased version serves: scores match a model restored from ps2.
-	inf := m.InferBatch(batch)
-	defer inf.Release()
-	if inf.ParamVersion() != ps2.Version() {
-		t.Fatalf("serving version %d, want %d", inf.ParamVersion(), ps2.Version())
+	var scored Pending
+	m.Score(batch, &scored)
+	if scored.ParamVersion() != ps2.Version() {
+		t.Fatalf("serving version %d, want %d", scored.ParamVersion(), ps2.Version())
 	}
 }
 
@@ -309,12 +304,11 @@ func TestSwapParamsTakesEffect(t *testing.T) {
 
 	v0 := m.ParamVersion()
 	ps0 := m.CurrentParams()
-	inf := m.InferBatch(batch)
-	before := append([]float32(nil), inf.Scores...)
-	if inf.ParamVersion() != v0 {
-		t.Fatalf("inference pinned version %d, current %d", inf.ParamVersion(), v0)
+	var scored Pending
+	before := append([]float32(nil), m.Score(batch, &scored)...)
+	if scored.ParamVersion() != v0 {
+		t.Fatalf("inference pinned version %d, current %d", scored.ParamVersion(), v0)
 	}
-	inf.Release()
 
 	for _, p := range m.Params() {
 		for j := range p.W.Data {
@@ -331,14 +325,13 @@ func TestSwapParamsTakesEffect(t *testing.T) {
 	if ps0.RecomputeFingerprint() != ps0.Fingerprint() {
 		t.Fatal("publishing a new set mutated the previous one in place")
 	}
-	inf = m.InferBatch(batch)
-	defer inf.Release()
-	if inf.ParamVersion() != ps1.Version() {
-		t.Fatalf("inference pinned stale version %d, want %d", inf.ParamVersion(), ps1.Version())
+	m.Score(batch, &scored)
+	if scored.ParamVersion() != ps1.Version() {
+		t.Fatalf("inference pinned stale version %d, want %d", scored.ParamVersion(), ps1.Version())
 	}
 	changed := false
 	for i := range before {
-		if before[i] != inf.Scores[i] {
+		if before[i] != scored.Scores[i] {
 			changed = true
 			break
 		}

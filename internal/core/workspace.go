@@ -8,23 +8,12 @@ import (
 
 // inferWorkspace bundles every buffer one synchronous-link pass needs —
 // batch plan, EncodeInput gather buffers, the reusable inference tape with
-// its matrix pool, timestamp scratch and the score/Inference output — so a
-// warm InferBatch performs zero heap allocation.
-//
-// Ownership protocol: Model.InferBatch acquires a workspace from the
-// model's freelist and returns an *Inference whose every slice and matrix
-// (Scores, embeddings, row indices) points into it. The Inference OWNS the
-// workspace from that moment: the buffers stay valid until Release is
-// called, and Release must happen only after ApplyInference (or whoever
-// consumes the result) is done reading. async.Pipeline copies each result
-// out at the end of the synchronous link (Inference.CopyOut, which
-// releases), so only passes in progress hold a workspace and a queued batch
-// holds none; direct Model users who skip Release simply leave the
-// workspace to the garbage collector (correct, just not recycled).
-//
-// A workspace is single-owner by construction — it is never shared between
-// goroutines while checked out, and the freelist mutex provides the
-// happens-before edge between a releasing worker and the next scorer.
+// its matrix pool and timestamp scratch — so a warm pass performs zero heap
+// allocation. Score, Embed and Explain check one out of the model's
+// freelist and release it before they return, so a workspace never leaves
+// core and is never shared between goroutines while checked out; the
+// freelist mutex provides the happens-before edge between a releasing pass
+// and the next one.
 type inferWorkspace struct {
 	owner *Model // whose freelist release returns to
 
@@ -36,8 +25,6 @@ type inferWorkspace struct {
 	dts    []float32
 	counts []int
 	ts     []float64 // per-lane ReadSorted timestamp scratch (workers·slots)
-	scores []float32
-	inf    Inference
 }
 
 // newInferWorkspace builds a workspace owned by m.
@@ -70,7 +57,6 @@ func (ws *inferWorkspace) release() {
 	ws.pool.Put(ws.in.ZPrev)
 	ws.pool.Put(ws.in.Mails)
 	ws.in = EncodeInput{}
-	ws.inf = Inference{}
 	m := ws.owner
 	m.wsMu.Lock()
 	m.wsFree = append(m.wsFree, ws)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -83,47 +84,75 @@ func sameGather(t *testing.T, got, want *EncodeInput) bool {
 	return true
 }
 
+// sameBits reports whether a and b hold the same float32 bit patterns.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
 // TestQuickPooledInferenceEquivalence: the pooled workspace + reusable tape
 // path must produce bitwise-identical inputs, scores and embeddings to the
 // offline forward over fresh buffers, across both ψ mailbox rules and all
-// three positional-encoding modes, on a workspace's first pass and on a
-// pass over buffers recycled from a different, larger batch (a dirty
-// workspace must not leak into the next batch).
+// three positional-encoding modes. The recycled pass runs on a twin model,
+// on a workspace dirtied by a different, larger batch and into the Pending
+// that just held that batch: its scores, rows, row indices and the
+// RuntimeDigest after ApplyPending must equal a zero Pending's on a fresh
+// workspace (nothing dirty may leak into the next batch).
 func TestQuickPooledInferenceEquivalence(t *testing.T) {
 	f := func(seedRaw uint8, kv bool, posRaw uint8) bool {
 		seed := int64(seedRaw) + 1
 		pos := PositionalMode(posRaw % 3)
-		m, batch, dirty := buildWarm(t, func(c *Config) {
+		mutate := func(c *Config) {
 			c.KeyValueMailbox = kv
 			c.Positional = pos
-		}, seed)
-		wantScores, wantEmb, wantIn := referenceInfer(m, batch)
-
-		same := func(pass string, got *Inference) bool {
-			if !sameGather(t, &got.ws.in, wantIn) {
-				t.Logf("seed=%d kv=%v pos=%d %s pass", seed, kv, pos, pass)
-				return false
-			}
-			for i := range wantScores {
-				if got.Scores[i] != wantScores[i] {
-					t.Logf("seed=%d kv=%v pos=%d %s pass, event %d: pooled %v vs reference %v",
-						seed, kv, pos, pass, i, got.Scores[i], wantScores[i])
-					return false
-				}
-			}
-			if !slices.Equal(got.emb.Data, wantEmb.Data) {
-				t.Logf("seed=%d kv=%v pos=%d %s pass: embeddings differ", seed, kv, pos, pass)
-				return false
-			}
-			return true
 		}
-		first := m.InferBatch(batch)
-		ok := same("first", first)
-		first.Release()
-		m.InferBatch(dirty).Release() // same workspace, other contents
-		got := m.InferBatch(batch)
-		defer got.Release()
-		return ok && same("recycled", got)
+		m, batch, dirty := buildWarm(t, mutate, seed)
+		twin, _, _ := buildWarm(t, mutate, seed)
+		wantScores, wantEmb, wantIn := referenceInfer(m, batch)
+		plan := planOf(batch)
+		differ := func(pass, what string) bool {
+			t.Logf("seed=%d kv=%v pos=%d %s pass: %s differ", seed, kv, pos, pass, what)
+			return false
+		}
+		gathers := func(m *Model, pass string) bool {
+			ws := m.acquireWorkspace()
+			defer ws.release()
+			ws.gather(m.st, m.mbox, plan.Nodes, plan.Times, m.Cfg.InferWorkers)
+			return sameGather(t, &ws.in, wantIn) || differ(pass, "gathers")
+		}
+
+		var fresh, recycled Pending
+		if !gathers(m, "first") {
+			return false
+		}
+		m.Score(batch, &fresh)
+		switch {
+		case !sameBits(fresh.Scores, wantScores):
+			return differ("first", "scores")
+		case !sameBits(fresh.rows, wantEmb.Data):
+			return differ("first", "embeddings")
+		case !slices.Equal(fresh.srcRow, plan.SrcRow) || !slices.Equal(fresh.dstRow, plan.DstRow):
+			return differ("first", "row indices")
+		}
+
+		// The larger batch fills the record and dirties the one workspace,
+		// before the gather check and again before the recycled pass.
+		twin.Score(dirty, &recycled)
+		if !gathers(twin, "recycled") {
+			return false
+		}
+		twin.Score(dirty, &recycled)
+		twin.Score(batch, &recycled)
+		switch {
+		case !sameBits(recycled.Scores, fresh.Scores):
+			return differ("recycled", "scores")
+		case !sameBits(recycled.rows, fresh.rows):
+			return differ("recycled", "embeddings")
+		case !slices.Equal(recycled.srcRow, fresh.srcRow) || !slices.Equal(recycled.dstRow, fresh.dstRow):
+			return differ("recycled", "row indices")
+		}
+		m.ApplyPending(&fresh)
+		twin.ApplyPending(&recycled)
+		return m.RuntimeDigest() == twin.RuntimeDigest() || differ("recycled", "applied runtime digests")
 	}
 	cfgQ := &quick.Config{MaxCount: 12}
 	if testing.Short() {
@@ -146,14 +175,14 @@ func TestPooledEmbedEquivalence(t *testing.T) {
 		if got := m.Embed(nodes, times); !slices.Equal(got.Data, z.Value().Data) {
 			t.Fatalf("%s pass: pooled Embed differs from the offline forward", pass)
 		}
-		m.InferBatch(dirty).Release()
+		m.Score(dirty, new(Pending))
 	}
 }
 
 // TestExplainSurvivesRelease: Explain releases its workspace before it
 // returns, so the Explanation must own its weights rather than point into
 // the pass's pooled tape storage. Detection: the freelist hands the
-// released workspace to the next pass, and a one-node InferBatch over
+// released workspace to the next pass, and a one-node Score over
 // another node asks the pool for an attention buffer of the same size
 // class, so it gets the very buffer Explain's weights were computed in and
 // overwrites it; a larger, dirty batch follows. The returned Explanation
@@ -182,8 +211,9 @@ func TestExplainSurvivesRelease(t *testing.T) {
 		perHead[h] = slices.Clone(ex.PerHead[h])
 	}
 	self := []tgraph.Event{{Src: other, Dst: other, Time: ex.Time + 1, Feat: batch[0].Feat}}
-	pooled.InferBatch(self).Release()
-	pooled.InferBatch(dirty).Release()
+	var p Pending
+	pooled.Score(self, &p)
+	pooled.Score(dirty, &p)
 	if !slices.Equal(ex.MailWeights, mean) {
 		t.Fatalf("explanation aliased recycled memory: %v -> %v", mean, ex.MailWeights)
 	}
@@ -195,8 +225,8 @@ func TestExplainSurvivesRelease(t *testing.T) {
 }
 
 // TestInferBatchZeroAllocSteadyState is the allocation-regression guard of
-// the zero-allocation serving hot path: after warm-up, a full
-// InferBatch+Release cycle on the pooled inference path must not allocate.
+// the zero-allocation serving hot path: after warm-up, Score into a warm
+// Pending must not allocate.
 // Guarded to the serial gather (InferWorkers=1): fan-out spawns goroutines,
 // which allocate by nature.
 func TestInferBatchZeroAllocSteadyState(t *testing.T) {
@@ -211,21 +241,22 @@ func TestInferBatchZeroAllocSteadyState(t *testing.T) {
 	}
 	m.EvalStream(ds.Events[:200], nil)
 	batch := ds.Events[200:240]
-	// Warm-up: size the workspace and its tape arena.
+	// Warm-up: size the workspace, its tape arena and the Pending.
+	var p Pending
 	for i := 0; i < 3; i++ {
-		m.InferBatch(batch).Release()
+		m.Score(batch, &p)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		m.InferBatch(batch).Release()
+		m.Score(batch, &p)
 	})
 	if allocs > 0 {
-		t.Fatalf("steady-state InferBatch allocated %.2f times per op, want 0", allocs)
+		t.Fatalf("steady-state Score allocated %.2f times per op, want 0", allocs)
 	}
 }
 
 // TestInferBatchZeroAllocParallel extends the zero-alloc guard to
-// GOMAXPROCS > 1: concurrent scorers must keep reusing warm workspaces
-// instead of constructing fresh ones. This regressed once when the
+// GOMAXPROCS > 1: concurrent scorers, each with its own Pending, must keep
+// reusing warm workspaces instead of constructing fresh ones. This regressed once when the
 // workspace recycler was a sync.Pool — per-P private slots plus GC
 // clearing made concurrent goroutines miss at steady state, so
 // infer_parallel_p4/p8 paid ~6/12 allocs/op while p1 stayed at 0. The
@@ -255,14 +286,15 @@ func TestInferBatchZeroAllocParallel(t *testing.T) {
 		for g := 0; g < procs; g++ {
 			go func() {
 				defer wg.Done()
+				var p Pending
 				for i := 0; i < warmOps; i++ {
-					m.InferBatch(batch).Release()
+					m.Score(batch, &p)
 				}
 				warmWG.Done()
 				<-warmed
 				<-start
 				for i := 0; i < ops; i++ {
-					m.InferBatch(batch).Release()
+					m.Score(batch, &p)
 				}
 			}()
 		}
@@ -277,25 +309,9 @@ func TestInferBatchZeroAllocParallel(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 		perOp := float64(after.Mallocs-before.Mallocs) / float64(procs*ops)
 		if perOp >= 0.5 {
-			t.Errorf("procs=%d: steady-state parallel InferBatch allocated %.2f times per op, want ~0", procs, perOp)
+			t.Errorf("procs=%d: steady-state parallel Score allocated %.2f times per op, want ~0", procs, perOp)
 		}
 	}
-}
-
-// TestReleaseIdempotent: double release and release-after-zero must not
-// corrupt the pool.
-func TestReleaseIdempotent(t *testing.T) {
-	pooled, batch, _ := buildWarm(t, nil, 7)
-	inf := pooled.InferBatch(batch)
-	inf.Release()
-	inf.Release()
-	var empty Inference
-	empty.Release()
-	next := pooled.InferBatch(batch)
-	if len(next.Scores) != len(batch) {
-		t.Fatalf("pool corrupted after double release")
-	}
-	next.Release()
 }
 
 // TestPropagatorScratchReuse: consecutive ProcessBatch calls must agree
@@ -315,17 +331,16 @@ func TestPropagatorScratchReuse(t *testing.T) {
 				t.Fatal(err)
 			}
 			events := ds.Events[:300]
+			var p Pending
 			for lo := 0; lo < len(events); lo += 50 {
 				batch := events[lo : lo+50]
-				ri := reused.InferBatch(batch)
-				reused.ApplyInference(ri)
-				ri.Release()
+				reused.Score(batch, &p)
+				reused.ApplyPending(&p)
 				// Swap in a brand-new propagator each batch on the control
 				// model: no cross-batch scratch survives.
 				fresh.prop = NewPropagator(fresh.Cfg, fresh.db, fresh.mbox)
-				fi := fresh.InferBatch(batch)
-				fresh.ApplyInference(fi)
-				fi.Release()
+				fresh.Score(batch, &p)
+				fresh.ApplyPending(&p)
 			}
 			n := []tgraph.NodeID{events[0].Src, events[0].Dst, events[299].Src}
 			tm := []float64{events[299].Time, events[299].Time, events[299].Time}

@@ -256,7 +256,7 @@ func (s *Sharded) Snapshot() *ShardedSnapshot {
 }
 
 // SnapshotShared captures the store one shard at a time under shard READ
-// locks, so concurrent readers — including a serving InferBatch gather —
+// locks, so concurrent readers — including a serving Score gather —
 // are never blocked. The copy is cross-shard-consistent only if writers are
 // externally quiesced for the duration (the model's apply gate provides
 // that); with writers running it degrades to per-shard consistency, like

@@ -46,14 +46,14 @@ func newModel(t *testing.T, numNodes int) *core.Model {
 // ship produces byte-identical files.
 func applyBatches(t *testing.T, m *core.Model, events []tgraph.Event, batch int) {
 	t.Helper()
+	var p core.Pending
 	for i := 0; i < len(events); i += batch {
 		end := i + batch
 		if end > len(events) {
 			end = len(events)
 		}
-		inf := m.InferBatch(events[i:end])
-		m.ApplyInference(inf)
-		inf.Release()
+		m.Score(events[i:end], &p)
+		m.ApplyPending(&p)
 	}
 }
 

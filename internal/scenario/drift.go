@@ -18,7 +18,7 @@ import (
 type driftOutcome struct {
 	*runOutcome
 	negScores [][]float32
-	versions  []uint64 // ParamVersion pinned by each batch's InferBatch
+	versions  []uint64 // ParamVersion pinned by each batch's Score
 	pubLog    []train.Publish
 	trainer   *train.OnlineTrainer
 }
@@ -73,7 +73,7 @@ func prepDriftModel(m *core.Model, tr *Trace, trainFrac float64) []tgraph.Event 
 // attached (pumped deterministically after each applied batch) or frozen.
 // For every batch it also scores a negative-twin batch — same sources and
 // times, destinations drawn from the observed-destination pool (§4.2's
-// P_n(v)) — through the side-effect-free InferBatch, so stream AP is
+// P_n(v)) — through the side-effect-free Score, so stream AP is
 // measurable without touching the runtime state. The frozen variant
 // constructs the trainer and freezes it: observations must be complete
 // no-ops, which the frozen-determinism invariant checks bitwise.
@@ -98,24 +98,21 @@ func runDrift(tr *Trace, o RunOptions, trainFrac float64, online bool) (*driftOu
 	base := m.DB().G.NumEvents()
 	negRng := rand.New(rand.NewSource(o.Seed + 31))
 	ns := dataset.NewNegSampler(tr.MaxNodes)
+	var pos, neg core.Pending
 	for _, b := range batches {
 		ensureBatch(m.EnsureNodes, b)
 		// Negative twin: same src/time, destination from the observed pool.
 		// Scored back-to-back with the positives so both read the same
-		// state; InferBatch has no side effects.
+		// state; Score has no side effects.
 		negB := make([]tgraph.Event, len(b))
 		for i, ev := range b {
 			neg := ns.Sample(negRng, ev.Dst)
 			negB[i] = tgraph.Event{Src: ev.Src, Dst: neg, Time: ev.Time, Label: -1}
 		}
-		inf := m.InferBatch(b)
-		out.scores = append(out.scores, append([]float32(nil), inf.Scores...))
-		out.versions = append(out.versions, inf.ParamVersion())
-		negInf := m.InferBatch(negB)
-		out.negScores = append(out.negScores, append([]float32(nil), negInf.Scores...))
-		negInf.Release()
-		m.ApplyInference(inf)
-		inf.Release()
+		out.scores = append(out.scores, append([]float32(nil), m.Score(b, &pos)...))
+		out.versions = append(out.versions, pos.ParamVersion())
+		out.negScores = append(out.negScores, append([]float32(nil), m.Score(negB, &neg)...))
+		m.ApplyPending(&pos)
 		for i := range b {
 			ns.Observe(&b[i])
 		}

@@ -104,7 +104,7 @@ func ensureBatch(ensure func(int), batch []tgraph.Event) {
 }
 
 // runDirect drives the stream through core.Model with no serving layer:
-// InferBatch then ApplyInference, strictly sequenced. This is the reference
+// Score then ApplyPending, strictly sequenced. This is the reference
 // semantics every other path's scores are compared against, and the
 // deterministic replay path. With collectSamples it additionally gathers
 // labeled-event embeddings for the fraud head (a side read via Embed — no
@@ -118,14 +118,14 @@ func runDirect(tr *Trace, o RunOptions, trainFrac float64, collectSamples bool) 
 	batches := splitBatches(stream, o.BatchSize)
 	out := &runOutcome{model: m, submitted: len(stream), dropped: make([]bool, len(batches))}
 	base := m.DB().G.NumEvents()
+	var p core.Pending
 	for _, b := range batches {
 		ensureBatch(m.EnsureNodes, b)
 		start := time.Now()
-		inf := m.InferBatch(b)
+		m.Score(b, &p)
 		out.hist.Add(time.Since(start))
-		out.scores = append(out.scores, append([]float32(nil), inf.Scores...))
-		m.ApplyInference(inf)
-		inf.Release()
+		out.scores = append(out.scores, append([]float32(nil), p.Scores...))
+		m.ApplyPending(&p)
 		if collectSamples {
 			out.samples = collectLabeled(m, b, out.samples)
 		}
@@ -146,7 +146,7 @@ func runPipeline(tr *Trace, o RunOptions, trainFrac float64, drainPerBatch bool,
 	}
 	stream := prepModel(m, tr, o, trainFrac)
 	batches := splitBatches(stream, o.BatchSize)
-	opts := []async.Option{async.WithQueueCap(o.QueueCap), async.WithWorkers(1)}
+	opts := []async.Option{async.WithQueueCap(o.QueueCap)}
 	if slowApply > 0 {
 		opts = append(opts, async.WithBeforeApply(func([]tgraph.Event) { time.Sleep(slowApply) }))
 	}
@@ -192,7 +192,7 @@ func runHTTP(tr *Trace, o RunOptions, trainFrac float64) (*runOutcome, error) {
 	}
 	stream := prepModel(m, tr, o, trainFrac)
 	batches := splitBatches(stream, o.BatchSize)
-	pipe := async.New(m, async.WithQueueCap(o.QueueCap), async.WithWorkers(1))
+	pipe := async.New(m, async.WithQueueCap(o.QueueCap))
 	srv := serve.New(pipe, serve.Options{MaxNodes: tr.MaxNodes})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -251,9 +251,8 @@ func postScore(baseURL string, batch []tgraph.Event) ([]float32, time.Duration, 
 
 // runSaturated executes the deterministic queue-saturation protocol:
 //
-//  1. the single propagation worker parks on a gate the moment it picks up
-//     the first batch (WithBeforeApply), so the queue's free capacity is
-//     known exactly;
+//  1. the applier parks on a gate the moment it picks up the first batch
+//     (WithBeforeApply), so the queue's free capacity is known exactly;
 //  2. the next QueueCap TrySubmits fill the queue and must succeed;
 //  3. the following targetDrops TrySubmits must shed with ErrQueueFull —
 //     scored but never applied;
@@ -282,7 +281,7 @@ func runSaturated(tr *Trace, o RunOptions) (*runOutcome, error) {
 	picked := make(chan struct{}, 1)
 	var once sync.Once
 	pipe := async.New(m,
-		async.WithQueueCap(o.QueueCap), async.WithWorkers(1),
+		async.WithQueueCap(o.QueueCap),
 		async.WithBeforeApply(func([]tgraph.Event) {
 			once.Do(func() { picked <- struct{}{} })
 			<-gate
@@ -363,12 +362,11 @@ func runCheckpointed(tr *Trace, o RunOptions, trainFrac float64) (first, replay 
 	runTail := func(tail [][]tgraph.Event) *runOutcome {
 		out := &runOutcome{model: m, dropped: make([]bool, len(tail))}
 		base := m.DB().G.NumEvents()
+		var p core.Pending
 		for _, b := range tail {
 			ensureBatch(m.EnsureNodes, b)
-			inf := m.InferBatch(b)
-			out.scores = append(out.scores, append([]float32(nil), inf.Scores...))
-			m.ApplyInference(inf)
-			inf.Release()
+			out.scores = append(out.scores, append([]float32(nil), m.Score(b, &p)...))
+			m.ApplyPending(&p)
 			out.submitted += len(b)
 		}
 		out.applied = m.DB().G.NumEvents() - base

@@ -109,12 +109,11 @@ func runFailover(tr *Trace, o RunOptions, trainFrac float64) ([]Violation, int, 
 	offsets := make([]int, 0, len(batches)+1)
 	offsets = append(offsets, 0)
 	refScores := make([][]float32, 0, len(batches))
+	var p core.Pending
 	for _, b := range batches {
 		ensureBatch(ref.EnsureNodes, b)
-		inf := ref.InferBatch(b)
-		refScores = append(refScores, append([]float32(nil), inf.Scores...))
-		ref.ApplyInference(inf)
-		inf.Release()
+		refScores = append(refScores, append([]float32(nil), ref.Score(b, &p)...))
+		ref.ApplyPending(&p)
 		digests = append(digests, ref.RuntimeDigest())
 		offsets = append(offsets, offsets[len(offsets)-1]+len(b))
 	}
@@ -239,12 +238,11 @@ func (a *failoverArm) run(mode failMode) ([]Violation, int, int, error) {
 	// Ships go through the replica's fenced dest — as the serve binary's
 	// dial loop does — so the arms also prove the on-disk write fence.
 	shipper := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{Tail: true})
+	var p core.Pending
 	apply := func(m *core.Model, b []tgraph.Event) []float32 {
 		ensureBatch(m.EnsureNodes, b)
-		inf := m.InferBatch(b)
-		scores := append([]float32(nil), inf.Scores...)
-		m.ApplyInference(inf)
-		inf.Release()
+		scores := append([]float32(nil), m.Score(b, &p)...)
+		m.ApplyPending(&p)
 		return scores
 	}
 

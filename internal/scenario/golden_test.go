@@ -180,12 +180,11 @@ func TestFixedStreamGolden(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
 
 	t.Run("direct", func(t *testing.T) {
+		var p core.Pending
 		goldenLeader(t, walDir, fixedStreamGolden.dataset, func(m *core.Model, batch []tgraph.Event) []float32 {
 			m.ReadmitBatch(batch)
-			inf := m.InferBatch(batch)
-			scores := append([]float32(nil), inf.Scores...)
-			m.ApplyInference(inf)
-			inf.Release()
+			scores := append([]float32(nil), m.Score(batch, &p)...)
+			m.ApplyPending(&p)
 			return scores
 		})
 	})

@@ -89,12 +89,11 @@ func runKillRecover(tr *Trace, o RunOptions, trainFrac float64) ([]Violation, in
 	offsets := make([]int, 0, len(batches)+1) // stream index of each boundary
 	offsets = append(offsets, 0)
 	refScores := make([][]float32, 0, len(batches))
+	var p core.Pending
 	for _, b := range batches {
 		ensureBatch(ref.EnsureNodes, b)
-		inf := ref.InferBatch(b)
-		refScores = append(refScores, append([]float32(nil), inf.Scores...))
-		ref.ApplyInference(inf)
-		inf.Release()
+		refScores = append(refScores, append([]float32(nil), ref.Score(b, &p)...))
+		ref.ApplyPending(&p)
 		digests = append(digests, ref.RuntimeDigest())
 		offsets = append(offsets, offsets[len(offsets)-1]+len(b))
 	}
@@ -166,12 +165,11 @@ func (a *killArm) run(mode killMode) ([]Violation, int, error) {
 	if err := live.AttachWAL(log); err != nil {
 		return nil, 0, err
 	}
+	var p core.Pending
 	apply := func(m *core.Model, b []tgraph.Event) []float32 {
 		ensureBatch(m.EnsureNodes, b)
-		inf := m.InferBatch(b)
-		scores := append([]float32(nil), inf.Scores...)
-		m.ApplyInference(inf)
-		inf.Release()
+		scores := append([]float32(nil), m.Score(b, &p)...)
+		m.ApplyPending(&p)
 		return scores
 	}
 	liveScores := make([][]float32, 0, a.plan.crashBatch)

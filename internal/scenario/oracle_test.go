@@ -5,13 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"apan/internal/core"
 	"apan/internal/wal"
 )
 
 // TestLoggedRowsEqualRecomputedInference keeps, as a test, the property the
 // log's replay used to depend on: with frozen parameters and no eviction,
 // inference is a pure function of (parameters, state, batch). Over the
-// kill_recover trace, every record's rows are bit for bit what InferBatch
+// kill_recover trace, every record's rows are bit for bit what Score
 // computes on a twin model standing where the leader stood when it scored
 // the batch. Replay no longer runs inference, so this is now an oracle for
 // the rows themselves — an independent second computation of what is logged.
@@ -35,11 +36,11 @@ func TestLoggedRowsEqualRecomputedInference(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := splitBatches(tr.Events, o.BatchSize)
+	var p core.Pending
 	for _, b := range batches {
 		ensureBatch(leader.EnsureNodes, b)
-		inf := leader.InferBatch(b)
-		leader.ApplyInference(inf)
-		inf.Release()
+		leader.Score(b, &p)
+		leader.ApplyPending(&p)
 	}
 	if err := leader.DetachWAL().Sync(); err != nil {
 		t.Fatal(err)
@@ -48,13 +49,12 @@ func TestLoggedRowsEqualRecomputedInference(t *testing.T) {
 
 	records, dim := 0, twin.Cfg.EdgeDim
 	err = l.ReplayRecords(0, func(rec wal.Record) error {
-		// The twin scores and applies the batch itself; ApplyInference
-		// copies each endpoint's fresh embedding into the state store
-		// verbatim, so that is where the recomputed rows are read.
+		// The twin scores and applies the batch itself; ApplyPending copies
+		// each endpoint's fresh embedding into the state store verbatim, so
+		// that is where the recomputed rows are read.
 		ensureBatch(twin.EnsureNodes, rec.Events)
-		inf := twin.InferBatch(rec.Events)
-		twin.ApplyInference(inf)
-		inf.Release()
+		twin.Score(rec.Events, &p)
+		twin.ApplyPending(&p)
 		// Row order is the plan's: distinct endpoints by first appearance.
 		seen, row := map[int32]bool{}, 0
 		for _, ev := range rec.Events {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"apan/internal/async"
+	"apan/internal/core"
 	"apan/internal/eval"
 	"apan/internal/tgraph"
 )
@@ -55,7 +56,7 @@ func runNoisyNeighbor(tr *Trace, o RunOptions) (*tenantRun, error) {
 	// the 20× burst cannot.
 	baseRate := float64(len(tr.Events)) / tr.Span / 3
 	pipe := async.New(m,
-		async.WithQueueCap(o.QueueCap), async.WithWorkers(1),
+		async.WithQueueCap(o.QueueCap),
 		async.WithTenants(
 			async.TenantConfig{ID: victimTenant, Weight: 3, Lane: 0},
 			async.TenantConfig{ID: aggressorTenant, Weight: 1, Lane: 1, Rate: 2 * baseRate},
@@ -239,13 +240,12 @@ func runDirectEvict(tr *Trace, o RunOptions, trainFrac float64, collectSamples b
 	batches := splitBatches(stream, o.BatchSize)
 	out := &runOutcome{model: m, submitted: len(stream), dropped: make([]bool, len(batches))}
 	base := m.DB().G.NumEvents()
+	var p core.Pending
 	for _, b := range batches {
 		ensureBatch(m.EnsureNodes, b)
 		m.ReadmitBatch(b)
-		inf := m.InferBatch(b)
-		out.scores = append(out.scores, append([]float32(nil), inf.Scores...))
-		m.ApplyInference(inf)
-		inf.Release()
+		out.scores = append(out.scores, append([]float32(nil), m.Score(b, &p)...))
+		m.ApplyPending(&p)
 		if collectSamples {
 			out.samples = collectLabeled(m, b, out.samples)
 		}

@@ -14,7 +14,7 @@ import (
 // BenchmarkMicroBatch compares serving throughput at ≥ 8 concurrent
 // one-event-per-request clients: each client submitting its event straight
 // into the pipeline (the pre-v1 pattern) versus riding the server-side
-// micro-batcher, which coalesces concurrent requests into one InferBatch
+// micro-batcher, which coalesces concurrent requests into one Score
 // call (paper Table 5: throughput peaks at large batch). The ev/s metric is
 // the one to compare across sub-benchmarks.
 func BenchmarkMicroBatch(b *testing.B) {

@@ -30,7 +30,7 @@
 //
 // Single-event POSTs are coalesced server-side: a request that finds a flush
 // lane free is scored at once, and requests that arrive while every lane is
-// busy ride one InferBatch call when a lane frees, so under load the
+// busy ride one Score call when a lane frees, so under load the
 // synchronous link runs toward the paper's batch-200 sweet spot even with
 // one-event-per-request clients. Events naming previously unseen node
 // IDs are admitted dynamically (the model's sharded stores grow at runtime)
@@ -64,7 +64,7 @@ type Options struct {
 	// Table 5's throughput sweet spot).
 	MaxBatch int
 	// FlushConcurrency is how many coalesced batches may score in parallel.
-	// The model's sharded stores make concurrent InferBatch calls safe and
+	// The model's sharded stores make concurrent Score calls safe and
 	// scalable, so under sustained load extra flush lanes raise throughput;
 	// 1 (the zero default) preserves the strictly serialized pre-sharding
 	// behavior, which maximizes per-flush batch size instead.

@@ -33,14 +33,15 @@ func TestModelParityAsmVsGoGemm(t *testing.T) {
 	}
 	asm, ref := newModel(), newModel()
 	const events, batch = 2000, 200
+	var got, want core.Pending
 	for lo := 0; lo < events; lo += batch {
 		evs := ds.Events[lo : lo+batch]
-		got := asm.InferBatch(evs)
-		asm.ApplyInference(got)
+		asm.Score(evs, &got)
+		asm.ApplyPending(&got)
 
 		restore := tensor.UseGoGemm()
-		want := ref.InferBatch(evs)
-		ref.ApplyInference(want)
+		ref.Score(evs, &want)
+		ref.ApplyPending(&want)
 		restore()
 
 		for i := range want.Scores {
@@ -48,8 +49,6 @@ func TestModelParityAsmVsGoGemm(t *testing.T) {
 				t.Fatalf("event %d: score %v with the AVX2 GEMM, %v with the Go reference", lo+i, got.Scores[i], want.Scores[i])
 			}
 		}
-		got.Release()
-		want.Release()
 	}
 	if a, r := asm.RuntimeDigest(), ref.RuntimeDigest(); a != r {
 		t.Fatalf("RuntimeDigest after %d events: %x with the AVX2 GEMM, %x with the Go reference", events, a, r)

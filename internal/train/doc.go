@@ -12,7 +12,7 @@
 //   - The trainer owns a private parameter copy; the serving path reads only
 //     published nn.ParamSet snapshots, pinned per batch. Publishing is
 //     copy-on-write, so a half-finished training step can never be observed.
-//   - Observe never blocks the propagation worker: events land in a bounded
+//   - Observe never blocks the pipeline's applier: events land in a bounded
 //     pending queue (oldest dropped under overload, counted in Stats).
 //   - Every publish is gated by a holdout average-precision check against
 //     the last published version on the same holdout and runtime state; a

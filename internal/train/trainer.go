@@ -162,7 +162,7 @@ type OnlineTrainer struct {
 	m   *core.Model
 	cfg Config
 
-	// qmu guards the Observe-side state only, so the propagation worker
+	// qmu guards the Observe-side state only, so the pipeline's applier
 	// never waits on a training step.
 	qmu                      sync.Mutex
 	pending                  []tgraph.Event
@@ -261,7 +261,7 @@ func New(m *core.Model, cfg Config) (*OnlineTrainer, error) {
 }
 
 // Observe hands the trainer a batch of applied events. It is called on the
-// propagation worker immediately after ApplyInference and must stay cheap:
+// applier immediately after ApplyPending and must stay cheap:
 // events are copied into a bounded pending queue (oldest shed under
 // overload) and the background loop, if running, is woken. A frozen trainer
 // ignores events entirely, so frozen runs are bitwise deterministic.

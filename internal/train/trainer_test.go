@@ -99,9 +99,7 @@ func TestTrainerPumpDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		feed(tr, events[200:1000], 25)
-		inf := m.InferBatch(events[1000:1040])
-		defer inf.Release()
-		return tr.PublishLog(), append([]float32(nil), inf.Scores...)
+		return tr.PublishLog(), m.Score(events[1000:1040], new(core.Pending))
 	}
 	logA, scoresA := run()
 	logB, scoresB := run()
@@ -235,7 +233,7 @@ func TestBackgroundTrainerUnderServing(t *testing.T) {
 
 // TestInferBatchZeroAllocSteadyState: the acceptance guard of the online-
 // learning design — with an online trainer wired into the pipeline and at
-// least one hot swap behind it, a steady-state InferBatch+Release cycle on
+// least one hot swap behind it, a steady-state Score into a warm Pending on
 // the serving path must still allocate nothing.
 func TestInferBatchZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
@@ -262,14 +260,15 @@ func TestInferBatchZeroAllocSteadyState(t *testing.T) {
 	}
 
 	batch := events[1200:1240]
+	var p core.Pending
 	for i := 0; i < 3; i++ {
-		m.InferBatch(batch).Release() // warm the workspace for the new version
+		m.Score(batch, &p) // warm the workspace for the new version
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		m.InferBatch(batch).Release()
+		m.Score(batch, &p)
 	})
 	if allocs > 0 {
-		t.Fatalf("steady-state InferBatch allocated %.2f times per op with the trainer enabled, want 0", allocs)
+		t.Fatalf("steady-state Score allocated %.2f times per op with the trainer enabled, want 0", allocs)
 	}
 	if err := pipe.Shutdown(ctx); err != nil {
 		t.Fatal(err)
