@@ -33,10 +33,11 @@
 // For online serving, wrap the model in a Pipeline (see StartPipeline):
 // Submit answers on the synchronous link with context cancellation and
 // queues the propagation work; TrySubmit sheds load instead of blocking,
-// SubmitFuture returns a channel, and Shutdown drains then stops. The
-// node-state and mailbox stores are sharded and lock-striped
-// (Config.Shards), so concurrent submissions score in parallel and
-// EnsureNodes admits unseen node IDs at runtime. Put a Server in front of
+// SubmitFuture returns a channel, and Shutdown drains then stops. One
+// applier writes the node-state and mailbox stores under the model's
+// writer lock and takes its store lock only while it writes store memory,
+// so concurrent submissions score in parallel, and EnsureNodes admits
+// unseen node IDs at runtime. Put a Server in front of
 // the pipeline (see NewServer) to expose the versioned HTTP/JSON API —
 // POST /v1/score, GET /v1/stats, GET /v1/healthz, GET /v1/explain/{node}
 // — whose micro-batcher coalesces concurrent single-event requests into
@@ -121,12 +122,12 @@ type (
 	GraphDB = gdb.DB
 	// LatencyModel maps a neighbor query to a simulated round-trip cost.
 	LatencyModel = gdb.LatencyModel
-	// Mailbox is the sharded, lock-striped per-node mail store backing a
-	// Model (safe for concurrent delivery and readout).
-	Mailbox = mailbox.Sharded
-	// NodeState is the sharded, lock-striped per-node embedding store
-	// backing a Model.
-	NodeState = state.Sharded
+	// Mailbox is the per-node mail store backing a Model. It does no
+	// locking; the Model serializes access to its own.
+	Mailbox = mailbox.Store
+	// NodeState is the per-node embedding store backing a Model. It does
+	// no locking; the Model serializes access to its own.
+	NodeState = state.Store
 )
 
 // NewGraph creates an empty temporal graph over numNodes nodes.
@@ -182,8 +183,8 @@ type (
 	Pipeline = async.Pipeline
 	// PipelineStats is a point-in-time view of pipeline health.
 	PipelineStats = async.Stats
-	// PipelineOption configures StartPipeline (queue capacity, workers,
-	// micro-batch window).
+	// PipelineOption configures StartPipeline (queue capacity, tenants,
+	// an online trainer, a before-apply hook).
 	PipelineOption = async.Option
 	// SubmitResult is delivered by Pipeline.SubmitFuture.
 	SubmitResult = async.Result

@@ -190,24 +190,24 @@ func BenchmarkInferBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N)*float64(len(batch))/b.Elapsed().Seconds(), "ev/s")
 }
 
-// BenchmarkInferBatchParallel measures the synchronous link under the
-// concurrent serving workload the sharded store layer exists for: G
-// goroutines score batches while a background writer continuously runs the
-// asynchronous link (state write-backs, graph inserts and 2-hop mail
-// propagation against a graph database with a simulated 50µs round trip).
+// BenchmarkInferBatchParallel measures the synchronous link under a
+// concurrent serving workload: G goroutines score batches while a
+// background writer continuously runs the asynchronous link (state
+// write-backs, graph inserts and 2-hop mail propagation against a graph
+// database with a simulated 50µs round trip).
 //
-// locking=global reproduces the coarse discipline this repo used before the
-// sharded stores: one RWMutex over all node state, read-held for a whole
-// synchronous-link pass, write-held for a whole asynchronous-link pass —
-// so every scorer stalls whenever the writer is in, including its graph-DB
-// waits. locking=sharded is the current code: writers pin only the touched
-// shard, graph waits happen under the graph mutex alone, and scoring never
-// stops. Compare the ev/s metric; sharded should win clearly at ≥4
-// goroutines and the gap widens with DB latency.
+// locking=global reproduces the coarse discipline this repo started with:
+// one RWMutex over all node state, read-held for a whole synchronous-link pass, write-held for a whole
+// asynchronous-link pass — so every scorer stalls whenever the writer is
+// in, including its graph-DB waits. locking=current is the current code:
+// the writer holds the store lock exclusively only while it writes state
+// rows and mails, never across a graph wait, so scoring stalls only for
+// those memory writes. Compare the ev/s metric; current should win clearly
+// at ≥4 goroutines and the gap widens with DB latency.
 func BenchmarkInferBatchParallel(b *testing.B) {
 	ds := Wikipedia(DatasetConfig{Scale: 0.01, Seed: 1})
 	const batchLen = 50
-	for _, mode := range []string{"global", "sharded"} {
+	for _, mode := range []string{"global", "current"} {
 		for _, goroutines := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("locking=%s/goroutines=%d", mode, goroutines), func(b *testing.B) {
 				db := NewGraphDB(NewGraph(ds.NumNodes))
@@ -225,8 +225,8 @@ func BenchmarkInferBatchParallel(b *testing.B) {
 				db.Sleep = true
 				batch := ds.Events[1000 : 1000+batchLen]
 
-				// The pre-sharding global store lock, emulated around the
-				// public API exactly as the old Model held it internally.
+				// The old global store lock, emulated around the public API
+				// exactly as the old Model held it internally.
 				var global sync.RWMutex
 				score := func(p *Pending) { m.Score(batch, p) }
 				apply := m.ApplyPending

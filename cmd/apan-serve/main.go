@@ -96,7 +96,6 @@ func main() {
 		epochs    = flag.Int("epochs", 3, "training epochs before serving")
 		dbLatency = flag.Duration("db-latency", 0, "simulated graph-DB latency per round trip on the async link (one round trip per hop per batch)")
 		queueCap  = flag.Int("queue-cap", 256, "propagation queue capacity (backpressure bound)")
-		shards    = flag.Int("shards", 16, "lock-stripe count of the node-state and mailbox stores (power of two)")
 		inferWork = flag.Int("infer-workers", 1, "goroutines the synchronous-link gather fans out across")
 		flushConc = flag.Int("flush-concurrency", 1, "coalesced batches scored in parallel")
 		maxNodes  = flag.Int("max-nodes", 1<<20, "dynamic node admission limit (negative disables admission)")
@@ -134,7 +133,7 @@ func main() {
 
 	cfg := apan.Config{
 		NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim, Seed: *seed,
-		Shards: *shards, InferWorkers: *inferWork,
+		InferWorkers:  *inferWork,
 		EvictMaxNodes: *evictMax,
 	}
 	if err := cfg.Normalize(); err != nil {
@@ -408,9 +407,9 @@ func main() {
 
 	if *ckptEvery > 0 {
 		// Periodic background checkpoints: Checkpoint is atomic (temp +
-		// fsync + rename) and cuts on a batch boundary without taking the
-		// store latch exclusively, so serving keeps scoring while the file
-		// is written. With a WAL the returned watermark lets the log drop
+		// fsync + rename) and cuts on a batch boundary under the model's
+		// writer lock alone, so serving keeps scoring while the file is
+		// written. With a WAL the returned watermark lets the log drop
 		// segments the checkpoint has made redundant. Failures get bounded
 		// retries with jittered backoff (a transiently full or slow disk
 		// shouldn't cost a whole interval of replay debt); exhausting them

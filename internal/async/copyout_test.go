@@ -96,7 +96,7 @@ func TestQueuedBatchesPinNoWorkspace(t *testing.T) {
 			<-release
 		}
 	}))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 	defer close(release)
 
 	// Warm one batch all the way through, so the workspace, the explain
@@ -161,7 +161,7 @@ func TestSubmitApplyCycleAllocs(t *testing.T) {
 				applied := make(chan struct{}, 1)
 				tap := WithOnlineTrainer(observeFunc(func([]tgraph.Event) { applied <- struct{}{} }))
 				p := New(testModel(t, nil), append([]Option{tap}, opts.opts...)...)
-				defer p.Close()
+				defer p.Shutdown(context.Background())
 				batch := parityBatches(1)[0]
 				cycle := func() {
 					if _, _, err := p.Submit(c.ctx, batch); err != nil {

@@ -77,6 +77,6 @@ func TestEmptyBatchIsANoOp(t *testing.T) {
 				}
 			}
 		}
-		p.Close()
+		p.Shutdown(context.Background())
 	}
 }

@@ -21,7 +21,7 @@ func TestStatsEqualFullHistoryBelowWindow(t *testing.T) {
 	ctx := context.Background()
 	var syncRef, tenantRef eval.LatencyHist
 	p := New(testModel(t, nil))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 	tp := New(testModel(t, nil), WithTenantDefaults(TenantConfig{Weight: 1}))
 	defer tp.Close()
 	for i := 0; i < 300; i++ {
@@ -73,7 +73,7 @@ func TestStatsEqualFullHistoryBelowWindow(t *testing.T) {
 // small factor (the old full-history sort was ≈ 100× slower at 100k).
 func TestStatsFlatAfterManySamples(t *testing.T) {
 	p := New(testModel(t, nil))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 	rng := rand.New(rand.NewSource(1))
 	record := func(n int) {
 		for i := 0; i < n; i++ {
@@ -125,7 +125,7 @@ func TestStatsFlatAfterManySamples(t *testing.T) {
 func TestStatsConcurrentWithSubmit(t *testing.T) {
 	ctx := context.Background()
 	p := New(testModel(t, nil), WithTenantDefaults(TenantConfig{Weight: 1}))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {

@@ -11,10 +11,10 @@
 // event-driven (condition variable, no polling) and Shutdown drains then
 // stops the applier.
 //
-// Concurrent submissions score in parallel: the model's sharded, lock-
-// striped stores (core.Config.Shards) make Model.Score safe under any number
-// of goroutines, and the one applier writing one shard never stalls scoring
-// reads of another.
+// Concurrent submissions score in parallel: Model.Score holds the model's
+// store lock shared for its gather only, and the one applier holds it
+// exclusively only while it writes store memory, so scoring waits for
+// neither the graph nor the WAL.
 package async
 
 import (
@@ -116,8 +116,8 @@ func WithOnlineTrainer(t Trainer) Option {
 // Submit runs inference inline and enqueues propagation; one applier
 // goroutine drains the queue. Any number of goroutines may call the Submit
 // variants concurrently, and their synchronous-link passes run in parallel:
-// the model's sharded stores make Score safe and scalable under concurrent
-// callers (shard-local locking, no global lock). Every Submit variant and
+// Model.Score shares the store lock with other scorers and is excluded only
+// while the applier writes store memory. Every Submit variant and
 // ScoreOnly answer an empty batch with empty scores and a nil error, without
 // touching the model, the queue or any counter.
 type Pipeline struct {
@@ -195,7 +195,7 @@ func (p *Pipeline) EvictionStats() *core.EvictionStats {
 
 // MailboxOccupancy reports how much mail memory the served model holds
 // (see mailbox.Occupancy) for the serving stats surface.
-func (p *Pipeline) MailboxOccupancy() mailbox.Occupancy { return p.model.Mailbox().Occupancy() }
+func (p *Pipeline) MailboxOccupancy() mailbox.Occupancy { return p.model.MailboxOccupancy() }
 
 // applier is the asynchronous link: the pipeline's one goroutine that
 // mutates the model, applying batches in dequeue order until Shutdown has
@@ -230,13 +230,13 @@ func (p *Pipeline) applyOne(rec *core.Pending, t *tenantState) {
 }
 
 // score runs the synchronous link. Scoring is NOT serialized: concurrent
-// submissions run Model.Score in parallel over the sharded stores. Callers
-// run it only once the closed check has admitted the batch, so a refused
-// submission never touches the model. The batch is scored into a recycled
-// record and the scores come back copied, for the caller to keep. With apply
-// set (every submission but ScoreOnly) it re-admits the batch's evicted
-// nodes first and returns the record for the queue; otherwise the record
-// goes straight back to the freelist.
+// submissions run Model.Score in parallel. Callers run it only once the
+// closed check has admitted the batch, so a refused submission never
+// touches the model. The batch is scored into a recycled record and the
+// scores come back copied, for the caller to keep. With apply set (every
+// submission but ScoreOnly) it re-admits the batch's evicted nodes first
+// and returns the record for the queue; otherwise the record goes straight
+// back to the freelist.
 func (p *Pipeline) score(events []tgraph.Event, apply bool) ([]float32, *core.Pending, time.Duration) {
 	if apply {
 		// Warm any evicted nodes this batch names before scoring: re-admission
@@ -368,7 +368,8 @@ func (p *Pipeline) Shutdown(ctx context.Context) error {
 
 // Close drains the queue, stops the applier and releases resources.
 //
-// Deprecated: use Shutdown, which honors a deadline.
+// Deprecated: use Shutdown, which honors a deadline. Kept only for the
+// fixed-stream golden test, whose file changes only with its constants.
 func (p *Pipeline) Close() { _ = p.Shutdown(context.Background()) }
 
 // Stats is a point-in-time view of pipeline health.

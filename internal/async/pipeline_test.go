@@ -314,7 +314,7 @@ func TestSyncLatencyExcludesGraphQueryCost(t *testing.T) {
 	const perQuery = 2 * time.Millisecond
 	m := testModel(t, gdb.Constant(perQuery))
 	p := New(m, WithQueueCap(8))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 
 	for i := 0; i < 5; i++ {
 		ev := []tgraph.Event{{Src: tgraph.NodeID(i % 4), Dst: tgraph.NodeID((i + 1) % 4), Time: float64(i + 1), Feat: feat()}}
@@ -349,7 +349,7 @@ func TestPipelineBackpressureAndClose(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Close()
+	p.Shutdown(context.Background())
 	st := p.Stats()
 	if st.Processed != 4 {
 		t.Fatalf("close must drain: processed %d", st.Processed)
@@ -360,7 +360,7 @@ func TestPipelineBackpressureAndClose(t *testing.T) {
 	if _, _, err := p.Submit(ctx, []tgraph.Event{{Src: 0, Dst: 1, Time: 9, Feat: feat()}}); err != ErrClosed {
 		t.Fatalf("submit after close: %v", err)
 	}
-	p.Close() // idempotent
+	p.Shutdown(context.Background()) // idempotent
 }
 
 func TestPipelineToleratesOutOfOrderBatches(t *testing.T) {
@@ -370,7 +370,7 @@ func TestPipelineToleratesOutOfOrderBatches(t *testing.T) {
 	ctx := context.Background()
 	m := testModel(t, nil)
 	p := New(m, WithQueueCap(8))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 	batches := [][]tgraph.Event{
 		{{Src: 0, Dst: 1, Time: 5, Feat: feat()}},
 		{{Src: 1, Dst: 2, Time: 3, Feat: feat()}}, // late arrival
@@ -398,7 +398,7 @@ func TestPipelineConcurrentDrainSafety(t *testing.T) {
 	ctx := context.Background()
 	m := testModel(t, nil)
 	p := New(m, WithQueueCap(16))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -424,7 +424,7 @@ func TestSubmitContextCancellation(t *testing.T) {
 	// cancelled, without corrupting state or leaking the scored batch.
 	m := testModel(t, gdb.Constant(5*time.Millisecond))
 	p := New(m, WithQueueCap(1))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 
 	ctx := context.Background()
 	// Fill the queue and keep the worker busy.
@@ -465,7 +465,7 @@ func TestTrySubmitShedsLoadWhenQueueFull(t *testing.T) {
 	ctx := context.Background()
 	m := testModel(t, gdb.Constant(20*time.Millisecond))
 	p := New(m, WithQueueCap(1))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 
 	// Saturate: one batch in flight on the worker plus a full queue.
 	sawFull := false
@@ -499,7 +499,7 @@ func TestSubmitFuture(t *testing.T) {
 	ctx := context.Background()
 	m := testModel(t, nil)
 	p := New(m)
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 
 	futures := make([]<-chan Result, 4)
 	for i := range futures {
@@ -526,7 +526,7 @@ func TestSubmitFuture(t *testing.T) {
 func TestDrainHonorsContext(t *testing.T) {
 	m := testModel(t, gdb.Constant(50*time.Millisecond))
 	p := New(m, WithQueueCap(8))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 	if _, _, err := p.Submit(context.Background(), []tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat()}}); err != nil {
 		t.Fatal(err)
 	}
@@ -695,7 +695,7 @@ func TestScoreOnlyLeavesStateUntouched(t *testing.T) {
 	ctx := context.Background()
 	m := testModel(t, nil)
 	p := New(m, WithQueueCap(4))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 
 	warm := []tgraph.Event{
 		{Src: 0, Dst: 1, Time: 1, Feat: feat()},
@@ -751,7 +751,7 @@ func TestScoreOnlyLeavesStateUntouched(t *testing.T) {
 func TestQueueDepthIsCheapAndAgreesWithStats(t *testing.T) {
 	ctx := context.Background()
 	p := New(testModel(t, nil))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 	for i := 0; i < 500; i++ {
 		ev := []tgraph.Event{{Src: 0, Dst: 1, Time: float64(i + 1), Feat: feat()}}
 		if _, _, err := p.Submit(ctx, ev); err != nil {

@@ -70,7 +70,7 @@ func TestTenantDefaultBackCompat(t *testing.T) {
 func TestTenantLedgerSettledAtDrain(t *testing.T) {
 	ctx := context.Background()
 	p := New(testModel(t, nil), WithQueueCap(4), WithTenants())
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 	for i := int64(1); i <= 300; i++ {
 		if _, _, err := p.Submit(ctx, tev(0, 1, float64(i))); err != nil {
 			t.Fatal(err)
@@ -91,7 +91,7 @@ func TestTenantRateLimitEventTime(t *testing.T) {
 	run := func() (TenantStats, []error) {
 		p := New(testModel(t, nil), WithQueueCap(8),
 			WithTenants(TenantConfig{ID: "metered", Rate: 1, Burst: 2}))
-		defer p.Close()
+		defer p.Shutdown(context.Background())
 		var errs []error
 		// 5 events in 2 stream-seconds against a 1/s rate, burst 2: the
 		// bucket admits the first two on the initial burst, then refills
@@ -144,7 +144,7 @@ func TestTenantRateLimitEventTime(t *testing.T) {
 			_, _, err := p.TrySubmitTenant("metered", tev(0, 1, tm))
 			got = append(got, err)
 		}
-		p.Close()
+		p.Shutdown(context.Background())
 		want := []error{nil, ErrRateLimited, nil, nil, nil, nil, nil}
 		for i := range want {
 			if !errors.Is(got[i], want[i]) {
@@ -163,7 +163,7 @@ func TestTenantQueueIsolation(t *testing.T) {
 			TenantConfig{ID: "aggressor", QueueCap: 2},
 			TenantConfig{ID: "victim", QueueCap: 2},
 		))
-	defer func() { close(gate); p.Close() }()
+	defer func() { close(gate); p.Shutdown(context.Background()) }()
 
 	// Park the worker on one batch, then fill the aggressor's queue.
 	if _, _, err := p.TrySubmitTenant("aggressor", tev(0, 1, 1)); err != nil {
@@ -214,7 +214,7 @@ func TestTenantWeightedFairDequeue(t *testing.T) {
 			TenantConfig{ID: "heavy", Weight: 3, QueueCap: 16},
 			TenantConfig{ID: "light", Weight: 1, QueueCap: 16},
 		))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 
 	// Park the worker, backlog both tenants, then release and drain.
 	if _, _, err := p.TrySubmitTenant("light", tev(2, 3, 0)); err != nil {
@@ -276,7 +276,7 @@ func TestTenantPriorityLanes(t *testing.T) {
 			TenantConfig{ID: "batch", Lane: 1, QueueCap: 8},
 			TenantConfig{ID: "interactive", Lane: 0, QueueCap: 8},
 		))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 
 	if _, _, err := p.TrySubmitTenant("batch", tev(4, 5, 0)); err != nil {
 		t.Fatal(err)
@@ -360,7 +360,7 @@ func TestTenantSubmitBlocksAndCancels(t *testing.T) {
 	hook, parked, gate := parkWorker()
 	p := New(testModel(t, nil), WithBeforeApply(hook),
 		WithTenants(TenantConfig{ID: "x", QueueCap: 1}))
-	defer func() { close(gate); p.Close() }()
+	defer func() { close(gate); p.Shutdown(context.Background()) }()
 
 	if _, _, err := p.SubmitTenant(context.Background(), "x", tev(0, 1, 1)); err != nil {
 		t.Fatal(err)
@@ -410,7 +410,7 @@ func TestTenantShutdownDrainsBacklog(t *testing.T) {
 func TestTenantAutoAdmission(t *testing.T) {
 	p := New(testModel(t, nil), WithQueueCap(4),
 		WithTenantDefaults(TenantConfig{Rate: 1000, Weight: 2}))
-	defer p.Close()
+	defer p.Shutdown(context.Background())
 	for g := 0; g < 3; g++ {
 		id := fmt.Sprintf("walk-in-%d", g)
 		if _, _, err := p.TrySubmitTenant(id, tev(int32(g), int32(g+1), 1)); err != nil {

@@ -108,8 +108,8 @@ func RunPerf(o Options) (*PerfReport, error) {
 		add("infer_batch_pooled", len(batch), r)
 	}
 
-	// Concurrent scoring throughput across a GOMAXPROCS sweep: the sharded,
-	// lock-striped stores are supposed to scale synchronous-link reads, and
+	// Concurrent scoring throughput across a GOMAXPROCS sweep: scorers share
+	// the store lock, so synchronous-link reads are supposed to scale, and
 	// this row set records whether they do on this machine (flat beyond the
 	// core count is the hardware's fault, falling at p>1 is ours).
 	{
@@ -183,14 +183,16 @@ func RunPerf(o Options) (*PerfReport, error) {
 	}
 
 	// Checkpoint cut cost: the pause a durability cut imposes at the serial
-	// apply point — both stores cloned under the exclusive apply gate, at
-	// the default shard count — after each applied batch.
+	// apply point — both stores cloned under the writer lock — after each
+	// applied batch. The runtime is restored (untimed) after each cut, so
+	// every cut clones the same stores however many times the loop runs.
 	{
 		m, batch, err := perfModel(o, ds, 0)
 		if err != nil {
 			return nil, err
 		}
 		var pend core.Pending
+		snap := m.SnapshotRuntime()
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -199,6 +201,9 @@ func RunPerf(o Options) (*PerfReport, error) {
 				m.ApplyPending(&pend)
 				b.StartTimer()
 				m.SnapshotRuntime()
+				b.StopTimer()
+				m.RestoreRuntime(snap)
+				b.StartTimer()
 			}
 		})
 		add("checkpoint_cut", len(batch), r)

@@ -75,7 +75,7 @@ func (m *Model) saveCheckpoint(w io.Writer) (uint64, error) {
 	buf = m.CurrentParams().AppendTo(buf)
 	// Capture the shared durability cut (see runtimeCut) — store clones
 	// plus a zero-copy event-log prefix on one batch boundary; only the
-	// appliers pause, for the clone — then encode straight from the
+	// applier pauses, for the clone — then encode straight from the
 	// snapshots.
 	stSnap, mbSnap, events, numNodes := m.runtimeCut()
 	dim, slots := m.Cfg.EdgeDim, m.Cfg.Slots
@@ -160,7 +160,7 @@ type ckptShape struct {
 
 // checkCheckpoint validates b without allocating or touching the model: no
 // count in the file can claim more nodes, mails, events or feature values
-// than the bytes after it could encode. Requires the store latch.
+// than the bytes after it could encode. Requires applyMu.
 func (m *Model) checkCheckpoint(b []byte) (s ckptShape, err error) {
 	short := func(section string) (ckptShape, error) {
 		return s, fmt.Errorf("core: load checkpoint %s: %w", section, io.ErrUnexpectedEOF)
@@ -239,17 +239,19 @@ func (m *Model) checkCheckpoint(b []byte) (s ckptShape, err error) {
 
 // applyCheckpoint replaces the model's parameters and streaming state with
 // what b holds, b having passed checkCheckpoint as s under the same hold of
-// the store latch. Nothing here can fail. Parameters go into the model's
-// own copy and are published last, never beside half-loaded stores.
+// applyMu. Nothing here can fail. The stores are loaded under one exclusive
+// hold of storeMu, so a scorer sees them before or after, never half
+// loaded; parameters go into the model's own copy and are published last.
 func (m *Model) applyCheckpoint(b []byte, s ckptShape) {
 	// Grow to a checkpoint written after dynamic node admission, so every
 	// admitted node comes back; nodes beyond a smaller one stay cold.
 	m.ensureNodesLocked(s.numNodes)
-	m.st.Reset()
-	m.mbox.Reset()
 	// Evictor tracking is not checkpointed: loaded warm nodes rejoin the LRU
 	// as the stream touches them.
 	m.resetEvictor()
+	m.storeMu.Lock()
+	m.st.Reset()
+	m.mbox.Reset()
 	dim, slots := m.Cfg.EdgeDim, m.Cfg.Slots
 	rows, ts := make([]float32, slots*dim), make([]float64, slots)
 	c := ckptCursor{b: b, o: s.stateOff}
@@ -260,7 +262,7 @@ func (m *Model) applyCheckpoint(b []byte, s ckptShape) {
 			m.st.Set(n, rows[:dim], lastTime)
 		}
 	}
-	// A node's mails go in as one block, in slot order, under one lock.
+	// A node's mails go in as one block, in slot order.
 	for n := int32(0); n < int32(s.numNodes); n++ {
 		count := int(c.u32())
 		for i := 0; i < count; i++ {
@@ -271,6 +273,7 @@ func (m *Model) applyCheckpoint(b []byte, s ckptShape) {
 			m.mbox.SetMails(n, rows[:count*dim], ts[:count])
 		}
 	}
+	m.storeMu.Unlock()
 
 	// Rebuild the graph in place, so a graph DB holding it keeps seeing the
 	// live graph. Features are cut from shared arenas, not allocated per event.
@@ -306,8 +309,8 @@ func (m *Model) LoadCheckpoint(r io.Reader) error {
 }
 
 func (m *Model) loadCheckpoint(b []byte) error {
-	m.storeMu.Lock()
-	defer m.storeMu.Unlock()
+	m.applyMu.Lock()
+	defer m.applyMu.Unlock()
 	s, err := m.checkCheckpoint(b)
 	if err == nil {
 		m.applyCheckpoint(b, s)

@@ -304,11 +304,11 @@ func TestLoadCheckpointAllocs(t *testing.T) {
 	})
 	publish := testing.AllocsPerRun(5, m.publishOwn)
 	withMail := float64(m.Mailbox().Occupancy().NodesWithMail)
-	// State rows come in slabs: at most one partly carved slab per shard,
-	// and past those one slab per eight rows is generous for any slab size
-	// the store might pick — and far from one allocation per row.
+	// State rows come in slabs: at most one partly carved slab, and past
+	// it one slab per eight rows is generous for any slab size the store
+	// might pick — and far from one allocation per row.
 	st := m.State().Occupancy()
-	slabs := float64(m.Cfg.Shards + st.TouchedNodes/8)
+	slabs := float64(1 + st.TouchedNodes/8)
 	arenas := float64(len(events)*cfg.EdgeDim/ckptArenaFloats + 1)
 	if bound := withMail + slabs + arenas + graph + publish + 48; load > bound {
 		t.Fatalf("load allocated %.0f times; bound %.0f = %.0f nodes with mail + %.0f state slabs (bound) + %.0f arenas + %.0f in the graph + %.0f to publish + 48",

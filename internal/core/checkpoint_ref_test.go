@@ -116,8 +116,8 @@ func refLoadCheckpoint(m *Model, in io.Reader) error {
 	if int(dim) != m.Cfg.EdgeDim {
 		return fmt.Errorf("reference load: dim %d, model %d", dim, m.Cfg.EdgeDim)
 	}
-	m.storeMu.Lock()
-	defer m.storeMu.Unlock()
+	m.applyMu.Lock()
+	defer m.applyMu.Unlock()
 	m.ensureNodesLocked(int(numNodes))
 	m.st.Reset()
 	m.mbox.Reset()

@@ -3,15 +3,16 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"apan/internal/tgraph"
 )
 
-func concModel(t *testing.T, shards int) *Model {
+func concModel(t *testing.T) *Model {
 	t.Helper()
 	m, err := New(Config{
 		NumNodes: 32, EdgeDim: 8, Slots: 4, Neighbors: 4, Hops: 2,
-		Heads: 2, Hidden: 16, BatchSize: 8, Seed: 1, Shards: shards,
+		Heads: 2, Hidden: 16, BatchSize: 8, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,52 +32,167 @@ func concBatch(base int32, n int, t float64) []tgraph.Event {
 }
 
 // TestConcurrentInferApply runs scoring and asynchronous-link writes from
-// many goroutines at once — the serving workload the sharded stores exist
-// for. Run under -race; the test passes if nothing tears or deadlocks and
-// scores stay probabilities.
+// many goroutines at once. Run under -race; the test passes if nothing
+// tears or deadlocks and scores stay probabilities.
 func TestConcurrentInferApply(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		m := concModel(t, shards)
-		m.EvalStream(concBatch(0, 32, 0), nil) // warm state and mailboxes
+	m := concModel(t)
+	m.EvalStream(concBatch(0, 32, 0), nil) // warm state and mailboxes
 
-		var wg sync.WaitGroup
-		const scorers, appliers, rounds = 4, 2, 50
-		for g := 0; g < scorers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var p Pending
-				for i := 0; i < rounds; i++ {
-					for _, sc := range m.Score(concBatch(int32(g), 8, float64(100+i)), &p) {
-						if sc < 0 || sc > 1 {
-							t.Errorf("score %v out of [0,1]", sc)
-							return
-						}
+	var wg sync.WaitGroup
+	const scorers, appliers, rounds = 4, 2, 50
+	for g := 0; g < scorers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var p Pending
+			for i := 0; i < rounds; i++ {
+				for _, sc := range m.Score(concBatch(int32(g), 8, float64(100+i)), &p) {
+					if sc < 0 || sc > 1 {
+						t.Errorf("score %v out of [0,1]", sc)
+						return
 					}
 				}
-			}(g)
-		}
-		for g := 0; g < appliers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < rounds; i++ {
-					applyBatch(m, concBatch(int32(10+g), 8, float64(200+i)))
-				}
-			}(g)
-		}
-		wg.Wait()
+			}
+		}(g)
+	}
+	for g := 0; g < appliers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				applyBatch(m, concBatch(int32(10+g), 8, float64(200+i)))
+			}
+		}(g)
+	}
+	wg.Wait()
 
-		if m.DB().G.NumEvents() == 0 {
-			t.Fatal("no events reached the graph")
+	if m.DB().G.NumEvents() == 0 {
+		t.Fatal("no events reached the graph")
+	}
+}
+
+// TestScoreRacesEvictingApplier races scorers (Score, Embed and the gathers
+// behind them) against one applier that carves state rows and mail blocks,
+// evicts them (ClearNode) and re-carves them from the free lists. Every row
+// the applier writes is node- and round-stamped and constant across its
+// dimensions, so a gathered row must be zeros or that node's whole row, and
+// a gathered mail constant across its dimensions. Run under -race.
+func TestScoreRacesEvictingApplier(t *testing.T) {
+	const (
+		nodes  = 96 // three 32-row slabs
+		dim    = 8
+		batch  = 24 // 48 endpoints per batch against a warm budget of 8
+		rounds = 40
+	)
+	m, err := New(Config{
+		NumNodes: nodes, EdgeDim: dim, Slots: 2, Neighbors: 2, Hops: 2,
+		Heads: 2, Hidden: 16, BatchSize: batch, Seed: 1, EvictMaxNodes: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := func(round int, n tgraph.NodeID) float32 { return float32(round*1000 + int(n) + 1) }
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the applier
+		defer wg.Done()
+		defer close(done)
+		var plan Plan
+		events := make([]tgraph.Event, batch)
+		for round := 1; round <= rounds; round++ {
+			for i := range events {
+				src := tgraph.NodeID((round*batch + 2*i) % nodes)
+				events[i] = tgraph.Event{Src: src, Dst: (src + 1) % nodes, Time: float64(round), Feat: make([]float32, dim)}
+			}
+			plan.Build(events, nil)
+			rows := make([]float32, len(plan.Nodes)*dim)
+			for r, n := range plan.Nodes {
+				for j := range dim {
+					rows[r*dim+j] = stamp(round, n)
+				}
+			}
+			m.applyRows(events, rows, plan.SrcRow, plan.DstRow)
 		}
+	}()
+
+	all := make([]tgraph.NodeID, nodes)
+	times := make([]float64, nodes)
+	for n := range all {
+		all[n] = tgraph.NodeID(n)
+	}
+	check := func(in *EncodeInput) bool {
+		for i, n := range all {
+			z := in.ZPrev.Row(i)
+			if z[0] != 0 && int(z[0])%1000 != int(n)+1 {
+				t.Errorf("node %d gathers a row stamped for node %d", n, int(z[0])%1000-1)
+				return false
+			}
+			for j := range z {
+				if z[j] != z[0] {
+					t.Errorf("node %d: torn row %v", n, z)
+					return false
+				}
+			}
+			for s := range in.Counts[i] {
+				mail := in.Mails.Row(i*m.Cfg.Slots + s)
+				for j := range mail {
+					if mail[j] != mail[0] {
+						t.Errorf("node %d: torn mail %v", n, mail)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	for range 2 {
+		wg.Add(1)
+		go func() { // a scorer
+			defer wg.Done()
+			var p Pending
+			score := make([]tgraph.Event, batch)
+			for i := range score {
+				score[i] = tgraph.Event{Src: tgraph.NodeID(i), Dst: tgraph.NodeID(nodes - 1 - i), Feat: make([]float32, dim)}
+			}
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ws := m.acquireWorkspace()
+				m.gather(ws, all, times)
+				ok := check(&ws.in)
+				ws.release()
+				if !ok {
+					return
+				}
+				ws = m.acquireWorkspace()
+				if !m.gatherChecked(ws, all, times) {
+					t.Error("Embed's gather refused the node space")
+				}
+				ok = !t.Failed() && check(&ws.in)
+				ws.release()
+				if !ok {
+					return
+				}
+				m.Score(score, &p)
+				m.Embed(all[:batch], times[:batch])
+			}
+		}()
+	}
+	wg.Wait()
+	if st, _ := m.EvictionStats(); st.Evicted == 0 {
+		t.Fatal("the applier evicted nothing; the test proves nothing")
 	}
 }
 
 // TestEnsureNodesDuringServing interleaves dynamic node admission with
 // concurrent scoring and verifies admitted nodes are immediately servable.
 func TestEnsureNodesDuringServing(t *testing.T) {
-	m := concModel(t, 8)
+	m := concModel(t)
 	m.EvalStream(concBatch(0, 32, 0), nil)
 
 	var wg sync.WaitGroup
@@ -110,5 +226,32 @@ func TestEnsureNodesDuringServing(t *testing.T) {
 	}
 	if m.Embed([]tgraph.NodeID{150, 199}, []float64{1001, 1001}) == nil {
 		t.Fatal("embed on admitted nodes")
+	}
+}
+
+// TestScorePanicReleasesStoreLock: a Score that panics in its gather — here
+// on node −1, which the public Pipeline.Submit passes through — must not
+// leave the store lock held, or the applier's next exclusive lock would
+// block forever.
+func TestScorePanicReleasesStoreLock(t *testing.T) {
+	m := concModel(t)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Score on node -1 did not panic")
+			}
+		}()
+		m.Score([]tgraph.Event{{Src: -1, Dst: 1, Time: 1, Feat: make([]float32, 8)}}, new(Pending))
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		applyBatch(m, concBatch(0, 8, 2))
+		m.EnsureNodes(64)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ApplyPending or EnsureNodes blocked after a recovered Score panic")
 	}
 }

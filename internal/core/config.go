@@ -42,17 +42,15 @@ type Config struct {
 	LR        float32 // Adam learning rate (default 1e-4)
 	BatchSize int     // events per batch (default 200)
 
-	// Shards is the lock-stripe count of the node-state and mailbox stores
-	// (default 16, rounded up to a power of two). Concurrent Score and
-	// ApplyPending calls contend only per shard; Shards=1 degenerates to a
-	// single global lock (the pre-sharding behavior, kept reachable for the
-	// benchmark baseline).
+	// Shards is ignored: the stores have no lock stripes.
+	//
+	// Deprecated: kept only because the frozen benchmark reads it; the
+	// next benchmark change should stop reading it and delete it.
 	Shards int
 	// InferWorkers is the number of goroutines Score, Embed and a
 	// training or evaluation Step fan the state/mailbox gather across
 	// (default 1, i.e. no fan-out). Useful when one large batch must be
-	// gathered fast; concurrent callers already parallelize naturally
-	// across shards.
+	// gathered fast; concurrent callers already run in parallel.
 	InferWorkers int
 
 	// EvictMaxNodes bounds the warm working set: at most this many nodes may
@@ -107,12 +105,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 200
-	}
-	if c.Shards == 0 {
-		c.Shards = 16
-	}
-	if c.Shards < 1 {
-		return fmt.Errorf("core: Config.Shards must be ≥1, got %d", c.Shards)
 	}
 	if c.InferWorkers == 0 {
 		c.InferWorkers = 1

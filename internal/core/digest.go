@@ -22,18 +22,14 @@ import (
 // ring heads differ but whose sorted readouts agree hash equal, which is
 // exactly the §3.6 arrival-order-insensitivity contract the encoder sees.
 //
-// RuntimeDigest reads the same batch-aligned cut as SnapshotRuntime: the
-// store latch is held shared and only the appliers are paused (see applyMu),
-// so it is safe to call concurrently with serving, yields a consistent cut,
-// and never blocks inference. Model parameters are not included (they are
+// RuntimeDigest reads the same batch-aligned cut as SnapshotRuntime: it
+// holds the writer lock, so only the applier pauses (see applyMu); it is
+// safe to call concurrently with serving, yields a consistent cut, and
+// never blocks inference. Model parameters are not included (they are
 // training state, not streaming state).
 func (m *Model) RuntimeDigest() uint64 {
-	m.storeMu.RLock()
-	defer m.storeMu.RUnlock()
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	m.graphMu.Lock()
-	defer m.graphMu.Unlock()
 
 	h := fnv.New64a()
 	var scratch [8]byte

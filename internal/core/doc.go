@@ -5,9 +5,12 @@
 // along temporal edges). See DESIGN.md §4 for the exact equations and
 // docs/architecture.md for the paper-to-package map.
 //
-// The node-state and mailbox stores behind a Model are sharded and
-// lock-striped (Config.Shards), so the serving entry points — Score,
-// ApplyPending, Embed, Explain — are safe for any number of concurrent
-// goroutines, and EnsureNodes admits previously unseen node IDs at
-// runtime. Training entry points are single-threaded.
+// A Model guards its runtime with two locks: one writer lock that every
+// mutation (apply, replay, eviction, admission, reset, restore, checkpoint
+// load) holds for its whole span, and one store lock that scorers hold
+// shared for their gather and the writer holds exclusively only while it
+// writes store memory. So the serving entry points — Score, ApplyPending,
+// Embed, Explain — are safe for any number of concurrent goroutines, and
+// EnsureNodes admits previously unseen node IDs at runtime. Training entry
+// points are single-threaded.
 package core

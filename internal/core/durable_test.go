@@ -38,7 +38,7 @@ func TestWALCheckpointRecoverDigest(t *testing.T) {
 		batches[i] = concBatch(int32(3*i), 8, float64(100*i))
 	}
 
-	m := concModel(t, 8)
+	m := concModel(t)
 	if err := m.AttachWAL(openTestWAL(t, walDir, wal.SyncGroup)); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestWALCheckpointRecoverDigest(t *testing.T) {
 	m.DetachWAL().Abandon() // crash: no Close, no final flush
 
 	// Recovery: fresh process, same binary/config.
-	m2 := concModel(t, 8)
+	m2 := concModel(t)
 	if err := m2.LoadCheckpointFile(ckpt); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestWALCheckpointRecoverDigest(t *testing.T) {
 	}
 
 	// …and ends bitwise equal to an uninterrupted run of the whole stream.
-	ref := concModel(t, 8)
+	ref := concModel(t)
 	for _, b := range batches {
 		applyBatch(ref, b)
 	}
@@ -103,7 +103,7 @@ func TestWALCheckpointRecoverDigest(t *testing.T) {
 // TestRecoverWALRejectsAttached: replaying with a WAL attached would re-log
 // every replayed batch; the API must refuse.
 func TestRecoverWALRejectsAttached(t *testing.T) {
-	m := concModel(t, 4)
+	m := concModel(t)
 	l := openTestWAL(t, t.TempDir(), wal.SyncNone)
 	if err := m.AttachWAL(l); err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestRecoverWALRejectsAttached(t *testing.T) {
 // TestAttachWALTwiceFails: a second attach must be rejected, and detach must
 // return the original log.
 func TestAttachWALTwiceFails(t *testing.T) {
-	m := concModel(t, 4)
+	m := concModel(t)
 	l := openTestWAL(t, t.TempDir(), wal.SyncNone)
 	if err := m.AttachWAL(l); err != nil {
 		t.Fatal(err)
@@ -139,19 +139,17 @@ func TestAttachWALTwiceFails(t *testing.T) {
 }
 
 // TestInferBatchProceedsDuringCut proves the non-blocking-snapshot claim
-// structurally: a checkpoint cut holds exactly storeMu shared + the apply
-// gate exclusive + graphMu, and the synchronous link must score right
-// through it. (Before the durability work, SnapshotRuntime took the store
-// latch exclusively and this would deadlock-by-timeout.)
+// structurally: a checkpoint cut holds exactly the writer lock, and the
+// synchronous link must score right through it. (Before the durability
+// work, SnapshotRuntime took the store lock exclusively and this would
+// deadlock-by-timeout.)
 func TestInferBatchProceedsDuringCut(t *testing.T) {
-	m := concModel(t, 8)
+	m := concModel(t)
 	m.EvalStream(concBatch(0, 32, 0), nil)
 	batch := concBatch(5, 8, 50)
 
 	// Hold the full lock set of runtimeCut.
-	m.storeMu.RLock()
 	m.applyMu.Lock()
-	m.graphMu.Lock()
 
 	done := make(chan []float32, 1)
 	go func() { done <- m.Score(batch, new(Pending)) }()
@@ -164,13 +162,11 @@ func TestInferBatchProceedsDuringCut(t *testing.T) {
 		t.Error("Score blocked behind a snapshot cut")
 	}
 
-	m.graphMu.Unlock()
 	m.applyMu.Unlock()
-	m.storeMu.RUnlock()
 }
 
 // TestConcurrentCheckpointServing is the deadlock/race regression for the
-// full durability lock order (storeMu → applyMu → shard locks | graphMu):
+// full durability lock order (applyMu → evictor.mu → storeMu):
 // scorers, appliers, a checkpoint+truncate loop, a digest loop and dynamic
 // node admission all run at once against a WAL-attached model. Run under
 // -race. Afterwards the crash-free recovery path (load last checkpoint,
@@ -179,7 +175,7 @@ func TestConcurrentCheckpointServing(t *testing.T) {
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
 
-	m := concModel(t, 8)
+	m := concModel(t)
 	l := openTestWAL(t, walDir, wal.SyncNone)
 	if err := m.AttachWAL(l); err != nil {
 		t.Fatal(err)
@@ -255,7 +251,7 @@ func TestConcurrentCheckpointServing(t *testing.T) {
 	}
 
 	// Crash-free recovery: last checkpoint + replay to end covers the stream.
-	m2 := concModel(t, 8)
+	m2 := concModel(t)
 	if err := m2.LoadCheckpointFile(lastCk); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +346,7 @@ func TestRecoverAcrossPublish(t *testing.T) {
 		batches[i] = concBatch(int32(3*i), 8, float64(100*i))
 	}
 
-	m := concModel(t, 8)
+	m := concModel(t)
 	if err := m.AttachWAL(openTestWAL(t, walDir, wal.SyncGroup)); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +366,7 @@ func TestRecoverAcrossPublish(t *testing.T) {
 
 	// The publish mattered: the same batches under the checkpoint's
 	// parameters end somewhere else.
-	old := concModel(t, 8)
+	old := concModel(t)
 	if err := old.LoadCheckpointFile(ckpt); err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +375,7 @@ func TestRecoverAcrossPublish(t *testing.T) {
 		t.Fatal("the perturbed parameters changed nothing; the test proves nothing")
 	}
 
-	rec := concModel(t, 8)
+	rec := concModel(t)
 	recoverInto(t, rec, ckpt, walDir)
 	if got := rec.RuntimeDigest(); got != want {
 		t.Fatalf("recovered digest %016x, the leader that published mid-log had %016x", got, want)
@@ -438,7 +434,7 @@ func TestReplayReadmitsUnderEviction(t *testing.T) {
 // are one EdgeDim-wide row per distinct endpoint of its events; a refusal
 // leaves the model as it was, so a follower can report it and stay put.
 func TestReplayBatchRefusesForeignRows(t *testing.T) {
-	m := concModel(t, 4)
+	m := concModel(t)
 	events := concBatch(0, 4, 10) // endpoints 0..4: five rows of eight
 	dim := m.Cfg.EdgeDim
 	before := m.RuntimeDigest()
@@ -471,7 +467,7 @@ func TestReplayBatchRefusesForeignRows(t *testing.T) {
 // propagator or a store panics with the model's locks held. The bad event
 // comes last, so a check inside the apply span would come too late.
 func TestReplayBatchRefusesMalformedEvents(t *testing.T) {
-	m := concModel(t, 4)
+	m := concModel(t)
 	dim := m.Cfg.EdgeDim
 	record := func(events []tgraph.Event) wal.Record {
 		return wal.Record{Events: events, Rows: make([]float32, len(planOf(events).Nodes)*dim), Dim: dim}

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"sync"
 
+	"apan/internal/mailbox"
 	"apan/internal/nn"
+	"apan/internal/state"
 	"apan/internal/tensor"
 	"apan/internal/tgraph"
 )
@@ -68,27 +70,11 @@ type EncodeInput struct {
 	Counts []int          // valid mails per node
 }
 
-// StateReader is the synchronous-link view of a node-state store: copy-out
-// reads of z(t−). Both state.Store (flat, single-threaded) and state.Sharded
-// (lock-striped, concurrent) implement it.
-type StateReader interface {
-	Dim() int
-	CopyTo(n tgraph.NodeID, dst []float32)
-}
-
-// MailReader is the synchronous-link view of a mailbox store: copy-out,
-// timestamp-sorted readout. Both mailbox.Store and mailbox.Sharded
-// implement it.
-type MailReader interface {
-	Slots() int
-	ReadSorted(n tgraph.NodeID, buf []float32, tsOut []float64) int
-}
-
 // ReadInputs gathers z(t−) and the timestamp-sorted mailboxes of nodes into
 // a freshly allocated, zero-filled EncodeInput: the reference every reused
 // gather (Model.GatherInputsInto, the inference workspace) is tested
 // against. times[i] is the query time of nodes[i].
-func ReadInputs(st StateReader, mb MailReader, nodes []tgraph.NodeID, times []float64) *EncodeInput {
+func ReadInputs(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times []float64) *EncodeInput {
 	b := len(nodes)
 	d := st.Dim()
 	m := mb.Slots()
@@ -111,7 +97,7 @@ func ReadInputs(st StateReader, mb MailReader, nodes []tgraph.NodeID, times []fl
 // ranges, one goroutine each, filling disjoint rows, so the result equals
 // the serial gather; small batches stay serial. This is the allocation-free
 // core every gather shares.
-func gatherInto(st StateReader, mb MailReader, nodes []tgraph.NodeID, times []float64, workers int, in *EncodeInput, ts []float64) {
+func gatherInto(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times []float64, workers int, in *EncodeInput, ts []float64) {
 	b := len(nodes)
 	m := mb.Slots()
 	// gatherRange is a plain function (not a closure) so the serial path —
@@ -139,7 +125,7 @@ func gatherInto(st StateReader, mb MailReader, nodes []tgraph.NodeID, times []fl
 }
 
 // gatherRange fills rows [lo, hi) of in; ts is this lane's scratch.
-func gatherRange(st StateReader, mb MailReader, nodes []tgraph.NodeID, times []float64, in *EncodeInput, ts []float64, lo, hi int) {
+func gatherRange(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times []float64, in *EncodeInput, ts []float64, lo, hi int) {
 	d := st.Dim()
 	m := mb.Slots()
 	for i := lo; i < hi; i++ {

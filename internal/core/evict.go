@@ -11,9 +11,9 @@ import (
 // state and mailbox stores without limit; eviction caps how many nodes may
 // be warm at once (Config.EvictMaxNodes) by resetting the least recently
 // touched nodes to the cold-start condition — zero state, empty mailbox,
-// exactly how a never-seen node looks to the encoder. The mailbox hands the
-// node's mail block to its free list, so the budget bounds mail bytes; the
-// state row is dense and only zeroed. The temporal graph is NOT trimmed:
+// exactly how a never-seen node looks to the encoder. Both stores hand the
+// node's row and mail block to their free lists, so the budget bounds state
+// and mail bytes. The temporal graph is NOT trimmed:
 // adjacency is the durable structure re-admission warms from.
 //
 // An evicted node that reappears in the stream is re-admitted on the
@@ -57,9 +57,8 @@ type lruEnt struct {
 }
 
 // evictor tracks warm nodes in LRU order by last-touched event index. All
-// fields are guarded by mu. Lock order: the model's latches (storeMu,
-// applyMu) are always taken before mu, and mu before shard locks and
-// graphMu; nothing re-enters, so the chain stays acyclic.
+// fields are guarded by mu, which sits in the model's lock order between
+// applyMu and storeMu (applyMu → evictor.mu → storeMu).
 type evictor struct {
 	mu     sync.Mutex
 	budget int
@@ -137,8 +136,8 @@ func (e *evictor) resetLocked() {
 
 // noteTouched records the endpoints of an applied batch in the LRU and
 // evicts over-budget nodes. Runs as the last mutation of the batch's apply
-// span (under the shared apply gate), so a checkpoint cut never lands
-// between a batch's writes and its evictions. No-op when eviction is off.
+// span (under applyMu), so a checkpoint cut never lands between a batch's
+// writes and its evictions. No-op when eviction is off.
 func (m *Model) noteTouched(events []tgraph.Event) {
 	e := m.ev
 	if e == nil {
@@ -156,10 +155,15 @@ func (m *Model) noteTouched(events []tgraph.Event) {
 }
 
 // evictOverBudgetLocked clears least-recently-touched nodes until the warm
-// set fits the budget. Requires e.mu; ClearNode takes only the victim's
-// shard locks (held after e.mu per the documented order).
+// set fits the budget. Requires applyMu and e.mu; it takes storeMu for the
+// clears.
 func (m *Model) evictOverBudgetLocked() {
 	e := m.ev
+	if len(e.byNode) <= e.budget {
+		return
+	}
+	m.storeMu.Lock()
+	defer m.storeMu.Unlock()
 	for len(e.byNode) > e.budget {
 		v := e.head
 		e.unlink(v)
@@ -182,18 +186,17 @@ func (m *Model) evictOverBudgetLocked() {
 // inductive cold start). No-op when eviction is off.
 func (m *Model) ReadmitBatch(events []tgraph.Event) int {
 	e := m.ev
-	if e == nil {
+	if e == nil || !e.namesEvicted(events) {
 		return 0
 	}
-	m.storeMu.RLock()
-	defer m.storeMu.RUnlock()
+	// Only a batch naming an evicted node waits for the writer lock. The
+	// evictor may have changed between the check and the lock; warm re-checks.
+	m.applyMu.Lock()
+	defer m.applyMu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.evicted) == 0 {
-		return 0
-	}
 	dim := m.Cfg.EdgeDim
-	var mean, nb []float32
+	var mean []float32
 	var incs []tgraph.Incidence
 	readmitted := 0
 	warm := func(node tgraph.NodeID, t float64) {
@@ -201,34 +204,30 @@ func (m *Model) ReadmitBatch(events []tgraph.Event) int {
 			return
 		}
 		delete(e.evicted, node)
-		incs = incs[:0]
-		m.graphMu.Lock()
-		incs = m.db.G.MostRecentNeighbors(node, t, m.Cfg.Neighbors, incs)
-		m.graphMu.Unlock()
+		incs = m.db.G.MostRecentNeighbors(node, t, m.Cfg.Neighbors, incs[:0])
 		if mean == nil {
 			mean = make([]float32, dim)
-			nb = make([]float32, dim)
 		}
-		for j := range mean {
-			mean[j] = 0
-		}
-		used, last := 0, 0.0
+		clear(mean)
+		// The neighbours' rows are read without storeMu: every store write
+		// happens under applyMu, which this goroutine holds.
+		last := 0.0
 		for i := range incs {
-			m.st.CopyTo(incs[i].Peer, nb)
-			for j := range mean {
-				mean[j] += nb[j]
+			for j, v := range m.st.Get(incs[i].Peer) {
+				mean[j] += v
 			}
-			used++
 			if incs[i].Time > last {
 				last = incs[i].Time
 			}
 		}
-		if used > 0 {
-			inv := 1 / float32(used)
+		if len(incs) > 0 {
+			inv := 1 / float32(len(incs))
 			for j := range mean {
 				mean[j] *= inv
 			}
+			m.storeMu.Lock()
 			m.st.Set(node, mean, last)
+			m.storeMu.Unlock()
 		}
 		e.touchLocked(node, e.clock)
 		e.nReadmit++
@@ -241,6 +240,22 @@ func (m *Model) ReadmitBatch(events []tgraph.Event) int {
 	// Re-admission grows the warm set; keep the budget an invariant.
 	m.evictOverBudgetLocked()
 	return readmitted
+}
+
+// namesEvicted reports whether an endpoint of events is in the cold set,
+// under e.mu alone.
+func (e *evictor) namesEvicted(events []tgraph.Event) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for i := range events {
+		if _, ok := e.evicted[events[i].Src]; ok {
+			return true
+		}
+		if _, ok := e.evicted[events[i].Dst]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // EvictionStats reports the cold-state evictor's counters; ok is false when

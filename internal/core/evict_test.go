@@ -217,8 +217,7 @@ func TestEvictionBoundsMailBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Disjoint pairs (2i, 2i+1): a node's only neighbour is its partner, so
-	// every mailed node is an LRU-tracked endpoint. Budget and batch are
-	// multiples of the shard count, so per-shard free lists stay in step.
+	// every mailed node is an LRU-tracked endpoint.
 	var lap []tgraph.Event
 	for i := 0; i < pairs; i++ {
 		lap = append(lap, evEvent(cfg.EdgeDim, tgraph.NodeID(2*i), tgraph.NodeID(2*i+1), 0))

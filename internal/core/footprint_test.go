@@ -11,7 +11,7 @@ import (
 // TestWarmModelFootprint builds the model the benchmark warms (Wikipedia at
 // scale 1, 10k events replayed) and pins what its mailboxes and state rows
 // cost: one block per node that has mail, one row per touched node plus at
-// most one partly carved slab per shard, and no numNodes×dim term in either
+// most one partly carved slab, and no numNodes×dim term in either
 // — and that admitting nodes past the ID space moves no mail and no row.
 func TestWarmModelFootprint(t *testing.T) {
 	if raceEnabled {
@@ -54,15 +54,15 @@ func TestWarmModelFootprint(t *testing.T) {
 		t.Fatalf("state occupancy %+v, want %d touched nodes and no free rows", st, touched)
 	}
 	live, slab := int64(touched)*row, st.Bytes/int64(st.Slabs)
-	if st.Bytes < live || st.Bytes-live >= int64(m.Cfg.Shards)*slab {
-		t.Fatalf("state holds %d B for %d touched rows (%d B): slack past one %d-byte slab per shard", st.Bytes, touched, live, slab)
+	if st.Bytes < live || st.Bytes-live >= slab {
+		t.Fatalf("state holds %d B for %d touched rows (%d B): slack past one partial %d-byte slab", st.Bytes, touched, live, slab)
 	}
 	if st.Bytes*2 > denseState {
 		t.Fatalf("%d of %d nodes touched: %d B against %d B dense — the stream no longer leaves most nodes untouched", touched, ds.NumNodes, st.Bytes, denseState)
 	}
 
 	// Admission past the ID space: the dense layout reallocated and copied
-	// every mailbox here (60 MiB, 13–62 ms under the exclusive store latch).
+	// every mailbox here (60 MiB, 13–62 ms under the exclusive store lock).
 	// The dense state store copied its 6.3 MB too; both now extend only
 	// their indexes. The state half is measured on its own. Bytes are
 	// the deterministic guard; the time is only logged — it read 7–10 ms on

@@ -20,12 +20,16 @@ import (
 // synchronous path, mail propagator on the asynchronous path, with the
 // node-state and mailbox stores in between.
 //
-// Concurrency: the node-state and mailbox stores are sharded and
-// lock-striped (Config.Shards), so any number of goroutines may run
-// Score, Embed and ApplyPending concurrently — readers and writers
-// contend only when they touch the same shard. The temporal graph, which
-// only the asynchronous link touches, is one store behind one mutex, so
-// applies serialize there. Parameters are versioned: the serving paths read
+// Concurrency: two locks guard the runtime. applyMu is the writer lock:
+// every mutation — an applied or replayed batch, eviction, node admission,
+// reset, restore, checkpoint load — holds it for its whole span, so there
+// is one writer at a time and each batch is one unit. storeMu is the data
+// lock over the node-state and mailbox stores: scorers hold it shared for
+// their gather only, and the writer takes it exclusively only while it
+// writes store memory. Any number of goroutines may run Score, Embed and
+// Explain concurrently with each other and with ApplyPending; a scorer
+// waits at most for one burst of store writes, never for the graph or the
+// WAL. Parameters are versioned: the serving paths read
 // an atomically published immutable snapshot (see SwapParams), so a
 // background trainer can hot-swap weights while serving continues. The
 // offline stream entry points (TrainEpoch and the Eval/Collect streams)
@@ -38,8 +42,8 @@ type Model struct {
 	rng  *rand.Rand
 	enc  *Encoder
 	dec  *LinkDecoder
-	st   *state.Sharded
-	mbox *mailbox.Sharded
+	st   *state.Store
+	mbox *mailbox.Store
 	db   *gdb.DB
 	prop *Propagator
 	opt  *nn.Adam
@@ -50,43 +54,31 @@ type Model struct {
 	cur        atomic.Pointer[paramVersion]
 	verCounter atomic.Uint64
 
-	// storeMu is a latch, not a data lock: every per-batch operation
-	// (Score, ApplyPending, Embed, the offline streams) holds it
-	// SHARED — readers and writers alike — because per-node safety already
-	// comes from the stores' shard locks. Exclusive acquisition is reserved
-	// for operations that may swap the stores' backing arrays or replace the
-	// graph wholesale: node admission (EnsureNodes), Reset/Restore and
-	// checkpoint load. Checkpoint CUTS no longer take it exclusively — they
-	// hold it shared and quiesce only the appliers via applyMu, so scoring
-	// proceeds during a snapshot.
+	// applyMu is the writer lock. Every mutation holds it for its whole
+	// span: applyRows (behind every apply, replay and offline-stream entry
+	// point), eviction and re-admission, EnsureNodes, ResetRuntime,
+	// RestoreRuntime, checkpoint load and WAL attach/detach. So do graph
+	// readers (GraphEvents, WAL, re-admission's neighbour query) — the
+	// temporal graph does no locking of its own — and cuts (runtimeCut,
+	// RuntimeDigest), which read the stores with no further lock because
+	// every store write happens under applyMu; a cut therefore always lands
+	// on a batch boundary. WAL Begin and the graph insert both happen under
+	// it, so log order equals graph order.
 	//
-	// Lock order: storeMu → applyMu → (shard locks | graphMu). Every
-	// acquisition sequence is strictly nested in that order; none re-enters
-	// an earlier lock, which is what makes the latch trio deadlock-free.
+	// Lock order: applyMu → evictor.mu → storeMu. No acquisition re-enters
+	// an earlier lock, and a WAL commit's Wait runs off every lock.
+	applyMu sync.Mutex
+
+	// storeMu is the data lock over st, mbox and Cfg.NumNodes. Scorers
+	// (Score, Embed, Explain, GatherInputsInto) hold it shared for their
+	// gather only. A writer, already holding applyMu, takes it exclusively
+	// only while it writes store memory — the state Set loop, the mailbox
+	// delivery, ClearNode, Grow, Reset, Restore — never across a graph
+	// round trip or a WAL wait.
 	storeMu sync.RWMutex
 
-	// applyMu is the apply gate: the asynchronous link's mutation span
-	// (applyRows, behind every apply, replay and offline-stream entry point)
-	// holds it SHARED for the whole batch mutation — state writes, WAL
-	// append, graph insert and mail propagation as one atomic unit. A durability cut (checkpoint,
-	// SnapshotRuntime, RuntimeDigest) holds it EXCLUSIVELY, so the cut
-	// always lands on a batch boundary: no checkpoint can capture state
-	// from batch k+1 next to a graph at batch k, and the WAL watermark it
-	// pins is replayable with original batch boundaries. Scorers
-	// (Score, Embed, GatherInputsInto) never touch applyMu — a snapshot
-	// pauses appliers for a memcpy, never inference.
-	applyMu sync.RWMutex
-
-	// graphMu serializes every temporal-graph access (insert + k-hop
-	// queries; tgraph.Graph does no locking of its own). It also makes the
-	// apply point serial: WAL Begin and the graph insert happen under it, so
-	// log order equals graph order.
-	graphMu sync.Mutex
-
 	// wal, when attached, records every batch entering the graph, Begin'd
-	// under graphMu immediately before the insert — the serial apply point —
-	// so WAL order equals graph order for any worker count. Guarded by
-	// graphMu.
+	// under applyMu immediately before the insert. Guarded by applyMu.
 	wal *wal.Log
 
 	// wsMu/wsFree recycle inference workspaces (gather buffers + reusable
@@ -143,8 +135,8 @@ func NewWithDB(cfg Config, db *gdb.DB) (*Model, error) {
 		rng:  rng,
 		enc:  NewEncoder(cfg, rng),
 		dec:  dec,
-		st:   state.NewSharded(cfg.NumNodes, cfg.EdgeDim, cfg.Shards),
-		mbox: mailbox.NewSharded(cfg.NumNodes, cfg.Slots, cfg.EdgeDim, cfg.Shards),
+		st:   state.New(cfg.NumNodes, cfg.EdgeDim),
+		mbox: mailbox.New(cfg.NumNodes, cfg.Slots, cfg.EdgeDim),
 		db:   db,
 	}
 	if cfg.KeyValueMailbox {
@@ -180,33 +172,41 @@ func (m *Model) Params() []*nn.Tensor {
 func (m *Model) DB() *gdb.DB { return m.db }
 
 // GraphEvents returns the number of events applied to the temporal graph —
-// the serving watermark — read under the graph mutex, so it is safe with
+// the serving watermark — read under the writer lock, so it is safe with
 // respect to concurrent propagation.
 func (m *Model) GraphEvents() int {
-	m.graphMu.Lock()
-	defer m.graphMu.Unlock()
+	m.applyMu.Lock()
+	defer m.applyMu.Unlock()
 	return m.db.G.NumEvents()
 }
 
-// Mailbox exposes the sharded mailbox store. Its per-node operations are
-// safe to call concurrently with serving.
-func (m *Model) Mailbox() *mailbox.Sharded { return m.mbox }
+// Mailbox exposes the mailbox store. It does no locking: use it only while
+// nothing applies to the model, as tests, tools and benchmarks do.
+func (m *Model) Mailbox() *mailbox.Store { return m.mbox }
 
-// State exposes the sharded node-state store. Its per-node operations are
-// safe to call concurrently with serving.
-func (m *Model) State() *state.Sharded { return m.st }
+// State exposes the node-state store. It does no locking: use it only
+// while nothing applies to the model.
+func (m *Model) State() *state.Store { return m.st }
+
+// MailboxOccupancy reports the mail memory the model holds, read under the
+// store lock, so it is safe to call during serving.
+func (m *Model) MailboxOccupancy() mailbox.Occupancy {
+	m.storeMu.RLock()
+	defer m.storeMu.RUnlock()
+	return m.mbox.Occupancy()
+}
 
 // Propagator exposes the asynchronous-link implementation.
 func (m *Model) Propagator() *Propagator { return m.prop }
 
 // GatherInputsInto reads z(t−) and the timestamp-sorted mailboxes of nodes
-// at the given query times under the shared store latch into the caller's
+// at the given query times under the shared store lock into the caller's
 // bundle and timestamp scratch, fanning out over Config.InferWorkers lanes —
 // the read-only view Step trains and evaluates from, which blocks serving
-// no more than any other reader (it contends only per shard). All buffers
-// are grown in place as needed, so a steady-state caller gathers without
-// allocating; mail rows past each node's valid count are explicitly zeroed,
-// so the bundle is indistinguishable from ReadInputs' fresh one.
+// no more than any other reader. All buffers are grown in place as needed,
+// so a steady-state caller gathers without allocating; mail rows past each
+// node's valid count are explicitly zeroed, so the bundle is
+// indistinguishable from ReadInputs' fresh one.
 func (m *Model) GatherInputsInto(in *EncodeInput, ts *[]float64, nodes []tgraph.NodeID, times []float64) {
 	m.storeMu.RLock()
 	defer m.storeMu.RUnlock()
@@ -256,32 +256,37 @@ func (m *Model) NumNodes() int {
 // mailbox store and temporal graph are all extended (new nodes start with
 // zero state and empty mailboxes — exactly how an unseen node looks to the
 // encoder, which therefore produces its inductive cold-start embedding).
-// Safe to call concurrently with serving; it briefly stops the world.
-// No-op when n ≤ NumNodes.
+// Safe to call concurrently with serving: it waits for the batch being
+// applied, and scorers for the index growth alone. No-op when n ≤ NumNodes.
 func (m *Model) EnsureNodes(n int) {
-	m.storeMu.Lock()
-	defer m.storeMu.Unlock()
+	m.applyMu.Lock()
+	defer m.applyMu.Unlock()
 	m.ensureNodesLocked(n)
 }
 
+// ensureNodesLocked is EnsureNodes for a caller holding applyMu.
 func (m *Model) ensureNodesLocked(n int) {
 	if n <= m.Cfg.NumNodes {
 		return
 	}
+	m.storeMu.Lock()
 	m.st.Grow(n)
 	m.mbox.Grow(n)
-	m.db.G.Grow(n)
 	m.Cfg.NumNodes = n
+	m.storeMu.Unlock()
+	m.db.G.Grow(n)
 }
 
 // ResetRuntime clears all streaming state — node embeddings, mailboxes and
 // the temporal graph — as done at the start of every training epoch. Model
 // parameters and the (possibly grown) node-ID space are kept.
 func (m *Model) ResetRuntime() {
+	m.applyMu.Lock()
+	defer m.applyMu.Unlock()
 	m.storeMu.Lock()
-	defer m.storeMu.Unlock()
 	m.st.Reset()
 	m.mbox.Reset()
+	m.storeMu.Unlock()
 	// Reset in place: the model keeps the same *Graph across runtime
 	// resets, so whoever holds the graph DB keeps seeing the live graph.
 	m.db.G.Reset(m.Cfg.NumNodes)
@@ -292,16 +297,14 @@ func (m *Model) ResetRuntime() {
 // Snapshot captures the streaming state for later Restore (parameters are
 // not included; they are shared).
 type Snapshot struct {
-	st   *state.ShardedSnapshot
-	mb   *mailbox.ShardedSnapshot
+	st   *state.Snapshot
+	mb   *mailbox.Snapshot
 	gcut int // number of graph events at snapshot time
 }
 
 // SnapshotRuntime captures state, mailbox and the graph watermark as one
-// consistent, batch-aligned cut — without blocking inference. The store
-// latch is held SHARED and the stores are cloned under shard read locks,
-// so concurrent Score calls proceed; only the appliers pause, for the
-// duration of a memcpy-speed clone (see applyMu).
+// consistent, batch-aligned cut — without blocking inference (see
+// runtimeCut).
 func (m *Model) SnapshotRuntime() *Snapshot {
 	st, mb, events, _ := m.runtimeCut()
 	return &Snapshot{st: st, mb: mb, gcut: len(events)}
@@ -309,37 +312,29 @@ func (m *Model) SnapshotRuntime() *Snapshot {
 
 // runtimeCut captures the durability cut every snapshot-like operation
 // shares: deep copies of both stores plus the graph's event-log prefix,
-// all at the same batch boundary. Scoring continues throughout — the cut
-// holds the store latch shared and takes only shard READ locks — while the
-// apply gate pauses the asynchronous link for the clone. The returned
-// event slice is a zero-copy immutable prefix of the append-only log (see
-// tgraph.EventLog); its length is the cut's watermark.
-func (m *Model) runtimeCut() (st *state.ShardedSnapshot, mb *mailbox.ShardedSnapshot, events []tgraph.Event, numNodes int) {
-	m.storeMu.RLock()
-	defer m.storeMu.RUnlock()
+// all at the same batch boundary. It holds the writer lock, which pauses
+// the asynchronous link for a memcpy-speed clone; scorers only read the
+// stores, so scoring continues throughout. The returned event slice is a
+// zero-copy immutable prefix of the append-only log (see tgraph.EventLog);
+// its length is the cut's watermark.
+func (m *Model) runtimeCut() (st *state.Snapshot, mb *mailbox.Snapshot, events []tgraph.Event, numNodes int) {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	numNodes = m.Cfg.NumNodes
-	st = m.st.SnapshotShared()
-	mb = m.mbox.SnapshotShared()
-	// The exclusive apply gate above already quiesced every writer; graphMu
-	// is for the read itself (the graph has no synchronization of its own).
-	m.graphMu.Lock()
 	g := m.db.G
-	events = g.EventLog()[:g.NumEvents()]
-	m.graphMu.Unlock()
-	return st, mb, events, numNodes
+	return m.st.Snapshot(), m.mbox.Snapshot(), g.EventLog()[:g.NumEvents()], m.Cfg.NumNodes
 }
 
 // RestoreRuntime rolls the streaming state back to snap, including the
 // node-ID space as of snapshot time (nodes admitted since are forgotten).
 // The graph is rebuilt from its event log prefix.
 func (m *Model) RestoreRuntime(snap *Snapshot) {
+	m.applyMu.Lock()
+	defer m.applyMu.Unlock()
 	m.storeMu.Lock()
-	defer m.storeMu.Unlock()
 	m.st.Restore(snap.st)
 	m.mbox.Restore(snap.mb)
 	m.Cfg.NumNodes = m.st.NumNodes()
+	m.storeMu.Unlock()
 	// Capture the replay prefix before Reset: the log is append-only and
 	// Reset replaces (never overwrites) its backing array, so the captured
 	// slice keeps the snapshot's events while the same *Graph is rebuilt in
@@ -445,10 +440,9 @@ func (p *Pending) ParamVersion() uint64 { return p.version }
 //
 // Score is safe to call from any number of goroutines concurrently with
 // itself, with ApplyPending and with SwapParams, each with its own Pending:
-// the gather takes only shard read locks (plus the shared latch), the
-// forward pass works on copies, and the parameter version is pinned by a
-// single atomic load at entry — the entire pass scores with that one
-// immutable snapshot. With Config.InferWorkers > 1 the gather itself
+// the gather holds the store lock shared, the forward pass works on
+// copies, and the parameter version is pinned by a single atomic load at
+// entry — the entire pass scores with that one immutable snapshot. With Config.InferWorkers > 1 the gather itself
 // additionally fans out across goroutines.
 //
 // events must be non-empty: the encoder has no zero-row pass, and an empty
@@ -458,9 +452,7 @@ func (m *Model) Score(events []tgraph.Event, p *Pending) []float32 {
 	ws := m.acquireWorkspace()
 	defer ws.release()
 	ws.plan.Build(events, nil)
-	m.storeMu.RLock()
-	ws.gather(m.st, m.mbox, ws.plan.Nodes, ws.plan.Times, m.Cfg.InferWorkers)
-	m.storeMu.RUnlock()
+	m.gather(ws, ws.plan.Nodes, ws.plan.Times)
 	tp := ws.tape
 	z, _ := pv.enc.Forward(tp, &ws.in)
 	zsrc := tp.Gather(z, ws.plan.SrcRow)
@@ -485,16 +477,14 @@ func (m *Model) Score(events []tgraph.Event, p *Pending) []float32 {
 // link.
 //
 // Safe to call concurrently with Score and with other ApplyPending calls:
-// state writes and mail deliveries lock only the touched shard, so a write
-// burst never stalls synchronous-link reads of other shards; the temporal
-// graph is the one serialized piece (graphMu).
-// The batch's mutations happen under the shared apply gate as one unit, so
-// a concurrent checkpoint cut lands only on batch boundaries. With a WAL
-// attached the batch is logged at the serial apply point (under graphMu,
-// immediately before the graph insert — WAL order equals graph order) and
-// ApplyPending returns only after the record's commit group is flushed per
-// the log's fsync policy; the group-commit wait happens off every model
-// lock, so durability I/O never serializes the stores. A WAL I/O error is
+// the batch's mutations happen under the writer lock as one unit, so
+// applies serialize and a concurrent checkpoint cut lands only on batch
+// boundaries, and scorers wait only while the state rows and the reduced
+// mails are written (see applyRows). With a WAL attached the batch is
+// logged at the serial apply point (immediately before the graph insert —
+// WAL order equals graph order) and ApplyPending returns only after the
+// record's commit group is flushed per the log's fsync policy; the
+// group-commit wait happens off every model lock. A WAL I/O error is
 // latched in the log (see wal.Log.Err) rather than failing the apply:
 // serving degrades to best-effort durability and the operator sees it in
 // /v1/stats.
@@ -533,28 +523,31 @@ func (m *Model) ApplyInference(inf *Inference) { m.ApplyPending(&inf.Pending) }
 // the rows the log kept — nothing past this point looks at parameters.
 func (m *Model) applyRows(events []tgraph.Event, rows []float32, srcRow, dstRow []int32) {
 	dim := m.Cfg.EdgeDim
-	m.storeMu.RLock()
-	m.applyMu.RLock()
+	m.applyMu.Lock()
+	m.storeMu.Lock()
 	for i, ev := range events {
 		s, d := int(srcRow[i])*dim, int(dstRow[i])*dim
 		m.st.Set(ev.Src, rows[s:s+dim], ev.Time)
 		m.st.Set(ev.Dst, rows[d:d+dim], ev.Time)
 	}
-	m.graphMu.Lock()
+	m.storeMu.Unlock()
 	commit := m.logBatchLocked(events, rows)
-	m.prop.ProcessBatch(events, m.st)
-	m.graphMu.Unlock()
-	// Eviction is the batch's last mutation, inside the apply gate: a
+	// The graph insert and k-hop expansion read the state store without
+	// storeMu: only this writer could change it, and it holds applyMu.
+	m.prop.accumulate(events, m.st)
+	m.storeMu.Lock()
+	m.prop.deliverInbox()
+	m.storeMu.Unlock()
+	// Eviction is the batch's last mutation, under the same writer lock: a
 	// checkpoint cut can never separate a batch's writes from the evictions
 	// they trigger.
 	m.noteTouched(events)
-	m.applyMu.RUnlock()
-	m.storeMu.RUnlock()
+	m.applyMu.Unlock()
 	commit.Wait() // off every model lock; error is latched in the log
 }
 
 // logBatchLocked appends the batch and its endpoints' embeddings (rows, in
-// plan order) to the attached WAL, if any. Requires graphMu: the caller is
+// plan order) to the attached WAL, if any. Requires applyMu: the caller is
 // about to insert the same events, so the record's indices equal the events'
 // graph ids. Returns the zero Commit (whose Wait is a no-op) when no WAL is
 // attached.
@@ -572,12 +565,8 @@ func (m *Model) logBatchLocked(events []tgraph.Event, rows []float32) wal.Commit
 // already past the watermark fails: recover (RecoverWAL) first, so indices
 // stay unique.
 func (m *Model) AttachWAL(l *wal.Log) error {
-	m.storeMu.RLock()
-	defer m.storeMu.RUnlock()
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	m.graphMu.Lock()
-	defer m.graphMu.Unlock()
 	if m.wal != nil {
 		return fmt.Errorf("core: a WAL is already attached")
 	}
@@ -590,14 +579,10 @@ func (m *Model) AttachWAL(l *wal.Log) error {
 
 // DetachWAL stops logging and returns the previously attached log (nil if
 // none) so the caller can Sync or Close it. In-flight batches finish
-// logging first: detaching takes the apply gate exclusively.
+// logging first: detaching takes the writer lock.
 func (m *Model) DetachWAL() *wal.Log {
-	m.storeMu.RLock()
-	defer m.storeMu.RUnlock()
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	m.graphMu.Lock()
-	defer m.graphMu.Unlock()
 	l := m.wal
 	m.wal = nil
 	return l
@@ -605,8 +590,8 @@ func (m *Model) DetachWAL() *wal.Log {
 
 // WAL returns the attached write-ahead log, or nil.
 func (m *Model) WAL() *wal.Log {
-	m.graphMu.Lock()
-	defer m.graphMu.Unlock()
+	m.applyMu.Lock()
+	defer m.applyMu.Unlock()
 	return m.wal
 }
 
@@ -627,11 +612,19 @@ func (m *Model) Embed(nodes []tgraph.NodeID, times []float64) *tensor.Matrix {
 	return z.Value().Clone()
 }
 
-// gatherChecked fills ws with z(t−) and the sorted mailboxes of nodes at
-// times under the shared store latch: the read Embed and Explain encode
-// from. It reads nothing and reports false when a node lies outside the
-// node space, which is checked under the latch because RestoreRuntime may
-// shrink it.
+// gather fills ws with z(t−) and the sorted mailboxes of nodes at times
+// under the shared store lock: the read Score encodes from. The lock is
+// released by defer, so a gather that panics on a node outside the node
+// space leaves it free for the writer.
+func (m *Model) gather(ws *inferWorkspace, nodes []tgraph.NodeID, times []float64) {
+	m.storeMu.RLock()
+	defer m.storeMu.RUnlock()
+	ws.gather(m.st, m.mbox, nodes, times, m.Cfg.InferWorkers)
+}
+
+// gatherChecked is gather for Embed and Explain: it reads nothing and
+// reports false when a node lies outside the node space, which is checked
+// under the lock because RestoreRuntime may shrink it.
 func (m *Model) gatherChecked(ws *inferWorkspace, nodes []tgraph.NodeID, times []float64) bool {
 	m.storeMu.RLock()
 	defer m.storeMu.RUnlock()

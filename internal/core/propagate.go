@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"apan/internal/gdb"
@@ -17,37 +16,35 @@ import (
 // path; in training it is invoked synchronously after each batch so results
 // are deterministic.
 //
-// Mailbox deliveries lock only the recipient's shard, so propagation never
-// stalls synchronous-link readers of other shards. ProcessBatch writes and
-// reads the temporal graph, which does no locking of its own: callers
-// serialize it (core.Model does so with its graph mutex).
+// A Propagator does no locking. ProcessBatch writes and reads the temporal
+// graph and writes the mailbox store; callers serialize its batches against
+// each other and against every other writer (core.Model runs them under its
+// writer lock and takes its store lock around the mailbox delivery alone).
 type Propagator struct {
 	cfg  Config
 	db   *gdb.DB
-	mbox *mailbox.Sharded
+	mbox *mailbox.Store
 
 	mailsDelivered atomic.Int64
 
-	// scratch pools per-batch working state (see propScratch): the inbox
-	// map keeps its buckets, retired accumulators sit in a freelist, and
-	// one mail buffer serves every event (mailbox.Deliver copies, so
-	// nothing downstream retains these), and the frontier buffers keep
-	// their capacity across batches.
-	scratch sync.Pool
+	// scratch is the per-batch working state, reused across the serialized
+	// batches: the inbox map keeps its buckets, retired accumulators sit in
+	// a freelist, one mail buffer serves every event (mailbox.Deliver
+	// copies, so nothing downstream retains these), and the frontier
+	// buffers keep their capacity.
+	scratch propScratch
 }
 
 // NewPropagator builds a propagator writing into mbox and reading/writing
 // the temporal graph behind db.
-func NewPropagator(cfg Config, db *gdb.DB, mbox *mailbox.Sharded) *Propagator {
+func NewPropagator(cfg Config, db *gdb.DB, mbox *mailbox.Store) *Propagator {
 	return &Propagator{cfg: cfg, db: db, mbox: mbox}
 }
 
 // MailsDelivered reports the number of mailbox deliveries so far.
 func (p *Propagator) MailsDelivered() int64 { return p.mailsDelivered.Load() }
 
-// propScratch is one batch's reusable working state. Each ProcessBatch call
-// checks one out of the pool, so scratch is never shared across concurrent
-// batches and steady-state batches re-allocate nothing.
+// propScratch is one batch's reusable working state.
 type propScratch struct {
 	inbox    map[tgraph.NodeID]*mailAccum
 	freelist []*mailAccum
@@ -135,14 +132,19 @@ func (p *Propagator) deliver(s *propScratch, n tgraph.NodeID, vec []float32, ts 
 // starts a new run, after the events before it are in the graph. Mails are
 // then accumulated in event order, so every node reduces the same mails in
 // the same order as an event-at-a-time insert-then-sample loop would.
-func (p *Propagator) ProcessBatch(events []tgraph.Event, zOf *state.Sharded) {
+func (p *Propagator) ProcessBatch(events []tgraph.Event, zOf *state.Store) {
+	p.accumulate(events, zOf)
+	p.deliverInbox()
+}
+
+// accumulate is ProcessBatch up to the mailbox: it inserts the batch into
+// the graph, expands every event's neighborhood and accumulates the batch's
+// mails in the inbox, reading zOf but writing no store.
+func (p *Propagator) accumulate(events []tgraph.Event, zOf *state.Store) {
 	if len(events) == 0 {
 		return
 	}
-	s, _ := p.scratch.Get().(*propScratch)
-	if s == nil {
-		s = &propScratch{}
-	}
+	s := &p.scratch
 	if s.inbox == nil {
 		s.inbox = make(map[tgraph.NodeID]*mailAccum, 4*len(events))
 	}
@@ -166,7 +168,12 @@ func (p *Propagator) ProcessBatch(events []tgraph.Event, zOf *state.Sharded) {
 		p.propagateRun(s, events[lo:hi], zOf)
 		lo = hi
 	}
+}
 
+// deliverInbox is ProcessBatch's mailbox write: each inbox node's reduced
+// mail goes through ψ into its mailbox, and the inbox empties.
+func (p *Propagator) deliverInbox() {
+	s := &p.scratch
 	for n, acc := range s.inbox {
 		if p.cfg.Reduce != ReduceLatest && acc.n > 1 {
 			inv := 1 / float32(acc.n)
@@ -179,14 +186,13 @@ func (p *Propagator) ProcessBatch(events []tgraph.Event, zOf *state.Sharded) {
 	}
 	p.mailsDelivered.Add(int64(len(s.inbox)))
 	clear(s.inbox)
-	p.scratch.Put(s)
 }
 
 // propagateRun inserts one run of non-decreasing timestamps, expands every
 // event's neighborhood one frontier gather per hop, and accumulates the
 // run's mails in event order: src, dst (if different), then each hop's
 // incidences in answer order.
-func (p *Propagator) propagateRun(s *propScratch, run []tgraph.Event, zOf *state.Sharded) {
+func (p *Propagator) propagateRun(s *propScratch, run []tgraph.Event, zOf *state.Store) {
 	for _, ev := range run {
 		p.db.AddEvent(ev)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime/debug"
 	"testing"
 	"testing/quick"
 	"time"
@@ -28,14 +27,11 @@ type refKHop struct {
 // gdb.DB per-traversal gather, whose accounting — one query per frontier
 // node, the hop's items — is returned for comparison with the frontier
 // path's gdb.DB counters.
-func referenceProcessBatch(p *Propagator, k *refKHop, events []tgraph.Event, zOf *state.Sharded) (queries, items int64) {
+func referenceProcessBatch(p *Propagator, k *refKHop, events []tgraph.Event, zOf *state.Store) (queries, items int64) {
 	if len(events) == 0 {
 		return 0, 0
 	}
-	s, _ := p.scratch.Get().(*propScratch)
-	if s == nil {
-		s = &propScratch{}
-	}
+	s := &p.scratch
 	if s.inbox == nil {
 		s.inbox = make(map[tgraph.NodeID]*mailAccum, 4*len(events))
 	}
@@ -91,7 +87,6 @@ func referenceProcessBatch(p *Propagator, k *refKHop, events []tgraph.Event, zOf
 	}
 	p.mailsDelivered.Add(int64(len(s.inbox)))
 	clear(s.inbox)
-	p.scratch.Put(s)
 	return queries, items
 }
 
@@ -118,7 +113,6 @@ func genPropCase(rng *rand.Rand) propCase {
 	cfg.Neighbors = 1 + rng.Intn(10)
 	cfg.Slots = 1 + rng.Intn(4)
 	cfg.Reduce = MailReduce(rng.Intn(2))
-	cfg.Shards = 1 << rng.Intn(3)
 	c := propCase{cfg: cfg, order: streamOrders[rng.Intn(len(streamOrders))]}
 
 	nodes, now := base, 0.0
@@ -348,16 +342,13 @@ func TestProcessBatchRoundTrips(t *testing.T) {
 }
 
 // TestProcessBatchAllocsNoMoreThanReference: the frontier buffers live in the
-// pooled scratch, so a warm ProcessBatch allocates no more than the per-event
+// propagator's scratch, so a warm ProcessBatch allocates no more than the per-event
 // reference does on a twin model. Both make the same graph appends, so any
 // allocation the frontier adds shows.
 func TestProcessBatchAllocsNoMoreThanReference(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	// A collection empties the scratch pools at random points of either
-	// measurement; without one both sides see warm scratch throughout.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	d := tinyData(4)
 	for _, hops := range []int{2, 3} {
 		cfg := tinyConfig(d.NumNodes)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"apan/internal/mailbox"
 	"apan/internal/nn"
+	"apan/internal/state"
 	"apan/internal/tensor"
 	"apan/internal/tgraph"
 )
@@ -65,7 +67,7 @@ func (ws *inferWorkspace) release() {
 
 // gather fills ws.in with z(t−) and the sorted mailboxes of nodes, reusing
 // the workspace buffers (see gatherInto for the semantics).
-func (ws *inferWorkspace) gather(st StateReader, mb MailReader, nodes []tgraph.NodeID, times []float64, workers int) {
+func (ws *inferWorkspace) gather(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times []float64, workers int) {
 	b := len(nodes)
 	d := st.Dim()
 	m := mb.Slots()

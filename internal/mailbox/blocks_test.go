@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -195,7 +194,7 @@ func TestBlocksMatchDenseQuick(t *testing.T) {
 // nothing under either rule (the key-value weights live on the stack).
 func TestDeliverFullMailboxZeroAlloc(t *testing.T) {
 	for _, rule := range []UpdateRule{UpdateFIFO, UpdateKeyValue} {
-		s := NewSharded(4, 10, 172, 2)
+		s := New(4, 10, 172)
 		s.SetRule(rule)
 		m := mail(0.5, 172)
 		for i := 0; i < 10; i++ {
@@ -211,7 +210,7 @@ func TestDeliverFullMailboxZeroAlloc(t *testing.T) {
 // bytes, not mail, and creates no block.
 func TestGrowAllocatesIndexOnly(t *testing.T) {
 	const nodes, slots, dim = 1000, 10, 172
-	s := NewSharded(nodes, slots, dim, 16)
+	s := New(nodes, slots, dim)
 	for n := int32(0); n < 50; n++ {
 		s.Deliver(n, mail(1, dim), 1)
 	}
@@ -231,33 +230,4 @@ func TestGrowAllocatesIndexOnly(t *testing.T) {
 	if s.NumNodes() != 10*nodes || s.Len(10*nodes-1) != 0 {
 		t.Fatalf("grown store: %d nodes", s.NumNodes())
 	}
-}
-
-// TestReadDuringFirstDeliver races readers against the delivery that gives
-// a node its block (run under -race): a reader sees the mailbox empty or
-// whole, and never writes.
-func TestReadDuringFirstDeliver(t *testing.T) {
-	const nodes, slots, dim = 512, 2, 8
-	s := NewSharded(nodes, slots, dim, 4)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]float32, slots*dim)
-			ts := make([]float64, slots)
-			for n := int32(0); n < nodes; n++ {
-				for s.Len(n) == 0 { // spin until n's first mail lands
-					if c := s.ReadSorted(n, buf, ts); c == 1 && (buf[0] != float32(n) || buf[dim-1] != float32(n)) {
-						t.Errorf("node %d: torn first mail %v", n, buf[:dim])
-						return
-					}
-				}
-			}
-		}()
-	}
-	for n := int32(0); n < nodes; n++ {
-		s.Deliver(n, mail(float32(n), dim), 1)
-	}
-	wg.Wait()
 }

@@ -6,11 +6,9 @@
 // key-value update rule from the paper's future-work list is provided as an
 // alternative ψ.
 //
-// Two implementations share one per-node API: Store is the unsynchronized
-// layout (single-threaded training), and Sharded stripes the same layout
-// across power-of-two lock shards so serving can deliver and read
-// concurrently with shard-local locking and admit new nodes at runtime via
-// Grow.
+// Store does no locking: its owner serializes writers against readers
+// (core.Model does so with its writer and store locks). Grow admits new
+// nodes at runtime.
 //
 // Mail memory follows live mailboxes, not the ID space: a node's slots×dim
 // mail block is allocated by its first Deliver and handed back by ClearNode.
@@ -36,13 +34,13 @@ const (
 )
 
 // Store holds the mailboxes of every node: a dense per-node index and one
-// mail block per node that has mail. It is not safe for concurrent use; see
-// Sharded for the lock-striped variant.
+// mail block per node that has mail. Readers may run concurrently with each
+// other, never with a writer.
 //
 // Invariant: blocks[n] != nil ⇔ count[n] > 0. Readers (Len, ReadSorted) only
 // touch slots < count[n], which therefore always have a block, and go
 // through slot, which cannot allocate; only Deliver calls block. That is
-// what keeps Sharded's read-locked paths allocation- and race-free.
+// what keeps readers allocation- and write-free.
 type Store struct {
 	numNodes int
 	slots    int
@@ -73,6 +71,13 @@ func New(numNodes, slots, dim int) *Store {
 	}
 }
 
+// NewSharded returns New(numNodes, slots, dim); shards is ignored.
+//
+// Deprecated: the store has no lock stripes. Kept only because the frozen
+// benchmark calls it; the next benchmark change should call New and
+// delete it.
+func NewSharded(numNodes, slots, dim, shards int) *Store { return New(numNodes, slots, dim) }
+
 // SetRule selects the update rule ψ.
 func (s *Store) SetRule(r UpdateRule) { s.rule = r }
 
@@ -95,8 +100,7 @@ func (s *Store) slot(n int32, i int) []float32 {
 }
 
 // block is the write accessor: node n's mail block, taken from the free
-// list or the heap on n's first delivery. Writers only — under Sharded the
-// caller holds the shard's write lock.
+// list or the heap on n's first delivery. Writers only.
 func (s *Store) block(n int32) []float32 {
 	b := s.blocks[n]
 	if b == nil {
@@ -285,9 +289,47 @@ func (s *Store) Reset() {
 	clear(s.head)
 }
 
+// Occupancy is a point-in-time view of the mail memory a store holds.
+type Occupancy struct {
+	// NodesWithMail counts mailboxes holding at least one mail.
+	NodesWithMail int `json:"nodes_with_mail"`
+	// LiveBlocks counts mail blocks owned by a mailbox (== NodesWithMail by
+	// the Store invariant); FreeBlocks those ClearNode handed back and no
+	// delivery has reused yet.
+	LiveBlocks int `json:"live_blocks"`
+	FreeBlocks int `json:"free_blocks"`
+	// Bytes is the mail memory held: (LiveBlocks+FreeBlocks) × slots × dim
+	// float32s. The per-node index is not included.
+	Bytes int64 `json:"bytes"`
+}
+
+// Occupancy counts mailboxes with mail and live/free mail blocks.
+func (s *Store) Occupancy() Occupancy {
+	o := Occupancy{FreeBlocks: len(s.free)}
+	for n, b := range s.blocks {
+		if b != nil {
+			o.LiveBlocks++
+		}
+		if s.count[n] > 0 {
+			o.NodesWithMail++
+		}
+	}
+	o.Bytes = int64(o.LiveBlocks+o.FreeBlocks) * int64(s.slots*s.dim) * 4
+	return o
+}
+
 // Snapshot captures the full store for later Restore (used to replay
-// validation/test streams from a fixed point).
+// validation/test streams from a fixed point and to encode checkpoints).
+// Snapshots are immutable: Restore and checkpoint encoding clone or read
+// out of them, never mutate them.
 type Snapshot struct{ st *Store }
+
+// ReadSorted is Store.ReadSorted over the captured contents, so a
+// checkpoint is encoded from the snapshot itself, not from a store restored
+// from it.
+func (snap *Snapshot) ReadSorted(n int32, buf []float32, tsOut []float64) int {
+	return snap.st.ReadSorted(n, buf, tsOut)
+}
 
 // Snapshot returns a deep copy of the store contents.
 func (s *Store) Snapshot() *Snapshot { return &Snapshot{s.clone()} }

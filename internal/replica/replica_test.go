@@ -17,7 +17,6 @@ func testConfig(numNodes int) core.Config {
 		NumNodes: numNodes, EdgeDim: 16,
 		Slots: 4, Neighbors: 4, Hops: 2, Heads: 2, Hidden: 32,
 		BatchSize: 20, LR: 0.001, Seed: 1,
-		Shards: 8,
 	}
 }
 

@@ -48,7 +48,7 @@ func newDriftModel(tr *Trace, o RunOptions) (*core.Model, error) {
 	return core.New(core.Config{
 		NumNodes: tr.NumNodes, EdgeDim: tr.EdgeDim,
 		Slots: 6, Neighbors: 5, Hops: 2, Heads: 2, Hidden: 32,
-		BatchSize: o.BatchSize, Seed: o.Seed + 7, Shards: 8, LR: 0.01,
+		BatchSize: o.BatchSize, Seed: o.Seed + 7, LR: 0.01,
 	})
 }
 

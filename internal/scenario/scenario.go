@@ -87,7 +87,7 @@ func Bundled() []Scenario {
 		{Name: "flash_crowd", Workload: FlashCrowd, Parity: true,
 			Description: "20× burst on a hot set mid-stream (the §1 Black Friday shape)"},
 		{Name: "zipf_hotspot", Workload: ZipfHotspot, Parity: true,
-			Description: "α=1.6 celebrity skew hammering a few shards and mailboxes"},
+			Description: "α=1.6 celebrity skew hammering a few nodes' state and mailboxes"},
 		{Name: "node_churn", Workload: NodeChurn, Parity: true,
 			Description: "continuous cold-start admission: IDs beyond the constructed node space"},
 		{Name: "out_of_order", Workload: OutOfOrder, Parity: true,

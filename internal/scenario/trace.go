@@ -107,7 +107,7 @@ func SmoothBaseline(rng *rand.Rand, p WorkloadParams) *Trace {
 }
 
 // ZipfHotspot is heavily skewed traffic (α = 1.6): a handful of celebrity
-// nodes receive most interactions, hammering their store shards and mailbox
+// nodes receive most interactions, hammering their state rows and mailbox
 // slots while the long tail stays cold.
 func ZipfHotspot(rng *rand.Rand, p WorkloadParams) *Trace {
 	return zipfTraffic(rng, p, "zipf_hotspot", 1.6)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -47,7 +48,7 @@ func TestAdminTrainEndpoints(t *testing.T) {
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
-		pipe.Close()
+		pipe.Shutdown(context.Background())
 	})
 
 	resp, body := postAdmin(t, ts.URL, "/v1/admin/train/freeze")

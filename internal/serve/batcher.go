@@ -21,7 +21,7 @@ import (
 // form from the load the batcher observes, and an idle server adds no wait.
 //
 // Up to `conc` flushes may score in parallel (the pipeline's synchronous
-// link is concurrent over the sharded stores); with conc=1 the batcher is
+// link is concurrent); with conc=1 the batcher is
 // strictly serialized and batch sizes converge on the number of in-flight
 // clients.
 type Batcher struct {

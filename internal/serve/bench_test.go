@@ -54,7 +54,7 @@ func BenchmarkMicroBatch(b *testing.B) {
 
 	b.Run("PerRequest", func(b *testing.B) {
 		pipe := async.New(testModel(b), async.WithQueueCap(1024))
-		defer pipe.Close()
+		defer pipe.Shutdown(context.Background())
 		run(b, func(ctx context.Context, ev tgraph.Event) error {
 			_, _, err := pipe.Submit(ctx, []tgraph.Event{ev})
 			return err
@@ -63,7 +63,7 @@ func BenchmarkMicroBatch(b *testing.B) {
 
 	b.Run("Coalesced", func(b *testing.B) {
 		pipe := async.New(testModel(b), async.WithQueueCap(1024))
-		defer pipe.Close()
+		defer pipe.Shutdown(context.Background())
 		batcher := NewBatcher(pipe, 200, 1)
 		defer batcher.Close()
 		run(b, func(ctx context.Context, ev tgraph.Event) error {

@@ -33,7 +33,7 @@
 // busy ride one Score call when a lane frees, so under load the
 // synchronous link runs toward the paper's batch-200 sweet spot even with
 // one-event-per-request clients. Events naming previously unseen node
-// IDs are admitted dynamically (the model's sharded stores grow at runtime)
+// IDs are admitted dynamically (the model's stores grow at runtime)
 // up to Options.MaxNodes. See docs/serving.md for schemas and semantics.
 package serve
 
@@ -64,10 +64,10 @@ type Options struct {
 	// Table 5's throughput sweet spot).
 	MaxBatch int
 	// FlushConcurrency is how many coalesced batches may score in parallel.
-	// The model's sharded stores make concurrent Score calls safe and
-	// scalable, so under sustained load extra flush lanes raise throughput;
-	// 1 (the zero default) preserves the strictly serialized pre-sharding
-	// behavior, which maximizes per-flush batch size instead.
+	// Concurrent Score calls share the model's store lock, so under
+	// sustained load extra flush lanes raise throughput; 1 (the zero
+	// default) serializes flushes, which maximizes per-flush batch size
+	// instead.
 	FlushConcurrency int
 	// MaxNodes bounds dynamic node admission: events naming node IDs in
 	// [NumNodes, MaxNodes) grow the model's node space instead of being

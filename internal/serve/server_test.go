@@ -51,7 +51,7 @@ func newTestServer(t testing.TB, opts Options, popts ...async.Option) (*httptest
 	t.Cleanup(func() {
 		ts.Close()
 		srv.Close()
-		pipe.Close()
+		pipe.Shutdown(context.Background())
 	})
 	return ts, pipe
 }
@@ -432,7 +432,7 @@ func TestBatcherLoneRequestAndClose(t *testing.T) {
 	}
 	t.Run("a lone request is scored with no second arrival", func(t *testing.T) {
 		pipe := async.New(testModel(t))
-		defer pipe.Close()
+		defer pipe.Shutdown(context.Background())
 		b := NewBatcher(pipe, 0, 0)
 		defer b.Close()
 		score, _, size, err := b.Score(t.Context(), ev(0))
@@ -444,7 +444,7 @@ func TestBatcherLoneRequestAndClose(t *testing.T) {
 		release := make(chan struct{})
 		pipe := async.New(testModel(t), async.WithQueueCap(1),
 			async.WithBeforeApply(func([]tgraph.Event) { <-release }))
-		defer pipe.Close()
+		defer pipe.Shutdown(context.Background())
 		b := NewBatcher(pipe, 0, 0)
 		var wg sync.WaitGroup
 		score := func(i int) {
@@ -485,7 +485,7 @@ func TestBatcherLoneRequestAndClose(t *testing.T) {
 
 func TestServerCloseRejectsScores(t *testing.T) {
 	pipe := async.New(testModel(t))
-	defer pipe.Close()
+	defer pipe.Shutdown(context.Background())
 	srv := New(pipe, Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -517,7 +517,7 @@ func TestServerCloseRejectsScores(t *testing.T) {
 func TestStalledBodiesPinLittleMemory(t *testing.T) {
 	const clients = 8
 	pipe := async.New(testModel(t))
-	defer pipe.Close()
+	defer pipe.Shutdown(context.Background())
 	srv := New(pipe, Options{})
 	defer srv.Close()
 	var entered atomic.Int32
@@ -581,7 +581,7 @@ func TestScoreCostIndependentOfHistory(t *testing.T) {
 	srv := New(pipe, Options{})
 	t.Cleanup(func() {
 		srv.Close()
-		pipe.Close()
+		pipe.Shutdown(context.Background())
 	})
 	now := 0.0
 	batch := func() []byte {

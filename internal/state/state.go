@@ -2,11 +2,9 @@
 // time of every node. APAN and the memory-based baselines (TGN, JODIE,
 // DyRep) read this store synchronously instead of querying the graph.
 //
-// Two implementations share one per-node API: Store is the unsynchronized
-// layout (single-threaded training and the baselines), and Sharded stripes
-// the same layout across power-of-two lock shards so the serving path can
-// read and write concurrently with shard-local locking and admit new nodes
-// at runtime via Grow.
+// Store does no locking: its owner serializes writers against readers
+// (core.Model does so with its writer and store locks). Grow admits new
+// nodes at runtime.
 //
 // State memory follows touched nodes, not the ID space: a node's dim-wide
 // row is carved from a slab of slabRows rows by its first Set and handed
@@ -22,12 +20,12 @@ import "fmt"
 const slabRows = 32
 
 // Store holds per-node embeddings: a dense per-node index and one row per
-// touched node. It is not safe for concurrent use; see Sharded for the
-// lock-striped variant.
+// touched node. Readers may run concurrently with each other, never with a
+// writer.
 //
 // Invariant: row[n] != 0 ⇔ node n is touched, and then its embedding is
 // rowData(row[n]). Readers only follow the index; only Set carves a row, so
-// Sharded's read-locked paths never allocate or write.
+// readers never allocate or write.
 type Store struct {
 	numNodes int
 	dim      int
@@ -76,9 +74,7 @@ func (s *Store) Get(n int32) []float32 {
 	return s.zero
 }
 
-// CopyTo copies node n's embedding into dst (len ≥ Dim). This is the
-// copy-out read shared with Sharded, so callers can be written once against
-// either store.
+// CopyTo copies node n's embedding into dst (len ≥ Dim).
 func (s *Store) CopyTo(n int32, dst []float32) {
 	copy(dst, s.Get(n))
 }
@@ -197,7 +193,8 @@ type Occupancy struct {
 	Bytes int64
 }
 
-func (s *Store) occupancy() Occupancy {
+// Occupancy counts touched nodes, free rows, slabs and row bytes.
+func (s *Store) Occupancy() Occupancy {
 	o := Occupancy{FreeRows: len(s.free), Slabs: len(s.slabs)}
 	for _, r := range s.row {
 		if r != 0 {
@@ -210,8 +207,17 @@ func (s *Store) occupancy() Occupancy {
 	return o
 }
 
-// Snapshot captures the store for later Restore.
+// Snapshot captures the store for later Restore. Snapshots are immutable:
+// Restore and checkpoint encoding clone or read out of them, never mutate
+// them.
 type Snapshot struct{ st *Store }
+
+// Row returns node n's captured embedding, last-update time and touched
+// flag, so a checkpoint is encoded from the snapshot itself, not from a
+// store restored from it. The embedding is a read-only view.
+func (snap *Snapshot) Row(n int32) (z []float32, lastTime float64, touched bool) {
+	return snap.st.Get(n), snap.st.lastTime[n], snap.st.Touched(n)
+}
 
 // Snapshot returns a deep copy of the store contents.
 func (s *Store) Snapshot() *Snapshot { return &Snapshot{s.clone()} }

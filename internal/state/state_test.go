@@ -72,7 +72,7 @@ func TestResetAndSnapshotRestore(t *testing.T) {
 }
 
 // TestRestoreUndoesGrow: a store grown since its snapshot shrinks back on
-// Restore, node count included, as mailbox.Store and Sharded do.
+// Restore, node count included, as mailbox.Store does.
 func TestRestoreUndoesGrow(t *testing.T) {
 	s := New(2, 3)
 	snap := s.Snapshot()
@@ -95,14 +95,14 @@ func TestRestoreUndoesGrow(t *testing.T) {
 func TestRowsFollowTouchedNodes(t *testing.T) {
 	const dim = 3
 	s := New(10*slabRows, dim)
-	if o := s.occupancy(); o != (Occupancy{}) {
+	if o := s.Occupancy(); o != (Occupancy{}) {
 		t.Fatalf("fresh store holds rows: %+v", o)
 	}
 	for n := int32(0); n <= slabRows; n++ {
 		s.Set(n, []float32{float32(n), 1, 2}, 1)
 	}
-	if o := s.occupancy(); o.TouchedNodes != slabRows+1 || o.Slabs != 2 || o.Bytes != 2*slabRows*dim*4 {
-		t.Fatalf("after %d first touches: %+v", slabRows+1, s.occupancy())
+	if o := s.Occupancy(); o.TouchedNodes != slabRows+1 || o.Slabs != 2 || o.Bytes != 2*slabRows*dim*4 {
+		t.Fatalf("after %d first touches: %+v", slabRows+1, s.Occupancy())
 	}
 	s.ClearNode(5)
 	s.ClearNode(5)
@@ -110,7 +110,7 @@ func TestRowsFollowTouchedNodes(t *testing.T) {
 		t.Fatalf("cleared node reads %v touched=%v", z, s.Touched(5))
 	}
 	s.Set(9*slabRows, []float32{7, 8, 9}, 2)
-	if o := s.occupancy(); o.TouchedNodes != slabRows+1 || o.FreeRows != 0 || o.Slabs != 2 {
+	if o := s.Occupancy(); o.TouchedNodes != slabRows+1 || o.FreeRows != 0 || o.Slabs != 2 {
 		t.Fatalf("a first touch after ClearNode did not reuse the freed row: %+v", o)
 	}
 	if z := s.Get(9 * slabRows); z[0] != 7 || z[2] != 9 {
@@ -124,11 +124,11 @@ func TestRowsFollowTouchedNodes(t *testing.T) {
 	// the next first touch starts a new slab and disturbs no row.
 	snap := s.Snapshot()
 	s.Restore(snap)
-	if o := s.occupancy(); o.TouchedNodes != slabRows+1 || o.FreeRows != 0 || o.Slabs != 2 || o.Bytes != (slabRows+1)*dim*4 {
+	if o := s.Occupancy(); o.TouchedNodes != slabRows+1 || o.FreeRows != 0 || o.Slabs != 2 || o.Bytes != (slabRows+1)*dim*4 {
 		t.Fatalf("restored store: %+v", o)
 	}
 	s.Set(8*slabRows, []float32{5, 5, 5}, 3)
-	if o := s.occupancy(); o.TouchedNodes != slabRows+2 || o.Slabs != 3 {
+	if o := s.Occupancy(); o.TouchedNodes != slabRows+2 || o.Slabs != 3 {
 		t.Fatalf("first touch after restore: %+v", o)
 	}
 	for n := int32(0); n <= slabRows; n++ {
@@ -141,7 +141,7 @@ func TestRowsFollowTouchedNodes(t *testing.T) {
 	}
 
 	s.Reset()
-	if o := s.occupancy(); o != (Occupancy{}) || s.Touched(0) || s.Get(0)[0] != 0 {
+	if o := s.Occupancy(); o != (Occupancy{}) || s.Touched(0) || s.Get(0)[0] != 0 {
 		t.Fatalf("reset kept rows: %+v", o)
 	}
 }
@@ -187,5 +187,49 @@ func TestLastWriteWinsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGrowPreservesState checks dynamic admission: Grow keeps every row
+// and admits new nodes cold.
+func TestGrowPreservesState(t *testing.T) {
+	s := New(4, 3)
+	s.Set(2, []float32{1, 2, 3}, 7)
+	s.Grow(33)
+	if s.NumNodes() != 33 {
+		t.Fatalf("NumNodes after grow: %d", s.NumNodes())
+	}
+	if z := s.Get(2); z[0] != 1 || z[2] != 3 || s.LastTime(2) != 7 || !s.Touched(2) {
+		t.Fatalf("grow lost state: %v t=%v", z, s.LastTime(2))
+	}
+	if s.Touched(32) || s.LastTime(32) != 0 {
+		t.Fatal("new node not cold")
+	}
+	s.Set(32, []float32{4, 5, 6}, 9)
+	if !s.Touched(32) {
+		t.Fatal("set on admitted node failed")
+	}
+}
+
+// TestSnapshotRowReadsCapturedState: a snapshot answers per node what the
+// store answered when it was taken — checkpoints are encoded from it —
+// cleared and never-touched nodes included, and keeps answering it after
+// the store moves on.
+func TestSnapshotRowReadsCapturedState(t *testing.T) {
+	s := New(21, 3)
+	for n := int32(0); n < 21; n += 2 {
+		s.Set(n, []float32{float32(n), 1, -float32(n)}, float64(n)+0.5)
+	}
+	s.ClearNode(4)
+	snap := s.Snapshot()
+	s.Set(3, []float32{9, 9, 9}, 99)
+	s.Set(6, []float32{9, 9, 9}, 99)
+	for n := int32(0); n < 21; n++ {
+		z, last, touched := snap.Row(n)
+		want := n%2 == 0 && n != 4
+		if touched != want || (want && (z[0] != float32(n) || z[2] != -float32(n) || last != float64(n)+0.5)) ||
+			(!want && (z[0] != 0 || z[1] != 0 || last != 0)) {
+			t.Fatalf("node %d: row %v t=%v touched=%v", n, z, last, touched)
+		}
 	}
 }

@@ -415,7 +415,7 @@ func (t *OnlineTrainer) sampleNeg(exclude tgraph.NodeID) tgraph.NodeID {
 
 // step runs one Adam mini-batch on the private copy: sample the replay
 // buffer, draw live negatives, gather inputs from the live runtime state
-// (read-only, shard-locked), forward/backward on the reusable training
+// (read-only, under the model's shared store lock), forward/backward on the reusable training
 // tape, clip and step. Reports whether a step actually ran.
 func (t *OnlineTrainer) step() bool {
 	batch := t.buf.SampleInto(t.sampleBuf[:0], t.rng, t.cfg.MiniBatch, t.cfg.RecencyBias, t.m.NumNodes())
