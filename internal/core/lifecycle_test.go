@@ -15,45 +15,49 @@ func applyBatch(m *Model, events []tgraph.Event) {
 	m.ApplyPending(&p)
 }
 
-// TestConcurrentServeCycle runs whole serve cycles (Score + ApplyPending)
-// from many goroutines, racing Grow (EnsureNodes), digest cuts and
-// watermark reads, while every graph access serializes on the writer lock.
-// Run under -race in CI; the assertion is that no apply is lost.
-func TestConcurrentServeCycle(t *testing.T) {
-	ds := tinyData(2)
-	m, err := New(tinyConfig(ds.NumNodes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		appliers = 4
-		batches  = 12
-		bs       = 25
-	)
-	var wg sync.WaitGroup
-	for a := 0; a < appliers; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			for i := 0; i < batches; i++ {
-				lo := (a*batches + i) * bs
-				applyBatch(m, ds.Events[lo:lo+bs])
-			}
-		}(a)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 20; i++ {
-			m.RuntimeDigest()
-			_ = m.GraphEvents()
-			m.EnsureNodes(ds.NumNodes + i)
+// TestShardedConcurrentServeCycle runs whole serve cycles (Score +
+// ApplyPending) from many goroutines, racing Grow (EnsureNodes), digest
+// cuts and watermark reads, while every graph access serializes on the
+// writer lock. Run under -race in CI; the assertion is that no apply is
+// lost. The name and subtest label are kept from the lock-striped stores
+// the test was first written for.
+func TestShardedConcurrentServeCycle(t *testing.T) {
+	t.Run("sharded", func(t *testing.T) {
+		ds := tinyData(2)
+		m, err := New(tinyConfig(ds.NumNodes))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	wg.Wait()
-	if got, want := m.GraphEvents(), appliers*batches*bs; got != want {
-		t.Fatalf("lost applies: %d events, want %d", got, want)
-	}
+		const (
+			appliers = 4
+			batches  = 12
+			bs       = 25
+		)
+		var wg sync.WaitGroup
+		for a := 0; a < appliers; a++ {
+			wg.Add(1)
+			go func(a int) {
+				defer wg.Done()
+				for i := 0; i < batches; i++ {
+					lo := (a*batches + i) * bs
+					applyBatch(m, ds.Events[lo:lo+bs])
+				}
+			}(a)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				m.RuntimeDigest()
+				_ = m.GraphEvents()
+				m.EnsureNodes(ds.NumNodes + i)
+			}
+		}()
+		wg.Wait()
+		if got, want := m.GraphEvents(), appliers*batches*bs; got != want {
+			t.Fatalf("lost applies: %d events, want %d", got, want)
+		}
+	})
 }
 
 // TestBackendSurvivesLifecycle pins the in-place Reset contract: the model

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -230,4 +231,45 @@ func TestGrowAllocatesIndexOnly(t *testing.T) {
 	if s.NumNodes() != 10*nodes || s.Len(10*nodes-1) != 0 {
 		t.Fatalf("grown store: %d nodes", s.NumNodes())
 	}
+}
+
+// TestReadDuringFirstDeliver races readers, under a shared lock, against
+// the delivery that gives a node its block, under the exclusive lock: the
+// contract core.Model keeps with its store lock. Run under -race, which
+// catches a read path that writes: a reader sees the mailbox empty or
+// whole, and never writes.
+func TestReadDuringFirstDeliver(t *testing.T) {
+	const nodes, slots, dim = 512, 2, 8
+	s := New(nodes, slots, dim)
+	var mu sync.RWMutex
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]float32, slots*dim)
+			ts := make([]float64, slots)
+			for n := int32(0); n < nodes; n++ {
+				for { // spin until n's first mail lands
+					mu.RLock()
+					c := s.ReadSorted(n, buf, ts)
+					landed := s.Len(n) != 0
+					mu.RUnlock()
+					if c == 1 && (buf[0] != float32(n) || buf[dim-1] != float32(n)) {
+						t.Errorf("node %d: torn first mail %v", n, buf[:dim])
+						return
+					}
+					if landed {
+						break
+					}
+				}
+			}
+		}()
+	}
+	for n := int32(0); n < nodes; n++ {
+		mu.Lock()
+		s.Deliver(n, mail(float32(n), dim), 1)
+		mu.Unlock()
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package state
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -231,5 +232,101 @@ func TestSnapshotRowReadsCapturedState(t *testing.T) {
 			(!want && (z[0] != 0 || z[1] != 0 || last != 0)) {
 			t.Fatalf("node %d: row %v t=%v touched=%v", n, z, last, touched)
 		}
+	}
+}
+
+// TestShardedFirstTouchRace: scorers copy nodes out under a shared lock
+// while a writer, under the exclusive lock, first-touches them, clears some
+// and sets them again, so rows are carved, handed back and reused between
+// reads. This is the contract core.Model keeps with its store lock: readers
+// run concurrently with each other, never with a writer. Run under -race,
+// which catches a read path that writes. A reader sees zeros or one whole
+// row written for that very node, never a torn row or another node's. The
+// name is kept from the lock-striped store the test was first written for.
+func TestShardedFirstTouchRace(t *testing.T) {
+	const (
+		dim    = 16
+		nodes  = 3 * slabRows
+		rounds = 60
+	)
+	s := New(nodes, dim)
+	var mu sync.RWMutex
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		z := make([]float32, dim)
+		for round := 0; round < rounds; round++ {
+			for k := 0; k < nodes; k++ {
+				for j := range z {
+					z[j] = float32(round*1000 + k + 1)
+				}
+				mu.Lock()
+				s.Set(int32(k), z, float64(round))
+				mu.Unlock()
+			}
+			for k := round % 3; k < nodes; k += 3 {
+				mu.Lock()
+				s.ClearNode(int32(k))
+				mu.Unlock()
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			z := make([]float32, dim)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for k := 0; k < nodes; k++ {
+					mu.RLock()
+					s.CopyTo(int32(k), z)
+					mu.RUnlock()
+					v := z[0]
+					for j := 1; j < dim; j++ {
+						if z[j] != v {
+							t.Errorf("torn read of node %d: %v", k, z)
+							return
+						}
+					}
+					if v != 0 && int(v)%1000 != k+1 {
+						t.Errorf("node %d reads a row written for node %d", k, int(v)%1000-1)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestShardedSnapshotRestoreRoundTrip includes a grow between snapshot and
+// restore: restore must roll the node space back too, and a row overwritten
+// since the snapshot must read as captured. The name is kept from the
+// lock-striped store the test was first written for.
+func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
+	s := New(6, 2)
+	s.Set(5, []float32{1, 2}, 3)
+	snap := s.Snapshot()
+
+	s.Set(5, []float32{9, 9}, 4)
+	s.Grow(50)
+	s.Set(49, []float32{7, 7}, 5)
+
+	s.Restore(snap)
+	if s.NumNodes() != 6 {
+		t.Fatalf("restore kept grown node space: %d", s.NumNodes())
+	}
+	z := make([]float32, 2)
+	s.CopyTo(5, z)
+	if z[0] != 1 || z[1] != 2 || s.LastTime(5) != 3 {
+		t.Fatalf("restore did not roll back: %v t=%v", z, s.LastTime(5))
 	}
 }
