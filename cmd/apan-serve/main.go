@@ -96,7 +96,6 @@ func main() {
 		epochs    = flag.Int("epochs", 3, "training epochs before serving")
 		dbLatency = flag.Duration("db-latency", 0, "simulated graph-DB latency per round trip on the async link (one round trip per hop per batch)")
 		queueCap  = flag.Int("queue-cap", 256, "propagation queue capacity (backpressure bound)")
-		inferWork = flag.Int("infer-workers", 1, "goroutines the synchronous-link gather fans out across")
 		flushConc = flag.Int("flush-concurrency", 1, "coalesced batches scored in parallel")
 		maxNodes  = flag.Int("max-nodes", 1<<20, "dynamic node admission limit (negative disables admission)")
 		seed      = flag.Int64("seed", 1, "process seed: dataset, model init, and retry-backoff jitter (same seed, same run)")
@@ -133,7 +132,6 @@ func main() {
 
 	cfg := apan.Config{
 		NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim, Seed: *seed,
-		InferWorkers:  *inferWork,
 		EvictMaxNodes: *evictMax,
 	}
 	if err := cfg.Normalize(); err != nil {

@@ -3,6 +3,7 @@ package async
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -57,6 +58,63 @@ func TestClosedSubmitLeavesModelUntouched(t *testing.T) {
 		if got := m.RuntimeDigest(); got != digest {
 			t.Fatalf("%s after Shutdown moved the runtime digest: %016x -> %016x", name, digest, got)
 		}
+	}
+}
+
+// TestMalformedSubmitLeavesModelUntouched: every submission path refuses a
+// batch that names a node outside the node space or carries a feature
+// vector of the wrong width, with an error and before anything moves —
+// scoring it would panic in the gather, and applying it would log a record
+// replay refuses. The runtime digest, the graph watermark, the queue and
+// every counter stay put.
+func TestMalformedSubmitLeavesModelUntouched(t *testing.T) {
+	ctx := context.Background()
+	m := testModel(t, nil)
+	p := New(m, WithTenants())
+	defer p.Shutdown(ctx)
+	for _, b := range parityBatches(3) {
+		if _, _, err := p.Submit(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	digest, watermark, stats, tenants := m.RuntimeDigest(), m.GraphEvents(), p.Stats(), p.TenantStats()
+
+	n := tgraph.NodeID(m.NumNodes())
+	for name, batch := range map[string][]tgraph.Event{
+		"short feat":   {{Src: 0, Dst: 1, Time: 9, Feat: make([]float32, 3)}},
+		"src -1":       {{Src: 0, Dst: 1, Time: 9, Feat: feat()}, {Src: -1, Dst: 1, Time: 9, Feat: feat()}},
+		"dst NumNodes": {{Src: 0, Dst: n, Time: 9, Feat: feat()}},
+	} {
+		for variant, submit := range map[string]func() error{
+			"Submit":          func() error { _, _, err := p.Submit(ctx, batch); return err },
+			"TrySubmit":       func() error { _, _, err := p.TrySubmit(batch); return err },
+			"SubmitFuture":    func() error { return (<-p.SubmitFuture(ctx, batch)).Err },
+			"SubmitTenant":    func() error { _, _, err := p.SubmitTenant(ctx, DefaultTenant, batch); return err },
+			"TrySubmitTenant": func() error { _, _, err := p.TrySubmitTenant(DefaultTenant, batch); return err },
+			"ScoreOnly":       func() error { _, _, err := p.ScoreOnly(batch); return err },
+		} {
+			if err := submit(); err == nil {
+				t.Errorf("%s accepted a batch with %s", variant, name)
+			}
+		}
+	}
+	if err := p.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.RuntimeDigest(); got != digest {
+		t.Errorf("refused batches moved the runtime digest: %016x -> %016x", digest, got)
+	}
+	if got := m.GraphEvents(); got != watermark {
+		t.Errorf("refused batches moved the graph watermark: %d -> %d", watermark, got)
+	}
+	if got := p.Stats(); got != stats {
+		t.Errorf("refused batches moved the pipeline counters: %+v -> %+v", stats, got)
+	}
+	if got := p.TenantStats(); !reflect.DeepEqual(got, tenants) {
+		t.Errorf("refused batches moved the tenant counters: %+v -> %+v", tenants, got)
 	}
 }
 

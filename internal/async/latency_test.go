@@ -23,7 +23,7 @@ func TestStatsEqualFullHistoryBelowWindow(t *testing.T) {
 	p := New(testModel(t, nil))
 	defer p.Shutdown(context.Background())
 	tp := New(testModel(t, nil), WithTenantDefaults(TenantConfig{Weight: 1}))
-	defer tp.Close()
+	defer tp.Shutdown(context.Background())
 	for i := 0; i < 300; i++ {
 		ev := []tgraph.Event{{Src: 0, Dst: 1, Time: float64(i + 1), Feat: feat()}}
 		_, lat, err := p.Submit(ctx, ev)

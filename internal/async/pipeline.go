@@ -31,7 +31,7 @@ import (
 
 // Errors returned by the submission API.
 var (
-	// ErrClosed is returned by Submit variants after Shutdown/Close.
+	// ErrClosed is returned by Submit variants after Shutdown.
 	ErrClosed = errors.New("async: pipeline closed")
 	// ErrQueueFull is returned by TrySubmit when the propagation queue is
 	// at capacity and enqueueing would block.
@@ -118,8 +118,10 @@ func WithOnlineTrainer(t Trainer) Option {
 // variants concurrently, and their synchronous-link passes run in parallel:
 // Model.Score shares the store lock with other scorers and is excluded only
 // while the applier writes store memory. Every Submit variant and
-// ScoreOnly answer an empty batch with empty scores and a nil error, without
-// touching the model, the queue or any counter.
+// ScoreOnly answer an empty batch with empty scores and a nil error, and
+// refuse a batch naming a node outside the node space or carrying a feature
+// vector that is not EdgeDim long with an error (see core.Model.CheckEvents),
+// both without touching the model, the queue or any counter.
 type Pipeline struct {
 	model *core.Model
 	opts  options
@@ -130,7 +132,7 @@ type Pipeline struct {
 	done  chan struct{} // closed by the applier when it exits
 
 	// recMu/recFree recycle the records queued between the links, as the
-	// model's wsMu/wsFree recycle workspaces: a scorer checks one out and
+	// model's passMu/passFree recycle passes: a scorer checks one out and
 	// the applier, or a submit that scores only or drops its batch, puts it
 	// back. The list never outgrows the most records ever out at once —
 	// queue capacity plus concurrent submitters plus the applier's one.
@@ -257,6 +259,13 @@ func (p *Pipeline) score(events []tgraph.Event, apply bool) ([]float32, *core.Pe
 	return scores, rec, lat
 }
 
+// check refuses a batch naming a node outside the node space or carrying a
+// feature vector of the wrong width, before any gate counts it: scoring it
+// would panic, and applying it would log a record replay refuses.
+func (p *Pipeline) check(events []tgraph.Event) error {
+	return p.model.CheckEvents(events, p.model.NumNodes())
+}
+
 // getRecord checks a record out of the freelist, or builds one.
 func (p *Pipeline) getRecord() *core.Pending {
 	p.recMu.Lock()
@@ -298,6 +307,9 @@ func (p *Pipeline) Submit(ctx context.Context, events []tgraph.Event) ([]float32
 func (p *Pipeline) ScoreOnly(events []tgraph.Event) ([]float32, time.Duration, error) {
 	if len(events) == 0 {
 		return []float32{}, 0, nil
+	}
+	if err := p.check(events); err != nil {
+		return nil, 0, err
 	}
 	if err := p.sched.begin(); err != nil {
 		return nil, 0, err
@@ -365,12 +377,6 @@ func (p *Pipeline) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 }
-
-// Close drains the queue, stops the applier and releases resources.
-//
-// Deprecated: use Shutdown, which honors a deadline. Kept only for the
-// fixed-stream golden test, whose file changes only with its constants.
-func (p *Pipeline) Close() { _ = p.Shutdown(context.Background()) }
 
 // Stats is a point-in-time view of pipeline health.
 type Stats struct {

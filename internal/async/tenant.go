@@ -507,14 +507,18 @@ func (p *Pipeline) TrySubmitTenant(tenant string, events []tgraph.Event) ([]floa
 	return p.submitTenant(context.Background(), tenant, events, false)
 }
 
-// submitTenant is every submission: the empty batch and a done ctx return
-// at once, then the closed check and the rate gate, the synchronous link,
-// and the enqueue (block waits for space, !block sheds).
+// submitTenant is every submission: the empty batch, a done ctx and a
+// malformed batch return at once, then the closed check and the rate gate,
+// the synchronous link, and the enqueue (block waits for space, !block
+// sheds).
 func (p *Pipeline) submitTenant(ctx context.Context, tenant string, events []tgraph.Event, block bool) ([]float32, time.Duration, error) {
 	if len(events) == 0 {
 		return []float32{}, 0, nil
 	}
 	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	if err := p.check(events); err != nil {
 		return nil, 0, err
 	}
 	t, err := p.sched.admit(tenant, events)

@@ -57,7 +57,7 @@ func TestTenantDefaultBackCompat(t *testing.T) {
 
 	// Without tenancy there is no ledger.
 	p2 := New(testModel(t, nil))
-	defer p2.Close()
+	defer p2.Shutdown(context.Background())
 	if p2.TenantStats() != nil {
 		t.Fatal("TenantStats non-nil without tenancy")
 	}

@@ -162,19 +162,12 @@ func TestScoreRacesEvictingApplier(t *testing.T) {
 					return
 				default:
 				}
-				ws := m.acquireWorkspace()
-				m.gather(ws, all, times)
-				ok := check(&ws.in)
-				ws.release()
-				if !ok {
-					return
+				ps := m.acquirePass()
+				if !m.gather(&ps.in, &ps.ts, all, times) {
+					t.Error("the gather refused the node space")
 				}
-				ws = m.acquireWorkspace()
-				if !m.gatherChecked(ws, all, times) {
-					t.Error("Embed's gather refused the node space")
-				}
-				ok = !t.Failed() && check(&ws.in)
-				ws.release()
+				ok := !t.Failed() && check(&ps.in)
+				m.releasePass(ps)
 				if !ok {
 					return
 				}
@@ -230,9 +223,9 @@ func TestEnsureNodesDuringServing(t *testing.T) {
 }
 
 // TestScorePanicReleasesStoreLock: a Score that panics in its gather — here
-// on node −1, which the public Pipeline.Submit passes through — must not
-// leave the store lock held, or the applier's next exclusive lock would
-// block forever.
+// on node −1, which async.Pipeline refuses but a direct caller can pass —
+// must not leave the store lock held, or the applier's next exclusive lock
+// would block forever.
 func TestScorePanicReleasesStoreLock(t *testing.T) {
 	m := concModel(t)
 	func() {

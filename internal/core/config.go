@@ -47,11 +47,6 @@ type Config struct {
 	// Deprecated: kept only because the frozen benchmark reads it; the
 	// next benchmark change should stop reading it and delete it.
 	Shards int
-	// InferWorkers is the number of goroutines Score, Embed and a
-	// training or evaluation Step fan the state/mailbox gather across
-	// (default 1, i.e. no fan-out). Useful when one large batch must be
-	// gathered fast; concurrent callers already run in parallel.
-	InferWorkers int
 
 	// EvictMaxNodes bounds the warm working set: at most this many nodes may
 	// hold non-cold state/mailbox contents at once. When an applied batch
@@ -105,12 +100,6 @@ func (c *Config) Normalize() error {
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 200
-	}
-	if c.InferWorkers == 0 {
-		c.InferWorkers = 1
-	}
-	if c.InferWorkers < 1 {
-		return fmt.Errorf("core: Config.InferWorkers must be ≥1, got %d", c.InferWorkers)
 	}
 	if c.EvictMaxNodes < 0 {
 		return fmt.Errorf("core: Config.EvictMaxNodes must be ≥0, got %d", c.EvictMaxNodes)

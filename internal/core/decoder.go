@@ -4,7 +4,6 @@ import (
 	"math/rand"
 
 	"apan/internal/nn"
-	"apan/internal/tensor"
 )
 
 // LinkDecoder scores candidate interactions from pairs of temporal
@@ -63,42 +62,3 @@ func (dec *LinkDecoder) Params() []*nn.Tensor {
 	}
 	return append(dec.proj.Params(), dec.scale, dec.bias)
 }
-
-// EdgeDecoder classifies interactions from both embeddings and the edge
-// feature: MLP([z_i ‖ e_ij ‖ z_j]) → logit (paper §3.4, Alipay fraud task).
-type EdgeDecoder struct {
-	mlp *nn.MLP
-}
-
-// NewEdgeDecoder builds an edge-classification head.
-func NewEdgeDecoder(d, edgeDim, hidden int, dropout float32, rng *rand.Rand) *EdgeDecoder {
-	return &EdgeDecoder{mlp: nn.NewMLP(2*d+edgeDim, hidden, 1, dropout, rng)}
-}
-
-// Forward returns one logit per interaction; feats is the n×edgeDim feature
-// matrix.
-func (dec *EdgeDecoder) Forward(tp *nn.Tape, zi *nn.Tensor, feats *tensor.Matrix, zj *nn.Tensor) *nn.Tensor {
-	return dec.mlp.Forward(tp, tp.Concat3Cols(zi, tp.Input(feats), zj))
-}
-
-// Params returns the head's trainable tensors.
-func (dec *EdgeDecoder) Params() []*nn.Tensor { return dec.mlp.Params() }
-
-// NodeDecoder classifies a node's dynamic state from its embedding alone:
-// MLP(z_i) → logit (Wikipedia/Reddit ban prediction).
-type NodeDecoder struct {
-	mlp *nn.MLP
-}
-
-// NewNodeDecoder builds a node-classification head.
-func NewNodeDecoder(d, hidden int, dropout float32, rng *rand.Rand) *NodeDecoder {
-	return &NodeDecoder{mlp: nn.NewMLP(d, hidden, 1, dropout, rng)}
-}
-
-// Forward returns one logit per embedding row.
-func (dec *NodeDecoder) Forward(tp *nn.Tape, z *nn.Tensor) *nn.Tensor {
-	return dec.mlp.Forward(tp, z)
-}
-
-// Params returns the head's trainable tensors.
-func (dec *NodeDecoder) Params() []*nn.Tensor { return dec.mlp.Params() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"apan/internal/tgraph"
 	"apan/internal/wal"
@@ -45,6 +46,19 @@ func (m *Model) RecoverWAL(l *wal.Log) (int, error) {
 	return replayed, nil
 }
 
+// CheckEvents returns an error naming the first event with a node id
+// outside [0, limit) or a feature vector that is not EdgeDim long: the
+// shape every batch must have before it is scored, logged or replayed.
+func (m *Model) CheckEvents(events []tgraph.Event, limit int) error {
+	for i, ev := range events {
+		if ev.Src < 0 || ev.Dst < 0 || int(ev.Src) >= limit || int(ev.Dst) >= limit || len(ev.Feat) != m.Cfg.EdgeDim {
+			return fmt.Errorf("core: event %d (%d→%d) carries %d features; want ids in [0,%d) and %d features",
+				i, ev.Src, ev.Dst, len(ev.Feat), limit, m.Cfg.EdgeDim)
+		}
+	}
+	return nil
+}
+
 // ReplayBatch re-applies one logged batch: it admits any node ids the model
 // predates and re-admits evicted endpoints, as serving's admission path did
 // before scoring, then runs ApplyPending's span on the record's rows in
@@ -67,11 +81,9 @@ func (m *Model) ReplayBatch(rec wal.Record) error {
 		return fmt.Errorf("core: record at %d carries %d embedding values of dimension %d; its %d events name %d endpoints of dimension %d",
 			rec.First, len(rec.Rows), rec.Dim, len(rec.Events), len(plan.Nodes), m.Cfg.EdgeDim)
 	}
-	for i, ev := range rec.Events {
-		if ev.Src < 0 || ev.Dst < 0 || len(ev.Feat) != m.Cfg.EdgeDim {
-			return fmt.Errorf("core: record at %d: event %d (%d→%d) carries %d features; want non-negative ids and %d features",
-				rec.First, i, ev.Src, ev.Dst, len(ev.Feat), m.Cfg.EdgeDim)
-		}
+	// Replay admits every id it names, so only the id type bounds them.
+	if err := m.CheckEvents(rec.Events, math.MaxInt32); err != nil {
+		return fmt.Errorf("core: record at %d: %w", rec.First, err)
 	}
 	maxID := tgraph.NodeID(-1)
 	for _, n := range plan.Nodes {

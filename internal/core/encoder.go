@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sync"
 
 	"apan/internal/mailbox"
 	"apan/internal/nn"
@@ -71,9 +70,9 @@ type EncodeInput struct {
 }
 
 // ReadInputs gathers z(t−) and the timestamp-sorted mailboxes of nodes into
-// a freshly allocated, zero-filled EncodeInput: the reference every reused
-// gather (Model.GatherInputsInto, the inference workspace) is tested
-// against. times[i] is the query time of nodes[i].
+// a freshly allocated EncodeInput, with no locking: the allocating reference
+// the model's reused gather (Model.GatherInputsInto) is tested against.
+// times[i] is the query time of nodes[i].
 func ReadInputs(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times []float64) *EncodeInput {
 	b := len(nodes)
 	d := st.Dim()
@@ -86,60 +85,31 @@ func ReadInputs(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times
 		DTs:    make([]float32, b*m),
 		Counts: make([]int, b),
 	}
-	gatherInto(st, mb, nodes, times, 1, in, make([]float64, m))
+	fillInputs(st, mb, nodes, times, in, make([]float64, m))
 	return in
 }
 
-// gatherInto fills in from the stores. The caller owns every buffer: ZPrev
-// (b×d), Mails ((b·m)×d), Counts (len b), DTs (len b·m, zeroed — only valid
-// slots are written), and ts, the per-lane timestamp scratch of at least
-// workers·m float64s. With workers > 1 the nodes are split into contiguous
-// ranges, one goroutine each, filling disjoint rows, so the result equals
-// the serial gather; small batches stay serial. This is the allocation-free
-// core every gather shares.
-func gatherInto(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times []float64, workers int, in *EncodeInput, ts []float64) {
-	b := len(nodes)
-	m := mb.Slots()
-	// gatherRange is a plain function (not a closure) so the serial path —
-	// the zero-allocation serving configuration — builds no capture struct.
-	if workers <= 1 || b < 2*workers {
-		gatherRange(st, mb, nodes, times, in, ts[:m], 0, b)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (b + workers - 1) / workers
-	lane := 0
-	for lo := 0; lo < b; lo += chunk {
-		hi := lo + chunk
-		if hi > b {
-			hi = b
-		}
-		wg.Add(1)
-		go func(lo, hi int, ts []float64) {
-			defer wg.Done()
-			gatherRange(st, mb, nodes, times, in, ts, lo, hi)
-		}(lo, hi, ts[lane*m:(lane+1)*m])
-		lane++
-	}
-	wg.Wait()
-}
-
-// gatherRange fills rows [lo, hi) of in; ts is this lane's scratch.
-func gatherRange(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times []float64, in *EncodeInput, ts []float64, lo, hi int) {
+// fillInputs fills in from the stores, serially. The caller sizes every
+// buffer: ZPrev b×d, Mails (b·m)×d, DTs b·m, Counts b, and ts, timestamp
+// scratch of m float64s. Every slot is written: mail rows and time deltas
+// past a node's count are zeroed.
+func fillInputs(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times []float64, in *EncodeInput, ts []float64) {
 	d := st.Dim()
 	m := mb.Slots()
-	for i := lo; i < hi; i++ {
-		n := nodes[i]
+	for i, n := range nodes {
 		st.CopyTo(n, in.ZPrev.Row(i))
-		c := mb.ReadSorted(n, in.Mails.Data[i*m*d:(i+1)*m*d], ts)
+		mails, dts := in.Mails.Data[i*m*d:(i+1)*m*d], in.DTs[i*m:(i+1)*m]
+		c := mb.ReadSorted(n, mails, ts)
 		in.Counts[i] = c
 		for s := 0; s < c; s++ {
 			dt := times[i] - ts[s]
 			if dt < 0 {
 				dt = 0
 			}
-			in.DTs[i*m+s] = float32(dt)
+			dts[s] = float32(dt)
 		}
+		clear(mails[c*d:])
+		clear(dts[c:])
 	}
 }
 

@@ -32,21 +32,20 @@ type Explanation struct {
 // concurrent use with scoring, applies and SwapParams.
 func (m *Model) Explain(n tgraph.NodeID) (*Explanation, bool) {
 	pv := m.cur.Load()
-	ws := m.acquireWorkspace()
-	defer ws.release()
-	if !m.gatherChecked(ws, []tgraph.NodeID{n}, []float64{0}) || ws.in.Counts[0] == 0 {
+	ps := m.acquirePass()
+	defer m.releasePass(ps)
+	if !m.gather(&ps.in, &ps.ts, []tgraph.NodeID{n}, []float64{0}) || ps.in.Counts[0] == 0 {
 		return nil, false
 	}
-	// Re-anchor the time deltas at the newest mail. The gather of one node
-	// is serial and leaves its sorted mail timestamps in ws.ts, and the
-	// subtraction is the gather's own, so a batch pass at time t computes
-	// the same deltas.
-	c := ws.in.Counts[0]
-	t := ws.ts[c-1]
+	// Re-anchor the time deltas at the newest mail. The gather leaves the
+	// node's sorted mail timestamps in ps.ts, and the subtraction is the
+	// gather's own, so a batch pass at time t computes the same deltas.
+	c := ps.in.Counts[0]
+	t := ps.ts[c-1]
 	for s := range c {
-		ws.in.DTs[s] = float32(t - ws.ts[s])
+		ps.in.DTs[s] = float32(t - ps.ts[s])
 	}
-	_, att := pv.enc.Forward(ws.tape, &ws.in)
+	_, att := pv.enc.Forward(ps.tape, &ps.in)
 	heads, slots := att.Heads(), att.Slots()
 	ex := &Explanation{Node: n, Time: t, ParamVersion: pv.set.Version(),
 		MailWeights: make([]float32, c), PerHead: make([][]float32, heads)}

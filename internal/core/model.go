@@ -77,22 +77,22 @@ type Model struct {
 	// round trip or a WAL wait.
 	storeMu sync.RWMutex
 
+	// numNodes mirrors Cfg.NumNodes, stored under storeMu wherever that
+	// changes, so NumNodes, which checks every submitted batch, never waits.
+	numNodes atomic.Int64
+
 	// wal, when attached, records every batch entering the graph, Begin'd
 	// under applyMu immediately before the insert. Guarded by applyMu.
 	wal *wal.Log
 
-	// wsMu/wsFree recycle inference workspaces (gather buffers + reusable
-	// tape) across Score/Embed/Explain calls and goroutines.
-	// This is a plain mutex-guarded stack, NOT a sync.Pool: a sync.Pool's
-	// per-P private slots are invisible to Gets on other Ps and its contents
-	// are discarded across GC cycles, so under GOMAXPROCS > 1 a steady
-	// stream of concurrent scorers kept missing and constructing fresh
-	// workspaces — each re-paying the full tape/matrix warm-up (the
+	// passMu/passFree recycle passes (plan, gather buffers, reusable tape)
+	// across Score/Embed/Explain calls and goroutines. A plain stack, not a
+	// sync.Pool: the pool's per-P slots and GC clearing made concurrent
+	// scorers keep missing and re-paying a pass's warm-up (the
 	// infer_parallel_p4/p8 allocation regression). The stack never loses a
-	// warm workspace, holds at most as many as the peak scorer concurrency,
-	// and its ~ns critical section is noise next to a ms-scale forward pass.
-	wsMu   sync.Mutex
-	wsFree []*inferWorkspace
+	// warm pass and holds at most the peak scorer concurrency.
+	passMu   sync.Mutex
+	passFree []*pass
 
 	// replayPlan is ReplayBatch's node bookkeeping, reused across records
 	// (its map keeps its buckets); replay is single-caller by contract.
@@ -145,6 +145,7 @@ func NewWithDB(cfg Config, db *gdb.DB) (*Model, error) {
 	if cfg.EvictMaxNodes > 0 {
 		m.ev = newEvictor(cfg.EvictMaxNodes)
 	}
+	m.numNodes.Store(int64(cfg.NumNodes))
 	m.prop = NewPropagator(cfg, db, m.mbox)
 	m.opt = nn.NewAdam(m.Params(), cfg.LR)
 	m.publishOwn()
@@ -199,57 +200,9 @@ func (m *Model) MailboxOccupancy() mailbox.Occupancy {
 // Propagator exposes the asynchronous-link implementation.
 func (m *Model) Propagator() *Propagator { return m.prop }
 
-// GatherInputsInto reads z(t−) and the timestamp-sorted mailboxes of nodes
-// at the given query times under the shared store lock into the caller's
-// bundle and timestamp scratch, fanning out over Config.InferWorkers lanes —
-// the read-only view Step trains and evaluates from, which blocks serving
-// no more than any other reader. All buffers are grown in place as needed,
-// so a steady-state caller gathers without allocating; mail rows past each
-// node's valid count are explicitly zeroed, so the bundle is
-// indistinguishable from ReadInputs' fresh one.
-func (m *Model) GatherInputsInto(in *EncodeInput, ts *[]float64, nodes []tgraph.NodeID, times []float64) {
-	m.storeMu.RLock()
-	defer m.storeMu.RUnlock()
-	b := len(nodes)
-	d := m.st.Dim()
-	sl := m.mbox.Slots()
-	in.Nodes = nodes
-	in.Times = times
-	in.ZPrev = growMatrixRaw(in.ZPrev, b, d)
-	in.Mails = growMatrixRaw(in.Mails, b*sl, d)
-	in.DTs = grow(in.DTs, b*sl)
-	clear(in.DTs)
-	in.Counts = grow(in.Counts, b)
-	*ts = grow(*ts, m.Cfg.InferWorkers*sl)
-	gatherInto(m.st, m.mbox, nodes, times, m.Cfg.InferWorkers, in, *ts)
-	// Stale data in the reused Mails rows past each node's valid count would
-	// leak into the encoder (fresh gathers hand it zeros there); clear them.
-	for i, c := range in.Counts[:b] {
-		if c < sl {
-			clear(in.Mails.Data[(i*sl+c)*d : (i+1)*sl*d])
-		}
-	}
-}
-
-// growMatrixRaw resizes mx to rows×cols, reusing its backing array when it
-// fits. Contents are unspecified — the caller must overwrite every row it
-// reads.
-func growMatrixRaw(mx *tensor.Matrix, rows, cols int) *tensor.Matrix {
-	if mx == nil || cap(mx.Data) < rows*cols {
-		return tensor.New(rows, cols)
-	}
-	mx.Rows, mx.Cols = rows, cols
-	mx.Data = mx.Data[:rows*cols]
-	return mx
-}
-
 // NumNodes returns the current node-ID space, which EnsureNodes may have
 // grown past Cfg.NumNodes.
-func (m *Model) NumNodes() int {
-	m.storeMu.RLock()
-	defer m.storeMu.RUnlock()
-	return m.Cfg.NumNodes
-}
+func (m *Model) NumNodes() int { return int(m.numNodes.Load()) }
 
 // EnsureNodes grows the node-ID space to at least n nodes, so events naming
 // previously unseen IDs can be scored and propagated: the state store,
@@ -273,6 +226,7 @@ func (m *Model) ensureNodesLocked(n int) {
 	m.st.Grow(n)
 	m.mbox.Grow(n)
 	m.Cfg.NumNodes = n
+	m.numNodes.Store(int64(n))
 	m.storeMu.Unlock()
 	m.db.G.Grow(n)
 }
@@ -334,6 +288,7 @@ func (m *Model) RestoreRuntime(snap *Snapshot) {
 	m.st.Restore(snap.st)
 	m.mbox.Restore(snap.mb)
 	m.Cfg.NumNodes = m.st.NumNodes()
+	m.numNodes.Store(int64(m.Cfg.NumNodes))
 	m.storeMu.Unlock()
 	// Capture the replay prefix before Reset: the log is append-only and
 	// Reset replaces (never overwrites) its backing array, so the captured
@@ -411,7 +366,7 @@ func (m *Model) CollectStream(events []tgraph.Event, ns *dataset.NegSampler, col
 // Pending is a scored batch waiting for the asynchronous link: its events,
 // their scores, and a copy of exactly what applyRows reads — one
 // EdgeDim-wide embedding per distinct endpoint, and which row is each
-// event's source and destination. It owns no workspace, so a queued batch
+// event's source and destination. It holds no pass, so a queued batch
 // costs ≈ endpoints × EdgeDim floats (≈ 83 KB at batch 200) instead of a
 // pass's ≈ 17 MB. The zero value is ready for Score; the buffers grow to
 // the largest batch scored into it and are reused after that.
@@ -435,28 +390,29 @@ func (p *Pending) ParamVersion() uint64 { return p.version }
 // reusing p's buffers: p.Events aliases events, p.Scores holds the
 // interaction scores (also returned; valid until p is scored into again),
 // and p keeps a copy of the endpoint embeddings ApplyPending needs. The
-// pass's workspace is back with the model before Score returns, so p alone
-// carries the batch.
+// pass is back with the model before Score returns, so p alone carries the
+// batch.
 //
 // Score is safe to call from any number of goroutines concurrently with
 // itself, with ApplyPending and with SwapParams, each with its own Pending:
 // the gather holds the store lock shared, the forward pass works on
 // copies, and the parameter version is pinned by a single atomic load at
-// entry — the entire pass scores with that one immutable snapshot. With Config.InferWorkers > 1 the gather itself
-// additionally fans out across goroutines.
+// entry — the entire pass scores with that one immutable snapshot.
 //
 // events must be non-empty: the encoder has no zero-row pass, and an empty
-// batch panics. async.Pipeline answers empty batches without calling it.
+// batch panics. So does an event naming a node outside the node space.
+// async.Pipeline refuses both without calling it.
 func (m *Model) Score(events []tgraph.Event, p *Pending) []float32 {
 	pv := m.cur.Load()
-	ws := m.acquireWorkspace()
-	defer ws.release()
-	ws.plan.Build(events, nil)
-	m.gather(ws, ws.plan.Nodes, ws.plan.Times)
-	tp := ws.tape
-	z, _ := pv.enc.Forward(tp, &ws.in)
-	zsrc := tp.Gather(z, ws.plan.SrcRow)
-	zdst := tp.Gather(z, ws.plan.DstRow)
+	ps := m.acquirePass()
+	defer m.releasePass(ps)
+	plan := &ps.Plan
+	plan.Build(events, nil)
+	m.GatherInputsInto(&ps.in, &ps.ts, plan.Nodes, plan.Times)
+	tp := ps.tape
+	z, _ := pv.enc.Forward(tp, &ps.in)
+	zsrc := tp.Gather(z, plan.SrcRow)
+	zdst := tp.Gather(z, plan.DstRow)
 	logits := pv.dec.Forward(tp, zsrc, zdst).Value().Data
 	p.Events = events
 	p.Scores = grow(p.Scores, len(events))
@@ -464,9 +420,9 @@ func (m *Model) Score(events []tgraph.Event, p *Pending) []float32 {
 		p.Scores[i] = tensor.Sigmoid32(logits[i])
 	}
 	emb := z.Value()
-	p.rows = append(p.rows[:0], emb.Data[:len(ws.plan.Nodes)*emb.Cols]...)
-	p.srcRow = append(p.srcRow[:0], ws.plan.SrcRow...)
-	p.dstRow = append(p.dstRow[:0], ws.plan.DstRow...)
+	p.rows = append(p.rows[:0], emb.Data[:len(plan.Nodes)*emb.Cols]...)
+	p.srcRow = append(p.srcRow[:0], plan.SrcRow...)
+	p.dstRow = append(p.dstRow[:0], plan.DstRow...)
 	p.version = pv.set.Version()
 	return p.Scores
 }
@@ -506,7 +462,7 @@ func (m *Model) InferBatch(events []tgraph.Event) *Inference {
 	return inf
 }
 
-// Release does nothing: Score has already returned the workspace.
+// Release does nothing: Score has already returned its pass.
 //
 // Deprecated: drop the call.
 func (inf *Inference) Release() {}
@@ -603,36 +559,9 @@ func (m *Model) WAL() *wal.Log {
 // the caller. Every node must lie in the node space; Embed panics otherwise.
 func (m *Model) Embed(nodes []tgraph.NodeID, times []float64) *tensor.Matrix {
 	pv := m.cur.Load()
-	ws := m.acquireWorkspace()
-	defer ws.release()
-	if !m.gatherChecked(ws, nodes, times) {
-		panic(fmt.Sprintf("core: Embed: a node lies outside [0,%d)", m.NumNodes()))
-	}
-	z, _ := pv.enc.Forward(ws.tape, &ws.in)
+	ps := m.acquirePass()
+	defer m.releasePass(ps)
+	m.GatherInputsInto(&ps.in, &ps.ts, nodes, times)
+	z, _ := pv.enc.Forward(ps.tape, &ps.in)
 	return z.Value().Clone()
-}
-
-// gather fills ws with z(t−) and the sorted mailboxes of nodes at times
-// under the shared store lock: the read Score encodes from. The lock is
-// released by defer, so a gather that panics on a node outside the node
-// space leaves it free for the writer.
-func (m *Model) gather(ws *inferWorkspace, nodes []tgraph.NodeID, times []float64) {
-	m.storeMu.RLock()
-	defer m.storeMu.RUnlock()
-	ws.gather(m.st, m.mbox, nodes, times, m.Cfg.InferWorkers)
-}
-
-// gatherChecked is gather for Embed and Explain: it reads nothing and
-// reports false when a node lies outside the node space, which is checked
-// under the lock because RestoreRuntime may shrink it.
-func (m *Model) gatherChecked(ws *inferWorkspace, nodes []tgraph.NodeID, times []float64) bool {
-	m.storeMu.RLock()
-	defer m.storeMu.RUnlock()
-	for _, n := range nodes {
-		if n < 0 || int(n) >= m.Cfg.NumNodes {
-			return false
-		}
-	}
-	ws.gather(m.st, m.mbox, nodes, times, m.Cfg.InferWorkers)
-	return true
 }

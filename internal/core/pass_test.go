@@ -63,23 +63,14 @@ func referenceInfer(m *Model, events []tgraph.Event) (scores []float32, emb *ten
 	return scores, z.Value(), in
 }
 
-// sameGather reports whether a workspace gather equals the reference's
-// where the encoder may look: counts, every time delta (empty slots are 0),
-// z(t−), and each node's valid mails. Mail rows past a node's count are
-// unspecified in a recycled workspace — attention masks them out.
+// sameGather reports whether a pass's gather equals the reference's in
+// every buffer: counts, time deltas, z(t−) and every mail row — rows past a
+// node's count are zero in both.
 func sameGather(t *testing.T, got, want *EncodeInput) bool {
 	if !slices.Equal(got.Counts, want.Counts) || !slices.Equal(got.DTs, want.DTs) ||
-		!slices.Equal(got.ZPrev.Data, want.ZPrev.Data) {
-		t.Logf("gather differs in counts, time deltas or z(t−)")
+		!slices.Equal(got.ZPrev.Data, want.ZPrev.Data) || !slices.Equal(got.Mails.Data, want.Mails.Data) {
+		t.Logf("gather differs in counts, time deltas, z(t−) or mails")
 		return false
-	}
-	slots, d := len(want.DTs)/len(want.Counts), want.Mails.Cols
-	for i, c := range want.Counts {
-		lo := i * slots * d
-		if !slices.Equal(got.Mails.Data[lo:lo+c*d], want.Mails.Data[lo:lo+c*d]) {
-			t.Logf("gather differs in node row %d's %d valid mails", i, c)
-			return false
-		}
 	}
 	return true
 }
@@ -114,10 +105,10 @@ func TestQuickPooledInferenceEquivalence(t *testing.T) {
 			return false
 		}
 		gathers := func(m *Model, pass string) bool {
-			ws := m.acquireWorkspace()
-			defer ws.release()
-			ws.gather(m.st, m.mbox, plan.Nodes, plan.Times, m.Cfg.InferWorkers)
-			return sameGather(t, &ws.in, wantIn) || differ(pass, "gathers")
+			ps := m.acquirePass()
+			defer m.releasePass(ps)
+			m.GatherInputsInto(&ps.in, &ps.ts, plan.Nodes, plan.Times)
+			return sameGather(t, &ps.in, wantIn) || differ(pass, "gathers")
 		}
 
 		var fresh, recycled Pending
@@ -179,6 +170,40 @@ func TestPooledEmbedEquivalence(t *testing.T) {
 	}
 }
 
+// TestServingAndTrainingPassesAgree: the serving pass (Score, Embed) and
+// the training pass (Step.Eval) are one computation, so on the same warm
+// model and parameters they give each endpoint of a batch the same
+// embedding, bit for bit. The negatives are nodes outside the batch, so no
+// endpoint's query time moves when Step plans them.
+func TestServingAndTrainingPassesAgree(t *testing.T) {
+	m, batch, _ := buildWarm(t, nil, 7)
+	plan := planOf(batch)
+	endpoints := plan.Nodes[:plan.Endpoints]
+	var negs []tgraph.NodeID
+	for n := tgraph.NodeID(0); len(negs) < len(batch); n++ {
+		if !slices.Contains(endpoints, n) {
+			negs = append(negs, n)
+		}
+	}
+	pv := m.cur.Load()
+	step := m.NewStep(nil)
+	res := step.Eval(pv.enc, pv.dec, batch, negs)
+	if !slices.Equal(step.Plan.Nodes[:step.Plan.Endpoints], endpoints) || !slices.Equal(step.Plan.Times[:step.Plan.Endpoints], plan.Times) {
+		t.Fatal("Step planned the batch's endpoints differently from Score")
+	}
+	d := res.Z.Cols
+	train := res.Z.Data[:plan.Endpoints*d]
+
+	var p Pending
+	m.Score(batch, &p)
+	if !sameBits(p.rows, train) {
+		t.Fatal("Score's endpoint rows differ from Step.Eval's")
+	}
+	if emb := m.Embed(endpoints, plan.Times[:plan.Endpoints]); !sameBits(emb.Data, train) {
+		t.Fatal("Embed differs from Step.Eval's endpoint rows")
+	}
+}
+
 // TestExplainSurvivesRelease: Explain releases its workspace before it
 // returns, so the Explanation must own its weights rather than point into
 // the pass's pooled tape storage. Detection: the freelist hands the
@@ -227,8 +252,6 @@ func TestExplainSurvivesRelease(t *testing.T) {
 // TestInferBatchZeroAllocSteadyState is the allocation-regression guard of
 // the zero-allocation serving hot path: after warm-up, Score into a warm
 // Pending must not allocate.
-// Guarded to the serial gather (InferWorkers=1): fan-out spawns goroutines,
-// which allocate by nature.
 func TestInferBatchZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")

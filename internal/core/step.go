@@ -99,26 +99,25 @@ type BatchResult struct {
 // Step is APAN's link-prediction step, shared by the offline epoch loop,
 // evaluation and the online trainer: plan the batch against one negative
 // per event, gather the planned nodes' state and sorted mailboxes from the
-// live stores (GatherInputsInto), encode, and take the pair loss. Train
-// backpropagates on a reusable training tape; Eval runs forward only on an
-// inference tape. The plan, the gather buffers and both tapes are reused
-// from call to call. A Step is not safe for concurrent use.
+// live stores (GatherInputsInto), encode, and take the pair loss. It is the
+// pass Score runs, plus a training tape: Train backpropagates on that
+// reusable tape, Eval runs forward only on the pass's inference tape. The
+// plan, the gather buffers and both tapes are reused from call to call. A
+// Step is not safe for concurrent use.
 type Step struct {
-	Plan Plan
+	pass
 
-	m              *Model
-	in             EncodeInput
-	ts             []float64
-	pool, evalPool tensor.Pool
-	tape, evalTape *nn.Tape
+	m         *Model
+	trainPool tensor.Pool
+	trainTape *nn.Tape
 }
 
 // NewStep returns a step over m's stores whose training tape draws its
 // dropout masks from rng.
 func (m *Model) NewStep(rng *rand.Rand) *Step {
 	s := &Step{m: m}
-	s.tape = nn.NewReusableTrainingTape(&s.pool, rng)
-	s.evalTape = nn.NewInferenceTape(&s.evalPool)
+	s.init()
+	s.trainTape = nn.NewReusableTrainingTape(&s.trainPool, rng)
 	return s
 }
 
@@ -126,15 +125,15 @@ func (m *Model) NewStep(rng *rand.Rand) *Step {
 // params and clips their gradient norm at clip. The caller steps its
 // optimizer.
 func (s *Step) Train(enc *Encoder, dec *LinkDecoder, params []*nn.Tensor, clip float64, events []tgraph.Event, negs []tgraph.NodeID) BatchResult {
-	res, loss := s.forward(s.tape, enc, dec, events, negs)
-	s.tape.Backward(loss)
+	res, loss := s.forward(s.trainTape, enc, dec, events, negs)
+	s.trainTape.Backward(loss)
 	nn.ClipGradNorm(params, clip)
 	return res
 }
 
 // Eval runs the step's forward pass with enc and dec.
 func (s *Step) Eval(enc *Encoder, dec *LinkDecoder, events []tgraph.Event, negs []tgraph.NodeID) BatchResult {
-	res, _ := s.forward(s.evalTape, enc, dec, events, negs)
+	res, _ := s.forward(s.tape, enc, dec, events, negs)
 	return res
 }
 

@@ -22,9 +22,7 @@ const (
 	opMulRowVec
 	opAddRowsTiled
 	opConcatCols
-	opSliceCols
 	opReLU
-	opLeakyReLU
 	opSigmoid
 	opTanh
 	opExp
@@ -38,7 +36,6 @@ const (
 	opMaskedMHA
 	opLayerNorm
 	opBCE
-	opMSE
 	opTimeEncode
 	opSpMM
 )
@@ -172,15 +169,6 @@ func (tp *Tape) stepBack(out *Tensor) {
 			}
 		}
 
-	case opSliceCols:
-		if out.a.needGrad {
-			lo, hi := out.i0, out.i1
-			g := out.a.Grad()
-			for r := 0; r < out.G.Rows; r++ {
-				tensor.Axpy(g.Row(r)[lo:hi], out.G.Row(r), 1)
-			}
-		}
-
 	case opReLU:
 		a := out.a
 		if a.needGrad {
@@ -188,20 +176,6 @@ func (tp *Tape) stepBack(out *Tensor) {
 			for i, v := range out.G.Data {
 				if a.W.Data[i] > 0 {
 					g.Data[i] += v
-				}
-			}
-		}
-
-	case opLeakyReLU:
-		a := out.a
-		if a.needGrad {
-			slope := out.sc
-			g := a.Grad()
-			for i, v := range out.G.Data {
-				if a.W.Data[i] > 0 {
-					g.Data[i] += v
-				} else {
-					g.Data[i] += slope * v
 				}
 			}
 		}
@@ -397,17 +371,6 @@ func (tp *Tape) stepBack(out *Tensor) {
 			gv := out.G.Data[0] / float32(len(targets))
 			for i, y := range targets {
 				g.Data[i] += gv * (tensor.Sigmoid32(logits.W.Data[i]) - y)
-			}
-		}
-
-	case opMSE:
-		if out.a.needGrad {
-			pred := out.a
-			target := out.aux
-			g := pred.Grad()
-			gv := out.G.Data[0] * 2 / float32(len(pred.W.Data))
-			for i, v := range pred.W.Data {
-				g.Data[i] += gv * (v - target.Data[i])
 			}
 		}
 

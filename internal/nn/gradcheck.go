@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"apan/internal/tensor"
-)
+import "fmt"
 
 // GradCheck compares the analytic gradient of loss() with central finite
 // differences for every element of every parameter in params. loss must
@@ -51,20 +47,4 @@ func absf(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// NumericGrad computes the central-difference gradient of loss with respect
-// to a single matrix, for targeted tests.
-func NumericGrad(m *tensor.Matrix, loss func() float64, eps float32) *tensor.Matrix {
-	g := tensor.New(m.Rows, m.Cols)
-	for j := range m.Data {
-		orig := m.Data[j]
-		m.Data[j] = orig + eps
-		up := loss()
-		m.Data[j] = orig - eps
-		down := loss()
-		m.Data[j] = orig
-		g.Data[j] = float32((up - down) / (2 * float64(eps)))
-	}
-	return g
 }

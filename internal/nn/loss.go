@@ -49,26 +49,3 @@ func (tp *Tape) Fill(n int, v float32) []float32 {
 	}
 	return s
 }
-
-// MSE returns the mean squared error between pred and the constant target
-// matrix (same shape).
-func (tp *Tape) MSE(pred *Tensor, target *tensor.Matrix) *Tensor {
-	if pred.W.Rows != target.Rows || pred.W.Cols != target.Cols {
-		panic(fmt.Sprintf("nn: MSE shape mismatch %dx%d vs %dx%d", pred.W.Rows, pred.W.Cols, target.Rows, target.Cols))
-	}
-	n := len(pred.W.Data)
-	if n == 0 {
-		panic("nn: MSE of empty tensor")
-	}
-	out := tp.newResultRaw(1, 1, pred)
-	var sum float32
-	for i, v := range pred.W.Data {
-		d := v - target.Data[i]
-		sum += d * d
-	}
-	out.W.Data[0] = sum / float32(n)
-	if out.needGrad {
-		out.op, out.a, out.aux = opMSE, pred, target
-	}
-	return tp.record(out)
-}

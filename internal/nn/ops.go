@@ -188,21 +188,6 @@ func (tp *Tape) Concat3Cols(a, b, c *Tensor) *Tensor {
 	return tp.ConcatCols(tp.ConcatCols(a, b), c)
 }
 
-// SliceCols returns columns [lo, hi) of a.
-func (tp *Tape) SliceCols(a *Tensor, lo, hi int) *Tensor {
-	if lo < 0 || hi > a.W.Cols || lo >= hi {
-		panic(fmt.Sprintf("nn: SliceCols [%d,%d) of %d cols", lo, hi, a.W.Cols))
-	}
-	out := tp.newResultRaw(a.W.Rows, hi-lo, a)
-	for r := 0; r < a.W.Rows; r++ {
-		copy(out.W.Row(r), a.W.Row(r)[lo:hi])
-	}
-	if out.needGrad {
-		out.op, out.a, out.i0, out.i1 = opSliceCols, a, lo, hi
-	}
-	return tp.record(out)
-}
-
 // ReLU returns max(a, 0) element-wise.
 func (tp *Tape) ReLU(a *Tensor) *Tensor {
 	out := tp.newResult(a.W.Rows, a.W.Cols, a)
@@ -213,22 +198,6 @@ func (tp *Tape) ReLU(a *Tensor) *Tensor {
 	}
 	if out.needGrad {
 		out.op, out.a = opReLU, a
-	}
-	return tp.record(out)
-}
-
-// LeakyReLU returns a where a>0, slope·a otherwise.
-func (tp *Tape) LeakyReLU(a *Tensor, slope float32) *Tensor {
-	out := tp.newResultRaw(a.W.Rows, a.W.Cols, a)
-	for i, v := range a.W.Data {
-		if v > 0 {
-			out.W.Data[i] = v
-		} else {
-			out.W.Data[i] = slope * v
-		}
-	}
-	if out.needGrad {
-		out.op, out.a, out.sc = opLeakyReLU, a, slope
 	}
 	return tp.record(out)
 }

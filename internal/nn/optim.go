@@ -78,32 +78,3 @@ func ClipGradNorm(params []*Tensor, max float64) float64 {
 	}
 	return norm
 }
-
-// SGD is a plain stochastic-gradient-descent optimizer used by the
-// random-walk skip-gram trainers.
-type SGD struct {
-	LR     float32
-	params []*Tensor
-}
-
-// NewSGD builds an SGD optimizer for params with learning rate lr.
-func NewSGD(params []*Tensor, lr float32) *SGD {
-	return &SGD{LR: lr, params: params}
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step() {
-	for _, p := range s.params {
-		if p.G == nil {
-			continue
-		}
-		p.W.AddScaled(p.G, -s.LR)
-	}
-}
-
-// ZeroGrad clears the gradients of every managed parameter.
-func (s *SGD) ZeroGrad() {
-	for _, p := range s.params {
-		p.ZeroGrad()
-	}
-}

@@ -25,12 +25,12 @@ type Tensor struct {
 	a      *Tensor        // first operand
 	b      *Tensor        // second operand
 	c      *Tensor        // third operand
-	sc     float32        // scalar operand (Scale factor, LeakyReLU slope, MHA scale, …)
-	i0, i1 int            // int operands (ConcatCols split, SliceCols bounds, MHA heads/slots)
+	sc     float32        // scalar operand (Scale factor, affine gain, MHA scale)
+	i0, i1 int            // int operands (ConcatCols split, MHA heads/slots)
 	idx    []int32        // int32 operand (Gather indices, SegmentMean ids, OverlayRows winners)
 	f0     []float32      // float operand (Dropout mask, BCE targets, MHA weights, LayerNorm invStd)
 	f1     []float32      // backward scratch drawn at forward time (MHA dα, LayerNorm dx̂)
-	aux    *tensor.Matrix // matrix operand (LayerNorm x̂ cache, MSE target)
+	aux    *tensor.Matrix // matrix operand (LayerNorm x̂ cache)
 	cnts   []int          // MHA per-query valid-slot counts
 	sp     *SparseMatrix  // SpMM operand
 }
@@ -46,9 +46,6 @@ func (t *Tensor) Grad() *tensor.Matrix {
 	return t.G
 }
 
-// NeedGrad reports whether gradients flow into this tensor.
-func (t *Tensor) NeedGrad() bool { return t.needGrad }
-
 // ZeroGrad clears the accumulated gradient, if any.
 func (t *Tensor) ZeroGrad() {
 	if t.G != nil {
@@ -60,11 +57,6 @@ func (t *Tensor) ZeroGrad() {
 // outside any tape and persist across training steps.
 func Param(rows, cols int) *Tensor {
 	return &Tensor{W: tensor.New(rows, cols), G: tensor.New(rows, cols), needGrad: true}
-}
-
-// ParamFrom wraps an existing matrix as a trainable parameter.
-func ParamFrom(m *tensor.Matrix) *Tensor {
-	return &Tensor{W: m, G: tensor.New(m.Rows, m.Cols), needGrad: true}
 }
 
 // ParamShell creates a rows×cols parameter tensor with shape but no value
@@ -144,9 +136,6 @@ func NewReusableTrainingTape(pool *tensor.Pool, rng *rand.Rand) *Tape {
 func NewInferenceTape(pool *tensor.Pool) *Tape {
 	return &Tape{nograd: true, pool: pool}
 }
-
-// Training reports whether the tape runs in training mode.
-func (tp *Tape) Training() bool { return tp.training }
 
 // Reset recycles the tape for the next forward pass: every pooled matrix
 // returns to the pool and the Tensor/Attention nodes are reused in place.

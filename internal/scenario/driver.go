@@ -106,9 +106,12 @@ func ensureBatch(ensure func(int), batch []tgraph.Event) {
 // runDirect drives the stream through core.Model with no serving layer:
 // Score then ApplyPending, strictly sequenced. This is the reference
 // semantics every other path's scores are compared against, and the
-// deterministic replay path. With collectSamples it additionally gathers
-// labeled-event embeddings for the fraud head (a side read via Embed — no
-// state effects, so scores are identical either way).
+// deterministic replay path. Before each batch is scored its evicted
+// endpoints are warm-started from current neighbors (ReadmitBatch), exactly
+// as every Pipeline submit path does; with eviction off that returns at
+// once. With collectSamples it additionally gathers labeled-event
+// embeddings for the fraud head (a side read via Embed — no state effects,
+// so scores are identical either way).
 func runDirect(tr *Trace, o RunOptions, trainFrac float64, collectSamples bool) (*runOutcome, error) {
 	m, err := newModel(tr, o)
 	if err != nil {
@@ -121,6 +124,7 @@ func runDirect(tr *Trace, o RunOptions, trainFrac float64, collectSamples bool) 
 	var p core.Pending
 	for _, b := range batches {
 		ensureBatch(m.EnsureNodes, b)
+		m.ReadmitBatch(b)
 		start := time.Now()
 		m.Score(b, &p)
 		out.hist.Add(time.Since(start))

@@ -205,7 +205,9 @@ func TestFixedStreamGolden(t *testing.T) {
 			}
 			return scores
 		})
-		p.Close()
+		if err := p.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
 	})
 
 	t.Run("http", func(t *testing.T) {
@@ -238,7 +240,9 @@ func TestFixedStreamGolden(t *testing.T) {
 		})
 		ts.Close()
 		srv.Close()
-		p.Close()
+		if err := p.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
 	})
 
 	t.Run("replay", func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"apan/internal/async"
-	"apan/internal/core"
 	"apan/internal/eval"
 	"apan/internal/tgraph"
 )
@@ -226,35 +225,6 @@ func headAP(samples []labeledSample, seed int64) float64 {
 // gracefully, not collapse.
 const maxEvictAPLoss = 0.20
 
-// runDirectEvict is runDirect with the serving path's re-admission step:
-// before each batch is scored, its evicted endpoints are warm-started from
-// current neighbors (ReadmitBatch), exactly as every Pipeline submit path
-// does. The direct loop alone would score evicted nodes cold forever and
-// understate serving quality.
-func runDirectEvict(tr *Trace, o RunOptions, trainFrac float64, collectSamples bool) (*runOutcome, error) {
-	m, err := newModel(tr, o)
-	if err != nil {
-		return nil, err
-	}
-	stream := prepModel(m, tr, o, trainFrac)
-	batches := splitBatches(stream, o.BatchSize)
-	out := &runOutcome{model: m, submitted: len(stream), dropped: make([]bool, len(batches))}
-	base := m.DB().G.NumEvents()
-	var p core.Pending
-	for _, b := range batches {
-		ensureBatch(m.EnsureNodes, b)
-		m.ReadmitBatch(b)
-		out.scores = append(out.scores, append([]float32(nil), m.Score(b, &p)...))
-		m.ApplyPending(&p)
-		if collectSamples {
-			out.samples = collectLabeled(m, b, out.samples)
-		}
-	}
-	out.applied = m.DB().G.NumEvents() - base
-	out.digest = m.RuntimeDigest()
-	return out, nil
-}
-
 // checkEvictionPressure drives the direct path twice under a binding
 // eviction budget and asserts: evictions actually fire, the warm set never
 // exceeds the budget, both runs are bitwise identical (scores and digest —
@@ -264,11 +234,11 @@ func runDirectEvict(tr *Trace, o RunOptions, trainFrac float64, collectSamples b
 func checkEvictionPressure(tr *Trace, o RunOptions, sc Scenario, ref *runOutcome, batches [][]tgraph.Event) ([]Violation, *runOutcome, error) {
 	o2 := o
 	o2.EvictMaxNodes = evictBudget(o)
-	evA, err := runDirectEvict(tr, o2, sc.TrainFrac, true)
+	evA, err := runDirect(tr, o2, sc.TrainFrac, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	evB, err := runDirectEvict(tr, o2, sc.TrainFrac, false)
+	evB, err := runDirect(tr, o2, sc.TrainFrac, false)
 	if err != nil {
 		return nil, nil, err
 	}

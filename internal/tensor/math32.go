@@ -30,21 +30,3 @@ func Sigmoid32(x float32) float32 {
 	z := Exp32(x)
 	return z / (1 + z)
 }
-
-// LogSumExp returns log(Σ exp(x_i)) computed stably.
-func LogSumExp(xs []float32) float32 {
-	if len(xs) == 0 {
-		return float32(math.Inf(-1))
-	}
-	mx := xs[0]
-	for _, v := range xs[1:] {
-		if v > mx {
-			mx = v
-		}
-	}
-	var sum float32
-	for _, v := range xs {
-		sum += Exp32(v - mx)
-	}
-	return mx + Log32(sum)
-}

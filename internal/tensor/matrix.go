@@ -81,22 +81,6 @@ func (m *Matrix) Add(o *Matrix) {
 	}
 }
 
-// Sub subtracts o from m element-wise.
-func (m *Matrix) Sub(o *Matrix) {
-	m.mustSameShape(o, "Sub")
-	for i, v := range o.Data {
-		m.Data[i] -= v
-	}
-}
-
-// MulElem multiplies m by o element-wise.
-func (m *Matrix) MulElem(o *Matrix) {
-	m.mustSameShape(o, "MulElem")
-	for i, v := range o.Data {
-		m.Data[i] *= v
-	}
-}
-
 // Scale multiplies every element by s.
 func (m *Matrix) Scale(s float32) {
 	for i := range m.Data {

@@ -8,9 +8,9 @@ import "math/bits"
 // whose capacity already covers the requested shape.
 //
 // A Pool is NOT safe for concurrent use. The intended ownership model is
-// one Pool per worker/workspace (core.Model hands each inference workspace
-// its own), never shared across goroutines; cross-goroutine recycling
-// happens at the workspace level via sync.Pool.
+// one Pool per tape (each core pass owns its own), never shared across
+// goroutines; cross-goroutine recycling happens a level up, where core.Model
+// keeps whole passes on a mutex-guarded freelist.
 type Pool struct {
 	// classes[c] holds free matrices whose Data capacity is exactly 1<<c.
 	classes [maxSizeClass][]*Matrix

@@ -8,7 +8,6 @@ package tgraph
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -148,29 +147,6 @@ func (g *Graph) MostRecentNeighbors(n NodeID, t float64, k int, out []Incidence)
 	return out
 }
 
-// UniformNeighbors appends up to k interactions of n before t sampled
-// uniformly without replacement (Hamilton-style sampling, for baselines).
-func (g *Graph) UniformNeighbors(rng *rand.Rand, n NodeID, t float64, k int, out []Incidence) []Incidence {
-	hi := g.searchBefore(n, t)
-	if hi <= k {
-		for i := 0; i < hi; i++ {
-			out = append(out, g.adj[n][i])
-		}
-		return out
-	}
-	// Floyd's algorithm for a k-subset of [0, hi).
-	picked := make(map[int]struct{}, k)
-	for i := hi - k; i < hi; i++ {
-		j := rng.Intn(i + 1)
-		if _, dup := picked[j]; dup {
-			j = i
-		}
-		picked[j] = struct{}{}
-		out = append(out, g.adj[n][j])
-	}
-	return out
-}
-
 // KHopMostRecent returns the temporal neighborhood of the seed nodes: for
 // each hop h (1-based), the set of (node, incidence) pairs reached by
 // most-recent sampling with the given fan-out. Nodes can repeat across hops;
@@ -241,9 +217,6 @@ func (c *CSR) Degree(n NodeID) int { return int(c.RowPtr[n+1] - c.RowPtr[n]) }
 
 // Neighbors returns the static neighbor list of n.
 func (c *CSR) Neighbors(n NodeID) []NodeID { return c.ColIdx[c.RowPtr[n]:c.RowPtr[n+1]] }
-
-// NeighborEvents returns the representative event ids aligned with Neighbors.
-func (c *CSR) NeighborEvents(n NodeID) []int64 { return c.LastEvent[c.RowPtr[n]:c.RowPtr[n+1]] }
 
 // StaticSnapshot builds the deduplicated undirected graph of all events with
 // Time < t, keeping for each (u,v) pair the latest event id.

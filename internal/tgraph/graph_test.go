@@ -76,30 +76,6 @@ func TestMostRecentNeighborsLimit(t *testing.T) {
 	}
 }
 
-func TestUniformNeighborsBounds(t *testing.T) {
-	g := buildChain(t)
-	rng := rand.New(rand.NewSource(1))
-	got := g.UniformNeighbors(rng, 1, 100, 2, nil)
-	if len(got) != 2 {
-		t.Fatalf("want 2 samples, got %d", len(got))
-	}
-	seen := map[int64]bool{}
-	for _, inc := range got {
-		if inc.Time >= 100 {
-			t.Fatalf("sampled future event %+v", inc)
-		}
-		if seen[inc.Event] {
-			t.Fatalf("duplicate sample %+v", got)
-		}
-		seen[inc.Event] = true
-	}
-	// Fewer interactions than k: return all.
-	all := g.UniformNeighbors(rng, 3, 100, 10, nil)
-	if len(all) != 1 || all[0].Peer != 2 {
-		t.Fatalf("want the single neighbor, got %+v", all)
-	}
-}
-
 func TestKHopMostRecent(t *testing.T) {
 	g := buildChain(t)
 	hops := g.KHopMostRecent([]NodeID{0}, 10, 2, 2)
@@ -136,9 +112,8 @@ func TestStaticSnapshotDedup(t *testing.T) {
 		t.Fatalf("neighbors sorted: %+v", nb)
 	}
 	// The (0,1) pair keeps the latest event (@3, id 2).
-	evs := csr.NeighborEvents(1)
-	if evs[0] != 2 {
-		t.Fatalf("latest event for (1,0) = %d", evs[0])
+	if ev := csr.LastEvent[csr.RowPtr[1]]; ev != 2 {
+		t.Fatalf("latest event for (1,0) = %d", ev)
 	}
 	// Temporal cutoff: snapshot at t=2 has only the first event.
 	early := g.StaticSnapshot(2)

@@ -13,8 +13,8 @@ import (
 // catastrophically forgetting the stationary structure.
 //
 // The buffer is seeded and single-consumer: all methods must be called from
-// the trainer's run context. Determinism: equal (seed, Add sequence, Sample
-// sequence) produce equal samples.
+// the trainer's run context. Determinism: equal (seed, Add sequence,
+// SampleInto sequence) produce equal samples.
 type ReplayBuffer struct {
 	rng *rand.Rand
 
@@ -61,21 +61,12 @@ func (b *ReplayBuffer) Add(ev tgraph.Event) {
 // an event may be in both).
 func (b *ReplayBuffer) Len() int { return len(b.reservoir) + len(b.recent) }
 
-// Seen returns the number of events ever offered.
-func (b *ReplayBuffer) Seen() int64 { return b.seen }
-
-// Sample draws up to k events, each taken from the recency ring with
-// probability recencyBias and from the reservoir otherwise. Events naming a
-// node ≥ maxNode are skipped (the runtime may have been rolled back to a
-// smaller node space than the buffer remembers); the result may therefore be
-// shorter than k.
-func (b *ReplayBuffer) Sample(rng *rand.Rand, k int, recencyBias float64, maxNode int) []tgraph.Event {
-	return b.SampleInto(make([]tgraph.Event, 0, k), rng, k, recencyBias, maxNode)
-}
-
-// SampleInto is Sample appending into out (pass a reused buffer sliced to
-// [:0]), so a steady-state caller draws mini-batches without allocating.
-// The rng consumption is identical to Sample's.
+// SampleInto appends up to k events to out, each taken from the recency
+// ring with probability recencyBias and from the reservoir otherwise. Events
+// naming a node ≥ maxNode are skipped (the runtime may have been rolled back
+// to a smaller node space than the buffer remembers), so fewer than k may
+// be appended. Pass a reused buffer sliced to [:0] and a steady-state caller
+// draws mini-batches without allocating.
 func (b *ReplayBuffer) SampleInto(out []tgraph.Event, rng *rand.Rand, k int, recencyBias float64, maxNode int) []tgraph.Event {
 	if len(b.reservoir) == 0 && len(b.recent) == 0 {
 		return out
