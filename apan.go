@@ -191,7 +191,8 @@ type (
 	// Server is the versioned HTTP/JSON serving surface (v1 endpoints)
 	// over a Pipeline; it implements http.Handler.
 	Server = serve.Server
-	// ServerOptions tunes the server-side micro-batcher.
+	// ServerOptions configures a Server: node admission, the online
+	// trainer, replication and readiness.
 	ServerOptions = serve.Options
 	// TenantConfig is a per-tenant admission contract: scheduling weight,
 	// event-time rate limit, priority lane, and private queue depth.
@@ -297,8 +298,8 @@ type (
 	// WALShipper incrementally copies WAL segments to a ShipDest (a
 	// follower's directory, or a network connection via ServeWALShip).
 	WALShipper = wal.Shipper
-	// WALShipOptions configures a WALShipper (Tail mode ships the live
-	// segment, not just sealed ones).
+	// WALShipOptions configures a WALShipper's chunk size. Every pass
+	// ships the live segment too, not just sealed ones.
 	WALShipOptions = wal.ShipOptions
 	// WALShipDest receives shipped segment chunks.
 	WALShipDest = wal.ShipDest

@@ -96,7 +96,6 @@ func main() {
 		epochs    = flag.Int("epochs", 3, "training epochs before serving")
 		dbLatency = flag.Duration("db-latency", 0, "simulated graph-DB latency per round trip on the async link (one round trip per hop per batch)")
 		queueCap  = flag.Int("queue-cap", 256, "propagation queue capacity (backpressure bound)")
-		flushConc = flag.Int("flush-concurrency", 1, "coalesced batches scored in parallel")
 		maxNodes  = flag.Int("max-nodes", 1<<20, "dynamic node admission limit (negative disables admission)")
 		seed      = flag.Int64("seed", 1, "process seed: dataset, model init, and retry-backoff jitter (same seed, same run)")
 		demoBatch = flag.Int("demo-batch", 50, "events per request in demo replay")
@@ -391,10 +390,9 @@ func main() {
 
 	health := serve.NewHealth(3)
 	sopts := apan.ServerOptions{
-		FlushConcurrency: *flushConc,
-		MaxNodes:         *maxNodes,
-		Trainer:          trainer,
-		Health:           health,
+		MaxNodes: *maxNodes,
+		Trainer:  trainer,
+		Health:   health,
 	}
 	if rep != nil {
 		sopts.Replication = rep

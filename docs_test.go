@@ -81,7 +81,7 @@ func TestConfigurationDocCoversEveryKnob(t *testing.T) {
 		t.Fatal(err)
 	}
 	flags := serveFlag.FindAllStringSubmatch(string(src), -1)
-	if len(flags) < 28 {
+	if len(flags) < 27 {
 		t.Fatalf("found only %d flag definitions in cmd/apan-serve/main.go; the pattern no longer matches how they are written", len(flags))
 	}
 	for _, m := range flags {

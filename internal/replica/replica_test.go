@@ -88,9 +88,9 @@ func TestFollowerReplaysAndPromotes(t *testing.T) {
 	wantDigest := leader.RuntimeDigest()
 	leader.DetachWAL().Abandon()
 
-	// Ship the whole log (tail mode: the live segment too) to the follower.
+	// Ship the whole log (the live segment too) to the follower.
 	dirB := t.TempDir()
-	shipper := wal.NewShipper(dirA, wal.DirDest{Dir: dirB}, wal.ShipOptions{Tail: true})
+	shipper := wal.NewShipper(dirA, wal.DirDest{Dir: dirB}, wal.ShipOptions{})
 	if _, err := shipper.ShipNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestFollowerIncrementalPolls(t *testing.T) {
 	}
 
 	dirB := t.TempDir()
-	shipper := wal.NewShipper(dirA, wal.DirDest{Dir: dirB}, wal.ShipOptions{Tail: true})
+	shipper := wal.NewShipper(dirA, wal.DirDest{Dir: dirB}, wal.ShipOptions{})
 	follower := newModel(t, numNodes)
 	rep, err := NewFollower(follower, dirB, Options{WAL: walOpts})
 	if err != nil {
@@ -275,7 +275,7 @@ func TestShipDestFencedByPromotion(t *testing.T) {
 	}
 
 	// The ship stream writes through the fenced dest, not a raw DirDest.
-	shipper := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{Tail: true})
+	shipper := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{})
 	if _, err := shipper.ShipNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestFailedPromotionLiftsFence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipper := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{Tail: true})
+	shipper := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{})
 	if _, err := shipper.ShipNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestFailedPromotionLiftsFence(t *testing.T) {
 	}
 	// The fence is lifted: a (re)connecting leader's re-ship lands again.
 	before := dirSnapshot(t, dirB)
-	reship := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{Tail: true})
+	reship := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{})
 	if _, err := reship.ShipNow(); err != nil {
 		t.Fatalf("re-ship after failed promotion: %v", err)
 	}
@@ -434,7 +434,7 @@ func TestPromotionFenceRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{Tail: true}).ShipNow(); err != nil {
+	if _, err := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{}).ShipNow(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rep.PollOnce(); err != nil {
@@ -561,7 +561,7 @@ func TestFollowerAcrossLeaderPublish(t *testing.T) {
 		t.Fatal("the published parameters changed nothing; the test proves nothing")
 	}
 
-	if _, err := wal.NewShipper(dirA, wal.DirDest{Dir: dirB}, wal.ShipOptions{Tail: true}).ShipNow(); err != nil {
+	if _, err := wal.NewShipper(dirA, wal.DirDest{Dir: dirB}, wal.ShipOptions{}).ShipNow(); err != nil {
 		t.Fatal(err)
 	}
 	follower := newModel(t, numNodes)

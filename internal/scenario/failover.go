@@ -77,7 +77,7 @@ func planFailover(seed int64, numBatches int) (failoverPlan, error) {
 }
 
 // runFailover is the warm-standby workload: a leader streams with a WAL
-// attached and ships the log (tail mode) to a follower directory after
+// attached and ships the log, live segment included, to a follower directory after
 // every batch; the follower replays continuously through a seeded pause
 // point, then lags; the leader checkpoints and truncates mid-stream, keeps
 // serving, and dies at a seeded batch. The follower is promoted and must be
@@ -237,7 +237,7 @@ func (a *failoverArm) run(mode failMode) ([]Violation, int, int, error) {
 
 	// Ships go through the replica's fenced dest — as the serve binary's
 	// dial loop does — so the arms also prove the on-disk write fence.
-	shipper := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{Tail: true})
+	shipper := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{})
 	var p core.Pending
 	apply := func(m *core.Model, b []tgraph.Event) []float32 {
 		ensureBatch(m.EnsureNodes, b)
@@ -271,7 +271,7 @@ func (a *failoverArm) run(mode failMode) ([]Violation, int, int, error) {
 				// A fresh process means a fresh ship connection: the
 				// leader re-ships from byte zero through the new
 				// replica's dest (chunk writes are idempotent).
-				shipper = wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{Tail: true})
+				shipper = wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{})
 				if _, err := shipper.ShipNow(); err != nil {
 					return nil, 0, 0, err
 				}
@@ -363,7 +363,7 @@ func (a *failoverArm) run(mode failMode) ([]Violation, int, int, error) {
 	// partition, not a crash) keeps streaming — a fresh connection's
 	// re-ship from byte zero must be refused before a single chunk lands
 	// under the promoted leader's log.
-	staleShip := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{Tail: true})
+	staleShip := wal.NewShipper(dirA, rep.ShipDest(), wal.ShipOptions{})
 	if _, err := staleShip.ShipNow(); !errors.Is(err, replica.ErrPromoted) {
 		vs = append(vs, a.violation(mode, -1, "stale leader ship not fenced: ShipNow returned %v", err))
 	}

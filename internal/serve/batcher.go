@@ -14,20 +14,14 @@ import (
 // synchronous link run toward its batch sweet spot (paper Table 5, batch ≈
 // 200) even when every caller sends one event at a time.
 //
-// Policy: flush when a lane is free, coalesce while lanes are busy. A
-// request that finds a flush lane free is scored at once, alone if need be;
-// requests that arrive while every lane is busy accumulate and ride one
-// flush the moment a lane frees (at most maxBatch per flush). Batches thus
-// form from the load the batcher observes, and an idle server adds no wait.
-//
-// Up to `conc` flushes may score in parallel (the pipeline's synchronous
-// link is concurrent); with conc=1 the batcher is
-// strictly serialized and batch sizes converge on the number of in-flight
-// clients.
+// Policy: flush when the lane is free, coalesce while it is busy. A request
+// that finds no flush in flight is scored at once, alone if need be;
+// requests that arrive while a flush is in flight accumulate and ride the
+// next one the moment it finishes (at most maxBatch per flush). Batches
+// thus form from the load the batcher observes, batch sizes converge on
+// the number of in-flight clients, and an idle server adds no wait.
 type Batcher struct {
-	pipe     *async.Pipeline
-	maxBatch int
-	conc     int
+	pipe *async.Pipeline
 
 	reqs chan batchReq
 	done chan struct{}
@@ -38,7 +32,7 @@ type Batcher struct {
 
 	mu        sync.Mutex
 	closed    bool
-	pending   int // requests the loop holds behind busy lanes
+	pending   int // requests the loop holds behind the flush in flight
 	flushes   int64
 	coalesced int64
 }
@@ -57,8 +51,8 @@ type batchResp struct {
 }
 
 // BatcherStats reports micro-batching effectiveness. Pending is a gauge:
-// the requests waiting behind busy lanes right now, which the next flush
-// will carry.
+// the requests waiting behind the flush in flight right now, which the
+// next flush will carry.
 type BatcherStats struct {
 	Flushes   int64   `json:"flushes"`
 	Coalesced int64   `json:"coalesced_events"`
@@ -66,21 +60,15 @@ type BatcherStats struct {
 	Pending   int     `json:"pending"`
 }
 
-// NewBatcher starts a micro-batcher over pipe. maxBatch ≤ 0 defaults to
-// 200; conc ≤ 0 defaults to 1 (serialized flushes).
-func NewBatcher(pipe *async.Pipeline, maxBatch, conc int) *Batcher {
-	if maxBatch <= 0 {
-		maxBatch = 200
-	}
-	if conc <= 0 {
-		conc = 1
-	}
+// maxBatch caps one flush at paper Table 5's throughput sweet spot.
+const maxBatch = 200
+
+// NewBatcher starts a micro-batcher over pipe.
+func NewBatcher(pipe *async.Pipeline) *Batcher {
 	b := &Batcher{
-		pipe:     pipe,
-		maxBatch: maxBatch,
-		conc:     conc,
-		reqs:     make(chan batchReq, 4*maxBatch),
-		done:     make(chan struct{}),
+		pipe: pipe,
+		reqs: make(chan batchReq, 4*maxBatch),
+		done: make(chan struct{}),
 	}
 	go b.loop()
 	return b
@@ -123,36 +111,18 @@ func (b *Batcher) Score(ctx context.Context, ev tgraph.Event) (float32, time.Dur
 	}
 }
 
-// loop is the dispatcher. Up to b.conc flushes run at a time. A request that
-// finds a lane free launches at once; requests that arrive while every lane
-// is busy accumulate and launch together the moment one completes, so under
-// sustained concurrency the batch size converges on the number of in-flight
-// clients divided by the lane count, with no idle stalls and no timer.
+// loop is the dispatcher. One flush runs at a time: a request that finds
+// none in flight launches at once; requests that arrive meanwhile
+// accumulate and launch together the moment it completes, with no idle
+// stalls and no timer.
 func (b *Batcher) loop() {
 	defer close(b.done)
 	var (
-		pending  []batchReq
-		inflight int                           // flushes currently running
-		flushed  = make(chan struct{}, b.conc) // one signal per finished flush
-		reqs     = b.reqs
+		pending []batchReq
+		busy    bool // a flush is in flight
+		flushed = make(chan struct{}, 1)
+		reqs    = b.reqs
 	)
-	// launchAll starts flushes of up to maxBatch while lanes and requests
-	// remain, and publishes what is left waiting.
-	launchAll := func() {
-		for inflight < b.conc && len(pending) > 0 {
-			n := min(len(pending), b.maxBatch)
-			batch := pending[:n:n]
-			pending = append([]batchReq(nil), pending[n:]...)
-			inflight++
-			go func() {
-				b.flush(batch)
-				flushed <- struct{}{}
-			}()
-		}
-		b.mu.Lock()
-		b.pending = len(pending)
-		b.mu.Unlock()
-	}
 	for {
 		select {
 		case r, ok := <-reqs:
@@ -162,11 +132,23 @@ func (b *Batcher) loop() {
 				reqs = nil // closed: stop receiving, drain what is pending
 			}
 		case <-flushed:
-			inflight--
+			busy = false
 		}
-		launchAll()
-		if reqs == nil && inflight == 0 {
-			return // closed, and launchAll left nothing pending
+		if !busy && len(pending) > 0 {
+			n := min(len(pending), maxBatch)
+			batch := pending[:n:n]
+			pending = append([]batchReq(nil), pending[n:]...)
+			busy = true
+			go func() {
+				b.flush(batch)
+				flushed <- struct{}{}
+			}()
+		}
+		b.mu.Lock()
+		b.pending = len(pending)
+		b.mu.Unlock()
+		if reqs == nil && !busy {
+			return // closed, and nothing is left pending
 		}
 	}
 }

@@ -64,7 +64,7 @@ func BenchmarkMicroBatch(b *testing.B) {
 	b.Run("Coalesced", func(b *testing.B) {
 		pipe := async.New(testModel(b), async.WithQueueCap(1024))
 		defer pipe.Shutdown(context.Background())
-		batcher := NewBatcher(pipe, 200, 1)
+		batcher := NewBatcher(pipe)
 		defer batcher.Close()
 		run(b, func(ctx context.Context, ev tgraph.Event) error {
 			_, _, _, err := batcher.Score(ctx, ev)

@@ -60,15 +60,6 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// MaxBatch caps the coalesced batch size. Zero means 200 (paper
-	// Table 5's throughput sweet spot).
-	MaxBatch int
-	// FlushConcurrency is how many coalesced batches may score in parallel.
-	// Concurrent Score calls share the model's store lock, so under
-	// sustained load extra flush lanes raise throughput; 1 (the zero
-	// default) serializes flushes, which maximizes per-flush batch size
-	// instead.
-	FlushConcurrency int
 	// MaxNodes bounds dynamic node admission: events naming node IDs in
 	// [NumNodes, MaxNodes) grow the model's node space instead of being
 	// rejected; IDs ≥ MaxNodes get a structured 400 (node_limit_exceeded),
@@ -141,7 +132,7 @@ func New(pipe *async.Pipeline, opts Options) *Server {
 	}
 	s := &Server{
 		pipe:        pipe,
-		batcher:     NewBatcher(pipe, opts.MaxBatch, opts.FlushConcurrency),
+		batcher:     NewBatcher(pipe),
 		trainer:     opts.Trainer,
 		replication: opts.Replication,
 		maxLag:      maxLag,

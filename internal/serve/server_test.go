@@ -433,7 +433,7 @@ func TestBatcherLoneRequestAndClose(t *testing.T) {
 	t.Run("a lone request is scored with no second arrival", func(t *testing.T) {
 		pipe := async.New(testModel(t))
 		defer pipe.Shutdown(context.Background())
-		b := NewBatcher(pipe, 0, 0)
+		b := NewBatcher(pipe)
 		defer b.Close()
 		score, _, size, err := b.Score(t.Context(), ev(0))
 		if err != nil || size != 1 || !(score > 0 && score < 1) {
@@ -445,7 +445,7 @@ func TestBatcherLoneRequestAndClose(t *testing.T) {
 		pipe := async.New(testModel(t), async.WithQueueCap(1),
 			async.WithBeforeApply(func([]tgraph.Event) { <-release }))
 		defer pipe.Shutdown(context.Background())
-		b := NewBatcher(pipe, 0, 0)
+		b := NewBatcher(pipe)
 		var wg sync.WaitGroup
 		score := func(i int) {
 			defer wg.Done()

@@ -8,6 +8,7 @@ package tgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -207,9 +208,6 @@ type CSR struct {
 	NumNodes int
 	RowPtr   []int32
 	ColIdx   []NodeID
-	// LastEvent[i] is the log id of the most recent event on the CSR edge i,
-	// so static models can still read an edge feature.
-	LastEvent []int64
 }
 
 // Degree returns the static degree of n.
@@ -219,47 +217,19 @@ func (c *CSR) Degree(n NodeID) int { return int(c.RowPtr[n+1] - c.RowPtr[n]) }
 func (c *CSR) Neighbors(n NodeID) []NodeID { return c.ColIdx[c.RowPtr[n]:c.RowPtr[n+1]] }
 
 // StaticSnapshot builds the deduplicated undirected graph of all events with
-// Time < t, keeping for each (u,v) pair the latest event id.
+// Time < t, each node's neighbors sorted by id.
 func (g *Graph) StaticSnapshot(t float64) *CSR {
-	type edge struct {
-		peer NodeID
-		ev   int64
-	}
-	per := make([]map[NodeID]int64, g.numNodes)
-	for n := 0; n < g.numNodes; n++ {
-		hi := g.searchBefore(NodeID(n), t)
-		if hi == 0 {
-			continue
-		}
-		m := make(map[NodeID]int64, hi)
-		for _, inc := range g.adj[n][:hi] {
-			m[inc.Peer] = inc.Event // later entries overwrite: latest event wins
-		}
-		per[n] = m
-	}
 	csr := &CSR{NumNodes: g.numNodes, RowPtr: make([]int32, g.numNodes+1)}
-	var total int32
 	for n := 0; n < g.numNodes; n++ {
-		csr.RowPtr[n] = total
-		total += int32(len(per[n]))
+		start := len(csr.ColIdx)
+		csr.RowPtr[n] = int32(start)
+		for _, inc := range g.adj[n][:g.searchBefore(NodeID(n), t)] {
+			csr.ColIdx = append(csr.ColIdx, inc.Peer)
+		}
+		peers := csr.ColIdx[start:]
+		slices.Sort(peers)
+		csr.ColIdx = csr.ColIdx[:start+len(slices.Compact(peers))]
 	}
-	csr.RowPtr[g.numNodes] = total
-	csr.ColIdx = make([]NodeID, total)
-	csr.LastEvent = make([]int64, total)
-	for n := 0; n < g.numNodes; n++ {
-		if per[n] == nil {
-			continue
-		}
-		edges := make([]edge, 0, len(per[n]))
-		for p, ev := range per[n] {
-			edges = append(edges, edge{p, ev})
-		}
-		sort.Slice(edges, func(i, j int) bool { return edges[i].peer < edges[j].peer })
-		base := csr.RowPtr[n]
-		for i, e := range edges {
-			csr.ColIdx[base+int32(i)] = e.peer
-			csr.LastEvent[base+int32(i)] = e.ev
-		}
-	}
+	csr.RowPtr[g.numNodes] = int32(len(csr.ColIdx))
 	return csr
 }

@@ -111,10 +111,6 @@ func TestStaticSnapshotDedup(t *testing.T) {
 	if nb[0] != 0 || nb[1] != 2 || nb[2] != 4 {
 		t.Fatalf("neighbors sorted: %+v", nb)
 	}
-	// The (0,1) pair keeps the latest event (@3, id 2).
-	if ev := csr.LastEvent[csr.RowPtr[1]]; ev != 2 {
-		t.Fatalf("latest event for (1,0) = %d", ev)
-	}
 	// Temporal cutoff: snapshot at t=2 has only the first event.
 	early := g.StaticSnapshot(2)
 	if early.Degree(1) != 1 || early.Degree(4) != 0 {

@@ -67,9 +67,9 @@ var (
 	le       = binary.LittleEndian
 	crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-	// errBadHeader marks a segment whose header is missing or mangled — on
-	// the newest segment that is a crash before the header landed and the
-	// file is discarded; anywhere else it is fatal corruption.
+	// errBadHeader marks a segment whose header has the wrong magic. Open
+	// discards such a newest segment, as it does one whose header never
+	// landed; anywhere else, and to a Follower, it is fatal corruption.
 	errBadHeader = errors.New("wal: bad segment header")
 )
 
@@ -260,81 +260,84 @@ func listSegments(dir string) ([]segInfo, error) {
 	return segs, nil
 }
 
-// scanSegment reads one segment file, invoking fn for every intact record;
-// with a nil fn records are checked but not decoded. wantFirst is the index
-// encoded in the file name; the header must agree. cursor is the record-index high-water mark carried
-// over from earlier segments: indices must never step backwards across it
-// (forward gaps are legal). Returns the offset just past the last intact
-// record, the advanced cursor, and torn=true when trailing bytes past end
-// fail to frame — the signature of a crash mid-write. Anything else —
-// header mismatch, index overlap, a payload that fails to decode after its
-// CRC verified, an fn error — comes back in err.
-func scanSegment(path string, wantFirst, cursor uint64, fn func(Record) error) (end int64, newCursor uint64, torn bool, err error) {
+// scanSegment is the one frame reader: Open, ReplayRecords and a Follower
+// all read segments through it. It reads the segment file at path from byte
+// offset off, which is 0 or the end of a frame an earlier scan returned;
+// at 0 it first checks the header against wantFirst, the index encoded in
+// the file name. It hands every intact, checked record to visit in file
+// order, and returns end, the offset just past the last frame visit
+// accepted. torn=true means the bytes past end do not yet make a frame —
+// a short header, a partial frame, a CRC mismatch or an absurd length:
+// the signature of a crash mid-write, or of bytes still being shipped.
+// A header of another magic (errBadHeader), version or index, a payload
+// that fails checkRecord after its CRC verified, and visit's own error
+// (verbatim) come back in err.
+func scanSegment(path string, wantFirst uint64, off int64, visit func(s recordShape, payload []byte) error) (end int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, cursor, false, fmt.Errorf("wal: %w", err)
+		return off, false, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	name := filepath.Base(path)
+	st, err := f.Stat()
+	if err != nil {
+		return off, false, fmt.Errorf("wal: %w", err)
+	}
 
-	var hdr [segHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, cursor, false, fmt.Errorf("%w: %s: %v", errBadHeader, filepath.Base(path), err)
+	if off == 0 {
+		var hdr [segHeaderSize]byte
+		if _, err := io.ReadFull(f, hdr[:]); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return 0, true, nil
+			}
+			return 0, false, fmt.Errorf("wal: %s: %w", name, err)
+		}
+		if string(hdr[:4]) != segMagic {
+			return 0, false, fmt.Errorf("%w: %s: magic %q", errBadHeader, name, hdr[:4])
+		}
+		if v := le.Uint32(hdr[4:]); v != segVersion {
+			return 0, false, versionError(name, v)
+		}
+		if first := le.Uint64(hdr[8:]); first != wantFirst {
+			return 0, false, fmt.Errorf("wal: %s: header index %d disagrees with name", name, first)
+		}
+		off = segHeaderSize
+	} else if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return off, false, fmt.Errorf("wal: %w", err)
 	}
-	if string(hdr[:4]) != segMagic {
-		return 0, cursor, false, fmt.Errorf("%w: %s: magic %q", errBadHeader, filepath.Base(path), hdr[:4])
-	}
-	if v := le.Uint32(hdr[4:]); v != segVersion {
-		return 0, cursor, false, versionError(filepath.Base(path), v)
-	}
-	if first := le.Uint64(hdr[8:]); first != wantFirst {
-		return 0, cursor, false, fmt.Errorf("wal: %s: header index %d disagrees with name", filepath.Base(path), first)
-	}
-	if wantFirst < cursor {
-		return 0, cursor, false, fmt.Errorf("wal: %s: segment overlaps records ending at %d", filepath.Base(path), cursor)
-	}
-	cursor = wantFirst
+	// No larger than what is left: a standby polls an idle log on every
+	// tick, and a 1 MiB buffer apiece would be its whole allocation.
+	br := bufio.NewReaderSize(f, int(min(1<<20, st.Size()-off)))
 
-	end = segHeaderSize
 	var frame [frameHeaderSize]byte
 	var payload []byte
-	var rows []float32
 	for {
 		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			if err == io.EOF {
-				return end, cursor, false, nil
-			}
-			return end, cursor, true, nil // partial frame header
+			return off, err != io.EOF, nil // clean end vs partial frame header
 		}
+		// A length past the bytes present sizes no allocation: those bytes
+		// are still in flight, or the field is garbage.
 		n := le.Uint32(frame[:])
-		if n > maxPayloadBytes {
-			return end, cursor, true, nil // length field is garbage
+		if n > maxPayloadBytes || int64(n) > st.Size()-off-frameHeaderSize {
+			return off, true, nil
 		}
 		if cap(payload) < int(n) {
 			payload = make([]byte, n)
 		}
 		payload = payload[:n]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return end, cursor, true, nil // partial payload
+			return off, true, nil // partial payload
 		}
 		if crc32.Checksum(payload, crcTable) != le.Uint32(frame[4:]) {
-			return end, cursor, true, nil // bits flipped or overwritten
+			return off, true, nil // bits flipped, overwritten, or mid-ship
 		}
-		shape, derr := checkRecord(payload)
-		if derr != nil {
-			return end, cursor, false, fmt.Errorf("wal: %s at offset %d: %w", filepath.Base(path), end, derr)
+		shape, err := checkRecord(payload)
+		if err != nil {
+			return off, false, fmt.Errorf("wal: %s at offset %d: %w", name, off, err)
 		}
-		if shape.first < cursor {
-			return end, cursor, false, fmt.Errorf("wal: %s at offset %d: record %d overlaps records ending at %d", filepath.Base(path), end, shape.first, cursor)
+		if err := visit(shape, payload); err != nil {
+			return off, false, err
 		}
-		if fn != nil {
-			rec := shape.decode(payload, rows)
-			rows = rec.Rows
-			if err := fn(rec); err != nil {
-				return end, cursor, false, err
-			}
-		}
-		cursor = shape.first + uint64(shape.count)
-		end += int64(frameHeaderSize) + int64(len(payload))
+		off += int64(frameHeaderSize) + int64(len(payload))
 	}
 }

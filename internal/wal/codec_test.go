@@ -481,35 +481,82 @@ func TestCorruptionClassification(t *testing.T) {
 
 // FuzzFrame: the segment scanner must never panic and must classify any
 // byte soup as some mix of intact records, a torn tail, or a fatal error.
+// The same bytes shipped to a follower in two pieces, split at an offset
+// the input picks, with a Poll after each piece, must deliver exactly what
+// one Poll over the whole file delivers, error included: a standby may
+// resume at any byte.
 func FuzzFrame(f *testing.F) {
 	dir := f.TempDir()
 	writeTestLog(f, dir, 21, 3, 4)
 	segs, _ := listSegments(dir)
 	good, _ := os.ReadFile(segs[0].path)
-	f.Add(good)
-	f.Add(good[:len(good)-5])
-	f.Add([]byte(segMagic))
-	f.Add([]byte{})
+	f.Add(good, uint32(len(good)/2))
+	f.Add(good[:len(good)-5], uint32(segHeaderSize+3))
+	f.Add([]byte(segMagic), uint32(2))
+	f.Add([]byte{}, uint32(0))
 	scratch, err := os.MkdirTemp("", "walfuzz")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { os.RemoveAll(scratch) })
 	var ctr atomic.Int64
-	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(scratch, fmt.Sprintf("fuzz-%d.seg", ctr.Add(1)))
-		defer os.Remove(path)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+	f.Fuzz(func(t *testing.T, data []byte, split uint32) {
+		run := filepath.Join(scratch, fmt.Sprint(ctr.Add(1)))
+		defer os.RemoveAll(run)
+		whole, pieces := DirDest{Dir: filepath.Join(run, "whole")}, DirDest{Dir: filepath.Join(run, "pieces")}
+		if err := whole.WriteChunk(segmentName(0), 0, data); err != nil {
 			t.Skip()
 		}
-		end, cursor, torn, err := scanSegment(path, 0, 0, func(Record) error { return nil })
-		if err == nil && end < segHeaderSize {
+		end, torn, err := scanSegment(filepath.Join(whole.Dir, segmentName(0)), 0, 0, func(recordShape, []byte) error { return nil })
+		if err == nil && !torn && end < segHeaderSize {
 			t.Fatalf("intact scan ended at %d, before the header", end)
 		}
-		if err == nil && int64(len(data)) < end {
+		if int64(len(data)) < end {
 			t.Fatalf("scan end %d past file size %d", end, len(data))
 		}
-		_ = cursor
-		_ = torn
+
+		one, err := OpenFollower(whole.Dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := pollRecords(one)
+		cut := int(split % uint32(len(data)+1))
+		if err := pieces.WriteChunk(segmentName(0), 0, data[:cut]); err != nil {
+			t.Skip()
+		}
+		two, err := OpenFollower(pieces.Dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := pollRecords(two)
+		if err := pieces.WriteChunk(segmentName(0), int64(cut), data[cut:]); err != nil {
+			t.Skip()
+		}
+		rest, gotErr := pollRecords(two)
+		got = append(got, rest...)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("split at %d: polls ended with %v, one poll with %v", cut, gotErr, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("split at %d: polls delivered %d records, one poll %d", cut, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].First != want[i].First || got[i].Dim != want[i].Dim ||
+				!eventsBitEqual(got[i].Events, want[i].Events) || !floatsBitEqual(got[i].Rows, want[i].Rows) {
+				t.Fatalf("split at %d: record %d differs from the one-poll delivery", cut, i)
+			}
+		}
 	})
+}
+
+// pollRecords runs one Poll of fl and returns the records it delivered,
+// rows copied out of the scanner's scratch, and the error it ended with.
+func pollRecords(fl *Follower) ([]Record, error) {
+	var recs []Record
+	_, err := fl.Poll(func(rec Record) error {
+		rec.Rows = slices.Clone(rec.Rows)
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, err
 }

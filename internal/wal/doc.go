@@ -23,7 +23,9 @@
 // On Open, segments are chained by record index and a torn tail — a partial
 // record at the end of the newest segment, the signature of a crash mid
 // write — is truncated away. Corruption anywhere else is fatal: the log
-// refuses to silently skip records that were once acknowledged. Snapshots
+// refuses to silently skip records that were once acknowledged. Open,
+// ReplayRecords and a Follower read frames through one scanner, and the
+// two that deliver records hold them to one contiguity rule. Snapshots
 // coordinate with the log by watermark: a checkpoint pins the index it
 // captured, and TruncateBefore drops whole segments older than it.
 package wal

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"apan/internal/tgraph"
@@ -34,7 +35,7 @@ func TestFollowerTracksShipper(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	sh := NewShipper(src, DirDest{Dir: dst}, ShipOptions{Tail: true, ChunkBytes: 128})
+	sh := NewShipper(src, DirDest{Dir: dst}, ShipOptions{ChunkBytes: 128})
 	f, err := OpenFollower(dst, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -194,5 +195,31 @@ func TestFollowerFnErrorPropagates(t *testing.T) {
 	}
 	if f.Cursor() != 4 {
 		t.Fatalf("cursor %d after failed second record, want 4", f.Cursor())
+	}
+}
+
+// TestFollowerIdlePollAllocs: a poll that finds no new bytes allocates in
+// proportion to what is left of the segment, not a 1 MiB read buffer — a
+// standby polls on every tick whether or not the leader wrote.
+func TestFollowerIdlePollAllocs(t *testing.T) {
+	dir := t.TempDir()
+	writeTestLog(t, dir, 1, 3, 4)
+	f, err := OpenFollower(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]tgraph.Event
+	if n := pollAll(t, f, &got); n != 3 {
+		t.Fatalf("delivered %d records, want 3", n)
+	}
+	const polls = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range polls {
+		pollAll(t, f, &got)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / polls; per > 64<<10 {
+		t.Fatalf("an idle poll allocates %d B, want at most 64 KiB", per)
 	}
 }

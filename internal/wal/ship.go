@@ -25,10 +25,9 @@ import (
 // mid-record; the Follower's scanner treats an incomplete tail exactly
 // like a torn write — wait, don't fail.
 //
-// Two modes: sealed-only (Tail=false) ships a segment only once a
-// successor exists, giving the follower whole immutable files; tail mode
-// (Tail=true) also streams the active segment's bytes as they land, which
-// is what keeps follower lag at one ship interval instead of one segment.
+// Every pass ships the active segment's bytes as they land, not only
+// sealed segments, which keeps follower lag at one ship interval instead of
+// one segment.
 //
 // One subtlety after a leader restart: Open may truncate a torn tail, and
 // a fresh Shipper re-ships every segment from byte zero, overwriting the
@@ -71,9 +70,6 @@ func (d DirDest) WriteChunk(name string, off int64, data []byte) error {
 
 // ShipOptions configures a Shipper.
 type ShipOptions struct {
-	// Tail ships the active (newest) segment's bytes as they land. When
-	// false only sealed segments — those with a successor — are shipped.
-	Tail bool
 	// ChunkBytes bounds one WriteChunk call (default 1 MiB).
 	ChunkBytes int
 }
@@ -104,8 +100,7 @@ func NewShipper(dir string, dest ShipDest, opts ShipOptions) *Shipper {
 
 // ShipNow performs one incremental pass over the source directory and
 // returns the number of bytes shipped. Deterministic: after a pass with no
-// concurrent appends, the destination holds exactly the source's bytes
-// (sealed-only mode excludes the active segment).
+// concurrent appends, the destination holds exactly the source's bytes.
 func (s *Shipper) ShipNow() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,12 +113,9 @@ func (s *Shipper) ShipNow() (int64, error) {
 	}
 	live := make(map[string]bool, len(segs))
 	var total int64
-	for i, si := range segs {
+	for _, si := range segs {
 		name := filepath.Base(si.path)
 		live[name] = true
-		if i == len(segs)-1 && !s.opts.Tail {
-			continue // active segment: wait for the seal
-		}
 		n, err := s.shipSegmentLocked(si.path, name)
 		total += n
 		if err != nil {
@@ -292,7 +284,7 @@ func serveShipConn(conn net.Conn, srcDir string, next func() uint64, interval ti
 		return fmt.Errorf("wal: ship handshake: unsupported version %d", v)
 	}
 	dest := &connDest{w: bufio.NewWriterSize(conn, 1<<16)}
-	sh := NewShipper(srcDir, dest, ShipOptions{Tail: true})
+	sh := NewShipper(srcDir, dest, ShipOptions{})
 	if interval <= 0 {
 		interval = time.Second
 	}

@@ -36,9 +36,9 @@ func dirsEqual(t *testing.T, a, b string) {
 	}
 }
 
-// TestShipperTailMode: with tail shipping, each pass after a durable batch
-// leaves the destination byte-identical to the source, across rotations,
-// and re-passes ship nothing new.
+// TestShipperTailMode: each pass after a durable batch leaves the
+// destination byte-identical to the source, live segment included, across
+// rotations, and re-passes ship nothing new.
 func TestShipperTailMode(t *testing.T) {
 	src, dst := t.TempDir(), t.TempDir()
 	l, err := Open(Options{Dir: src, Policy: SyncGroup, SegmentBytes: 512})
@@ -46,7 +46,7 @@ func TestShipperTailMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	sh := NewShipper(src, DirDest{Dir: dst}, ShipOptions{Tail: true, ChunkBytes: 64})
+	sh := NewShipper(src, DirDest{Dir: dst}, ShipOptions{ChunkBytes: 64})
 	for i := 0; i < 12; i++ {
 		if err := begin(l, mkBatch(i*4, 4)).Wait(); err != nil {
 			t.Fatal(err)
@@ -65,47 +65,6 @@ func TestShipperTailMode(t *testing.T) {
 	}
 	if st := sh.Stats(); st.ShippedBytes == 0 || st.Chunks == 0 {
 		t.Fatalf("stats empty after shipping: %+v", st)
-	}
-}
-
-// TestShipperSealedOnly: without tail mode the active segment is withheld
-// until rotation seals it.
-func TestShipperSealedOnly(t *testing.T) {
-	src, dst := t.TempDir(), t.TempDir()
-	l, err := Open(Options{Dir: src, Policy: SyncGroup, SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	sh := NewShipper(src, DirDest{Dir: dst}, ShipOptions{})
-	if err := begin(l, mkBatch(0, 3)).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := sh.ShipNow(); err != nil || n != 0 {
-		t.Fatalf("active segment shipped in sealed-only mode: n=%d err=%v", n, err)
-	}
-	// Keep appending until a rotation happens, then the sealed prefix ships.
-	for i := 1; i < 20; i++ {
-		if err := begin(l, mkBatch(i*3, 3)).Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srcSegs, err := listSegments(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(srcSegs) < 2 {
-		t.Fatalf("no rotation after 20 batches at 256-byte segments")
-	}
-	if _, err := sh.ShipNow(); err != nil {
-		t.Fatal(err)
-	}
-	dstSegs, err := listSegments(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dstSegs) != len(srcSegs)-1 {
-		t.Fatalf("shipped %d segments, want the %d sealed ones", len(dstSegs), len(srcSegs)-1)
 	}
 }
 

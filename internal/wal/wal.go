@@ -144,26 +144,35 @@ func Open(opts Options) (*Log, error) {
 	cursor := uint64(0)
 	for i, si := range segs {
 		last := i == len(segs)-1
-		end, cur, torn, serr := scanSegment(si.path, si.first, cursor, nil)
+		name := filepath.Base(si.path)
+		next := si.first
+		end, torn, serr := scanSegment(si.path, si.first, 0, func(s recordShape, _ []byte) error {
+			if s.first < next {
+				return fmt.Errorf("wal: %s: record %d overlaps records ending at %d", name, s.first, next)
+			}
+			next = s.first + uint64(s.count)
+			return nil
+		})
 		switch {
-		case errors.Is(serr, errBadHeader) && last:
-			// Crash before the newest segment's header landed: the file
-			// holds nothing durable, so drop it.
+		case last && (end == 0 && torn || errors.Is(serr, errBadHeader)):
+			// Crash before the newest segment's header landed whole: the
+			// file holds nothing durable, so drop it.
 			if rerr := os.Remove(si.path); rerr != nil {
 				return nil, fmt.Errorf("wal: %w", rerr)
 			}
-			segs = segs[:i]
 			continue
 		case serr != nil:
 			return nil, serr
+		case si.first < cursor:
+			return nil, fmt.Errorf("wal: %s: segment overlaps records ending at %d", name, cursor)
 		case torn && !last:
-			return nil, fmt.Errorf("wal: %s: torn record inside the log (only the newest segment may be torn)", filepath.Base(si.path))
+			return nil, fmt.Errorf("wal: %s: torn record inside the log (only the newest segment may be torn)", name)
 		case torn:
 			if terr := os.Truncate(si.path, end); terr != nil {
 				return nil, fmt.Errorf("wal: %w", terr)
 			}
 		}
-		cursor = cur
+		cursor = next
 		l.segments = append(l.segments, si)
 		l.durableBytes += end
 	}
@@ -434,45 +443,22 @@ func (l *Log) NextIndex() uint64 {
 }
 
 // ReplayRecords streams every durable record intersecting [from, ∞) to fn in
-// log order, enforcing that the log actually covers the watermark: the first
-// delivered record must start exactly at from (a gap means acknowledged
-// events are missing — better to fail loudly than resurrect a hole), and
-// indices must be contiguous from there on. Records wholly below from are
-// skipped. ReplayRecords reads the segment files only; it must not race
-// appends (recovery runs it before attach).
+// log order. It is one Poll of a Follower opened at from over the log's
+// directory, so it reads frames and applies the watermark rule exactly as a
+// warm standby does: records wholly below from are skipped, and from on the
+// records must be contiguous — a watermark inside a record, or a record
+// starting past the cursor (acknowledged events are missing), is an error.
+// The poll must also end at the clean end of the newest segment; one that
+// stops on torn bytes, or before a successor segment starting past the
+// cursor, is an error too. ReplayRecords reads the segment files only; it
+// must not race appends (recovery runs it before attach).
 func (l *Log) ReplayRecords(from uint64, fn func(Record) error) error {
-	l.fileMu.Lock()
-	segs := append([]segInfo(nil), l.segments...)
-	l.fileMu.Unlock()
-
-	cursor := uint64(0)
-	started := false
-	for i, si := range segs {
-		_, cur, torn, err := scanSegment(si.path, si.first, cursor, func(rec Record) error {
-			end := rec.First + uint64(len(rec.Events))
-			if end <= from {
-				return nil
-			}
-			if rec.First < from {
-				return fmt.Errorf("wal: watermark %d falls inside record [%d,%d) — checkpoint cut is not batch-aligned", from, rec.First, end)
-			}
-			if !started {
-				if rec.First != from {
-					return fmt.Errorf("wal: replay gap: log resumes at %d, watermark is %d", rec.First, from)
-				}
-				started = true
-			}
-			return fn(rec)
-		})
-		if err != nil {
-			return err
-		}
-		if torn && i != len(segs)-1 {
-			return fmt.Errorf("wal: %s: torn record inside the log", filepath.Base(si.path))
-		}
-		cursor = cur
+	f := &Follower{dir: l.opts.Dir, cursor: from}
+	_, atEnd, err := f.poll(fn)
+	if err == nil && !atEnd {
+		err = fmt.Errorf("wal: replay stopped at cursor %d before the end of the log (torn bytes, or a gap before the next segment)", f.cursor)
 	}
-	return nil
+	return err
 }
 
 // Replay is ReplayRecords without the rows.

@@ -286,50 +286,84 @@ func TestAlignToWaitsOutBackgroundSync(t *testing.T) {
 }
 
 // TestAlignToGap: a checkpoint ahead of the durable log leaves a legal gap
-// that replay-from-watermark never reads; replaying from before it fails.
+// that replay-from-watermark never reads; replaying from before it fails,
+// naming the cursor it stopped at, and a follower delivers [0,4) and never
+// crosses the hole — whether the gap sits inside a segment or, with
+// 64-byte segments, where the log rotated. Inside a segment the follower
+// sees the record past its cursor and errors; at a boundary it cannot tell
+// a gap from a segment still being shipped, so it parks.
 func TestAlignToGap(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := begin(l, mkBatch(0, 4)).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	// Checkpoint at watermark 10 while only 4 events are durable.
-	if err := l.AlignTo(10); err != nil {
-		t.Fatal(err)
-	}
-	if err := begin(l, mkBatch(50, 3)).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AlignTo(5); err == nil {
-		t.Fatal("AlignTo behind the log should fail")
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, segBytes := range []int64{0, 64} {
+		t.Run(fmt.Sprintf("segment_bytes_%d", segBytes), func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(Options{Dir: dir, SegmentBytes: segBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := begin(l, mkBatch(0, 4)).Wait(); err != nil {
+				t.Fatal(err)
+			}
+			// Checkpoint at watermark 10 while only 4 events are durable.
+			if err := l.AlignTo(10); err != nil {
+				t.Fatal(err)
+			}
+			if err := begin(l, mkBatch(50, 3)).Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.AlignTo(5); err == nil {
+				t.Fatal("AlignTo behind the log should fail")
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := listSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boundary := len(segs) == 2 && segs[1].first == 10
+			if boundary != (segBytes == 64) {
+				t.Fatalf("%d segments at SegmentBytes %d", len(segs), segBytes)
+			}
 
-	l2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if l2.NextIndex() != 13 {
-		t.Fatalf("end %d, want 13", l2.NextIndex())
-	}
-	var firsts []uint64
-	if err := l2.ReplayRecords(10, func(rec Record) error {
-		firsts = append(firsts, rec.First)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(firsts) != 1 || firsts[0] != 10 {
-		t.Fatalf("replayed %v, want [10]", firsts)
-	}
-	if err := l2.ReplayRecords(4, func(Record) error { return nil }); err == nil {
-		t.Fatal("replay across an aligned gap should fail")
+			l2, err := Open(Options{Dir: dir, SegmentBytes: segBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l2.Close()
+			if l2.NextIndex() != 13 {
+				t.Fatalf("end %d, want 13", l2.NextIndex())
+			}
+			var firsts []uint64
+			collect := func(rec Record) error {
+				firsts = append(firsts, rec.First)
+				return nil
+			}
+			if err := l2.ReplayRecords(10, collect); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(firsts, []uint64{10}) {
+				t.Fatalf("replayed %v, want [10]", firsts)
+			}
+			if err := l2.ReplayRecords(4, func(Record) error { return nil }); err == nil {
+				t.Fatal("replay across an aligned gap should fail")
+			}
+			firsts = firsts[:0]
+			err = l2.ReplayRecords(0, collect)
+			if err == nil || !strings.Contains(err.Error(), "cursor 4") || !slices.Equal(firsts, []uint64{0}) {
+				t.Fatalf("replay from 0 across the gap delivered %v with err=%v, want [0] and an error naming cursor 4", firsts, err)
+			}
+
+			f, err := OpenFollower(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for poll, want := range []int{1, 0} {
+				n, err := f.Poll(func(Record) error { return nil })
+				if n != want || f.Cursor() != 4 || (err == nil) != boundary {
+					t.Fatalf("poll %d delivered %d records to cursor %d with err=%v; want %d, cursor 4, an error iff the gap is inside a segment", poll, n, f.Cursor(), err, want)
+				}
+			}
+		})
 	}
 }
 
