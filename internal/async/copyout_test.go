@@ -3,6 +3,7 @@ package async
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -98,6 +99,60 @@ func TestMalformedSubmitLeavesModelUntouched(t *testing.T) {
 		} {
 			if err := submit(); err == nil {
 				t.Errorf("%s accepted a batch with %s", variant, name)
+			}
+		}
+	}
+	if err := p.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.RuntimeDigest(); got != digest {
+		t.Errorf("refused batches moved the runtime digest: %016x -> %016x", digest, got)
+	}
+	if got := m.GraphEvents(); got != watermark {
+		t.Errorf("refused batches moved the graph watermark: %d -> %d", watermark, got)
+	}
+	if got := p.Stats(); got != stats {
+		t.Errorf("refused batches moved the pipeline counters: %+v -> %+v", stats, got)
+	}
+	if got := p.TenantStats(); !reflect.DeepEqual(got, tenants) {
+		t.Errorf("refused batches moved the tenant counters: %+v -> %+v", tenants, got)
+	}
+}
+
+// TestNonFiniteTimeSubmitLeavesModelUntouched: every submission path
+// refuses a batch holding an event stamped NaN, +Inf or −Inf — valid ids and
+// features otherwise, the bad event last — with an error and before anything
+// moves, as it refuses a malformed batch: a NaN time would sit in a node's
+// incidence list out of order, and most-recent sampling would hand later
+// queries an incidence from their future. The runtime digest, the graph
+// watermark, the queue and every counter stay put.
+func TestNonFiniteTimeSubmitLeavesModelUntouched(t *testing.T) {
+	ctx := context.Background()
+	m := testModel(t, nil)
+	p := New(m, WithTenants())
+	defer p.Shutdown(ctx)
+	for _, b := range parityBatches(3) {
+		if _, _, err := p.Submit(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	digest, watermark, stats, tenants := m.RuntimeDigest(), m.GraphEvents(), p.Stats(), p.TenantStats()
+
+	for name, time := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		batch := []tgraph.Event{{Src: 0, Dst: 1, Time: 9, Feat: feat()}, {Src: 2, Dst: 3, Time: time, Feat: feat()}}
+		for variant, submit := range map[string]func() error{
+			"Submit":          func() error { _, _, err := p.Submit(ctx, batch); return err },
+			"TrySubmit":       func() error { _, _, err := p.TrySubmit(batch); return err },
+			"SubmitFuture":    func() error { return (<-p.SubmitFuture(ctx, batch)).Err },
+			"SubmitTenant":    func() error { _, _, err := p.SubmitTenant(ctx, DefaultTenant, batch); return err },
+			"TrySubmitTenant": func() error { _, _, err := p.TrySubmitTenant(DefaultTenant, batch); return err },
+			"ScoreOnly":       func() error { _, _, err := p.ScoreOnly(batch); return err },
+		} {
+			if err := submit(); err == nil {
+				t.Errorf("%s accepted a batch with a %s time", variant, name)
 			}
 		}
 	}

@@ -20,6 +20,8 @@ package async
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -119,9 +121,10 @@ func WithOnlineTrainer(t Trainer) Option {
 // Model.Score shares the store lock with other scorers and is excluded only
 // while the applier writes store memory. Every Submit variant and
 // ScoreOnly answer an empty batch with empty scores and a nil error, and
-// refuse a batch naming a node outside the node space or carrying a feature
-// vector that is not EdgeDim long with an error (see core.Model.CheckEvents),
-// both without touching the model, the queue or any counter.
+// refuse a batch naming a node outside the node space, carrying a feature
+// vector that is not EdgeDim long (see core.Model.CheckEvents) or stamped
+// with a NaN or infinite time with an error, both without touching the
+// model, the queue or any counter.
 type Pipeline struct {
 	model *core.Model
 	opts  options
@@ -259,11 +262,22 @@ func (p *Pipeline) score(events []tgraph.Event, apply bool) ([]float32, *core.Pe
 	return scores, rec, lat
 }
 
-// check refuses a batch naming a node outside the node space or carrying a
-// feature vector of the wrong width, before any gate counts it: scoring it
-// would panic, and applying it would log a record replay refuses.
+// check refuses a batch naming a node outside the node space, carrying a
+// feature vector of the wrong width or stamped with a NaN or infinite time,
+// before any gate counts it: scoring it would panic, applying it would log
+// a record replay refuses, and a non-finite time has no place in a node's
+// time-ordered history. The time check is admission's alone: replay applies
+// a logged record's times as they were logged (core.Model.ReplayBatch).
 func (p *Pipeline) check(events []tgraph.Event) error {
-	return p.model.CheckEvents(events, p.model.NumNodes())
+	if err := p.model.CheckEvents(events, p.model.NumNodes()); err != nil {
+		return err
+	}
+	for i := range events {
+		if t := events[i].Time; math.IsNaN(t) || math.IsInf(t, 0) {
+			return fmt.Errorf("async: event %d (%d→%d) has time %v; want a finite time", i, events[i].Src, events[i].Dst, t)
+		}
+	}
+	return nil
 }
 
 // getRecord checks a record out of the freelist, or builds one.

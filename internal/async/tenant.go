@@ -152,18 +152,15 @@ type tenantState struct {
 func (t *tenantState) depth() int { return len(t.queue) - t.head }
 
 // admitRate charges the batch against the tenant's event-time bucket. The
-// clock reads the batch's newest finite time: a NaN or infinite time would
-// stop the refill for good, so a batch with no finite time is charged but
-// moves no clock.
+// clock reads the batch's newest time, which Pipeline.check has held
+// finite: a NaN or infinite time would stop the refill for good.
 func (t *tenantState) admitRate(events []tgraph.Event) bool {
 	if t.cfg.Rate <= 0 {
 		return true
 	}
 	now := math.Inf(-1)
 	for _, ev := range events {
-		if ev.Time > now && !math.IsInf(ev.Time, 1) { // false for NaN
-			now = ev.Time
-		}
+		now = max(now, ev.Time)
 	}
 	if now > t.lastTime {
 		t.tokens = min(t.tokens+(now-t.lastTime)*t.cfg.Rate, t.cfg.Burst)

@@ -135,8 +135,9 @@ func TestTenantRateLimitEventTime(t *testing.T) {
 		}
 	}
 
-	// A batch without a finite time is charged but moves no clock, so it
-	// cannot stop the refill: the first finite time starts the clock.
+	// A batch without a finite time is refused before the gate: it is not
+	// charged and moves no clock, so it cannot stop the refill — the first
+	// finite time starts the clock.
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		p := New(testModel(t, nil), WithTenants(TenantConfig{ID: "metered", Rate: 1, Burst: 1}))
 		var got []error
@@ -144,12 +145,15 @@ func TestTenantRateLimitEventTime(t *testing.T) {
 			_, _, err := p.TrySubmitTenant("metered", tev(0, 1, tm))
 			got = append(got, err)
 		}
+		st := p.TenantStats()["metered"]
 		p.Shutdown(context.Background())
-		want := []error{nil, ErrRateLimited, nil, nil, nil, nil, nil}
-		for i := range want {
-			if !errors.Is(got[i], want[i]) {
-				t.Fatalf("first batch at t=%v: admissions %v, want %v", bad, got, want)
+		for i, err := range got {
+			if refused := i < 2; (err != nil) != refused || errors.Is(err, ErrRateLimited) {
+				t.Fatalf("first batch at t=%v: admissions %v, want two refusals by the time check, then none", bad, got)
 			}
+		}
+		if st.Submitted != 5 || st.RateLimited != 0 {
+			t.Fatalf("first batch at t=%v: ledger %+v, want 5 submitted and none rate limited", bad, st)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -209,87 +210,38 @@ func RunPerf(o Options) (*PerfReport, error) {
 		add("checkpoint_cut", len(batch), r)
 	}
 
-	// Failover takeover: a follower that lags the dead leader by five
-	// batches reopens the shipped log as its own, re-applies the lag tail
-	// from the logged embeddings, and attaches — the read-only window a
-	// promotion imposes. Events/op is the lag replayed per takeover.
+	// Checkpoint load: what a restarted replica pays before replay —
+	// LoadCheckpointFile of the warmed model's checkpoint into a fresh
+	// model, built outside the timer. Events/op is the graph it restores.
 	{
-		cfg := core.Config{
-			NumNodes: ds.NumNodes, EdgeDim: ds.EdgeDim,
-			Slots: o.Slots, Neighbors: o.Fanout,
-			BatchSize: o.BatchSize, Seed: o.Seed,
-		}
-		// Smaller warm-up than the hot-path rows: the row measures replay
-		// of the lag window, and must fit the CI dataset (-scale 0.01).
-		const appliedBatches, lagBatches = 5, 2
-		warm := 500
-		if warm+appliedBatches*o.BatchSize > len(ds.Events) {
-			return nil, fmt.Errorf("bench: perf needs ≥%d events, dataset has %d (raise -scale)", warm+appliedBatches*o.BatchSize, len(ds.Events))
-		}
-		leader, err := core.New(cfg)
+		m, _, err := perfModel(o, ds, 0)
 		if err != nil {
 			return nil, err
 		}
-		leader.EvalStream(ds.Events[:warm], nil)
-		dir, err := os.MkdirTemp("", "apan-bench-failover-")
+		dir, err := os.MkdirTemp("", "apan-bench-ckpt-")
 		if err != nil {
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		l, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncInterval})
-		if err != nil {
+		path := filepath.Join(dir, "model.ckpt")
+		if _, err := m.Checkpoint(path); err != nil {
 			return nil, err
 		}
-		if err := leader.AttachWAL(l); err != nil {
-			return nil, err
-		}
-		var pend core.Pending
-		applyOne := func(m *core.Model, i int) {
-			m.Score(ds.Events[warm+i*o.BatchSize:warm+(i+1)*o.BatchSize], &pend)
-			m.ApplyPending(&pend)
-		}
-		for i := 0; i < appliedBatches; i++ {
-			applyOne(leader, i)
-		}
-		if err := leader.DetachWAL().Close(); err != nil { // the leader "dies"
-			return nil, err
-		}
-		// The follower's replayed prefix: same seed, same warm-up, same first
-		// batches the leader logged — the state a standby holds at crash time.
-		follower, err := core.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		follower.EvalStream(ds.Events[:warm], nil)
-		for i := 0; i < appliedBatches-lagBatches; i++ {
-			applyOne(follower, i)
-		}
-		snap := follower.SnapshotRuntime()
-		lag := lagBatches * o.BatchSize
 		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				follower.RestoreRuntime(snap)
-				b.StartTimer()
-				lg, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncInterval})
+				fresh, err := core.New(m.Cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := follower.RecoverWAL(lg); err != nil {
-					b.Fatal(err)
-				}
-				if err := follower.AttachWAL(lg); err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				follower.DetachWAL()
-				if err := lg.Close(); err != nil {
-					b.Fatal(err)
-				}
 				b.StartTimer()
+				if err := fresh.LoadCheckpointFile(path); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
-		add("failover_takeover_ms", lag, r)
+		add("checkpoint_load", m.GraphEvents(), r)
 	}
 
 	// hops=1 isolates mail generation (φ, ρ, ψ) from the k-hop sampler.

@@ -6,10 +6,15 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
+	"slices"
 
+	"apan/internal/mailbox"
 	"apan/internal/nn"
+	"apan/internal/state"
 	"apan/internal/tensor"
 	"apan/internal/tgraph"
+	"apan/internal/wal"
 )
 
 // Checkpointing lets a trained and warmed model survive restarts: the
@@ -23,25 +28,31 @@ import (
 //	numNodes × ( count u32 | count × ( time f64 | mail dim·f32 ), oldest first ) |
 //	numEvents u64 | numEvents × ( src i32 | dst i32 | time f64 | label i8 | featLen u32 | feat featLen·f32 )
 //
-// Reading is two steps, as for a WAL record: checkCheckpoint holds every
-// count and length against the bytes present without touching the model, and
-// applyCheckpoint, which cannot fail, decodes each section into its store.
+// Reading is one streamed pass (stageCheckpoint): every count and length is
+// checked when the reader reaches it, and the data is decoded straight into
+// staging — fresh stores, the events, the parameter blob. Only when the
+// last byte has checked out does commitCheckpoint, which cannot fail, make
+// the staging the model; on an error the staging is dropped.
 const (
 	ckptMagic   = "APCK"
 	ckptVersion = 1
 	// ckptMaxGrowBytes bounds the store memory (state + mailbox slots) a
 	// checkpoint's node count may grow a smaller model by. The bytes present
-	// already bound the count; this caps a large but well-formed file.
+	// or arrived already bound the count; this caps a large but well-formed
+	// file.
 	ckptMaxGrowBytes = 4 << 30
 	// ckptMaxFeatLen bounds one event's feature count, as the WAL codec does.
 	ckptMaxFeatLen = 1 << 20
 	ckptNodeBytes  = 9  // lastTime | touched, after a node's z row
 	ckptMailBytes  = 8  // time, before a mail's row
 	ckptEventBytes = 21 // src | dst | time | label | featLen, before the features
-	// ckptSpillBytes of encoded checkpoint are held before a write;
+	// ckptSpillBytes of encoded checkpoint are held before a write, and at
+	// most that many are buffered by a load, which starts at
+	// ckptMinReadBytes when the input's length is unknown;
 	// ckptArenaFloats feature values share one arena of a loaded graph.
-	ckptSpillBytes  = 256 << 10
-	ckptArenaFloats = 64 << 10
+	ckptSpillBytes   = 256 << 10
+	ckptMinReadBytes = 4 << 10
+	ckptArenaFloats  = 64 << 10
 )
 
 var le = binary.LittleEndian
@@ -116,183 +127,321 @@ func (m *Model) saveCheckpoint(w io.Writer) (uint64, error) {
 	return uint64(len(events)), werr
 }
 
-// ckptCursor walks a checkpoint's bytes. A read past the end yields zero
-// and sets short, which sticks: checkCheckpoint reads a section through and
-// asks once; applyCheckpoint walks bytes already checked.
-type ckptCursor struct {
-	b     []byte
-	o     int
-	short bool
+// ckptReader reads a checkpoint once, front to back, through one buffer of
+// at most ckptSpillBytes and never more than the file. size is the input's
+// length, or -1 for a plain reader; read counts the bytes the input has
+// delivered. Staging is sized only by bytes that exist: size less what was
+// consumed when the length is known, read when it is not. The first error —
+// io.ErrUnexpectedEOF for an input that ends early — sticks: every read
+// after it yields zeros and nil, so a section is read through and asked
+// once, and loops stop on it.
+type ckptReader struct {
+	r        io.Reader // nil when buf is the whole input
+	buf      []byte
+	off, end int // buf[off:end] is delivered but not consumed
+	size     int64
+	pos      int64 // bytes consumed
+	read     int64
+	err      error
 }
 
-func (c *ckptCursor) take(n int) []byte {
-	if n > len(c.b)-c.o {
-		c.short, c.o = true, len(c.b)
+// exist is how many bytes staging may be sized by at this point.
+func (c *ckptReader) exist() int64 {
+	if c.size >= 0 {
+		return c.size - c.pos
+	}
+	return c.read
+}
+
+// fill reads until n bytes are buffered. A reader of unknown length earns a
+// larger buffer, up to ckptSpillBytes, by having delivered as many bytes as
+// the one it has.
+func (c *ckptReader) fill(n int) {
+	if c.r == nil {
+		c.err = io.ErrUnexpectedEOF
+		return
+	}
+	have := copy(c.buf, c.buf[c.off:c.end])
+	c.off, c.end = 0, have
+	if c.size < 0 && len(c.buf) < ckptSpillBytes && c.read >= int64(len(c.buf)) {
+		c.buf = append(c.buf[:have], make([]byte, min(2*len(c.buf), ckptSpillBytes)-have)...)
+	}
+	if n > len(c.buf) { // only a known length shorter than n has so small a buffer
+		c.err = io.ErrUnexpectedEOF
+		return
+	}
+	k, err := io.ReadAtLeast(c.r, c.buf[have:], n-have)
+	c.end, c.read = have+k, c.read+int64(k)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	c.err = err
+}
+
+// take consumes the next n bytes, n no more than a header's: a view valid
+// until the next read, or nil once the input has failed.
+func (c *ckptReader) take(n int) []byte {
+	if c.err == nil && c.end-c.off < n {
+		c.fill(n)
+	}
+	if c.err != nil {
 		return nil
 	}
-	c.o += n
-	return c.b[c.o-n : c.o]
+	c.off += n
+	c.pos += int64(n)
+	return c.buf[c.off-n : c.off]
 }
 
-func (c *ckptCursor) u32() uint32 {
+func (c *ckptReader) u32() uint32 {
 	if p := c.take(4); p != nil {
 		return le.Uint32(p)
 	}
 	return 0
 }
 
-func (c *ckptCursor) u64() uint64 {
+func (c *ckptReader) u64() uint64 {
 	if p := c.take(8); p != nil {
 		return le.Uint64(p)
 	}
 	return 0
 }
 
-func (c *ckptCursor) f64() float64 { return math.Float64frombits(c.u64()) }
+func (c *ckptReader) f64() float64 { return math.Float64frombits(c.u64()) }
 
-// ckptShape is what checkCheckpoint learned of a file it accepted.
-type ckptShape struct {
-	numNodes  int
-	stateOff  int // offset of node 0's z row
-	numEvents int
-	feats     int // feature values over all events
+// floats decodes len(dst) values straight into dst, a buffer's worth at a
+// time.
+func (c *ckptReader) floats(dst []float32) {
+	for len(dst) > 0 && c.err == nil {
+		n := min(len(dst), max(len(c.buf)/4, 1))
+		if p := c.take(4 * n); p != nil {
+			tensor.DecodeLE(dst[:n], p)
+		}
+		dst = dst[n:]
+	}
 }
 
-// checkCheckpoint validates b without allocating or touching the model: no
-// count in the file can claim more nodes, mails, events or feature values
-// than the bytes after it could encode. Requires applyMu.
-func (m *Model) checkCheckpoint(b []byte) (s ckptShape, err error) {
-	short := func(section string) (ckptShape, error) {
-		return s, fmt.Errorf("core: load checkpoint %s: %w", section, io.ErrUnexpectedEOF)
+// full copies the next len(dst) bytes into dst, returning how many there
+// were; an input that ends first is not an error here.
+func (c *ckptReader) full(dst []byte) int {
+	k := copy(dst, c.buf[c.off:c.end])
+	c.off += k
+	if k < len(dst) && c.r != nil {
+		n, err := io.ReadFull(c.r, dst[k:])
+		if k += n; err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			c.err = err
+		}
+		c.read += int64(n)
 	}
-	c := ckptCursor{b: b}
+	c.pos += int64(k)
+	return k
+}
+
+// feat reads n feature values, cut from arena while it lasts. A new arena
+// is sized by bytes that exist (see exist); an event claiming more values
+// than that gets a slice of its own that grows as its bytes arrive.
+func (c *ckptReader) feat(n int, arena []float32) (feat, rest []float32) {
+	if n > len(arena) {
+		if exist := int(min(c.exist()/4, math.MaxInt32)); n <= exist {
+			arena = make([]float32, max(n, min(exist, ckptArenaFloats)))
+		} else {
+			for len(feat) < n && c.err == nil {
+				k := min(n-len(feat), max(len(feat), ckptMinReadBytes/4))
+				feat = slices.Grow(feat, k)[:len(feat)+k]
+				c.floats(feat[len(feat)-k:])
+			}
+			return feat, arena
+		}
+	}
+	feat, arena = arena[:n:n], arena[n:] // capped: an append cannot reach the next event's
+	c.floats(feat)
+	return feat, arena
+}
+
+// trailing drains the input past the graph section and counts its bytes.
+func (c *ckptReader) trailing() int64 {
+	extra := int64(c.end - c.off)
+	c.off = c.end
+	for c.r != nil && c.err == nil {
+		k, err := c.r.Read(c.buf)
+		if extra += int64(k); err == io.EOF {
+			break
+		} else if err != nil {
+			c.err = err
+		}
+	}
+	return extra
+}
+
+// ckptStage is a checkpoint read in full but not yet the model's: fresh
+// state and mailbox stores over the node space the load ends with, the
+// events with their features, and the parameter blob.
+type ckptStage struct {
+	st     *state.Store
+	mb     *mailbox.Store
+	events []tgraph.Event
+	params []byte
+}
+
+// stageCheckpoint reads one checkpoint through c into fresh staging,
+// checking every count and length when it reaches it: no count can claim
+// more nodes, mails, events or feature values than the bytes after it could
+// encode (when the length is known) or than have arrived (when it is not).
+// Nothing of the model is touched; its shapes and node space are read.
+// Requires applyMu.
+func (m *Model) stageCheckpoint(c *ckptReader) (*ckptStage, error) {
+	short := func(section string) error {
+		return fmt.Errorf("core: load checkpoint %s: %w", section, c.err)
+	}
 	if magic := c.take(4); magic != nil && string(magic) != ckptMagic {
-		return s, fmt.Errorf("core: load checkpoint: bad magic %q", magic)
+		return nil, fmt.Errorf("core: load checkpoint: bad magic %q", magic)
 	}
-	if version := c.u32(); c.short {
-		return short("header")
+	if version := c.u32(); c.err != nil {
+		return nil, short("header")
 	} else if version != ckptVersion {
-		return s, fmt.Errorf("core: load checkpoint: unsupported version %d", version)
+		return nil, fmt.Errorf("core: load checkpoint: unsupported version %d", version)
 	}
-	n, err := nn.CheckParams(b[c.o:], m.Params())
-	if err != nil {
-		return s, err
+	// The parameter blob's length follows from the model's own shapes (nn's
+	// layout: magic | version | count, then rows | cols | values per tensor),
+	// so it is read whole, then checked.
+	own := m.Params()
+	blobBytes := 12
+	for _, p := range own {
+		blobBytes += 8 + 4*len(p.W.Data)
 	}
-	c.take(n)
+	s := &ckptStage{params: make([]byte, blobBytes)}
+	n := c.full(s.params)
+	if c.err != nil {
+		return nil, short("parameters")
+	}
+	if _, err := nn.CheckParams(s.params[:n], own); err != nil {
+		return nil, err
+	}
+
 	numNodes, dim := int64(c.u32()), int64(c.u32())
-	if c.short {
-		return short("state")
+	if c.err != nil {
+		return nil, short("state")
 	}
 	if dim != int64(m.Cfg.EdgeDim) {
-		return s, fmt.Errorf("core: load checkpoint: dim %d, model %d", dim, m.Cfg.EdgeDim)
+		return nil, fmt.Errorf("core: load checkpoint: dim %d, model %d", dim, m.Cfg.EdgeDim)
 	}
 	// A node costs its state row and at least a mail count; then 8 bytes.
 	rowBytes := 4*int(dim) + ckptNodeBytes
-	if left := int64(len(b) - c.o); numNodes*int64(rowBytes+4)+8 > left {
-		return s, fmt.Errorf("core: load checkpoint: node count %d needs more than the %d bytes left", numNodes, left)
+	if left := c.exist(); c.size >= 0 && numNodes*int64(rowBytes+4)+8 > left {
+		return nil, fmt.Errorf("core: load checkpoint: node count %d needs more than the %d bytes left", numNodes, left)
 	}
 	if grow := uint64(numNodes) * uint64(m.Cfg.Slots+1) * uint64(dim) * 4; numNodes > int64(m.Cfg.NumNodes) && grow > ckptMaxGrowBytes {
-		return s, fmt.Errorf("core: load checkpoint: node count %d would allocate %d store bytes (max %d)",
+		return nil, fmt.Errorf("core: load checkpoint: node count %d would allocate %d store bytes (max %d)",
 			numNodes, grow, uint64(ckptMaxGrowBytes))
 	}
-	s.numNodes, s.stateOff = int(numNodes), c.o
-	c.take(s.numNodes * rowBytes)
-	for n := 0; n < s.numNodes; n++ {
-		count := int(c.u32())
-		if count > m.Cfg.Slots {
-			return s, fmt.Errorf("core: load checkpoint mailbox: node %d has %d mails, max %d", n, count, m.Cfg.Slots)
+	// Grow to a checkpoint written after dynamic node admission, so every
+	// admitted node comes back; nodes beyond a smaller one stay cold. The
+	// state index grows with the rows read, and reaches the file's count
+	// only once its rows have arrived.
+	space := max(int(numNodes), m.Cfg.NumNodes)
+	d, slots := int(dim), m.Cfg.Slots
+	s.st = state.New(m.Cfg.NumNodes, d)
+	rows, ts := make([]float32, slots*d), make([]float64, slots)
+	for n := 0; n < int(numNodes) && c.err == nil; n++ {
+		c.floats(rows[:d])
+		lastTime, touched := c.f64(), c.take(1)
+		if touched != nil && touched[0] == 1 {
+			if n >= s.st.NumNodes() {
+				s.st.Grow(min(int(numNodes), 2*(n+1)))
+			}
+			s.st.Set(int32(n), rows[:d], lastTime)
 		}
-		c.take(count * (ckptMailBytes + 4*int(dim)))
 	}
-	if c.short {
-		return short("mailbox")
+	if c.err != nil {
+		return nil, short("state")
+	}
+	s.st.Grow(space)
+
+	// A node's mails go in as one block, in slot order, under the model's ψ.
+	s.mb = mailbox.New(space, slots, d)
+	if m.Cfg.KeyValueMailbox {
+		s.mb.SetRule(mailbox.UpdateKeyValue)
+	}
+	for n := 0; n < int(numNodes) && c.err == nil; n++ {
+		count := int(c.u32())
+		if count > slots {
+			return nil, fmt.Errorf("core: load checkpoint mailbox: node %d has %d mails, max %d", n, count, slots)
+		}
+		for i := 0; i < count; i++ {
+			ts[i] = c.f64()
+			c.floats(rows[i*d : (i+1)*d])
+		}
+		if count > 0 && c.err == nil {
+			s.mb.SetMails(int32(n), rows[:count*d], ts[:count])
+		}
+	}
+	if c.err != nil {
+		return nil, short("mailbox")
 	}
 
+	// The graph's events in arrival order, features cut from shared arenas,
+	// not allocated per event.
 	numEvents := c.u64()
-	if left := uint64(len(b) - c.o); c.short || numEvents > left/ckptEventBytes {
-		return s, fmt.Errorf("core: load checkpoint graph: event count %d needs more than the %d bytes left", numEvents, left)
+	if c.err != nil {
+		return nil, short("graph")
 	}
-	s.numEvents = int(numEvents)
-	// AddEvent panics outside the node space the graph is rebuilt over.
-	space := uint32(max(s.numNodes, m.Cfg.NumNodes))
-	for i := 0; i < s.numEvents; i++ {
-		src, dst := c.u32(), c.u32()
-		c.take(9) // time | label
-		featLen := c.u32()
-		if src >= space || dst >= space {
-			return s, fmt.Errorf("core: load checkpoint graph: event %d joins nodes %d and %d, outside [0,%d)", i, int32(src), int32(dst), space)
+	if left := c.exist(); c.size >= 0 {
+		if numEvents > uint64(left)/ckptEventBytes {
+			return nil, fmt.Errorf("core: load checkpoint graph: event count %d needs more than the %d bytes left", numEvents, left)
+		}
+		s.events = make([]tgraph.Event, 0, numEvents)
+	}
+	var arena []float32
+	for i := uint64(0); i < numEvents && c.err == nil; i++ {
+		h := c.take(ckptEventBytes)
+		if h == nil {
+			break
+		}
+		src, dst, featLen := le.Uint32(h), le.Uint32(h[4:]), le.Uint32(h[17:])
+		// AddEvent panics outside the node space the graph is rebuilt over.
+		if src >= uint32(space) || dst >= uint32(space) {
+			return nil, fmt.Errorf("core: load checkpoint graph: event %d joins nodes %d and %d, outside [0,%d)", i, int32(src), int32(dst), space)
 		}
 		if featLen > ckptMaxFeatLen {
-			return s, fmt.Errorf("core: load checkpoint graph: absurd feature length %d", featLen)
+			return nil, fmt.Errorf("core: load checkpoint graph: absurd feature length %d", featLen)
 		}
-		s.feats += int(featLen)
-		c.take(4 * int(featLen))
+		ev := tgraph.Event{Src: tgraph.NodeID(src), Dst: tgraph.NodeID(dst), Time: math.Float64frombits(le.Uint64(h[8:])), Label: int8(h[16])}
+		ev.Feat, arena = c.feat(int(featLen), arena)
+		s.events = append(s.events, ev)
 	}
-	if c.short {
-		return short("graph")
+	if c.err != nil {
+		return nil, short("graph")
 	}
-	if c.o != len(b) {
-		return s, fmt.Errorf("core: load checkpoint: %d trailing bytes", len(b)-c.o)
+	if extra := c.trailing(); c.err != nil {
+		return nil, short("end")
+	} else if extra > 0 {
+		return nil, fmt.Errorf("core: load checkpoint: %d trailing bytes", extra)
 	}
 	return s, nil
 }
 
-// applyCheckpoint replaces the model's parameters and streaming state with
-// what b holds, b having passed checkCheckpoint as s under the same hold of
-// applyMu. Nothing here can fail. The stores are loaded under one exclusive
-// hold of storeMu, so a scorer sees them before or after, never half
-// loaded; parameters go into the model's own copy and are published last.
-func (m *Model) applyCheckpoint(b []byte, s ckptShape) {
-	// Grow to a checkpoint written after dynamic node admission, so every
-	// admitted node comes back; nodes beyond a smaller one stay cold.
-	m.ensureNodesLocked(s.numNodes)
+// commitCheckpoint makes staging the model's parameters and streaming
+// state. Nothing here can fail. Under the caller's hold of applyMu, one
+// exclusive hold of storeMu replaces the stores in place, as
+// state.Store.Restore does, so a scorer sees them before or after, never
+// half loaded; the graph is rebuilt in place, so a graph DB holding it
+// keeps seeing the live graph; parameters go into the model's own copy and
+// are published last.
+func (m *Model) commitCheckpoint(s *ckptStage) {
+	space := s.st.NumNodes()
 	// Evictor tracking is not checkpointed: loaded warm nodes rejoin the LRU
 	// as the stream touches them.
 	m.resetEvictor()
 	m.storeMu.Lock()
-	m.st.Reset()
-	m.mbox.Reset()
-	dim, slots := m.Cfg.EdgeDim, m.Cfg.Slots
-	rows, ts := make([]float32, slots*dim), make([]float64, slots)
-	c := ckptCursor{b: b, o: s.stateOff}
-	for n := int32(0); n < int32(s.numNodes); n++ {
-		z, lastTime, touched := c.take(4*dim), c.f64(), c.take(1)[0]
-		if touched == 1 {
-			tensor.DecodeLE(rows[:dim], z)
-			m.st.Set(n, rows[:dim], lastTime)
-		}
-	}
-	// A node's mails go in as one block, in slot order.
-	for n := int32(0); n < int32(s.numNodes); n++ {
-		count := int(c.u32())
-		for i := 0; i < count; i++ {
-			ts[i] = c.f64()
-			tensor.DecodeLE(rows[i*dim:(i+1)*dim], c.take(4*dim))
-		}
-		if count > 0 {
-			m.mbox.SetMails(n, rows[:count*dim], ts[:count])
-		}
-	}
+	*m.st, *m.mbox = *s.st, *s.mb
+	m.Cfg.NumNodes = space
+	m.numNodes.Store(int64(space))
 	m.storeMu.Unlock()
-
-	// Rebuild the graph in place, so a graph DB holding it keeps seeing the
-	// live graph. Features are cut from shared arenas, not allocated per event.
 	g := m.db.G
-	g.Reset(m.Cfg.NumNodes)
-	c.take(8) // numEvents
-	var arena []float32
-	for feats, i := s.feats, 0; i < s.numEvents; i++ {
-		ev := tgraph.Event{Src: tgraph.NodeID(c.u32()), Dst: tgraph.NodeID(c.u32()), Time: c.f64(), Label: int8(c.take(1)[0])}
-		n := int(c.u32())
-		if n > len(arena) {
-			arena = make([]float32, max(n, min(feats, ckptArenaFloats)))
-		}
-		ev.Feat, arena = arena[:n:n], arena[n:] // capped: an append cannot reach the next event's
-		tensor.DecodeLE(ev.Feat, c.take(4*n))
-		feats -= n
-		g.AddEvent(ev)
+	g.Reset(space)
+	for i := range s.events {
+		g.AddEvent(s.events[i])
 	}
-	nn.DecodeParams(b[8:], m.Params()) // after magic | version
+	nn.DecodeParams(s.params, m.Params())
 	m.publishOwn()
 }
 
@@ -300,20 +449,25 @@ func (m *Model) applyCheckpoint(b []byte, s ckptShape) {
 // model of the same architecture; a checkpoint grown by dynamic node
 // admission grows the loading model to match. All or nothing: on an error
 // the model — parameters, stores, graph, evictor — is exactly as it was.
+// r is read once, to its end, through one bounded buffer.
 func (m *Model) LoadCheckpoint(r io.Reader) error {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("core: load checkpoint: %w", err)
-	}
-	return m.loadCheckpoint(b)
+	return m.load(&ckptReader{r: r, buf: make([]byte, ckptMinReadBytes), size: -1})
 }
 
+// loadCheckpoint is LoadCheckpoint over b, which is its own buffer.
 func (m *Model) loadCheckpoint(b []byte) error {
+	return m.load(&ckptReader{buf: b, end: len(b), size: int64(len(b)), read: int64(len(b))})
+}
+
+// load stages c's checkpoint and commits it under one hold of applyMu,
+// reading included: applies wait for the whole load, scorers only for the
+// swap.
+func (m *Model) load(c *ckptReader) error {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	s, err := m.checkCheckpoint(b)
+	s, err := m.stageCheckpoint(c)
 	if err == nil {
-		m.applyCheckpoint(b, s)
+		m.commitCheckpoint(s)
 	}
 	return err
 }
@@ -324,10 +478,11 @@ func (m *Model) SaveCheckpointFile(path string) error {
 	return err
 }
 
-// Checkpoint writes a checkpoint to path atomically (temp + fsync + rename)
-// and returns the cut's watermark: the number of graph events captured.
-// The file is durable before the rename makes it visible, so a crash never
-// leaves a valid-looking checkpoint missing its tail. The caller can hand
+// Checkpoint writes a checkpoint to path atomically (temp + fsync + rename
+// + directory fsync) and returns the cut's watermark: the number of graph
+// events captured. The file is durable before the rename makes it visible,
+// so a crash never leaves a valid-looking checkpoint missing its tail, and
+// the rename is durable before the watermark is returned. The caller can hand
 // the watermark to wal.Log.TruncateBefore: the checkpoint covers all below.
 func (m *Model) Checkpoint(path string) (uint64, error) {
 	tmp := path + ".tmp"
@@ -349,14 +504,28 @@ func (m *Model) Checkpoint(path string) (uint64, error) {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("core: checkpoint to %s: %w", path, err)
 	}
+	// The rename is durable only once the directory is: a caller truncates
+	// the log behind the watermark it gets back.
+	if err := wal.SyncDir(filepath.Dir(path)); err != nil {
+		return 0, fmt.Errorf("core: checkpoint to %s: sync directory: %w", path, err)
+	}
 	return watermark, nil
 }
 
-// LoadCheckpointFile is LoadCheckpoint over path's bytes, one sized read.
+// LoadCheckpointFile is LoadCheckpoint over path's bytes, the buffer sized
+// to the file when that is smaller.
 func (m *Model) LoadCheckpointFile(path string) error {
-	b, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	return m.loadCheckpoint(b)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if !fi.Mode().IsRegular() {
+		return m.LoadCheckpoint(f)
+	}
+	return m.load(&ckptReader{r: f, buf: make([]byte, min(fi.Size(), ckptSpillBytes)), size: fi.Size()})
 }

@@ -5,10 +5,16 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
+	"unsafe"
 
+	"apan/internal/dataset"
+	"apan/internal/nn"
 	"apan/internal/tgraph"
 	"apan/internal/wal"
 )
@@ -152,19 +158,19 @@ func firstDiff(a, b []byte) int {
 // the offsets of the dim field and of node 0's mail count.
 func ckptSections(t testing.TB, m *Model, b []byte) (bounds []int, dimOff, countOff int) {
 	t.Helper()
-	s, err := m.checkCheckpoint(b)
+	params, err := nn.CheckParams(b[8:], m.Params())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dim := m.Cfg.EdgeDim
-	mailOff := s.stateOff + s.numNodes*(4*dim+ckptNodeBytes)
-	c := ckptCursor{b: b, o: mailOff}
-	for n := 0; n < s.numNodes; n++ {
-		c.take(int(c.u32()) * (ckptMailBytes + 4*dim))
+	stateOff, dim := 8+params+8, m.Cfg.EdgeDim
+	numNodes := int(le.Uint32(b[stateOff-8:]))
+	mailOff := stateOff + numNodes*(4*dim+ckptNodeBytes)
+	eventsOff := mailOff
+	for n := 0; n < numNodes; n++ {
+		eventsOff += 4 + int(le.Uint32(b[eventsOff:]))*(ckptMailBytes+4*dim)
 	}
-	eventsOff := c.o
-	return []int{4, 8, s.stateOff - 8, s.stateOff, s.stateOff + 4*dim + ckptNodeBytes, mailOff, mailOff + 4, eventsOff, eventsOff + 8, eventsOff + 8 + ckptEventBytes},
-		s.stateOff - 4, mailOff
+	return []int{4, 8, stateOff - 8, stateOff, stateOff + 4*dim + ckptNodeBytes, mailOff, mailOff + 4, eventsOff, eventsOff + 8, eventsOff + 8 + ckptEventBytes},
+		stateOff - 4, mailOff
 }
 
 // TestRefusedCheckpointLeavesModelUntouched: a load either succeeds or
@@ -172,7 +178,9 @@ func ckptSections(t testing.TB, m *Model, b []byte) (bounds []int, dimOff, count
 // byte either side of each, and at 200 random offsets; one copy claims
 // dim+1, one gives node 0 slots+1 mails, one carries a trailing byte. Every
 // load must fail and leave parameter version and fingerprint, RuntimeDigest,
-// graph watermark and evictor as they were. (The loader this replaced
+// graph watermark and evictor as they were, and so must every load of the
+// same bytes through a short reader; the uncut file loads the same through
+// each of them. (The loader this replaced
 // published the file's parameters and emptied the stores before reading the
 // body, so every one of these left new weights serving over a cold model.)
 func TestRefusedCheckpointLeavesModelUntouched(t *testing.T) {
@@ -218,19 +226,59 @@ func TestRefusedCheckpointLeavesModelUntouched(t *testing.T) {
 	files["trailing byte"] = append(append([]byte(nil), valid...), 0)
 
 	for name, b := range files {
-		if err := tgt.LoadCheckpoint(bytes.NewReader(b)); err == nil {
+		err := tgt.LoadCheckpoint(bytes.NewReader(b))
+		if err == nil {
 			t.Fatalf("%s: load succeeded", name)
 		}
 		if after := observe(tgt); after != before {
 			t.Fatalf("%s: refused load changed the model:\n before %+v\n after  %+v", name, before, after)
 		}
+		loadThroughShortReaders(t, tgt, b, err)
 	}
 	if err := tgt.LoadCheckpoint(bytes.NewReader(valid)); err != nil {
 		t.Fatalf("the uncut file: %v", err)
 	}
+	loadThroughShortReaders(t, tgt, valid, nil)
 	if after, want := observe(tgt), observe(src); after.digest != want.digest || after.fingerprint != want.fingerprint || after.paramVersion == before.paramVersion {
 		t.Fatalf("the uncut file did not load: %+v, saved %+v", after, want)
 	}
+}
+
+// shortReaders hand a load its input in pieces a reader may legally use:
+// one byte per Read, half of each request, the last bytes together with
+// io.EOF.
+var shortReaders = map[string]func(io.Reader) io.Reader{
+	"OneByteReader": iotest.OneByteReader,
+	"HalfReader":    iotest.HalfReader,
+	"DataErrReader": iotest.DataErrReader,
+}
+
+// loadThroughShortReaders loads b into m through each short reader, right
+// after a load of the whole bytes that returned wantErr, and requires the
+// same outcome: wantErr's message with m untouched, or success at the
+// digest and fingerprint the whole-bytes load left. It returns the most
+// bytes one of these loads allocated.
+func loadThroughShortReaders(t testing.TB, m *Model, b []byte, wantErr error) (most uint64) {
+	t.Helper()
+	want := observe(m)
+	for name, short := range shortReaders {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		err := m.LoadCheckpoint(short(bytes.NewReader(b)))
+		runtime.ReadMemStats(&ms1)
+		most = max(most, ms1.TotalAlloc-ms0.TotalAlloc)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s over %d bytes: err %v, the whole bytes gave %v", name, len(b), err, wantErr)
+		}
+		got := observe(m)
+		if err != nil && got != want {
+			t.Fatalf("%s: refused load (%v) changed the model:\n before %+v\n after  %+v", name, err, want, got)
+		}
+		if err == nil && (got.digest != want.digest || got.fingerprint != want.fingerprint) {
+			t.Fatalf("%s: loaded digest %016x fingerprint %016x, the whole bytes %016x %016x", name, got.digest, got.fingerprint, want.digest, want.fingerprint)
+		}
+	}
+	return most
 }
 
 // TestCheckpointCountsCannotSizeAllocations: a header that claims the
@@ -318,6 +366,74 @@ func TestLoadCheckpointAllocs(t *testing.T) {
 		len(b), len(events), load, withMail, st.Slabs, st.TouchedNodes, graph, publish)
 }
 
+// TestLoadCheckpointFileHoldsNoFileSizedBuffer: LoadCheckpointFile of an
+// S-byte checkpoint allocates the stores, feature arenas, events and
+// parameters it fills, what the graph allocates to take the events in, and
+// one read buffer — not a buffer of the file's size. Events keep their 172
+// features, so S (about 3.5 MB, mostly events) dwarfs the buffer and the
+// slack, and a loader that reads the whole file first exceeds the bound by
+// most of S. (A store index the load allocates afresh is about as large
+// per id as the file's bytes for an untouched id, so a sparse model would
+// not tell the two apart.)
+func TestLoadCheckpointFileHoldsNoFileSizedBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	d := dataset.Wikipedia(dataset.Config{Scale: 0.03, Seed: 3, NoDrift: true})
+	cfg := tinyConfig(d.NumNodes)
+	cfg.EdgeDim = d.EdgeDim
+	src := mustNew(t, cfg)
+	serveGrowing(src, d.Events[:4000], 200)
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	if _, err := src.Checkpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := src.DB().G.EventLog()
+
+	m := mustNew(t, cfg)
+	runtime.GC()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	if err := m.LoadCheckpointFile(path); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms1)
+	load := ms1.TotalAlloc - ms0.TotalAlloc
+
+	allocated := func(f func()) uint64 {
+		runtime.ReadMemStats(&ms0)
+		f()
+		runtime.ReadMemStats(&ms1)
+		return ms1.TotalAlloc - ms0.TotalAlloc
+	}
+	graph := allocated(func() {
+		g := tgraph.New(cfg.NumNodes)
+		for i := range events {
+			g.AddEvent(events[i])
+		}
+	})
+	publish := allocated(m.publishOwn) // module structure: no tensor changed since the load's publish
+	var params uint64                  // the staged blob, and the published copy of the loaded values
+	for _, p := range m.Params() {
+		params += 2 * (8 + 4*uint64(len(p.W.Data)))
+	}
+	st, mb := m.State().Occupancy(), m.Mailbox().Occupancy()
+	nodes := uint64(m.NumNodes())
+	index := nodes * uint64(12+32+8*cfg.Slots) // state: row, lastTime; mailbox: block, count, head, slot times
+	stores := uint64(st.Bytes+mb.Bytes) + index
+	feats := uint64(len(events)) * (uint64(unsafe.Sizeof(tgraph.Event{})) + 4*uint64(cfg.EdgeDim))
+	buffer, slack := uint64(ckptSpillBytes), uint64(4*ckptArenaFloats+64<<10) // one arena's overshoot, small staging
+	if bound := stores + feats + params + graph + publish + buffer + slack; load > bound {
+		t.Fatalf("loading a %d-byte checkpoint allocated %d bytes; bound %d = %d stores + %d events + %d parameters + %d graph + %d publish + %d buffer + %d slack",
+			fi.Size(), load, bound, stores, feats, params, graph, publish, buffer, slack)
+	}
+	t.Logf("%d-byte checkpoint: %d bytes allocated (%d stores, %d events, %d parameters, %d graph, %d publish)", fi.Size(), load, stores, feats, params, graph, publish)
+}
+
 // TestSaveCheckpointAllocs: past the cut's own clone, encoding a checkpoint
 // allocates a constant — one buffer, the mailbox readout scratch — whatever
 // the node and event counts.
@@ -392,7 +508,9 @@ func fuzzEvents(base int32, n int) []tgraph.Event {
 // FuzzLoadCheckpoint: whatever the bytes, LoadCheckpoint does not panic,
 // allocates no more than a fixed multiple of their length (a node's one mail
 // can cost a whole block, an event its graph entries — 64× covers both), and
-// if it returns an error the model is untouched. The seed corpus is written
+// if it returns an error the model is untouched. Read in short pieces (see
+// loadThroughShortReaders) the same bytes load the same way, within the
+// same allocation bound. The seed corpus is written
 // from a small warmed model here, so it is always the current layout.
 func FuzzLoadCheckpoint(f *testing.F) {
 	cfg := fuzzConfig
@@ -418,8 +536,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		runtime.ReadMemStats(&ms0)
 		err := m.LoadCheckpoint(bytes.NewReader(b))
 		runtime.ReadMemStats(&ms1)
-		if got, limit := ms1.TotalAlloc-ms0.TotalAlloc, uint64(64<<10+64*len(b)); got > limit {
+		limit := uint64(64<<10 + 64*len(b))
+		if got := ms1.TotalAlloc - ms0.TotalAlloc; got > limit {
 			t.Fatalf("a %d-byte input allocated %d bytes (limit %d), err = %v", len(b), got, limit, err)
+		}
+		if got := loadThroughShortReaders(t, m, b, err); got > limit {
+			t.Fatalf("a %d-byte input read in short pieces allocated %d bytes (limit %d), err = %v", len(b), got, limit, err)
 		}
 		if err != nil && observe(m) != before {
 			t.Fatalf("refused load (%v) changed the model", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -246,5 +247,56 @@ func TestScorePanicReleasesStoreLock(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("ApplyPending or EnsureNodes blocked after a recovered Score panic")
+	}
+}
+
+// TestLoadCheckpointRacesScorers: scorers keep gathering while checkpoint
+// loads swap the staged stores in and grow the node space under the store
+// lock. Run under -race; the test passes if nothing tears or deadlocks,
+// scores stay probabilities, and the model ends where a quiet load of the
+// last file leaves one.
+func TestLoadCheckpointRacesScorers(t *testing.T) {
+	src := concModel(t)
+	src.EvalStream(concBatch(0, 64, 0), nil)
+	src.EnsureNodes(40) // the loads grow the target's node space
+	var ckpt bytes.Buffer
+	if err := src.SaveCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	m := concModel(t)
+	m.EvalStream(concBatch(5, 32, 0), nil)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var p Pending
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, s := range m.Score(concBatch(int32(g*7+i), 6, 100), &p) {
+					if s < 0 || s > 1 {
+						t.Errorf("score %v outside [0,1]", s)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 20; i++ {
+		if err := m.LoadCheckpoint(bytes.NewReader(ckpt.Bytes())); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got, want := m.RuntimeDigest(), src.RuntimeDigest(); got != want || m.NumNodes() != 40 {
+		t.Fatalf("after the loads: digest %016x over %d nodes, the saved model %016x over 40", got, m.NumNodes(), want)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -490,6 +491,53 @@ func TestReplayBatchRefusesMalformedEvents(t *testing.T) {
 		}
 		if m.RuntimeDigest() != before {
 			t.Fatalf("%s: a refused record changed the model", name)
+		}
+	}
+}
+
+// TestReplayAppliesNonFiniteTimesAsLogged pins replay's side of the
+// admission rule for event times: the pipeline refuses a NaN or infinite
+// time, but a log written before it did, or by the library path below it,
+// may hold one, and recovery reproduces what the leader applied rather
+// than refusing the record. A leader applies a batch stamped NaN, +Inf and
+// −Inf among finite times, then a clean batch; a fresh model recovers the
+// log without an error, to the leader's digest and its graph's time bits.
+func TestReplayAppliesNonFiniteTimesAsLogged(t *testing.T) {
+	walDir := t.TempDir()
+	d := tinyData(4)
+	cfg := tinyConfig(d.NumNodes)
+	leader, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.AttachWAL(openTestWAL(t, walDir, wal.SyncGroup)); err != nil {
+		t.Fatal(err)
+	}
+	odd := append([]tgraph.Event(nil), d.Events[:40]...)
+	odd[5].Time, odd[17].Time, odd[30].Time = math.NaN(), math.Inf(1), math.Inf(-1)
+	applyBatch(leader, odd)
+	applyBatch(leader, d.Events[40:80])
+	want := leader.RuntimeDigest()
+	if err := leader.DetachWAL().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := openTestWAL(t, walDir, wal.SyncGroup)
+	defer l.Close()
+	n, err := rec.RecoverWAL(l)
+	if err != nil || n != 80 {
+		t.Fatalf("recovery replayed %d events, err %v; want 80 and no error", n, err)
+	}
+	if got := rec.RuntimeDigest(); got != want {
+		t.Fatalf("recovered digest %016x, the leader's %016x", got, want)
+	}
+	for i, ev := range leader.DB().G.EventLog() {
+		if got := rec.DB().G.Event(int64(i)).Time; math.Float64bits(got) != math.Float64bits(ev.Time) {
+			t.Fatalf("event %d replayed at time %v, logged at %v", i, got, ev.Time)
 		}
 	}
 }

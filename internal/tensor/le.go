@@ -4,12 +4,18 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"unsafe"
 )
 
-// The on-disk form of a float32 run — parameter files and checkpoints — is
-// its IEEE-754 bit patterns, little endian, back to back. Both directions
-// go four values a step over re-sliced windows, which is what lets the
-// compiler drop the per-element bounds checks (4–5× on a 172-float row).
+// The on-disk form of a float32 run — parameter files, checkpoints and log
+// records — is its IEEE-754 bit patterns, little endian, back to back. On a
+// little-endian host that is also the in-memory form, so DecodeLE is one
+// copy there. Otherwise both directions go four values a step over
+// re-sliced windows, which is what lets the compiler drop the per-element
+// bounds checks (4–5× on a 172-float row).
+
+// hostLE reports whether this host stores a float32 little endian.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // AppendLE appends vals in that form to buf, growing it at most once.
 func AppendLE(buf []byte, vals []float32) []byte {
@@ -29,8 +35,19 @@ func AppendLE(buf []byte, vals []float32) []byte {
 	return buf
 }
 
-// DecodeLE fills dst from the first 4·len(dst) bytes of src.
+// DecodeLE fills dst from the first 4·len(dst) bytes of src, bit for bit.
 func DecodeLE(dst []float32, src []byte) {
+	src = src[:4*len(dst)]
+	if hostLE {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), len(src)), src)
+		return
+	}
+	decodeLELoop(dst, src)
+}
+
+// decodeLELoop is DecodeLE value by value: the big-endian path, and the
+// reference the copy is tested against.
+func decodeLELoop(dst []float32, src []byte) {
 	src = src[:4*len(dst)]
 	for len(dst) >= 4 && len(src) >= 16 {
 		dst[0] = math.Float32frombits(binary.LittleEndian.Uint32(src[0:]))

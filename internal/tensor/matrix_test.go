@@ -323,3 +323,43 @@ func TestLERoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestQuickDecodeLECopyMatchesLoop: DecodeLE, a copy on a little-endian
+// host, fills dst with the bits the value-by-value loop does — over ragged
+// lengths, sources that start at any byte offset of their allocation, NaN
+// payloads (quiet and signalling), ±0 and ±Inf — and writes nothing past
+// len(dst).
+func TestQuickDecodeLECopyMatchesLoop(t *testing.T) {
+	special := []uint32{0x7fc00001, 0x7f800001, 0xffbfffff, 0x80000000, 0, 0x7f800000, 0xff800000, 1}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n, off := rng.Intn(70), rng.Intn(8)
+		raw := make([]byte, off+4*n+rng.Intn(5))
+		rng.Read(raw)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				binary.LittleEndian.PutUint32(raw[off+4*i:], special[rng.Intn(len(special))])
+			}
+		}
+		got, want := make([]float32, n+1), make([]float32, n+1)
+		got[n], want[n] = 7, 7
+		DecodeLE(got[:n], raw[off:])
+		decodeLELoop(want[:n], raw[off:])
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Logf("seed %d: n=%d offset %d: value %d is %08x, loop %08x", seed, n, off, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				return false
+			}
+		}
+		for i := 0; i < n; i++ {
+			if math.Float32bits(want[i]) != binary.LittleEndian.Uint32(raw[off+4*i:]) {
+				t.Logf("seed %d: the loop decoded value %d as %08x", seed, i, math.Float32bits(want[i]))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

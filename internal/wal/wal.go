@@ -386,17 +386,22 @@ func (l *Log) rotateLocked(first uint64) error {
 	if len(l.segments) == 1 {
 		l.firstDurable = first
 	}
-	syncDir(l.opts.Dir)
+	SyncDir(l.opts.Dir) // best effort: some filesystems refuse directory fsync
 	return nil
 }
 
-// syncDir fsyncs the directory so a freshly created segment's directory
-// entry is durable. Best effort: some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// SyncDir fsyncs dir, so the entries created or renamed in it — a new log
+// segment, a checkpoint's rename — survive a crash.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Sync flushes any buffered records and forces an fsync regardless of

@@ -545,3 +545,16 @@ func TestDeprecatedEventOnlyShims(t *testing.T) {
 		t.Fatalf("row lengths %v, want %v", rowLens, want)
 	}
 }
+
+// TestSyncDir: the directory fsync a checkpoint's rename and a new segment
+// rely on succeeds on a directory and reports an error for one that is not
+// there (what a crash does to an un-synced entry cannot be simulated here).
+func TestSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	if err := SyncDir(dir); err != nil {
+		t.Fatalf("SyncDir(%s): %v", dir, err)
+	}
+	if err := SyncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("SyncDir of a missing directory returned nil")
+	}
+}
