@@ -33,11 +33,10 @@
 // For online serving, wrap the model in a Pipeline (see StartPipeline):
 // Submit answers on the synchronous link with context cancellation and
 // queues the propagation work; TrySubmit sheds load instead of blocking,
-// SubmitFuture returns a channel, and Shutdown drains then stops. One
-// applier writes the node-state and mailbox stores under the model's
-// writer lock and takes its store lock only while it writes store memory,
-// so concurrent submissions score in parallel, and EnsureNodes admits
-// unseen node IDs at runtime. Put a Server in front of
+// and Shutdown drains then stops. One applier writes the node-state and
+// mailbox stores under the model's writer lock and takes its store lock
+// only while it writes store memory, so concurrent submissions score in
+// parallel, and EnsureNodes admits unseen node IDs at runtime. Put a Server in front of
 // the pipeline (see NewServer) to expose the versioned HTTP/JSON API —
 // POST /v1/score, GET /v1/stats, GET /v1/healthz, GET /v1/explain/{node}
 // — whose micro-batcher coalesces concurrent single-event requests into
@@ -186,8 +185,6 @@ type (
 	// PipelineOption configures StartPipeline (queue capacity, tenants,
 	// an online trainer, a before-apply hook).
 	PipelineOption = async.Option
-	// SubmitResult is delivered by Pipeline.SubmitFuture.
-	SubmitResult = async.Result
 	// Server is the versioned HTTP/JSON serving surface (v1 endpoints)
 	// over a Pipeline; it implements http.Handler.
 	Server = serve.Server

@@ -109,7 +109,7 @@ func TestEndToEndPublicAPI(t *testing.T) {
 
 	// Checkpoint and restore into a fresh replica.
 	path := filepath.Join(t.TempDir(), "ckpt")
-	if err := model.SaveCheckpointFile(path); err != nil {
+	if _, err := model.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
 	replica, err := apan.NewWithDB(apan.Config{

@@ -109,7 +109,7 @@ func main() {
 	if *savePath != "" {
 		// Checkpoint at the deployment point: trained and warmed through
 		// train+val, ready to serve the future.
-		if err := model.SaveCheckpointFile(*savePath); err != nil {
+		if _, err := model.Checkpoint(*savePath); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("checkpoint written to %s", *savePath)

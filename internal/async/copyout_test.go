@@ -92,7 +92,6 @@ func TestMalformedSubmitLeavesModelUntouched(t *testing.T) {
 		for variant, submit := range map[string]func() error{
 			"Submit":          func() error { _, _, err := p.Submit(ctx, batch); return err },
 			"TrySubmit":       func() error { _, _, err := p.TrySubmit(batch); return err },
-			"SubmitFuture":    func() error { return (<-p.SubmitFuture(ctx, batch)).Err },
 			"SubmitTenant":    func() error { _, _, err := p.SubmitTenant(ctx, DefaultTenant, batch); return err },
 			"TrySubmitTenant": func() error { _, _, err := p.TrySubmitTenant(DefaultTenant, batch); return err },
 			"ScoreOnly":       func() error { _, _, err := p.ScoreOnly(batch); return err },
@@ -146,7 +145,6 @@ func TestNonFiniteTimeSubmitLeavesModelUntouched(t *testing.T) {
 		for variant, submit := range map[string]func() error{
 			"Submit":          func() error { _, _, err := p.Submit(ctx, batch); return err },
 			"TrySubmit":       func() error { _, _, err := p.TrySubmit(batch); return err },
-			"SubmitFuture":    func() error { return (<-p.SubmitFuture(ctx, batch)).Err },
 			"SubmitTenant":    func() error { _, _, err := p.SubmitTenant(ctx, DefaultTenant, batch); return err },
 			"TrySubmitTenant": func() error { _, _, err := p.TrySubmitTenant(DefaultTenant, batch); return err },
 			"ScoreOnly":       func() error { _, _, err := p.ScoreOnly(batch); return err },

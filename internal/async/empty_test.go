@@ -40,10 +40,6 @@ func TestEmptyBatchIsANoOp(t *testing.T) {
 			"Submit":    func(evs []tgraph.Event) ([]float32, error) { s, _, err := p.Submit(ctx, evs); return s, err },
 			"TrySubmit": func(evs []tgraph.Event) ([]float32, error) { s, _, err := p.TrySubmit(evs); return s, err },
 			"ScoreOnly": func(evs []tgraph.Event) ([]float32, error) { s, _, err := p.ScoreOnly(evs); return s, err },
-			"SubmitFuture": func(evs []tgraph.Event) ([]float32, error) {
-				r := <-p.SubmitFuture(ctx, evs)
-				return r.Scores, r.Err
-			},
 			"SubmitTenant": func(evs []tgraph.Event) ([]float32, error) {
 				s, _, err := p.SubmitTenant(ctx, tenant, evs)
 				return s, err

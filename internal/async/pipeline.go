@@ -6,8 +6,7 @@
 // load spikes (the "Black Friday" problem of §1).
 //
 // The Pipeline API is context-aware: Submit honors cancellation while
-// blocked on backpressure, TrySubmit never blocks, SubmitFuture returns a
-// channel for callers that overlap scoring with other work, Drain waits
+// blocked on backpressure, TrySubmit never blocks, Drain waits
 // event-driven (condition variable, no polling) and Shutdown drains then
 // stops the applier.
 //
@@ -339,24 +338,6 @@ func (p *Pipeline) ScoreOnly(events []tgraph.Event) ([]float32, time.Duration, e
 // primitive for the serving edge.
 func (p *Pipeline) TrySubmit(events []tgraph.Event) ([]float32, time.Duration, error) {
 	return p.submitTenant(context.Background(), DefaultTenant, events, false)
-}
-
-// Result is the outcome of an asynchronous submission.
-type Result struct {
-	Scores      []float32
-	SyncLatency time.Duration
-	Err         error
-}
-
-// SubmitFuture submits on a background goroutine and returns a buffered
-// channel that receives the single Result; the caller need never read it.
-func (p *Pipeline) SubmitFuture(ctx context.Context, events []tgraph.Event) <-chan Result {
-	ch := make(chan Result, 1)
-	go func() {
-		scores, lat, err := p.Submit(ctx, events)
-		ch <- Result{Scores: scores, SyncLatency: lat, Err: err}
-	}()
-	return ch
 }
 
 // Explain computes node n's attention over its current mailbox with the

@@ -495,34 +495,6 @@ func TestTrySubmitShedsLoadWhenQueueFull(t *testing.T) {
 	}
 }
 
-func TestSubmitFuture(t *testing.T) {
-	ctx := context.Background()
-	m := testModel(t, nil)
-	p := New(m)
-	defer p.Shutdown(context.Background())
-
-	futures := make([]<-chan Result, 4)
-	for i := range futures {
-		ev := []tgraph.Event{{Src: tgraph.NodeID(i % 4), Dst: tgraph.NodeID((i + 1) % 4), Time: float64(i + 1), Feat: feat()}}
-		futures[i] = p.SubmitFuture(ctx, ev)
-	}
-	for i, f := range futures {
-		r := <-f
-		if r.Err != nil {
-			t.Fatalf("future %d: %v", i, r.Err)
-		}
-		if len(r.Scores) != 1 || r.SyncLatency <= 0 {
-			t.Fatalf("future %d: %+v", i, r)
-		}
-	}
-	if err := p.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Stats().Processed; got != 4 {
-		t.Fatalf("processed %d", got)
-	}
-}
-
 func TestDrainHonorsContext(t *testing.T) {
 	m := testModel(t, gdb.Constant(50*time.Millisecond))
 	p := New(m, WithQueueCap(8))

@@ -231,7 +231,7 @@ func TestCTDNEWalksRespectTime(t *testing.T) {
 	}
 	m := NewWalkEmbedding(WalkConfig{Kind: KindCTDNE, Seed: 1})
 	m.cfg.normalize()
-	train := g.EventsBetween(0, 100)
+	train := g.EventLog()
 	walks := m.temporalWalks(g, train)
 	if len(walks) == 0 {
 		t.Fatal("no temporal walks generated")

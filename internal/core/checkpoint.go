@@ -9,9 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 
-	"apan/internal/mailbox"
 	"apan/internal/nn"
-	"apan/internal/state"
 	"apan/internal/tensor"
 	"apan/internal/tgraph"
 	"apan/internal/wal"
@@ -28,11 +26,12 @@ import (
 //	numNodes × ( count u32 | count × ( time f64 | mail dim·f32 ), oldest first ) |
 //	numEvents u64 | numEvents × ( src i32 | dst i32 | time f64 | label i8 | featLen u32 | feat featLen·f32 )
 //
-// Reading is one streamed pass (stageCheckpoint): every count and length is
-// checked when the reader reaches it, and the data is decoded straight into
-// staging — fresh stores, the events, the parameter blob. Only when the
-// last byte has checked out does commitCheckpoint, which cannot fail, make
-// the staging the model; on an error the staging is dropped.
+// A checkpoint encodes one runtime image (see Snapshot) beside the
+// parameters. Reading is one streamed pass (stageCheckpoint): every count
+// and length is checked when the reader reaches it, and the data is decoded
+// straight into a fresh image and the parameter blob. Only when the last
+// byte has checked out is the image installed and the blob decoded, neither
+// of which can fail; on an error both are dropped.
 const (
 	ckptMagic   = "APCK"
 	ckptVersion = 1
@@ -84,26 +83,24 @@ func (m *Model) saveCheckpoint(w io.Writer) (uint64, error) {
 	buf = append(buf, ckptMagic...)
 	buf = le.AppendUint32(buf, ckptVersion)
 	buf = m.CurrentParams().AppendTo(buf)
-	// Capture the shared durability cut (see runtimeCut) — store clones
-	// plus a zero-copy event-log prefix on one batch boundary; only the
-	// applier pauses, for the clone — then encode straight from the
-	// snapshots.
-	stSnap, mbSnap, events, numNodes := m.runtimeCut()
-	dim, slots := m.Cfg.EdgeDim, m.Cfg.Slots
+	// Encode one runtime image (see SnapshotRuntime): only the applier
+	// pauses, for the clone.
+	img := m.SnapshotRuntime()
+	st, events := img.st, img.events
+	numNodes, dim, slots := st.NumNodes(), m.Cfg.EdgeDim, m.Cfg.Slots
 	buf = le.AppendUint32(buf, uint32(numNodes))
 	buf = le.AppendUint32(buf, uint32(dim))
 	for n := int32(0); n < int32(numNodes); n++ {
-		z, lastTime, touched := stSnap.Row(n)
-		buf = tensor.AppendLE(buf, z)
-		buf = le.AppendUint64(buf, math.Float64bits(lastTime))
-		if buf = append(buf, 0); touched {
+		buf = tensor.AppendLE(buf, st.Get(n))
+		buf = le.AppendUint64(buf, math.Float64bits(st.LastTime(n)))
+		if buf = append(buf, 0); st.Touched(n) {
 			buf[len(buf)-1] = 1
 		}
 		spill(ckptSpillBytes)
 	}
 	mails, ts := make([]float32, slots*dim), make([]float64, slots)
 	for n := int32(0); n < int32(numNodes); n++ {
-		c := mbSnap.ReadSorted(n, mails, ts)
+		c := img.mb.ReadSorted(n, mails, ts)
 		buf = le.AppendUint32(buf, uint32(c))
 		for i := 0; i < c; i++ {
 			buf = le.AppendUint64(buf, math.Float64bits(ts[i]))
@@ -111,7 +108,7 @@ func (m *Model) saveCheckpoint(w io.Writer) (uint64, error) {
 		}
 		spill(ckptSpillBytes)
 	}
-	// Temporal graph: event log in arrival order, from the captured prefix.
+	// Temporal graph: event log in arrival order, from the image.
 	buf = le.AppendUint64(buf, uint64(len(events)))
 	for i := range events {
 		ev := &events[i]
@@ -272,33 +269,24 @@ func (c *ckptReader) trailing() int64 {
 	return extra
 }
 
-// ckptStage is a checkpoint read in full but not yet the model's: fresh
-// state and mailbox stores over the node space the load ends with, the
-// events with their features, and the parameter blob.
-type ckptStage struct {
-	st     *state.Store
-	mb     *mailbox.Store
-	events []tgraph.Event
-	params []byte
-}
-
-// stageCheckpoint reads one checkpoint through c into fresh staging,
+// stageCheckpoint reads one checkpoint through c into a fresh runtime image
+// over the node space the load ends with, and the raw parameter blob,
 // checking every count and length when it reaches it: no count can claim
 // more nodes, mails, events or feature values than the bytes after it could
 // encode (when the length is known) or than have arrived (when it is not).
 // Nothing of the model is touched; its shapes and node space are read.
 // Requires applyMu.
-func (m *Model) stageCheckpoint(c *ckptReader) (*ckptStage, error) {
+func (m *Model) stageCheckpoint(c *ckptReader) (img *Snapshot, params []byte, err error) {
 	short := func(section string) error {
 		return fmt.Errorf("core: load checkpoint %s: %w", section, c.err)
 	}
 	if magic := c.take(4); magic != nil && string(magic) != ckptMagic {
-		return nil, fmt.Errorf("core: load checkpoint: bad magic %q", magic)
+		return nil, nil, fmt.Errorf("core: load checkpoint: bad magic %q", magic)
 	}
 	if version := c.u32(); c.err != nil {
-		return nil, short("header")
+		return nil, nil, short("header")
 	} else if version != ckptVersion {
-		return nil, fmt.Errorf("core: load checkpoint: unsupported version %d", version)
+		return nil, nil, fmt.Errorf("core: load checkpoint: unsupported version %d", version)
 	}
 	// The parameter blob's length follows from the model's own shapes (nn's
 	// layout: magic | version | count, then rows | cols | values per tensor),
@@ -308,87 +296,85 @@ func (m *Model) stageCheckpoint(c *ckptReader) (*ckptStage, error) {
 	for _, p := range own {
 		blobBytes += 8 + 4*len(p.W.Data)
 	}
-	s := &ckptStage{params: make([]byte, blobBytes)}
-	n := c.full(s.params)
+	params = make([]byte, blobBytes)
+	n := c.full(params)
 	if c.err != nil {
-		return nil, short("parameters")
+		return nil, nil, short("parameters")
 	}
-	if _, err := nn.CheckParams(s.params[:n], own); err != nil {
-		return nil, err
+	if _, err := nn.CheckParams(params[:n], own); err != nil {
+		return nil, nil, err
 	}
 
 	numNodes, dim := int64(c.u32()), int64(c.u32())
 	if c.err != nil {
-		return nil, short("state")
+		return nil, nil, short("state")
 	}
 	if dim != int64(m.Cfg.EdgeDim) {
-		return nil, fmt.Errorf("core: load checkpoint: dim %d, model %d", dim, m.Cfg.EdgeDim)
+		return nil, nil, fmt.Errorf("core: load checkpoint: dim %d, model %d", dim, m.Cfg.EdgeDim)
 	}
 	// A node costs its state row and at least a mail count; then 8 bytes.
 	rowBytes := 4*int(dim) + ckptNodeBytes
 	if left := c.exist(); c.size >= 0 && numNodes*int64(rowBytes+4)+8 > left {
-		return nil, fmt.Errorf("core: load checkpoint: node count %d needs more than the %d bytes left", numNodes, left)
+		return nil, nil, fmt.Errorf("core: load checkpoint: node count %d needs more than the %d bytes left", numNodes, left)
 	}
 	if grow := uint64(numNodes) * uint64(m.Cfg.Slots+1) * uint64(dim) * 4; numNodes > int64(m.Cfg.NumNodes) && grow > ckptMaxGrowBytes {
-		return nil, fmt.Errorf("core: load checkpoint: node count %d would allocate %d store bytes (max %d)",
+		return nil, nil, fmt.Errorf("core: load checkpoint: node count %d would allocate %d store bytes (max %d)",
 			numNodes, grow, uint64(ckptMaxGrowBytes))
 	}
 	// Grow to a checkpoint written after dynamic node admission, so every
 	// admitted node comes back; nodes beyond a smaller one stay cold. The
-	// state index grows with the rows read, and reaches the file's count
-	// only once its rows have arrived.
+	// state index grows with the rows read, and both indexes reach the
+	// file's count only once its rows have arrived.
 	space := max(int(numNodes), m.Cfg.NumNodes)
 	d, slots := int(dim), m.Cfg.Slots
-	s.st = state.New(m.Cfg.NumNodes, d)
+	img = &Snapshot{}
+	img.st, img.mb = m.newStores(m.Cfg.NumNodes)
 	rows, ts := make([]float32, slots*d), make([]float64, slots)
 	for n := 0; n < int(numNodes) && c.err == nil; n++ {
 		c.floats(rows[:d])
 		lastTime, touched := c.f64(), c.take(1)
 		if touched != nil && touched[0] == 1 {
-			if n >= s.st.NumNodes() {
-				s.st.Grow(min(int(numNodes), 2*(n+1)))
+			if n >= img.st.NumNodes() {
+				img.st.Grow(min(int(numNodes), 2*(n+1)))
 			}
-			s.st.Set(int32(n), rows[:d], lastTime)
+			img.st.Set(int32(n), rows[:d], lastTime)
 		}
 	}
 	if c.err != nil {
-		return nil, short("state")
+		return nil, nil, short("state")
 	}
-	s.st.Grow(space)
+	img.st.Grow(space)
+	img.mb.Grow(space)
 
 	// A node's mails go in as one block, in slot order, under the model's ψ.
-	s.mb = mailbox.New(space, slots, d)
-	if m.Cfg.KeyValueMailbox {
-		s.mb.SetRule(mailbox.UpdateKeyValue)
-	}
 	for n := 0; n < int(numNodes) && c.err == nil; n++ {
 		count := int(c.u32())
 		if count > slots {
-			return nil, fmt.Errorf("core: load checkpoint mailbox: node %d has %d mails, max %d", n, count, slots)
+			return nil, nil, fmt.Errorf("core: load checkpoint mailbox: node %d has %d mails, max %d", n, count, slots)
 		}
 		for i := 0; i < count; i++ {
 			ts[i] = c.f64()
 			c.floats(rows[i*d : (i+1)*d])
 		}
 		if count > 0 && c.err == nil {
-			s.mb.SetMails(int32(n), rows[:count*d], ts[:count])
+			img.mb.SetMails(int32(n), rows[:count*d], ts[:count])
 		}
 	}
 	if c.err != nil {
-		return nil, short("mailbox")
+		return nil, nil, short("mailbox")
 	}
 
 	// The graph's events in arrival order, features cut from shared arenas,
 	// not allocated per event.
 	numEvents := c.u64()
 	if c.err != nil {
-		return nil, short("graph")
+		return nil, nil, short("graph")
 	}
 	if left := c.exist(); c.size >= 0 {
 		if numEvents > uint64(left)/ckptEventBytes {
-			return nil, fmt.Errorf("core: load checkpoint graph: event count %d needs more than the %d bytes left", numEvents, left)
+			return nil, nil, fmt.Errorf("core: load checkpoint graph: event count %d needs more than the %d bytes left", numEvents, left)
 		}
-		s.events = make([]tgraph.Event, 0, numEvents)
+		img.events = make([]tgraph.Event, 0, numEvents)
 	}
 	var arena []float32
 	for i := uint64(0); i < numEvents && c.err == nil; i++ {
@@ -399,50 +385,24 @@ func (m *Model) stageCheckpoint(c *ckptReader) (*ckptStage, error) {
 		src, dst, featLen := le.Uint32(h), le.Uint32(h[4:]), le.Uint32(h[17:])
 		// AddEvent panics outside the node space the graph is rebuilt over.
 		if src >= uint32(space) || dst >= uint32(space) {
-			return nil, fmt.Errorf("core: load checkpoint graph: event %d joins nodes %d and %d, outside [0,%d)", i, int32(src), int32(dst), space)
+			return nil, nil, fmt.Errorf("core: load checkpoint graph: event %d joins nodes %d and %d, outside [0,%d)", i, int32(src), int32(dst), space)
 		}
 		if featLen > ckptMaxFeatLen {
-			return nil, fmt.Errorf("core: load checkpoint graph: absurd feature length %d", featLen)
+			return nil, nil, fmt.Errorf("core: load checkpoint graph: absurd feature length %d", featLen)
 		}
 		ev := tgraph.Event{Src: tgraph.NodeID(src), Dst: tgraph.NodeID(dst), Time: math.Float64frombits(le.Uint64(h[8:])), Label: int8(h[16])}
 		ev.Feat, arena = c.feat(int(featLen), arena)
-		s.events = append(s.events, ev)
+		img.events = append(img.events, ev)
 	}
 	if c.err != nil {
-		return nil, short("graph")
+		return nil, nil, short("graph")
 	}
 	if extra := c.trailing(); c.err != nil {
-		return nil, short("end")
+		return nil, nil, short("end")
 	} else if extra > 0 {
-		return nil, fmt.Errorf("core: load checkpoint: %d trailing bytes", extra)
+		return nil, nil, fmt.Errorf("core: load checkpoint: %d trailing bytes", extra)
 	}
-	return s, nil
-}
-
-// commitCheckpoint makes staging the model's parameters and streaming
-// state. Nothing here can fail. Under the caller's hold of applyMu, one
-// exclusive hold of storeMu replaces the stores in place, as
-// state.Store.Restore does, so a scorer sees them before or after, never
-// half loaded; the graph is rebuilt in place, so a graph DB holding it
-// keeps seeing the live graph; parameters go into the model's own copy and
-// are published last.
-func (m *Model) commitCheckpoint(s *ckptStage) {
-	space := s.st.NumNodes()
-	// Evictor tracking is not checkpointed: loaded warm nodes rejoin the LRU
-	// as the stream touches them.
-	m.resetEvictor()
-	m.storeMu.Lock()
-	*m.st, *m.mbox = *s.st, *s.mb
-	m.Cfg.NumNodes = space
-	m.numNodes.Store(int64(space))
-	m.storeMu.Unlock()
-	g := m.db.G
-	g.Reset(space)
-	for i := range s.events {
-		g.AddEvent(s.events[i])
-	}
-	nn.DecodeParams(s.params, m.Params())
-	m.publishOwn()
+	return img, params, nil
 }
 
 // LoadCheckpoint restores a checkpoint written by SaveCheckpoint into a
@@ -459,23 +419,20 @@ func (m *Model) loadCheckpoint(b []byte) error {
 	return m.load(&ckptReader{buf: b, end: len(b), size: int64(len(b)), read: int64(len(b))})
 }
 
-// load stages c's checkpoint and commits it under one hold of applyMu,
-// reading included: applies wait for the whole load, scorers only for the
-// swap.
+// load stages c's checkpoint, installs its image and publishes its
+// parameters, all under one hold of applyMu, reading included: applies wait
+// for the whole load, scorers only for the store swap and the publish.
 func (m *Model) load(c *ckptReader) error {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	s, err := m.stageCheckpoint(c)
-	if err == nil {
-		m.commitCheckpoint(s)
+	img, params, err := m.stageCheckpoint(c)
+	if err != nil {
+		return err
 	}
-	return err
-}
-
-// SaveCheckpointFile writes a checkpoint to path atomically (temp + rename).
-func (m *Model) SaveCheckpointFile(path string) error {
-	_, err := m.Checkpoint(path)
-	return err
+	m.install(img)
+	nn.DecodeParams(params, m.Params())
+	m.publishOwn()
+	return nil
 }
 
 // Checkpoint writes a checkpoint to path atomically (temp + fsync + rename

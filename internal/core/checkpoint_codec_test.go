@@ -62,7 +62,8 @@ func saveBytes(t testing.TB, m *Model) []byte {
 // with re-admission, the key-value ψ, and the empty model (no events, no
 // mail): the new writer's bytes are the reference writer's, and either
 // writer's file through the other's loader recovers the same runtime,
-// parameters and watermark.
+// parameters and watermark, and re-saves to the same bytes — which covers
+// the rebuilt graph's contents, not just its event count.
 func TestQuickCheckpointCodecMatchesReference(t *testing.T) {
 	d := tinyData(5)
 	seen := map[string]int{"grew": 0, "evicted": 0, "readmitted": 0, "key-value": 0, "empty": 0}
@@ -122,6 +123,10 @@ func TestQuickCheckpointCodecMatchesReference(t *testing.T) {
 			if o.digest != want.digest || o.fingerprint != want.fingerprint || o.graphEvents != want.graphEvents {
 				t.Logf("seed %d, %s: digest %016x fingerprint %016x events %d, saved model %016x %016x %d", seed, name,
 					o.digest, o.fingerprint, o.graphEvents, want.digest, want.fingerprint, want.graphEvents)
+				return false
+			}
+			if b := saveBytes(t, r); !bytes.Equal(b, got) {
+				t.Logf("seed %d, %s: the loaded model re-saves %d bytes, first difference at %d of the file's %d", seed, name, len(b), firstDiff(b, got), len(got))
 				return false
 			}
 		}
@@ -448,7 +453,7 @@ func TestSaveCheckpointAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		serveGrowing(m, d.Events[:n], 20)
-		cut := testing.AllocsPerRun(5, func() { m.runtimeCut() })
+		cut := testing.AllocsPerRun(5, func() { m.SnapshotRuntime() })
 		save := testing.AllocsPerRun(5, func() {
 			if err := m.SaveCheckpoint(io.Discard); err != nil {
 				t.Fatal(err)

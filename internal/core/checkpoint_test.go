@@ -67,7 +67,7 @@ func TestCheckpointRoundTripPreservesServing(t *testing.T) {
 	m.EvalStream(d.Events[400:600], nil)
 
 	path := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := m.SaveCheckpointFile(path); err != nil {
+	if _, err := m.Checkpoint(path); err != nil {
 		t.Fatal(err)
 	}
 

@@ -114,6 +114,10 @@ func TestBackendSurvivesLifecycle(t *testing.T) {
 // TestCheckpointSurvivesRestoreAndGrowth: mutations that bypass the apply
 // path — a runtime restore, node admission — must land in the next
 // checkpoint, so a model loaded from it has the live digest and watermark.
+// A snapshot restores its own graph, not a prefix of whatever log the model
+// holds by then: after a reset and a longer or a shorter stream of other
+// events, and in a second model of the same Config, the model re-saves the
+// checkpoint bytes saved when the snapshot was taken.
 func TestCheckpointSurvivesRestoreAndGrowth(t *testing.T) {
 	d := tinyData(33)
 	cfg := tinyConfig(d.NumNodes)
@@ -150,6 +154,25 @@ func TestCheckpointSurvivesRestoreAndGrowth(t *testing.T) {
 	applyBatch(m, d.Events[100:150])
 	m.RestoreRuntime(snap)
 	check("after restore")
+
+	snap = m.SnapshotRuntime()
+	want := saveBytes(t, m)
+	for _, n := range []int{150, 30} {
+		m.ResetRuntime()
+		applyBatch(m, d.Events[300:300+n])
+		m.RestoreRuntime(snap)
+		if got := saveBytes(t, m); !bytes.Equal(got, want) {
+			t.Fatalf("restore after a reset and %d other events: checkpoint differs at byte %d of %d", n, firstDiff(got, want), len(want))
+		}
+	}
+	other, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.RestoreRuntime(snap)
+	if got := saveBytes(t, other); !bytes.Equal(got, want) {
+		t.Fatalf("restore into a second model: checkpoint differs at byte %d of %d", firstDiff(got, want), len(want))
+	}
 
 	m.EnsureNodes(d.NumNodes + 37)
 	applyBatch(m, d.Events[100:150])

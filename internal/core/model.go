@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -59,7 +60,7 @@ type Model struct {
 	// point), eviction and re-admission, EnsureNodes, ResetRuntime,
 	// RestoreRuntime, checkpoint load and WAL attach/detach. So do graph
 	// readers (GraphEvents, WAL, re-admission's neighbour query) — the
-	// temporal graph does no locking of its own — and cuts (runtimeCut,
+	// temporal graph does no locking of its own — and cuts (SnapshotRuntime,
 	// RuntimeDigest), which read the stores with no further lock because
 	// every store write happens under applyMu; a cut therefore always lands
 	// on a batch boundary. WAL Begin and the graph insert both happen under
@@ -73,7 +74,7 @@ type Model struct {
 	// (Score, Embed, Explain, GatherInputsInto) hold it shared for their
 	// gather only. A writer, already holding applyMu, takes it exclusively
 	// only while it writes store memory — the state Set loop, the mailbox
-	// delivery, ClearNode, Grow, Reset, Restore — never across a graph
+	// delivery, ClearNode, Grow, Reset, install — never across a graph
 	// round trip or a WAL wait.
 	storeMu sync.RWMutex
 
@@ -131,17 +132,13 @@ func NewWithDB(cfg Config, db *gdb.DB) (*Model, error) {
 		dec = NewMLPLinkDecoder(cfg.EdgeDim, cfg.Hidden, cfg.Dropout, rng)
 	}
 	m := &Model{
-		Cfg:  cfg,
-		rng:  rng,
-		enc:  NewEncoder(cfg, rng),
-		dec:  dec,
-		st:   state.New(cfg.NumNodes, cfg.EdgeDim),
-		mbox: mailbox.New(cfg.NumNodes, cfg.Slots, cfg.EdgeDim),
-		db:   db,
+		Cfg: cfg,
+		rng: rng,
+		enc: NewEncoder(cfg, rng),
+		dec: dec,
+		db:  db,
 	}
-	if cfg.KeyValueMailbox {
-		m.mbox.SetRule(mailbox.UpdateKeyValue)
-	}
+	m.st, m.mbox = m.newStores(cfg.NumNodes)
 	if cfg.EvictMaxNodes > 0 {
 		m.ev = newEvictor(cfg.EvictMaxNodes)
 	}
@@ -150,6 +147,16 @@ func NewWithDB(cfg Config, db *gdb.DB) (*Model, error) {
 	m.opt = nn.NewAdam(m.Params(), cfg.LR)
 	m.publishOwn()
 	return m, nil
+}
+
+// newStores returns empty node-state and mailbox stores over n nodes, shaped
+// by the model's Config and under its mailbox update rule ψ.
+func (m *Model) newStores(n int) (*state.Store, *mailbox.Store) {
+	mb := mailbox.New(n, m.Cfg.Slots, m.Cfg.EdgeDim)
+	if m.Cfg.KeyValueMailbox {
+		mb.SetRule(mailbox.UpdateKeyValue)
+	}
+	return state.New(n, m.Cfg.EdgeDim), mb
 }
 
 // Name identifies the model variant by propagation depth, matching the
@@ -248,61 +255,59 @@ func (m *Model) ResetRuntime() {
 	m.resetEvictor()
 }
 
-// Snapshot captures the streaming state for later Restore (parameters are
-// not included; they are shared).
+// Snapshot is the model's runtime image: node embeddings, mailboxes and
+// the temporal graph's events, cut on one batch boundary. Its node space is
+// the state store's. An image is immutable once built: nothing writes its
+// stores, and its events are a prefix of an append-only log. Parameters are
+// not included; they are versioned on their own (see SwapParams).
 type Snapshot struct {
-	st   *state.Snapshot
-	mb   *mailbox.Snapshot
-	gcut int // number of graph events at snapshot time
+	st     *state.Store
+	mb     *mailbox.Store
+	events []tgraph.Event
 }
 
-// SnapshotRuntime captures state, mailbox and the graph watermark as one
-// consistent, batch-aligned cut — without blocking inference (see
-// runtimeCut).
+// SnapshotRuntime captures the model's runtime image: deep copies of both
+// stores plus a zero-copy prefix of the graph's event log (see
+// tgraph.EventLog). It holds the writer lock, so the image lands on a batch
+// boundary and only the applier pauses, for a memcpy-speed clone; scorers
+// only read the stores, so scoring continues throughout.
 func (m *Model) SnapshotRuntime() *Snapshot {
-	st, mb, events, _ := m.runtimeCut()
-	return &Snapshot{st: st, mb: mb, gcut: len(events)}
-}
-
-// runtimeCut captures the durability cut every snapshot-like operation
-// shares: deep copies of both stores plus the graph's event-log prefix,
-// all at the same batch boundary. It holds the writer lock, which pauses
-// the asynchronous link for a memcpy-speed clone; scorers only read the
-// stores, so scoring continues throughout. The returned event slice is a
-// zero-copy immutable prefix of the append-only log (see tgraph.EventLog);
-// its length is the cut's watermark.
-func (m *Model) runtimeCut() (st *state.Snapshot, mb *mailbox.Snapshot, events []tgraph.Event, numNodes int) {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	g := m.db.G
-	return m.st.Snapshot(), m.mbox.Snapshot(), g.EventLog()[:g.NumEvents()], m.Cfg.NumNodes
+	return &Snapshot{st: m.st.Clone(), mb: m.mbox.Clone(), events: slices.Clip(m.db.G.EventLog())}
 }
 
-// RestoreRuntime rolls the streaming state back to snap, including the
-// node-ID space as of snapshot time (nodes admitted since are forgotten).
-// The graph is rebuilt from its event log prefix.
+// RestoreRuntime rolls the streaming state back to snap — stores, node-ID
+// space (nodes admitted since are forgotten) and graph, rebuilt from the
+// snapshot's own events. A snapshot restores into any model of its Config,
+// after a ResetRuntime too, and may be restored any number of times.
 func (m *Model) RestoreRuntime(snap *Snapshot) {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	m.storeMu.Lock()
-	m.st.Restore(snap.st)
-	m.mbox.Restore(snap.mb)
-	m.Cfg.NumNodes = m.st.NumNodes()
-	m.numNodes.Store(int64(m.Cfg.NumNodes))
-	m.storeMu.Unlock()
-	// Capture the replay prefix before Reset: the log is append-only and
-	// Reset replaces (never overwrites) its backing array, so the captured
-	// slice keeps the snapshot's events while the same *Graph is rebuilt in
-	// place.
-	g := m.db.G
-	events := g.EventLog()[:snap.gcut]
-	g.Reset(m.Cfg.NumNodes)
-	for i := range events {
-		g.AddEvent(events[i])
-	}
-	// Evictor tracking describes the pre-restore stores; drop it. Restored
-	// warm nodes rejoin the LRU as the stream touches them.
+	m.install(&Snapshot{st: snap.st.Clone(), mb: snap.mb.Clone(), events: snap.events})
+}
+
+// install makes img the model's runtime: its stores become the model's, so
+// img is not used again. Requires applyMu. One exclusive hold of storeMu replaces the stores in place, so a
+// scorer sees them before or after, never half installed; the graph is
+// rebuilt in place, so a graph DB holding it keeps seeing the live graph.
+// Evictor tracking describes the stores being replaced and is dropped:
+// installed warm nodes rejoin the LRU as the stream touches them.
+func (m *Model) install(img *Snapshot) {
 	m.resetEvictor()
+	space := img.st.NumNodes()
+	m.storeMu.Lock()
+	*m.st, *m.mbox = *img.st, *img.mb
+	m.Cfg.NumNodes = space
+	m.numNodes.Store(int64(space))
+	m.storeMu.Unlock()
+	// Reset replaces (never overwrites) the log's backing array, so events
+	// captured from this very graph keep their contents while it is rebuilt.
+	g := m.db.G
+	g.Reset(space)
+	for i := range img.events {
+		g.AddEvent(img.events[i])
+	}
 }
 
 // runStream runs events through RunStream with the model's own modules:

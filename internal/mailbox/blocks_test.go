@@ -104,7 +104,7 @@ func (d *denseRef) clone() *denseRef {
 }
 
 // TestBlocksMatchDenseQuick drives Store and the dense reference through the
-// same random Deliver/ClearNode/Grow/Reset/Snapshot/Restore/clone sequence,
+// same random Deliver/ClearNode/Grow/Reset/Clone sequence,
 // under both ψ rules, and demands bit-identical Len and ReadSorted on every
 // node after every step — and that the block invariant (a block iff mail)
 // holds throughout.
@@ -117,7 +117,7 @@ func TestBlocksMatchDenseQuick(t *testing.T) {
 			st := New(nodes, slots, dim)
 			st.SetRule(rule)
 			ref := newDenseRef(nodes, slots, dim, rule)
-			var snap *Snapshot
+			var snap *Store
 			var refSnap *denseRef
 
 			mail := make([]float32, dim)
@@ -144,17 +144,17 @@ func TestBlocksMatchDenseQuick(t *testing.T) {
 					st.Reset()
 					ref.clear(0, nodes)
 				case k < 92:
-					snap, refSnap = st.Snapshot(), ref.clone()
+					snap, refSnap = st.Clone(), ref.clone()
 				case k < 97:
 					if snap != nil {
-						st.Restore(snap)
+						st = snap.Clone()
 						ref = refSnap.clone()
 					}
 				default:
 					// Continue on a clone and scribble on the original: any
 					// block the two still share shows up as a mismatch.
 					old := st
-					st = st.clone()
+					st = st.Clone()
 					for i := range mail {
 						mail[i] = -9
 					}

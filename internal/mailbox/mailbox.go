@@ -243,9 +243,10 @@ func (s *Store) Grow(n int) {
 	s.numNodes = n
 }
 
-// clone deep-copies the index and the live mail blocks (used by snapshots);
-// the free list stays behind.
-func (s *Store) clone() *Store {
+// Clone returns a deep copy of the store: the index, the update rule and
+// the live mail blocks. The free list stays behind. core takes its runtime
+// images this way.
+func (s *Store) Clone() *Store {
 	c := &Store{
 		numNodes: s.numNodes,
 		slots:    s.slots,
@@ -317,23 +318,3 @@ func (s *Store) Occupancy() Occupancy {
 	o.Bytes = int64(o.LiveBlocks+o.FreeBlocks) * int64(s.slots*s.dim) * 4
 	return o
 }
-
-// Snapshot captures the full store for later Restore (used to replay
-// validation/test streams from a fixed point and to encode checkpoints).
-// Snapshots are immutable: Restore and checkpoint encoding clone or read
-// out of them, never mutate them.
-type Snapshot struct{ st *Store }
-
-// ReadSorted is Store.ReadSorted over the captured contents, so a
-// checkpoint is encoded from the snapshot itself, not from a store restored
-// from it.
-func (snap *Snapshot) ReadSorted(n int32, buf []float32, tsOut []float64) int {
-	return snap.st.ReadSorted(n, buf, tsOut)
-}
-
-// Snapshot returns a deep copy of the store contents.
-func (s *Store) Snapshot() *Snapshot { return &Snapshot{s.clone()} }
-
-// Restore resets the store to a previously captured snapshot, node count
-// and update rule included.
-func (s *Store) Restore(snap *Snapshot) { *s = *snap.st.clone() }

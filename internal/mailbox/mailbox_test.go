@@ -89,18 +89,19 @@ func TestReadSortedBufferPanic(t *testing.T) {
 }
 
 // TestRestoreUndoesGrow: a store grown since its snapshot shrinks back on
-// Restore, node count included, and its mail rolls back.
+// restoring a clone taken before, node count included, and its mail rolls
+// back.
 func TestRestoreUndoesGrow(t *testing.T) {
 	const slots, dim = 2, 2
 	s := New(6, slots, dim)
 	s.Deliver(3, []float32{1, 2}, 5)
-	snap := s.Snapshot()
+	snap := s.Clone()
 
 	s.Deliver(3, []float32{9, 9}, 7)
 	s.Grow(20)
 	s.Deliver(19, []float32{8, 8}, 8)
 
-	s.Restore(snap)
+	*s = *snap.Clone()
 	if s.NumNodes() != 6 {
 		t.Fatalf("restore kept grown node space: %d", s.NumNodes())
 	}
@@ -114,10 +115,10 @@ func TestRestoreUndoesGrow(t *testing.T) {
 func TestResetAndSnapshotRestore(t *testing.T) {
 	s := New(2, 2, 1)
 	s.Deliver(0, []float32{7}, 1)
-	snap := s.Snapshot()
+	snap := s.Clone()
 	s.Deliver(0, []float32{8}, 2)
 	s.Deliver(1, []float32{9}, 3)
-	s.Restore(snap)
+	*s = *snap.Clone()
 	if s.Len(0) != 1 || s.Len(1) != 0 {
 		t.Fatalf("restore lens: %d %d", s.Len(0), s.Len(1))
 	}
@@ -244,7 +245,7 @@ func TestGrowPreservesMail(t *testing.T) {
 // store that delivering those mails one by one leaves, under both ψ: the
 // same readout now and after any further deliveries (so count, slot order
 // and ring head agree, not just the visible mails). The source readout
-// comes from a snapshot, which must read as the live store does.
+// comes from a clone, which must read as the live store does.
 func TestSetMailsEqualsDeliveriesQuick(t *testing.T) {
 	const nodes, slots, dim = 11, 4, 3
 	for _, rule := range []UpdateRule{UpdateFIFO, UpdateKeyValue} {
@@ -263,7 +264,7 @@ func TestSetMailsEqualsDeliveriesQuick(t *testing.T) {
 				deliver(src, int32(rng.Intn(nodes)), rng.Float64()*100)
 			}
 
-			snap := src.Snapshot()
+			snap := src.Clone()
 			bulk, one := New(nodes, slots, dim), New(nodes, slots, dim)
 			bulk.SetRule(rule)
 			one.SetRule(rule)

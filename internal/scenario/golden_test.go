@@ -128,7 +128,7 @@ func checkGoldenRuntime(t *testing.T, m *core.Model, want goldenFiles) {
 		t.Errorf("RuntimeDigest %016x, want %016x", got, fixedStreamGolden.digest)
 	}
 	ckpt := filepath.Join(t.TempDir(), "ckpt")
-	if err := m.SaveCheckpointFile(ckpt); err != nil {
+	if _, err := m.Checkpoint(ckpt); err != nil {
 		t.Fatal(err)
 	}
 	checkGoldenFile(t, "checkpoint", ckpt, want.checkpoint, fixedStreamGolden.ckptBytes)

@@ -33,7 +33,7 @@ type Store struct {
 	lastTime []float64 // per node
 	// slabs hold the rows: row r (0-based) is slabs[r/slabRows] at
 	// r%slabRows·dim. Each slab has room for slabRows rows, except that a
-	// clone's last slab is cut to the rows it holds.
+	// Clone's last slab is cut to the rows it holds.
 	slabs [][]float32
 	next  int32     // the 0-based row number the next carve takes if its slab has room
 	free  []int32   // row numbers (1-based) handed back by ClearNode
@@ -90,10 +90,11 @@ func (s *Store) Grow(n int) {
 	s.numNodes = n
 }
 
-// clone deep-copies the index and the live rows (used by snapshots), packed
-// in node order into one allocation cut into slabs; the free list stays
-// behind, and the last slab holds only the rows it needs.
-func (s *Store) clone() *Store {
+// Clone returns a deep copy of the store: the index and the live rows,
+// packed in node order into one allocation cut into slabs. The free list
+// stays behind, and the last slab holds only the rows it needs. core takes
+// its runtime images this way.
+func (s *Store) Clone() *Store {
 	c := &Store{
 		numNodes: s.numNodes,
 		dim:      s.dim,
@@ -206,22 +207,3 @@ func (s *Store) Occupancy() Occupancy {
 	}
 	return o
 }
-
-// Snapshot captures the store for later Restore. Snapshots are immutable:
-// Restore and checkpoint encoding clone or read out of them, never mutate
-// them.
-type Snapshot struct{ st *Store }
-
-// Row returns node n's captured embedding, last-update time and touched
-// flag, so a checkpoint is encoded from the snapshot itself, not from a
-// store restored from it. The embedding is a read-only view.
-func (snap *Snapshot) Row(n int32) (z []float32, lastTime float64, touched bool) {
-	return snap.st.Get(n), snap.st.lastTime[n], snap.st.Touched(n)
-}
-
-// Snapshot returns a deep copy of the store contents.
-func (s *Store) Snapshot() *Snapshot { return &Snapshot{s.clone()} }
-
-// Restore resets the store to a previously captured snapshot, node count
-// included (a store grown since the snapshot shrinks back).
-func (s *Store) Restore(snap *Snapshot) { *s = *snap.st.clone() }

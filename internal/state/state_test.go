@@ -56,10 +56,10 @@ func TestSetCopiesInput(t *testing.T) {
 func TestResetAndSnapshotRestore(t *testing.T) {
 	s := New(2, 2)
 	s.Set(0, []float32{1, 2}, 10)
-	snap := s.Snapshot()
+	snap := s.Clone()
 	s.Set(1, []float32{3, 4}, 20)
 	s.Set(0, []float32{9, 9}, 30)
-	s.Restore(snap)
+	*s = *snap.Clone()
 	if s.Get(0)[0] != 1 || s.LastTime(0) != 10 {
 		t.Fatalf("restore: %v @%v", s.Get(0), s.LastTime(0))
 	}
@@ -73,13 +73,13 @@ func TestResetAndSnapshotRestore(t *testing.T) {
 }
 
 // TestRestoreUndoesGrow: a store grown since its snapshot shrinks back on
-// Restore, node count included, as mailbox.Store does.
+// restoring a clone taken before, node count included, as mailbox.Store does.
 func TestRestoreUndoesGrow(t *testing.T) {
 	s := New(2, 3)
-	snap := s.Snapshot()
+	snap := s.Clone()
 	s.Grow(4)
 	s.Set(3, []float32{1, 2, 3}, 5)
-	s.Restore(snap)
+	*s = *snap.Clone()
 	if s.NumNodes() != 2 {
 		t.Fatalf("restore kept the grown node space: %d nodes", s.NumNodes())
 	}
@@ -91,7 +91,7 @@ func TestRestoreUndoesGrow(t *testing.T) {
 
 // TestRowsFollowTouchedNodes: rows are carved slabRows at a time on first
 // Set, come back through ClearNode's free list before a new slab is cut,
-// are packed by Snapshot/Restore, and Reset drops them; untouched and
+// are packed by Clone, and Reset drops them; untouched and
 // cleared nodes read as zeros.
 func TestRowsFollowTouchedNodes(t *testing.T) {
 	const dim = 3
@@ -123,8 +123,8 @@ func TestRowsFollowTouchedNodes(t *testing.T) {
 
 	// A restored store holds its live rows packed, the last slab cut short;
 	// the next first touch starts a new slab and disturbs no row.
-	snap := s.Snapshot()
-	s.Restore(snap)
+	snap := s.Clone()
+	*s = *snap.Clone()
 	if o := s.Occupancy(); o.TouchedNodes != slabRows+1 || o.FreeRows != 0 || o.Slabs != 2 || o.Bytes != (slabRows+1)*dim*4 {
 		t.Fatalf("restored store: %+v", o)
 	}
@@ -149,7 +149,7 @@ func TestRowsFollowTouchedNodes(t *testing.T) {
 
 // Property: the store returns exactly what was last written per node,
 // across ClearNode (the row goes to the free list and is reused) and
-// Snapshot/Restore (the live rows are repacked).
+// Clone (the live rows are repacked).
 func TestLastWriteWinsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -165,7 +165,7 @@ func TestLastWriteWinsProperty(t *testing.T) {
 				delete(last, node)
 				delete(lastT, node)
 			case 1:
-				s.Restore(s.Snapshot())
+				s = s.Clone()
 			default:
 				z := []float32{rng.Float32(), rng.Float32()}
 				ts := rng.Float64()
@@ -212,8 +212,8 @@ func TestGrowPreservesState(t *testing.T) {
 	}
 }
 
-// TestSnapshotRowReadsCapturedState: a snapshot answers per node what the
-// store answered when it was taken — checkpoints are encoded from it —
+// TestSnapshotRowReadsCapturedState: a clone answers per node what the
+// store answered when it was taken — checkpoints are encoded from one —
 // cleared and never-touched nodes included, and keeps answering it after
 // the store moves on.
 func TestSnapshotRowReadsCapturedState(t *testing.T) {
@@ -222,11 +222,11 @@ func TestSnapshotRowReadsCapturedState(t *testing.T) {
 		s.Set(n, []float32{float32(n), 1, -float32(n)}, float64(n)+0.5)
 	}
 	s.ClearNode(4)
-	snap := s.Snapshot()
+	snap := s.Clone()
 	s.Set(3, []float32{9, 9, 9}, 99)
 	s.Set(6, []float32{9, 9, 9}, 99)
 	for n := int32(0); n < 21; n++ {
-		z, last, touched := snap.Row(n)
+		z, last, touched := snap.Get(n), snap.LastTime(n), snap.Touched(n)
 		want := n%2 == 0 && n != 4
 		if touched != want || (want && (z[0] != float32(n) || z[2] != -float32(n) || last != float64(n)+0.5)) ||
 			(!want && (z[0] != 0 || z[1] != 0 || last != 0)) {
@@ -314,13 +314,13 @@ func TestShardedFirstTouchRace(t *testing.T) {
 func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
 	s := New(6, 2)
 	s.Set(5, []float32{1, 2}, 3)
-	snap := s.Snapshot()
+	snap := s.Clone()
 
 	s.Set(5, []float32{9, 9}, 4)
 	s.Grow(50)
 	s.Set(49, []float32{7, 7}, 5)
 
-	s.Restore(snap)
+	*s = *snap.Clone()
 	if s.NumNodes() != 6 {
 		t.Fatalf("restore kept grown node space: %d", s.NumNodes())
 	}

@@ -1,9 +1,9 @@
 // Package tgraph implements the continuous-time dynamic graph (CTDG)
 // storage engine: an append-only temporal event log with per-node
-// time-ordered incidence lists, temporal neighbor sampling (most-recent and
-// uniform), k-hop subgraph queries, and a static snapshot view for the
-// static baselines. Graph does no locking of its own; core.Model serializes
-// every access behind its graph mutex.
+// time-ordered incidence lists, most-recent temporal neighbor sampling,
+// k-hop subgraph queries, and a static snapshot view for the static
+// baselines. Graph does no locking of its own; core.Model serializes every
+// access behind its writer lock (applyMu).
 package tgraph
 
 import (
@@ -34,7 +34,7 @@ type Incidence struct {
 
 // Graph is the CTDG store. Per-node incidence lists are kept sorted by
 // timestamp even under out-of-order insertion; the global log records
-// arrival order (EventsBetween assumes globally non-decreasing times).
+// arrival order.
 // Graph is not safe for concurrent mutation; the async pipeline serializes
 // writers.
 type Graph struct {
@@ -82,7 +82,7 @@ func (g *Graph) NumEvents() int { return len(g.events) }
 // are immutable once inserted, so a prefix captured while writers are
 // quiesced stays a valid consistent snapshot even as later events are
 // appended (an append that reallocates leaves the old backing array
-// untouched) — the checkpoint cut relies on this to capture the graph in
+// untouched) — core's runtime image relies on this to capture the graph in
 // O(1) instead of copying the history. Callers must treat the slice as
 // read-only.
 func (g *Graph) EventLog() []Event { return g.events }
@@ -192,14 +192,6 @@ func (g *Graph) KHopMostRecentInto(sc *KHopScratch, seeds []NodeID, t float64, f
 		frontier = sc.frontier
 	}
 	return out
-}
-
-// EventsBetween returns the slice of events with Time in [lo, hi). Events
-// must have been inserted in non-decreasing time order for this to be exact.
-func (g *Graph) EventsBetween(lo, hi float64) []Event {
-	a := sort.Search(len(g.events), func(i int) bool { return g.events[i].Time >= lo })
-	b := sort.Search(len(g.events), func(i int) bool { return g.events[i].Time >= hi })
-	return g.events[a:b]
 }
 
 // CSR is a compact static adjacency snapshot used by the static baselines

@@ -106,11 +106,11 @@ func TestBackendEquivalenceAfterReset(t *testing.T) {
 }
 
 // TestShardedCopyOut is the aliasing regression: results returned by
-// KHopMostRecent, MostRecentNeighbors and EventsBetween must stay
-// bit-identical after subsequent appends — k-hop levels and neighbor lists
-// because they are copied out of adjacency storage, EventsBetween because
-// log entries are immutable even when the backing array is still live
-// (tgraph.EventLog). The test keeps its name from when a sharded graph store
+// KHopMostRecent and MostRecentNeighbors, and a sub-slice of EventLog, must
+// stay bit-identical after subsequent appends — k-hop levels and neighbor
+// lists because they are copied out of adjacency storage, the log slice
+// because log entries are immutable even when the backing array is still
+// live (tgraph.EventLog). The test keeps its name from when a sharded graph store
 // ran it too; the subtest is named for the flat store.
 func TestShardedCopyOut(t *testing.T) {
 	t.Run("flat", func(t *testing.T) {
@@ -124,7 +124,7 @@ func TestShardedCopyOut(t *testing.T) {
 			})
 		}
 		hops := g.KHopMostRecent([]tgraph.NodeID{1, 2}, 150, 5, 2)
-		between := g.EventsBetween(50, 120)
+		between := g.EventLog()[50:120]
 		mrn := g.MostRecentNeighbors(3, 150, 5, nil)
 
 		var hopsCopy [][]tgraph.Incidence
@@ -148,7 +148,7 @@ func TestShardedCopyOut(t *testing.T) {
 		for h := range hops {
 			sameIncidences(t, "KHop level after append", hops[h], hopsCopy[h])
 		}
-		sameEvents(t, "EventsBetween after append", between, betweenCopy)
+		sameEvents(t, "EventLog slice after append", between, betweenCopy)
 		sameIncidences(t, "MostRecentNeighbors after append", mrn, mrnCopy)
 	})
 }
