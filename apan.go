@@ -1,10 +1,11 @@
 // Package apan is a from-scratch Go implementation of APAN — the
 // Asynchronous Propagation Attention Network for real-time temporal graph
 // embedding (Wang et al., SIGMOD 2021) — together with the full substrate
-// it needs: a temporal graph store, a per-node mailbox, a neural-network
-// engine, the asynchronous serving pipeline, synthetic counterparts of the
-// paper's datasets, every baseline of the paper's evaluation, and a
-// benchmark harness that regenerates each table and figure.
+// it needs: a temporal graph store, a per-node store of embeddings and
+// mailboxes, a neural-network engine, the asynchronous serving pipeline,
+// synthetic counterparts of the paper's datasets, every baseline of the
+// paper's evaluation, and a benchmark harness that regenerates each table
+// and figure.
 //
 // The model splits into two links (paper Fig. 2b):
 //
@@ -33,8 +34,8 @@
 // For online serving, wrap the model in a Pipeline (see StartPipeline):
 // Submit answers on the synchronous link with context cancellation and
 // queues the propagation work; TrySubmit sheds load instead of blocking,
-// and Shutdown drains then stops. One applier writes the node-state and
-// mailbox stores under the model's writer lock and takes its store lock
+// and Shutdown drains then stops. One applier writes the node store under
+// the model's writer lock and takes its store lock
 // only while it writes store memory, so concurrent submissions score in
 // parallel, and EnsureNodes admits unseen node IDs at runtime. Put a Server in front of
 // the pipeline (see NewServer) to expose the versioned HTTP/JSON API —
@@ -58,7 +59,6 @@ import (
 	"apan/internal/core"
 	"apan/internal/dataset"
 	"apan/internal/gdb"
-	"apan/internal/mailbox"
 	"apan/internal/nn"
 	"apan/internal/replica"
 	"apan/internal/serve"
@@ -121,11 +121,9 @@ type (
 	GraphDB = gdb.DB
 	// LatencyModel maps a neighbor query to a simulated round-trip cost.
 	LatencyModel = gdb.LatencyModel
-	// Mailbox is the per-node mail store backing a Model. It does no
-	// locking; the Model serializes access to its own.
-	Mailbox = mailbox.Store
-	// NodeState is the per-node embedding store backing a Model. It does
-	// no locking; the Model serializes access to its own.
+	// NodeState is the node store backing a Model: each node's embedding
+	// and mailbox in one record. It does no locking; the Model serializes
+	// access to its own.
 	NodeState = state.Store
 )
 

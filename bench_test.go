@@ -336,7 +336,7 @@ func BenchmarkPropagateMailScratch(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if mode == "fresh" {
 						b.StopTimer()
-						prop = NewPropagator(m.Cfg, m.DB(), m.Mailbox())
+						prop = NewPropagator(m.Cfg, m.DB(), m.State())
 						b.StartTimer()
 					}
 					prop.ProcessBatch(batch, m.State())

@@ -70,12 +70,12 @@ func main() {
 	a, _ := apan.New(apan.Config{NumNodes: 4, EdgeDim: ds.EdgeDim, Seed: 3})
 	b, _ := apan.New(apan.Config{NumNodes: 4, EdgeDim: ds.EdgeDim, Seed: 3})
 	m1, m2, m3 := mail(ds.EdgeDim, 1), mail(ds.EdgeDim, 2), mail(ds.EdgeDim, 3)
-	a.Mailbox().Deliver(0, m1, 1)
-	a.Mailbox().Deliver(0, m2, 2)
-	a.Mailbox().Deliver(0, m3, 3)
-	b.Mailbox().Deliver(0, m3, 3) // reversed arrival
-	b.Mailbox().Deliver(0, m2, 2)
-	b.Mailbox().Deliver(0, m1, 1)
+	a.State().Deliver(0, m1, 1)
+	a.State().Deliver(0, m2, 2)
+	a.State().Deliver(0, m3, 3)
+	b.State().Deliver(0, m3, 3) // reversed arrival
+	b.State().Deliver(0, m2, 2)
+	b.State().Deliver(0, m1, 1)
 	za := a.Embed([]apan.NodeID{0}, []float64{4})
 	zb := b.Embed([]apan.NodeID{0}, []float64{4})
 	identical := true
@@ -97,7 +97,7 @@ func main() {
 	model.EvalStream(split.Train, nil)
 	var target *apan.Event
 	for i := range probe {
-		if model.Mailbox().Len(probe[i].Src) >= 3 {
+		if model.State().Len(probe[i].Src) >= 3 {
 			target = &probe[i]
 			break
 		}

@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"apan/internal/core"
-	"apan/internal/mailbox"
+	"apan/internal/state"
 	"apan/internal/tgraph"
 	"apan/internal/wal"
 )
@@ -197,9 +197,9 @@ func (p *Pipeline) EvictionStats() *core.EvictionStats {
 	return &st
 }
 
-// MailboxOccupancy reports how much mail memory the served model holds
-// (see mailbox.Occupancy) for the serving stats surface.
-func (p *Pipeline) MailboxOccupancy() mailbox.Occupancy { return p.model.MailboxOccupancy() }
+// MailboxOccupancy reports how much node-store memory the served model
+// holds (see state.Occupancy) for the serving stats surface.
+func (p *Pipeline) MailboxOccupancy() state.Occupancy { return p.model.MailboxOccupancy() }
 
 // applier is the asynchronous link: the pipeline's one goroutine that
 // mutates the model, applying batches in dequeue order until Shutdown has

@@ -65,7 +65,7 @@ func NewDyRep(cfg DyRepConfig, db *gdb.DB) *DyRep {
 		db:      db,
 		gru:     nn.NewGRUCell(3*d, d, rng),
 		timeEnc: nn.NewTimeEncoder(d, rng),
-		mem:     state.New(cfg.NumNodes, d),
+		mem:     state.New(cfg.NumNodes, 0, d),
 		pending: make(map[tgraph.NodeID]pendingEvent),
 	}
 	m.streamer = streamer{

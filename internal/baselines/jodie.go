@@ -70,7 +70,7 @@ func NewJODIE(cfg JODIEConfig) *JODIE {
 		dstCell: nn.NewGRUCell(3*d, d, rng),
 		projW:   nn.Param(1, d),
 		timeEnc: nn.NewTimeEncoder(d, rng),
-		mem:     state.New(cfg.NumNodes, d),
+		mem:     state.New(cfg.NumNodes, 0, d),
 		pending: make(map[tgraph.NodeID]pendingEvent),
 		pendSrc: make(map[tgraph.NodeID]bool),
 	}

@@ -90,7 +90,7 @@ func NewTGN(cfg TGNConfig, db *gdb.DB) *TGN {
 	}
 	m.gru = nn.NewGRUCell(3*d, d, rng)
 	m.msgTime = nn.NewTimeEncoder(d, rng)
-	m.mem = state.New(cfg.NumNodes, d)
+	m.mem = state.New(cfg.NumNodes, 0, d)
 	m.pending = make(map[tgraph.NodeID]pendingEvent)
 	m.params = m.Params()
 	m.opt = nn.NewAdam(m.params, cfg.LR)

@@ -184,9 +184,9 @@ func RunPerf(o Options) (*PerfReport, error) {
 	}
 
 	// Checkpoint cut cost: the pause a durability cut imposes at the serial
-	// apply point — both stores cloned under the writer lock — after each
+	// apply point — the node store cloned under the writer lock — after each
 	// applied batch. The runtime is restored (untimed) after each cut, so
-	// every cut clones the same stores however many times the loop runs.
+	// every cut clones the same store however many times the loop runs.
 	{
 		m, batch, err := perfModel(o, ds, 0)
 		if err != nil {

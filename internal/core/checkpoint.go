@@ -27,15 +27,19 @@ import (
 //	numEvents u64 | numEvents × ( src i32 | dst i32 | time f64 | label i8 | featLen u32 | feat featLen·f32 )
 //
 // A checkpoint encodes one runtime image (see Snapshot) beside the
-// parameters. Reading is one streamed pass (stageCheckpoint): every count
-// and length is checked when the reader reaches it, and the data is decoded
-// straight into a fresh image and the parameter blob. Only when the last
-// byte has checked out is the image installed and the blob decoded, neither
-// of which can fail; on an error both are dropped.
+// parameters: the state and mail sections are the two halves of the node
+// store's records, every node's z row first, then every node's mails. A
+// node without a record, or whose record only mail has written, is
+// encoded as a zero row, time 0, not touched. Reading is one streamed pass
+// (stageCheckpoint): every count and length is checked when the reader
+// reaches it, and the data is decoded straight into a fresh image and the
+// parameter blob. Only when the last byte has checked out is the image
+// installed and the blob decoded, neither of which can fail; on an error
+// both are dropped.
 const (
 	ckptMagic   = "APCK"
 	ckptVersion = 1
-	// ckptMaxGrowBytes bounds the store memory (state + mailbox slots) a
+	// ckptMaxGrowBytes bounds the store memory (z row + mail slots) a
 	// checkpoint's node count may grow a smaller model by. The bytes present
 	// or arrived already bound the count; this caps a large but well-formed
 	// file.
@@ -100,7 +104,7 @@ func (m *Model) saveCheckpoint(w io.Writer) (uint64, error) {
 	}
 	mails, ts := make([]float32, slots*dim), make([]float64, slots)
 	for n := int32(0); n < int32(numNodes); n++ {
-		c := img.mb.ReadSorted(n, mails, ts)
+		c := img.st.ReadSorted(n, mails, ts)
 		buf = le.AppendUint32(buf, uint32(c))
 		for i := 0; i < c; i++ {
 			buf = le.AppendUint64(buf, math.Float64bits(ts[i]))
@@ -323,12 +327,11 @@ func (m *Model) stageCheckpoint(c *ckptReader) (img *Snapshot, params []byte, er
 	}
 	// Grow to a checkpoint written after dynamic node admission, so every
 	// admitted node comes back; nodes beyond a smaller one stay cold. The
-	// state index grows with the rows read, and both indexes reach the
-	// file's count only once its rows have arrived.
+	// index grows with the rows read, and reaches the file's count only
+	// once its rows have arrived.
 	space := max(int(numNodes), m.Cfg.NumNodes)
 	d, slots := int(dim), m.Cfg.Slots
-	img = &Snapshot{}
-	img.st, img.mb = m.newStores(m.Cfg.NumNodes)
+	img = &Snapshot{st: m.newStore(m.Cfg.NumNodes)}
 	rows, ts := make([]float32, slots*d), make([]float64, slots)
 	for n := 0; n < int(numNodes) && c.err == nil; n++ {
 		c.floats(rows[:d])
@@ -344,7 +347,6 @@ func (m *Model) stageCheckpoint(c *ckptReader) (img *Snapshot, params []byte, er
 		return nil, nil, short("state")
 	}
 	img.st.Grow(space)
-	img.mb.Grow(space)
 
 	// A node's mails go in as one block, in slot order, under the model's ψ.
 	for n := 0; n < int(numNodes) && c.err == nil; n++ {
@@ -357,7 +359,7 @@ func (m *Model) stageCheckpoint(c *ckptReader) (img *Snapshot, params []byte, er
 			c.floats(rows[i*d : (i+1)*d])
 		}
 		if count > 0 && c.err == nil {
-			img.mb.SetMails(int32(n), rows[:count*d], ts[:count])
+			img.st.SetMails(int32(n), rows[:count*d], ts[:count])
 		}
 	}
 	if c.err != nil {

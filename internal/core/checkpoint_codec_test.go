@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 
 	"apan/internal/dataset"
 	"apan/internal/nn"
+	"apan/internal/tensor"
 	"apan/internal/tgraph"
 	"apan/internal/wal"
 )
@@ -349,37 +351,30 @@ func TestLoadCheckpointAllocs(t *testing.T) {
 		}
 	})
 	g := tgraph.New(cfg.NumNodes)
-	graph := testing.AllocsPerRun(5, func() {
-		g.Reset(cfg.NumNodes)
-		for i := range events {
-			g.AddEvent(events[i])
-		}
-	})
+	graph := testing.AllocsPerRun(5, func() { g.Reset(cfg.NumNodes, events) })
 	publish := testing.AllocsPerRun(5, m.publishOwn)
-	withMail := float64(m.Mailbox().Occupancy().NodesWithMail)
-	// State rows come in slabs: at most one partly carved slab, and past
-	// it one slab per eight rows is generous for any slab size the store
-	// might pick — and far from one allocation per row.
-	st := m.State().Occupancy()
-	slabs := float64(1 + st.TouchedNodes/8)
+	// Records come in slabs of two allocations (mail times, floats): at
+	// most one partly carved slab, and past it one slab per eight records
+	// is generous for any slab size the store might pick — and far from
+	// one allocation per node.
+	occ := m.State().Occupancy()
+	slabs := float64(2 * (1 + occ.Records/8))
 	arenas := float64(len(events)*cfg.EdgeDim/ckptArenaFloats + 1)
-	if bound := withMail + slabs + arenas + graph + publish + 48; load > bound {
-		t.Fatalf("load allocated %.0f times; bound %.0f = %.0f nodes with mail + %.0f state slabs (bound) + %.0f arenas + %.0f in the graph + %.0f to publish + 48",
-			load, bound, withMail, slabs, arenas, graph, publish)
+	if bound := slabs + arenas + graph + publish + 48; load > bound {
+		t.Fatalf("load allocated %.0f times; bound %.0f = %.0f for record slabs (bound) + %.0f arenas + %.0f in the graph + %.0f to publish + 48",
+			load, bound, slabs, arenas, graph, publish)
 	}
-	t.Logf("%d-byte checkpoint, %d events: %.0f allocations (%.0f blocks, %d slabs for %d state rows, %.0f graph, %.0f publish)",
-		len(b), len(events), load, withMail, st.Slabs, st.TouchedNodes, graph, publish)
+	t.Logf("%d-byte checkpoint, %d events: %.0f allocations (%d slabs for %d records, %.0f graph, %.0f publish)",
+		len(b), len(events), load, occ.Slabs, occ.Records, graph, publish)
 }
 
 // TestLoadCheckpointFileHoldsNoFileSizedBuffer: LoadCheckpointFile of an
-// S-byte checkpoint allocates the stores, feature arenas, events and
+// S-byte checkpoint allocates the store, feature arenas, events and
 // parameters it fills, what the graph allocates to take the events in, and
 // one read buffer — not a buffer of the file's size. Events keep their 172
 // features, so S (about 3.5 MB, mostly events) dwarfs the buffer and the
 // slack, and a loader that reads the whole file first exceeds the bound by
-// most of S. (A store index the load allocates afresh is about as large
-// per id as the file's bytes for an untouched id, so a sparse model would
-// not tell the two apart.)
+// most of S.
 func TestLoadCheckpointFileHoldsNoFileSizedBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -415,21 +410,19 @@ func TestLoadCheckpointFileHoldsNoFileSizedBuffer(t *testing.T) {
 		runtime.ReadMemStats(&ms1)
 		return ms1.TotalAlloc - ms0.TotalAlloc
 	}
-	graph := allocated(func() {
-		g := tgraph.New(cfg.NumNodes)
-		for i := range events {
-			g.AddEvent(events[i])
-		}
-	})
+	g := tgraph.New(cfg.NumNodes)
+	graph := allocated(func() { g.Reset(cfg.NumNodes, events) })
 	publish := allocated(m.publishOwn) // module structure: no tensor changed since the load's publish
 	var params uint64                  // the staged blob, and the published copy of the loaded values
 	for _, p := range m.Params() {
 		params += 2 * (8 + 4*uint64(len(p.W.Data)))
 	}
-	st, mb := m.State().Occupancy(), m.Mailbox().Occupancy()
+	occ := m.State().Occupancy()
 	nodes := uint64(m.NumNodes())
-	index := nodes * uint64(12+32+8*cfg.Slots) // state: row, lastTime; mailbox: block, count, head, slot times
-	stores := uint64(st.Bytes+mb.Bytes) + index
+	// The index (4 B/node) and the slab list (under 1 KB per slab) grow by
+	// doubling while the rows arrive.
+	index := 2 * (4*nodes + uint64(occ.Slabs)<<10)
+	stores := uint64(occ.Bytes) + index
 	feats := uint64(len(events)) * (uint64(unsafe.Sizeof(tgraph.Event{})) + 4*uint64(cfg.EdgeDim))
 	buffer, slack := uint64(ckptSpillBytes), uint64(4*ckptArenaFloats+64<<10) // one arena's overshoot, small staging
 	if bound := stores + feats + params + graph + publish + buffer + slack; load > bound {
@@ -560,4 +553,78 @@ func mustNew(t testing.TB, cfg Config) *Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestMailOnlyNodesEncodeCold pins the encoding of nodes that get mail but
+// no Set. Under a small eviction budget, evicted nodes later receive mail as
+// k-hop peers without being endpoints, so their records are carved by a
+// delivery, or reused from the free list after another node's ClearNode.
+// The checkpoint's state section must read each such node as a zero row,
+// time 0, not touched, and its mail section must list the node's mails.
+// Loading the file into a fresh model and saving again gives the same bytes.
+func TestMailOnlyNodesEncodeCold(t *testing.T) {
+	d := tinyData(5)
+	cfg := tinyConfig(d.NumNodes)
+	cfg.EvictMaxNodes = 8
+	m := mustNew(t, cfg)
+	applyEvents(t, m, d.Events[:600], 10)
+	st := m.State()
+	var mailOnly []int32
+	for n := int32(0); n < int32(m.NumNodes()); n++ {
+		if !st.Touched(n) && st.Len(n) > 0 {
+			mailOnly = append(mailOnly, n)
+		}
+	}
+	if ev, _ := m.EvictionStats(); len(mailOnly) == 0 || ev.Evicted == 0 {
+		t.Fatalf("%d mail-only nodes after %d evictions: the stream no longer exercises the case", len(mailOnly), ev.Evicted)
+	} else {
+		t.Logf("%d mail-only nodes after %d evictions", len(mailOnly), ev.Evicted)
+	}
+
+	b := saveBytes(t, m)
+	dim, slots := cfg.EdgeDim, cfg.Slots
+	off := 8 + 12 // magic | version, then the parameter blob's header
+	for _, p := range m.Params() {
+		off += 8 + 4*len(p.W.Data)
+	}
+	numNodes := int(le.Uint32(b[off:]))
+	off += 8
+	state := func(n int32) []byte { return b[off+int(n)*(4*dim+ckptNodeBytes):][:4*dim+ckptNodeBytes] }
+	mails := make([]float32, slots*dim)
+	ts := make([]float64, slots)
+	mailAt := off + numNodes*(4*dim+ckptNodeBytes)
+	next := 0
+	for n := int32(0); n < int32(numNodes); n++ {
+		count := int(le.Uint32(b[mailAt:]))
+		mailAt += 4
+		if c := st.ReadSorted(n, mails, ts); c != count {
+			t.Fatalf("node %d: %d mails in the file, %d in the store", n, count, c)
+		}
+		for i := 0; i < count; i++ {
+			at, row := math.Float64frombits(le.Uint64(b[mailAt:])), b[mailAt+8:][:4*dim]
+			mailAt += 8 + 4*dim
+			if at != ts[i] || !bytes.Equal(row, tensor.AppendLE(nil, mails[i*dim:(i+1)*dim])) {
+				t.Fatalf("node %d: mail %d encoded at %v as %x, store has %v at %v", n, i, at, row, mails[i*dim:(i+1)*dim], ts[i])
+			}
+		}
+		if next < len(mailOnly) && mailOnly[next] == n {
+			next++
+			if count == 0 || !bytes.Equal(state(n), make([]byte, 4*dim+ckptNodeBytes)) {
+				t.Fatalf("mail-only node %d: %d mails, state entry %x; want a zero row, time 0, not touched", n, count, state(n))
+			}
+		}
+	}
+
+	fresh := mustNew(t, cfg)
+	if err := fresh.loadCheckpoint(b); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range mailOnly {
+		if fresh.State().Touched(n) || fresh.State().Len(n) != st.Len(n) {
+			t.Fatalf("mail-only node %d loads touched=%v with %d mails", n, fresh.State().Touched(n), fresh.State().Len(n))
+		}
+	}
+	if again := saveBytes(t, fresh); !bytes.Equal(again, b) {
+		t.Fatalf("load and save changed the checkpoint: %d bytes, then %d", len(b), len(again))
+	}
 }

@@ -50,7 +50,7 @@ func refSaveCheckpoint(m *Model, out io.Writer) {
 	}
 	buf, ts := make([]float32, slots*dim), make([]float64, slots)
 	for n := int32(0); n < int32(numNodes); n++ {
-		c := m.mbox.ReadSorted(n, buf, ts)
+		c := m.st.ReadSorted(n, buf, ts)
 		refWrite(w, uint32(c))
 		for i := 0; i < c; i++ {
 			refWrite(w, ts[i], buf[i*dim:(i+1)*dim])
@@ -120,7 +120,6 @@ func refLoadCheckpoint(m *Model, in io.Reader) error {
 	defer m.applyMu.Unlock()
 	m.ensureNodesLocked(int(numNodes))
 	m.st.Reset()
-	m.mbox.Reset()
 	m.resetEvictor()
 	z := make([]float32, dim)
 	for n := int32(0); n < int32(numNodes); n++ {
@@ -146,7 +145,7 @@ func refLoadCheckpoint(m *Model, in io.Reader) error {
 			if err := read(&ts, z); err != nil {
 				return err
 			}
-			m.mbox.Deliver(n, z, ts)
+			m.st.Deliver(n, z, ts)
 		}
 	}
 	var numEvents uint64
@@ -154,7 +153,7 @@ func refLoadCheckpoint(m *Model, in io.Reader) error {
 		return err
 	}
 	g := m.db.G
-	g.Reset(m.Cfg.NumNodes)
+	g.Reset(m.Cfg.NumNodes, nil)
 	for i := uint64(0); i < numEvents; i++ {
 		var ev tgraph.Event
 		var featLen uint32

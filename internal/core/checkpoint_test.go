@@ -165,8 +165,8 @@ func TestCheckpointPreservesMailboxOrder(t *testing.T) {
 		return f
 	}
 	// Out-of-order delivery, then checkpoint: restored readout must match.
-	m.Mailbox().Deliver(0, mk(3), 3)
-	m.Mailbox().Deliver(0, mk(1), 1)
+	m.State().Deliver(0, mk(3), 3)
+	m.State().Deliver(0, mk(1), 1)
 	var buf bytes.Buffer
 	if err := m.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
@@ -182,8 +182,8 @@ func TestCheckpointPreservesMailboxOrder(t *testing.T) {
 	t1 := make([]float64, 2)
 	b2 := make([]float32, 2*16)
 	t2 := make([]float64, 2)
-	n1 := m.Mailbox().ReadSorted(0, b1, t1)
-	n2 := m2.Mailbox().ReadSorted(0, b2, t2)
+	n1 := m.State().ReadSorted(0, b1, t1)
+	n2 := m2.State().ReadSorted(0, b2, t2)
 	if n1 != n2 || n1 != 2 {
 		t.Fatalf("counts: %d vs %d", n1, n2)
 	}

@@ -215,7 +215,7 @@ func TestEnsureNodesDuringServing(t *testing.T) {
 		t.Fatalf("cold-start score: %v", s)
 	}
 	m.ApplyPending(&p)
-	if !m.State().Touched(150) || m.Mailbox().Len(199) == 0 {
+	if !m.State().Touched(150) || m.State().Len(199) == 0 {
 		t.Fatal("admitted nodes accumulated no streaming state")
 	}
 	if m.Embed([]tgraph.NodeID{150, 199}, []float64{1001, 1001}) == nil {

@@ -42,7 +42,7 @@ type Config struct {
 	LR        float32 // Adam learning rate (default 1e-4)
 	BatchSize int     // events per batch (default 200)
 
-	// Shards is ignored: the stores have no lock stripes.
+	// Shards is ignored: the node store has no lock stripes.
 	//
 	// Deprecated: kept only because the frozen benchmark reads it; the
 	// next benchmark change should stop reading it and delete it.

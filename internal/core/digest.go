@@ -44,7 +44,7 @@ func (m *Model) RuntimeDigest() uint64 {
 
 	n := m.Cfg.NumNodes
 	dim := m.st.Dim()
-	slots, mdim := m.mbox.Slots(), m.mbox.Dim()
+	slots, mdim := m.st.Slots(), m.st.Dim()
 	row := make([]float32, dim)
 	mails := make([]float32, slots*mdim)
 	times := make([]float64, slots)
@@ -57,7 +57,7 @@ func (m *Model) RuntimeDigest() uint64 {
 			w32(f)
 		}
 		w64(math.Float64bits(m.st.LastTime(id)))
-		c := m.mbox.ReadSorted(id, mails, times)
+		c := m.st.ReadSorted(id, mails, times)
 		w64(uint64(c))
 		for r := 0; r < c; r++ {
 			for _, f := range mails[r*mdim : (r+1)*mdim] {

@@ -9,7 +9,8 @@
 // mutation (apply, replay, eviction, admission, reset, restore, checkpoint
 // load) holds for its whole span, and one store lock that scorers hold
 // shared for their gather and the writer holds exclusively only while it
-// writes store memory. So the serving entry points — Score, ApplyPending,
+// writes store memory. The store is one state.Store: one record per node,
+// its embedding z(t−) and its mailbox. So the serving entry points — Score, ApplyPending,
 // Embed, Explain — are safe for any number of concurrent goroutines, and
 // EnsureNodes admits previously unseen node IDs at runtime. Training entry
 // points are single-threaded.

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 
-	"apan/internal/mailbox"
 	"apan/internal/nn"
 	"apan/internal/state"
 	"apan/internal/tensor"
@@ -58,8 +57,8 @@ func (e *Encoder) Params() []*nn.Tensor {
 	return ps
 }
 
-// EncodeInput is the per-batch input bundle read from the state and mailbox
-// stores for a set of unique nodes.
+// EncodeInput is the per-batch input bundle read from the node store for a
+// set of unique nodes.
 type EncodeInput struct {
 	Nodes  []tgraph.NodeID
 	Times  []float64      // per-node query time (for the PositionalTime mode)
@@ -73,10 +72,10 @@ type EncodeInput struct {
 // a freshly allocated EncodeInput, with no locking: the allocating reference
 // the model's reused gather (Model.GatherInputsInto) is tested against.
 // times[i] is the query time of nodes[i].
-func ReadInputs(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times []float64) *EncodeInput {
+func ReadInputs(st *state.Store, nodes []tgraph.NodeID, times []float64) *EncodeInput {
 	b := len(nodes)
 	d := st.Dim()
-	m := mb.Slots()
+	m := st.Slots()
 	in := &EncodeInput{
 		Nodes:  nodes,
 		Times:  times,
@@ -85,21 +84,21 @@ func ReadInputs(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times
 		DTs:    make([]float32, b*m),
 		Counts: make([]int, b),
 	}
-	fillInputs(st, mb, nodes, times, in, make([]float64, m))
+	fillInputs(st, nodes, times, in, make([]float64, m))
 	return in
 }
 
-// fillInputs fills in from the stores, serially. The caller sizes every
+// fillInputs fills in from the store, serially. The caller sizes every
 // buffer: ZPrev b×d, Mails (b·m)×d, DTs b·m, Counts b, and ts, timestamp
 // scratch of m float64s. Every slot is written: mail rows and time deltas
 // past a node's count are zeroed.
-func fillInputs(st *state.Store, mb *mailbox.Store, nodes []tgraph.NodeID, times []float64, in *EncodeInput, ts []float64) {
+func fillInputs(st *state.Store, nodes []tgraph.NodeID, times []float64, in *EncodeInput, ts []float64) {
 	d := st.Dim()
-	m := mb.Slots()
+	m := st.Slots()
 	for i, n := range nodes {
 		st.CopyTo(n, in.ZPrev.Row(i))
 		mails, dts := in.Mails.Data[i*m*d:(i+1)*m*d], in.DTs[i*m:(i+1)*m]
-		c := mb.ReadSorted(n, mails, ts)
+		c := st.ReadSorted(n, mails, ts)
 		in.Counts[i] = c
 		for s := 0; s < c; s++ {
 			dt := times[i] - ts[s]

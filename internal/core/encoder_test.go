@@ -4,20 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
-	"apan/internal/mailbox"
 	"apan/internal/nn"
 	"apan/internal/state"
 	"apan/internal/tgraph"
 )
 
 func TestReadInputsGathersSortedMailboxes(t *testing.T) {
-	st := state.New(4, 3)
-	mb := mailbox.New(4, 2, 3)
+	st := state.New(4, 2, 3)
 	st.Set(1, []float32{7, 8, 9}, 5)
-	mb.Deliver(1, []float32{3, 3, 3}, 3)
-	mb.Deliver(1, []float32{1, 1, 1}, 1) // out of order
+	st.Deliver(1, []float32{3, 3, 3}, 3)
+	st.Deliver(1, []float32{1, 1, 1}, 1) // out of order
 
-	in := ReadInputs(st, mb, []tgraph.NodeID{1, 2}, []float64{10, 10})
+	in := ReadInputs(st, []tgraph.NodeID{1, 2}, []float64{10, 10})
 	if in.ZPrev.At(0, 0) != 7 || in.ZPrev.At(1, 0) != 0 {
 		t.Fatalf("zprev: %v", in.ZPrev.Data)
 	}
@@ -45,12 +43,11 @@ func TestEncoderDeterministicOnInferenceTape(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := NewEncoder(cfg, rng)
-	st := state.New(4, 16)
-	mb := mailbox.New(4, cfg.Slots, 16)
+	st := state.New(4, cfg.Slots, 16)
 	mail := make([]float32, 16)
 	mail[2] = 1
-	mb.Deliver(0, mail, 1)
-	in := ReadInputs(st, mb, []tgraph.NodeID{0}, []float64{2})
+	st.Deliver(0, mail, 1)
+	in := ReadInputs(st, []tgraph.NodeID{0}, []float64{2})
 
 	var prev []float32
 	for i := 0; i < 3; i++ {
@@ -79,12 +76,11 @@ func TestEncoderDropoutOnlyInTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := NewEncoder(cfg, rng)
-	st := state.New(4, 16)
-	mb := mailbox.New(4, cfg.Slots, 16)
+	st := state.New(4, cfg.Slots, 16)
 	mail := make([]float32, 16)
 	mail[0] = 1
-	mb.Deliver(0, mail, 1)
-	in := ReadInputs(st, mb, []tgraph.NodeID{0}, []float64{2})
+	st.Deliver(0, mail, 1)
+	in := ReadInputs(st, []tgraph.NodeID{0}, []float64{2})
 
 	// Two training passes should differ (dropout masks), inference passes
 	// must not.

@@ -8,12 +8,13 @@ import (
 
 // Cold-state eviction bounds the model's warm working set. Streams with
 // unbounded node arrival (the serving reality behind EnsureNodes) grow the
-// state and mailbox stores without limit; eviction caps how many nodes may
-// be warm at once (Config.EvictMaxNodes) by resetting the least recently
-// touched nodes to the cold-start condition — zero state, empty mailbox,
-// exactly how a never-seen node looks to the encoder. Both stores hand the
-// node's row and mail block to their free lists, so the budget bounds state
-// and mail bytes. The temporal graph is NOT trimmed:
+// node store without limit; eviction caps how many nodes may be warm at
+// once (Config.EvictMaxNodes) by resetting the least recently touched nodes
+// to the cold-start condition — zero state, empty mailbox, exactly how a
+// never-seen node looks to the encoder. The store hands the node's record
+// to its free list, so the budget bounds record bytes for the nodes it
+// tracks (batch endpoints; see ROADMAP item 11 for nodes that only receive
+// mail). The temporal graph is NOT trimmed:
 // adjacency is the durable structure re-admission warms from.
 //
 // An evicted node that reappears in the stream is re-admitted on the
@@ -125,8 +126,8 @@ func (e *evictor) touchLocked(node tgraph.NodeID, idx uint64) {
 	e.pushTail(ent)
 }
 
-// resetLocked drops all tracking (counters survive). Called when the stores
-// themselves are reset or replaced wholesale.
+// resetLocked drops all tracking (counters survive). Called when the store
+// itself is reset or replaced wholesale.
 func (e *evictor) resetLocked() {
 	e.byNode = make(map[tgraph.NodeID]*lruEnt)
 	e.evicted = make(map[tgraph.NodeID]struct{})
@@ -171,7 +172,6 @@ func (m *Model) evictOverBudgetLocked() {
 		e.evicted[v.node] = struct{}{}
 		e.nEvict++
 		m.st.ClearNode(v.node)
-		m.mbox.ClearNode(v.node)
 	}
 }
 

@@ -56,7 +56,7 @@ func TestEvictionBudgetEnforced(t *testing.T) {
 		if m.State().Touched(n) {
 			t.Fatalf("node %d should be evicted (untouched)", n)
 		}
-		if m.Mailbox().Len(n) != 0 {
+		if m.State().Len(n) != 0 {
 			t.Fatalf("node %d mailbox should be empty after eviction", n)
 		}
 	}
@@ -203,11 +203,11 @@ func TestEvictionResetClearsTracking(t *testing.T) {
 	}
 }
 
-// TestEvictionBoundsMailBlocks: eviction bounds mail bytes, not just a
+// TestEvictionBoundsMailBlocks: eviction bounds record bytes, not just a
 // counter. Cycling ten budgets' worth of distinct nodes through
-// evict/readmit never holds more than the budget plus one batch's blocks,
-// and after the first lap the free lists feed every delivery: no block is
-// allocated again.
+// evict/readmit never holds more than the budget plus one batch's records,
+// and after the first lap the free list feeds every first write: no record
+// is carved again.
 func TestEvictionBoundsMailBlocks(t *testing.T) {
 	const budget, pairs, batch = 32, 160, 8 // 320 distinct nodes; 16 touched per batch
 	cfg := tinyConfig(2 * pairs)
@@ -230,14 +230,14 @@ func TestEvictionBoundsMailBlocks(t *testing.T) {
 			}
 			m.ReadmitBatch(lap[lo : lo+batch])
 			applyEvents(t, m, lap[lo:lo+batch], batch)
-			occ := m.Mailbox().Occupancy()
-			if occ.LiveBlocks > budget || occ.NodesWithMail != occ.LiveBlocks {
+			occ := m.State().Occupancy()
+			if occ.Records > budget || occ.NodesWithMail != occ.Records {
 				t.Fatalf("lap %d batch %d: %+v with budget %d", l, lo/batch, occ, budget)
 			}
-			if now := occ.LiveBlocks + occ.FreeBlocks; now > budget+2*batch {
-				t.Fatalf("lap %d batch %d: holds %d blocks, want ≤ %d", l, lo/batch, now, budget+2*batch)
+			if now := occ.Records + occ.FreeRecords; now > budget+2*batch {
+				t.Fatalf("lap %d batch %d: holds %d records, want ≤ %d", l, lo/batch, now, budget+2*batch)
 			} else if l > 0 && now != held {
-				t.Fatalf("lap %d batch %d: held blocks moved %d -> %d in steady state", l, lo/batch, held, now)
+				t.Fatalf("lap %d batch %d: held records moved %d -> %d in steady state", l, lo/batch, held, now)
 			} else {
 				held = now
 			}

@@ -13,7 +13,7 @@ import (
 // times: a fresh zero-filled gather and a fresh tape over the published
 // parameters, no pooled or recycled storage.
 func referenceAttention(m *Model, nodes []tgraph.NodeID, times []float64) *nn.Attention {
-	in := ReadInputs(m.st, m.mbox, nodes, times)
+	in := ReadInputs(m.st, nodes, times)
 	_, att := m.cur.Load().enc.Forward(nn.NewTape(), in)
 	return att
 }
@@ -64,7 +64,7 @@ func sameExplanation(a, b *Explanation) bool {
 func newestMail(m *Model, n tgraph.NodeID) (float64, bool) {
 	buf := make([]float32, m.Cfg.Slots*m.Cfg.EdgeDim)
 	ts := make([]float64, m.Cfg.Slots)
-	c := m.mbox.ReadSorted(n, buf, ts)
+	c := m.st.ReadSorted(n, buf, ts)
 	if c == 0 {
 		return 0, false
 	}

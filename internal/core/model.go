@@ -9,7 +9,6 @@ import (
 
 	"apan/internal/dataset"
 	"apan/internal/gdb"
-	"apan/internal/mailbox"
 	"apan/internal/nn"
 	"apan/internal/state"
 	"apan/internal/tensor"
@@ -19,15 +18,15 @@ import (
 
 // Model is the full APAN system: attention encoder and link decoder on the
 // synchronous path, mail propagator on the asynchronous path, with the
-// node-state and mailbox stores in between.
+// node store (each node's embedding and mailbox) in between.
 //
 // Concurrency: two locks guard the runtime. applyMu is the writer lock:
 // every mutation — an applied or replayed batch, eviction, node admission,
 // reset, restore, checkpoint load — holds it for its whole span, so there
 // is one writer at a time and each batch is one unit. storeMu is the data
-// lock over the node-state and mailbox stores: scorers hold it shared for
-// their gather only, and the writer takes it exclusively only while it
-// writes store memory. Any number of goroutines may run Score, Embed and
+// lock over the node store: scorers hold it shared for their gather only,
+// and the writer takes it exclusively only while it writes store memory.
+// Any number of goroutines may run Score, Embed and
 // Explain concurrently with each other and with ApplyPending; a scorer
 // waits at most for one burst of store writes, never for the graph or the
 // WAL. Parameters are versioned: the serving paths read
@@ -44,7 +43,6 @@ type Model struct {
 	enc  *Encoder
 	dec  *LinkDecoder
 	st   *state.Store
-	mbox *mailbox.Store
 	db   *gdb.DB
 	prop *Propagator
 	opt  *nn.Adam
@@ -61,7 +59,7 @@ type Model struct {
 	// RestoreRuntime, checkpoint load and WAL attach/detach. So do graph
 	// readers (GraphEvents, WAL, re-admission's neighbour query) — the
 	// temporal graph does no locking of its own — and cuts (SnapshotRuntime,
-	// RuntimeDigest), which read the stores with no further lock because
+	// RuntimeDigest), which read the store with no further lock because
 	// every store write happens under applyMu; a cut therefore always lands
 	// on a batch boundary. WAL Begin and the graph insert both happen under
 	// it, so log order equals graph order.
@@ -70,12 +68,12 @@ type Model struct {
 	// an earlier lock, and a WAL commit's Wait runs off every lock.
 	applyMu sync.Mutex
 
-	// storeMu is the data lock over st, mbox and Cfg.NumNodes. Scorers
-	// (Score, Embed, Explain, GatherInputsInto) hold it shared for their
-	// gather only. A writer, already holding applyMu, takes it exclusively
-	// only while it writes store memory — the state Set loop, the mailbox
-	// delivery, ClearNode, Grow, Reset, install — never across a graph
-	// round trip or a WAL wait.
+	// storeMu is the data lock over st and Cfg.NumNodes. Scorers (Score,
+	// Embed, Explain, GatherInputsInto) hold it shared for their gather
+	// only. A writer, already holding applyMu, takes it exclusively only
+	// while it writes store memory — the Set loop, the mail delivery,
+	// ClearNode, Grow, Reset, install — never across a graph round trip or
+	// a WAL wait.
 	storeMu sync.RWMutex
 
 	// numNodes mirrors Cfg.NumNodes, stored under storeMu wherever that
@@ -138,25 +136,25 @@ func NewWithDB(cfg Config, db *gdb.DB) (*Model, error) {
 		dec: dec,
 		db:  db,
 	}
-	m.st, m.mbox = m.newStores(cfg.NumNodes)
+	m.st = m.newStore(cfg.NumNodes)
 	if cfg.EvictMaxNodes > 0 {
 		m.ev = newEvictor(cfg.EvictMaxNodes)
 	}
 	m.numNodes.Store(int64(cfg.NumNodes))
-	m.prop = NewPropagator(cfg, db, m.mbox)
+	m.prop = NewPropagator(cfg, db, m.st)
 	m.opt = nn.NewAdam(m.Params(), cfg.LR)
 	m.publishOwn()
 	return m, nil
 }
 
-// newStores returns empty node-state and mailbox stores over n nodes, shaped
-// by the model's Config and under its mailbox update rule ψ.
-func (m *Model) newStores(n int) (*state.Store, *mailbox.Store) {
-	mb := mailbox.New(n, m.Cfg.Slots, m.Cfg.EdgeDim)
+// newStore returns an empty node store over n nodes, shaped by the model's
+// Config and under its mailbox update rule ψ.
+func (m *Model) newStore(n int) *state.Store {
+	st := state.New(n, m.Cfg.Slots, m.Cfg.EdgeDim)
 	if m.Cfg.KeyValueMailbox {
-		mb.SetRule(mailbox.UpdateKeyValue)
+		st.SetRule(state.UpdateKeyValue)
 	}
-	return state.New(n, m.Cfg.EdgeDim), mb
+	return st
 }
 
 // Name identifies the model variant by propagation depth, matching the
@@ -188,20 +186,23 @@ func (m *Model) GraphEvents() int {
 	return m.db.G.NumEvents()
 }
 
-// Mailbox exposes the mailbox store. It does no locking: use it only while
-// nothing applies to the model, as tests, tools and benchmarks do.
-func (m *Model) Mailbox() *mailbox.Store { return m.mbox }
-
-// State exposes the node-state store. It does no locking: use it only
-// while nothing applies to the model.
+// State exposes the node store: every node's embedding and mailbox. It
+// does no locking: use it only while nothing applies to the model, as
+// tests, tools and benchmarks do.
 func (m *Model) State() *state.Store { return m.st }
 
-// MailboxOccupancy reports the mail memory the model holds, read under the
-// store lock, so it is safe to call during serving.
-func (m *Model) MailboxOccupancy() mailbox.Occupancy {
+// Mailbox returns State().
+//
+// Deprecated: mailboxes live in the node store; use State. Kept only
+// because the frozen benchmark calls it.
+func (m *Model) Mailbox() *state.Store { return m.st }
+
+// MailboxOccupancy reports the record memory of the node store, read under
+// the store lock, so it is safe to call during serving.
+func (m *Model) MailboxOccupancy() state.Occupancy {
 	m.storeMu.RLock()
 	defer m.storeMu.RUnlock()
-	return m.mbox.Occupancy()
+	return m.st.Occupancy()
 }
 
 // Propagator exposes the asynchronous-link implementation.
@@ -212,9 +213,9 @@ func (m *Model) Propagator() *Propagator { return m.prop }
 func (m *Model) NumNodes() int { return int(m.numNodes.Load()) }
 
 // EnsureNodes grows the node-ID space to at least n nodes, so events naming
-// previously unseen IDs can be scored and propagated: the state store,
-// mailbox store and temporal graph are all extended (new nodes start with
-// zero state and empty mailboxes — exactly how an unseen node looks to the
+// previously unseen IDs can be scored and propagated: the node store and
+// the temporal graph are both extended (new nodes start with zero state
+// and empty mailboxes — exactly how an unseen node looks to the
 // encoder, which therefore produces its inductive cold-start embedding).
 // Safe to call concurrently with serving: it waits for the batch being
 // applied, and scorers for the index growth alone. No-op when n ≤ NumNodes.
@@ -231,7 +232,6 @@ func (m *Model) ensureNodesLocked(n int) {
 	}
 	m.storeMu.Lock()
 	m.st.Grow(n)
-	m.mbox.Grow(n)
 	m.Cfg.NumNodes = n
 	m.numNodes.Store(int64(n))
 	m.storeMu.Unlock()
@@ -246,68 +246,64 @@ func (m *Model) ResetRuntime() {
 	defer m.applyMu.Unlock()
 	m.storeMu.Lock()
 	m.st.Reset()
-	m.mbox.Reset()
 	m.storeMu.Unlock()
 	// Reset in place: the model keeps the same *Graph across runtime
 	// resets, so whoever holds the graph DB keeps seeing the live graph.
-	m.db.G.Reset(m.Cfg.NumNodes)
+	m.db.G.Reset(m.Cfg.NumNodes, nil)
 	m.db.ResetStats()
 	m.resetEvictor()
 }
 
-// Snapshot is the model's runtime image: node embeddings, mailboxes and
-// the temporal graph's events, cut on one batch boundary. Its node space is
-// the state store's. An image is immutable once built: nothing writes its
-// stores, and its events are a prefix of an append-only log. Parameters are
-// not included; they are versioned on their own (see SwapParams).
+// Snapshot is the model's runtime image: the node store (embeddings and
+// mailboxes) and the temporal graph's events, cut on one batch boundary.
+// Its node space is the store's. An image is immutable once built: nothing
+// writes its store, and its events are a prefix of an append-only log.
+// Parameters are not included; they are versioned on their own (see
+// SwapParams).
 type Snapshot struct {
 	st     *state.Store
-	mb     *mailbox.Store
 	events []tgraph.Event
 }
 
-// SnapshotRuntime captures the model's runtime image: deep copies of both
-// stores plus a zero-copy prefix of the graph's event log (see
+// SnapshotRuntime captures the model's runtime image: a deep copy of the
+// node store plus a zero-copy prefix of the graph's event log (see
 // tgraph.EventLog). It holds the writer lock, so the image lands on a batch
 // boundary and only the applier pauses, for a memcpy-speed clone; scorers
-// only read the stores, so scoring continues throughout.
+// only read the store, so scoring continues throughout.
 func (m *Model) SnapshotRuntime() *Snapshot {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	return &Snapshot{st: m.st.Clone(), mb: m.mbox.Clone(), events: slices.Clip(m.db.G.EventLog())}
+	return &Snapshot{st: m.st.Clone(), events: slices.Clip(m.db.G.EventLog())}
 }
 
-// RestoreRuntime rolls the streaming state back to snap — stores, node-ID
+// RestoreRuntime rolls the streaming state back to snap — store, node-ID
 // space (nodes admitted since are forgotten) and graph, rebuilt from the
 // snapshot's own events. A snapshot restores into any model of its Config,
 // after a ResetRuntime too, and may be restored any number of times.
 func (m *Model) RestoreRuntime(snap *Snapshot) {
 	m.applyMu.Lock()
 	defer m.applyMu.Unlock()
-	m.install(&Snapshot{st: snap.st.Clone(), mb: snap.mb.Clone(), events: snap.events})
+	m.install(&Snapshot{st: snap.st.Clone(), events: snap.events})
 }
 
-// install makes img the model's runtime: its stores become the model's, so
-// img is not used again. Requires applyMu. One exclusive hold of storeMu replaces the stores in place, so a
-// scorer sees them before or after, never half installed; the graph is
-// rebuilt in place, so a graph DB holding it keeps seeing the live graph.
-// Evictor tracking describes the stores being replaced and is dropped:
-// installed warm nodes rejoin the LRU as the stream touches them.
+// install makes img the model's runtime: its store becomes the model's, so
+// img is not used again. Requires applyMu. One exclusive hold of storeMu
+// replaces the store in place, so a scorer sees it before or after, never
+// half installed; the graph is rebuilt in place, so a graph DB holding it
+// keeps seeing the live graph. Evictor tracking describes the store being
+// replaced and is dropped: installed warm nodes rejoin the LRU as the
+// stream touches them.
 func (m *Model) install(img *Snapshot) {
 	m.resetEvictor()
 	space := img.st.NumNodes()
 	m.storeMu.Lock()
-	*m.st, *m.mbox = *img.st, *img.mb
+	*m.st = *img.st
 	m.Cfg.NumNodes = space
 	m.numNodes.Store(int64(space))
 	m.storeMu.Unlock()
 	// Reset replaces (never overwrites) the log's backing array, so events
 	// captured from this very graph keep their contents while it is rebuilt.
-	g := m.db.G
-	g.Reset(space)
-	for i := range img.events {
-		g.AddEvent(img.events[i])
-	}
+	m.db.G.Reset(space, img.events)
 }
 
 // runStream runs events through RunStream with the model's own modules:
@@ -493,7 +489,7 @@ func (m *Model) applyRows(events []tgraph.Event, rows []float32, srcRow, dstRow 
 	}
 	m.storeMu.Unlock()
 	commit := m.logBatchLocked(events, rows)
-	// The graph insert and k-hop expansion read the state store without
+	// The graph insert and k-hop expansion read the node store without
 	// storeMu: only this writer could change it, and it holds applyMu.
 	m.prop.accumulate(events, m.st)
 	m.storeMu.Lock()

@@ -138,7 +138,7 @@ func TestProcessBatchUpdatesStateAndMailbox(t *testing.T) {
 		if !m.State().Touched(n) {
 			t.Fatalf("node %d state not written", n)
 		}
-		if m.Mailbox().Len(n) == 0 {
+		if m.State().Len(n) == 0 {
 			t.Fatalf("node %d received no mail", n)
 		}
 	}
@@ -164,10 +164,10 @@ func TestPropagationReachesTwoHops(t *testing.T) {
 	// Build chain 0-1 then 1-2: when (1,2) happens, node 0 is a 1-hop
 	// neighbor of node 1 and must receive the mail under k=2.
 	m.EvalStream([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil)
-	mails0 := m.Mailbox().Len(0)
+	mails0 := m.State().Len(0)
 	m.EvalStream([]tgraph.Event{{Src: 1, Dst: 2, Time: 2, Feat: feat}}, nil)
-	if m.Mailbox().Len(0) != mails0+1 {
-		t.Fatalf("2-hop mail not delivered to node 0: %d -> %d", mails0, m.Mailbox().Len(0))
+	if m.State().Len(0) != mails0+1 {
+		t.Fatalf("2-hop mail not delivered to node 0: %d -> %d", mails0, m.State().Len(0))
 	}
 
 	// With Hops=1 the same setup must NOT reach node 0.
@@ -178,9 +178,9 @@ func TestPropagationReachesTwoHops(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1.EvalStream([]tgraph.Event{{Src: 0, Dst: 1, Time: 1, Feat: feat}}, nil)
-	before := m1.Mailbox().Len(0)
+	before := m1.State().Len(0)
 	m1.EvalStream([]tgraph.Event{{Src: 1, Dst: 2, Time: 2, Feat: feat}}, nil)
-	if m1.Mailbox().Len(0) != before {
+	if m1.State().Len(0) != before {
 		t.Fatal("1-hop propagation leaked to 2 hops")
 	}
 }
@@ -200,7 +200,7 @@ func TestMeanReduceSingleMailPerBatch(t *testing.T) {
 		{Src: 3, Dst: 0, Time: 2, Feat: feat},
 	}
 	m.EvalStream(events, nil)
-	if got := m.Mailbox().Len(0); got != 1 {
+	if got := m.State().Len(0); got != 1 {
 		t.Fatalf("mean reduction failed: node 0 has %d mails", got)
 	}
 }
@@ -222,7 +222,7 @@ func TestMeanReduceKeepsNegativeTimestamps(t *testing.T) {
 	m.EvalStream([]tgraph.Event{{Src: 0, Dst: 1, Time: -3, Feat: feat}}, nil)
 	buf := make([]float32, cfg.Slots*16)
 	ts := make([]float64, cfg.Slots)
-	if c := m.Mailbox().ReadSorted(0, buf, ts); c != 2 || ts[0] != -5 || ts[1] != -3 {
+	if c := m.State().ReadSorted(0, buf, ts); c != 2 || ts[0] != -5 || ts[1] != -3 {
 		t.Fatalf("node 0 mail times %v (count %d), want [-5 -3]", ts[:c], c)
 	}
 }
@@ -247,12 +247,12 @@ func TestReduceLatestKeepsNewestMail(t *testing.T) {
 		{Src: 0, Dst: 2, Time: 2, Feat: mkFeat(20)},
 	}
 	m.EvalStream(events, nil)
-	if got := m.Mailbox().Len(0); got != 1 {
+	if got := m.State().Len(0); got != 1 {
 		t.Fatalf("mail count %d", got)
 	}
 	buf := make([]float32, cfg.Slots*16)
 	ts := make([]float64, cfg.Slots)
-	m.Mailbox().ReadSorted(0, buf, ts)
+	m.State().ReadSorted(0, buf, ts)
 	if ts[0] != 2 {
 		t.Fatalf("latest reduction kept ts %v", ts[0])
 	}
@@ -275,12 +275,12 @@ func TestInferBatchHasNoSideEffects(t *testing.T) {
 
 	events := []tgraph.Event{{Src: 1, Dst: 2, Time: 2, Feat: feat}}
 	gBefore := m.DB().G.NumEvents()
-	mailsBefore := m.Mailbox().Len(1)
+	mailsBefore := m.State().Len(1)
 	var p Pending
 	if s := m.Score(events, &p); len(s) != 1 || s[0] < 0 || s[0] > 1 {
 		t.Fatalf("bad scores: %v", s)
 	}
-	if m.DB().G.NumEvents() != gBefore || m.Mailbox().Len(1) != mailsBefore {
+	if m.DB().G.NumEvents() != gBefore || m.State().Len(1) != mailsBefore {
 		t.Fatal("Score mutated state")
 	}
 	if m.State().Touched(2) {
@@ -370,13 +370,13 @@ func TestOutOfOrderRobustness(t *testing.T) {
 	}
 	// In-order model.
 	a, _ := New(cfg)
-	a.Mailbox().Deliver(0, mk(1), 1)
-	a.Mailbox().Deliver(0, mk(2), 2)
-	a.Mailbox().Deliver(0, mk(3), 3)
+	a.State().Deliver(0, mk(1), 1)
+	a.State().Deliver(0, mk(2), 2)
+	a.State().Deliver(0, mk(3), 3)
 	// Out-of-order model.
-	m.Mailbox().Deliver(0, mk(3), 3)
-	m.Mailbox().Deliver(0, mk(1), 1)
-	m.Mailbox().Deliver(0, mk(2), 2)
+	m.State().Deliver(0, mk(3), 3)
+	m.State().Deliver(0, mk(1), 1)
+	m.State().Deliver(0, mk(2), 2)
 
 	za := a.Embed([]tgraph.NodeID{0}, []float64{4})
 	zm := m.Embed([]tgraph.NodeID{0}, []float64{4})

@@ -69,14 +69,14 @@ func (m *Model) gather(in *EncodeInput, ts *[]float64, nodes []tgraph.NodeID, ti
 			return false
 		}
 	}
-	b, d, sl := len(nodes), m.st.Dim(), m.mbox.Slots()
+	b, d, sl := len(nodes), m.st.Dim(), m.st.Slots()
 	in.Nodes, in.Times = nodes, times
 	in.ZPrev = growMatrix(in.ZPrev, b, d)
 	in.Mails = growMatrix(in.Mails, b*sl, d)
 	in.DTs = grow(in.DTs, b*sl)
 	in.Counts = grow(in.Counts, b)
 	*ts = grow(*ts, sl)
-	fillInputs(m.st, m.mbox, nodes, times, in, *ts)
+	fillInputs(m.st, nodes, times, in, *ts)
 	return true
 }
 

@@ -38,7 +38,7 @@ func buildWarm(t *testing.T, mutate func(*Config), seed int64) (m *Model, batch,
 // buffers — with the published parameters: what the workspace path must
 // equal bitwise.
 func referenceEncode(m *Model, nodes []tgraph.NodeID, times []float64) (*nn.Tape, *nn.Tensor, *EncodeInput) {
-	in := ReadInputs(m.st, m.mbox, nodes, times)
+	in := ReadInputs(m.st, nodes, times)
 	tp := nn.NewTape()
 	z, _ := m.cur.Load().enc.Forward(tp, in)
 	return tp, z, in
@@ -218,7 +218,7 @@ func TestExplainSurvivesRelease(t *testing.T) {
 	// whatever the pass, so it could not show an overwrite.
 	var withMail []tgraph.NodeID
 	for _, ev := range batch {
-		if pooled.mbox.Len(ev.Src) > 1 && !slices.Contains(withMail, ev.Src) {
+		if pooled.st.Len(ev.Src) > 1 && !slices.Contains(withMail, ev.Src) {
 			withMail = append(withMail, ev.Src)
 		}
 	}
@@ -361,7 +361,7 @@ func TestPropagatorScratchReuse(t *testing.T) {
 				reused.ApplyPending(&p)
 				// Swap in a brand-new propagator each batch on the control
 				// model: no cross-batch scratch survives.
-				fresh.prop = NewPropagator(fresh.Cfg, fresh.db, fresh.mbox)
+				fresh.prop = NewPropagator(fresh.Cfg, fresh.db, fresh.st)
 				fresh.Score(batch, &p)
 				fresh.ApplyPending(&p)
 			}

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"apan/internal/gdb"
-	"apan/internal/mailbox"
 	"apan/internal/state"
 	"apan/internal/tensor"
 	"apan/internal/tgraph"
@@ -17,28 +16,29 @@ import (
 // are deterministic.
 //
 // A Propagator does no locking. ProcessBatch writes and reads the temporal
-// graph and writes the mailbox store; callers serialize its batches against
-// each other and against every other writer (core.Model runs them under its
-// writer lock and takes its store lock around the mailbox delivery alone).
+// graph and delivers into a node store's mailboxes; callers serialize its
+// batches against each other and against every other writer (core.Model
+// runs them under its writer lock and takes its store lock around the mail
+// delivery alone).
 type Propagator struct {
 	cfg  Config
 	db   *gdb.DB
-	mbox *mailbox.Store
+	mail *state.Store
 
 	mailsDelivered atomic.Int64
 
 	// scratch is the per-batch working state, reused across the serialized
 	// batches: the inbox map keeps its buckets, retired accumulators sit in
-	// a freelist, one mail buffer serves every event (mailbox.Deliver
+	// a freelist, one mail buffer serves every event (state.Store.Deliver
 	// copies, so nothing downstream retains these), and the frontier
 	// buffers keep their capacity.
 	scratch propScratch
 }
 
-// NewPropagator builds a propagator writing into mbox and reading/writing
-// the temporal graph behind db.
-func NewPropagator(cfg Config, db *gdb.DB, mbox *mailbox.Store) *Propagator {
-	return &Propagator{cfg: cfg, db: db, mbox: mbox}
+// NewPropagator builds a propagator delivering into mail's mailboxes and
+// reading and writing the temporal graph behind db.
+func NewPropagator(cfg Config, db *gdb.DB, mail *state.Store) *Propagator {
+	return &Propagator{cfg: cfg, db: db, mail: mail}
 }
 
 // MailsDelivered reports the number of mailbox deliveries so far.
@@ -112,7 +112,7 @@ func (p *Propagator) deliver(s *propScratch, n tgraph.NodeID, vec []float32, ts 
 
 // ProcessBatch inserts the batch's events into the temporal graph and
 // propagates their mails. zOf must return the *current* embedding z(t) of a
-// node (the state store, already updated with this batch's embeddings).
+// node (the node store, already updated with this batch's embeddings).
 //
 // For each event (i, j, e, t):
 //   - mail(t) = z_i(t) + e_ij + z_j(t)                      (φ, eq. 6)
@@ -181,7 +181,7 @@ func (p *Propagator) deliverInbox() {
 				acc.sum[i] *= inv
 			}
 		}
-		p.mbox.Deliver(n, acc.sum, acc.ts)
+		p.mail.Deliver(n, acc.sum, acc.ts)
 		s.freelist = append(s.freelist, acc)
 	}
 	p.mailsDelivered.Add(int64(len(s.inbox)))

@@ -82,7 +82,7 @@ func referenceProcessBatch(p *Propagator, k *refKHop, events []tgraph.Event, zOf
 				acc.sum[i] *= inv
 			}
 		}
-		p.mbox.Deliver(n, acc.sum, acc.ts)
+		p.mail.Deliver(n, acc.sum, acc.ts)
 		s.freelist = append(s.freelist, acc)
 	}
 	p.mailsDelivered.Add(int64(len(s.inbox)))
@@ -205,12 +205,12 @@ func samePropagation(got, want *Model) error {
 	if g, w := got.prop.MailsDelivered(), want.prop.MailsDelivered(); g != w {
 		return fmt.Errorf("MailsDelivered %d, reference %d", g, w)
 	}
-	slots, dim := got.mbox.Slots(), got.mbox.Dim()
+	slots, dim := got.st.Slots(), got.st.Dim()
 	gm, wm := make([]float32, slots*dim), make([]float32, slots*dim)
 	gt, wt := make([]float64, slots), make([]float64, slots)
-	for n := 0; n < got.mbox.NumNodes(); n++ {
-		gc := got.mbox.ReadSorted(int32(n), gm, gt)
-		wc := want.mbox.ReadSorted(int32(n), wm, wt)
+	for n := 0; n < got.st.NumNodes(); n++ {
+		gc := got.st.ReadSorted(int32(n), gm, gt)
+		wc := want.st.ReadSorted(int32(n), wm, wt)
 		if gc != wc {
 			return fmt.Errorf("node %d: %d mails, reference %d", n, gc, wc)
 		}

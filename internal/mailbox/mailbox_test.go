@@ -1,9 +1,15 @@
+// The mail half of the node store's tests, under the names they had when
+// the mailboxes were a store of their own. They move to package state when
+// this package goes.
 package mailbox
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"apan/internal/state"
 )
 
 func mail(v float32, dim int) []float32 {
@@ -15,7 +21,7 @@ func mail(v float32, dim int) []float32 {
 }
 
 func TestDeliverAndLen(t *testing.T) {
-	s := New(3, 2, 4)
+	s := state.New(3, 2, 4)
 	if s.Len(0) != 0 {
 		t.Fatal("fresh mailbox not empty")
 	}
@@ -32,11 +38,11 @@ func TestDeliverDimPanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(1, 1, 4).Deliver(0, mail(1, 3), 1)
+	state.New(1, 1, 4).Deliver(0, mail(1, 3), 1)
 }
 
 func TestFIFOEviction(t *testing.T) {
-	s := New(1, 3, 1)
+	s := state.New(1, 3, 1)
 	for i := 1; i <= 5; i++ {
 		s.Deliver(0, []float32{float32(i)}, float64(i))
 	}
@@ -56,7 +62,7 @@ func TestFIFOEviction(t *testing.T) {
 }
 
 func TestReadSortedHandlesOutOfOrderDelivery(t *testing.T) {
-	s := New(1, 4, 1)
+	s := state.New(1, 4, 1)
 	// Deliver out of timestamp order (distributed streams do this, §3.6).
 	s.Deliver(0, []float32{30}, 30)
 	s.Deliver(0, []float32{10}, 10)
@@ -78,7 +84,7 @@ func TestReadSortedHandlesOutOfOrderDelivery(t *testing.T) {
 }
 
 func TestReadSortedBufferPanic(t *testing.T) {
-	s := New(1, 2, 2)
+	s := state.New(1, 2, 2)
 	s.Deliver(0, mail(1, 2), 1)
 	defer func() {
 		if recover() == nil {
@@ -93,7 +99,7 @@ func TestReadSortedBufferPanic(t *testing.T) {
 // back.
 func TestRestoreUndoesGrow(t *testing.T) {
 	const slots, dim = 2, 2
-	s := New(6, slots, dim)
+	s := state.New(6, slots, dim)
 	s.Deliver(3, []float32{1, 2}, 5)
 	snap := s.Clone()
 
@@ -113,7 +119,7 @@ func TestRestoreUndoesGrow(t *testing.T) {
 }
 
 func TestResetAndSnapshotRestore(t *testing.T) {
-	s := New(2, 2, 1)
+	s := state.New(2, 2, 1)
 	s.Deliver(0, []float32{7}, 1)
 	snap := s.Clone()
 	s.Deliver(0, []float32{8}, 2)
@@ -135,8 +141,8 @@ func TestResetAndSnapshotRestore(t *testing.T) {
 }
 
 func TestKeyValueUpdateKeepsCapacity(t *testing.T) {
-	s := New(1, 2, 3)
-	s.SetRule(UpdateKeyValue)
+	s := state.New(1, 2, 3)
+	s.SetRule(state.UpdateKeyValue)
 	s.Deliver(0, []float32{1, 0, 0}, 1)
 	s.Deliver(0, []float32{0, 1, 0}, 2)
 	// Mailbox full: KV blending kicks in, count stays at slots.
@@ -167,7 +173,7 @@ func TestFIFOProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		slots := 1 + rng.Intn(5)
-		s := New(1, slots, 1)
+		s := state.New(1, slots, 1)
 		var delivered []float64
 		n := rng.Intn(30)
 		for i := 0; i < n; i++ {
@@ -212,7 +218,7 @@ func TestFIFOProperty(t *testing.T) {
 // delivered mail readable and makes the new IDs deliverable.
 func TestGrowPreservesMail(t *testing.T) {
 	const slots, dim = 3, 2
-	s := New(5, slots, dim)
+	s := state.New(5, slots, dim)
 	for n := int32(0); n < 5; n++ {
 		s.Deliver(n, []float32{float32(n), 1}, float64(n))
 	}
@@ -248,13 +254,13 @@ func TestGrowPreservesMail(t *testing.T) {
 // comes from a clone, which must read as the live store does.
 func TestSetMailsEqualsDeliveriesQuick(t *testing.T) {
 	const nodes, slots, dim = 11, 4, 3
-	for _, rule := range []UpdateRule{UpdateFIFO, UpdateKeyValue} {
+	for _, rule := range []state.UpdateRule{state.UpdateFIFO, state.UpdateKeyValue} {
 		prop := func(seed int64, opCount uint16) bool {
 			rng := rand.New(rand.NewSource(seed))
-			src := New(nodes, slots, dim)
+			src := state.New(nodes, slots, dim)
 			src.SetRule(rule)
 			mail := make([]float32, dim)
-			deliver := func(s *Store, node int32, ts float64) {
+			deliver := func(s *state.Store, node int32, ts float64) {
 				for j := range mail {
 					mail[j] = float32(ts) + float32(j)
 				}
@@ -265,7 +271,7 @@ func TestSetMailsEqualsDeliveriesQuick(t *testing.T) {
 			}
 
 			snap := src.Clone()
-			bulk, one := New(nodes, slots, dim), New(nodes, slots, dim)
+			bulk, one := state.New(nodes, slots, dim), state.New(nodes, slots, dim)
 			bulk.SetRule(rule)
 			one.SetRule(rule)
 			buf, ts := make([]float32, slots*dim), make([]float64, slots)
@@ -300,8 +306,9 @@ func TestSetMailsEqualsDeliveriesQuick(t *testing.T) {
 		}
 	}
 	// SetMails over a mailbox that already has mail replaces it; with no
-	// mails it empties the mailbox and hands the block back.
-	s := New(2, 2, 1)
+	// mails it empties the mailbox and keeps the node's record, which holds
+	// its row too.
+	s := state.New(2, 2, 1)
 	s.Deliver(0, []float32{1}, 1)
 	s.Deliver(0, []float32{2}, 2)
 	s.Deliver(0, []float32{3}, 3) // head is now 1
@@ -316,8 +323,34 @@ func TestSetMailsEqualsDeliveriesQuick(t *testing.T) {
 		t.Fatalf("ring head after SetMails: %v", buf[:c])
 	}
 	s.SetMails(0, nil, nil)
-	if o := s.Occupancy(); s.Len(0) != 0 || o.LiveBlocks != 0 || o.FreeBlocks != 1 {
+	if o := s.Occupancy(); s.Len(0) != 0 || o.Records != 1 || o.NodesWithMail != 0 || o.FreeRecords != 0 {
 		t.Fatalf("SetMails of nothing: %d mails, %+v", s.Len(0), o)
+	}
+}
+
+// TestGrowAllocatesIndexOnly: growing the ID space tenfold allocates index
+// bytes, not records, and carves none.
+func TestGrowAllocatesIndexOnly(t *testing.T) {
+	const nodes, slots, dim = 1000, 10, 172
+	s := state.New(nodes, slots, dim)
+	for n := int32(0); n < 50; n++ {
+		s.Deliver(n, mail(1, dim), 1)
+	}
+	before := s.Occupancy()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	s.Grow(10 * nodes)
+	runtime.ReadMemStats(&m1)
+	// Index: 4 B/node, ≈40 KB here even with append's slack; the records
+	// of 9,000 more nodes would be 68 MB.
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 256<<10 {
+		t.Fatalf("Grow to %d nodes allocated %d bytes", 10*nodes, got)
+	}
+	if after := s.Occupancy(); after != before {
+		t.Fatalf("Grow changed occupancy: %+v -> %+v", before, after)
+	}
+	if s.NumNodes() != 10*nodes || s.Len(10*nodes-1) != 0 {
+		t.Fatalf("grown store: %d nodes", s.NumNodes())
 	}
 }
 

@@ -112,13 +112,13 @@ func compareScores(inv, scen string, seed int64, batches [][]tgraph.Event, ref, 
 // and no timestamp exceeds the trace horizon (a smeared write or torn
 // delivery would surface as a wild timestamp).
 func checkMailboxes(m *core.Model, scen string, seed int64, maxTime float64) []Violation {
-	mbox := m.Mailbox()
-	slots, dim := mbox.Slots(), mbox.Dim()
+	st := m.State()
+	slots, dim := st.Slots(), st.Dim()
 	mails := make([]float32, slots*dim)
 	times := make([]float64, slots)
 	var vs []Violation
 	for n := 0; n < m.NumNodes(); n++ {
-		c := mbox.ReadSorted(tgraph.NodeID(n), mails, times)
+		c := st.ReadSorted(tgraph.NodeID(n), mails, times)
 		if c > slots {
 			vs = append(vs, Violation{Invariant: InvMailboxMonotonic, Scenario: scen, Seed: seed, EventIndex: -1,
 				Detail: fmt.Sprintf("node %d holds %d mails, capacity %d", n, c, slots)})

@@ -50,7 +50,7 @@ func TestLoggedRowsEqualRecomputedInference(t *testing.T) {
 	records, dim := 0, twin.Cfg.EdgeDim
 	err = l.ReplayRecords(0, func(rec wal.Record) error {
 		// The twin scores and applies the batch itself; ApplyPending copies
-		// each endpoint's fresh embedding into the state store verbatim, so
+		// each endpoint's fresh embedding into the node store verbatim, so
 		// that is where the recomputed rows are read.
 		ensureBatch(twin.EnsureNodes, rec.Events)
 		twin.Score(rec.Events, &p)

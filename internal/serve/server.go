@@ -51,8 +51,8 @@ import (
 
 	"apan/internal/async"
 	"apan/internal/core"
-	"apan/internal/mailbox"
 	"apan/internal/replica"
+	"apan/internal/state"
 	"apan/internal/tgraph"
 	"apan/internal/train"
 	"apan/internal/wal"
@@ -260,9 +260,11 @@ type StatsResponse struct {
 	// Eviction reports the cold-state evictor's budget, warm-set size and
 	// eviction/re-admission counters. Absent when eviction is disabled.
 	Eviction *core.EvictionStats `json:"eviction,omitempty"`
-	// Mailbox reports the mail memory held: mailboxes with mail, live and
-	// free mail blocks, and their bytes — what an eviction budget bought.
-	Mailbox mailbox.Occupancy `json:"mailbox"`
+	// Mailbox reports the node store's memory: nodes with mail, live and
+	// free records (a record is a node's z row and mailbox; the keys are
+	// live_blocks and free_blocks), and the bytes of their slabs — what an
+	// eviction budget bought.
+	Mailbox state.Occupancy `json:"mailbox"`
 	// Role is "leader" or "follower" when replication is wired (absent on
 	// standalone servers); FollowerLagEvents is the ship-heartbeat lag and
 	// WALLatchedError surfaces the log's latched I/O error string at the top

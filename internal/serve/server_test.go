@@ -253,9 +253,15 @@ func TestStatsAndHealthz(t *testing.T) {
 	if st.Pipeline.Submitted != 1 || st.Pipeline.Processed != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	// One applied event mailed both endpoints: two mailboxes, two blocks.
-	if mb := st.Mailbox; mb.NodesWithMail != 2 || mb.LiveBlocks != 2 || mb.FreeBlocks != 0 || mb.Bytes <= 0 {
+	// One applied event wrote both endpoints' rows and mailed both: two
+	// records, both with mail. The object keeps its four keys.
+	if mb := st.Mailbox; mb.NodesWithMail != 2 || mb.Records != 2 || mb.FreeRecords != 0 || mb.Bytes <= 0 {
 		t.Fatalf("stats mailbox: %+v", mb)
+	}
+	var keys map[string]any
+	if raw, err := json.Marshal(st.Mailbox); err != nil || json.Unmarshal(raw, &keys) != nil || len(keys) != 4 ||
+		keys["nodes_with_mail"] == nil || keys["live_blocks"] == nil || keys["free_blocks"] == nil || keys["bytes"] == nil {
+		t.Fatalf("stats mailbox keys: %v", keys)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/healthz")

@@ -5,12 +5,13 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestZeroValueAndValidation(t *testing.T) {
-	s := New(3, 4)
-	if s.NumNodes() != 3 || s.Dim() != 4 {
-		t.Fatalf("shape: %d %d", s.NumNodes(), s.Dim())
+	s := New(3, 0, 4)
+	if s.NumNodes() != 3 || s.Dim() != 4 || s.Slots() != 0 || s.Len(1) != 0 {
+		t.Fatalf("shape: %d %d %d", s.NumNodes(), s.Dim(), s.Slots())
 	}
 	for _, v := range s.Get(1) {
 		if v != 0 {
@@ -25,11 +26,11 @@ func TestZeroValueAndValidation(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(0, 4)
+	New(0, 0, 4)
 }
 
 func TestSetGetLastTime(t *testing.T) {
-	s := New(2, 3)
+	s := New(2, 0, 3)
 	s.Set(1, []float32{1, 2, 3}, 42)
 	got := s.Get(1)
 	if got[0] != 1 || got[2] != 3 {
@@ -44,7 +45,7 @@ func TestSetGetLastTime(t *testing.T) {
 }
 
 func TestSetCopiesInput(t *testing.T) {
-	s := New(1, 2)
+	s := New(1, 0, 2)
 	z := []float32{5, 6}
 	s.Set(0, z, 1)
 	z[0] = 99
@@ -54,7 +55,7 @@ func TestSetCopiesInput(t *testing.T) {
 }
 
 func TestResetAndSnapshotRestore(t *testing.T) {
-	s := New(2, 2)
+	s := New(2, 0, 2)
 	s.Set(0, []float32{1, 2}, 10)
 	snap := s.Clone()
 	s.Set(1, []float32{3, 4}, 20)
@@ -73,9 +74,9 @@ func TestResetAndSnapshotRestore(t *testing.T) {
 }
 
 // TestRestoreUndoesGrow: a store grown since its snapshot shrinks back on
-// restoring a clone taken before, node count included, as mailbox.Store does.
+// restoring a clone taken before, node count included.
 func TestRestoreUndoesGrow(t *testing.T) {
-	s := New(2, 3)
+	s := New(2, 0, 3)
 	snap := s.Clone()
 	s.Grow(4)
 	s.Set(3, []float32{1, 2, 3}, 5)
@@ -89,72 +90,74 @@ func TestRestoreUndoesGrow(t *testing.T) {
 	}
 }
 
-// TestRowsFollowTouchedNodes: rows are carved slabRows at a time on first
-// Set, come back through ClearNode's free list before a new slab is cut,
-// are packed by Clone, and Reset drops them; untouched and
+// TestRowsFollowTouchedNodes: records are carved slabRecords at a time on a
+// node's first write, come back through ClearNode's free list before a new
+// slab is cut, are repacked by Clone, and Reset drops them; untouched and
 // cleared nodes read as zeros.
 func TestRowsFollowTouchedNodes(t *testing.T) {
-	const dim = 3
-	s := New(10*slabRows, dim)
+	const slots, dim = 2, 3
+	s := New(10*slabRecords, slots, dim)
 	if o := s.Occupancy(); o != (Occupancy{}) {
-		t.Fatalf("fresh store holds rows: %+v", o)
+		t.Fatalf("fresh store holds records: %+v", o)
 	}
-	for n := int32(0); n <= slabRows; n++ {
+	for n := int32(0); n <= slabRecords; n++ {
 		s.Set(n, []float32{float32(n), 1, 2}, 1)
 	}
-	if o := s.Occupancy(); o.TouchedNodes != slabRows+1 || o.Slabs != 2 || o.Bytes != 2*slabRows*dim*4 {
-		t.Fatalf("after %d first touches: %+v", slabRows+1, s.Occupancy())
+	record := int64(unsafe.Sizeof(header{})) + 8*slots + 4*(1+slots)*dim
+	if o := s.Occupancy(); o.Records != slabRecords+1 || o.NodesWithMail != 0 || o.Slabs != 2 || o.Bytes != 2*slabRecords*record {
+		t.Fatalf("after %d first touches: %+v", slabRecords+1, o)
 	}
 	s.ClearNode(5)
 	s.ClearNode(5)
 	if z := s.Get(5); s.Touched(5) || z[0] != 0 || z[1] != 0 {
 		t.Fatalf("cleared node reads %v touched=%v", z, s.Touched(5))
 	}
-	s.Set(9*slabRows, []float32{7, 8, 9}, 2)
-	if o := s.Occupancy(); o.TouchedNodes != slabRows+1 || o.FreeRows != 0 || o.Slabs != 2 {
-		t.Fatalf("a first touch after ClearNode did not reuse the freed row: %+v", o)
+	// A first delivery takes the freed record, which reads untouched.
+	s.Deliver(9*slabRecords, []float32{7, 8, 9}, 2)
+	if o := s.Occupancy(); o.Records != slabRecords+1 || o.FreeRecords != 0 || o.Slabs != 2 || o.NodesWithMail != 1 {
+		t.Fatalf("a first write after ClearNode did not reuse the freed record: %+v", o)
 	}
-	if z := s.Get(9 * slabRows); z[0] != 7 || z[2] != 9 {
-		t.Fatalf("reused row reads %v", z)
+	if z := s.Get(9 * slabRecords); s.Touched(9*slabRecords) || s.LastTime(9*slabRecords) != 0 || z[0] != 0 || z[2] != 0 {
+		t.Fatalf("reused record reads %v at %v", z, s.LastTime(9*slabRecords))
 	}
 	if z := s.Get(4); z[0] != 4 {
-		t.Fatalf("neighbouring row disturbed: %v", z)
+		t.Fatalf("neighbouring record disturbed: %v", z)
 	}
 
-	// A restored store holds its live rows packed, the last slab cut short;
-	// the next first touch starts a new slab and disturbs no row.
+	// A restored store holds its records packed in node order; the next
+	// first touch fills the last slab and disturbs no record.
 	snap := s.Clone()
 	*s = *snap.Clone()
-	if o := s.Occupancy(); o.TouchedNodes != slabRows+1 || o.FreeRows != 0 || o.Slabs != 2 || o.Bytes != (slabRows+1)*dim*4 {
+	if o := s.Occupancy(); o.Records != slabRecords+1 || o.FreeRecords != 0 || o.Slabs != 2 {
 		t.Fatalf("restored store: %+v", o)
 	}
-	s.Set(8*slabRows, []float32{5, 5, 5}, 3)
-	if o := s.Occupancy(); o.TouchedNodes != slabRows+2 || o.Slabs != 3 {
+	s.Set(8*slabRecords, []float32{5, 5, 5}, 3)
+	if o := s.Occupancy(); o.Records != slabRecords+2 || o.Slabs != 2 {
 		t.Fatalf("first touch after restore: %+v", o)
 	}
-	for n := int32(0); n <= slabRows; n++ {
+	for n := int32(0); n <= slabRecords; n++ {
 		if z := s.Get(n); n != 5 && (z[0] != float32(n) || z[1] != 1 || z[2] != 2) {
 			t.Fatalf("node %d reads %v after restore and a first touch", n, z)
 		}
 	}
-	if z := s.Get(8 * slabRows); z[0] != 5 || z[2] != 5 {
+	if z := s.Get(8 * slabRecords); z[0] != 5 || z[2] != 5 {
 		t.Fatalf("first touch after restore reads %v", z)
 	}
 
 	s.Reset()
-	if o := s.Occupancy(); o != (Occupancy{}) || s.Touched(0) || s.Get(0)[0] != 0 {
-		t.Fatalf("reset kept rows: %+v", o)
+	if o := s.Occupancy(); o != (Occupancy{}) || s.Touched(0) || s.Get(0)[0] != 0 || s.Len(9*slabRecords) != 0 {
+		t.Fatalf("reset kept records: %+v", o)
 	}
 }
 
 // Property: the store returns exactly what was last written per node,
-// across ClearNode (the row goes to the free list and is reused) and
-// Clone (the live rows are repacked).
+// across ClearNode (the record goes to the free list and is reused) and
+// Clone (the live records are repacked).
 func TestLastWriteWinsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(3*slabRows)
-		s := New(n, 2)
+		n := 1 + rng.Intn(3*slabRecords)
+		s := New(n, 0, 2)
 		last := make(map[int32][]float32)
 		lastT := make(map[int32]float64)
 		for i := 0; i < 300; i++ {
@@ -194,7 +197,7 @@ func TestLastWriteWinsProperty(t *testing.T) {
 // TestGrowPreservesState checks dynamic admission: Grow keeps every row
 // and admits new nodes cold.
 func TestGrowPreservesState(t *testing.T) {
-	s := New(4, 3)
+	s := New(4, 0, 3)
 	s.Set(2, []float32{1, 2, 3}, 7)
 	s.Grow(33)
 	if s.NumNodes() != 33 {
@@ -217,7 +220,7 @@ func TestGrowPreservesState(t *testing.T) {
 // cleared and never-touched nodes included, and keeps answering it after
 // the store moves on.
 func TestSnapshotRowReadsCapturedState(t *testing.T) {
-	s := New(21, 3)
+	s := New(21, 0, 3)
 	for n := int32(0); n < 21; n += 2 {
 		s.Set(n, []float32{float32(n), 1, -float32(n)}, float64(n)+0.5)
 	}
@@ -237,7 +240,7 @@ func TestSnapshotRowReadsCapturedState(t *testing.T) {
 
 // TestShardedFirstTouchRace: scorers copy nodes out under a shared lock
 // while a writer, under the exclusive lock, first-touches them, clears some
-// and sets them again, so rows are carved, handed back and reused between
+// and sets them again, so records are carved, handed back and reused between
 // reads. This is the contract core.Model keeps with its store lock: readers
 // run concurrently with each other, never with a writer. Run under -race,
 // which catches a read path that writes. A reader sees zeros or one whole
@@ -246,10 +249,10 @@ func TestSnapshotRowReadsCapturedState(t *testing.T) {
 func TestShardedFirstTouchRace(t *testing.T) {
 	const (
 		dim    = 16
-		nodes  = 3 * slabRows
+		nodes  = 3 * slabRecords
 		rounds = 60
 	)
-	s := New(nodes, dim)
+	s := New(nodes, 2, dim)
 	var mu sync.RWMutex
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -312,7 +315,7 @@ func TestShardedFirstTouchRace(t *testing.T) {
 // since the snapshot must read as captured. The name is kept from the
 // lock-striped store the test was first written for.
 func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
-	s := New(6, 2)
+	s := New(6, 0, 2)
 	s.Set(5, []float32{1, 2}, 3)
 	snap := s.Clone()
 

@@ -65,14 +65,37 @@ func (g *Graph) Grow(n int) {
 	g.numNodes = n
 }
 
-// Reset re-initializes g to an empty graph over numNodes nodes, in place:
-// core keeps the same *Graph across runtime resets and checkpoint loads. The
-// old event log's backing array is left untouched, so previously captured
-// EventLog slices keep their contents.
-func (g *Graph) Reset(numNodes int) {
+// Reset re-initializes g, in place, to the graph that adding events one by
+// one to an empty graph over numNodes nodes leaves: core keeps the same
+// *Graph across runtime resets (events nil) and installs of a runtime
+// image. The rebuild allocates the log once, at len(events), and every
+// incidence list from one backing array sized by a degree count; each list
+// is capped at its node's degree, so a later AddEvent reallocates only that
+// node's list. The old log's backing array is left untouched, so
+// previously captured EventLog slices keep their contents.
+func (g *Graph) Reset(numNodes int, events []Event) {
+	deg := make([]int32, numNodes)
+	for i := range events {
+		e := &events[i]
+		deg[e.Src]++
+		if e.Dst != e.Src {
+			deg[e.Dst]++
+		}
+	}
 	g.numNodes = numNodes
-	g.events = nil
+	g.events = make([]Event, 0, len(events))
 	g.adj = make([][]Incidence, numNodes)
+	total := 0
+	for _, d := range deg {
+		total += int(d)
+	}
+	backing := make([]Incidence, total)
+	for n, d := range deg {
+		g.adj[n], backing = backing[:0:d], backing[d:]
+	}
+	for i := range events {
+		g.AddEvent(events[i])
+	}
 }
 
 // NumEvents returns the number of inserted events.

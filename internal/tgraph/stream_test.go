@@ -5,6 +5,7 @@ package tgraph_test
 import (
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"apan/internal/tgraph"
 )
@@ -92,7 +93,7 @@ func TestBackendEquivalenceAfterReset(t *testing.T) {
 	captured := g.EventLog()[:g.NumEvents()]
 	want := append([]tgraph.Event(nil), captured...)
 
-	g.Reset(16)
+	g.Reset(16, nil)
 	if g.NumEvents() != 0 || g.NumNodes() != 16 {
 		t.Fatalf("Reset left %d events, %d nodes", g.NumEvents(), g.NumNodes())
 	}
@@ -151,4 +152,81 @@ func TestShardedCopyOut(t *testing.T) {
 		sameEvents(t, "EventLog slice after append", between, betweenCopy)
 		sameIncidences(t, "MostRecentNeighbors after append", mrn, mrnCopy)
 	})
+}
+
+// TestResetRebuildMatchesAddEvent: Reset(n, events) leaves the graph that
+// adding the events one by one to an empty graph leaves — the same EventLog
+// and the same MostRecentNeighbors for every node at every event time —
+// over streams with regressing and duplicate times and self-loops. Appends
+// after the rebuild, which outgrow the capped lists, match appends after
+// the loop, and a log slice captured before the rebuild keeps its contents.
+func TestResetRebuildMatchesAddEvent(t *testing.T) {
+	const nodes = 24
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		stream := randomStream(rng, 1+rng.Intn(300), nodes, nodes)
+		split := rng.Intn(len(stream) + 1)
+		want := tgraph.New(nodes)
+		apply(want, stream[:split])
+		g := tgraph.New(nodes)
+		apply(g, randomStream(rng, 40, nodes, nodes))
+		captured := g.EventLog()
+		kept := append([]tgraph.Event(nil), captured...)
+
+		g.Reset(nodes, stream[:split])
+		for _, gr := range []*tgraph.Graph{g, want} {
+			apply(gr, stream[split:])
+		}
+		a, b := g.EventLog(), want.EventLog()
+		if len(a) != len(b) || g.NumNodes() != nodes {
+			return false
+		}
+		for i := range a {
+			if a[i].ID != b[i].ID || a[i].Src != b[i].Src || a[i].Dst != b[i].Dst || a[i].Time != b[i].Time ||
+				a[i].Label != b[i].Label || &a[i].Feat[0] != &b[i].Feat[0] {
+				return false
+			}
+		}
+		var ga, gb []tgraph.Incidence
+		for i := range b {
+			for _, k := range []int{2, len(b)} {
+				for n := tgraph.NodeID(0); n < nodes; n++ {
+					ga = g.MostRecentNeighbors(n, b[i].Time, k, ga[:0])
+					gb = want.MostRecentNeighbors(n, b[i].Time, k, gb[:0])
+					if len(ga) != len(gb) {
+						return false
+					}
+					for j := range ga {
+						if ga[j] != gb[j] {
+							return false
+						}
+					}
+				}
+			}
+		}
+		for i := range kept {
+			if captured[i].ID != kept[i].ID || captured[i].Src != kept[i].Src || captured[i].Time != kept[i].Time {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetRebuildAllocs: rebuilding a graph from a runtime image allocates
+// a fixed number of times — the degree count, the log, the list index and
+// one backing array for every incidence list — whatever the event count.
+func TestResetRebuildAllocs(t *testing.T) {
+	const nodes = 64
+	rng := rand.New(rand.NewSource(5))
+	g := tgraph.New(nodes)
+	for _, n := range []int{10, 4000} {
+		events := randomStream(rng, n, nodes, nodes)
+		if a := testing.AllocsPerRun(50, func() { g.Reset(nodes, events) }); a > 4 {
+			t.Fatalf("rebuilding from %d events allocated %.0f times, want ≤ 4", n, a)
+		}
+	}
 }
